@@ -11,6 +11,7 @@ package elan
 // shared with cmd/elan-bench.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -362,6 +363,50 @@ func BenchmarkMatMulInto512Parallel4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := tensor.MatMulInto(dst, x, y); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWorkloadKernels times the three Into kernels at the layer shapes
+// of the benchmark's steady_compute workload (60 samples a rank through an
+// MLP 128-512-512-10): batch x in x out names the forward product
+// MatMulInto(60 x out <- 60 x in, in x out), the weight gradient
+// MatMulATInto(in x out <- 60 x in, 60 x out) and the input gradient
+// MatMulBTInto(60 x in <- 60 x out, in x out). The relu variants zero the
+// negative half of the a operand, as a hidden layer's activations and
+// masked gradients are. Serial, so a row is the kernel's own speed.
+func BenchmarkWorkloadKernels(b *testing.B) {
+	prev := tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
+	kernels := []struct {
+		name string
+		into func(dst, a, b *tensor.Matrix) error
+		dims func(batch, in, out int) (dst, a, b [2]int)
+	}{
+		{"MatMulInto", tensor.MatMulInto, func(n, in, out int) (_, _, _ [2]int) { return [2]int{n, out}, [2]int{n, in}, [2]int{in, out} }},
+		{"MatMulATInto", tensor.MatMulATInto, func(n, in, out int) (_, _, _ [2]int) { return [2]int{in, out}, [2]int{n, in}, [2]int{n, out} }},
+		{"MatMulBTInto", tensor.MatMulBTInto, func(n, in, out int) (_, _, _ [2]int) { return [2]int{n, in}, [2]int{n, out}, [2]int{in, out} }},
+	}
+	for _, k := range kernels {
+		for _, sh := range [][3]int{{60, 512, 512}, {60, 128, 512}} {
+			for _, fill := range []string{"dense", "relu"} {
+				dd, da, db := k.dims(sh[0], sh[1], sh[2])
+				rng := rand.New(rand.NewSource(1))
+				dst, x, y := tensor.MustNew(dd[0], dd[1]), tensor.MustNew(da[0], da[1]), tensor.MustNew(db[0], db[1])
+				x.Randn(rng, 1)
+				y.Randn(rng, 1)
+				if fill == "relu" {
+					x.ReLU()
+				}
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", k.name, sh[0], sh[1], sh[2], fill), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := k.into(dst, x, y); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

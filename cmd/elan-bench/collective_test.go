@@ -9,9 +9,16 @@ import (
 )
 
 // TestWriteCollectiveJSON pins the acceptance shape of BENCH_collective.json:
-// both engines measured allocation-free in-process, and the simulated
-// section showing hierarchical beating flat at every multi-node point with a
-// near-linear weak-scaling curve.
+// both engines measured in-process, and the simulated section showing
+// hierarchical beating flat at every multi-node point with a near-linear
+// weak-scaling curve. It asserts nothing about allocs_per_op: measureHot
+// divides process-wide mallocs by a handful of quick-mode iterations, and
+// the runtime's own failed this test one run in three. Counted, they were
+// one or two 96-byte objects a run (the size class of the sudog a rank
+// takes when it blocks on a channel and its P's cache is empty) and never
+// the rankScratch refill. TestAllReduceZeroAllocs and
+// TestHierAllReduceZeroAllocs in internal/collective are the allocation
+// guards.
 func TestWriteCollectiveJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "collective.json")
 	var b strings.Builder
@@ -32,9 +39,6 @@ func TestWriteCollectiveJSON(t *testing.T) {
 	for _, r := range report.Measured {
 		if r.NsPerOp <= 0 {
 			t.Errorf("%s: degenerate measurement %+v", r.Name, r)
-		}
-		if r.AllocsPerOp >= 1 {
-			t.Errorf("%s: %.2f allocs/op in steady state, want sub-one", r.Name, r.AllocsPerOp)
 		}
 	}
 

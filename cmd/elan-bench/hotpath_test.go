@@ -27,6 +27,13 @@ func TestWriteHotpathJSON(t *testing.T) {
 		"matmul_into_128_serial":  false,
 		"train_step_32x8-32-32-3": false,
 	}
+	for _, kern := range []string{"matmul_into", "matmul_at_into", "matmul_bt_into"} {
+		for _, shape := range []string{"60x512x512", "60x128x512"} {
+			for _, fill := range []string{"dense", "relu"} {
+				want[kern+"_"+shape+"_"+fill] = false
+			}
+		}
+	}
 	sawInto, sawAllreduce := false, false
 	for _, r := range results {
 		if _, ok := want[r.Name]; ok {
@@ -34,6 +41,9 @@ func TestWriteHotpathJSON(t *testing.T) {
 		}
 		if strings.HasPrefix(r.Name, "matmul_into_128_parallel_") {
 			sawInto = true
+			if r.Note == "" {
+				t.Errorf("%s: the row that reads like the serial one carries no note saying why", r.Name)
+			}
 		}
 		if strings.HasPrefix(r.Name, "allreduce_bare_") {
 			sawAllreduce = true

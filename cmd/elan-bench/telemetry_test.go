@@ -36,15 +36,9 @@ func TestWriteTelemetryJSON(t *testing.T) {
 			t.Errorf("report missing %q", name)
 		}
 	}
-	// The production-default disabled path and the flight ring's record path
-	// are the zero-allocation contracts; <1 tolerates stray runtime mallocs
-	// at quick mode's small iteration counts (the strict ==0 guards are the
-	// AllocsPerRun tests in internal/telemetry).
-	for _, name := range []string{"span_disabled_step", "flight_record"} {
-		if r := byName[name]; r.AllocsPerOp >= 1 {
-			t.Errorf("%s allocates: %.2f allocs/op", name, r.AllocsPerOp)
-		}
-	}
+	// No allocs_per_op assertion: see TestWriteCollectiveJSON. The zero-alloc
+	// contracts of the disabled span path and the flight ring are pinned by
+	// the AllocsPerRun tests in internal/telemetry.
 	if !strings.Contains(b.String(), "wrote") {
 		t.Errorf("summary line missing:\n%s", b.String())
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/racecheck"
@@ -334,5 +335,247 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("parallelism %d: %v allocs/op, want 0", workers, avg)
 		}
+	}
+}
+
+// kernelOperands holds one logical product A(m x k) * B(k x n) laid out for
+// all three Into kernels: a and b for MatMulInto, at = Aᵀ for MatMulATInto
+// (with b), bt = Bᵀ for MatMulBTInto (with a).
+type kernelOperands struct {
+	a, b, at, bt *Matrix
+}
+
+// newKernelOperands fills A and B element by element from the two value
+// functions and derives the transposed layouts, so one pattern of zeros and
+// specials reaches the row, the strided and the dot-product kernel alike.
+func newKernelOperands(m, k, n int, av func(i, k int) float64, bv func(k, j int) float64) kernelOperands {
+	o := kernelOperands{a: MustNew(m, k), b: MustNew(k, n), at: MustNew(k, m), bt: MustNew(n, k)}
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < k; kk++ {
+			v := av(i, kk)
+			o.a.Set(i, kk, v)
+			o.at.Set(kk, i, v)
+		}
+	}
+	for kk := 0; kk < k; kk++ {
+		for j := 0; j < n; j++ {
+			v := bv(kk, j)
+			o.b.Set(kk, j, v)
+			o.bt.Set(j, kk, v)
+		}
+	}
+	return o
+}
+
+// diff runs the three Into kernels at the current parallelism over stale
+// destinations and names the first one that fails or whose result is not
+// bit-identical to its naive reference ("" when all agree). It never fails
+// the test itself, so goroutines other than the test's may call it.
+func (o kernelOperands) diff() string {
+	for _, c := range []struct {
+		name  string
+		naive func(a, b *Matrix) (*Matrix, error)
+		into  func(dst, a, b *Matrix) error
+		a, b  *Matrix
+	}{
+		{"MatMulInto", MatMul, MatMulInto, o.a, o.b},
+		{"MatMulATInto", MatMulAT, MatMulATInto, o.at, o.b},
+		{"MatMulBTInto", MatMulBT, MatMulBTInto, o.a, o.bt},
+	} {
+		want, err := c.naive(c.a, c.b)
+		if err != nil {
+			return c.name + " reference: " + err.Error()
+		}
+		dst := MustNew(want.Rows, want.Cols)
+		for i := range dst.Data {
+			dst.Data[i] = math.NaN() // Into must fully overwrite
+		}
+		if err := c.into(dst, c.a, c.b); err != nil {
+			return c.name + ": " + err.Error()
+		}
+		if !bitsEqual(dst, want) {
+			return c.name + " differs from naive"
+		}
+	}
+	return ""
+}
+
+// TestTiledKernelsEveryRemainder drives the register tiles through every
+// remainder they have: output widths, row counts and per-row non-zero
+// counts of every residue mod 4 (all-zero rows included), non-zeros that
+// straddle a kBlock boundary, and a shared dimension of more than two
+// kBlocks (a.Rows > kBlock for the AT kernel).
+func TestTiledKernelsEveryRemainder(t *testing.T) {
+	forcePool(t)
+	rng := rand.New(rand.NewSource(31))
+	val := func() float64 { return rng.NormFloat64() + 3 } // never zero
+	patterns := []struct {
+		name    string
+		nonZero func(i, k int) bool
+	}{
+		{"dense", func(i, k int) bool { return true }},
+		{"i%9 leading non-zeros", func(i, k int) bool { return k < i%9 }},
+		{"straddling kBlock", func(i, k int) bool { return k >= kBlock-1-i%4 && k <= kBlock+i%3 }},
+		{"every third", func(i, k int) bool { return (i+k)%3 == 0 }},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		SetParallelism(workers)
+		for _, p := range patterns {
+			for _, m := range []int{1, 2, 3, 4, 5, 9} {
+				for _, k := range []int{1, 2, 3, 4, 5, 7, kBlock + 2, 2*kBlock + 3} {
+					for n := 1; n <= 9; n++ {
+						o := newKernelOperands(m, k, n,
+							func(i, kk int) float64 {
+								if p.nonZero(i, kk) {
+									return val()
+								}
+								return 0
+							},
+							func(int, int) float64 { return val() })
+						if bad := o.diff(); bad != "" {
+							t.Fatalf("%s: %dx%dx%d pattern %q at parallelism %d", bad, m, k, n, p.name, workers)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTiledKernelsNaNRecompute forces the recompute path of all three
+// kernels: rows whose sum meets two NaNs of different payload and sign (the
+// survivor depends on which operand of the addition each arrives in), rows
+// where Inf-Inf makes the NaN, rows of ±Inf only (the sum check's false
+// positive) and clean rows in between, in the first tile and past a kBlock
+// boundary, for tiles of four, of two and the odd last one.
+func TestTiledKernelsNaNRecompute(t *testing.T) {
+	forcePool(t)
+	nan := func(sign, payload uint64) float64 {
+		return math.Float64frombits(sign<<63 | 0x7FF8000000000000 | payload)
+	}
+	const m, k, n = 8, kBlock + 9, 7
+	av := func(i, kk int) float64 {
+		if kk < kBlock-3 || kk > kBlock+5 { // nine live k, four before the boundary
+			return 0
+		}
+		live := kk - (kBlock - 3)
+		if live >= 2+i { // row i has min(2+i, 9) non-zeros: tiles of 2, 2+1, 4, 4+1, ...
+			return 0
+		}
+		switch {
+		case i%4 == 0 && live == 0:
+			return nan(0, 0x111)
+		case i%4 == 0 && live == 1:
+			return nan(1, 0x222)
+		case i%4 == 1 && live == 0:
+			return math.Inf(1)
+		case i%4 == 1 && live == 1:
+			return math.Inf(-1)
+		case i%4 == 2 && live == 0:
+			return math.Inf(1)
+		}
+		return float64(1 + live)
+	}
+	bv := func(kk, j int) float64 {
+		if j == 3 && kk == kBlock-2 {
+			return nan(0, 0x333) // a NaN from b, meeting a's in rows 0 and 4
+		}
+		if j%2 == 1 {
+			return -1.5 // rows i%4 == 2 end as +Inf and -Inf side by side
+		}
+		return 2.5
+	}
+	o := newKernelOperands(m, k, n, av, bv)
+	want, _ := MatMul(o.a, o.b)
+	if !math.IsNaN(want.At(0, 0)) || !math.IsNaN(want.At(1, 0)) || !math.IsInf(want.At(2, 0), 1) || !math.IsInf(want.At(2, 1), -1) || math.IsNaN(want.At(3, 0)) {
+		t.Fatalf("operands do not produce the intended NaN, Inf and clean rows: %v", want.Data)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		SetParallelism(workers)
+		if bad := o.diff(); bad != "" {
+			t.Fatalf("%s on NaN/Inf rows at parallelism %d", bad, workers)
+		}
+	}
+}
+
+// fillFromBytes is the fuzz target's adversarial fill: the low three bits
+// of each corpus byte pick the class of an element (zero, negative zero,
+// ±Inf, a NaN with its own payload and sign, or an ordinary value), so the
+// fuzzer steers where the skipped zeros and the order-sensitive NaNs fall.
+func fillFromBytes(data []byte, off int) func(int, int) float64 {
+	return func(r, c int) float64 {
+		x := data[(off+r*31+c)%len(data)]
+		hi := uint64(x >> 3)
+		switch x & 7 {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Inf(1 - 2*int(hi&1))
+		case 3:
+			return math.Float64frombits((hi&1)<<63 | 0x7FF8000000000000 | hi<<8 | 1)
+		case 4:
+			return (float64(hi) - 15.5) * 1e300
+		default:
+			return float64(hi) - 15.5
+		}
+	}
+}
+
+// FuzzMatMulIntoBitwise checks all three Into kernels against the naive
+// references bit for bit on fuzzer-chosen shapes, parallelism and fill.
+func FuzzMatMulIntoBitwise(f *testing.F) {
+	f.Add(uint8(1), uint16(1), uint8(1), uint8(0), []byte{5})
+	f.Add(uint8(5), uint16(7), uint8(6), uint8(1), []byte{3, 11, 5, 0, 19, 2, 27, 13})
+	f.Add(uint8(9), uint16(kBlock+5), uint8(13), uint8(2), []byte{5, 0, 13, 5, 3, 21, 0, 5, 5, 10, 4, 1})
+	f.Add(uint8(3), uint16(2*kBlock+1), uint8(4), uint8(3), []byte{0, 0, 0, 5, 0, 0, 0, 0, 13, 3})
+	f.Add(uint8(16), uint16(4), uint8(3), uint8(1), []byte{3, 3, 11, 2, 10, 5})
+	f.Fuzz(func(t *testing.T, m uint8, k uint16, n, workers uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		forcePool(t)
+		SetParallelism([]int{1, 2, 3, 8}[workers%4])
+		o := newKernelOperands(1+int(m%16), 1+int(k%300), 1+int(n%16), fillFromBytes(data, 0), fillFromBytes(data, 7))
+		if bad := o.diff(); bad != "" {
+			t.Fatal(bad)
+		}
+	})
+}
+
+// TestTiledKernelsConcurrentCallers runs more callers than Parallelism()
+// through the pool at once, as the ranks of a Fleet do: regions queue on the
+// pool's lock, helpers of one generation serve every caller in turn, each
+// caller's results stay bit-identical to the naive references, and no
+// goroutine is left behind. Run under -race in CI.
+func TestTiledKernelsConcurrentCallers(t *testing.T) {
+	forcePool(t)
+	SetParallelism(2)
+	const callers = 8
+	rng := rand.New(rand.NewSource(37))
+	ops := make([]kernelOperands, callers)
+	for c := range ops {
+		ops[c] = newKernelOperands(9+c, kBlock+c, 5+c,
+			func(int, int) float64 { return float64(rng.Intn(3)) * rng.NormFloat64() },
+			func(int, int) float64 { return rng.NormFloat64() })
+	}
+	before := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(o kernelOperands) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				if bad := o.diff(); bad != "" {
+					t.Errorf("%s with %d concurrent callers", bad, callers)
+					return
+				}
+			}
+		}(ops[c])
+	}
+	wg.Wait()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after the concurrent callers, %d before", after, before)
 	}
 }

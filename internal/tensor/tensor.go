@@ -127,36 +127,12 @@ func MatMulInto(dst, a, b *Matrix) error {
 	return nil
 }
 
-// matMulRows computes rows [lo, hi) of dst = a*b with k-blocking.
+// matMulRows computes rows [lo, hi) of dst = a*b: output row i multiplies
+// row i of a, read with unit stride.
 //
 //elan:hotpath
 func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for k0 := 0; k0 < a.Cols; k0 += kBlock {
-		k1 := k0 + kBlock
-		if k1 > a.Cols {
-			k1 = a.Cols
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for k := k0; k < k1; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	}
+	axpyRows(dst, b, a.Data, a.Cols, 1, a.Cols, lo, hi)
 }
 
 // MatMulATInto computes dst = aᵀ*b into the caller-owned dst (see
@@ -177,32 +153,132 @@ func MatMulATInto(dst, a, b *Matrix) error {
 	return nil
 }
 
-// matMulATRows computes rows [lo, hi) of dst = aᵀ*b. The k loop (rows of a
-// and b) stays outermost, matching the naive MatMulAT accumulation order
-// per output element.
+// matMulATRows computes rows [lo, hi) of dst = aᵀ*b: output row i
+// multiplies column i of a, read with stride a.Cols. An output row takes a
+// whole kBlock of k in one visit while it sits in L1 (the naive MatMulAT
+// sweeps all of dst once per k), which leaves each element's k-ascending
+// accumulation as it was.
 //
 //elan:hotpath
 func matMulATRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+	axpyRows(dst, b, a.Data, 1, a.Cols, a.Rows, lo, hi)
+}
+
+// axpyRows computes rows [lo, hi) of dst = A*b for the kn x dst.Cols matrix
+// b, where A(i, k) = ad[i*iStride+k*kStride] — a row of a for MatMulInto, a
+// column of a for MatMulATInto. Per kBlock tile and output row it gathers
+// the tile's non-zero A(i, k) (the naive kernels skip zeros, which matters
+// for 0*Inf) and applies them four at a time (then two, then one), so an
+// output element is loaded and stored once per four multiply-adds instead
+// of once each, with every element still accumulating in k-ascending order.
+//
+// The register accumulator changes which operand of an addition a NaN
+// arrives in, and which of two NaN payloads survives depends on that. No
+// other IEEE sum depends on operand order, and NaN is sticky, so it is
+// enough that a row which took a register tile and now holds a NaN is
+// recomputed up to this tile by axpyScalar, which accumulates in the
+// references' own form.
+//
+//elan:hotpath
+func axpyRows(dst, b *Matrix, ad []float64, iStride, kStride, kn, lo, hi int) {
+	n := dst.Cols
+	var ks [kBlock]int
+	var av [kBlock]float64
+	for k0 := 0; k0 < kn || k0 == 0; k0 += kBlock { // once even for kn == 0: the rows are still cleared
+		k1 := min(k0+kBlock, kn)
 		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
+			o := dst.Data[i*n : (i+1)*n]
+			if k0 == 0 {
+				clear(o)
 			}
-			orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			ai := ad[i*iStride:]
+			nz := 0
+			for k := k0; k < k1; k++ {
+				if v := ai[k*kStride]; v != 0 {
+					ks[nz], av[nz] = k, v
+					nz++
+				}
+			}
+			t := 0
+			for ; t+4 <= nz; t += 4 {
+				a0, a1, a2, a3 := av[t], av[t+1], av[t+2], av[t+3]
+				b0 := b.Data[ks[t]*n:][:len(o)]
+				b1 := b.Data[ks[t+1]*n:][:len(o)]
+				b2 := b.Data[ks[t+2]*n:][:len(o)]
+				b3 := b.Data[ks[t+3]*n:][:len(o)]
+				for j := range o {
+					s := o[j]
+					s += a0 * b0[j]
+					s += a1 * b1[j]
+					s += a2 * b2[j]
+					s += a3 * b3[j]
+					o[j] = s
+				}
+			}
+			if t+2 <= nz {
+				a0, a1 := av[t], av[t+1]
+				b0 := b.Data[ks[t]*n:][:len(o)]
+				b1 := b.Data[ks[t+1]*n:][:len(o)]
+				for j := range o {
+					s := o[j]
+					s += a0 * b0[j]
+					s += a1 * b1[j]
+					o[j] = s
+				}
+				t += 2
+			}
+			if t < nz {
+				axpyScalar(o, b, ai, kStride, ks[t], ks[t]+1)
+			}
+			if nz >= 2 && maybeNaN(o) {
+				clear(o)
+				axpyScalar(o, b, ai, kStride, 0, k1)
 			}
 		}
 	}
+}
+
+// axpyScalar adds ai[k*kStride] * (row k of b) to o for k in [k0, k1),
+// skipping zeros, one k at a time in the exact form of the naive MatMul and
+// MatMulAT. It applies the odd last non-zero of a tile in axpyRows and
+// recomputes its NaN rows.
+//
+//elan:hotpath
+func axpyScalar(o []float64, b *Matrix, ai []float64, kStride, k0, k1 int) {
+	for k := k0; k < k1; k++ {
+		v := ai[k*kStride]
+		if v == 0 {
+			continue
+		}
+		brow := b.Data[k*len(o) : (k+1)*len(o)]
+		for j, bv := range brow {
+			o[j] += v * bv
+		}
+	}
+}
+
+// maybeNaN reports whether row may hold a NaN: it sums the row, and a sum
+// is NaN whenever a term is (opposite infinities also make one, a false
+// positive that only costs a recompute). Four independent chains keep it at
+// a fraction of a cycle per element, where a compare-and-branch per element
+// cost a third of a K=3 kernel.
+//
+//elan:hotpath
+func maybeNaN(row []float64) bool {
+	var t0, t1, t2, t3 float64
+	j := 0
+	for ; j+4 <= len(row); j += 4 {
+		r := row[j : j+4 : j+4]
+		t0 += r[0]
+		t1 += r[1]
+		t2 += r[2]
+		t3 += r[3]
+	}
+	for ; j < len(row); j++ {
+		t0 += row[j]
+	}
+	t := (t0 + t1) + (t2 + t3)
+	return t != t
 }
 
 // MatMulBTInto computes dst = a*bᵀ into the caller-owned dst (see
@@ -224,21 +300,52 @@ func MatMulBTInto(dst, a, b *Matrix) error {
 }
 
 // matMulBTRows computes rows [lo, hi) of dst = a*bᵀ as row-dot-products,
-// exactly as the naive MatMulBT does.
+// four output columns at a time: the four sums are independent add chains
+// that overlap in the pipeline and share each load of the a row, and each
+// still accumulates k-ascending from zero like the naive MatMulBT. NaN
+// rows are recomputed by dotScalar for the reason given at axpyRows.
 //
 //elan:hotpath
 func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
+	kn := a.Cols
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float64
-			for k := range arow {
-				sum += arow[k] * brow[k]
+		arow := a.Data[i*kn : (i+1)*kn]
+		o := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		j := 0
+		for ; j+4 <= len(o); j += 4 {
+			b0 := b.Data[j*kn:][:len(arow)]
+			b1 := b.Data[(j+1)*kn:][:len(arow)]
+			b2 := b.Data[(j+2)*kn:][:len(arow)]
+			b3 := b.Data[(j+3)*kn:][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, v := range arow {
+				s0 += v * b0[k]
+				s1 += v * b1[k]
+				s2 += v * b2[k]
+				s3 += v * b3[k]
 			}
-			orow[j] = sum
+			o[j], o[j+1], o[j+2], o[j+3] = s0, s1, s2, s3
 		}
+		dotScalar(o, arow, b, j)
+		if j > 0 && maybeNaN(o) {
+			dotScalar(o, arow, b, 0)
+		}
+	}
+}
+
+// dotScalar sets o[j] = arow · (row j of b) for j in [j0, len(o)), one
+// serial sum at a time in the exact form of the naive MatMulBT. It finishes
+// the column tiles of matMulBTRows and recomputes its NaN rows.
+//
+//elan:hotpath
+func dotScalar(o, arow []float64, b *Matrix, j0 int) {
+	for j := j0; j < len(o); j++ {
+		brow := b.Data[j*len(arow) : (j+1)*len(arow)]
+		var sum float64
+		for k := range arow {
+			sum += arow[k] * brow[k]
+		}
+		o[j] = sum
 	}
 }
 
