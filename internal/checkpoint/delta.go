@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/elan-sys/elan/internal/telemetry"
 )
@@ -21,7 +23,9 @@ import (
 // fully intact (the stranded chunks are garbage, collected at the next
 // compaction), so recovery is always bit-identical to the last committed
 // save. Every CompactEvery-th save is written full, which bounds chain
-// length and lets compaction drop unreachable manifests and chunks.
+// length and lets compaction drop unreachable manifests and chunks; so is a
+// save that found every chunk dirty, which is a full snapshot already. The
+// payload buffers compaction drops are recycled by later saves.
 
 // Errors returned by the delta store.
 var (
@@ -109,6 +113,12 @@ type DeltaStore struct {
 	jobs   map[string]*chain
 	seq    int64
 
+	// free holds the payload buffers of chunks compaction found no live
+	// manifest referencing. Only compactLocked adds to it, only full-size
+	// buffers (so any of them fits any chunk), and Save takes from it
+	// before allocating.
+	free [][]byte
+
 	// crashAfter < 0 is disarmed; otherwise the next Save fails after
 	// that many chunk-payload writes, before committing its manifest.
 	crashAfter int
@@ -154,11 +164,20 @@ func NewDeltaStore(cfg DeltaConfig) *DeltaStore {
 // prime). Not cryptographic — it detects drift between training steps,
 // not adversaries.
 //
+// Each word's high half is first folded into its low half. A multiply only
+// carries information upwards, and values with short mantissas (0.5, 3,
+// 1e9: round numbers, freshly zeroed or constant-filled tensors) differ in
+// their top 16 bits alone, so without the fold such chunks hash into 16
+// bits and collide by the thousand — which content-addressing turns into a
+// changed chunk taken for a clean or already stored one. The fold is off
+// the loop's dependency chain and costs nothing.
+//
 //elan:hotpath
 func hashChunk(vals []float64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range vals {
-		h ^= math.Float64bits(v)
+		w := math.Float64bits(v)
+		h ^= w ^ w>>32
 		h *= 1099511628211
 	}
 	return h
@@ -178,12 +197,11 @@ func (d *DeltaStore) numChunks(numElems int) int {
 	return (numElems + d.cfg.ChunkElems - 1) / d.cfg.ChunkElems
 }
 
-func encodeChunk(vals []float64) []byte {
-	b := make([]byte, 8*len(vals))
+// encodeChunk writes vals into b, which holds exactly 8 bytes per value.
+func encodeChunk(b []byte, vals []float64) {
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
-	return b
 }
 
 func decodeChunk(b []byte, out []float64) {
@@ -201,11 +219,95 @@ func (d *DeltaStore) InjectCrash(afterChunks int) {
 	d.mu.Unlock()
 }
 
+// pendingWrite is one payload a save has decided to store: the chunk's
+// index in the state vector and the buffer reserved for its encoding.
+type pendingWrite struct {
+	index int
+	buf   []byte
+}
+
+// Chunk-parallel passes start one goroutine per chunksPerWorker chunks, at
+// most GOMAXPROCS of them, and hand out chunks chunkGrain at a time. A state
+// of under two workers' worth of chunks is not worth a goroutine.
+const (
+	chunksPerWorker = 32
+	chunkGrain      = 8
+)
+
+// forChunks calls fn(i) for every i in [0, n), each exactly once, and
+// returns when all calls have. The worker count is computed from n alone;
+// with fewer than two workers the same loop runs inline on the caller's
+// goroutine and nothing is started. fn must be safe to call concurrently
+// for distinct i.
+func forChunks(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n/chunksPerWorker)
+	if workers < 2 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			hi := int(next.Add(chunkGrain))
+			lo := hi - chunkGrain
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(hi, n); i++ {
+				fn(i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// CopyState copies src into dst like the builtin copy, with the fan-out a
+// Save of a state that size uses: the way to keep a warm copy of what was
+// just saved without a serial pass over it.
+func CopyState(dst, src []float64) {
+	n := min(len(dst), len(src))
+	forChunks((n+DefaultChunkElems-1)/DefaultChunkElems, func(i int) {
+		lo := i * DefaultChunkElems
+		hi := min(lo+DefaultChunkElems, n)
+		copy(dst[lo:hi], src[lo:hi])
+	})
+}
+
+// payloadBuf returns a buffer of size bytes for a new payload, recycled
+// from the free list when it has one.
+func (d *DeltaStore) payloadBuf(size int) []byte {
+	if k := len(d.free) - 1; k >= 0 {
+		b := d.free[k][:size]
+		d.free[k] = nil
+		d.free = d.free[:k]
+		return b
+	}
+	return make([]byte, size)
+}
+
 // Save checkpoints state (with its opaque header, typically the gob of the
 // runtime fields) under name, storing only chunks whose content changed
 // since the last committed save. The first save of a name, a save after
-// the model size changed, and every CompactEvery-th save are full; full
-// saves also compact the store.
+// the model size changed, every CompactEvery-th save and a save that found
+// every chunk dirty are full; full saves also compact the store.
+//
+// state is read in place in three passes: chunk hashes (chunk-parallel),
+// then one serial loop that makes every decision — dirty, content-dedup
+// hit, injected crash — in chunk order, so the outcome does not depend on
+// scheduling, then the encoding of the chunks that loop chose
+// (chunk-parallel, into recycled buffers). The caller must keep state
+// unchanged until Save returns.
 func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -215,16 +317,17 @@ func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStat
 	n := d.numChunks(len(state))
 
 	hashes := make([]uint64, n)
-	for i := range hashes {
+	forChunks(n, func(i int) {
 		lo, hi := d.chunkBounds(i, len(state))
 		hashes[i] = hashChunk(state[lo:hi])
-	}
+	})
 
 	var stats SaveStats
 	stats.Full = full
 	stats.ChunksTotal = n
 	refs := make([]ChunkRef, 0, n)
-	writes := 0
+	var writes []pendingWrite
+	crashed := false
 	for i := 0; i < n; i++ {
 		dirty := full || hashes[i] != c.hashes[i]
 		lo, hi := d.chunkBounds(i, len(state))
@@ -237,21 +340,42 @@ func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStat
 		stats.ChunksDirty++
 		if _, ok := d.chunks[hashes[i]]; ok {
 			// Content-addressed dedup: the payload is already stored
-			// (e.g. a chunk reverted to an earlier value).
+			// (e.g. a chunk reverted to an earlier value) or reserved by
+			// an earlier chunk of this save.
 			stats.BytesSkipped += size
 			continue
 		}
-		if d.crashAfter >= 0 && writes >= d.crashAfter {
+		if d.crashAfter >= 0 && len(writes) >= d.crashAfter {
 			// Simulated process death: some chunks landed, no manifest.
 			// The previous chain is untouched; the stranded payloads are
 			// garbage until the next compaction.
 			d.crashAfter = -1
-			return stats, fmt.Errorf("%w: %q after %d chunk writes", ErrCrashInjected, name, writes)
+			crashed = true
+			break
 		}
-		d.chunks[hashes[i]] = encodeChunk(state[lo:hi])
-		writes++
+		buf := d.payloadBuf(int(size))
+		d.chunks[hashes[i]] = buf
+		writes = append(writes, pendingWrite{index: i, buf: buf})
 		stats.ChunksWritten++
 		stats.BytesWritten += size
+	}
+
+	// Every payload is complete before the commit point below (and before
+	// a torn save returns: its chunks landed, as a dying process's would).
+	forChunks(len(writes), func(w int) {
+		lo, hi := d.chunkBounds(writes[w].index, len(state))
+		encodeChunk(writes[w].buf, state[lo:hi])
+	})
+	if crashed {
+		return stats, fmt.Errorf("%w: %q after %d chunk writes", ErrCrashInjected, name, stats.ChunksWritten)
+	}
+
+	// A delta that rewrote every chunk references nothing of the chain
+	// before it: it is a full snapshot, so it is committed as one and the
+	// older generations become collectable now rather than CompactEvery
+	// saves later.
+	if n > 0 && stats.ChunksDirty == n {
+		full, stats.Full = true, true
 	}
 
 	// Commit point: the manifest enters the chain only after every chunk
@@ -289,7 +413,10 @@ func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStat
 // compactLocked drops every chunk payload not referenced by a live
 // manifest of any name. Called after a full save replaces a chain, which
 // is when references actually go away. Returns whether anything was
-// collected.
+// collected. A dropped payload's buffer goes to the free list — here and
+// nowhere else, because only here is it known that no manifest can reach
+// it — unless the list already holds as many buffers as there are live
+// payloads, the most a save can need without the state having grown.
 func (d *DeltaStore) compactLocked() bool {
 	live := make(map[uint64]bool, len(d.chunks))
 	for _, c := range d.jobs {
@@ -300,10 +427,14 @@ func (d *DeltaStore) compactLocked() bool {
 		}
 	}
 	collected := false
-	for h := range d.chunks {
-		if !live[h] {
-			delete(d.chunks, h)
-			collected = true
+	for h, payload := range d.chunks {
+		if live[h] {
+			continue
+		}
+		delete(d.chunks, h)
+		collected = true
+		if cap(payload) == 8*d.cfg.ChunkElems && len(d.free) < len(live) {
+			d.free = append(d.free, payload)
 		}
 	}
 	return collected

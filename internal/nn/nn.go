@@ -7,7 +7,8 @@
 // scaling rule emerge from actual SGD on a real loss surface.
 //
 // The package also exposes the training state the elastic runtime needs to
-// replicate: flattened parameters and optimizer velocity.
+// replicate: flattened parameters and optimizer velocity, and — as a Replica —
+// both in one contiguous arena, so that replicating a worker is one copy.
 package nn
 
 import (
@@ -43,12 +44,25 @@ type Linear struct {
 
 // NewLinear creates a layer with He-initialized weights.
 func NewLinear(rng *rand.Rand, in, out int) (*Linear, error) {
-	w, err := tensor.New(in, out)
+	if in <= 0 || out <= 0 {
+		return nil, fmt.Errorf("nn: linear layer of shape %dx%d", in, out)
+	}
+	return newLinear(rng, in, out, make([]float64, in*out+out))
+}
+
+// newLinear builds a layer whose W and B are views of params: in*out
+// weights, then out biases — the flatten order. A nil rng leaves params as
+// it is (a replica whose state arrives by replication); otherwise the
+// weights are He-initialized.
+func newLinear(rng *rand.Rand, in, out int, params []float64) (*Linear, error) {
+	w, err := tensor.FromSlice(in, out, params[:in*out])
 	if err != nil {
 		return nil, fmt.Errorf("nn: linear weights: %w", err)
 	}
-	w.Randn(rng, math.Sqrt(2.0/float64(in)))
-	b, err := tensor.New(1, out)
+	if rng != nil {
+		w.Randn(rng, math.Sqrt(2.0/float64(in)))
+	}
+	b, err := tensor.FromSlice(1, out, params[in*out:])
 	if err != nil {
 		return nil, fmt.Errorf("nn: linear bias: %w", err)
 	}
@@ -144,19 +158,46 @@ type MLP struct {
 // NewMLP builds an MLP with the given layer sizes, e.g. {2, 64, 64, 3} for a
 // 2-feature, 3-class network with two hidden layers of width 64.
 func NewMLP(rng *rand.Rand, sizes []int) (*MLP, error) {
-	if len(sizes) < 2 {
-		return nil, fmt.Errorf("nn: need at least input and output sizes, got %v", sizes)
+	n, err := numParams(sizes)
+	if err != nil {
+		return nil, err
 	}
+	return newMLP(rng, sizes, make([]float64, n))
+}
+
+// numParams validates layer sizes and returns the parameter count.
+func numParams(sizes []int) (int, error) {
+	if len(sizes) < 2 {
+		return 0, fmt.Errorf("nn: need at least input and output sizes, got %v", sizes)
+	}
+	n := 0
+	for i, s := range sizes {
+		if s <= 0 {
+			return 0, fmt.Errorf("nn: non-positive layer size in %v", sizes)
+		}
+		if i > 0 {
+			n += sizes[i-1]*s + s
+		}
+	}
+	return n, nil
+}
+
+// newMLP builds the network over params (numParams(sizes) values): every
+// parameter matrix is a view into it, layer by layer, W before B, so params
+// is at all times what FlattenParams would export.
+func newMLP(rng *rand.Rand, sizes []int, params []float64) (*MLP, error) {
 	m := &MLP{
 		maskWS: make(map[int][]*tensor.Matrix),
 		probs:  make(map[int]*tensor.Matrix),
 	}
 	for i := 0; i+1 < len(sizes); i++ {
-		l, err := NewLinear(rng, sizes[i], sizes[i+1])
+		n := sizes[i]*sizes[i+1] + sizes[i+1]
+		l, err := newLinear(rng, sizes[i], sizes[i+1], params[:n:n])
 		if err != nil {
 			return nil, err
 		}
 		m.layers = append(m.layers, l)
+		params = params[n:]
 	}
 	return m, nil
 }
@@ -438,15 +479,31 @@ type SGD struct {
 
 // NewSGD creates an optimizer for the given parameter shapes.
 func NewSGD(params []*tensor.Matrix, lr, momentum float64) (*SGD, error) {
+	return newSGD(params, lr, momentum, nil)
+}
+
+// newSGD builds the optimizer with its velocity matrices as views into vel
+// (one value per parameter, in parameter order — the FlattenState order),
+// allocated here when nil.
+func newSGD(params []*tensor.Matrix, lr, momentum float64, vel []float64) (*SGD, error) {
 	if lr <= 0 {
 		return nil, fmt.Errorf("nn: non-positive learning rate %v", lr)
 	}
 	if momentum < 0 || momentum >= 1 {
 		return nil, fmt.Errorf("nn: momentum %v out of [0,1)", momentum)
 	}
+	if vel == nil {
+		vel = make([]float64, tensor.NumElements(params...))
+	}
 	s := &SGD{LR: lr, Momentum: momentum}
 	for _, p := range params {
-		s.velocity = append(s.velocity, tensor.MustNew(p.Rows, p.Cols))
+		n := p.Rows * p.Cols
+		v, err := tensor.FromSlice(p.Rows, p.Cols, vel[:n:n])
+		if err != nil {
+			return nil, fmt.Errorf("nn: velocity: %w", err)
+		}
+		s.velocity = append(s.velocity, v)
+		vel = vel[n:]
 	}
 	return s, nil
 }
@@ -486,3 +543,51 @@ func (s *SGD) LoadState(flat []float64) error {
 
 // StateElements returns the number of float64 values in the optimizer state.
 func (s *SGD) StateElements() int { return tensor.NumElements(s.velocity...) }
+
+// Replica is one worker's replicated training state, the network and its
+// optimizer, over a single contiguous arena laid out [params | velocity]:
+// exactly what FlattenParams followed by FlattenState would export. Every
+// parameter and velocity matrix is a view into the arena, so the arena is
+// the live state, never a snapshot of it: replicating a worker is one copy
+// from its arena, checkpointing it is one read.
+type Replica struct {
+	Net   *MLP
+	Opt   *SGD
+	arena []float64
+}
+
+// NewReplica builds a replica with the given layer sizes. A non-nil rng
+// He-initializes the parameters, drawing exactly the samples NewMLP would;
+// a nil rng leaves the whole state zero — the replica of a joining worker,
+// whose state arrives by Install.
+func NewReplica(rng *rand.Rand, sizes []int, lr, momentum float64) (*Replica, error) {
+	n, err := numParams(sizes)
+	if err != nil {
+		return nil, err
+	}
+	arena := make([]float64, 2*n)
+	net, err := newMLP(rng, sizes, arena[:n:n])
+	if err != nil {
+		return nil, err
+	}
+	opt, err := newSGD(net.Params(), lr, momentum, arena[n:])
+	if err != nil {
+		return nil, err
+	}
+	return &Replica{Net: net, Opt: opt, arena: arena}, nil
+}
+
+// State returns the arena itself, not a copy. Whoever holds it reads (or
+// writes) the replica's live parameters and velocity, so the owner decides
+// when that is safe.
+func (r *Replica) State() []float64 { return r.arena }
+
+// Install overwrites the replica's whole state with state, the arena of a
+// replica of the same shape (or a restored checkpoint of one).
+func (r *Replica) Install(state []float64) error {
+	if len(state) != len(r.arena) {
+		return fmt.Errorf("nn: install state of %d values, want %d", len(state), len(r.arena))
+	}
+	copy(r.arena, state)
+	return nil
+}

@@ -13,6 +13,7 @@ package replication
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/elan-sys/elan/internal/topology"
@@ -87,38 +88,86 @@ func NewNaivePlan(existing, newWorkers []topology.GPUID, gpuBytes, cpuBytes int6
 	return p, nil
 }
 
+// domains groups the plan's pair indices by contention domain, domains in
+// order of first appearance and pairs in plan order within one. The empty
+// key means "no shared resource": each such pair is its own domain.
+func (p *Plan) domains() [][]int {
+	var out [][]int
+	byKey := make(map[string]int)
+	for i, pair := range p.Pairs {
+		d, ok := byKey[pair.Contention]
+		if !ok || pair.Contention == "" {
+			d = len(out)
+			out = append(out, nil)
+			byKey[pair.Contention] = d
+		}
+		out[d] = append(out[d], i)
+	}
+	return out
+}
+
 // Duration computes the simulated completion time of the plan on cluster c:
 // pairs in distinct contention domains run concurrently; pairs sharing a
 // domain run back to back. CPU state moves over the control network (the
 // paper uses a web socket) concurrently with GPU state and the slower of
 // the two bounds each pair.
 func (p *Plan) Duration(c *topology.Cluster) time.Duration {
-	if len(p.Pairs) == 0 {
-		return 0
-	}
-	// Finish time per contention domain; the empty key means "no shared
-	// resource", which we give each pair its own domain for.
-	domainBusy := make(map[string]time.Duration)
+	cpuT := c.TransportTime(topology.NET, p.CPUBytes)
 	var makespan time.Duration
-	for i, pair := range p.Pairs {
-		gpuT := c.TransferTime(pair.Source, pair.Target, p.GPUBytes)
-		cpuT := c.TransportTime(topology.NET, p.CPUBytes)
-		t := gpuT
-		if cpuT > t {
-			t = cpuT
+	for _, domain := range p.domains() {
+		var busy time.Duration
+		for _, i := range domain {
+			busy += max(c.TransferTime(p.Pairs[i].Source, p.Pairs[i].Target, p.GPUBytes), cpuT)
 		}
-		key := pair.Contention
-		if key == "" {
-			key = fmt.Sprintf("free-%d", i)
-		}
-		start := domainBusy[key]
-		finish := start + t
-		domainBusy[key] = finish
-		if finish > makespan {
-			makespan = finish
-		}
+		makespan = max(makespan, busy)
 	}
 	return makespan
+}
+
+// minConcurrentBytes is the state size from which Run gives contention
+// domains goroutines of their own. Starting one and waking a processor for
+// it costs several microseconds, more than copying a smaller state takes.
+const minConcurrentBytes = 256 << 10
+
+// Run executes the plan on real state, the schedule Duration prices:
+// do(i, Pairs[i]) performs pair i's transfer, every contention domain runs
+// on its own goroutine (the first on the caller's), and the pairs of one
+// domain run back to back in plan order. A plan moving under
+// minConcurrentBytes per worker runs the same domains one after another on
+// the caller's goroutine instead. Run returns once every domain has
+// finished. A domain stops at its first failed pair; the error returned is
+// that of the lowest-indexed pair that failed.
+func (p *Plan) Run(do func(i int, pair Pair) error) error {
+	errs := make([]error, len(p.Pairs))
+	runDomain := func(domain []int) {
+		for _, i := range domain {
+			if errs[i] = do(i, p.Pairs[i]); errs[i] != nil {
+				return
+			}
+		}
+	}
+	inline := p.domains()
+	var wg sync.WaitGroup
+	if p.GPUBytes >= minConcurrentBytes && len(inline) > 1 {
+		for _, domain := range inline[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runDomain(domain)
+			}()
+		}
+		inline = inline[:1]
+	}
+	for _, domain := range inline {
+		runDomain(domain)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MaxPairTime returns the duration of the single slowest pair, i.e. the

@@ -2,6 +2,9 @@ package replication
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,5 +225,124 @@ func TestCopierHookError(t *testing.T) {
 	}
 	if err := c.Execute(0, 1); !errors.Is(err, boom) {
 		t.Fatalf("Execute = %v, want boom", err)
+	}
+}
+
+// TestPlanRunSchedule drives Run with transfers that block until every
+// contention domain has one in flight: it only terminates if distinct
+// domains (and key-less pairs) really run concurrently, and the per-key
+// in-flight count proves pairs sharing a key never do.
+func TestPlanRunSchedule(t *testing.T) {
+	pairs := []Pair{
+		{Contention: "qpi:n0"}, {Contention: "nic:n0+n1"}, {Contention: ""},
+		{Contention: "qpi:n0"}, {Contention: ""}, {Contention: "nic:n0+n1"}, {Contention: "qpi:n0"},
+	}
+	// A state too small to pay for goroutines runs every pair on the
+	// caller's, in domain order.
+	var inline []int
+	caller := make(chan struct{}, 1)
+	caller <- struct{}{}
+	if err := (&Plan{Pairs: pairs, GPUBytes: minConcurrentBytes - 1}).Run(func(i int, _ Pair) error {
+		select {
+		case <-caller: // nobody else holds the token: calls do not overlap
+		default:
+			t.Errorf("pair %d of a small plan ran concurrently with another", i)
+		}
+		inline = append(inline, i)
+		caller <- struct{}{}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 3, 6, 1, 5, 2, 4}; !slices.Equal(inline, want) {
+		t.Fatalf("small plan ran pairs %v, want %v", inline, want)
+	}
+
+	p := &Plan{Pairs: pairs, GPUBytes: minConcurrentBytes}
+	const domains = 4 // qpi:n0, nic:n0+n1 and the two key-less pairs
+	var (
+		mu       sync.Mutex
+		inFlight = map[string]int{}
+		maxKey   = map[string]int{}
+		order    = map[string][]int{}
+		arrived  int
+	)
+	allIn := make(chan struct{})
+	err := p.Run(func(i int, pair Pair) error {
+		key := pair.Contention
+		if key == "" {
+			key = fmt.Sprintf("free-%d", i)
+		}
+		mu.Lock()
+		inFlight[key]++
+		maxKey[key] = max(maxKey[key], inFlight[key])
+		order[key] = append(order[key], i)
+		first := len(order[key]) == 1
+		if first {
+			if arrived++; arrived == domains {
+				close(allIn)
+			}
+		}
+		mu.Unlock()
+		if first {
+			select {
+			case <-allIn:
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("pair %d: the other domains never started", i)
+			}
+		}
+		mu.Lock()
+		inFlight[key]--
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, m := range maxKey {
+		if m != 1 {
+			t.Errorf("%d pairs of domain %q in flight together", m, key)
+		}
+	}
+	// Within a domain, plan order.
+	if got := order["qpi:n0"]; !slices.Equal(got, []int{0, 3, 6}) {
+		t.Errorf("qpi:n0 ran pairs %v, want [0 3 6]", got)
+	}
+	if got := order["nic:n0+n1"]; !slices.Equal(got, []int{1, 5}) {
+		t.Errorf("nic:n0+n1 ran pairs %v, want [1 5]", got)
+	}
+}
+
+// TestPlanRunErrors: a failed pair stops its own domain, the other domains
+// run to completion, Run returns only after all of them, and it reports the
+// lowest-indexed failure.
+func TestPlanRunErrors(t *testing.T) {
+	p := &Plan{GPUBytes: minConcurrentBytes, Pairs: []Pair{
+		{Contention: "a"}, {Contention: "b"}, {Contention: "a"}, {Contention: "b"}, {Contention: ""},
+	}}
+	errA, errB := errors.New("pair 0 failed"), errors.New("pair 3 failed")
+	var mu sync.Mutex
+	var ran []int
+	err := p.Run(func(i int, _ Pair) error {
+		mu.Lock()
+		ran = append(ran, i)
+		mu.Unlock()
+		switch i {
+		case 0:
+			return errA
+		case 3:
+			return errB
+		}
+		return nil
+	})
+	if !errors.Is(err, errA) {
+		t.Fatalf("Run = %v, want the lowest-indexed failure %v", err, errA)
+	}
+	slices.Sort(ran)
+	if !slices.Equal(ran, []int{0, 1, 3, 4}) {
+		t.Fatalf("ran pairs %v, want [0 1 3 4]: pair 2 follows a failure in its domain", ran)
+	}
+	if err := (&Plan{}).Run(func(int, Pair) error { return errA }); err != nil {
+		t.Fatalf("empty plan = %v", err)
 	}
 }

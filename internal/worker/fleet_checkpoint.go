@@ -7,11 +7,12 @@ import (
 	"fmt"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
+	"github.com/elan-sys/elan/internal/topology"
 )
 
-// Fleet delta checkpointing (DESIGN §13): SaveCheckpoint exports the lead
-// replica's state vector and hands it to the delta store, which persists
-// only the chunks the optimizer moved since the previous save.
+// Fleet delta checkpointing (DESIGN §13): SaveCheckpoint hands the lead
+// replica's state arena to the delta store, which persists only the chunks
+// the optimizer moved since the previous save.
 // RestoreCheckpoint is the crash-recovery inverse; it prefers the warm
 // path — the fleet keeps the last committed state vector in memory, so
 // after an AM crash (RecoverAM) only the manifest-chain tail since that
@@ -50,23 +51,25 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 	if src == nil {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: no live agent to checkpoint from")
 	}
-	r := src.send(command{kind: exportCmd})
-	if r.err != nil {
-		return checkpoint.SaveStats{}, fmt.Errorf("worker: checkpoint export: %w", r.err)
-	}
 	var buf bytes.Buffer
 	h := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: f.currentLR(), Cursor: f.loader.Cursor()}
 	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: encode checkpoint header: %w", err)
 	}
-	stats, err := f.cfg.Checkpoints.Save(f.ckptName, buf.Bytes(), r.state)
+	// The store reads the lead replica's arena in place: the agent is idle
+	// between commands while f.mu is held, so nothing writes it.
+	state := src.rep.State()
+	stats, err := f.cfg.Checkpoints.Save(f.ckptName, buf.Bytes(), state)
 	if err != nil {
 		// A failed save (e.g. a crash injected between chunk writes and
 		// the manifest commit) leaves the previous chain — and our warm
 		// cache of it — authoritative.
 		return stats, err
 	}
-	f.ckptState = append(f.ckptState[:0], r.state...)
+	if len(f.ckptState) != len(state) {
+		f.ckptState = make([]float64, len(state))
+	}
+	checkpoint.CopyState(f.ckptState, state)
 	f.ckptSeq = stats.Seq
 	f.lifeSpan.Event("checkpoint-save")
 	f.flight.RecordEvent("fleet-ckpt", "save", f.clk.Now())
@@ -112,12 +115,25 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	if err := gob.NewDecoder(bytes.NewReader(hdrB)).Decode(&h); err != nil {
 		return checkpoint.RestoreStats{}, fmt.Errorf("worker: decode checkpoint header: %w", err)
 	}
-	for _, a := range f.agents {
-		if !a.alive() {
-			continue
+	// The first live agent takes the restored state from host memory; the
+	// others replicate it from that agent the way joiners do.
+	var live []*Agent
+	var ids []topology.GPUID
+	for i, a := range f.agents {
+		if a.alive() {
+			live = append(live, a)
+			if f.gpus != nil {
+				ids = append(ids, f.gpus[i].ID)
+			}
 		}
-		if r := a.send(command{kind: installCmd, state: state}); r.err != nil {
-			return checkpoint.RestoreStats{}, fmt.Errorf("worker: install checkpoint into %s: %w", a.Name, r.err)
+	}
+	if len(live) > 0 {
+		err := live[0].send(command{kind: installCmd, state: state}).err
+		if err == nil {
+			err = f.replicateLocked(live[:1], live[1:], ids, nil)
+		}
+		if err != nil {
+			return checkpoint.RestoreStats{}, fmt.Errorf("worker: install checkpoint: %w", err)
 		}
 	}
 	f.iter = h.Iter

@@ -2,6 +2,7 @@ package worker
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
@@ -27,13 +28,13 @@ func checkpointFleet(t *testing.T, ds *checkpoint.DeltaStore) *Fleet {
 	return f
 }
 
+// exportState snapshots the lead replica's state arena. The caller is not
+// stepping the fleet, so the agent is idle.
 func exportState(t *testing.T, f *Fleet) []float64 {
 	t.Helper()
-	r := f.agents[0].send(command{kind: exportCmd})
-	if r.err != nil {
-		t.Fatalf("export: %v", r.err)
-	}
-	return r.state
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.agents[0].rep.State())
 }
 
 // TestFleetCheckpointRestoreBitIdentical trains, saves, trains on, then

@@ -5,8 +5,10 @@
 // coordination protocol over the message bus — one agent acts as the
 // coordinator calling the AM's Coordinate API between iterations — and
 // applies adjustments without ever stopping the existing agents: new agents
-// are spawned and report asynchronously, state flows to them via the
-// replication hooks, and the collective group is rebuilt in place.
+// are spawned and report asynchronously, each copies the state straight out
+// of the source agent the replication plan gives it (nearest in the
+// topology, non-contending pairs concurrently), and the collective group is
+// rebuilt in place.
 //
 // Compared to core.LiveJob (which fans out fresh goroutines per step), the
 // fleet mirrors a real deployment: workers are resident processes with
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,6 +31,7 @@ import (
 	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/ddp"
 	"github.com/elan-sys/elan/internal/nn"
+	"github.com/elan-sys/elan/internal/replication"
 	"github.com/elan-sys/elan/internal/store"
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/tensor"
@@ -54,7 +58,12 @@ type command struct {
 	iter  int // fleet iteration (stepCmd, trace annotation)
 	lr    float64
 	group *collective.Group
-	state []float64 // installCmd payload
+	// state is what installCmd copies into the replica: a source agent's
+	// own arena, read in place while that agent sits idle between commands,
+	// or a restored checkpoint. src and link name where it comes from and
+	// over which link level, for the install span.
+	state     []float64
+	src, link string
 	// tr/trace make the agent's spans remote children of the fleet span
 	// that issued the command. Both zero on untraced paths: StartRemote on
 	// a nil tracer returns a nil span, so the hot path stays free.
@@ -68,26 +77,34 @@ type cmdKind int
 const (
 	stepCmd cmdKind = iota + 1
 	installCmd
-	exportCmd
 	stopCmd
 )
 
 type result struct {
-	loss  float64
-	state []float64
-	err   error
+	loss float64
+	err  error
 }
 
-// errAgentDead is returned by send when the target agent was crashed.
-var errAgentDead = errors.New("worker: agent crashed")
+var (
+	// errAgentDead is returned by send when the target agent was crashed.
+	errAgentDead = errors.New("worker: agent crashed")
+	// errNoState is returned by a joiner asked to train before any state
+	// was installed into it.
+	errNoState = errors.New("worker: no replicated state installed")
+)
 
 // Agent is one resident worker.
 type Agent struct {
 	Name string
-	net  *nn.MLP
-	opt  *nn.SGD
-	box  chan command
-	done chan struct{}
+	// rep is the replica: network and optimizer over one state arena
+	// (DESIGN §9 has the rule for who may touch the arena, and when).
+	rep *nn.Replica
+	// installed reports that rep holds real state: from construction for a
+	// seeded agent, from its first install for a joiner. Only the agent
+	// goroutine touches it once the loop runs.
+	installed bool
+	box       chan command
+	done      chan struct{}
 	// killed is closed by kill() to simulate an abrupt crash: the loop
 	// exits without draining its mailbox and pending sends fail with
 	// errAgentDead instead of blocking.
@@ -104,25 +121,28 @@ type Agent struct {
 }
 
 // newAgent builds an agent with a deterministic replica and starts its
-// loop. All agents share the construction seed, so initial replicas are
-// identical; joining agents are overwritten by replication anyway.
+// loop. All founding agents share the construction seed, so their replicas
+// are identical.
 func newAgent(name string, seed int64, sizes []int, lr, momentum float64, bucketElems int, ds *data.Dataset) (*Agent, error) {
-	net, err := nn.NewMLP(rand.New(rand.NewSource(seed)), sizes)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := nn.NewSGD(net.Params(), lr, momentum)
+	return launchAgent(name, rand.New(rand.NewSource(seed)), sizes, lr, momentum, bucketElems, ds)
+}
+
+// launchAgent builds an agent and starts its loop. A nil rng builds a joiner:
+// its replica is left zero rather than initialized, because replication
+// overwrites every value of it, and it refuses to train until that happened.
+func launchAgent(name string, rng *rand.Rand, sizes []int, lr, momentum float64, bucketElems int, ds *data.Dataset) (*Agent, error) {
+	rep, err := nn.NewReplica(rng, sizes, lr, momentum)
 	if err != nil {
 		return nil, err
 	}
 	a := &Agent{
-		Name:   name,
-		net:    net,
-		opt:    opt,
-		red:    ddp.New(net, ddp.Config{BucketElems: bucketElems}),
-		box:    make(chan command),
-		done:   make(chan struct{}),
-		killed: make(chan struct{}),
+		Name:      name,
+		rep:       rep,
+		installed: rng != nil,
+		red:       ddp.New(rep.Net, ddp.Config{BucketElems: bucketElems}),
+		box:       make(chan command),
+		done:      make(chan struct{}),
+		killed:    make(chan struct{}),
 	}
 	go a.loop(ds)
 	return a, nil
@@ -141,20 +161,24 @@ func (a *Agent) loop(ds *data.Dataset) {
 		case cmd := <-a.box:
 			switch cmd.kind {
 			case stepCmd:
+				if !a.installed {
+					cmd.reply <- result{err: fmt.Errorf("%s: %w", a.Name, errNoState)}
+					continue
+				}
 				cmd.reply <- a.step(ds, cmd)
 			case installCmd:
 				span := telemetry.StartRemote(cmd.tr, "worker.install_state", cmd.trace)
 				span.SetProc(a.Name)
-				r := result{err: a.install(cmd.state)}
-				if r.err != nil {
-					span.Annotate("error", r.err.Error())
+				span.Annotate("src", cmd.src)
+				span.Annotate("link", cmd.link)
+				err := a.rep.Install(cmd.state)
+				if err != nil {
+					span.Annotate("error", err.Error())
+				} else {
+					a.installed = true
 				}
 				span.End()
-				cmd.reply <- r
-			case exportCmd:
-				state := a.net.FlattenParams(nil)
-				state = a.opt.FlattenState(state)
-				cmd.reply <- result{state: state}
+				cmd.reply <- result{err: err}
 			case stopCmd:
 				cmd.reply <- result{}
 				return
@@ -199,13 +223,14 @@ func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
 		fspan.End()
 		return result{err: err}
 	}
-	a.net.ZeroGrads()
-	out, err := a.net.Forward(a.batchX)
+	net := a.rep.Net
+	net.ZeroGrads()
+	out, err := net.Forward(a.batchX)
 	if err != nil {
 		fspan.End()
 		return result{err: err}
 	}
-	loss, grad, err := a.net.SoftmaxLoss(out, a.batchY)
+	loss, grad, err := net.SoftmaxLoss(out, a.batchY)
 	fspan.End()
 	if err != nil {
 		return result{err: err}
@@ -214,25 +239,13 @@ func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
 		return result{err: err}
 	}
 	ospan := span.Child("worker.optimize")
-	a.opt.LR = cmd.lr
-	err = a.opt.Step(a.net.Params(), a.net.Grads())
+	a.rep.Opt.LR = cmd.lr
+	err = a.rep.Opt.Step(net.Params(), net.Grads())
 	ospan.End()
 	if err != nil {
 		return result{err: err}
 	}
 	return result{loss: loss}
-}
-
-// install overwrites the replica with replicated state.
-func (a *Agent) install(state []float64) error {
-	n := a.net.NumParams()
-	if len(state) != n+a.opt.StateElements() {
-		return fmt.Errorf("worker: state of %d values, want %d", len(state), n+a.opt.StateElements())
-	}
-	if err := a.net.LoadParams(state[:n]); err != nil {
-		return err
-	}
-	return a.opt.LoadState(state[n:])
 }
 
 // send issues a command and waits for the result. Sends to a crashed agent
@@ -516,7 +529,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		a, err := f.spawnAgent()
+		a, err := f.spawnAgent(false)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -598,10 +611,29 @@ func (f *Fleet) DeadWorkers() []string {
 	return out
 }
 
-func (f *Fleet) spawnAgent() (*Agent, error) {
+// spawnAgent starts an agent under the next fresh name.
+func (f *Fleet) spawnAgent(joiner bool) (*Agent, error) {
 	name := fmt.Sprintf("agent-%d", f.nextID)
 	f.nextID++
-	return newAgent(name, f.cfg.Seed, f.cfg.LayerSizes, f.lr, f.cfg.Momentum, f.cfg.BucketElems, f.cfg.Dataset)
+	return f.startAgent(name, joiner)
+}
+
+// startAgent starts a founding agent (seeded replica) or a joiner (blank
+// replica, filled by replication on admission) under name.
+func (f *Fleet) startAgent(name string, joiner bool) (*Agent, error) {
+	var rng *rand.Rand
+	if !joiner {
+		rng = rand.New(rand.NewSource(f.cfg.Seed))
+	}
+	return launchAgent(name, rng, f.cfg.LayerSizes, f.lr, f.cfg.Momentum, f.cfg.BucketElems, f.cfg.Dataset)
+}
+
+// retire stops an agent that leaves the fleet other than by crashing, and
+// takes its endpoint off the bus. The caller has made sure that no report
+// goroutine of the agent is still running: one would re-create the endpoint.
+func (f *Fleet) retire(a *Agent) {
+	a.stop()
+	f.cfg.Bus.Remove(a.Name)
 }
 
 // NumWorkers returns the active agent count.
@@ -643,7 +675,7 @@ func (f *Fleet) RequestScaleOut(n int) error {
 	names := make([]string, 0, n)
 	fresh := make([]*Agent, 0, n)
 	for i := 0; i < n; i++ {
-		a, err := f.spawnAgent()
+		a, err := f.spawnAgent(true)
 		if err != nil {
 			span.Annotate("error", err.Error())
 			return err
@@ -654,7 +686,7 @@ func (f *Fleet) RequestScaleOut(n int) error {
 	reqCtx := telemetry.ContextWithSpan(f.ctx, span)
 	if err := f.sched.RequestAdjustmentTraced(reqCtx, coord.ScaleOut, names, nil, span.Context()); err != nil {
 		for _, a := range fresh {
-			a.stop()
+			a.stop() // never reported, so it has no endpoint yet
 		}
 		span.Annotate("error", err.Error())
 		return err
@@ -683,10 +715,12 @@ func (f *Fleet) RequestScaleOut(n int) error {
 			// recovering) when the agent first comes up, and a report lost
 			// to an outage would leave the adjustment Pending forever.
 			// ErrUnknownWorker is terminal — the adjustment no longer wants
-			// this worker (already admitted or superseded).
+			// this worker (already admitted or superseded) — and so is
+			// ErrClosed: the agent's endpoint was taken off the bus (crashed,
+			// retired, fleet closing), nobody is left to report for.
 			for {
 				err := cl.ReportReadyCtx(rctx, name)
-				if err == nil || errors.Is(err, coord.ErrUnknownWorker) {
+				if err == nil || errors.Is(err, coord.ErrUnknownWorker) || errors.Is(err, transport.ErrClosed) {
 					return
 				}
 				rspan.Event("retry")
@@ -831,70 +865,113 @@ func (f *Fleet) Step() (float64, error) {
 	return loss / float64(n), nil
 }
 
-// applyAdjustment performs steps 4 and 5 of the procedure for a delivered
-// adjustment: admit reported agents with replicated state, or retire
-// leaving agents, then rebuild the group and repartition.
-// rebuildGroupLocked replaces the collective group with one sized for n
-// ranks — the single implementation of communication-group reconstruction
-// shared by construction, scale adjustments, dead-worker sweeps and
-// rejoins. With a Cluster configured the old GPU reservation is released
-// and n GPUs re-reserved in deterministic tree order, so the group's
-// topology (and therefore its flat-vs-hierarchical algorithm and its link
-// label) always matches the actual placement. Callers hold f.mu or own f
-// exclusively (construction).
-func (f *Fleet) rebuildGroupLocked(n int) error {
-	link := f.cfg.LinkLabel
-	var topo collective.Topology = collective.Flat(n)
-	if f.cfg.Cluster != nil {
-		f.cfg.Cluster.Release(f.gpus)
-		f.gpus = nil
-		gpus, err := f.cfg.Cluster.Reserve(n)
-		if err != nil {
-			return err
-		}
-		ct, err := collective.NewClustered(topology.IDsOf(gpus))
-		if err != nil {
-			f.cfg.Cluster.Release(gpus)
-			return err
-		}
-		f.gpus = gpus
-		topo = ct
-		link = collective.LinkLabelOf(ct)
+// placement is where a group runs: its topology and link label and, with a
+// Cluster, the GPUs reserved for it — rank i on gpus[i].
+type placement struct {
+	gpus []*topology.GPU
+	topo collective.Topology
+	link string
+}
+
+// placeLocked reserves the placement of an n-rank group. With a Cluster the
+// fleet's reservation is swapped for the first n free GPUs in deterministic
+// tree order, its own counting as free: surviving ranks keep their GPUs and
+// joiners take the next ones, so the topology (and with it the
+// flat-vs-hierarchical algorithm and the link label) always matches the
+// actual placement. f.gpus keeps naming the old reservation until
+// regroupLocked commits the new one; unplaceLocked goes back to it. On
+// error the old reservation stands.
+func (f *Fleet) placeLocked(n int) (placement, error) {
+	p := placement{topo: collective.Flat(n), link: f.cfg.LinkLabel}
+	cl := f.cfg.Cluster
+	if cl == nil {
+		return p, nil
 	}
+	cl.Release(f.gpus)
+	gpus, err := cl.Reserve(n)
+	if err != nil {
+		f.unplaceLocked(p)
+		return placement{}, err
+	}
+	p.gpus = gpus
+	ct, err := collective.NewClustered(topology.IDsOf(gpus))
+	if err != nil {
+		f.unplaceLocked(p)
+		return placement{}, err
+	}
+	p.topo, p.link = ct, collective.LinkLabelOf(ct)
+	return p, nil
+}
+
+// unplaceLocked gives p's GPUs back and re-reserves the fleet's own, which
+// placeLocked released a moment ago under the same lock.
+func (f *Fleet) unplaceLocked(p placement) {
+	if cl := f.cfg.Cluster; cl != nil {
+		cl.Release(p.gpus)
+		_, _ = cl.ReserveSpecific(topology.IDsOf(f.gpus)) // cannot fail: just freed, and the cluster is not shared between goroutines
+	}
+}
+
+// regroupLocked replaces the collective group with one built for p and makes
+// p's reservation the fleet's. On error p is given back and the old group
+// and reservation stand.
+func (f *Fleet) regroupLocked(p placement) error {
+	group, err := collective.NewGroupWithTopology(p.topo)
+	if err != nil {
+		f.unplaceLocked(p)
+		return err
+	}
+	group.SetTelemetry(f.tr, f.cfg.Metrics, f.clk, p.link)
 	if f.group != nil {
 		f.group.Close()
 	}
-	group, err := collective.NewGroupWithTopology(topo)
-	if err != nil {
-		return err
-	}
-	group.SetTelemetry(f.tr, f.cfg.Metrics, f.clk, link)
-	f.group = group
+	f.group, f.gpus = group, p.gpus
 	return nil
 }
 
+// rebuildGroupLocked replaces the collective group with one sized for n
+// ranks — the communication-group reconstruction shared by construction,
+// scale-in and dead-worker sweeps (admissions place first, replicate, then
+// regroup: admitLocked). Callers hold f.mu or own f exclusively
+// (construction).
+func (f *Fleet) rebuildGroupLocked(n int) error {
+	p, err := f.placeLocked(n)
+	if err != nil {
+		return err
+	}
+	return f.regroupLocked(p)
+}
+
+// applyAdjustment performs steps 4 and 5 of the procedure for a delivered
+// adjustment: admit reported agents with replicated state, or retire
+// leaving agents, then rebuild the group and repartition.
 func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) error {
-	oldN := len(f.agents)
 	switch adj.Kind {
 	case coord.ScaleOut:
-		src := f.agents[0].send(command{kind: exportCmd})
-		if src.err != nil {
-			return src.err
-		}
+		// All or nothing, like core.LiveJob.ScaleOutCtx: the AM has handed
+		// the adjustment over and will not deliver it again, so joiners that
+		// cannot all be admitted are all stopped rather than left behind.
+		var err error
+		joiners := make([]*Agent, 0, len(adj.Add))
 		for _, name := range adj.Add {
 			a, ok := f.spawned[name]
 			if !ok {
-				return fmt.Errorf("worker: adjustment admits unknown agent %q", name)
+				err = fmt.Errorf("worker: adjustment admits unknown agent %q", name)
+				continue
 			}
 			delete(f.spawned, name)
-			// The install runs on the joining agent's own process track,
-			// parented under the apply span of the same trace.
-			if r := a.send(command{kind: installCmd, state: src.state,
-				tr: f.tr, trace: aspan.Context()}); r.err != nil {
-				return r.err
-			}
-			f.agents = append(f.agents, a)
+			joiners = append(joiners, a)
 		}
+		if err == nil {
+			err = f.admitLocked(joiners, aspan)
+		}
+		if err != nil {
+			for _, a := range joiners {
+				f.retire(a)
+			}
+			aspan.Event("rollback")
+		}
+		return err
 	case coord.ScaleIn:
 		leaving := make(map[string]bool, len(adj.Remove))
 		for _, name := range adj.Remove {
@@ -903,7 +980,7 @@ func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) err
 		var stay []*Agent
 		for _, a := range f.agents {
 			if leaving[a.Name] {
-				a.stop()
+				f.retire(a)
 				f.hb.Forget(a.Name) // left deliberately, not dead
 			} else {
 				stay = append(stay, a)
@@ -912,14 +989,78 @@ func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) err
 		if len(stay) == len(f.agents) {
 			return fmt.Errorf("worker: scale-in removed no agents")
 		}
+		oldN := len(f.agents)
 		f.agents = stay
+		if err := f.loader.Repartition(oldN, len(stay)); err != nil {
+			return err
+		}
+		return f.rebuildGroupLocked(len(stay))
 	default:
 		return fmt.Errorf("worker: unsupported adjustment %v", adj.Kind)
 	}
-	if err := f.loader.Repartition(oldN, len(f.agents)); err != nil {
+}
+
+// admitLocked folds joiners into the fleet, all or nothing: the grown
+// fleet's placement is reserved first, every joiner then installs the state
+// of the source the replication plan gives it, and only when all of them
+// hold it do the loader partition, the group and the agent list change. On
+// error the fleet is as it was — same agents, group and reservation — and
+// the caller disposes of the joiners.
+func (f *Fleet) admitLocked(joiners []*Agent, parent *telemetry.Span) error {
+	oldN, newN := len(f.agents), len(f.agents)+len(joiners)
+	p, err := f.placeLocked(newN)
+	if err != nil {
 		return err
 	}
-	return f.rebuildGroupLocked(len(f.agents))
+	err = f.replicateLocked(f.agents, joiners, topology.IDsOf(p.gpus), parent)
+	if err == nil {
+		err = f.loader.Repartition(oldN, newN)
+	}
+	if err != nil {
+		f.unplaceLocked(p)
+		return err
+	}
+	if err := f.regroupLocked(p); err != nil {
+		return err
+	}
+	f.agents = append(f.agents, joiners...)
+	return nil
+}
+
+// replicateLocked is the paper's concurrent IO-free replication (Section
+// IV): every target copies the whole training state straight out of one
+// source agent's arena, on its own goroutine, while the sources sit idle
+// under f.mu. ids places sources then targets on GPUs; with them the
+// replication plan picks each target's nearest source and says which pairs
+// share a contended link and therefore run back to back, the rest running
+// concurrently. Without a Cluster (empty ids) sources are taken round-robin
+// and nothing contends. A non-nil parent makes every install a traced
+// remote child of it.
+func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID, parent *telemetry.Span) error {
+	size := int64(8 * len(sources[0].rep.State()))
+	plan := &replication.Plan{Pairs: make([]replication.Pair, len(targets)), GPUBytes: size}
+	if len(ids) > 0 {
+		var err error
+		if plan, err = replication.NewPlan(ids[:len(sources)], ids[len(sources):], size, 0); err != nil {
+			return err
+		}
+	}
+	var tr telemetry.Tracer
+	if parent != nil {
+		tr = f.tr
+	}
+	return plan.Run(func(i int, pair replication.Pair) error {
+		src, link := sources[i%len(sources)], f.cfg.LinkLabel
+		if len(ids) > 0 {
+			src, link = sources[slices.Index(ids, pair.Source)], pair.Level.String()
+		}
+		r := targets[i].send(command{kind: installCmd, state: src.rep.State(),
+			src: src.Name, link: link, tr: tr, trace: parent.Context()})
+		if r.err != nil {
+			return fmt.Errorf("worker: install into %s from %s: %w", targets[i].Name, src.Name, r.err)
+		}
+		return nil
+	})
 }
 
 // sweepDeadLocked excises crashed agents before dispatch: a killed rank
@@ -1002,7 +1143,7 @@ func (f *Fleet) RejoinWorker(name string) error {
 		return fmt.Errorf("worker: total batch %d not divisible by %d workers",
 			f.cfg.TotalBatch, len(f.agents)+1)
 	}
-	a, err := newAgent(name, f.cfg.Seed, f.cfg.LayerSizes, f.lr, f.cfg.Momentum, f.cfg.BucketElems, f.cfg.Dataset)
+	a, err := f.startAgent(name, true)
 	if err != nil {
 		return err
 	}
@@ -1012,21 +1153,8 @@ func (f *Fleet) RejoinWorker(name string) error {
 	if cl, err := coord.NewClientCtx(f.ctx, f.cfg.Bus, name, "fleet-am"); err == nil {
 		_, _ = cl.AMState()
 	}
-	src := f.agents[0].send(command{kind: exportCmd})
-	if src.err != nil {
-		a.stop()
-		return src.err
-	}
-	if r := a.send(command{kind: installCmd, state: src.state}); r.err != nil {
-		a.stop()
-		return r.err
-	}
-	oldN := len(f.agents)
-	f.agents = append(f.agents, a)
-	if err := f.loader.Repartition(oldN, len(f.agents)); err != nil {
-		return err
-	}
-	if err := f.rebuildGroupLocked(len(f.agents)); err != nil {
+	if err := f.admitLocked([]*Agent{a}, nil); err != nil {
+		f.retire(a)
 		return err
 	}
 	f.deadMu.Lock()
@@ -1149,11 +1277,11 @@ func (f *Fleet) Evaluate(ds *data.Dataset) (loss, acc float64, err error) {
 	// is safe here as long as callers do not Step concurrently.
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out, err := a.net.Forward(x)
+	out, err := a.rep.Net.Forward(x)
 	if err != nil {
 		return 0, 0, err
 	}
-	loss, _, err = a.net.SoftmaxLoss(out, y)
+	loss, _, err = a.rep.Net.SoftmaxLoss(out, y)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1161,20 +1289,16 @@ func (f *Fleet) Evaluate(ds *data.Dataset) (loss, acc float64, err error) {
 	return loss, acc, err
 }
 
-// ReplicasConsistent checks the data-parallel invariant across agents.
+// ReplicasConsistent checks the data-parallel invariant across agents:
+// every replica holds the same parameters and optimizer state. The arenas
+// are compared in place; under f.mu no agent is writing its own.
 func (f *Fleet) ReplicasConsistent() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ref := f.agents[0].net.FlattenParams(nil)
+	ref := f.agents[0].rep.State()
 	for _, a := range f.agents[1:] {
-		p := a.net.FlattenParams(nil)
-		if len(p) != len(ref) {
+		if !slices.Equal(a.rep.State(), ref) {
 			return false
-		}
-		for i := range p {
-			if p[i] != ref[i] {
-				return false
-			}
 		}
 	}
 	return true
@@ -1194,12 +1318,15 @@ func (f *Fleet) Close() {
 	f.closed = true
 	// Cancel first so report clients and the monitor unblock.
 	f.cancel()
+	var names []string
 	for _, a := range f.agents {
 		a.stop()
+		names = append(names, a.Name)
 	}
 	f.agents = nil
 	for _, a := range f.spawned {
 		a.stop()
+		names = append(names, a.Name)
 	}
 	f.spawned = nil
 	if f.group != nil {
@@ -1211,6 +1338,12 @@ func (f *Fleet) Close() {
 	}
 	f.mu.Unlock()
 	f.wg.Wait()
+	// The report goroutines have exited, so no endpoint can come back: take
+	// the agents', admitted or not, off the bus (an injected one outlives
+	// the fleet).
+	for _, name := range names {
+		f.cfg.Bus.Remove(name)
+	}
 	// The monitor has exited; the lifecycle span is single-owner again.
 	f.lifeSpan.Event("stop")
 	f.lifeSpan.End()
