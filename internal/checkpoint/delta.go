@@ -512,12 +512,20 @@ func (d *DeltaStore) RestoreFrom(name string, state []float64, haveSeq int64) ([
 }
 
 // applyLocked decodes the newest version of every chunk referenced by
-// manifests into state.
+// manifests into state. One serial pass in chunk order resolves every ref to
+// its payload — so a missing chunk is reported the same way whatever the
+// scheduling, the lowest one first, before state is touched — and the
+// decoding of what it found is chunk-parallel, as Save's encoding is.
 func (d *DeltaStore) applyLocked(manifests []Manifest, state []float64, stats *RestoreStats) error {
 	if len(manifests) == 0 {
 		return nil
 	}
 	n := d.numChunks(len(state))
+	type replay struct {
+		index   int
+		payload []byte
+	}
+	replays := make([]replay, 0, n)
 	for _, ref := range resolveRefs(manifests, n) {
 		if ref.Index < 0 {
 			continue // untouched by this span of the chain
@@ -526,11 +534,14 @@ func (d *DeltaStore) applyLocked(manifests []Manifest, state []float64, stats *R
 		if !ok {
 			return fmt.Errorf("checkpoint: chunk %d (hash %x) missing from store", ref.Index, ref.Hash)
 		}
-		lo, hi := d.chunkBounds(ref.Index, len(state))
-		decodeChunk(payload, state[lo:hi])
+		replays = append(replays, replay{ref.Index, payload})
 		stats.ChunksReplayed++
 		stats.Bytes += int64(len(payload))
 	}
+	forChunks(len(replays), func(r int) {
+		lo, hi := d.chunkBounds(replays[r].index, len(state))
+		decodeChunk(replays[r].payload, state[lo:hi])
+	})
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/racecheck"
@@ -411,5 +412,95 @@ func TestSaveSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if len(d.Chain("job")) != 1 {
 		t.Fatalf("chain of %d manifests after dense saves, want 1", len(d.Chain("job")))
+	}
+}
+
+// restoreTrace is what one run of runRestoreScript observed.
+type restoreTrace struct {
+	stats  []RestoreStats
+	states [][]float64
+	errs   []string
+}
+
+// runRestoreScript restores a state big enough for the parallel decode — cold
+// over a chain of a full save and two deltas, warm from the middle of it —
+// then loses two payloads and restores again.
+func runRestoreScript(t *testing.T) restoreTrace {
+	t.Helper()
+	d := NewDeltaStore(DeltaConfig{ChunkElems: 8, CompactEvery: 8})
+	state := ramp(8*5*chunksPerWorker+5, 0)
+	var seqs []int64
+	var saved [][]float64
+	save := func() {
+		st, err := d.Save("job", []byte("h"), state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, st.Seq)
+		saved = append(saved, slices.Clone(state))
+	}
+	save()
+	for i := 0; i < len(state); i += 97 {
+		state[i] = -1
+	}
+	save()
+	for i := 3; i < len(state); i += 11 {
+		state[i] += 0.5
+	}
+	save()
+
+	var tr restoreTrace
+	_, cold, st, err := d.Restore("job")
+	tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, cold), append(tr.errs, fmt.Sprint(err))
+	warm := slices.Clone(saved[1])
+	_, st, err = d.RestoreFrom("job", warm, seqs[1])
+	tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, warm), append(tr.errs, fmt.Sprint(err))
+	for _, got := range tr.states {
+		if !sameBits(got, state) {
+			t.Fatal("restored state differs from the last save")
+		}
+	}
+
+	// Two chunks of the newest state lose their payloads: the restore names
+	// the lower one and leaves the caller's buffer as it was.
+	last := d.Chain("job")[2]
+	d.mu.Lock()
+	for _, ref := range last.Chunks {
+		if ref.Index == 41 || ref.Index == 107 {
+			delete(d.chunks, ref.Hash)
+		}
+	}
+	d.mu.Unlock()
+	torn := slices.Clone(saved[1])
+	_, st, err = d.RestoreFrom("job", torn, seqs[1])
+	tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, torn), append(tr.errs, fmt.Sprint(err))
+	if !sameBits(torn, saved[1]) {
+		t.Fatal("a restore that failed on a missing chunk wrote into the caller's state")
+	}
+	return tr
+}
+
+// TestRestoreParallelMatchesSerial is TestSaveParallelMatchesSerial for the
+// other direction: the decode of a restore fans out by chunk count and
+// GOMAXPROCS, and that must show in nothing — the state, RestoreStats, which
+// missing chunk the error names.
+func TestRestoreParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := runRestoreScript(t)
+	if !strings.Contains(serial.errs[2], "chunk 41 ") {
+		t.Fatalf("restore over two missing chunks = %q, want chunk 41 named", serial.errs[2])
+	}
+	if st := serial.stats[1]; st.ChainLen != 1 || st.ChunksReplayed == 0 || st.ChunksReplayed >= serial.stats[0].ChunksReplayed {
+		t.Fatalf("warm restore %+v against cold %+v: want the last delta alone replayed", st, serial.stats[0])
+	}
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := runRestoreScript(t)
+		if !slices.Equal(got.stats, serial.stats) || !slices.Equal(got.errs, serial.errs) {
+			t.Errorf("GOMAXPROCS %d: stats/errors %+v %q, serial %+v %q", procs, got.stats, got.errs, serial.stats, serial.errs)
+		}
+		if !slices.EqualFunc(got.states, serial.states, sameBits) {
+			t.Errorf("GOMAXPROCS %d: restored states differ from serial", procs)
+		}
 	}
 }

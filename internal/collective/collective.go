@@ -37,38 +37,22 @@ type chunkMsg struct {
 // buffer into the receiver's arena for its next send. Buffers therefore
 // migrate around the group — what cycles is the arena slot, not a fixed
 // buffer — and no rank ever writes a buffer its neighbor might still be
-// reading. The free list is a dynamic stack because the hierarchical path
-// is unbalanced within a call: a node leader absorbs one buffer per member
+// reading. The free list is a stack because the hierarchical path is
+// unbalanced within a call: a node leader absorbs one buffer per member
 // during the gather stage and pays them all back during the scatter stage,
-// so its pool transiently holds up to g+1 buffers. Once the stack has grown
-// to the protocol's high-water mark (first call), steady state performs one
-// withdrawal per deposit and never allocates.
+// so its pool transiently holds up to g+1 buffers; the stack is built with
+// room for that, so depositing never grows it. Once primed, steady state
+// performs one withdrawal per deposit and never allocates.
 type rankScratch struct {
 	free   [][]float64
 	capPer int
+	// refills counts get's fallback allocations (nil on a group without
+	// SetTelemetry; a nil counter is a no-op).
+	refills *telemetry.Counter
 }
 
-// ensure primes the arena for chunks of up to maxChunk elements. Sized at
-// first use (and re-sized only if a later allreduce needs larger chunks);
-// migrated buffers from other ranks are interchangeable because every rank
-// primes to the same maxChunk.
-//
-//elan:hotpath
-func (s *rankScratch) ensure(maxChunk int) {
-	if s.capPer >= maxChunk {
-		return
-	}
-	for i := range s.free {
-		s.free[i] = nil
-	}
-	s.free = s.free[:0]
-	s.free = append(s.free, make([]float64, maxChunk), make([]float64, maxChunk)) //elan:vet-allow hotpathalloc — first-use workspace priming; steady state reuses it
-	s.capPer = maxChunk
-}
-
-// get withdraws a buffer of length need, allocating only if the arena was
-// drained by a prior error path. Undersized buffers (migrants primed before
-// a re-size) are dropped rather than returned.
+// get withdraws a buffer of length need. Undersized buffers (migrants primed
+// before a re-size) are dropped rather than returned.
 //
 //elan:hotpath
 func (s *rankScratch) get(need int) []float64 {
@@ -80,7 +64,15 @@ func (s *rankScratch) get(need int) []float64 {
 			return b[:need]
 		}
 	}
-	return make([]float64, need) //elan:vet-allow hotpathalloc — refill after the arena was drained by a peer error path; balanced steady state never hits it
+	return s.refill(need)
+}
+
+// refill is get's way out when the arena is empty: a peer's error path kept
+// a buffer this rank was owed. Balanced steady state never gets here, and
+// when something does it shows in collective_scratch_refill_total.
+func (s *rankScratch) refill(need int) []float64 {
+	s.refills.Inc()
+	return make([]float64, need)
 }
 
 // put deposits a buffer received from a peer.
@@ -88,6 +80,52 @@ func (s *rankScratch) get(need int) []float64 {
 //elan:hotpath
 func (s *rankScratch) put(b []float64) {
 	s.free = append(s.free, b)
+}
+
+// scratchPool is the memory a group's chunk buffers are carved from. slabs
+// holds every allocation whole; spare holds the parts of them no rank has
+// carved a buffer from yet. Ranks carve under mu when they prime — once per
+// group, never in steady state. The pool is what a group's successor adopts
+// (AdoptScratch): slabs come back whole then, whatever sizes the old ranks
+// had cut them into, which is what makes buffers of a 4-rank group serve a
+// 3-rank one whose chunks are a third longer.
+type scratchPool struct {
+	mu    sync.Mutex
+	slabs [][]float64
+	spare [][]float64
+}
+
+// carve cuts a buffer of exactly n values off the first spare extent that
+// has them, or returns nil.
+func (p *scratchPool) carve(n int) []float64 {
+	for i, e := range p.spare {
+		if len(e) >= n {
+			p.spare[i] = e[n:]
+			return e[:n:n]
+		}
+	}
+	return nil
+}
+
+// prime gives s two buffers of maxChunk values each, carved from spare
+// memory when there is any and from a new slab otherwise. Whatever s held
+// before is dropped: its memory stays in slabs for the group's successor.
+func (p *scratchPool) prime(s *rankScratch, maxChunk int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	clear(s.free)
+	s.free = s.free[:0]
+	for len(s.free) < 2 {
+		b := p.carve(maxChunk)
+		if b == nil {
+			slab := make([]float64, (2-len(s.free))*maxChunk)
+			p.slabs = append(p.slabs, slab)
+			p.spare = append(p.spare, slab)
+			continue
+		}
+		s.free = append(s.free, b)
+	}
+	s.capPer = maxChunk
 }
 
 // Group is a communication group of n ranks. All ranks must call AllReduce
@@ -119,8 +157,9 @@ type Group struct {
 	closed    chan struct{}
 
 	// scratch[r] is rank r's chunk arena, touched only by that rank's
-	// goroutine.
+	// goroutine; pool is the memory the arenas are carved from.
 	scratch []rankScratch
+	pool    scratchPool
 
 	// Telemetry (SetTelemetry); an un-instrumented group takes the
 	// AllReduce fast path and records nothing at zero cost.
@@ -173,7 +212,39 @@ func NewGroupWithTopology(t Topology) (*Group, error) {
 		g.lay = lay
 		g.wireHierEdges(lay)
 	}
+	// Room for a rank's own two buffers plus, on a node leader, one from
+	// each other member of its node (rankScratch): deposits never grow the
+	// stack.
+	for r := range g.scratch {
+		room := 2
+		if g.lay != nil {
+			room += len(g.lay.nodes[g.lay.nodeOf[r]]) - 1
+		}
+		g.scratch[r].free = make([][]float64, 0, room)
+	}
 	return g, nil
+}
+
+// AdoptScratch makes g the successor of old: old is closed and the memory
+// its ranks' chunk buffers were carved from becomes g's, to be carved again
+// for g's own size and topology — a group that replaces another of the same
+// job allocates no scratch of its own unless it needs more than its
+// predecessor had. This is an ownership transfer, so it is only valid at a
+// point where no rank is inside a collective on old and none has started on
+// g: between steps, under the lock that serializes them (DESIGN §9).
+func (g *Group) AdoptScratch(old *Group) {
+	old.Close()
+	old.pool.mu.Lock()
+	slabs := old.pool.slabs
+	old.pool.slabs, old.pool.spare = nil, nil
+	old.pool.mu.Unlock()
+	for r := range old.scratch {
+		old.scratch[r] = rankScratch{}
+	}
+	g.pool.mu.Lock()
+	g.pool.slabs = append(g.pool.slabs, slabs...)
+	g.pool.spare = append(g.pool.spare, slabs...)
+	g.pool.mu.Unlock()
 }
 
 // wireHierEdges creates the directed channels the hierarchical stages use
@@ -225,6 +296,10 @@ func (g *Group) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry, clk c
 	g.mOps = reg.Counter("collective_allreduce_total")
 	g.mSeconds = reg.Histogram("collective_allreduce_seconds")
 	g.mElements = reg.Counter("collective_allreduce_elements_total")
+	refills := reg.Counter("collective_scratch_refill_total")
+	for r := range g.scratch {
+		g.scratch[r].refills = refills
+	}
 }
 
 // Tracer returns the group's tracer (Nop until SetTelemetry attaches one),
@@ -362,10 +437,40 @@ func (g *Group) reduce(rank int, vec []float64) error {
 	if g.n == 1 {
 		return nil
 	}
+	g.Prime(rank, len(vec))
 	if g.lay != nil {
 		return g.hierAllReduce(rank, vec)
 	}
 	return g.flatAllReduce(rank, vec)
+}
+
+// Prime sizes rank's chunk scratch for vectors of up to maxElems values: no
+// AllReduce of that length or a shorter one primes again. A caller that
+// reduces vectors of several lengths (the ddp reducer's buckets) primes once
+// to the longest; one that does not call Prime gets the same from its first
+// AllReduce, and a re-prime whenever a longer vector arrives. Like AllReduce
+// it belongs to the rank's own goroutine.
+//
+//elan:hotpath
+func (g *Group) Prime(rank, maxElems int) {
+	if g.n == 1 || rank < 0 || rank >= g.n {
+		return
+	}
+	// The largest chunk any stage sends is the vector over the shortest
+	// ring: all ranks, or in a hierarchy the leaders or the smallest
+	// multi-member node. Buffers migrate between ranks (and, over the leader
+	// ring, between nodes), so every rank primes to the same group-wide
+	// bound.
+	ring := g.n
+	if g.lay != nil {
+		ring = len(g.lay.nodes)
+		if g.lay.minMulti > 0 {
+			ring = min(ring, g.lay.minMulti)
+		}
+	}
+	if sc, maxChunk := &g.scratch[rank], ceilDiv(maxElems, ring); sc.capPer < maxChunk {
+		g.pool.prime(sc, maxChunk)
+	}
 }
 
 // flatAllReduce is the uninstrumented two-phase ring over all ranks.
@@ -376,7 +481,6 @@ func (g *Group) reduce(rank int, vec []float64) error {
 //
 //elan:hotpath
 func (g *Group) flatAllReduce(rank int, vec []float64) error {
-	g.scratch[rank].ensure(ceilDiv(len(vec), g.n))
 	if err := g.ringReduceScatter(g.allRanks, rank, vec); err != nil {
 		return err
 	}

@@ -44,20 +44,9 @@ func (g *Group) hierAllReduce(rank int, vec []float64) error {
 	members := lay.nodes[j]
 	gn := len(members)
 	pos := lay.memIdx[rank]
-	m := len(lay.nodes)
 	leader := members[0]
 
-	// Prime the arena for the largest chunk any stage sends. Buffers
-	// migrate across nodes via the leader ring, so every rank primes to
-	// the same group-wide bound.
-	maxChunk := ceilDiv(len(vec), m)
-	if lay.minMulti > 0 {
-		if c := ceilDiv(len(vec), lay.minMulti); c > maxChunk {
-			maxChunk = c
-		}
-	}
 	sc := &g.scratch[rank]
-	sc.ensure(maxChunk)
 
 	if gn > 1 {
 		// P1: intra-node reduce-scatter.

@@ -265,14 +265,16 @@ func (lj *LiveJob) rebuildGroupLocked(n int) error {
 		topo = ct
 		link = collective.LinkLabelOf(ct)
 	}
-	if lj.group != nil {
-		lj.group.Close()
-	}
 	group, err := collective.NewGroupWithTopology(topo)
 	if err != nil {
 		return err
 	}
 	group.SetTelemetry(lj.tr, lj.metrics, lj.clk, link)
+	if lj.group != nil {
+		// Closes the old group and hands its chunk scratch to the new one:
+		// under lj.mu no rank is inside a collective (DESIGN §9).
+		group.AdoptScratch(lj.group)
+	}
 	lj.group = group
 	return nil
 }

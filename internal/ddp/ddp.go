@@ -13,12 +13,13 @@
 // single whole-vector bucket, which makes the reducer's arithmetic — and
 // its accumulation order — exactly the historical AllReduceMean path.
 //
-// A Reducer belongs to one worker goroutine; only Close may be called from
-// elsewhere, and only after the owner has stopped stepping.
+// A Reducer belongs to one worker goroutine; only Close and Reopen may be
+// called from elsewhere, and only after the owner has stopped stepping.
 package ddp
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/elan-sys/elan/internal/collective"
 	"github.com/elan-sys/elan/internal/nn"
@@ -61,6 +62,9 @@ type Reducer struct {
 	buckets []bucket
 	readyOf []int // readyOf[layer] = bucket to fire when layer completes, else -1
 	flat    []float64
+	// maxBucket is the longest bucket of the plan: what each step primes
+	// the group's scratch to, before the first (often shorter) bucket.
+	maxBucket int
 
 	onLayer func(int) error // cached hook: per-step closures would allocate
 	fired   int             // buckets signalled so far this step
@@ -103,6 +107,9 @@ func New(net *nn.MLP, cfg Config) *Reducer {
 				acc, high = 0, i-1
 			}
 		}
+	}
+	for _, b := range r.buckets {
+		r.maxBucket = max(r.maxBucket, b.hi-b.lo)
 	}
 	r.req = make(chan reduceReq)
 	r.res = make(chan error, 1)
@@ -193,9 +200,9 @@ func (r *Reducer) step(g *collective.Group, rank int, lossGrad *tensor.Matrix, t
 	return r.net.LoadGrads(r.flat)
 }
 
-// Close shuts down the comm goroutine and makes the reducer permanently
-// unusable. Call only after the owning worker has stopped stepping; safe
-// to call repeatedly and on a reducer that never stepped.
+// Close shuts down the comm goroutine and makes the reducer unusable until
+// it is reopened. Call only after the owning worker has stopped stepping;
+// safe to call repeatedly and on a reducer that never stepped.
 func (r *Reducer) Close() {
 	if r.closed {
 		return
@@ -206,6 +213,30 @@ func (r *Reducer) Close() {
 	}
 	close(r.req)
 	<-r.done
+}
+
+// Reopen makes a closed reducer usable again, for the worker that inherits
+// it: the bucket plan and the flat gradient vector are kept, and the next
+// step starts a new comm goroutine. The vector's old content is never read —
+// every step flattens each layer into it before reducing. A reducer that is
+// not closed is left alone.
+func (r *Reducer) Reopen() {
+	if !r.closed {
+		return
+	}
+	r.closed, r.started = false, false
+	r.req = make(chan reduceReq)
+	r.done = make(chan struct{})
+}
+
+// Poison overwrites the flat gradient vector with NaN. Tests of the worker
+// rig recycling contract (DESIGN §9) call it on parked reducers, so that a
+// step that read a value it had not written first would show; nothing else
+// does.
+func (r *Reducer) Poison() {
+	for i := range r.flat {
+		r.flat[i] = math.NaN()
+	}
 }
 
 // commLoop is the resident reduction goroutine: one request per step, one
@@ -227,6 +258,7 @@ func (r *Reducer) commLoop() {
 func (r *Reducer) runBuckets(req reduceReq) error {
 	var firstErr error
 	inv := 1 / float64(req.g.Size())
+	req.g.Prime(req.rank, r.maxBucket)
 	for want := 0; want < len(r.buckets); want++ {
 		b := <-r.ready
 		if firstErr != nil {

@@ -401,6 +401,45 @@ func TestReducerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestReducerReopen: a closed reducer handed to a new owner works again on
+// the flat vector it had — reopening allocates no second one — with a comm
+// goroutine of its own, and whatever the vector held is never read: poisoned
+// while closed, it yields the gradients a new reducer computes. Reopen leaves
+// an open reducer alone.
+func TestReducerReopen(t *testing.T) {
+	solo, err := collective.NewGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	step := func(red *Reducer) []float64 {
+		red.net.ZeroGrads()
+		if err := red.BackwardAllReduce(solo, 0, lossGradOf(t, red.net, 0)); err != nil {
+			t.Fatal(err)
+		}
+		return red.net.FlattenGrads(nil)
+	}
+	fresh := New(buildNet(t), Config{BucketElems: 40})
+	defer fresh.Close()
+	want := step(fresh)
+
+	red := New(buildNet(t), Config{BucketElems: 40})
+	step(red)
+	flat := &red.flat[0]
+	red.Reopen() // open: a no-op
+	if !red.started {
+		t.Fatal("Reopen restarted an open reducer")
+	}
+	red.Close()
+	red.Poison()
+	red.Reopen()
+	defer red.Close()
+	expectBits(t, "reopened", 0, step(red), want)
+	if &red.flat[0] != flat {
+		t.Fatal("Reopen replaced the flat gradient vector")
+	}
+}
+
 // TestReducerStepZeroAllocs: after workspaces and arenas warm up, a full
 // backward + bucketed allreduce + load step allocates nothing.
 func TestReducerStepZeroAllocs(t *testing.T) {

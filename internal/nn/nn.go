@@ -577,6 +577,38 @@ func NewReplica(rng *rand.Rand, sizes []int, lr, momentum float64) (*Replica, er
 	return &Replica{Net: net, Opt: opt, arena: arena}, nil
 }
 
+// Poison overwrites with NaN everything a recycled replica's next owner is
+// required to write before reading (DESIGN §9): the state arena, the
+// gradients, the matmul scratch and every per-batch-shape workspace. Tests
+// of the worker rig recycling contract call it on parked replicas, so that a
+// read of a stale value would show; nothing else does.
+func (r *Replica) Poison() {
+	nan := func(ms ...*tensor.Matrix) {
+		for _, m := range ms {
+			if m != nil {
+				for i := range m.Data {
+					m.Data[i] = math.NaN()
+				}
+			}
+		}
+	}
+	for i := range r.arena {
+		r.arena[i] = math.NaN()
+	}
+	for _, l := range r.Net.layers {
+		nan(l.GradW, l.GradB, l.gw, l.gb)
+		for _, w := range l.ws {
+			nan(w.input, w.out, w.gradIn)
+		}
+	}
+	for _, masks := range r.Net.maskWS {
+		nan(masks...)
+	}
+	for _, p := range r.Net.probs {
+		nan(p)
+	}
+}
+
 // State returns the arena itself, not a copy. Whoever holds it reads (or
 // writes) the replica's live parameters and velocity, so the owner decides
 // when that is safe.

@@ -183,7 +183,7 @@ func TestScaleOutAllOrNothing(t *testing.T) {
 	}
 	waitReady(t, f)
 	f.mu.Lock()
-	f.spawned["agent-3"].kill() // the second joiner: the first installs fine
+	f.spawned["agent-3"].agent.kill() // the second joiner: the first installs fine
 	f.mu.Unlock()
 
 	if _, err := f.Step(); !errors.Is(err, errAgentDead) {
@@ -265,55 +265,74 @@ func TestScaleOutBeyondClusterKeepsReservation(t *testing.T) {
 	}
 }
 
-// TestUninstalledJoinerRefusesToStep: a joiner's replica is all zeros until
-// replication fills it; handed a step before that it must refuse rather
-// than train on zeros, and a failed install does not count.
+// TestUninstalledJoinerRefusesToStep: a joiner's rig holds nothing to train
+// from until replication fills it — zeros when the rig is new, its previous
+// owner's state and gradients when it is recycled. Handed a step before that
+// it must refuse rather than train, without touching the rig, and a failed
+// install does not count.
 func TestUninstalledJoinerRefusesToStep(t *testing.T) {
 	guardGoroutines(t)
 	ds := dataset(t, 64)
 	sizes := []int{4, 8, 3}
-	src, err := newAgent("seeded", 1, sizes, 0.05, 0.9, 0, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.stop()
-	joiner, err := launchAgent("joiner", nil, sizes, 0.05, 0.9, 0, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joiner.stop()
 	g, err := collective.NewGroup(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
 	step := command{kind: stepCmd, rank: 0, n: 1, lo: 0, hi: 8, lr: 0.05, group: g}
+	src, err := newAgent("seeded", 1, sizes, 0.05, 0.9, 0, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.stop()
 
-	if r := joiner.send(step); !errors.Is(r.err, errNoState) {
-		t.Fatalf("step on an uninstalled joiner = %v, want errNoState", r.err)
+	// A rig that trained under another agent, from another seed.
+	prev, err := newAgent("previous", 2, sizes, 0.05, 0.9, 0, ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r := joiner.send(command{kind: installCmd, state: src.rep.State()[1:]}); r.err == nil {
-		t.Fatal("short state installed")
-	}
-	if r := joiner.send(step); !errors.Is(r.err, errNoState) {
-		t.Fatalf("step after a failed install = %v, want errNoState", r.err)
-	}
-	for i, v := range joiner.rep.State() {
-		if v != 0 {
-			t.Fatalf("refused steps touched the replica: arena[%d] = %v", i, v)
-		}
-	}
-	if r := joiner.send(command{kind: installCmd, state: src.rep.State()}); r.err != nil {
+	if r := prev.send(step); r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r := joiner.send(step); r.err != nil {
-		t.Fatalf("step after install: %v", r.err)
+	used := prev.rig
+	prev.stop()
+	blank, err := newRig(nil, sizes, 0.05, 0.9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	joiners := map[string]*Agent{}
+	for name, r := range map[string]*rig{"new rig": blank, "recycled rig": used} {
+		joiner := launchAgent("joiner", r, false, ds)
+		joiners[name] = joiner
+		defer joiner.stop()
+		before := slices.Clone(joiner.rep.State())
+		if r := joiner.send(step); !errors.Is(r.err, errNoState) {
+			t.Fatalf("%s: step on an uninstalled joiner = %v, want errNoState", name, r.err)
+		}
+		if r := joiner.send(command{kind: installCmd, state: src.rep.State()[1:]}); r.err == nil {
+			t.Fatalf("%s: short state installed", name)
+		}
+		if r := joiner.send(step); !errors.Is(r.err, errNoState) {
+			t.Fatalf("%s: step after a failed install = %v, want errNoState", name, r.err)
+		}
+		if !slices.Equal(joiner.rep.State(), before) {
+			t.Fatalf("%s: refused steps touched the replica", name)
+		}
+		if r := joiner.send(command{kind: installCmd, state: src.rep.State()}); r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r := joiner.send(step); r.err != nil {
+			t.Fatalf("%s: step after install: %v", name, r.err)
+		}
 	}
 	if r := src.send(step); r.err != nil {
 		t.Fatal(r.err)
 	}
-	if !slices.Equal(joiner.rep.State(), src.rep.State()) {
-		t.Fatal("installed joiner trained differently from its source")
+	for name, joiner := range joiners {
+		if !slices.Equal(joiner.rep.State(), src.rep.State()) {
+			t.Fatalf("%s: installed joiner trained differently from its source", name)
+		}
 	}
 }
 

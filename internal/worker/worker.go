@@ -93,15 +93,41 @@ var (
 	errNoState = errors.New("worker: no replicated state installed")
 )
 
+// rig is everything state-sized an agent computes with: the replica (state
+// arena, gradient and scratch matrices, per-batch-shape layer workspaces),
+// the bucketed gradient reducer with its flat gradient vector, and the
+// materialized batch. It is reused across iterations, so a steady-state step
+// allocates nothing, and it outlives its agent, so a warm elastic event does
+// not either: a leaving agent's rig is parked on its fleet's spare list and
+// the next joiner takes it over (DESIGN §9 has the life-cycle and the rule
+// for who may touch the arena, and when). While an agent runs, only its
+// goroutine touches its rig.
+type rig struct {
+	rep    *nn.Replica
+	red    *ddp.Reducer
+	batchX *tensor.Matrix
+	batchY []int
+}
+
+// newRig builds a rig. A non-nil rng seeds the replica — a founding agent's;
+// a nil rng leaves it zero — a joiner's, whose state arrives by replication.
+func newRig(rng *rand.Rand, sizes []int, lr, momentum float64, bucketElems int) (*rig, error) {
+	rep, err := nn.NewReplica(rng, sizes, lr, momentum)
+	if err != nil {
+		return nil, err
+	}
+	return &rig{rep: rep, red: ddp.New(rep.Net, ddp.Config{BucketElems: bucketElems})}, nil
+}
+
 // Agent is one resident worker.
 type Agent struct {
 	Name string
-	// rep is the replica: network and optimizer over one state arena
-	// (DESIGN §9 has the rule for who may touch the arena, and when).
-	rep *nn.Replica
+	// The rig the agent computes with, its own until it leaves the fleet.
+	*rig
 	// installed reports that rep holds real state: from construction for a
-	// seeded agent, from its first install for a joiner. Only the agent
-	// goroutine touches it once the loop runs.
+	// seeded agent, from its first install for a joiner, whatever a recycled
+	// rig still holds of its previous owner. Only the agent goroutine
+	// touches it once the loop runs.
 	installed bool
 	box       chan command
 	done      chan struct{}
@@ -110,49 +136,44 @@ type Agent struct {
 	// errAgentDead instead of blocking.
 	killed   chan struct{}
 	killOnce sync.Once
-
-	// Step workspace, reused across iterations so the steady-state step
-	// performs no heap allocations: the bucketed gradient reducer (which
-	// owns the flat gradient vector) and the materialized batch. All are
-	// touched only by the agent goroutine.
-	red    *ddp.Reducer
-	batchX *tensor.Matrix
-	batchY []int
 }
 
 // newAgent builds an agent with a deterministic replica and starts its
 // loop. All founding agents share the construction seed, so their replicas
 // are identical.
 func newAgent(name string, seed int64, sizes []int, lr, momentum float64, bucketElems int, ds *data.Dataset) (*Agent, error) {
-	return launchAgent(name, rand.New(rand.NewSource(seed)), sizes, lr, momentum, bucketElems, ds)
-}
-
-// launchAgent builds an agent and starts its loop. A nil rng builds a joiner:
-// its replica is left zero rather than initialized, because replication
-// overwrites every value of it, and it refuses to train until that happened.
-func launchAgent(name string, rng *rand.Rand, sizes []int, lr, momentum float64, bucketElems int, ds *data.Dataset) (*Agent, error) {
-	rep, err := nn.NewReplica(rng, sizes, lr, momentum)
+	r, err := newRig(rand.New(rand.NewSource(seed)), sizes, lr, momentum, bucketElems)
 	if err != nil {
 		return nil, err
 	}
+	return launchAgent(name, r, true, ds), nil
+}
+
+// launchAgent starts an agent on r, new or recycled. seeded says that r
+// holds the state to train from; otherwise the agent is a joiner, which
+// refuses to train until an install has overwritten whatever r holds: the
+// zeros of a new rig, or its previous owner's state.
+func launchAgent(name string, r *rig, seeded bool, ds *data.Dataset) *Agent {
+	// A recycled rig's reducer was closed with its previous agent.
+	r.red.Reopen()
 	a := &Agent{
 		Name:      name,
-		rep:       rep,
-		installed: rng != nil,
-		red:       ddp.New(rep.Net, ddp.Config{BucketElems: bucketElems}),
+		rig:       r,
+		installed: seeded,
 		box:       make(chan command),
 		done:      make(chan struct{}),
 		killed:    make(chan struct{}),
 	}
 	go a.loop(ds)
-	return a, nil
+	return a
 }
 
 // loop is the agent's resident goroutine.
 func (a *Agent) loop(ds *data.Dataset) {
 	defer close(a.done)
 	// The reducer's comm goroutine dies with the agent — on stop and on
-	// simulated crash alike — so group reconstruction never inherits one.
+	// simulated crash alike — so neither group reconstruction nor the rig's
+	// next agent inherits one.
 	defer a.red.Close()
 	for {
 		select {
@@ -367,12 +388,19 @@ type Fleet struct {
 	// scheduler-side client that requests adjustments.
 	coordinator *coord.Client
 	sched       *coord.Client
-	// spawned holds agents that have been launched (asynchronously started)
-	// and reported, awaiting the adjustment that admits them.
-	spawned map[string]*Agent
-	iter    int
-	nextID  int
-	lr      float64
+	// spawned holds the joiners of requested scale-outs, from the request
+	// to the adjustment that admits them.
+	spawned map[string]*joiner
+	// spare holds the rigs of agents that left the fleet — scaled in, rolled
+	// back, crashed and swept — for the next joiners to take over. A rig is
+	// built only when this list is empty, so rigs live and spare never
+	// outnumber the most workers the fleet had at once.
+	spare []*rig
+	// onPark, when set (tests only), sees every rig as it is parked.
+	onPark func(*rig)
+	iter   int
+	nextID int
+	lr     float64
 	// learning-rate ramp state (progressive linear scaling)
 	lrRampFrom  float64
 	lrRampTo    float64
@@ -416,6 +444,18 @@ type Fleet struct {
 	mAMCrashes     *telemetry.Counter
 	mAMRecoveries  *telemetry.Counter
 	mCoordSkips    *telemetry.Counter
+	mRigsReused    *telemetry.Counter
+	mRigsBuilt     *telemetry.Counter
+	mSpareRigs     *telemetry.Gauge
+}
+
+// joiner is a requested worker on its way up. RequestScaleOut registers it;
+// its own goroutine starts the agent, then closes up, then reports ready —
+// so whoever learns of the report (the admitting Step, through the AM) finds
+// the agent here without waiting.
+type joiner struct {
+	up    chan struct{}
+	agent *Agent // nil if the agent could not be started
 }
 
 // NewFleet builds the fleet, the AM and its service, and starts the initial
@@ -498,7 +538,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		amSvc:          amSvc,
 		coordinator:    coordinator,
 		sched:          sched,
-		spawned:        make(map[string]*Agent),
+		spawned:        make(map[string]*joiner),
 		lr:             cfg.LR,
 		ckptName:       cfg.CheckpointName,
 		ctx:            ctx,
@@ -517,6 +557,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		mAMCrashes:     cfg.Metrics.Counter("worker_am_crashes_total"),
 		mAMRecoveries:  cfg.Metrics.Counter("worker_am_recoveries_total"),
 		mCoordSkips:    cfg.Metrics.Counter("worker_coord_skips_total"),
+		mRigsReused:    cfg.Metrics.Counter("worker_rig_reused_total"),
+		mRigsBuilt:     cfg.Metrics.Counter("worker_rig_built_total"),
+		mSpareRigs:     cfg.Metrics.Gauge("worker_spare_rigs"),
 	}
 	// AM-side spans are labeled with the service's endpoint so the
 	// cross-process trace shows coord work on the fleet-am track.
@@ -593,7 +636,10 @@ func (f *Fleet) monitorLoop() {
 			f.deadMu.Unlock()
 			if newDead > 0 {
 				f.mDeadDetected.Add(int64(newDead))
+				// Everyone else who writes the lifecycle span holds f.mu.
+				f.mu.Lock()
 				f.lifeSpan.Event("dead-worker-detected")
+				f.mu.Unlock()
 			}
 		}
 	}
@@ -611,29 +657,91 @@ func (f *Fleet) DeadWorkers() []string {
 	return out
 }
 
-// spawnAgent starts an agent under the next fresh name.
-func (f *Fleet) spawnAgent(joiner bool) (*Agent, error) {
+// nextName returns the next fresh agent name.
+func (f *Fleet) nextName() string {
 	name := fmt.Sprintf("agent-%d", f.nextID)
 	f.nextID++
-	return f.startAgent(name, joiner)
+	return name
 }
 
-// startAgent starts a founding agent (seeded replica) or a joiner (blank
-// replica, filled by replication on admission) under name.
+// spawnAgent starts an agent under the next fresh name.
+func (f *Fleet) spawnAgent(joiner bool) (*Agent, error) {
+	return f.startAgent(f.nextName(), joiner)
+}
+
+// startAgent starts a founding agent (seeded replica) or a joiner (filled by
+// replication on admission) under name; a joiner takes over a spare rig when
+// the fleet has one. Callers hold f.mu.
 func (f *Fleet) startAgent(name string, joiner bool) (*Agent, error) {
+	var r *rig
+	if joiner {
+		r = f.takeSpareLocked()
+	}
+	return f.startOn(name, r, joiner, nil)
+}
+
+// startOn starts name on r, or on a rig built here when r is nil. It reads
+// nothing that f.mu guards, so a joiner's goroutine runs it while a Step
+// holds the lock. span, when tracing, is told which of the two happened and
+// parents the build.
+func (f *Fleet) startOn(name string, r *rig, joiner bool, span *telemetry.Span) (*Agent, error) {
+	if r != nil {
+		span.Annotate("rig", "reused")
+		f.mRigsReused.Inc()
+		return launchAgent(name, r, !joiner, f.cfg.Dataset), nil
+	}
+	span.Annotate("rig", "built")
+	bspan := span.Child("worker.build_rig")
+	defer bspan.End()
 	var rng *rand.Rand
 	if !joiner {
 		rng = rand.New(rand.NewSource(f.cfg.Seed))
 	}
-	return launchAgent(name, rng, f.cfg.LayerSizes, f.lr, f.cfg.Momentum, f.cfg.BucketElems, f.cfg.Dataset)
+	// The rate a replica is built with is a placeholder: every step sets its
+	// own (command.lr).
+	r, err := newRig(rng, f.cfg.LayerSizes, f.cfg.LR, f.cfg.Momentum, f.cfg.BucketElems)
+	if err != nil {
+		bspan.Annotate("error", err.Error())
+		return nil, err
+	}
+	f.mRigsBuilt.Inc()
+	return launchAgent(name, r, !joiner, f.cfg.Dataset), nil
 }
 
-// retire stops an agent that leaves the fleet other than by crashing, and
-// takes its endpoint off the bus. The caller has made sure that no report
-// goroutine of the agent is still running: one would re-create the endpoint.
+// takeSpareLocked returns the most recently parked rig, or nil.
+func (f *Fleet) takeSpareLocked() *rig {
+	k := len(f.spare) - 1
+	if k < 0 {
+		return nil
+	}
+	r := f.spare[k]
+	f.spare[k] = nil
+	f.spare = f.spare[:k]
+	f.mSpareRigs.Set(float64(k))
+	return r
+}
+
+// parkLocked takes the rig off a, whose goroutine has exited, and puts it on
+// the spare list. From here until a joiner's goroutine takes it over the rig
+// is the fleet's, and nothing reads it.
+func (f *Fleet) parkLocked(a *Agent) {
+	r := a.rig
+	a.rig = nil
+	if f.onPark != nil {
+		f.onPark(r)
+	}
+	f.spare = append(f.spare, r)
+	f.mSpareRigs.Set(float64(len(f.spare)))
+}
+
+// retire stops an agent that leaves the fleet other than by crashing, takes
+// its endpoint off the bus and parks its rig. Callers hold f.mu and have
+// made sure that no report goroutine of the agent is still running: one
+// would re-create the endpoint.
 func (f *Fleet) retire(a *Agent) {
 	a.stop()
 	f.cfg.Bus.Remove(a.Name)
+	f.parkLocked(a)
 }
 
 // NumWorkers returns the active agent count.
@@ -650,10 +758,12 @@ func (f *Fleet) Iteration() int {
 	return f.iter
 }
 
-// RequestScaleOut launches n new agents asynchronously (they report to the
-// AM when "initialized") and registers the adjustment with the AM. The
-// fleet keeps training; the adjustment is applied by a later Step's
-// coordination, exactly as the paper's mechanism prescribes.
+// RequestScaleOut registers a scale-out by n with the AM and starts the n
+// joiners, each on its own goroutine: the joiner starts its agent — on a
+// spare rig, or on one it has to build first — while the fleet keeps
+// training, and reports to the AM when it is up. The adjustment is applied
+// by a later Step's coordination, exactly as the paper's mechanism
+// prescribes.
 func (f *Fleet) RequestScaleOut(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("worker: scale out by %d", n)
@@ -672,65 +782,68 @@ func (f *Fleet) RequestScaleOut(n int) error {
 	span.SetProc("fleet-sched")
 	span.AnnotateInt("add", n)
 	defer span.End()
-	names := make([]string, 0, n)
-	fresh := make([]*Agent, 0, n)
-	for i := 0; i < n; i++ {
-		a, err := f.spawnAgent(true)
-		if err != nil {
-			span.Annotate("error", err.Error())
-			return err
-		}
-		fresh = append(fresh, a)
-		names = append(names, a.Name)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = f.nextName()
 	}
 	reqCtx := telemetry.ContextWithSpan(f.ctx, span)
 	if err := f.sched.RequestAdjustmentTraced(reqCtx, coord.ScaleOut, names, nil, span.Context()); err != nil {
-		for _, a := range fresh {
-			a.stop() // never reported, so it has no endpoint yet
-		}
 		span.Annotate("error", err.Error())
 		return err
 	}
-	for i, a := range fresh {
-		f.spawned[a.Name] = a
-		// The agent "starts and initializes" in the background and then
-		// reports. Construction already happened; the report goes over the
-		// bus like a real worker's would. The goroutine is fleet-tracked
-		// and its call aborts when the fleet closes.
+	for _, name := range names {
+		j := &joiner{up: make(chan struct{})}
+		f.spawned[name] = j
 		f.wg.Add(1)
-		go func(name string) {
-			defer f.wg.Done()
-			cl, err := coord.NewClientCtx(f.ctx, f.cfg.Bus, name, "fleet-am")
-			if err != nil {
-				return
-			}
-			// The report span runs on the new agent's own process track, a
-			// remote child of the request span (which may already be ended —
-			// only annotation is frozen by End, not parenthood).
-			rspan := telemetry.StartRemote(f.tr, "worker.report_ready", span.Context())
-			rspan.SetProc(name)
-			defer rspan.End()
-			rctx := telemetry.ContextWithSpan(f.ctx, rspan)
-			// Retry until the report lands: the AM may be down (crashed,
-			// recovering) when the agent first comes up, and a report lost
-			// to an outage would leave the adjustment Pending forever.
-			// ErrUnknownWorker is terminal — the adjustment no longer wants
-			// this worker (already admitted or superseded) — and so is
-			// ErrClosed: the agent's endpoint was taken off the bus (crashed,
-			// retired, fleet closing), nobody is left to report for.
-			for {
-				err := cl.ReportReadyCtx(rctx, name)
-				if err == nil || errors.Is(err, coord.ErrUnknownWorker) || errors.Is(err, transport.ErrClosed) {
-					return
-				}
-				rspan.Event("retry")
-				if f.clk.Sleep(f.ctx, 50*time.Millisecond) != nil {
-					return // fleet closing
-				}
-			}
-		}(names[i])
+		go f.bringUp(name, j, f.takeSpareLocked(), span.Context())
 	}
 	return nil
+}
+
+// bringUp is a joiner's start-up, on its own goroutine and off the fleet
+// lock — a Step holds that for a whole iteration, and the paper's joiners
+// start and initialize while training continues: start the agent on r, the
+// spare rig the request had to hand, or on one built here; publish it through
+// j; then report ready over the bus like a real worker would, until the
+// report lands. The goroutine is fleet-tracked and aborts when the fleet
+// closes.
+func (f *Fleet) bringUp(name string, j *joiner, r *rig, request telemetry.TraceContext) {
+	defer f.wg.Done()
+	// The report span runs on the new agent's own process track, a remote
+	// child of the request span (which may already be ended — only
+	// annotation is frozen by End, not parenthood).
+	rspan := telemetry.StartRemote(f.tr, "worker.report_ready", request)
+	rspan.SetProc(name)
+	defer rspan.End()
+	a, err := f.startOn(name, r, true, rspan)
+	j.agent = a
+	close(j.up)
+	if err != nil {
+		rspan.Annotate("error", err.Error())
+		return // never reports: the adjustment stays pending, as for a worker that failed to start
+	}
+	cl, err := coord.NewClientCtx(f.ctx, f.cfg.Bus, name, "fleet-am")
+	if err != nil {
+		return
+	}
+	rctx := telemetry.ContextWithSpan(f.ctx, rspan)
+	// Retry until the report lands: the AM may be down (crashed,
+	// recovering) when the agent first comes up, and a report lost
+	// to an outage would leave the adjustment Pending forever.
+	// ErrUnknownWorker is terminal — the adjustment no longer wants
+	// this worker (already admitted or superseded) — and so is
+	// ErrClosed: the agent's endpoint was taken off the bus (crashed,
+	// retired, fleet closing), nobody is left to report for.
+	for {
+		err := cl.ReportReadyCtx(rctx, name)
+		if err == nil || errors.Is(err, coord.ErrUnknownWorker) || errors.Is(err, transport.ErrClosed) {
+			return
+		}
+		rspan.Event("retry")
+		if f.clk.Sleep(f.ctx, 50*time.Millisecond) != nil {
+			return // fleet closing
+		}
+	}
 }
 
 // RequestScaleIn registers a scale-in of the last n agents.
@@ -923,7 +1036,9 @@ func (f *Fleet) regroupLocked(p placement) error {
 	}
 	group.SetTelemetry(f.tr, f.cfg.Metrics, f.clk, p.link)
 	if f.group != nil {
-		f.group.Close()
+		// Under f.mu and between steps no rank is inside a collective: the
+		// old group's chunk scratch changes hands here (DESIGN §9).
+		group.AdoptScratch(f.group)
 	}
 	f.group, f.gpus = group, p.gpus
 	return nil
@@ -954,13 +1069,14 @@ func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) err
 		var err error
 		joiners := make([]*Agent, 0, len(adj.Add))
 		for _, name := range adj.Add {
-			a, ok := f.spawned[name]
+			j, ok := f.spawned[name]
 			if !ok {
 				err = fmt.Errorf("worker: adjustment admits unknown agent %q", name)
 				continue
 			}
 			delete(f.spawned, name)
-			joiners = append(joiners, a)
+			<-j.up // closed: the AM has this joiner's report, sent after it was up
+			joiners = append(joiners, j.agent)
 		}
 		if err == nil {
 			err = f.admitLocked(joiners, aspan)
@@ -1068,10 +1184,12 @@ func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID,
 // survivors repartition the loader and rebuild the group without it.
 // Callers hold f.mu.
 func (f *Fleet) sweepDeadLocked() error {
-	live := f.agents[:0:0]
+	var live, dead []*Agent
 	for _, a := range f.agents {
 		if a.alive() {
 			live = append(live, a)
+		} else {
+			dead = append(dead, a)
 		}
 	}
 	if len(live) == len(f.agents) {
@@ -1086,6 +1204,10 @@ func (f *Fleet) sweepDeadLocked() error {
 	}
 	oldN := len(f.agents)
 	f.agents = live
+	for _, a := range dead {
+		<-a.done // killed between commands, so its goroutine is on its way out
+		f.parkLocked(a)
+	}
 	if err := f.loader.Repartition(oldN, len(live)); err != nil {
 		return err
 	}
@@ -1265,18 +1387,16 @@ func (f *Fleet) currentLR() float64 {
 
 // Evaluate measures agent 0's replica on a dataset.
 func (f *Fleet) Evaluate(ds *data.Dataset) (loss, acc float64, err error) {
-	f.mu.Lock()
-	a := f.agents[0]
-	f.mu.Unlock()
 	x, y, err := ds.Batch(0, ds.N())
 	if err != nil {
 		return 0, 0, err
 	}
 	// Evaluation runs on the controller; the agent's net is only touched
-	// between steps (the fleet lock is held by Step), so a direct forward
-	// is safe here as long as callers do not Step concurrently.
+	// during steps, which hold the fleet lock, so a direct forward under it
+	// is safe.
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	a := f.agents[0]
 	out, err := a.rep.Net.Forward(x)
 	if err != nil {
 		return 0, 0, err
@@ -1323,11 +1443,8 @@ func (f *Fleet) Close() {
 		a.stop()
 		names = append(names, a.Name)
 	}
-	f.agents = nil
-	for _, a := range f.spawned {
-		a.stop()
-		names = append(names, a.Name)
-	}
+	f.agents, f.spare = nil, nil
+	pending := f.spawned
 	f.spawned = nil
 	if f.group != nil {
 		f.group.Close()
@@ -1338,9 +1455,16 @@ func (f *Fleet) Close() {
 	}
 	f.mu.Unlock()
 	f.wg.Wait()
-	// The report goroutines have exited, so no endpoint can come back: take
-	// the agents', admitted or not, off the bus (an injected one outlives
-	// the fleet).
+	// The joiners' goroutines have exited: every pending agent that was
+	// going to start has, and no endpoint can come back. Stop those, and take
+	// the agents', admitted or not, off the bus (an injected one outlives the
+	// fleet).
+	for name, j := range pending {
+		if j.agent != nil {
+			j.agent.stop()
+			names = append(names, name)
+		}
+	}
 	for _, name := range names {
 		f.cfg.Bus.Remove(name)
 	}
