@@ -11,6 +11,7 @@ import (
 	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/collective"
 	"github.com/elan-sys/elan/internal/data"
+	"github.com/elan-sys/elan/internal/ddp"
 	"github.com/elan-sys/elan/internal/nn"
 	"github.com/elan-sys/elan/internal/tensor"
 )
@@ -64,8 +65,9 @@ func measureHot(clk clock.Clock, name string, iters int, fn func() error) (hotBe
 
 // hotpathBenches runs the hot-path micro-benchmarks: naive vs Into matmul
 // (serial and parallel), the three Into kernels at the benchmark workload's
-// layer shapes, the full nn training step, and the bare ring allreduce.
-// quick shrinks iteration counts for tests.
+// layer shapes, the two forms of a layer's backward and the optimizer pass at
+// steady_comm's largest layer, the training step the runtime runs, and the
+// bare ring allreduce. quick shrinks iteration counts for tests.
 func hotpathBenches(quick bool) ([]hotBenchResult, error) {
 	clk := clock.Wall{}
 	scale := 1
@@ -166,45 +168,82 @@ func hotpathBenches(quick bool) ([]hotBenchResult, error) {
 		}
 	}
 
+	// One layer of the repository benchmark's steady_comm workload at its
+	// widest (3 samples a rank, 384 -> 384): backward onto gradients
+	// ZeroGrads marked zero, which writes the gradient arena directly — the
+	// step's form — beside backward onto gradients that hold something, which
+	// computes into scratch and adds; then the optimizer's one pass over the
+	// layer's parameters.
+	const lrows, lwidth = 3, 384
+	layer, err := nn.NewReplica(rand.New(rand.NewSource(1)), []int{lwidth, lwidth}, 0.05, 0.9)
+	if err != nil {
+		return nil, err
+	}
+	lx, lgrad := tensor.MustNew(lrows, lwidth), tensor.MustNew(lrows, lwidth)
+	lx.Randn(rng, 1)
+	lgrad.Randn(rng, 1)
+	if _, err := layer.Net.Forward(lx); err != nil {
+		return nil, err
+	}
+	shape := fmt.Sprintf("%dx%dx%d", lrows, lwidth, lwidth)
+	if err := add("backward_direct_"+shape, 250/scale, func() error {
+		layer.Net.ZeroGrads()
+		return layer.Net.Backward(lgrad)
+	}); err != nil {
+		return nil, err
+	}
+	if err := add("backward_accumulate_"+shape, 250/scale, func() error {
+		return layer.Net.Backward(lgrad)
+	}); err != nil {
+		return nil, err
+	}
+	if err := add(fmt.Sprintf("sgd_step_fused_%d", layer.Net.NumParams()), 250/scale, func() error {
+		return layer.Opt.Step(layer.Net.Params(), layer.Net.Grads())
+	}); err != nil {
+		return nil, err
+	}
+
+	// The step Agent.step runs, on a single-rank group: batch, ZeroGrads,
+	// forward, loss, the reducer's backward over the gradient arena (its
+	// exchange is a no-op here; allreduce_bare below is the exchange), the
+	// optimizer.
 	ds, err := data.GenGaussianMixture(1, 2048, 8, 3)
 	if err != nil {
 		return nil, err
 	}
-	net, err := nn.NewMLP(rand.New(rand.NewSource(1)), []int{8, 32, 32, 3})
+	rep, err := nn.NewReplica(rand.New(rand.NewSource(1)), []int{8, 32, 32, 3}, 0.05, 0.9)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := nn.NewSGD(net.Params(), 0.05, 0.9)
+	red := ddp.New(rep.Net, ddp.Config{})
+	defer red.Close()
+	solo, err := collective.NewGroup(1)
 	if err != nil {
 		return nil, err
 	}
+	defer solo.Close()
 	const batch = 32
 	bx := tensor.MustNew(batch, ds.Features)
 	by := make([]int, batch)
-	var flat []float64
 	cursor := 0
 	if err := add("train_step_32x8-32-32-3", 500/scale, func() error {
 		if err := ds.BatchInto(bx, by, cursor, cursor+batch); err != nil {
 			return err
 		}
 		cursor = (cursor + batch) % ds.N()
-		out, err := net.Forward(bx)
+		rep.Net.ZeroGrads()
+		out, err := rep.Net.Forward(bx)
 		if err != nil {
 			return err
 		}
-		_, grad, err := net.SoftmaxLoss(out, by)
+		_, grad, err := rep.Net.SoftmaxLoss(out, by)
 		if err != nil {
 			return err
 		}
-		net.ZeroGrads()
-		if err := net.Backward(grad); err != nil {
+		if err := red.BackwardAllReduce(solo, 0, grad); err != nil {
 			return err
 		}
-		flat = net.FlattenGrads(flat[:0])
-		if err := net.LoadGrads(flat); err != nil {
-			return err
-		}
-		return opt.Step(net.Params(), net.Grads())
+		return rep.Opt.Step(rep.Net.Params(), rep.Net.Grads())
 	}); err != nil {
 		return nil, err
 	}

@@ -26,6 +26,10 @@ func TestWriteHotpathJSON(t *testing.T) {
 		"matmul_naive_128":        false,
 		"matmul_into_128_serial":  false,
 		"train_step_32x8-32-32-3": false,
+
+		"backward_direct_3x384x384":     false,
+		"backward_accumulate_3x384x384": false,
+		"sgd_step_fused_147840":         false,
 	}
 	for _, kern := range []string{"matmul_into", "matmul_at_into", "matmul_bt_into"} {
 		for _, shape := range []string{"60x512x512", "60x128x512"} {

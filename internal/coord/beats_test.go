@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -160,15 +161,13 @@ func TestBeatsOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(am, bus, "am")
-	if err != nil {
-		t.Fatal(err)
-	}
 	hb, err := NewHeartbeatMonitor(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetMonitor(hb)
+	if _, err := NewServiceWith(context.Background(), am, bus, "am", nil, hb); err != nil {
+		t.Fatal(err)
+	}
 	cl, err := NewClient(bus, "w1", "am")
 	if err != nil {
 		t.Fatal(err)
@@ -200,16 +199,15 @@ func TestBeatsOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewTCPService(am, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
 	hb, err := NewHeartbeatMonitor(clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetMonitor(hb)
+	svc, err := NewTCPServiceWith(context.Background(), am, "127.0.0.1:0", hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
 	cl := NewTCPClient(svc.Addr)
 	t.Cleanup(cl.Close)
 

@@ -75,10 +75,20 @@ func NewService(am *AM, bus *transport.Bus, name string) (*Service, error) {
 // is cancelled the service deregisters from the bus, so an AM torn down by
 // its job's context stops answering automatically.
 func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string) (*Service, error) {
+	return NewServiceWith(ctx, am, bus, name, nil, nil)
+}
+
+// NewServiceWith is NewServiceCtx for a service that opens a span on tr per
+// AM operation (a remote child of the transport handler's span, which itself
+// chains to the caller) and fans batched worker.beats frames into hb; either
+// may be nil. Both are arguments and not setters because registering the
+// endpoint is what starts serving: a worker may be retrying a call against
+// name already, and the first message handled must find the service whole.
+func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
 	if am == nil {
 		return nil, fmt.Errorf("coord: nil AM")
 	}
-	s := &Service{am: am, bus: bus, name: name, tr: telemetry.Nop{}}
+	s := &Service{am: am, bus: bus, name: name, tr: telemetry.OrNop(tr), hb: hb}
 	ep, err := bus.Endpoint(name, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("coord: register service: %w", err)
@@ -93,14 +103,6 @@ func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string)
 // Close deregisters the service's endpoint from the bus; in-flight calls
 // against it fail with transport.ErrClosed. Closing twice is safe.
 func (s *Service) Close() { s.bus.Remove(s.name) }
-
-// SetTracer makes the service open a span per AM operation (a remote child
-// of the transport handler's span, which itself chains to the caller).
-func (s *Service) SetTracer(tr telemetry.Tracer) { s.tr = telemetry.OrNop(tr) }
-
-// SetMonitor attaches the liveness monitor that batched worker.beats
-// frames fan into. Like SetTracer, call it before serving traffic.
-func (s *Service) SetMonitor(hb *HeartbeatMonitor) { s.hb = hb }
 
 func (s *Service) handle(m transport.Message) ([]byte, error) {
 	switch m.Kind {

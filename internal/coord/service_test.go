@@ -1,11 +1,14 @@
 package coord
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/store"
+	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
 )
 
@@ -142,5 +145,77 @@ func TestServiceUnknownKind(t *testing.T) {
 	}
 	if _, err := client.ep.Call("am", "bogus.kind", nil); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestServiceCreatedUnderTraffic is the regression test for a race
+// Fleet.RecoverAM had: a joiner's bring-up goroutine retries ReportReady (and
+// a worker its beats) against the AM's bus name while the successor service
+// is being created, so the handler can run the moment the endpoint exists.
+// The service used to get its tracer and monitor from setters after that
+// moment. Now the first message it handles finds both, every round, and
+// under -race nothing the handler reads is written after registration.
+func TestServiceCreatedUnderTraffic(t *testing.T) {
+	bus := transport.NewBus(transport.DefaultBusConfig())
+	defer bus.Close()
+	joiner, err := NewClient(bus, "joiner", "am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	beater, err := NewClient(bus, "beater", "am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 50; round++ {
+		am, err := NewAM("job", store.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := am.RequestAdjustment(ScaleOut, []string{"w9"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		hb, err := NewHeartbeatMonitor(clock.Wall{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := telemetry.NewRecorder(clock.Wall{}, 64)
+		// Both callers are retrying before the service exists and stop at the
+		// first reply a handler gives them (or when the bus closes).
+		retrying := make(chan struct{}, 2)
+		errs := make(chan error, 2)
+		hammer := func(call func() error) {
+			err := call()
+			retrying <- struct{}{}
+			for errors.Is(err, transport.ErrNoEndpoint) {
+				err = call()
+			}
+			errs <- err
+		}
+		go hammer(func() error { return joiner.ReportReady("w9") })
+		go hammer(func() error { return beater.Beats([]string{"w1"}) })
+		<-retrying
+		<-retrying
+		svc, err := NewServiceWith(context.Background(), am, bus, "am", rec, hb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: first call against the new service: %v", round, err)
+			}
+		}
+		svc.Close()
+		traced := 0
+		for _, sr := range rec.Snapshot() {
+			if sr.Name == "coord.report_ready" {
+				traced++
+			}
+		}
+		if traced != 1 {
+			t.Fatalf("round %d: %d coord.report_ready spans, want the first report traced", round, traced)
+		}
+		if got := hb.Tracked(); len(got) != 1 || got[0] != "w1" {
+			t.Fatalf("round %d: monitor tracks %v, want the first beat", round, got)
+		}
 	}
 }

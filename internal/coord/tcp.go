@@ -36,10 +36,17 @@ func NewTCPService(am *AM, addr string) (*TCPService, error) {
 // NewTCPServiceCtx is NewTCPService under a parent lifecycle context:
 // cancelling ctx shuts the server down, tearing open connections.
 func NewTCPServiceCtx(ctx context.Context, am *AM, addr string) (*TCPService, error) {
+	return NewTCPServiceWith(ctx, am, addr, nil)
+}
+
+// NewTCPServiceWith is NewTCPServiceCtx for a service that fans batched
+// worker.beats frames into hb. The monitor is an argument and not a setter
+// for NewServiceWith's reason: Listen is what starts serving.
+func NewTCPServiceWith(ctx context.Context, am *AM, addr string, hb *HeartbeatMonitor) (*TCPService, error) {
 	if am == nil {
 		return nil, fmt.Errorf("coord: nil AM")
 	}
-	s := &TCPService{am: am}
+	s := &TCPService{am: am, hb: hb}
 	s.srv = transport.NewServer(s.handle)
 	bound, err := s.srv.Listen(addr)
 	if err != nil {
@@ -54,10 +61,6 @@ func NewTCPServiceCtx(ctx context.Context, am *AM, addr string) (*TCPService, er
 
 // Close stops the server.
 func (s *TCPService) Close() { s.srv.Close() }
-
-// SetMonitor attaches the liveness monitor that batched worker.beats
-// frames fan into. Call it before serving traffic.
-func (s *TCPService) SetMonitor(hb *HeartbeatMonitor) { s.hb = hb }
 
 func (s *TCPService) handle(m transport.Message) ([]byte, error) {
 	switch m.Kind {

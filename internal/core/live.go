@@ -82,8 +82,8 @@ type liveWorker struct {
 	net  *nn.MLP
 	opt  *nn.SGD
 	// Step workspace, reused across iterations (touched only by this
-	// worker's step goroutine): the bucketed gradient reducer (which owns
-	// the flat gradient vector) and the materialized batch.
+	// worker's step goroutine): the bucketed gradient reducer (over the
+	// network's gradient arena) and the materialized batch.
 	red    *ddp.Reducer
 	batchX *tensor.Matrix
 	batchY []int

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -319,5 +320,47 @@ func TestLiveSetTotalBatchImmediate(t *testing.T) {
 	want := lr0 * 4
 	if got := lj.LR(); got < want*0.99 || got > want*1.01 {
 		t.Fatalf("immediate LR = %v, want %v", got, want)
+	}
+}
+
+// TestRestoreSnapshotRefusesWithoutWriting: a snapshot whose parameter or
+// optimizer vector has the wrong length — short or long — is refused before
+// any worker is written: the job's state afterwards is bit for bit the state
+// before, on every worker.
+func TestRestoreSnapshotRefusesWithoutWriting(t *testing.T) {
+	lj := liveJob(t, 2, 16)
+	for i := 0; i < 3; i++ {
+		if _, err := lj.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+	snap, err := lj.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	other := make([]float64, len(snap.Params)+1) // all zero: a visible overwrite
+	for name, bad := range map[string]Snapshot{
+		"short params":   {Params: other[:3], OptState: snap.OptState},
+		"long params":    {Params: other, OptState: snap.OptState},
+		"short optstate": {Params: other[:len(snap.Params)], OptState: other[:3]},
+		"long optstate":  {Params: other[:len(snap.Params)], OptState: other},
+	} {
+		bad.TBS, bad.LR0, bad.LRT = snap.TBS, snap.LR0, snap.LRT
+		if err := lj.RestoreSnapshot(&bad); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		after, err := lj.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		for i := range snap.Params {
+			if math.Float64bits(after.Params[i]) != math.Float64bits(snap.Params[i]) ||
+				math.Float64bits(after.OptState[i]) != math.Float64bits(snap.OptState[i]) {
+				t.Fatalf("%s refused, but worker 0's state changed at %d", name, i)
+			}
+		}
+		if !lj.ReplicasConsistent() {
+			t.Fatalf("%s refused, but the replicas differ", name)
+		}
 	}
 }

@@ -59,6 +59,12 @@ func (lj *LiveJob) RestoreSnapshot(s *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("core: snapshot LR schedule: %w", err)
 	}
+	// Lengths first: a snapshot of another model must not overwrite the
+	// first worker's parameters before its optimizer state is refused.
+	if w := lj.workers[0]; len(s.Params) != w.net.NumParams() || len(s.OptState) != w.opt.StateElements() {
+		return fmt.Errorf("core: snapshot of %d parameters and %d optimizer values, want %d and %d",
+			len(s.Params), len(s.OptState), w.net.NumParams(), w.opt.StateElements())
+	}
 	for _, w := range lj.workers {
 		if err := w.net.LoadParams(s.Params); err != nil {
 			return fmt.Errorf("core: restore params: %w", err)

@@ -1,17 +1,18 @@
 // Package ddp is the distributed-data-parallel gradient reducer shared by
 // the fleet worker and the live-job worker: one implementation of the
-// backward-pass → gradient-average → load sequence both previously
-// hand-rolled around whole-vector AllReduceMean calls.
+// backward-pass → gradient-average sequence both previously hand-rolled
+// around whole-vector AllReduceMean calls.
 //
-// The reducer splits the flattened gradient into fixed-capacity buckets
-// built by walking the layers in reverse (the order backward completes
-// them) and overlaps communication with compute: the moment the last layer
-// of a bucket finishes its backward, the bucket's flat range is handed to
-// a resident comm goroutine, which allreduces it while the remaining
-// layers are still computing — backward of layer N overlaps the allreduce
-// of layers above N. With BucketElems == 0 (the default) the plan is a
-// single whole-vector bucket, which makes the reducer's arithmetic — and
-// its accumulation order — exactly the historical AllReduceMean path.
+// The reducer splits the network's gradient arena into fixed-capacity
+// buckets built by walking the layers in reverse (the order backward
+// completes them) and overlaps communication with compute: the moment the
+// last layer of a bucket finishes its backward, the bucket's range of the
+// arena is handed to a resident comm goroutine, which allreduces and
+// averages it where it lies while the remaining layers are still computing —
+// backward of layer N overlaps the allreduce of layers above N. With
+// BucketElems == 0 (the default) the plan is a single whole-vector bucket,
+// which makes the reducer's arithmetic — and its accumulation order —
+// exactly the historical AllReduceMean path.
 //
 // A Reducer belongs to one worker goroutine; only Close and Reopen may be
 // called from elsewhere, and only after the owner has stopped stepping.
@@ -19,7 +20,6 @@ package ddp
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/elan-sys/elan/internal/collective"
 	"github.com/elan-sys/elan/internal/nn"
@@ -37,7 +37,7 @@ type Config struct {
 	BucketElems int
 }
 
-// bucket is one contiguous range of the flattened gradient, covering
+// bucket is one contiguous range of the network's gradient arena, covering
 // layers [lowLayer, highLayer] — ready for reduction as soon as lowLayer's
 // backward completes (layers finish in descending order).
 type bucket struct {
@@ -55,13 +55,16 @@ type reduceReq struct {
 	tc   telemetry.TraceContext
 }
 
-// Reducer owns a network's flattened gradient vector and the bucket plan
-// over it.
+// Reducer owns the bucket plan over a network's gradient arena, and no
+// vector of its own. During a step the arena has two writers, kept apart by
+// range (DESIGN §9): backward, on the owner's goroutine, writes the layers in
+// descending order; a closed bucket's range belongs to the comm goroutine
+// from the send on ready to the receive from res.
 type Reducer struct {
 	net     *nn.MLP
 	buckets []bucket
-	readyOf []int // readyOf[layer] = bucket to fire when layer completes, else -1
-	flat    []float64
+	readyOf []int     // readyOf[layer] = bucket to fire when layer completes, else -1
+	grads   []float64 // net's gradient arena, not a copy
 	// maxBucket is the longest bucket of the plan: what each step primes
 	// the group's scratch to, before the first (often shorter) bucket.
 	maxBucket int
@@ -85,7 +88,7 @@ func New(net *nn.MLP, cfg Config) *Reducer {
 	r := &Reducer{
 		net:     net,
 		readyOf: make([]int, nl),
-		flat:    make([]float64, net.NumParams()),
+		grads:   net.GradArena(),
 	}
 	for i := range r.readyOf {
 		r.readyOf[i] = -1
@@ -119,9 +122,6 @@ func New(net *nn.MLP, cfg Config) *Reducer {
 	r.ready = make(chan int, len(r.buckets))
 	r.done = make(chan struct{})
 	r.onLayer = func(layer int) error {
-		if err := r.net.FlattenLayerGrads(layer, r.flat); err != nil {
-			return err
-		}
 		if b := r.readyOf[layer]; b >= 0 {
 			r.ready <- b
 			r.fired++
@@ -134,12 +134,11 @@ func New(net *nn.MLP, cfg Config) *Reducer {
 // NumBuckets returns the number of buckets in the reduction plan.
 func (r *Reducer) NumBuckets() int { return len(r.buckets) }
 
-// BackwardAllReduce runs the backward pass for lossGrad, averages the
-// gradients across g (bucket by bucket, overlapped with the remaining
-// backward compute), and loads the averaged gradients back into the
-// network. It must be called collectively: every rank of g steps with the
-// same bucket plan. Blocking is bounded by g.Close, which aborts in-flight
-// reductions with collective.ErrClosed.
+// BackwardAllReduce runs the backward pass for lossGrad and averages the
+// network's gradients across g in place (bucket by bucket, overlapped with
+// the remaining backward compute). It must be called collectively: every
+// rank of g steps with the same bucket plan. Blocking is bounded by g.Close,
+// which aborts in-flight reductions with collective.ErrClosed.
 //
 //elan:hotpath
 func (r *Reducer) BackwardAllReduce(g *collective.Group, rank int, lossGrad *tensor.Matrix) error {
@@ -194,10 +193,7 @@ func (r *Reducer) step(g *collective.Group, rank int, lossGrad *tensor.Matrix, t
 	if bErr != nil {
 		return bErr
 	}
-	if cErr != nil {
-		return cErr
-	}
-	return r.net.LoadGrads(r.flat)
+	return cErr
 }
 
 // Close shuts down the comm goroutine and makes the reducer unusable until
@@ -216,10 +212,8 @@ func (r *Reducer) Close() {
 }
 
 // Reopen makes a closed reducer usable again, for the worker that inherits
-// it: the bucket plan and the flat gradient vector are kept, and the next
-// step starts a new comm goroutine. The vector's old content is never read —
-// every step flattens each layer into it before reducing. A reducer that is
-// not closed is left alone.
+// it: the bucket plan is kept and the next step starts a new comm goroutine.
+// A reducer that is not closed is left alone.
 func (r *Reducer) Reopen() {
 	if !r.closed {
 		return
@@ -227,16 +221,6 @@ func (r *Reducer) Reopen() {
 	r.closed, r.started = false, false
 	r.req = make(chan reduceReq)
 	r.done = make(chan struct{})
-}
-
-// Poison overwrites the flat gradient vector with NaN. Tests of the worker
-// rig recycling contract (DESIGN §9) call it on parked reducers, so that a
-// step that read a value it had not written first would show; nothing else
-// does.
-func (r *Reducer) Poison() {
-	for i := range r.flat {
-		r.flat[i] = math.NaN()
-	}
 }
 
 // commLoop is the resident reduction goroutine: one request per step, one
@@ -269,7 +253,7 @@ func (r *Reducer) runBuckets(req reduceReq) error {
 			continue
 		}
 		bk := r.buckets[b]
-		seg := r.flat[bk.lo:bk.hi]
+		seg := r.grads[bk.lo:bk.hi]
 		if err := req.g.AllReduceBucketFrom(req.tc, req.rank, seg, b); err != nil {
 			firstErr = err
 			continue

@@ -401,11 +401,10 @@ func TestReducerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestReducerReopen: a closed reducer handed to a new owner works again on
-// the flat vector it had — reopening allocates no second one — with a comm
-// goroutine of its own, and whatever the vector held is never read: poisoned
-// while closed, it yields the gradients a new reducer computes. Reopen leaves
-// an open reducer alone.
+// TestReducerReopen: a closed reducer handed to a new owner works again over
+// the gradient arena it had, with a comm goroutine of its own, and whatever
+// the arena held is never read: poisoned while closed, it yields the
+// gradients a new reducer computes. Reopen leaves an open reducer alone.
 func TestReducerReopen(t *testing.T) {
 	solo, err := collective.NewGroup(1)
 	if err != nil {
@@ -425,18 +424,19 @@ func TestReducerReopen(t *testing.T) {
 
 	red := New(buildNet(t), Config{BucketElems: 40})
 	step(red)
-	flat := &red.flat[0]
 	red.Reopen() // open: a no-op
 	if !red.started {
 		t.Fatal("Reopen restarted an open reducer")
 	}
 	red.Close()
-	red.Poison()
+	for i := range red.grads {
+		red.grads[i] = math.NaN()
+	}
 	red.Reopen()
 	defer red.Close()
 	expectBits(t, "reopened", 0, step(red), want)
-	if &red.flat[0] != flat {
-		t.Fatal("Reopen replaced the flat gradient vector")
+	if &red.grads[0] != &red.net.GradArena()[0] {
+		t.Fatal("the reducer reduces a vector that is not the network's gradient arena")
 	}
 }
 

@@ -8,7 +8,10 @@
 //
 // The package also exposes the training state the elastic runtime needs to
 // replicate: flattened parameters and optimizer velocity, and — as a Replica —
-// both in one contiguous arena, so that replicating a worker is one copy.
+// both in one contiguous arena, so that replicating a worker is one copy. A
+// network's gradients are one vector too, in parameter order: backward writes
+// it in place, the ddp reducer averages bucket subslices of it in place, and
+// the optimizer reads it where it lies.
 package nn
 
 import (
@@ -33,13 +36,24 @@ type linearWS struct {
 
 // Linear is a fully connected layer y = xW + b.
 type Linear struct {
-	W, B  *tensor.Matrix // parameters
-	GradW *tensor.Matrix // accumulated gradients
-	GradB *tensor.Matrix
-	gw    *tensor.Matrix    // in x out matmul scratch (batch-independent)
-	gb    *tensor.Matrix    // 1 x out row-sum scratch
-	ws    map[int]*linearWS // per-batch-shape workspaces, keyed by rows
-	cur   *linearWS         // workspace of the most recent Forward
+	W, B *tensor.Matrix // parameters
+	// GradW and GradB are the accumulated gradients: views into the owning
+	// network's gradient arena, W before B. Nothing outside the package reads
+	// them; readers go through MLP.Grads, FlattenGrads or GradArena, which
+	// settle the zero mark first.
+	GradW, GradB *tensor.Matrix
+	// zero is the mark ZeroGrads leaves instead of clearing memory: the
+	// gradient is zero, whatever GradW and GradB still hold. The next Backward
+	// overwrites them with its kernel output; a reader that comes first clears
+	// them (MLP.settleGrads).
+	zero bool
+	// gw (in x out) and gb (1 x out) are the kernel scratch of the accumulate
+	// form, a Backward onto a gradient that is not marked zero. They are
+	// allocated by the first such Backward: a step that runs ZeroGrads before
+	// every Backward never has them.
+	gw, gb *tensor.Matrix
+	ws     map[int]*linearWS // per-batch-shape workspaces, keyed by rows
+	cur    *linearWS         // workspace of the most recent Forward
 }
 
 // NewLinear creates a layer with He-initialized weights.
@@ -47,34 +61,38 @@ func NewLinear(rng *rand.Rand, in, out int) (*Linear, error) {
 	if in <= 0 || out <= 0 {
 		return nil, fmt.Errorf("nn: linear layer of shape %dx%d", in, out)
 	}
-	return newLinear(rng, in, out, make([]float64, in*out+out))
+	n := in*out + out
+	return newLinear(rng, in, out, make([]float64, n), make([]float64, n))
 }
 
-// newLinear builds a layer whose W and B are views of params: in*out
-// weights, then out biases — the flatten order. A nil rng leaves params as
-// it is (a replica whose state arrives by replication); otherwise the
-// weights are He-initialized.
-func newLinear(rng *rand.Rand, in, out int, params []float64) (*Linear, error) {
-	w, err := tensor.FromSlice(in, out, params[:in*out])
-	if err != nil {
-		return nil, fmt.Errorf("nn: linear weights: %w", err)
+// newLinear builds a layer whose W and B are views of params and whose GradW
+// and GradB are views of grads: in*out weights, then out biases — the
+// flatten order. A nil rng leaves params as it is (a replica whose state
+// arrives by replication); otherwise the weights are He-initialized.
+func newLinear(rng *rand.Rand, in, out int, params, grads []float64) (*Linear, error) {
+	l := &Linear{ws: make(map[int]*linearWS)}
+	var err error
+	if l.W, l.B, err = layerViews(in, out, params); err != nil {
+		return nil, fmt.Errorf("nn: linear parameters: %w", err)
+	}
+	if l.GradW, l.GradB, err = layerViews(in, out, grads); err != nil {
+		return nil, fmt.Errorf("nn: linear gradients: %w", err)
 	}
 	if rng != nil {
-		w.Randn(rng, math.Sqrt(2.0/float64(in)))
+		l.W.Randn(rng, math.Sqrt(2.0/float64(in)))
 	}
-	b, err := tensor.FromSlice(1, out, params[in*out:])
-	if err != nil {
-		return nil, fmt.Errorf("nn: linear bias: %w", err)
+	return l, nil
+}
+
+// layerViews wraps data as an in x out matrix followed by a 1 x out row.
+func layerViews(in, out int, data []float64) (w, b *tensor.Matrix, err error) {
+	if w, err = tensor.FromSlice(in, out, data[:in*out]); err != nil {
+		return nil, nil, err
 	}
-	return &Linear{
-		W:     w,
-		B:     b,
-		GradW: tensor.MustNew(in, out),
-		GradB: tensor.MustNew(1, out),
-		gw:    tensor.MustNew(in, out),
-		gb:    tensor.MustNew(1, out),
-		ws:    make(map[int]*linearWS),
-	}, nil
+	if b, err = tensor.FromSlice(1, out, data[in*out:]); err != nil {
+		return nil, nil, err
+	}
+	return w, b, nil
 }
 
 // wsFor returns (building on first use) the workspace for a batch of rows.
@@ -119,23 +137,43 @@ func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
 // respect to the layer input (workspace-owned, valid until the next
 // Backward with the same batch size).
 //
+// Onto a gradient marked zero the kernels write GradW and GradB directly.
+// That is bit for bit what computing into scratch and adding to a cleared
+// gradient gives: both kernels start every output row at +0, so no sum of
+// theirs is -0, and 0 + x keeps every other x, a NaN's sign and payload
+// included. Onto anything else they compute into gw/gb and add.
+//
 //elan:hotpath
 func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	w := l.cur
 	if w == nil {
 		return nil, fmt.Errorf("nn: backward before forward") //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 	}
-	if err := tensor.MatMulATInto(l.gw, w.input, grad); err != nil {
-		return nil, err
-	}
-	if err := l.GradW.Axpy(1, l.gw); err != nil {
-		return nil, err
-	}
-	if err := grad.SumRowsInto(l.gb); err != nil {
-		return nil, err
-	}
-	if err := l.GradB.Axpy(1, l.gb); err != nil {
-		return nil, err
+	if l.zero {
+		if err := tensor.MatMulATInto(l.GradW, w.input, grad); err != nil {
+			return nil, err
+		}
+		if err := grad.SumRowsInto(l.GradB); err != nil {
+			return nil, err
+		}
+		l.zero = false
+	} else {
+		if l.gw == nil {
+			l.gw = tensor.MustNew(l.W.Rows, l.W.Cols)
+			l.gb = tensor.MustNew(1, l.W.Cols)
+		}
+		if err := tensor.MatMulATInto(l.gw, w.input, grad); err != nil {
+			return nil, err
+		}
+		if err := l.GradW.Axpy(1, l.gw); err != nil {
+			return nil, err
+		}
+		if err := grad.SumRowsInto(l.gb); err != nil {
+			return nil, err
+		}
+		if err := l.GradB.Axpy(1, l.gb); err != nil {
+			return nil, err
+		}
 	}
 	if err := tensor.MatMulBTInto(w.gradIn, grad, l.W); err != nil {
 		return nil, err
@@ -147,12 +185,16 @@ func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 // logits at the output.
 type MLP struct {
 	layers []*Linear
-	masks  []*tensor.Matrix         // ReLU masks of the most recent Forward
-	maskWS map[int][]*tensor.Matrix // per-batch-shape mask buffers
-	probs  map[int]*tensor.Matrix   // per-batch-shape softmax buffer
-	params []*tensor.Matrix         // cached Params() result
-	grads  []*tensor.Matrix         // cached Grads() result
-	offs   []int                    // cached per-layer flat-gradient offsets
+	// flat is every parameter and gradArena every gradient, layer by layer,
+	// W before B: the layers' matrices are views into them, so they are at
+	// all times what FlattenParams and FlattenGrads would export.
+	flat, gradArena []float64
+	masks           []*tensor.Matrix         // ReLU masks of the most recent Forward
+	maskWS          map[int][]*tensor.Matrix // per-batch-shape mask buffers
+	probs           map[int]*tensor.Matrix   // per-batch-shape softmax buffer
+	params          []*tensor.Matrix         // cached Params() result
+	grads           []*tensor.Matrix         // cached Grads() result
+	offs            []int                    // layer i's gradients are gradArena[offs[i]:offs[i+1]]
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. {2, 64, 64, 3} for a
@@ -182,23 +224,28 @@ func numParams(sizes []int) (int, error) {
 	return n, nil
 }
 
-// newMLP builds the network over params (numParams(sizes) values): every
-// parameter matrix is a view into it, layer by layer, W before B, so params
-// is at all times what FlattenParams would export.
+// newMLP builds the network over params (numParams(sizes) values) and a
+// gradient arena of the same length allocated here: every parameter and
+// gradient matrix is a view into one of them, layer by layer, W before B.
 func newMLP(rng *rand.Rand, sizes []int, params []float64) (*MLP, error) {
 	m := &MLP{
-		maskWS: make(map[int][]*tensor.Matrix),
-		probs:  make(map[int]*tensor.Matrix),
+		flat:      params,
+		gradArena: make([]float64, len(params)),
+		maskWS:    make(map[int][]*tensor.Matrix),
+		probs:     make(map[int]*tensor.Matrix),
 	}
+	off := 0
 	for i := 0; i+1 < len(sizes); i++ {
-		n := sizes[i]*sizes[i+1] + sizes[i+1]
-		l, err := newLinear(rng, sizes[i], sizes[i+1], params[:n:n])
+		end := off + sizes[i]*sizes[i+1] + sizes[i+1]
+		l, err := newLinear(rng, sizes[i], sizes[i+1], params[off:end:end], m.gradArena[off:end:end])
 		if err != nil {
 			return nil, err
 		}
 		m.layers = append(m.layers, l)
-		params = params[n:]
+		m.offs = append(m.offs, off)
+		off = end
 	}
+	m.offs = append(m.offs, off)
 	return m, nil
 }
 
@@ -273,59 +320,37 @@ func (m *MLP) BackwardLayers(grad *tensor.Matrix, onLayer func(layer int) error)
 // NumLayers returns the number of linear layers.
 func (m *MLP) NumLayers() int { return len(m.layers) }
 
-// layerOffsets returns (building once) the prefix offsets of each layer's
-// gradients in the FlattenGrads order: layer i occupies [offs[i], offs[i+1]).
-//
-//elan:hotpath
-func (m *MLP) layerOffsets() []int {
-	if m.offs == nil {
-		m.offs = make([]int, len(m.layers)+1) //elan:vet-allow hotpathalloc — first-use workspace priming; steady state reuses it
-		off := 0
-		for i, l := range m.layers {
-			m.offs[i] = off
-			off += l.GradW.Rows*l.GradW.Cols + l.GradB.Cols
-		}
-		m.offs[len(m.layers)] = off
-	}
-	return m.offs
-}
-
 // GradRange returns the [lo, hi) range layer's gradients occupy in the
-// flattened gradient vector (FlattenGrads / LoadGrads order).
+// gradient vector (GradArena / FlattenGrads / LoadGrads order).
 //
 //elan:hotpath
 func (m *MLP) GradRange(layer int) (int, int) {
-	offs := m.layerOffsets()
-	return offs[layer], offs[layer+1]
+	return m.offs[layer], m.offs[layer+1]
 }
 
-// FlattenLayerGrads copies one layer's gradients into its GradRange slice
-// of flat, which must cover the full flattened gradient vector. Unlike
-// FlattenGrads it touches only that layer's range, so a bucketing reducer
-// can flatten each layer the moment its backward completes.
-//
-//elan:hotpath
-func (m *MLP) FlattenLayerGrads(layer int, flat []float64) error {
-	if layer < 0 || layer >= len(m.layers) {
-		return fmt.Errorf("nn: layer %d out of [0, %d)", layer, len(m.layers)) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
-	}
-	lo, hi := m.GradRange(layer)
-	if len(flat) < hi {
-		return fmt.Errorf("nn: flat gradient vector of %d values, need %d", len(flat), hi) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
-	}
-	l := m.layers[layer]
-	n := copy(flat[lo:hi], l.GradW.Data)
-	copy(flat[lo+n:hi], l.GradB.Data)
-	return nil
-}
-
-// ZeroGrads clears all accumulated gradients.
+// ZeroGrads clears all accumulated gradients. It clears no memory: it marks
+// every layer's gradient as zero, which the next Backward consumes by
+// overwriting and any reader settles first.
 //
 //elan:hotpath
 func (m *MLP) ZeroGrads() {
 	for _, l := range m.layers {
-		l.GradW.Zero()
-		l.GradB.Zero()
+		l.zero = true
+	}
+}
+
+// settleGrads clears the gradient of every layer still marked zero, after
+// which the gradient arena says what the marks said and can be handed out or
+// read.
+//
+//elan:hotpath
+func (m *MLP) settleGrads() {
+	for _, l := range m.layers {
+		if l.zero {
+			l.GradW.Zero()
+			l.GradB.Zero()
+			l.zero = false
+		}
 	}
 }
 
@@ -345,10 +370,11 @@ func (m *MLP) Params() []*tensor.Matrix {
 }
 
 // Grads returns all gradient matrices in the same order as Params, cached
-// like Params.
+// like Params: views into GradArena.
 //
 //elan:hotpath
 func (m *MLP) Grads() []*tensor.Matrix {
+	m.settleGrads()
 	if m.grads == nil {
 		for _, l := range m.layers {
 			m.grads = append(m.grads, l.GradW, l.GradB)
@@ -357,23 +383,29 @@ func (m *MLP) Grads() []*tensor.Matrix {
 	return m.grads
 }
 
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int { return tensor.NumElements(m.Params()...) }
-
-// FlattenParams appends all parameters to dst.
-func (m *MLP) FlattenParams(dst []float64) []float64 {
-	return tensor.FlattenTo(dst, m.Params()...)
+// GradArena returns the gradient vector itself, not a copy: every gradient
+// in parameter order, GradRange(layer) a subslice of it. Whoever holds it
+// reads and writes the network's live gradients, so the owner decides when
+// that is safe; ZeroGrads does not clear it (the zero mark is settled here,
+// once, not on later use of the slice).
+func (m *MLP) GradArena() []float64 {
+	m.settleGrads()
+	return m.gradArena
 }
 
-// LoadParams copies a flattened parameter vector into the network.
+// NumParams returns the total parameter count.
+func (m *MLP) NumParams() int { return len(m.flat) }
+
+// FlattenParams appends all parameters to dst.
+func (m *MLP) FlattenParams(dst []float64) []float64 { return append(dst, m.flat...) }
+
+// LoadParams copies a flattened parameter vector into the network: one of
+// exactly NumParams values, or an error and an untouched network.
 func (m *MLP) LoadParams(flat []float64) error {
-	n, err := tensor.UnflattenFrom(flat, m.Params()...)
-	if err != nil {
-		return err
+	if len(flat) != len(m.flat) {
+		return fmt.Errorf("nn: load %d parameters into a network of %d", len(flat), len(m.flat))
 	}
-	if n != len(flat) {
-		return fmt.Errorf("nn: %d of %d values consumed", n, len(flat))
-	}
+	copy(m.flat, flat)
 	return nil
 }
 
@@ -381,15 +413,22 @@ func (m *MLP) LoadParams(flat []float64) error {
 //
 //elan:hotpath
 func (m *MLP) FlattenGrads(dst []float64) []float64 {
-	return tensor.FlattenTo(dst, m.Grads()...)
+	m.settleGrads()
+	return append(dst, m.gradArena...)
 }
 
-// LoadGrads copies a flattened gradient vector into the network.
-//
-//elan:hotpath
+// LoadGrads copies a flattened gradient vector into the network: one of
+// exactly NumParams values, or an error and untouched gradients. A Backward
+// after it accumulates onto the loaded values.
 func (m *MLP) LoadGrads(flat []float64) error {
-	_, err := tensor.UnflattenFrom(flat, m.Grads()...)
-	return err
+	if len(flat) != len(m.gradArena) {
+		return fmt.Errorf("nn: load %d gradients into a network of %d", len(flat), len(m.gradArena))
+	}
+	copy(m.gradArena, flat)
+	for _, l := range m.layers {
+		l.zero = false
+	}
+	return nil
 }
 
 // SoftmaxLoss computes the mean softmax cross-entropy of logits against
@@ -474,6 +513,9 @@ func Accuracy(logits *tensor.Matrix, labels []int) (float64, error) {
 type SGD struct {
 	LR       float64
 	Momentum float64
+	// state is every velocity value in parameter order (the FlattenState
+	// order); the velocity matrices are views into it.
+	state    []float64
 	velocity []*tensor.Matrix
 }
 
@@ -495,7 +537,7 @@ func newSGD(params []*tensor.Matrix, lr, momentum float64, vel []float64) (*SGD,
 	if vel == nil {
 		vel = make([]float64, tensor.NumElements(params...))
 	}
-	s := &SGD{LR: lr, Momentum: momentum}
+	s := &SGD{LR: lr, Momentum: momentum, state: vel}
 	for _, p := range params {
 		n := p.Rows * p.Cols
 		v, err := tensor.FromSlice(p.Rows, p.Cols, vel[:n:n])
@@ -508,7 +550,16 @@ func newSGD(params []*tensor.Matrix, lr, momentum float64, vel []float64) (*SGD,
 	return s, nil
 }
 
-// Step applies one update: v = mu*v + g; p -= lr*v.
+// Step applies one update, v = mu*v + g; p -= lr*v, in one pass over each
+// matrix. Every element ends on the bits of the three passes this replaces
+// (v.Scale(mu), v.Axpy(1, g), p.Axpy(-lr, v)) on every platform. The
+// conversion is the rounding Scale's store made before Axpy added to it,
+// which a compiler that contracts multiply-adds (arm64) would otherwise fuse
+// away; p - lr*v has none, as Axpy's m += a*x had none, so such a compiler
+// fuses both alike. And p - lr*v is p + (-lr)*v in every bit, with the one
+// difference that a compiler may not commute it: when p and v are both NaN
+// the result carries p's payload, as the Axpy's did (DESIGN §9 rule 3), and
+// not that of whichever operand the register allocator put first.
 //
 //elan:hotpath
 func (s *SGD) Step(params, grads []*tensor.Matrix) error {
@@ -516,14 +567,19 @@ func (s *SGD) Step(params, grads []*tensor.Matrix) error {
 		return fmt.Errorf("nn: optimizer state mismatch: %d params, %d grads, %d velocities", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 			len(params), len(grads), len(s.velocity))
 	}
+	mu, lr := s.Momentum, s.LR
 	for i, p := range params {
-		v := s.velocity[i]
-		v.Scale(s.Momentum)
-		if err := v.Axpy(1, grads[i]); err != nil {
-			return err
+		v, g := s.velocity[i], grads[i]
+		if v.Rows != p.Rows || v.Cols != p.Cols || g.Rows != p.Rows || g.Cols != p.Cols {
+			return fmt.Errorf("nn: optimizer step %d: %dx%d parameter, %dx%d gradient, %dx%d velocity", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+				i, p.Rows, p.Cols, g.Rows, g.Cols, v.Rows, v.Cols)
 		}
-		if err := p.Axpy(-s.LR, v); err != nil {
-			return err
+		pd := p.Data
+		vd, gd := v.Data[:len(pd)], g.Data[:len(pd)]
+		for j := range pd {
+			vj := float64(vd[j]*mu) + gd[j]
+			vd[j] = vj
+			pd[j] -= lr * vj
 		}
 	}
 	return nil
@@ -531,18 +587,20 @@ func (s *SGD) Step(params, grads []*tensor.Matrix) error {
 
 // FlattenState appends the optimizer velocity to dst; part of the replicated
 // GPU state.
-func (s *SGD) FlattenState(dst []float64) []float64 {
-	return tensor.FlattenTo(dst, s.velocity...)
-}
+func (s *SGD) FlattenState(dst []float64) []float64 { return append(dst, s.state...) }
 
-// LoadState restores the optimizer velocity from a flattened vector.
+// LoadState restores the optimizer velocity from a flattened vector: one of
+// exactly StateElements values, or an error and an untouched optimizer.
 func (s *SGD) LoadState(flat []float64) error {
-	_, err := tensor.UnflattenFrom(flat, s.velocity...)
-	return err
+	if len(flat) != len(s.state) {
+		return fmt.Errorf("nn: load %d optimizer values into a state of %d", len(flat), len(s.state))
+	}
+	copy(s.state, flat)
+	return nil
 }
 
 // StateElements returns the number of float64 values in the optimizer state.
-func (s *SGD) StateElements() int { return tensor.NumElements(s.velocity...) }
+func (s *SGD) StateElements() int { return len(s.state) }
 
 // Replica is one worker's replicated training state, the network and its
 // optimizer, over a single contiguous arena laid out [params | velocity]:
@@ -579,9 +637,9 @@ func NewReplica(rng *rand.Rand, sizes []int, lr, momentum float64) (*Replica, er
 
 // Poison overwrites with NaN everything a recycled replica's next owner is
 // required to write before reading (DESIGN §9): the state arena, the
-// gradients, the matmul scratch and every per-batch-shape workspace. Tests
-// of the worker rig recycling contract call it on parked replicas, so that a
-// read of a stale value would show; nothing else does.
+// gradient arena, the accumulate scratch and every per-batch-shape workspace.
+// Tests of the worker rig recycling contract call it on parked replicas, so
+// that a read of a stale value would show; nothing else does.
 func (r *Replica) Poison() {
 	nan := func(ms ...*tensor.Matrix) {
 		for _, m := range ms {
@@ -595,8 +653,12 @@ func (r *Replica) Poison() {
 	for i := range r.arena {
 		r.arena[i] = math.NaN()
 	}
+	grads := r.Net.GradArena() // settled: no zero mark is left to hide the NaNs
+	for i := range grads {
+		grads[i] = math.NaN()
+	}
 	for _, l := range r.Net.layers {
-		nan(l.GradW, l.GradB, l.gw, l.gb)
+		nan(l.gw, l.gb)
 		for _, w := range l.ws {
 			nan(w.input, w.out, w.gradIn)
 		}

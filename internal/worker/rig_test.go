@@ -25,7 +25,6 @@ import (
 // end in a NaN loss or a diverged replica.
 func poison(r *rig) {
 	r.rep.Poison()
-	r.red.Poison()
 	if r.batchX != nil {
 		for i := range r.batchX.Data {
 			r.batchX.Data[i] = math.NaN()
@@ -71,7 +70,7 @@ func failAdmission(t *testing.T, f *Fleet, n int, reported func()) {
 // TestPoisonedSpareRigsDoNotShow: the fixed elastic script of
 // TestPlannedInstallsMatchSequentialSingleSource, run on a fleet whose every
 // joiner and rejoiner starts on a spare rig filled with NaN — state arena,
-// gradients, flat gradient vector, matmul scratch, workspaces, batch — ends on
+// gradient arena, accumulate scratch, workspaces, batch — ends on
 // the hash the sequential single-source reference ends on, with the replicas
 // consistent after every elastic operation on the way.
 func TestPoisonedSpareRigsDoNotShow(t *testing.T) {

@@ -94,14 +94,15 @@ var (
 )
 
 // rig is everything state-sized an agent computes with: the replica (state
-// arena, gradient and scratch matrices, per-batch-shape layer workspaces),
-// the bucketed gradient reducer with its flat gradient vector, and the
-// materialized batch. It is reused across iterations, so a steady-state step
-// allocates nothing, and it outlives its agent, so a warm elastic event does
-// not either: a leaving agent's rig is parked on its fleet's spare list and
-// the next joiner takes it over (DESIGN §9 has the life-cycle and the rule
-// for who may touch the arena, and when). While an agent runs, only its
-// goroutine touches its rig.
+// arena, gradient arena, per-batch-shape layer workspaces), the bucketed
+// gradient reducer over that gradient arena, and the materialized batch:
+// three parameter-sized vectors (parameters, velocity, gradients). It is
+// reused across iterations, so a steady-state step allocates nothing, and it
+// outlives its agent, so a warm elastic event does not either: a leaving
+// agent's rig is parked on its fleet's spare list and the next joiner takes
+// it over (DESIGN §9 has the life-cycle and the rules for who may touch the
+// arenas, and when). While an agent runs, only its goroutine and its
+// reducer's comm goroutine touch its rig.
 type rig struct {
 	rep    *nn.Replica
 	red    *ddp.Reducer
@@ -212,8 +213,9 @@ func (a *Agent) loop(ds *data.Dataset) {
 // the shared ddp reducer runs backward with bucketed, overlap-scheduled
 // gradient averaging, then the optimizer update. Everything it touches
 // after warm-up is agent-owned and reused — the batch buffers, the network
-// workspaces, and the reducer's flat gradient vector — so a steady-state
-// step allocates nothing.
+// workspaces, and the gradient arena backward writes, the reducer averages
+// and the optimizer reads in place — so a steady-state step allocates
+// nothing.
 //
 //elan:hotpath
 func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
@@ -503,7 +505,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cancel()
 		return nil, err
 	}
-	amSvc, err := coord.NewServiceCtx(ctx, am, cfg.Bus, "fleet-am")
+	// AM-side spans are labeled with the service's endpoint so the
+	// cross-process trace shows coord work on the fleet-am track.
+	amSvc, err := coord.NewServiceWith(ctx, am, cfg.Bus, "fleet-am", cfg.Tracer, nil)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -561,9 +565,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		mRigsBuilt:     cfg.Metrics.Counter("worker_rig_built_total"),
 		mSpareRigs:     cfg.Metrics.Gauge("worker_spare_rigs"),
 	}
-	// AM-side spans are labeled with the service's endpoint so the
-	// cross-process trace shows coord work on the fleet-am track.
-	amSvc.SetTracer(f.tr)
 	if rec, ok := cfg.Tracer.(*telemetry.Recorder); ok && cfg.Flight != nil {
 		rec.SetFlightRecorder(cfg.Flight)
 	}
@@ -1324,11 +1325,12 @@ func (f *Fleet) RecoverAM() error {
 	if err != nil {
 		return err
 	}
-	svc, err := coord.NewServiceCtx(f.ctx, am, f.cfg.Bus, "fleet-am")
+	// Joiners' bring-up goroutines may be retrying ReportReady against
+	// fleet-am right now: the service has its tracer before it has an endpoint.
+	svc, err := coord.NewServiceWith(f.ctx, am, f.cfg.Bus, "fleet-am", f.tr, nil)
 	if err != nil {
 		return err
 	}
-	svc.SetTracer(f.tr)
 	f.am = am
 	f.amSvc = svc
 	f.amDown = false
