@@ -505,42 +505,17 @@ func BenchmarkLiveTrainingStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	job, err := NewLiveJob(LiveConfig{
+	f, err := NewFleet(FleetConfig{
 		Dataset: ds, LayerSizes: []int{4, 32, 3},
 		Workers: 4, TotalBatch: 64, LR: 0.05, Momentum: 0.9, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer job.Close()
+	defer f.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := job.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSnapshotRestore(b *testing.B) {
-	ds, err := GenDataset(1, 512, 4, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	job, err := NewLiveJob(LiveConfig{
-		Dataset: ds, LayerSizes: []int{4, 64, 3},
-		Workers: 2, TotalBatch: 16, LR: 0.05, Momentum: 0.9, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer job.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := job.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := job.RestoreSnapshot(snap); err != nil {
+		if _, err := f.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,11 +90,11 @@ func main() {
 	}
 }
 
-// writeAdjustTrace records the paper's Fig. 11 story as a trace: a live job
+// writeAdjustTrace records the paper's Fig. 11 story as a trace: a fleet
 // trains a few iterations, scales out 2→4, and trains a few more. The
-// resulting JSON shows the adjustment span with its build/replicate/
-// reconfigure children and the commit-point event, next to the step spans
-// it interrupts.
+// resulting JSON shows the adjustment as one cross-process tree — the
+// scheduler's request, the joiners' ready reports, the apply span and its
+// two state installs — next to the step spans it interrupts.
 func writeAdjustTrace(path string, w io.Writer) error {
 	rec := elan.NewTraceRecorder(nil, 0)
 	const features, classes = 16, 8
@@ -102,7 +102,7 @@ func writeAdjustTrace(path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	job, err := elan.NewLiveJob(elan.LiveConfig{
+	fleet, err := elan.NewFleet(elan.FleetConfig{
 		Dataset:    train,
 		LayerSizes: []int{features, 32, classes},
 		Workers:    2,
@@ -115,17 +115,26 @@ func writeAdjustTrace(path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer job.Close()
+	defer fleet.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := job.Step(); err != nil {
+		if _, err := fleet.Step(); err != nil {
 			return err
 		}
 	}
-	if err := job.ScaleOut(2); err != nil {
+	if err := fleet.RequestScaleOut(2); err != nil {
 		return err
 	}
+	admitted := 0 // steps from the request to the one that admits the joiners
+	for fleet.NumWorkers() != 4 {
+		if admitted++; admitted > 1000 {
+			return fmt.Errorf("scale-out not admitted within %d steps", admitted-1)
+		}
+		if _, err := fleet.Step(); err != nil {
+			return err
+		}
+	}
 	for i := 0; i < 5; i++ {
-		if _, err := job.Step(); err != nil {
+		if _, err := fleet.Step(); err != nil {
 			return err
 		}
 	}
@@ -140,8 +149,8 @@ func writeAdjustTrace(path string, w io.Writer) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "adjustment took %v; wrote %d spans to %s — open in ui.perfetto.dev\n",
-		job.LastAdjustDuration(), rec.Len(), path)
+	fmt.Fprintf(w, "scale-out admitted by step %d after the request; wrote %d spans to %s — open in ui.perfetto.dev\n",
+		admitted, rec.Len(), path)
 	return nil
 }
 

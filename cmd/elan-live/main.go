@@ -1,8 +1,8 @@
 // Command elan-live runs real elastic training on the pure-Go substrate
-// from the command line: it trains an MLP with data-parallel worker
-// goroutines and executes a schedule of elastic adjustments, printing
-// loss/accuracy and verifying the data-parallel invariant after every
-// adjustment.
+// from the command line: it trains an MLP on a worker.Fleet of resident
+// data-parallel agents and executes a schedule of elastic adjustments,
+// printing loss/accuracy and verifying the data-parallel invariant after
+// every adjustment.
 //
 // Usage:
 //
@@ -10,7 +10,8 @@
 //
 // Schedule entries are iteration:action with actions out<N> (scale out by
 // N), in<N> (scale in by N), batch<B> (set total batch to B with the
-// progressive LR ramp).
+// progressive LR ramp). A scale action is a request that a later step
+// applies; the schedule's next action waits until it has been.
 //
 // With -chaos the command instead replays a seeded randomized fault
 // schedule (worker crashes/restarts, AM crash + recovery, partitions, drop
@@ -120,8 +121,9 @@ func main() {
 	flag.Int64Var(&opts.chaosSeed, "chaos-seed", 1, "fault schedule seed (chaos mode)")
 	flag.IntVar(&opts.chaosFaults, "chaos-faults", 40, "approximate fault count (chaos mode)")
 	flag.Parse()
-	// Ctrl-C cancels the run context: an adjustment in flight unwinds
-	// cleanly instead of being killed halfway.
+	// Ctrl-C cancels the run context: training stops at the next step
+	// boundary and the fleet, joiners still coming up included, closes
+	// cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	runFn := run
@@ -239,7 +241,7 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	job, err := elan.NewLiveJob(elan.LiveConfig{
+	fleet, err := elan.NewFleet(elan.FleetConfig{
 		Dataset:    train,
 		LayerSizes: []int{features, 32, classes},
 		Workers:    opts.workers,
@@ -253,51 +255,68 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	defer job.Close()
+	defer fleet.Close()
 
-	next := 0
 	report := func(tag string) error {
-		loss, acc, err := job.Evaluate(test)
+		loss, acc, err := fleet.Evaluate(test)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-18s iter %5d workers %2d tbs %5d lr %.4f loss %.3f acc %5.1f%% consistent=%v\n",
-			tag, job.Iteration(), job.NumWorkers(), job.TotalBatch(), job.LR(),
-			loss, 100*acc, job.ReplicasConsistent())
+			tag, fleet.Iteration(), fleet.NumWorkers(), fleet.TotalBatch(), fleet.LR(),
+			loss, 100*acc, fleet.ReplicasConsistent())
 		return nil
 	}
 	if err := report("start"); err != nil {
 		return err
 	}
+	// A scale action is a request; the Steps that follow train on while the
+	// joiners come up, and the one whose coordination finds them ready (or
+	// finds the scale-in) applies it. The schedule waits for that before its
+	// next action.
+	var (
+		next      int
+		pending   *action
+		want      int // worker count once pending is applied
+		requested int // iteration of pending's request
+	)
 	for i := 0; i < opts.iters; i++ {
-		for next < len(actions) && actions[next].iter <= i {
+		for pending == nil && next < len(actions) && actions[next].iter <= i {
 			a := actions[next]
 			next++
 			var aerr error
 			switch a.verb {
 			case "out":
-				aerr = job.ScaleOutCtx(ctx, a.arg)
+				aerr = fleet.RequestScaleOut(a.arg)
+				want = fleet.NumWorkers() + a.arg
 			case "in":
-				aerr = job.ScaleInCtx(ctx, a.arg)
+				aerr = fleet.RequestScaleIn(a.arg)
+				want = fleet.NumWorkers() - a.arg
 			case "batch":
-				aerr = job.SetTotalBatch(a.arg, 40, true)
+				aerr = fleet.SetTotalBatch(a.arg, 40, true)
 			}
 			if aerr != nil {
 				return fmt.Errorf("iteration %d action %s%d: %w", i, a.verb, a.arg, aerr)
 			}
 			if a.verb != "batch" {
-				fmt.Fprintf(w, "%-18s adjustment took %v\n",
-					fmt.Sprintf("%s%d timing", a.verb, a.arg), job.LastAdjustDuration())
-			}
-			if err := report(fmt.Sprintf("after %s%d", a.verb, a.arg)); err != nil {
+				pending, requested = &a, i
+			} else if err := report(fmt.Sprintf("after %s%d", a.verb, a.arg)); err != nil {
 				return err
 			}
 		}
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("interrupted at iteration %d: %w", i, err)
 		}
-		if _, err := job.Step(); err != nil {
+		if _, err := fleet.Step(); err != nil {
 			return err
+		}
+		if pending != nil && fleet.NumWorkers() == want {
+			fmt.Fprintf(w, "%-18s applied by step %d after the request\n",
+				fmt.Sprintf("%s%d timing", pending.verb, pending.arg), i+1-requested)
+			if err := report(fmt.Sprintf("after %s%d", pending.verb, pending.arg)); err != nil {
+				return err
+			}
+			pending = nil
 		}
 		if (i+1)%200 == 0 {
 			if err := report("progress"); err != nil {
@@ -305,17 +324,12 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 			}
 		}
 	}
+	if pending != nil {
+		fmt.Fprintf(w, "%-18s still pending after %d steps\n",
+			fmt.Sprintf("%s%d", pending.verb, pending.arg), opts.iters-requested)
+	}
 	if err := report("final"); err != nil {
 		return err
-	}
-	// With tracing on, also exercise the resident worker-agent runtime so
-	// the trace covers all three layers — worker fleet lifecycle/steps,
-	// the coordination RPCs on the transport bus, and the core adjustment
-	// spans recorded above.
-	if rec != nil {
-		if err := runFleetSegment(ctx, w, train, tracer, reg, opts.seed); err != nil {
-			return err
-		}
 	}
 	if opts.traceOut != "" {
 		f, err := os.Create(opts.traceOut)
@@ -359,44 +373,5 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 		fmt.Fprintf(w, "flight: %d records through a %d-slot ring\n",
 			flight.Total(), flight.Capacity())
 	}
-	return nil
-}
-
-// runFleetSegment runs a short fleet session — a few steps, one scale-out,
-// a few more steps — against the same dataset, under the shared tracer.
-func runFleetSegment(ctx context.Context, w io.Writer, train *elan.Dataset, tracer elan.Tracer, reg *elan.MetricsRegistry, seed int64) error {
-	fleet, err := elan.NewFleet(elan.FleetConfig{
-		Dataset:    train,
-		LayerSizes: []int{train.Features, 32, train.Classes},
-		Workers:    2,
-		TotalBatch: 30, // divisible by both 2 and the post-scale-out 3
-		LR:         0.02,
-		Momentum:   0.9,
-		Seed:       seed,
-		Tracer:     tracer,
-		Metrics:    reg,
-	})
-	if err != nil {
-		return err
-	}
-	defer fleet.Close()
-	if err := fleet.Start(ctx); err != nil {
-		return err
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := fleet.Step(); err != nil {
-			return err
-		}
-	}
-	if err := fleet.RequestScaleOut(1); err != nil {
-		return err
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := fleet.Step(); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "fleet: %d workers after scale-out, consistent=%v\n",
-		fleet.NumWorkers(), fleet.ReplicasConsistent())
 	return nil
 }

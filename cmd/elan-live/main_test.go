@@ -75,7 +75,7 @@ func TestRunCancelled(t *testing.T) {
 
 // TestRunTraceOut runs a short traced session and checks the acceptance
 // contract: the file is valid Chrome trace-event JSON containing spans from
-// the transport, worker AND core layers, and the debug listener serves
+// the transport, worker AND coord layers, and the debug listener serves
 // /metrics and /healthz while the run is live.
 func TestRunTraceOut(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
@@ -106,7 +106,7 @@ func TestRunTraceOut(t *testing.T) {
 			seen[name[:i]] = true
 		}
 	}
-	for _, layer := range []string{"transport", "worker", "core"} {
+	for _, layer := range []string{"transport", "worker", "coord"} {
 		if !seen[layer] {
 			t.Errorf("trace has no %s.* spans (saw %v)", layer, seen)
 		}

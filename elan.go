@@ -8,8 +8,9 @@
 //   - Cluster construction and hardware topology (NewCluster, Geometry);
 //   - the simulated elastic job with Elan's adjustment mechanisms
 //     (NewJob, Job.ScaleOut / ScaleIn / Migrate);
-//   - real in-process elastic training on the pure-Go MLP substrate
-//     (NewLiveJob, LiveJob.Step / ScaleOut / SetTotalBatch);
+//   - real in-process elastic training on the pure-Go MLP substrate, the
+//     resident worker-agent runtime (NewFleet, Fleet.Step /
+//     RequestScaleOut / RequestScaleIn / SetTotalBatch);
 //   - the hybrid scaling mechanism (NewHybridMechanism, LRSchedule);
 //   - the analytic performance model (NewPerfModel);
 //   - the elastic scheduling simulator (RunSchedule) and trace generation
@@ -61,10 +62,6 @@ type (
 	AdjustmentReport = core.AdjustmentReport
 	// SystemCosts calibrates fixed system costs.
 	SystemCosts = core.SystemCosts
-	// LiveJob is real in-process elastic training.
-	LiveJob = core.LiveJob
-	// LiveConfig configures a LiveJob.
-	LiveConfig = core.LiveConfig
 	// Dataset is an in-memory labeled dataset.
 	Dataset = data.Dataset
 	// HybridMechanism is the hybrid scaling decision engine.
@@ -91,8 +88,9 @@ type (
 	SRBaseline = baseline.SR
 	// LitzBaseline is the executor-based baseline.
 	LitzBaseline = baseline.Litz
-	// Fleet is the resident worker-agent runtime: persistent worker
-	// goroutines coordinating over the message bus.
+	// Fleet is real in-process elastic training, the resident worker-agent
+	// runtime: persistent worker goroutines coordinating over the message
+	// bus.
 	Fleet = worker.Fleet
 	// FleetConfig configures a Fleet.
 	FleetConfig = worker.FleetConfig
@@ -103,16 +101,14 @@ type (
 	StaticEngine = engine.StaticEngine
 	// DynamicEngine is the PyTorch-like eager engine.
 	DynamicEngine = engine.DynamicEngine
-	// Snapshot is a LiveJob's complete serializable training state.
-	Snapshot = core.Snapshot
 	// Clock is the injectable time source used across the runtime. All
 	// timeout, backoff and liveness logic goes through a Clock, so tests
 	// and simulations can run on virtual time (see NewSimClock).
 	Clock = clock.Clock
 	// SimClock is a discrete-event virtual clock implementing Clock.
 	SimClock = clock.Sim
-	// Tracer records nested spans; inject via LiveConfig.Tracer or
-	// FleetConfig.Tracer. A TraceRecorder is the live implementation.
+	// Tracer records nested spans; inject via FleetConfig.Tracer. A
+	// TraceRecorder is the live implementation.
 	Tracer = telemetry.Tracer
 	// Span is one traced operation; safe (and free) on a nil receiver.
 	Span = telemetry.Span
@@ -121,7 +117,7 @@ type (
 	// TraceRecorder collects spans against an injected Clock.
 	TraceRecorder = telemetry.Recorder
 	// MetricsRegistry holds the runtime's named counters, gauges and
-	// histograms; inject via LiveConfig.Metrics or FleetConfig.Metrics.
+	// histograms; inject via FleetConfig.Metrics.
 	MetricsRegistry = telemetry.Registry
 	// TelemetryServer serves /metrics and /healthz over HTTP.
 	TelemetryServer = telemetry.DebugServer
@@ -184,9 +180,6 @@ func NewJob(cfg JobConfig) (*Job, error) { return core.NewJob(cfg) }
 // DefaultSystemCosts returns the system-cost calibration used throughout
 // the experiments.
 func DefaultSystemCosts() SystemCosts { return core.DefaultSystemCosts() }
-
-// NewLiveJob builds a real in-process elastic training job.
-func NewLiveJob(cfg LiveConfig) (*LiveJob, error) { return core.NewLiveJob(cfg) }
 
 // GenDataset generates the synthetic Gaussian-mixture classification
 // dataset used by the live training experiments.
@@ -256,15 +249,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return worker.NewFleet(cfg) }
 func WallClock() Clock { return clock.Wall{} }
 
 // NewSimClock returns a virtual clock starting at epoch. Inject it via
-// LiveConfig.Clock or FleetConfig.Clock to run timeout and liveness logic
+// FleetConfig.Clock to run timeout and liveness logic
 // on deterministic discrete-event time; drive it with Advance, or start
 // AutoAdvance to have it jump to each next deadline automatically.
 func NewSimClock(epoch time.Time) *SimClock { return clock.NewSim(epoch) }
 
 // NewTraceRecorder builds a span recorder reading time from clk (nil
 // selects the wall clock) and retaining at most maxSpans completed spans
-// (0 selects the default). Pass it as the Tracer of a LiveConfig or
-// FleetConfig and export its Snapshot with WriteChromeTrace.
+// (0 selects the default). Pass it as the Tracer of a FleetConfig and
+// export its Snapshot with WriteChromeTrace.
 func NewTraceRecorder(clk Clock, maxSpans int) *TraceRecorder {
 	return telemetry.NewRecorder(clk, maxSpans)
 }

@@ -3,6 +3,8 @@ package elan
 import (
 	"testing"
 	"time"
+
+	"github.com/elan-sys/elan/internal/checkpoint"
 )
 
 func TestPublicAPIClusterAndJob(t *testing.T) {
@@ -63,7 +65,7 @@ func TestPublicAPILiveTraining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenDataset: %v", err)
 	}
-	lj, err := NewLiveJob(LiveConfig{
+	f, err := NewFleet(FleetConfig{
 		Dataset:    ds,
 		LayerSizes: []int{2, 16, 3},
 		Workers:    2,
@@ -73,18 +75,27 @@ func TestPublicAPILiveTraining(t *testing.T) {
 		Seed:       1,
 	})
 	if err != nil {
-		t.Fatalf("NewLiveJob: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
-	defer lj.Close()
+	defer f.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := lj.Step(); err != nil {
+		if _, err := f.Step(); err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	if err := lj.ScaleOut(2); err != nil {
-		t.Fatalf("ScaleOut: %v", err)
+	// The joiners report asynchronously; a later Step admits them.
+	if err := f.RequestScaleOut(2); err != nil {
+		t.Fatalf("RequestScaleOut: %v", err)
 	}
-	if !lj.ReplicasConsistent() {
+	for i := 0; f.NumWorkers() != 4; i++ {
+		if i == 1000 {
+			t.Fatalf("scale-out not admitted within %d steps", i)
+		}
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+	if !f.ReplicasConsistent() {
 		t.Fatal("replicas inconsistent")
 	}
 }
@@ -226,25 +237,27 @@ func TestPublicAPISnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenDataset: %v", err)
 	}
-	job, err := NewLiveJob(LiveConfig{
+	f, err := NewFleet(FleetConfig{
 		Dataset: ds, LayerSizes: []int{4, 8, 3},
 		Workers: 2, TotalBatch: 16, LR: 0.05, Momentum: 0.9, Seed: 9,
+		Checkpoints: checkpoint.NewDeltaStore(checkpoint.DeltaConfig{}),
 	})
 	if err != nil {
-		t.Fatalf("NewLiveJob: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
-	defer job.Close()
+	defer f.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := job.Step(); err != nil {
+		if _, err := f.Step(); err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	var snap *Snapshot
-	snap, err = job.Snapshot()
-	if err != nil || snap.Iteration != 5 {
-		t.Fatalf("Snapshot = %+v, %v", snap, err)
+	if _, err := f.SaveCheckpoint(); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
 	}
-	if err := job.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	if _, err := f.Step(); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	if _, err := f.RestoreCheckpoint(); err != nil || f.Iteration() != 5 {
+		t.Fatalf("RestoreCheckpoint = %v, iteration %d, want 5", err, f.Iteration())
 	}
 }

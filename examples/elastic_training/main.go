@@ -2,8 +2,9 @@
 // AdaBatch-style algorithm doubles the total batch size at fixed intervals;
 // Elan scales the worker pool to match and applies the progressive linear
 // scaling rule to the learning rate. The example trains a real pure-Go MLP
-// with genuine ring-allreduce data parallelism and verifies that replicas
-// stay bitwise-consistent across every adjustment.
+// on a fleet of resident worker agents with genuine ring-allreduce data
+// parallelism and verifies that replicas stay bitwise-consistent across
+// every adjustment.
 //
 //	go run ./examples/elastic_training
 package main
@@ -35,7 +36,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	job, err := elan.NewLiveJob(elan.LiveConfig{
+	fleet, err := elan.NewFleet(elan.FleetConfig{
 		Dataset:    train,
 		LayerSizes: []int{features, 32, classes},
 		Workers:    2,
@@ -47,26 +48,46 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer job.Close()
+	defer fleet.Close()
 
 	eval := func(stage string) error {
-		loss, acc, err := job.Evaluate(test)
+		loss, acc, err := fleet.Evaluate(test)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-28s iter %4d, workers %d, TBS %4d, LR %.4f, loss %.3f, acc %.1f%%, consistent=%v\n",
-			stage, job.Iteration(), job.NumWorkers(), job.TotalBatch(), job.LR(),
-			loss, 100*acc, job.ReplicasConsistent())
+			stage, fleet.Iteration(), fleet.NumWorkers(), fleet.TotalBatch(), fleet.LR(),
+			loss, 100*acc, fleet.ReplicasConsistent())
 		return nil
 	}
 
 	steps := func(n int) error {
 		for i := 0; i < n; i++ {
-			if _, err := job.Step(); err != nil {
+			if _, err := fleet.Step(); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+
+	// A scale request is asynchronous: the joiners come up while training
+	// continues, and the Step whose coordination finds them ready admits
+	// them (a scale-in is applied by the next Step).
+	scale := func(delta int) error {
+		want := fleet.NumWorkers() + delta
+		var err error
+		if delta > 0 {
+			err = fleet.RequestScaleOut(delta)
+		} else {
+			err = fleet.RequestScaleIn(-delta)
+		}
+		for i := 0; err == nil && fleet.NumWorkers() != want; i++ {
+			if i == 1000 {
+				return fmt.Errorf("scale to %d workers not applied within %d steps", want, i)
+			}
+			_, err = fleet.Step()
+		}
+		return err
 	}
 
 	if err := eval("start"); err != nil {
@@ -83,10 +104,10 @@ func run() error {
 
 	// AdaBatch doubles the batch; Elan scales out and ramps the LR
 	// (progressive linear scaling over 40 iterations).
-	if err := job.SetTotalBatch(128, 40, true); err != nil {
+	if err := fleet.SetTotalBatch(128, 40, true); err != nil {
 		return err
 	}
-	if err := job.ScaleOut(2); err != nil { // 2 -> 4 workers
+	if err := scale(2); err != nil { // 2 -> 4 workers
 		return err
 	}
 	fmt.Println("-- adjustment: TBS 64 -> 128, workers 2 -> 4 (replication + group rebuild) --")
@@ -98,10 +119,10 @@ func run() error {
 	}
 
 	// Second doubling.
-	if err := job.SetTotalBatch(256, 40, true); err != nil {
+	if err := fleet.SetTotalBatch(256, 40, true); err != nil {
 		return err
 	}
-	if err := job.ScaleOut(4); err != nil { // 4 -> 8 workers
+	if err := scale(4); err != nil { // 4 -> 8 workers
 		return err
 	}
 	fmt.Println("-- adjustment: TBS 128 -> 256, workers 4 -> 8 --")
@@ -113,7 +134,7 @@ func run() error {
 	}
 
 	// The cluster needs GPUs back: scale in to 4 without losing state.
-	if err := job.ScaleIn(4); err != nil {
+	if err := scale(-4); err != nil {
 		return err
 	}
 	fmt.Println("-- adjustment: scale in 8 -> 4 (no state movement) --")
@@ -123,7 +144,7 @@ func run() error {
 	if err := eval("final"); err != nil {
 		return err
 	}
-	if !job.ReplicasConsistent() {
+	if !fleet.ReplicasConsistent() {
 		return fmt.Errorf("replica consistency violated")
 	}
 	fmt.Println("\nall adjustments preserved the data-parallel invariant.")

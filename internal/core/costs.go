@@ -1,16 +1,14 @@
-// Package core is the Elan elastic-training runtime: it ties the hybrid
-// scaling mechanism, the concurrent IO-free replication planner, the
-// asynchronous coordination protocol and the data-consistency machinery
-// into an elastic job abstraction with the 5-step adjustment procedure of
-// Section II (request, report, coordinate, state replication, state
-// adjustment).
+// Package core is the simulated Elan job: it ties the hybrid scaling
+// mechanism, the concurrent IO-free replication planner, the asynchronous
+// coordination protocol and the data-consistency machinery into an elastic
+// job abstraction with the 5-step adjustment procedure of Section II
+// (request, report, coordinate, state replication, state adjustment).
 //
-// The package offers two job flavors. Job (job.go) is driven by the
-// calibrated cost models and the simulation clock — it is what the paper's
-// timing experiments (Figures 14 and 15) run on. LiveJob (live.go) runs
-// real data-parallel training of the pure-Go MLP substrate across worker
-// goroutines with genuine state replication and group reconstruction — it
-// is what the accuracy experiments (Figures 5 and 18) run on.
+// Job is driven by the calibrated cost models and the simulation clock — it
+// is what the paper's timing experiments (Figures 14 and 15) run on. Real
+// training, with genuine state replication and group reconstruction, runs on
+// worker.Fleet; the accuracy experiments (Figure 5, the progressive-LR
+// ablation) use it.
 package core
 
 import (

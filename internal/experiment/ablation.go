@@ -12,6 +12,7 @@ import (
 	"github.com/elan-sys/elan/internal/models"
 	"github.com/elan-sys/elan/internal/replication"
 	"github.com/elan-sys/elan/internal/topology"
+	"github.com/elan-sys/elan/internal/worker"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: each isolates
@@ -131,7 +132,7 @@ func AblationProgressiveLR(w io.Writer) ([]ProgressiveLRResult, error) {
 			mode = "progressive"
 		}
 		res := ProgressiveLRResult{Mode: mode}
-		lj, err := core.NewLiveJob(core.LiveConfig{
+		fleet, err := worker.NewFleet(worker.FleetConfig{
 			Dataset:    train,
 			LayerSizes: []int{features, 32, classes},
 			Workers:    4,
@@ -143,22 +144,22 @@ func AblationProgressiveLR(w io.Writer) ([]ProgressiveLRResult, error) {
 		if err != nil {
 			return res, err
 		}
-		defer lj.Close()
+		defer fleet.Close()
 		var pre float64
 		for i := 0; i < 120; i++ {
-			l, err := lj.Step()
+			l, err := fleet.Step()
 			if err != nil {
 				return res, err
 			}
 			pre = l
 		}
 		res.PreLoss = pre
-		if err := lj.SetTotalBatch(32*k, 40, progressive); err != nil {
+		if err := fleet.SetTotalBatch(32*k, 40, progressive); err != nil {
 			return res, err
 		}
 		peak, final := 0.0, 0.0
 		for i := 0; i < 60; i++ {
-			l, err := lj.Step()
+			l, err := fleet.Step()
 			if err != nil {
 				return res, err
 			}
@@ -166,7 +167,7 @@ func AblationProgressiveLR(w io.Writer) ([]ProgressiveLRResult, error) {
 				peak = l
 			}
 			final = l
-			if lj.Diverged() {
+			if fleet.Diverged() {
 				res.Diverged = true
 				break
 			}

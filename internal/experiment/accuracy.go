@@ -5,10 +5,10 @@ import (
 	"io"
 	"time"
 
-	"github.com/elan-sys/elan/internal/core"
 	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/metrics"
 	"github.com/elan-sys/elan/internal/models"
+	"github.com/elan-sys/elan/internal/worker"
 )
 
 // Fig05Result is one point of the batch-size/accuracy sweep.
@@ -53,7 +53,7 @@ func Fig05(w io.Writer, quick bool) ([]Fig05Result, error) {
 	}
 
 	runOne := func(tbs int, hybrid bool) (acc, loss, lr float64, err error) {
-		lj, err := core.NewLiveJob(core.LiveConfig{
+		fleet, err := worker.NewFleet(worker.FleetConfig{
 			Dataset:    train,
 			LayerSizes: []int{features, 32, classes},
 			Workers:    workers,
@@ -65,7 +65,7 @@ func Fig05(w io.Writer, quick bool) ([]Fig05Result, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		defer lj.Close()
+		defer fleet.Close()
 		totalIters := epochs * samples / tbs
 		if totalIters < 8 {
 			totalIters = 8
@@ -76,30 +76,30 @@ func Fig05(w io.Writer, quick bool) ([]Fig05Result, error) {
 				ramp = 4
 			}
 			if hybrid {
-				if err := lj.SetTotalBatch(tbs, ramp, true); err != nil {
+				if err := fleet.SetTotalBatch(tbs, ramp, true); err != nil {
 					return 0, 0, 0, err
 				}
 			} else {
 				// Default: batch grows, LR stays. Emulate by setting the
 				// batch and then forcing the schedule back to the base LR.
-				if err := lj.SetTotalBatch(tbs, 0, false); err != nil {
+				if err := fleet.SetTotalBatch(tbs, 0, false); err != nil {
 					return 0, 0, 0, err
 				}
-				if err := lj.ForceLR(baseLR); err != nil {
+				if err := fleet.ForceLR(baseLR); err != nil {
 					return 0, 0, 0, err
 				}
 			}
 		}
 		for i := 0; i < totalIters; i++ {
-			if _, err := lj.Step(); err != nil {
+			if _, err := fleet.Step(); err != nil {
 				return 0, 0, 0, err
 			}
 		}
-		if lj.Diverged() {
-			return 0, 0, lj.LR(), nil // report zero accuracy on divergence
+		if fleet.Diverged() {
+			return 0, 0, fleet.LR(), nil // report zero accuracy on divergence
 		}
-		loss, acc, err = lj.Evaluate(test)
-		return acc, loss, lj.LR(), err
+		loss, acc, err = fleet.Evaluate(test)
+		return acc, loss, fleet.LR(), err
 	}
 
 	t := metrics.NewTable("Figure 5: final accuracy vs total batch size (live MLP)",

@@ -1,20 +1,23 @@
-// Package integration contains cross-subsystem end-to-end tests: the full
-// Elan stack (coordination over a lossy message bus + real training + state
-// replication), the S&R restart path with a real serialized checkpoint, and
-// migration of a live job between processes of worker goroutines.
+// Package integration contains cross-subsystem end-to-end tests on the
+// worker fleet: the full adjustment protocol over a lossy message bus, the
+// S&R restart path through a delta checkpoint shared by two fleets of
+// different sizes, and migration of a live job, mid learning-rate ramp, to a
+// fresh fleet.
 package integration
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 	"time"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
-	"github.com/elan-sys/elan/internal/coord"
-	"github.com/elan-sys/elan/internal/core"
 	"github.com/elan-sys/elan/internal/data"
-	"github.com/elan-sys/elan/internal/store"
+	"github.com/elan-sys/elan/internal/scaling"
+	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
+	"github.com/elan-sys/elan/internal/worker"
 )
 
 func dataset(t *testing.T, seed int64, n int) *data.Dataset {
@@ -26,31 +29,41 @@ func dataset(t *testing.T, seed int64, n int) *data.Dataset {
 	return d
 }
 
-func liveJob(t *testing.T, workers, tbs int) *core.LiveJob {
+func fleet(t *testing.T, workers, tbs int, ckpt *checkpoint.DeltaStore) *worker.Fleet {
 	t.Helper()
-	lj, err := core.NewLiveJob(core.LiveConfig{
-		Dataset:    dataset(t, 11, 1024),
-		LayerSizes: []int{4, 16, 3},
-		Workers:    workers,
-		TotalBatch: tbs,
-		LR:         0.05,
-		Momentum:   0.9,
-		Seed:       11,
+	f, err := worker.NewFleet(worker.FleetConfig{
+		Dataset:     dataset(t, 11, 1024),
+		LayerSizes:  []int{4, 16, 3},
+		Workers:     workers,
+		TotalBatch:  tbs,
+		LR:          0.05,
+		Momentum:    0.9,
+		Seed:        11,
+		Checkpoints: ckpt,
 	})
 	if err != nil {
-		t.Fatalf("NewLiveJob: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
-	t.Cleanup(lj.Close)
-	return lj
+	t.Cleanup(f.Close)
+	return f
+}
+
+func steps(t *testing.T, f *worker.Fleet, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
 }
 
 // TestElasticStackOverLossyBus drives the full adjustment protocol over a
 // bus with 25% message loss while real training runs: the scheduler
-// requests a scale-out through the AM service, a "new worker" goroutine
-// starts (simulated init delay) and reports, the training loop coordinates
-// between iterations, and when the adjustment fires the live job performs
-// replication and group reconstruction. Exactly one adjustment must be
-// applied, training must keep converging, and replicas stay consistent.
+// requests a scale-out through the AM service, the new workers start and
+// report, the lead coordinates between iterations, and when the adjustment
+// fires the fleet replicates state and rebuilds the group. Exactly one
+// adjustment must be applied, training must keep converging, and replicas
+// stay consistent.
 func TestElasticStackOverLossyBus(t *testing.T) {
 	cfg := transport.DefaultBusConfig()
 	cfg.DropRate = 0.25
@@ -58,68 +71,39 @@ func TestElasticStackOverLossyBus(t *testing.T) {
 	cfg.AckTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 100
 	bus := transport.NewBus(cfg)
-
-	am, err := coord.NewAM("e2e", store.New())
+	t.Cleanup(bus.Close)
+	reg := telemetry.NewRegistry()
+	job, err := worker.NewFleet(worker.FleetConfig{
+		Dataset:    dataset(t, 11, 1024),
+		LayerSizes: []int{4, 16, 3},
+		Workers:    2,
+		TotalBatch: 32,
+		LR:         0.05,
+		Momentum:   0.9,
+		Seed:       11,
+		Bus:        bus,
+		Metrics:    reg,
+	})
 	if err != nil {
-		t.Fatalf("NewAM: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
-	if _, err := coord.NewService(am, bus, "am"); err != nil {
-		t.Fatalf("NewService: %v", err)
-	}
-	scheduler, err := coord.NewClient(bus, "scheduler", "am")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	trainer, err := coord.NewClient(bus, "trainer", "am")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	newWorker, err := coord.NewClient(bus, "w-new", "am")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
+	t.Cleanup(job.Close)
 
-	job := liveJob(t, 2, 32)
-
-	// Scheduler decides to scale out and launches the new worker.
-	if err := scheduler.RequestAdjustment(coord.ScaleOut, []string{"w-new"}, nil); err != nil {
-		t.Fatalf("RequestAdjustment: %v", err)
+	// 2 -> 4 workers keeps divisibility of TBS 32.
+	if err := job.RequestScaleOut(2); err != nil {
+		t.Fatalf("RequestScaleOut: %v", err)
 	}
-	workerReady := make(chan error, 1)
-	go func() {
-		time.Sleep(30 * time.Millisecond) // start + initialization
-		workerReady <- newWorker.ReportReady("w-new")
-	}()
-
-	applied := 0
 	for iter := 0; iter < 200; iter++ {
+		// Every Step coordinates at its iteration boundary; training never
+		// blocks on the joiners.
 		if _, err := job.Step(); err != nil {
 			t.Fatalf("Step %d: %v", iter, err)
 		}
-		// Coordinate at every iteration boundary; training never blocks.
-		adj, ok, err := trainer.Coordinate()
-		if err != nil {
-			t.Fatalf("Coordinate: %v", err)
-		}
-		if ok {
-			if adj.Kind != coord.ScaleOut {
-				t.Fatalf("adjustment kind = %v", adj.Kind)
-			}
-			// Apply the adjustment to the live job: 2 -> 4 workers keeps
-			// divisibility of TBS 32.
-			if err := job.ScaleOut(2); err != nil {
-				t.Fatalf("ScaleOut: %v", err)
-			}
-			applied++
-		}
-		if applied > 0 && iter > 120 {
+		if job.NumWorkers() == 4 && iter > 120 {
 			break
 		}
 	}
-	if err := <-workerReady; err != nil {
-		t.Fatalf("ReportReady: %v", err)
-	}
-	if applied != 1 {
+	if applied := reg.Counter("worker_adjustments_total").Value(); applied != 1 {
 		t.Fatalf("adjustment applied %d times, want exactly 1", applied)
 	}
 	if job.NumWorkers() != 4 {
@@ -139,56 +123,41 @@ func TestElasticStackOverLossyBus(t *testing.T) {
 }
 
 // TestSRCheckpointRestartPath exercises the baseline's full restart on real
-// state: train, checkpoint (gob into the store), build a fresh job with a
-// different worker count, load the checkpoint, and verify the model and
+// state: train on 2 workers, checkpoint into the delta store, "restart" as a
+// fresh 4-worker fleet on the same store, restore, and verify the model and
 // data position carried over exactly.
 func TestSRCheckpointRestartPath(t *testing.T) {
-	job := liveJob(t, 2, 32)
-	for i := 0; i < 50; i++ {
-		if _, err := job.Step(); err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-	}
-	preLoss, preAcc, err := job.Evaluate(dataset(t, 12, 512))
+	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
+	job := fleet(t, 2, 32, ckpt)
+	steps(t, job, 50)
+	test := dataset(t, 12, 512)
+	preLoss, preAcc, err := job.Evaluate(test)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	snap, err := job.Snapshot()
+	st, err := job.SaveCheckpoint()
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	fs := checkpoint.NewStore()
-	size, err := fs.Save("job-ckpt", snap)
-	if err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if size <= 0 {
-		t.Fatalf("checkpoint size = %d", size)
+		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 	// The simulated cost of this checkpoint on the FS model is positive
 	// and scales with the state.
-	model := checkpoint.DefaultFSModel()
-	if model.SaveTime(size, 0) <= 0 {
-		t.Fatal("zero save time")
+	if st.BytesWritten <= 0 || checkpoint.DefaultFSModel().SaveTime(st.BytesWritten, 0) <= 0 {
+		t.Fatalf("save stats %+v: no simulated save time", st)
 	}
 
 	// "Restart" with 4 workers (the S&R scale-out path).
-	restarted := liveJob(t, 4, 32)
-	var loaded core.Snapshot
-	if err := fs.Load("job-ckpt", &loaded); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if err := restarted.RestoreSnapshot(&loaded); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	restarted := fleet(t, 4, 32, ckpt)
+	if _, err := restarted.RestoreCheckpoint(); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
 	if restarted.Iteration() != 50 {
 		t.Fatalf("restored iteration = %d", restarted.Iteration())
 	}
-	postLoss, postAcc, err := restarted.Evaluate(dataset(t, 12, 512))
+	postLoss, postAcc, err := restarted.Evaluate(test)
 	if err != nil {
 		t.Fatalf("Evaluate restored: %v", err)
 	}
-	if math.Abs(postLoss-preLoss) > 1e-12 || math.Abs(postAcc-preAcc) > 1e-12 {
+	if math.Float64bits(postLoss) != math.Float64bits(preLoss) || math.Float64bits(postAcc) != math.Float64bits(preAcc) {
 		t.Fatalf("restored model differs: loss %v vs %v, acc %v vs %v",
 			postLoss, preLoss, postAcc, preAcc)
 	}
@@ -196,38 +165,39 @@ func TestSRCheckpointRestartPath(t *testing.T) {
 		t.Fatal("restored replicas inconsistent")
 	}
 	// And training continues from where it stopped.
-	for i := 0; i < 20; i++ {
-		if _, err := restarted.Step(); err != nil {
-			t.Fatalf("Step after restore: %v", err)
-		}
-	}
+	steps(t, restarted, 20)
 	if restarted.Iteration() != 70 {
 		t.Fatalf("iteration after resume = %d", restarted.Iteration())
 	}
 }
 
-// TestMigrationPreservesTraining migrates a live job's full state to a new
-// "process" (a fresh LiveJob on different goroutines) via Snapshot/Restore
-// — the IO-free path moves the same bytes the hooks replicate — and checks
-// bit-exact continuation.
+// TestMigrationPreservesTraining migrates a job, 3 steps into a 10-step
+// learning-rate ramp, to a fresh fleet through the delta store. The ramp
+// travels with the checkpoint: the migrated fleet and the one left running
+// step in lockstep, with bit-equal learning rates and losses through the
+// rest of the ramp and beyond it.
 func TestMigrationPreservesTraining(t *testing.T) {
-	src := liveJob(t, 4, 32)
-	for i := 0; i < 40; i++ {
-		if _, err := src.Step(); err != nil {
-			t.Fatalf("Step: %v", err)
+	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
+	src := fleet(t, 4, 32, ckpt)
+	steps(t, src, 20)
+	if err := src.SetTotalBatch(64, 10, true); err != nil {
+		t.Fatalf("SetTotalBatch: %v", err)
+	}
+	steps(t, src, 3)
+	if _, err := src.SaveCheckpoint(); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+	dst := fleet(t, 4, 32, ckpt)
+	if _, err := dst.RestoreCheckpoint(); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
+	}
+	if dst.TotalBatch() != 64 {
+		t.Fatalf("migrated total batch %d, want 64", dst.TotalBatch())
+	}
+	for i := 0; i < 17; i++ {
+		if a, b := src.LR(), dst.LR(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("step %d: learning rates %v vs %v", i, a, b)
 		}
-	}
-	snap, err := src.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	dst := liveJob(t, 4, 32)
-	if err := dst.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	// Both jobs now step in lockstep and must produce identical losses
-	// (same state, same serial cursor, same data).
-	for i := 0; i < 10; i++ {
 		a, err := src.Step()
 		if err != nil {
 			t.Fatalf("src Step: %v", err)
@@ -236,40 +206,71 @@ func TestMigrationPreservesTraining(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dst Step: %v", err)
 		}
-		if math.Abs(a-b) > 1e-12 {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("step %d: losses diverged %v vs %v", i, a, b)
 		}
 	}
+	// The ramp ended on both: the rate is the doubled one.
+	if got := dst.LR(); got != 0.1 {
+		t.Fatalf("LR after the ramp = %v, want 0.1", got)
+	}
 }
 
-// TestSnapshotValidation covers the restore error paths.
+// TestSnapshotValidation covers the restore error paths: no checkpoint at
+// all, and committed checkpoints this fleet cannot take. A batch size its
+// workers cannot shard is no error: the restore keeps the fleet's batch.
 func TestSnapshotValidation(t *testing.T) {
-	job := liveJob(t, 2, 32)
-	if err := job.RestoreSnapshot(nil); err == nil {
-		t.Fatal("nil snapshot accepted")
+	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
+	job := fleet(t, 2, 32, ckpt)
+	if _, err := job.RestoreCheckpoint(); err == nil {
+		t.Fatal("restore without a checkpoint accepted")
 	}
-	snap, err := job.Snapshot()
+	steps(t, job, 3)
+	if _, err := job.SaveCheckpoint(); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+	raw, state, _, err := ckpt.Restore("fleet")
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("Restore: %v", err)
 	}
-	bad := *snap
-	bad.TBS = 7 // not divisible by 2 workers
-	if err := job.RestoreSnapshot(&bad); err == nil {
-		t.Fatal("indivisible TBS accepted")
+	// The fleet's checkpoint header, field for field.
+	type header struct {
+		Iter, TBS int
+		LR        scaling.LRSchedule
+		Cursor    int
 	}
-	bad = *snap
-	bad.Params = snap.Params[:3]
-	if err := job.RestoreSnapshot(&bad); err == nil {
+	var snap header
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
+		t.Fatalf("decode header: %v", err)
+	}
+	restore := func(h header, st []float64) error {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+			t.Fatalf("encode header: %v", err)
+		}
+		if _, err := ckpt.Save("fleet", buf.Bytes(), st); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		_, err := job.RestoreCheckpoint()
+		return err
+	}
+	if err := restore(snap, state[:3]); err == nil {
 		t.Fatal("short params accepted")
 	}
-	bad = *snap
-	bad.LR0 = -1
-	if err := job.RestoreSnapshot(&bad); err == nil {
+	bad := snap
+	bad.LR.LR0 = -1
+	if err := restore(bad, state); err == nil {
 		t.Fatal("negative LR accepted")
 	}
-	bad = *snap
+	bad = snap
 	bad.Cursor = -5
-	if err := job.RestoreSnapshot(&bad); err == nil {
+	if err := restore(bad, state); err == nil {
 		t.Fatal("negative cursor accepted")
+	}
+	bad = snap
+	bad.TBS = 7 // not divisible by 2 workers
+	if err := restore(bad, state); err != nil || job.TotalBatch() != 32 {
+		t.Fatalf("indivisible TBS: restore = %v, batch %d, want no error and 32", err, job.TotalBatch())
 	}
 }

@@ -540,7 +540,7 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 					t.Fatal(r.err)
 				}
 			}
-			f.iter, f.lr, f.lrRampLen = h.Iter, h.LR, 0
+			f.iter, f.lrSched = h.Iter, &h.LR
 			if err := f.loader.SetCursor(h.Cursor); err != nil {
 				t.Fatal(err)
 			}

@@ -145,3 +145,57 @@ func TestFleetClusterCrashRejoin(t *testing.T) {
 		t.Fatal("replicas diverged across crash/rejoin on cluster")
 	}
 }
+
+// TestFleetClusterElasticPlacement: 4 workers span both nodes of the
+// cluster and reduce hierarchically over L4; scaling in to 2 re-packs the
+// placement onto one node and the group becomes the flat single-node ring
+// (L1); scaling back out spans the nodes again. The reservation follows
+// every transition, the replicas stay consistent, and Close returns it.
+func TestFleetClusterElasticPlacement(t *testing.T) {
+	guardGoroutines(t)
+	cl := smallCluster(t)
+	rec := telemetry.NewRecorder(clock.Wall{}, 8192)
+	f, err := NewFleet(FleetConfig{
+		Dataset: dataset(t, 1024), LayerSizes: []int{4, 16, 3}, Workers: 4, TotalBatch: 32,
+		LR: 0.05, Momentum: 0.9, Seed: 21, Tracer: rec, Cluster: cl, BucketElems: 40,
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(f.Close)
+	// phase trains 5 steps and checks the GPUs left free and the link labels
+	// of the allreduces those steps ran.
+	phase := func(name string, free int, link string) {
+		t.Helper()
+		rec.Reset()
+		steps(t, f, 5)
+		if !f.ReplicasConsistent() {
+			t.Fatalf("%s: replicas diverged", name)
+		}
+		if got := cl.NumFree(); got != free {
+			t.Fatalf("%s: %d GPUs free, want %d", name, got, free)
+		}
+		links := map[string]bool{}
+		for _, sp := range rec.Snapshot() {
+			if sp.Name == "collective.allreduce" {
+				l, _ := sp.Attr("link")
+				links[l] = true
+			}
+		}
+		if len(links) != 1 || !links[link] {
+			t.Fatalf("%s: allreduce links %v, want {%s}", name, links, link)
+		}
+	}
+	phase("4 workers, two nodes", 0, "L4")
+	if err := f.RequestScaleIn(2); err != nil {
+		t.Fatalf("RequestScaleIn: %v", err)
+	}
+	steps(t, f, 1) // applies the scale-in
+	phase("2 workers, one node", 2, "L1")
+	scaleOutNow(t, f, 2)
+	phase("back to 4 workers", 0, "L4")
+	f.Close()
+	if free := cl.NumFree(); free != 4 {
+		t.Fatalf("%d GPUs free after Close, want 4", free)
+	}
+}

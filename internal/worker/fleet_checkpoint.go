@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
+	"github.com/elan-sys/elan/internal/scaling"
 	"github.com/elan-sys/elan/internal/topology"
 )
 
@@ -20,11 +21,12 @@ import (
 // rather than the model.
 
 // fleetCkptHeader is the runtime (non-tensor) state riding in the
-// manifest header.
+// manifest header. LR is the whole schedule, so a restore mid-ramp goes on
+// ramping.
 type fleetCkptHeader struct {
 	Iter   int
 	TBS    int
-	LR     float64
+	LR     scaling.LRSchedule
 	Cursor int
 }
 
@@ -52,7 +54,7 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: no live agent to checkpoint from")
 	}
 	var buf bytes.Buffer
-	h := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: f.currentLR(), Cursor: f.loader.Cursor()}
+	h := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: *f.lrSched, Cursor: f.loader.Cursor()}
 	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: encode checkpoint header: %w", err)
 	}
@@ -77,44 +79,36 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 }
 
 // RestoreCheckpoint installs the last committed checkpoint into every live
-// agent and restores the runtime state. When the warm base (the state as
-// of the fleet's own last committed save) is available, only the chunks
-// committed after it are deserialized; a fleet that has never saved — or
-// whose model shape changed — falls back to replaying the full chain.
+// agent and restores the runtime state. It is all or nothing: the header and
+// the state length are checked against this fleet before any agent, the
+// loader or the warm base is touched. When the warm base (the state as of
+// the fleet's own last committed save) is available, only the chunks
+// committed after it are deserialized; a fleet that has never saved replays
+// the full chain.
 func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.cfg.Checkpoints == nil {
+	ds := f.cfg.Checkpoints
+	if ds == nil {
 		return checkpoint.RestoreStats{}, ErrNoCheckpointStore
 	}
-	ds := f.cfg.Checkpoints
+	h, sched, err := f.checkpointHeaderLocked()
+	if err != nil {
+		return checkpoint.RestoreStats{}, err
+	}
 	var (
-		hdrB  []byte
-		state []float64
+		state = f.ckptState
 		stats checkpoint.RestoreStats
-		err   error
 	)
-	if f.ckptState != nil {
-		hdrB, stats, err = ds.RestoreFrom(f.ckptName, f.ckptState, f.ckptSeq)
-		if err == nil {
-			state = f.ckptState
-		} else if !errors.Is(err, checkpoint.ErrStateSize) {
-			return checkpoint.RestoreStats{}, err
-		}
+	if state != nil {
+		_, stats, err = ds.RestoreFrom(f.ckptName, state, f.ckptSeq)
+	} else {
+		_, state, stats, err = ds.Restore(f.ckptName)
 	}
-	if state == nil {
-		hdrB, state, stats, err = ds.Restore(f.ckptName)
-		if err != nil {
-			return checkpoint.RestoreStats{}, err
-		}
-		f.ckptState = append(f.ckptState[:0], state...)
+	if err != nil {
+		return checkpoint.RestoreStats{}, err
 	}
-	f.ckptSeq = stats.Seq
-
-	var h fleetCkptHeader
-	if err := gob.NewDecoder(bytes.NewReader(hdrB)).Decode(&h); err != nil {
-		return checkpoint.RestoreStats{}, fmt.Errorf("worker: decode checkpoint header: %w", err)
-	}
+	f.ckptState, f.ckptSeq = state, stats.Seq
 	// The first live agent takes the restored state from host memory; the
 	// others replicate it from that agent the way joiners do.
 	var live []*Agent
@@ -136,20 +130,46 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 			return checkpoint.RestoreStats{}, fmt.Errorf("worker: install checkpoint: %w", err)
 		}
 	}
-	f.iter = h.Iter
-	f.lr = h.LR
-	f.lrRampLen = 0
-	if err := f.loader.SetCursor(h.Cursor); err != nil {
-		return checkpoint.RestoreStats{}, fmt.Errorf("worker: restore cursor: %w", err)
-	}
+	f.iter, f.lrSched = h.Iter, sched
+	_ = f.loader.SetCursor(h.Cursor) // in range: checked with the header
 	// The batch size is restored only when the surviving worker count can
 	// shard it; otherwise the current (adjusted) batch stays in force.
-	if h.TBS > 0 && len(f.agents) > 0 && h.TBS%len(f.agents) == 0 {
+	if h.TBS > 0 && h.TBS%len(f.agents) == 0 {
 		f.cfg.TotalBatch = h.TBS
 	}
 	f.lifeSpan.Event("checkpoint-restore")
 	f.flight.RecordEvent("fleet-ckpt", "restore", f.clk.Now())
 	return stats, nil
+}
+
+// checkpointHeaderLocked decodes the header of the newest committed
+// checkpoint and checks it against the fleet: the state must fit the
+// replicas' arenas, the cursor the dataset, and the learning-rate schedule
+// must be a valid one, which it returns built.
+func (f *Fleet) checkpointHeaderLocked() (fleetCkptHeader, *scaling.LRSchedule, error) {
+	var h fleetCkptHeader
+	chain := f.cfg.Checkpoints.Chain(f.ckptName)
+	if len(chain) == 0 {
+		return h, nil, fmt.Errorf("%w: %q", checkpoint.ErrNoCheckpoint, f.ckptName)
+	}
+	last := chain[len(chain)-1]
+	if err := gob.NewDecoder(bytes.NewReader(last.Header)).Decode(&h); err != nil {
+		return h, nil, fmt.Errorf("worker: decode checkpoint header: %w", err)
+	}
+	if len(f.agents) == 0 {
+		return h, nil, fmt.Errorf("worker: no agent to restore into")
+	}
+	if want := len(f.agents[0].rep.State()); last.NumElems != want {
+		return h, nil, fmt.Errorf("worker: checkpoint state of %d values, the replicas hold %d", last.NumElems, want)
+	}
+	if n := f.cfg.Dataset.N(); h.Cursor < 0 || h.Cursor >= n {
+		return h, nil, fmt.Errorf("worker: checkpoint cursor %d out of [0, %d)", h.Cursor, n)
+	}
+	sched, err := scaling.NewLRSchedule(h.LR.LR0, h.LR.LRT, h.LR.T0, h.LR.T)
+	if err != nil {
+		return h, nil, fmt.Errorf("worker: checkpoint LR schedule: %w", err)
+	}
+	return h, sched, nil
 }
 
 // CheckpointSeq returns the manifest seq of the fleet's last committed

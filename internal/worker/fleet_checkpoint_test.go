@@ -1,7 +1,10 @@
 package worker
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -202,5 +205,95 @@ func TestFleetCheckpointWithoutStore(t *testing.T) {
 	}
 	if _, err := f.RestoreCheckpoint(); !errors.Is(err, ErrNoCheckpointStore) {
 		t.Fatalf("RestoreCheckpoint = %v", err)
+	}
+}
+
+// fleetState is everything a restore may change, read bit for bit.
+type fleetState struct {
+	arenas       [][]float64
+	iter, cursor int
+	lrBits       uint64
+	tbs          int
+	ckptState    []float64
+	ckptSeq      int64
+}
+
+func readFleetState(f *Fleet) fleetState {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := fleetState{
+		iter: f.iter, cursor: f.loader.Cursor(), lrBits: math.Float64bits(f.lrSched.At(f.iter)),
+		tbs: f.cfg.TotalBatch, ckptState: slices.Clone(f.ckptState), ckptSeq: f.ckptSeq,
+	}
+	for _, a := range f.agents {
+		s.arenas = append(s.arenas, slices.Clone(a.rep.State()))
+	}
+	return s
+}
+
+// sameBits compares float vectors by their bits, so that NaNs compare too.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestFleetRestoreCheckpointIsAtomic commits checkpoints that this fleet
+// cannot take — a cursor out of the dataset, an invalid learning-rate
+// schedule, a state of another length — over a good one. Each restore must
+// fail before anything changed: arenas, iteration, learning rate, cursor and
+// the warm base are bit for bit as before. A batch size the fleet's workers
+// cannot shard is no error: the restore goes through and keeps the batch.
+func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16})
+	f := checkpointFleet(t, ds)
+	steps(t, f, 3)
+	if err := f.SetTotalBatch(48, 10, true); err != nil {
+		t.Fatal(err)
+	}
+	steps(t, f, 2)
+	if _, err := f.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	steps(t, f, 1) // the fleet moves past its save: a restore would show
+
+	f.mu.Lock()
+	good := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: *f.lrSched, Cursor: f.loader.Cursor()}
+	state := slices.Clone(f.agents[0].rep.State())
+	f.mu.Unlock()
+	for _, tc := range []struct {
+		name   string
+		edit   func(*fleetCkptHeader)
+		state  []float64
+		refuse bool
+	}{
+		{"bad cursor", func(h *fleetCkptHeader) { h.Cursor = 1 << 20 }, state, true},
+		{"bad LR", func(h *fleetCkptHeader) { h.LR.LR0 = -1 }, state, true},
+		{"wrong state length", func(*fleetCkptHeader) {}, state[:len(state)-1], true},
+		{"indivisible TBS", func(h *fleetCkptHeader) { h.TBS = 7 }, state, false},
+	} {
+		h := good
+		tc.edit(&h)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.Save(f.ckptName, buf.Bytes(), tc.state); err != nil {
+			t.Fatal(err)
+		}
+		before := readFleetState(f)
+		_, err := f.RestoreCheckpoint()
+		if tc.refuse != (err != nil) {
+			t.Fatalf("%s: RestoreCheckpoint = %v", tc.name, err)
+		}
+		after := readFleetState(f)
+		if !slices.EqualFunc(after.arenas, before.arenas, sameBits) {
+			t.Errorf("%s: the restore changed a replica", tc.name)
+		}
+		if after.iter != before.iter || after.lrBits != before.lrBits || after.cursor != before.cursor || after.tbs != before.tbs {
+			t.Errorf("%s: iteration, LR, cursor, batch %d %x %d %d, were %d %x %d %d", tc.name,
+				after.iter, after.lrBits, after.cursor, after.tbs, before.iter, before.lrBits, before.cursor, before.tbs)
+		}
+		if tc.refuse && (after.ckptSeq != before.ckptSeq || !sameBits(after.ckptState, before.ckptState)) {
+			t.Errorf("%s: the refused restore moved the warm base", tc.name)
+		}
 	}
 }

@@ -10,9 +10,11 @@
 // topology, non-contending pairs concurrently), and the collective group is
 // rebuilt in place.
 //
-// Compared to core.LiveJob (which fans out fresh goroutines per step), the
-// fleet mirrors a real deployment: workers are resident processes with
-// mailboxes, and all control traffic crosses the transport layer.
+// The fleet is the repository's one elastic runtime: the live experiments
+// (Figure 5, the progressive-LR ablation), elan-live, the chaos harness and
+// the benchmark all train on it. It mirrors a real deployment: workers are
+// resident processes with mailboxes, and all control traffic crosses the
+// transport layer.
 package worker
 
 import (
@@ -32,6 +34,7 @@ import (
 	"github.com/elan-sys/elan/internal/ddp"
 	"github.com/elan-sys/elan/internal/nn"
 	"github.com/elan-sys/elan/internal/replication"
+	"github.com/elan-sys/elan/internal/scaling"
 	"github.com/elan-sys/elan/internal/store"
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/tensor"
@@ -402,12 +405,9 @@ type Fleet struct {
 	onPark func(*rig)
 	iter   int
 	nextID int
-	lr     float64
-	// learning-rate ramp state (progressive linear scaling)
-	lrRampFrom  float64
-	lrRampTo    float64
-	lrRampStart int
-	lrRampLen   int
+	// lrSched gives every iteration's learning rate: the progressive linear
+	// scaling rule's ramp after a batch change, a constant otherwise.
+	lrSched *scaling.LRSchedule
 
 	// Lifecycle. ctx bounds every goroutine the fleet owns (report
 	// clients, the liveness monitor); Close cancels it and waits for wg,
@@ -472,6 +472,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.TotalBatch <= 0 || cfg.TotalBatch%cfg.Workers != 0 {
 		return nil, fmt.Errorf("worker: total batch %d not divisible by %d workers",
 			cfg.TotalBatch, cfg.Workers)
+	}
+	if n := len(cfg.LayerSizes); n < 2 || cfg.LayerSizes[0] != cfg.Dataset.Features ||
+		cfg.LayerSizes[n-1] != cfg.Dataset.Classes {
+		return nil, fmt.Errorf("worker: layer sizes %v do not map the dataset's %d features to its %d classes",
+			cfg.LayerSizes, cfg.Dataset.Features, cfg.Dataset.Classes)
+	}
+	lrSched, err := scaling.NewLRSchedule(cfg.LR, cfg.LR, 0, 0)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall{}
@@ -543,7 +552,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		coordinator:    coordinator,
 		sched:          sched,
 		spawned:        make(map[string]*joiner),
-		lr:             cfg.LR,
+		lrSched:        lrSched,
 		ckptName:       cfg.CheckpointName,
 		ctx:            ctx,
 		cancel:         cancel,
@@ -927,7 +936,7 @@ func (f *Fleet) Step() (float64, error) {
 		}
 		f.mAdjustments.Inc()
 	}
-	lr := f.currentLR()
+	lr := f.lrSched.At(f.iter)
 	n := len(f.agents)
 	per := f.cfg.TotalBatch / n
 	type shard struct{ lo, hi int }
@@ -1064,9 +1073,9 @@ func (f *Fleet) rebuildGroupLocked(n int) error {
 func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) error {
 	switch adj.Kind {
 	case coord.ScaleOut:
-		// All or nothing, like core.LiveJob.ScaleOutCtx: the AM has handed
-		// the adjustment over and will not deliver it again, so joiners that
-		// cannot all be admitted are all stopped rather than left behind.
+		// All or nothing: the AM has handed the adjustment over and will not
+		// deliver it again, so joiners that cannot all be admitted are all
+		// stopped rather than left behind.
 		var err error
 		joiners := make([]*Agent, 0, len(adj.Add))
 		for _, name := range adj.Add {
@@ -1347,10 +1356,11 @@ func (f *Fleet) AMDown() bool {
 	return f.amDown
 }
 
-// SetTotalBatch changes the fleet's total batch size, ramping the learning
-// rate linearly to lr*k over rampIters iterations when progressive is true
-// (the progressive linear scaling rule). The new batch must be divisible by
-// the current worker count.
+// SetTotalBatch changes the fleet's total batch size by a factor k and the
+// learning rate with it, from the current rate (mid-ramp included) to k
+// times that: linearly over rampIters iterations when progressive is true
+// (the progressive linear scaling rule), at once otherwise. The new batch
+// must be divisible by the current worker count.
 func (f *Fleet) SetTotalBatch(tbs, rampIters int, progressive bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1358,33 +1368,57 @@ func (f *Fleet) SetTotalBatch(tbs, rampIters int, progressive bool) error {
 		return fmt.Errorf("worker: total batch %d not divisible by %d workers", tbs, len(f.agents))
 	}
 	k := float64(tbs) / float64(f.cfg.TotalBatch)
-	target := f.lr * k
-	if progressive && rampIters > 0 {
-		f.lrRampFrom = f.lr
-		f.lrRampTo = target
-		f.lrRampStart = f.iter
-		f.lrRampLen = rampIters
-	} else {
-		f.lr = target
-		f.lrRampLen = 0
+	lr0 := f.lrSched.At(f.iter)
+	if !progressive {
+		rampIters = 0
 	}
-	f.cfg.TotalBatch = tbs
+	sched, err := scaling.NewLRSchedule(lr0, lr0*k, f.iter, rampIters)
+	if err != nil {
+		return err
+	}
+	f.cfg.TotalBatch, f.lrSched = tbs, sched
 	return nil
 }
 
-// currentLR returns the learning rate for the current iteration, applying
-// any ramp in progress. Callers hold f.mu.
-func (f *Fleet) currentLR() float64 {
-	if f.lrRampLen > 0 {
-		t := f.iter - f.lrRampStart
-		if t >= f.lrRampLen {
-			f.lr = f.lrRampTo
-			f.lrRampLen = 0
-		} else {
-			return f.lrRampFrom + float64(t)/float64(f.lrRampLen)*(f.lrRampTo-f.lrRampFrom)
+// ForceLR pins the learning rate to lr from the current iteration on,
+// dropping any ramp in progress. Figure 5's "Default" configuration uses it
+// for naive weak scaling: a larger batch at the base rate.
+func (f *Fleet) ForceLR(lr float64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	sched, err := scaling.NewLRSchedule(lr, lr, f.iter, 0)
+	if err != nil {
+		return err
+	}
+	f.lrSched = sched
+	return nil
+}
+
+// LR returns the learning rate the next step will use.
+func (f *Fleet) LR() float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lrSched.At(f.iter)
+}
+
+// TotalBatch returns the current total batch size.
+func (f *Fleet) TotalBatch() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cfg.TotalBatch
+}
+
+// Diverged reports whether training has left the numerically stable region:
+// a NaN or infinity in agent 0's parameters.
+func (f *Fleet) Diverged() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, p := range f.agents[0].rep.Net.Params() {
+		if p.HasNaN() {
+			return true
 		}
 	}
-	return f.lr
+	return false
 }
 
 // Evaluate measures agent 0's replica on a dataset.

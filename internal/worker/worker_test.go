@@ -2,6 +2,7 @@ package worker
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -71,6 +72,10 @@ func TestNewFleetValidation(t *testing.T) {
 		{Dataset: nil, LayerSizes: []int{4, 3}, Workers: 2, TotalBatch: 8, LR: 0.1},
 		{Dataset: d, LayerSizes: []int{4, 3}, Workers: 0, TotalBatch: 8, LR: 0.1},
 		{Dataset: d, LayerSizes: []int{4, 3}, Workers: 3, TotalBatch: 8, LR: 0.1},
+		{Dataset: d, LayerSizes: []int{4}, Workers: 2, TotalBatch: 8, LR: 0.1},
+		{Dataset: d, LayerSizes: []int{5, 16, 3}, Workers: 2, TotalBatch: 8, LR: 0.1}, // 4 features
+		{Dataset: d, LayerSizes: []int{4, 16, 7}, Workers: 2, TotalBatch: 8, LR: 0.1}, // 3 classes
+		{Dataset: d, LayerSizes: []int{4, 3}, Workers: 2, TotalBatch: 8, LR: 0},
 	}
 	for i, cfg := range cases {
 		if _, err := NewFleet(cfg); err == nil {
@@ -302,25 +307,99 @@ func TestFleetEvaluate(t *testing.T) {
 	}
 }
 
+// TestFleetSetTotalBatchProgressive: a batch change by k takes the learning
+// rate from where it is to k times that — over the ramp, or at once — and a
+// change in the middle of a ramp starts from the rate the ramp has reached.
+// ForceLR pins the rate, and Diverged watches the parameters.
 func TestFleetSetTotalBatchProgressive(t *testing.T) {
 	f := fleet(t, 2, 32, nil)
-	for i := 0; i < 5; i++ {
-		if _, err := f.Step(); err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-	}
+	steps(t, f, 5)
 	if err := f.SetTotalBatch(64, 10, true); err != nil {
 		t.Fatalf("SetTotalBatch: %v", err)
 	}
-	for i := 0; i < 15; i++ {
-		if _, err := f.Step(); err != nil {
-			t.Fatalf("Step after batch change: %v", err)
-		}
+	if f.TotalBatch() != 64 || f.LR() != 0.05 {
+		t.Fatalf("TBS %d, LR %v right after the change: want 64 and the unramped 0.05", f.TotalBatch(), f.LR())
+	}
+	steps(t, f, 5)
+	mid := f.LR()
+	if math.Abs(mid-0.075) > 1e-12 {
+		t.Fatalf("LR halfway up the ramp = %v, want 0.075", mid)
+	}
+	if err := f.SetTotalBatch(128, 10, true); err != nil {
+		t.Fatalf("SetTotalBatch mid-ramp: %v", err)
+	}
+	if got := f.LR(); got != mid {
+		t.Fatalf("LR right after a mid-ramp change = %v, want the %v reached", got, mid)
+	}
+	steps(t, f, 10)
+	if got := f.LR(); got != 2*mid {
+		t.Fatalf("LR after the second ramp = %v, want %v", got, 2*mid)
 	}
 	if !f.ReplicasConsistent() {
 		t.Fatal("replicas inconsistent after batch change")
 	}
 	if err := f.SetTotalBatch(33, 10, true); err == nil {
 		t.Fatal("indivisible batch accepted")
+	}
+
+	// Immediate mode: the rate moves with the batch, at once.
+	if err := f.SetTotalBatch(256, 10, false); err != nil {
+		t.Fatalf("SetTotalBatch immediate: %v", err)
+	}
+	if got := f.LR(); got != 4*mid {
+		t.Fatalf("immediate LR = %v, want %v", got, 4*mid)
+	}
+
+	// ForceLR drops the ramp in progress and holds.
+	if err := f.SetTotalBatch(512, 10, true); err != nil {
+		t.Fatalf("SetTotalBatch: %v", err)
+	}
+	if err := f.ForceLR(0.01); err != nil {
+		t.Fatalf("ForceLR: %v", err)
+	}
+	steps(t, f, 3)
+	if got := f.LR(); got != 0.01 {
+		t.Fatalf("LR after ForceLR(0.01) and 3 steps = %v", got)
+	}
+	if err := f.ForceLR(0); err == nil {
+		t.Fatal("ForceLR(0) accepted")
+	}
+
+	if f.Diverged() {
+		t.Fatal("a clean fleet reads as diverged")
+	}
+	f.mu.Lock()
+	f.agents[0].rep.Poison()
+	f.mu.Unlock()
+	if !f.Diverged() {
+		t.Fatal("a NaN-poisoned replica does not read as diverged")
+	}
+}
+
+// TestFleetBucketedMatchesWholeVector pins down the accuracy contract of
+// bucketing at fleet level: buckets shift each element's ring rotation
+// anchor, so the averaged gradients are the same real-number mean under a
+// different IEEE accumulation order, and training must track the
+// whole-vector configuration to tight tolerance (the bitwise guarantee
+// belongs to BucketElems=0, pinned in the ddp package's differential tests).
+func TestFleetBucketedMatchesWholeVector(t *testing.T) {
+	run := func(bucketElems int) []float64 {
+		guardGoroutines(t)
+		f, err := NewFleet(FleetConfig{
+			Dataset: dataset(t, 1024), LayerSizes: []int{4, 24, 3}, Workers: 3, TotalBatch: 24,
+			LR: 0.05, Momentum: 0.9, Seed: 21, BucketElems: bucketElems,
+		})
+		if err != nil {
+			t.Fatalf("NewFleet: %v", err)
+		}
+		t.Cleanup(f.Close)
+		steps(t, f, 20)
+		return exportState(t, f)
+	}
+	whole, bucketed := run(0), run(60)
+	for i := range whole {
+		if diff, scale := math.Abs(whole[i]-bucketed[i]), math.Max(1, math.Abs(whole[i])); diff > 1e-9*scale {
+			t.Fatalf("state %d drifted: whole-vector %v vs bucketed %v", i, whole[i], bucketed[i])
+		}
 	}
 }
