@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sync"
 
 	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/collective"
@@ -31,12 +32,19 @@ type hotBenchResult struct {
 
 // parallel128Note explains the one row of the report that reads oddly. Its
 // figures were measured on the 2-vCPU VM that produced BENCH_hotpath.json.
-const parallel128Note = "about equal to the serial row on a 2-processor host, and not a defect of the kernel: " +
-	"the helper is woken through a channel, and waking a parked thread on an idle (virtual) processor took " +
-	"0.1 ms at the median and missed the region altogether one time in six, against 0.35 ms for half of this " +
-	"kernel; the block cursor is dynamic, so the submitter computes the blocks the helper is late for. " +
+const parallel128Note = "between the serial row and about 0.6 of it on a 2-processor host, run to run: the helper is " +
+	"woken through a channel, and waking a parked thread on an idle (virtual) processor took 0.1 ms at the median " +
+	"and sometimes longer than half of this kernel (0.35 ms). The submitter never waits for a wake-up: it takes " +
+	"blocks from the dynamic cursor at once and at the end waits only for a helper that has entered its region, " +
+	"for at most the block that helper holds; a helper that wakes after the last block finds the region closed. " +
+	"So the row gains what the helper computed once awake, and loses nothing when it is late. " +
 	"matmul_into_60x512x512_dense_parallel is the same dispatch at a workload shape, where the wake-up is a " +
-	"few percent of the region and the row shows what the second processor was worth during the run."
+	"few percent of the region."
+
+// callersNote says what one op of the concurrent-callers row is.
+const callersNote = "one op is eight concurrent calls, one on each of eight goroutines, as steady_comm's eight ranks " +
+	"issue their first layer's forward; the pool is the default one (parallelism GOMAXPROCS), so as many callers as " +
+	"there are region slots fan out to the helpers and the others compute inline, none waiting for another"
 
 // measureHot times iters calls of fn after one warm-up call (which builds
 // workspaces, so the steady state is what gets measured).
@@ -65,9 +73,10 @@ func measureHot(clk clock.Clock, name string, iters int, fn func() error) (hotBe
 
 // hotpathBenches runs the hot-path micro-benchmarks: naive vs Into matmul
 // (serial and parallel), the three Into kernels at the benchmark workload's
-// layer shapes, the two forms of a layer's backward and the optimizer pass at
-// steady_comm's largest layer, the training step the runtime runs, and the
-// bare ring allreduce. quick shrinks iteration counts for tests.
+// layer shapes, eight concurrent callers sharing the pool, the two forms of
+// a layer's backward and the optimizer pass at steady_comm's largest layer,
+// the training step the runtime runs, and the bare ring allreduce. quick
+// shrinks iteration counts for tests.
 func hotpathBenches(quick bool) ([]hotBenchResult, error) {
 	clk := clock.Wall{}
 	scale := 1
@@ -167,6 +176,19 @@ func hotpathBenches(quick bool) ([]hotBenchResult, error) {
 			}
 		}
 	}
+
+	// The first layer's forward of the repository benchmark's steady_comm
+	// workload (3 samples a rank, 256 -> 384) as its eight ranks issue it:
+	// one op is one call on each of eight resident goroutines at once, all on
+	// the default pool, so the region slots are contended the way a fleet
+	// contends them.
+	round, stopCallers := concurrentCallers(rng, callers, 3, 256, 384)
+	err = add(fmt.Sprintf("matmul_into_3x256x384_callers_%d", callers), 250/scale, round)
+	stopCallers()
+	if err != nil {
+		return nil, err
+	}
+	results[len(results)-1].Note = callersNote
 
 	// One layer of the repository benchmark's steady_comm workload at its
 	// widest (3 samples a rank, 384 -> 384): backward onto gradients
@@ -272,6 +294,51 @@ func hotpathBenches(quick bool) ([]hotBenchResult, error) {
 		return nil, err
 	}
 	return results, nil
+}
+
+// callers is the rank count of the repository benchmark's steady_comm
+// workload.
+const callers = 8
+
+// concurrentCallers starts n goroutines, each owning a destination for
+// MatMulInto of one shared m x k and k x n operand pair. round makes every
+// goroutine do one call and returns when all have; stop ends the goroutines.
+func concurrentCallers(rng *rand.Rand, n, m, k, cols int) (round func() error, stop func()) {
+	a, b := tensor.MustNew(m, k), tensor.MustNew(k, cols)
+	a.Randn(rng, 1)
+	b.Randn(rng, 1)
+	start := make([]chan struct{}, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for c := range start {
+		start[c] = make(chan struct{})
+		dst := tensor.MustNew(m, cols)
+		go func() {
+			for range start[c] {
+				errs[c] = tensor.MatMulInto(dst, a, b)
+				wg.Done()
+			}
+		}()
+	}
+	round = func() error {
+		wg.Add(n)
+		for _, s := range start {
+			s <- struct{}{}
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	stop = func() {
+		for _, s := range start {
+			close(s)
+		}
+	}
+	return round, stop
 }
 
 // writeHotpathJSON runs the hot-path benchmarks and writes the report.

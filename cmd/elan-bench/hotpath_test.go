@@ -30,6 +30,8 @@ func TestWriteHotpathJSON(t *testing.T) {
 		"backward_direct_3x384x384":     false,
 		"backward_accumulate_3x384x384": false,
 		"sgd_step_fused_147840":         false,
+
+		"matmul_into_3x256x384_callers_8": false,
 	}
 	for _, kern := range []string{"matmul_into", "matmul_at_into", "matmul_bt_into"} {
 		for _, shape := range []string{"60x512x512", "60x128x512"} {

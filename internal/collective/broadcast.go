@@ -6,9 +6,9 @@ import "fmt"
 // pipelined ring: the payload is split into n chunks that travel around the
 // ring, so all links are busy simultaneously and the completion time
 // approaches one payload transfer regardless of the group size. The elastic
-// runtime uses it when one source must feed several new workers at once
-// (one-to-many replication), complementing the pairwise plans of the
-// replication package.
+// runtime does not call it: a scale-out installs each joiner's state with one
+// copy out of its nearest source's arena, scheduled by replication.Plan.Run,
+// so Broadcast is a library collective with tests but no product caller.
 //
 // All ranks must call Broadcast collectively with vectors of equal length;
 // non-root vectors are overwritten.

@@ -545,10 +545,10 @@ func FuzzMatMulIntoBitwise(f *testing.F) {
 }
 
 // TestTiledKernelsConcurrentCallers runs more callers than Parallelism()
-// through the pool at once, as the ranks of a Fleet do: regions queue on the
-// pool's lock, helpers of one generation serve every caller in turn, each
-// caller's results stay bit-identical to the naive references, and no
-// goroutine is left behind. Run under -race in CI.
+// through the pool at once, as the ranks of a Fleet do: callers take the
+// region slots or compute inline, helpers of one generation serve whichever
+// regions are open, each caller's results stay bit-identical to the naive
+// references, and no goroutine is left behind. Run under -race in CI.
 func TestTiledKernelsConcurrentCallers(t *testing.T) {
 	forcePool(t)
 	SetParallelism(2)

@@ -1,11 +1,14 @@
 package worker
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"github.com/elan-sys/elan/internal/clock"
+	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/telemetry"
+	"github.com/elan-sys/elan/internal/tensor"
 	"github.com/elan-sys/elan/internal/topology"
 )
 
@@ -85,6 +88,53 @@ func TestFleetOnClusterHierarchical(t *testing.T) {
 	f.Close()
 	if free := cl.NumFree(); free != 4 {
 		t.Fatalf("%d GPUs free after Close, want 4", free)
+	}
+}
+
+// TestFleetStateIndependentOfKernelParallelism trains the benchmark's
+// steady_comm shape — 8 workers on 2 nodes × 4 GPUs, three 65536-element
+// buckets, 3 samples a rank, layers wide enough that every matmul goes to
+// the kernel pool — for 20 steps at parallelism 1, 2 and 8. The eight ranks
+// share the pool's region slots, so which rank computes inline and which
+// blocks a helper takes differ from run to run and setting to setting; the
+// trained state must not.
+func TestFleetStateIndependentOfKernelParallelism(t *testing.T) {
+	guardGoroutines(t) // before the parallelism changes: helpers count as goroutines
+	ds, err := data.GenGaussianMixture(21, 1024, 256, 10)
+	if err != nil {
+		t.Fatalf("GenGaussianMixture: %v", err)
+	}
+	geom := topology.DefaultGeometry()
+	geom.Nodes, geom.SocketsPerNode, geom.SwitchesPerSock, geom.GPUsPerSwitch = 2, 1, 2, 2
+	run := func(parallelism int) []float64 {
+		prev := tensor.SetParallelism(parallelism)
+		defer tensor.SetParallelism(prev)
+		cl, err := topology.NewCluster(geom)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		f, err := NewFleet(FleetConfig{
+			Dataset: ds, LayerSizes: []int{256, 384, 384, 256, 10}, Workers: 8, TotalBatch: 24,
+			LR: 0.005, Momentum: 0.9, Seed: 21, Cluster: cl, BucketElems: 65536,
+		})
+		if err != nil {
+			t.Fatalf("NewFleet: %v", err)
+		}
+		defer f.Close()
+		steps(t, f, 20)
+		if !f.ReplicasConsistent() {
+			t.Fatalf("replicas diverged at parallelism %d", parallelism)
+		}
+		return exportState(t, f)
+	}
+	serial := run(1)
+	for _, parallelism := range []int{2, 8} {
+		got := run(parallelism)
+		for i := range serial {
+			if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
+				t.Fatalf("parallelism %d: state[%d] = %v, serial run has %v", parallelism, i, got[i], serial[i])
+			}
+		}
 	}
 }
 
