@@ -10,7 +10,7 @@
 //	elan-bench -json hotpath.json          # hot-path micro-benchmark report
 //	elan-bench -collective coll.json       # flat vs hierarchical allreduce report
 //	elan-bench -telemetry telem.json       # span + flight-recorder overhead report
-//	elan-bench -transport transport.json   # dial-per-call vs pooled TCP data-plane report
+//	elan-bench -transport transport.json   # pooled TCP data-plane report
 //	elan-bench -store store.json           # sharded store + delta checkpoint report
 package main
 
@@ -38,7 +38,7 @@ func main() {
 	telemOut := flag.String("telemetry", "",
 		"measure the tracing overhead (disabled/enabled spans, flight ring) and write the report to this JSON file")
 	transOut := flag.String("transport", "",
-		"measure the TCP data plane (dial-per-call vs pooled multiplexed client at 1/64/256 concurrent callers) and write the report to this JSON file")
+		"measure the TCP data plane (pooled multiplexed client at 1/64/256 concurrent callers) and write the report to this JSON file")
 	storeOut := flag.String("store", "",
 		"measure the sharded store (vs the old single-mutex design), watch fan-out cost and delta checkpoints, and write the report to this JSON file")
 	flag.Parse()

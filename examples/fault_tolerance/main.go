@@ -14,6 +14,7 @@ package main
 // that is allowed, and it demonstrates machinery the public facade wraps.
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -36,13 +37,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc1, err := coord.NewTCPService(am1, "127.0.0.1:0")
+	svc1, err := coord.NewTCPService(am1, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		return err
 	}
 	addr := svc1.Addr
 	fmt.Printf("   AM listening on %s\n", addr)
 	client := coord.NewTCPClient(addr)
+	defer client.Close()
 
 	fmt.Println("2. scheduler requests a scale-out by two workers (w5, w6)")
 	if err := client.RequestAdjustment(coord.ScaleOut, []string{"w5", "w6"}, nil); err != nil {
@@ -69,7 +71,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc2, err := coord.NewTCPService(am2, addr)
+	svc2, err := coord.NewTCPService(am2, addr, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -82,9 +84,11 @@ func run() error {
 		state.State, state.Pending)
 
 	fmt.Println("6. the stale incarnation is fenced off by the store's CAS")
-	if err := am1.RequestAdjustment(coord.ScaleIn, nil, []string{"w1"}); err != nil {
-		fmt.Printf("   stale AM mutation rejected: %v\n", shortErr(err))
+	err = am1.ReportReady("w6")
+	if !errors.Is(err, coord.ErrFenced) {
+		return fmt.Errorf("stale AM mutation = %v, want %v", err, coord.ErrFenced)
 	}
+	fmt.Printf("   stale AM mutation rejected: %v\n", shortErr(err))
 
 	fmt.Println("7. w6 reports; the next coordination fires the adjustment")
 	if err := client.ReportReady("w6"); err != nil {

@@ -70,8 +70,8 @@ type BeatBatcher struct {
 }
 
 // NewBeatBatcher creates a batcher reading tick identity from clk and
-// shipping batches through send — typically Client.Beats or
-// TCPClient.Beats. send must not retain the slice.
+// shipping batches through send — typically Client.Beats, on either wire.
+// send must not retain the slice.
 func NewBeatBatcher(clk clock.Clock, send func(workers []string) error) (*BeatBatcher, error) {
 	if clk == nil {
 		return nil, ErrNilClock

@@ -191,7 +191,7 @@ func TestBeatsOverBus(t *testing.T) {
 	}
 }
 
-// TestBeatsOverTCP: the batcher wired to a TCPClient coalesces a tick of
+// TestBeatsOverTCP: the batcher wired to a TCP client coalesces a tick of
 // beats into one frame over the wire and the TCP service fans it into the
 // monitor.
 func TestBeatsOverTCP(t *testing.T) {
@@ -203,7 +203,7 @@ func TestBeatsOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewTCPServiceWith(context.Background(), am, "127.0.0.1:0", hb)
+	svc, err := NewTCPService(am, "127.0.0.1:0", nil, hb)
 	if err != nil {
 		t.Fatal(err)
 	}

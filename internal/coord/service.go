@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
@@ -11,13 +12,22 @@ import (
 
 // This file exposes the AM over the transport layer, giving the paper's
 // Service API (Table III) a real message-passing implementation: the
-// scheduler and workers interact with the AM only through reliable,
-// deduplicated messages, never shared memory. Message kinds:
+// scheduler and workers interact with the AM only through messages, never
+// shared memory. Message kinds:
 //
 //	adjust.request   scheduler -> AM    RequestAdjustment
 //	worker.report    new worker -> AM   ReportReady
 //	worker.coord     existing -> AM     Coordinate
+//	worker.beats     workers -> AM      batched heartbeats
 //	am.state         anyone -> AM       State/Seq inspection
+//
+// One Service answers them and one Client sends them, on either wire: the
+// in-process bus, with resend and dedup, for the job's own workers; or
+// pooled TCP, with retry on transport errors, for a scheduler outside the
+// job's process — the deployment the paper describes. Pool invalidation
+// plus the retry backoff makes an AM restart on the same address
+// transparent (the ZeroMQ property), and with the AM state machine's
+// persistence a restarted AM resumes where it stopped.
 
 // Message kinds understood by the AM service.
 const (
@@ -55,14 +65,24 @@ type StateReplyMsg struct {
 	Pending []string `json:"pending"`
 }
 
-// Service binds an AM to a bus endpoint.
+// Service binds an AM to one wire: a bus endpoint or a TCP server.
 type Service struct {
-	am   *AM
-	ep   *transport.Endpoint
-	bus  *transport.Bus
-	name string
-	tr   telemetry.Tracer
-	hb   *HeartbeatMonitor
+	am *AM
+	tr telemetry.Tracer
+	hb *HeartbeatMonitor
+	// Addr is the bound address of a TCP service; empty on the bus.
+	Addr string
+	// close shuts the endpoint or server this service opened; stop
+	// unregisters its lifecycle AfterFunc (nil when it has none).
+	close func()
+	stop  func() bool
+}
+
+func newService(am *AM, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
+	if am == nil {
+		return nil, fmt.Errorf("coord: nil AM")
+	}
+	return &Service{am: am, tr: telemetry.OrNop(tr), hb: hb}, nil
 }
 
 // NewService registers the AM at name on the bus and starts serving. The
@@ -85,24 +105,52 @@ func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string)
 // endpoint is what starts serving: a worker may be retrying a call against
 // name already, and the first message handled must find the service whole.
 func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
-	if am == nil {
-		return nil, fmt.Errorf("coord: nil AM")
+	s, err := newService(am, tr, hb)
+	if err != nil {
+		return nil, err
 	}
-	s := &Service{am: am, bus: bus, name: name, tr: telemetry.OrNop(tr), hb: hb}
 	ep, err := bus.Endpoint(name, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("coord: register service: %w", err)
 	}
-	s.ep = ep
+	s.close = ep.Close
 	if ctx != nil && ctx.Done() != nil {
-		context.AfterFunc(ctx, s.Close)
+		s.stop = context.AfterFunc(ctx, ep.Close)
 	}
 	return s, nil
 }
 
-// Close deregisters the service's endpoint from the bus; in-flight calls
-// against it fail with transport.ErrClosed. Closing twice is safe.
-func (s *Service) Close() { s.bus.Remove(s.name) }
+// NewTCPService serves am on addr ("127.0.0.1:0" for an ephemeral port) to
+// callers in other processes, with tr and hb as in NewServiceWith. The
+// server opens a transport.handle span per request on tr, labeled with the
+// AM's store key, so the AM's spans join the caller's trace as they do on
+// the bus.
+func NewTCPService(am *AM, addr string, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
+	s, err := newService(am, tr, hb)
+	if err != nil {
+		return nil, err
+	}
+	srv := transport.NewServer(s.handle)
+	srv.SetTracer(s.tr, amKey(am.jobID))
+	bound, err := srv.Listen(addr)
+	if err != nil {
+		return nil, fmt.Errorf("coord: tcp service: %w", err)
+	}
+	s.Addr, s.close = bound, srv.Close
+	return s, nil
+}
+
+// Close stops serving. On the bus it takes the service's own endpoint off,
+// failing in-flight calls with transport.ErrClosed, and leaves alone a
+// successor registered under the same name since. Over TCP it shuts the
+// server down, and callers see their connections drop. Closing twice is
+// safe.
+func (s *Service) Close() {
+	if s.stop != nil {
+		s.stop()
+	}
+	s.close()
+}
 
 func (s *Service) handle(m transport.Message) ([]byte, error) {
 	switch m.Kind {
@@ -169,13 +217,21 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 	}
 }
 
-// Client is the worker/scheduler side of the AM service. Every call runs
-// under the client's parent context, so cancelling it aborts in-flight
-// resend loops.
+// TCP client call policy: the per-attempt timeout, and the attempt budget
+// whose jittered backoff (up to 10, 20, 40 and 80 ms) rides out an AM
+// restart on the same address.
+const (
+	tcpCallTimeout  = transport.DefaultCallTimeout
+	tcpCallAttempts = 5
+)
+
+// Client is the worker/scheduler side of the AM service, on either wire.
+// Every call runs under the client's parent context, so cancelling it
+// aborts in-flight resend loops.
 type Client struct {
-	ctx    context.Context
-	ep     *transport.Endpoint
-	amName string
+	ctx   context.Context
+	call  func(ctx context.Context, kind string, payload []byte) ([]byte, error)
+	close func()
 }
 
 // NewClient creates a client endpoint named name talking to the AM at
@@ -194,10 +250,59 @@ func NewClientCtx(ctx context.Context, bus *transport.Bus, name, amName string) 
 	if err != nil {
 		return nil, fmt.Errorf("coord: client endpoint: %w", err)
 	}
-	return &Client{ctx: ctx, ep: ep, amName: amName}, nil
+	call := func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
+		return ep.CallCtx(ctx, amName, kind, payload)
+	}
+	return &Client{ctx: ctx, call: call, close: ep.Close}, nil
 }
 
-// RequestAdjustment calls the AM's service API over the bus.
+// NewTCPClient creates a client for the AM served at addr. Its pooled
+// connections are dialed lazily and carry concurrent calls. A dead
+// connection fails its calls with retryable transport errors, and the
+// retry backoff redials a restarted AM. Errors the AM returned are not
+// retried, so a call executes at most once per Client call, and they keep
+// their identity: errors.Is(err, ErrBusy) holds as it does on the bus.
+func NewTCPClient(addr string) *Client {
+	pc := transport.NewClient(addr, transport.ClientConfig{})
+	policy := transport.RetryPolicy{Attempts: tcpCallAttempts}
+	call := func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
+		out, err := pc.CallRetry(ctx, kind, payload, tcpCallTimeout, policy)
+		return out, restoreSentinel(err)
+	}
+	return &Client{ctx: context.Background(), call: call, close: pc.Close}
+}
+
+// Close releases the client's wire — its bus endpoint, or its pooled TCP
+// connections — and in-flight calls fail with transport.ErrClosed. Closing
+// twice is safe.
+func (c *Client) Close() { c.close() }
+
+// wireSentinels are the AM's errors that callers test with errors.Is. The
+// bus hands them over as Go values; a TCP reply carries only the message,
+// which starts with the sentinel's text.
+var wireSentinels = []error{ErrBusy, ErrFenced, ErrUnknownWorker, ErrNoMonitor}
+
+// sentinelError is an AM error off the TCP wire with its sentinel restored.
+type sentinelError struct{ sentinel, err error }
+
+func (e sentinelError) Error() string   { return e.err.Error() }
+func (e sentinelError) Unwrap() []error { return []error{e.sentinel, e.err} }
+
+// restoreSentinel gives a handler error from the TCP wire back the identity
+// of the AM sentinel its message starts with.
+func restoreSentinel(err error) error {
+	if !transport.IsHandlerError(err) {
+		return err
+	}
+	for _, s := range wireSentinels {
+		if strings.HasPrefix(err.Error(), s.Error()) {
+			return sentinelError{sentinel: s, err: err}
+		}
+	}
+	return err
+}
+
+// RequestAdjustment calls the AM's service API.
 func (c *Client) RequestAdjustment(kind Kind, add, remove []string) error {
 	return c.RequestAdjustmentTraced(c.ctx, kind, add, remove, telemetry.TraceContext{})
 }
@@ -211,7 +316,7 @@ func (c *Client) RequestAdjustmentTraced(ctx context.Context, kind Kind, add, re
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.CallCtx(c.callCtx(ctx), c.amName, KindAdjustRequest, payload)
+	_, err = c.call(c.callCtx(ctx), KindAdjustRequest, payload)
 	return err
 }
 
@@ -227,7 +332,7 @@ func (c *Client) ReportReadyCtx(ctx context.Context, worker string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.CallCtx(c.callCtx(ctx), c.amName, KindWorkerReport, payload)
+	_, err = c.call(c.callCtx(ctx), KindWorkerReport, payload)
 	return err
 }
 
@@ -238,7 +343,7 @@ func (c *Client) Beats(workers []string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.CallCtx(c.ctx, c.amName, KindHeartbeats, payload)
+	_, err = c.call(c.ctx, KindHeartbeats, payload)
 	return err
 }
 
@@ -250,7 +355,7 @@ func (c *Client) Coordinate() (Adjustment, bool, error) {
 // CoordinateCtx is Coordinate under a caller context; a span carried in ctx
 // makes the coordination round-trip part of its trace.
 func (c *Client) CoordinateCtx(ctx context.Context) (Adjustment, bool, error) {
-	out, err := c.ep.CallCtx(c.callCtx(ctx), c.amName, KindCoordinate, nil)
+	out, err := c.call(c.callCtx(ctx), KindCoordinate, nil)
 	if err != nil {
 		return Adjustment{}, false, err
 	}
@@ -270,7 +375,7 @@ func (c *Client) callCtx(ctx context.Context) context.Context {
 
 // AMState fetches the AM's state for monitoring.
 func (c *Client) AMState() (StateReplyMsg, error) {
-	out, err := c.ep.CallCtx(c.ctx, c.amName, KindAMState, nil)
+	out, err := c.call(c.ctx, KindAMState, nil)
 	if err != nil {
 		return StateReplyMsg{}, err
 	}

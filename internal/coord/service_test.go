@@ -143,7 +143,7 @@ func TestServiceUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	if _, err := client.ep.Call("am", "bogus.kind", nil); err == nil {
+	if _, err := client.call(context.Background(), "bogus.kind", nil); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }

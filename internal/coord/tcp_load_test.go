@@ -12,7 +12,7 @@ import (
 )
 
 // TestTCPServiceLoadSmoke is the coord half of the CI load-smoke job: many
-// concurrent TCPClients (each holding its own pooled connections) drive
+// concurrent TCP clients (each holding its own pooled connections) drive
 // the full service API — reports, state reads, coordination polls —
 // against one AM over real TCP. Every call must succeed, the AM must end
 // in a consistent state, and the pooled clients must reclaim all their
@@ -28,7 +28,7 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	svc, err := NewTCPService(am, "127.0.0.1:0")
+	svc, err := NewTCPService(am, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatalf("NewTCPService: %v", err)
 	}

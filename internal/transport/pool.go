@@ -13,19 +13,17 @@ import (
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
-// Client is the pooled, multiplexed TCP call path: a fixed set of
-// long-lived connections to one server, each carrying many concurrent
-// requests matched to responses by per-connection request IDs. This is the
-// production data plane — Call's dial-per-connect handshake disappears
-// from the steady state, and the benchmark (elan-bench -transport) holds
-// it to ≥5× dial-per-call throughput at 256 concurrent callers.
+// Client is the TCP call path: a fixed set of long-lived connections to
+// one server, each carrying many concurrent requests matched to responses
+// by per-connection request IDs. No TCP handshake sits on the steady-state
+// call; elan-bench -transport measures the path at 1, 64 and 256
+// concurrent callers.
 //
-// Restart transparency, the property the dial-per-call path got for free,
-// is preserved by pool invalidation: when a connection dies (server
-// restart, network fault), its reader fails every in-flight call on it
-// with a retryable transport error and removes it from the pool, and the
-// next call on that slot dials fresh. Client.CallRetry therefore rides out
-// a server restart exactly as the package-level CallRetry does.
+// Restart transparency comes from pool invalidation: when a connection
+// dies (server restart, network fault), its reader fails every in-flight
+// call on it with a retryable transport error and removes it from the
+// pool, and the next call on that slot dials fresh. CallRetry therefore
+// rides out a server restart.
 type Client struct {
 	addr        string
 	timeout     time.Duration
@@ -364,11 +362,32 @@ func (c *Client) Call(ctx context.Context, kind string, payload []byte, timeout 
 	}
 }
 
-// CallRetry is Client.Call under the package retry contract: transport
-// errors (including a pool invalidated by a server restart) burn backoff
-// attempts and redial, handler errors return immediately.
+// CallRetry is Call with exponential-backoff resend for transport-level
+// failures: it tries up to policy.Attempts times, sleeping the policy's
+// jittered schedule between attempts, so a pool invalidated by a server
+// restart redials without hammering the address. Handler-level errors
+// (Retryable reports false) return at once — a handler that ran and failed
+// must not be re-executed by the transport, because the TCP path has no
+// incarnation dedup to absorb the repeat. Cancelling ctx aborts both
+// in-flight calls and backoff sleeps.
 func (c *Client) CallRetry(ctx context.Context, kind string, payload []byte, timeout time.Duration, policy RetryPolicy) ([]byte, error) {
-	return callRetry(ctx, policy, func() ([]byte, error) {
-		return c.Call(ctx, kind, payload, timeout)
-	})
+	policy = policy.normalized()
+	delays := policy.Schedule()
+	var lastErr error
+	for i := 0; i < policy.Attempts; i++ {
+		if i > 0 {
+			if err := policy.Clock.Sleep(ctx, delays[i-1]); err != nil {
+				return nil, fmt.Errorf("transport: retry cancelled after %d attempts: %w", i, err)
+			}
+		}
+		out, err := c.Call(ctx, kind, payload, timeout)
+		if err == nil {
+			return out, nil
+		}
+		if ctx.Err() != nil || !Retryable(err) {
+			return nil, err
+		}
+		lastErr = err
+	}
+	return nil, fmt.Errorf("transport: %d attempts failed: %w", policy.Attempts, lastErr)
 }

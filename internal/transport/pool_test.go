@@ -134,9 +134,9 @@ func TestPooledNoHeadOfLineBlocking(t *testing.T) {
 }
 
 // TestPooledClientSurvivesServerRestart is the restart-transparency
-// contract the dial-per-call path had for free: kill the server, bring a
-// new one up on the same address, and CallRetry must ride it out by
-// invalidating the dead pooled connection and redialing.
+// contract: kill the server, bring a new one up on the same address, and
+// CallRetry must ride it out by invalidating the dead pooled connection and
+// redialing.
 func TestPooledClientSurvivesServerRestart(t *testing.T) {
 	guardGoroutines(t)
 	srv1, addr := echoServer(t)

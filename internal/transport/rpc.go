@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -12,22 +11,20 @@ import (
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
-// This file implements the request/reply protocol over real TCP,
-// demonstrating that the coordination protocol is not tied to the
-// in-process bus. The scheduler's resource-adjustment service (Section
-// V-A, "Service API") is exposed this way in the integration tests and
-// examples. The wire format is the length-prefixed binary framing of
-// frame.go/wire.go; requests multiplex over long-lived connections
-// (pool.go's Client) or one-shot dials (Call), and either way a server
-// restart is transparent to callers: broken connections surface retryable
-// transport errors, CallRetry redials, and the pooled client invalidates
-// and re-establishes its connections — the property the paper gets from
-// ZeroMQ.
+// This file implements the server side of the request/reply protocol over
+// real TCP, and the retry policy callers run against it. The AM's Service
+// API (coord.NewTCPService) is served this way to a scheduler outside the
+// training job's process. The wire format is the length-prefixed binary
+// framing of frame.go/wire.go, and requests multiplex over the long-lived
+// connections of pool.go's Client. A server restart is transparent to
+// callers: a broken connection fails its calls with retryable transport
+// errors, the pool drops it, and Client.CallRetry redials under the
+// policy's backoff — the property the paper gets from ZeroMQ.
 
 // TCP call defaults, named once and referenced everywhere.
 const (
-	// DefaultCallTimeout covers dial+write+read of one Call when the
-	// caller passes no timeout.
+	// DefaultCallTimeout bounds one pooled call (dial, write and reply)
+	// when neither the call nor the ClientConfig sets a timeout.
 	DefaultCallTimeout = 2 * time.Second
 	// DefaultRetryAttempts is the attempt budget of an unconfigured
 	// RetryPolicy.
@@ -238,75 +235,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Call performs one request/reply round trip to a Server at addr, dialing a
-// fresh connection (and therefore transparently surviving server restarts
-// between calls). The timeout covers dial, write and read; cancelling ctx
-// aborts the call at any point, including mid-read. TCP I/O deadlines are
-// inherently wall-clock, so Call always stamps them from the wall clock —
-// only the retry backoff (CallRetry) runs on an injectable clock.
-//
-// Call is the zero-state path: no pool, no connection reuse. Steady-state
-// callers should hold a Client (pool.go), which multiplexes requests over
-// pooled connections and is benchmarked at ≥5× Call's throughput under
-// concurrency; Call remains for one-shot probes and as the simplest
-// illustration of the wire protocol.
-func Call(ctx context.Context, addr, kind string, payload []byte, timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		timeout = DefaultCallTimeout
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	dialer := net.Dialer{Timeout: timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	defer func() { _ = conn.Close() }()
-	// A cancelled context unblocks in-flight reads by closing the conn.
-	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
-	defer stop()
-	deadline := clock.Wall{}.Now().Add(timeout)
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, fmt.Errorf("transport: set deadline: %w", err)
-	}
-	var wmu sync.Mutex
-	reqp := getFrameBuf()
-	frame, err := encodeRequest((*reqp)[:0], 1, kind, payload,
-		telemetry.SpanFromContext(ctx).Context())
-	if err != nil {
-		putFrameBuf(reqp)
-		return nil, err
-	}
-	*reqp = frame
-	err = writeFrame(conn, &wmu, frame)
-	putFrameBuf(reqp)
-	if err != nil {
-		return nil, err
-	}
-	respp := getFrameBuf()
-	defer putFrameBuf(respp)
-	body, err := readFrame(conn, respp)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("transport: read response: %w", err)
-	}
-	_, code, errMsg, respPayload, err := decodeResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	if rerr := responseError(code, errMsg); rerr != nil {
-		return nil, rerr
-	}
-	out := make([]byte, len(respPayload))
-	copy(out, respPayload)
-	return out, nil
-}
-
-// RetryPolicy shapes CallRetry's exponential backoff. The zero value is
-// normalized to the package defaults.
+// RetryPolicy shapes Client.CallRetry's exponential backoff. The zero value
+// is normalized to the package defaults.
 type RetryPolicy struct {
 	// Attempts is the total call budget (first try included).
 	Attempts int
@@ -370,46 +300,4 @@ func (p RetryPolicy) Schedule() []time.Duration {
 		}
 	}
 	return delays
-}
-
-// CallRetry is Call with exponential-backoff resend semantics for
-// transport-level failures: it retries up to policy.Attempts times,
-// sleeping the policy's jittered schedule between attempts, which rides
-// out a server restart in progress without hammering the endpoint.
-// Handler-level errors (Retryable reports false) return immediately — a
-// handler that ran and failed must not be re-executed by the transport,
-// because the TCP path has no incarnation dedup to absorb the repeat.
-// Cancelling ctx aborts both in-flight calls and backoff sleeps.
-func CallRetry(ctx context.Context, addr, kind string, payload []byte, timeout time.Duration, policy RetryPolicy) ([]byte, error) {
-	return callRetry(ctx, policy, func() ([]byte, error) {
-		return Call(ctx, addr, kind, payload, timeout)
-	})
-}
-
-// callRetry is the shared retry loop behind CallRetry and
-// Client.CallRetry: transport-level errors burn attempts through the
-// backoff schedule, terminal errors return at once.
-func callRetry(ctx context.Context, policy RetryPolicy, call func() ([]byte, error)) ([]byte, error) {
-	policy = policy.normalized()
-	delays := policy.Schedule()
-	var lastErr error
-	for i := 0; i < policy.Attempts; i++ {
-		if i > 0 {
-			if err := policy.Clock.Sleep(ctx, delays[i-1]); err != nil {
-				return nil, fmt.Errorf("transport: retry cancelled after %d attempts: %w", i, err)
-			}
-		}
-		out, err := call()
-		if err == nil {
-			return out, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("transport: %d attempts failed: %w", policy.Attempts, lastErr)
 }

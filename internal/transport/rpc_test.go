@@ -77,8 +77,10 @@ func TestCallRetryFollowsScheduleOnSimClock(t *testing.T) {
 	for _, d := range policy.Schedule() {
 		want += d
 	}
+	client := NewClient("127.0.0.1:1", ClientConfig{})
+	defer client.Close()
 	start := time.Now()
-	_, err := CallRetry(context.Background(), "127.0.0.1:1", "x", nil, 100*time.Millisecond, policy)
+	_, err := client.CallRetry(context.Background(), "x", nil, 100*time.Millisecond, policy)
 	if err == nil {
 		t.Fatal("CallRetry to dead address succeeded")
 	}
@@ -96,10 +98,12 @@ func TestCallRetryCancelDuringBackoff(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
 	// No auto-advance: the first backoff sleep can only end via ctx.
 	policy := RetryPolicy{Attempts: 3, Base: time.Hour, Clock: sim}
+	client := NewClient("127.0.0.1:1", ClientConfig{})
+	defer client.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := CallRetry(ctx, "127.0.0.1:1", "x", nil, 100*time.Millisecond, policy)
+		_, err := client.CallRetry(ctx, "x", nil, 100*time.Millisecond, policy)
 		done <- err
 	}()
 	// Wait for the sleeper to register, then cancel.
@@ -141,7 +145,9 @@ func TestCallRetryDoesNotRetryHandlerErrors(t *testing.T) {
 	stop := sim.AutoAdvance(0)
 	defer stop()
 	policy := RetryPolicy{Attempts: 6, Base: 10 * time.Millisecond, Clock: sim}
-	_, err = CallRetry(context.Background(), addr, "charge", nil, time.Second, policy)
+	client := NewClient(addr, ClientConfig{})
+	defer client.Close()
+	_, err = client.CallRetry(context.Background(), "charge", nil, time.Second, policy)
 	if err == nil {
 		t.Fatal("handler error did not propagate")
 	}
@@ -153,17 +159,6 @@ func TestCallRetryDoesNotRetryHandlerErrors(t *testing.T) {
 	}
 	if elapsed := sim.Elapsed(); elapsed != 0 {
 		t.Fatalf("terminal error burned %v of backoff", elapsed)
-	}
-
-	// The pooled client obeys the same contract.
-	invocations.Store(0)
-	client := NewClient(addr, ClientConfig{})
-	defer client.Close()
-	if _, err := client.CallRetry(context.Background(), "charge", nil, time.Second, policy); err == nil {
-		t.Fatal("pooled handler error did not propagate")
-	}
-	if got := invocations.Load(); got != 1 {
-		t.Fatalf("pooled CallRetry executed handler %d times, want exactly 1", got)
 	}
 }
 
@@ -178,7 +173,9 @@ func TestCallRetryStillRetriesTransportErrors(t *testing.T) {
 	for _, d := range policy.Schedule() {
 		want += d
 	}
-	_, err := CallRetry(context.Background(), "127.0.0.1:1", "x", nil, 100*time.Millisecond, policy)
+	client := NewClient("127.0.0.1:1", ClientConfig{})
+	defer client.Close()
+	_, err := client.CallRetry(context.Background(), "x", nil, 100*time.Millisecond, policy)
 	if err == nil {
 		t.Fatal("CallRetry to dead address succeeded")
 	}
@@ -229,17 +226,18 @@ func TestServerRecoversHandlerPanics(t *testing.T) {
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("call after panic = %q, %v", out, err)
 	}
-	// And the one-shot path sees the same typed error.
-	if _, err := Call(context.Background(), addr, "boom", nil, time.Second); !errors.Is(err, ErrHandlerPanic) {
-		t.Fatalf("one-shot panic response = %v, want ErrHandlerPanic identity", err)
+	// And a second panic on that connection is contained the same way.
+	if _, err := client.Call(context.Background(), "boom", nil, time.Second); !errors.Is(err, ErrHandlerPanic) {
+		t.Fatalf("second panic response = %v, want ErrHandlerPanic identity", err)
 	}
 	if got := reg.Counter("transport_handler_panics_total").Value(); got != 2 {
 		t.Fatalf("transport_handler_panics_total = %d, want 2", got)
 	}
 }
 
-// TestOneShotCallRoundTrip covers the dial-per-call path on the framed
-// protocol, including payload isolation from the pooled frame buffers.
+// TestOneShotCallRoundTrip covers a fresh client's first dial on the framed
+// protocol, and payload isolation from the pooled frame buffers: two
+// replies read through one connection's reader stay distinct.
 func TestOneShotCallRoundTrip(t *testing.T) {
 	guardGoroutines(t)
 	srv := NewServer(func(m Message) ([]byte, error) {
@@ -250,11 +248,13 @@ func TestOneShotCallRoundTrip(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
-	out1, err := Call(context.Background(), addr, "a", []byte("one"), time.Second)
+	client := NewClient(addr, ClientConfig{Conns: 1})
+	defer client.Close()
+	out1, err := client.Call(context.Background(), "a", []byte("one"), time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	out2, err := Call(context.Background(), addr, "b", []byte("two"), time.Second)
+	out2, err := client.Call(context.Background(), "b", []byte("two"), time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}

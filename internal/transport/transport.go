@@ -1,17 +1,21 @@
 // Package transport provides the reliable messaging layer between the
 // application master and workers — the stand-in for the paper's ZeroMQ
-// sockets (Section V-D). Every message carries a unique ID plus the
-// sender's endpoint incarnation; senders resend on ack timeout and
-// receivers deduplicate by (incarnation, ID), so delivery is exactly-once
-// at the handler as long as the peer eventually responds. The incarnation
-// number survives endpoint removal: a crash-restarted sender starts a new
-// incarnation instead of reusing low message IDs that the receiver's dedup
-// state would silently swallow, and a zombie sender from a fenced
-// incarnation is rejected with ErrStaleIncarnation. An in-process Bus with
-// configurable drop rate, latency, and a pluggable fault hook (partition /
-// drop-burst / straggler injection, see internal/chaos) lets tests inject
-// failures; a separate TCP server/client pair (rpc.go) demonstrates the
-// same protocol over a real network connection.
+// sockets (Section V-D). It has two wires behind one Handler type.
+//
+// The in-process Bus carries the job's own traffic. Every message carries a
+// unique ID plus the sender's endpoint incarnation; senders resend on ack
+// timeout and receivers deduplicate by (incarnation, ID), so delivery is
+// exactly-once at the handler as long as the peer eventually responds. The
+// incarnation number survives endpoint removal: a crash-restarted sender
+// starts a new incarnation instead of reusing low message IDs that the
+// receiver's dedup state would silently swallow, and a zombie sender from a
+// fenced incarnation is rejected with ErrStaleIncarnation. A configurable
+// drop rate, latency and a pluggable fault hook (partition / drop-burst /
+// straggler injection, see internal/chaos) let tests inject failures.
+//
+// The TCP Server (rpc.go) and the pooled Client (pool.go) carry the same
+// request/reply protocol across a process boundary, with at-least-once
+// retry semantics instead of dedup.
 package transport
 
 import (
@@ -35,6 +39,11 @@ var (
 	// is older than one the receiver has already heard from — a zombie that
 	// was replaced by a restarted instance must stop, not be silently acked.
 	ErrStaleIncarnation = errors.New("transport: message from stale sender incarnation")
+	// ErrSuperseded is replied to a message whose ID is below the highest
+	// the receiver has handled from the same sender incarnation. The
+	// receiver keeps no record of older IDs, so it cannot tell whether the
+	// handler ran for this one; the caller must not take the call as done.
+	ErrSuperseded = errors.New("transport: message superseded by a newer one from the same sender")
 )
 
 // Package-level defaults, referenced everywhere a config value is missing
@@ -262,14 +271,8 @@ func (b *Bus) Endpoint(name string, h Handler) (*Endpoint, error) {
 
 // Remove deletes an endpoint from the bus (worker shutdown / migration).
 func (b *Bus) Remove(name string) {
-	b.mu.Lock()
-	ep, ok := b.endpoints[name]
-	if ok {
-		delete(b.endpoints, name)
-	}
-	b.mu.Unlock()
-	if ok {
-		ep.close()
+	if ep, ok := b.lookup(name); ok {
+		ep.Close()
 	}
 }
 
@@ -348,6 +351,19 @@ func (e *Endpoint) Incarnation() uint64 { return e.inc }
 
 func (e *Endpoint) close() {
 	e.closeOnce.Do(func() { close(e.closed) })
+}
+
+// Close takes this endpoint off its bus and fails its in-flight calls with
+// ErrClosed. Unlike Bus.Remove it never touches a successor registered
+// under the same name since. Closing twice is safe.
+func (e *Endpoint) Close() {
+	b := e.bus
+	b.mu.Lock()
+	if b.endpoints[e.name] == e {
+		delete(b.endpoints, e.name)
+	}
+	b.mu.Unlock()
+	e.close()
 }
 
 // allocID returns the next message ID for this sender.
@@ -508,8 +524,10 @@ func (e *Endpoint) routeReply(id uint64, r reply) {
 // handle runs the endpoint handler exactly once per (incarnation, ID):
 // duplicate deliveries of the most recent message either wait for the
 // in-flight handler's genuine reply (a resend racing a slow handler) or
-// return the cached reply (a resend after a dropped reply); older
-// duplicates are acknowledged with an empty payload. A message from a
+// return the cached reply (a resend after a dropped reply). An older ID
+// gets ErrSuperseded: the dedup state is one high-water mark, so a
+// concurrent call whose first leg was lost while a newer call went through
+// is refused rather than acked as done without running. A message from a
 // higher sender incarnation resets the sender's dedup state — a restarted
 // sender restarts its ID sequence and must not be blackholed by the dead
 // incarnation's high-water mark — while a lower incarnation is a fenced
@@ -555,7 +573,7 @@ func (e *Endpoint) handle(msg Message) ([]byte, error) {
 			return cached.payload, cached.err
 		}
 		e.mu.Unlock()
-		return nil, nil
+		return nil, fmt.Errorf("%w: %s sent id %d, already at %d", ErrSuperseded, msg.From, msg.ID, last)
 	}
 	e.seen[msg.From] = msg.ID
 	inf := &inflightCall{id: msg.ID, inc: msg.Inc, done: make(chan struct{})}

@@ -192,6 +192,58 @@ func TestDedupReturnsCachedReply(t *testing.T) {
 	}
 }
 
+// TestOlderConcurrentCallRefused: calls A and B share one endpoint, and the
+// fault hook drops A's first request leg, so B's higher ID reaches the
+// handler first. A's resend is then below the receiver's high-water mark.
+// It must fail with ErrSuperseded, not be acked as a success the handler
+// never produced.
+func TestOlderConcurrentCallRefused(t *testing.T) {
+	guardGoroutines(t)
+	cfg := DefaultBusConfig()
+	sim := clock.NewSim(time.Unix(0, 0))
+	cfg.Clock = sim // advanced by hand: A resends only when the test says so
+	bus := NewBus(cfg)
+	defer bus.Close()
+	var mu sync.Mutex
+	var ran []string
+	if _, err := bus.Endpoint("server", func(m Message) ([]byte, error) {
+		mu.Lock()
+		ran = append(ran, m.Kind)
+		mu.Unlock()
+		return []byte(m.Kind), nil
+	}); err != nil {
+		t.Fatalf("Endpoint: %v", err)
+	}
+	client, _ := bus.Endpoint("client", nil)
+	dropped := make(chan struct{})
+	var once sync.Once
+	bus.SetFaultHook(func(m Message) Fate {
+		drop := false
+		if m.Kind == "a" && m.To == "server" {
+			once.Do(func() { drop = true; close(dropped) })
+		}
+		return Fate{Drop: drop}
+	})
+	errA := make(chan error, 1)
+	go func() {
+		_, err := client.Call("server", "a", nil)
+		errA <- err
+	}()
+	<-dropped
+	if out, err := client.Call("server", "b", nil); err != nil || string(out) != "b" {
+		t.Fatalf("call B = %q, %v", out, err)
+	}
+	sim.Advance(cfg.AckTimeout) // A's ack timer fires and A resends
+	if err := <-errA; !errors.Is(err, ErrSuperseded) {
+		t.Fatalf("call A = %v, want ErrSuperseded", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || ran[0] != "b" {
+		t.Fatalf("handler ran for %v, want only [b]", ran)
+	}
+}
+
 func TestTimeoutAfterRetries(t *testing.T) {
 	cfg := DefaultBusConfig()
 	cfg.DropRate = 0.95 // nearly everything lost
@@ -346,15 +398,17 @@ func TestTCPServerRoundTrip(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
+	client := NewClient(addr, ClientConfig{})
+	defer client.Close()
 	ctx := context.Background()
-	out, err := Call(ctx, addr, "test", []byte("payload"), time.Second)
+	out, err := client.Call(ctx, "test", []byte("payload"), time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if string(out) != "ok:payload" {
 		t.Fatalf("reply = %q", out)
 	}
-	if _, err := Call(ctx, addr, "fail", nil, time.Second); err == nil || !strings.Contains(err.Error(), "requested failure") {
+	if _, err := client.Call(ctx, "fail", nil, time.Second); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("error not propagated: %v", err)
 	}
 }
@@ -369,12 +423,14 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	if _, err := Call(ctx, addr, "ping", nil, time.Second); err != nil {
+	client := NewClient(addr, ClientConfig{Conns: 1})
+	defer client.Close()
+	if _, err := client.Call(ctx, "ping", nil, time.Second); err != nil {
 		t.Fatalf("first Call: %v", err)
 	}
 	srv1.Close()
-	// Server gone: plain Call fails.
-	if _, err := Call(ctx, addr, "ping", nil, 100*time.Millisecond); err == nil {
+	// Server gone: a plain Call fails.
+	if _, err := client.Call(ctx, "ping", nil, 100*time.Millisecond); err == nil {
 		t.Fatal("Call succeeded against closed server")
 	}
 	// Restart on the same port.
@@ -384,7 +440,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 	policy := RetryPolicy{Attempts: 5, Base: time.Millisecond, Max: 10 * time.Millisecond}
-	out, err := CallRetry(ctx, addr, "ping", nil, 200*time.Millisecond, policy)
+	out, err := client.CallRetry(ctx, "ping", nil, 200*time.Millisecond, policy)
 	if err != nil {
 		t.Fatalf("CallRetry after restart: %v", err)
 	}
@@ -400,7 +456,9 @@ func TestCallRetryExhausts(t *testing.T) {
 	stop := sim.AutoAdvance(0)
 	defer stop()
 	policy := RetryPolicy{Attempts: 2, Base: 50 * time.Millisecond, Clock: sim}
-	if _, err := CallRetry(context.Background(), "127.0.0.1:1", "x", nil, 50*time.Millisecond, policy); err == nil {
+	client := NewClient("127.0.0.1:1", ClientConfig{})
+	defer client.Close()
+	if _, err := client.CallRetry(context.Background(), "x", nil, 50*time.Millisecond, policy); err == nil {
 		t.Fatal("CallRetry to dead address succeeded")
 	}
 }

@@ -125,8 +125,8 @@ func IsHandlerError(err error) bool {
 // have reached a healthy server, and a restart heals them. Handler-level
 // errors and context cancellation are terminal: retrying would re-execute
 // a handler that already ran to a deterministic verdict, or outlive the
-// caller's interest. CallRetry and Client.CallRetry consult this, and
-// callers layering their own retries should too.
+// caller's interest. Client.CallRetry consults this, and callers layering
+// their own retries should too.
 func Retryable(err error) bool {
 	if err == nil {
 		return false

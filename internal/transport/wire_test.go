@@ -152,6 +152,9 @@ func busPath(t *testing.T, h Handler) error {
 	return callErr
 }
 
+// tcpOneShotPath makes one CallRetry through a fresh pooled client, the
+// way coord's TCP client calls: the retry loop must hand a terminal error
+// back as it came.
 func tcpOneShotPath(t *testing.T, h Handler) error {
 	t.Helper()
 	srv := NewServer(h)
@@ -160,7 +163,9 @@ func tcpOneShotPath(t *testing.T, h Handler) error {
 		t.Fatalf("Listen: %v", err)
 	}
 	t.Cleanup(srv.Close)
-	_, callErr := Call(context.Background(), addr, "probe", nil, time.Second)
+	client := NewClient(addr, ClientConfig{})
+	t.Cleanup(client.Close)
+	_, callErr := client.CallRetry(context.Background(), "probe", nil, time.Second, RetryPolicy{})
 	return callErr
 }
 
@@ -181,7 +186,8 @@ func tcpPooledPath(t *testing.T, h Handler) error {
 // TestErrorIdentityAcrossPaths is the regression for the error-identity
 // bug: the gob path collapsed server errors into errors.New(resp.Err), so
 // errors.Is(err, ErrStaleIncarnation) held on the bus but silently failed
-// over TCP. All three paths now run the same table.
+// over TCP. The bus, a pooled Call and a pooled CallRetry run the same
+// table.
 func TestErrorIdentityAcrossPaths(t *testing.T) {
 	guardGoroutines(t)
 	paths := []struct {
