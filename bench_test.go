@@ -473,33 +473,6 @@ func BenchmarkAblationAsyncTimeline(b *testing.B) {
 	}
 }
 
-func BenchmarkRingBroadcast8x64k(b *testing.B) {
-	const ranks, length = 8, 65536
-	g, err := collective.NewGroup(ranks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer g.Close()
-	vecs := make([][]float64, ranks)
-	for r := range vecs {
-		vecs[r] = make([]float64, length)
-	}
-	b.SetBytes(length * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := make(chan error, ranks)
-		for r := 0; r < ranks; r++ {
-			r := r
-			go func() { done <- g.Broadcast(r, 0, vecs[r]) }()
-		}
-		for r := 0; r < ranks; r++ {
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkLiveTrainingStep(b *testing.B) {
 	ds, err := GenDataset(1, 2048, 4, 3)
 	if err != nil {

@@ -9,16 +9,15 @@ import (
 )
 
 // TestWriteCollectiveJSON pins the acceptance shape of BENCH_collective.json:
-// both engines measured in-process, and the simulated section showing
+// the ring measured in-process, and the simulated section showing
 // hierarchical beating flat at every multi-node point with a near-linear
 // weak-scaling curve. It asserts nothing about allocs_per_op: measureHot
 // divides process-wide mallocs by a handful of quick-mode iterations, and
 // the runtime's own failed this test one run in three. Counted, they were
 // one or two 96-byte objects a run (the size class of the sudog a rank
 // takes when it blocks on a channel and its P's cache is empty) and never
-// the rankScratch refill. TestAllReduceZeroAllocs and
-// TestHierAllReduceZeroAllocs in internal/collective are the allocation
-// guards.
+// the rankScratch refill. TestAllReduceZeroAllocs in internal/collective is
+// the allocation guard.
 func TestWriteCollectiveJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "collective.json")
 	var b strings.Builder
@@ -33,8 +32,8 @@ func TestWriteCollectiveJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &report); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if len(report.Measured) != 2 {
-		t.Fatalf("measured %d engines, want flat and hierarchical", len(report.Measured))
+	if len(report.Measured) != 1 {
+		t.Fatalf("measured %d rows, want the ring's one", len(report.Measured))
 	}
 	for _, r := range report.Measured {
 		if r.NsPerOp <= 0 {

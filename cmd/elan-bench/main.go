@@ -8,7 +8,7 @@
 //	elan-bench -exp fig20 -quick           # short trace for a fast run
 //	elan-bench -adjust-trace adjust.json   # trace one scaling adjustment
 //	elan-bench -json hotpath.json          # hot-path micro-benchmark report
-//	elan-bench -collective coll.json       # flat vs hierarchical allreduce report
+//	elan-bench -collective coll.json       # ring allreduce + flat vs hierarchical model report
 //	elan-bench -telemetry telem.json       # span + flight-recorder overhead report
 //	elan-bench -transport transport.json   # pooled TCP data-plane report
 //	elan-bench -store store.json           # sharded store + delta checkpoint report
@@ -34,7 +34,7 @@ func main() {
 	jsonOut := flag.String("json", "",
 		"run the hot-path micro-benchmarks (matmul, train step, allreduce) and write ns/op, allocs/op and B/op to this JSON file")
 	collOut := flag.String("collective", "",
-		"measure flat vs hierarchical allreduce in-process and simulate both under the analytic comm model; write the report to this JSON file")
+		"measure the ring allreduce in-process and simulate flat vs hierarchical under the analytic comm model; write the report to this JSON file")
 	telemOut := flag.String("telemetry", "",
 		"measure the tracing overhead (disabled/enabled spans, flight ring) and write the report to this JSON file")
 	transOut := flag.String("transport", "",

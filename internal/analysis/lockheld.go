@@ -12,12 +12,11 @@ import (
 // Calling any of them — or touching a channel — while a mutex acquired in
 // the same function is still held is how the pre-PR3 adjustment deadlocks
 // happened: the lock holder waits on a peer that needs the lock to make
-// progress. Broadcast is deliberately absent: matching is by name, and
-// sync.Cond.Broadcast — non-blocking and correctly called under the lock
-// — would collide with collective's vector Broadcast.
+// progress. Matching is by name, so names that also belong to non-blocking
+// calls made under a lock (sync.Cond.Broadcast) stay out.
 var lockBlockingCalls = map[string]bool{
 	"Sleep": true, "Call": true, "CallCtx": true, "CallRetry": true,
-	"AllReduce": true, "AllReduceMean": true, "Barrier": true,
+	"AllReduce": true, "AllReduceMean": true,
 }
 
 // LockHeld flags blocking operations performed while a sync.Mutex/RWMutex

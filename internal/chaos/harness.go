@@ -29,8 +29,9 @@ type Config struct {
 	Metrics    *telemetry.Registry // optional; harness counters land here
 	Tracer     telemetry.Tracer    // optional
 	// Cluster places the fleet on simulated GPUs: group reconstruction
-	// after every crash, rejoin and adjustment then re-reserves GPUs and
-	// rebuilds the topology-aware (possibly hierarchical) collective.
+	// after every crash, rejoin and adjustment then re-reserves GPUs, which
+	// drive the replication plan and the link labels of the fleet's spans.
+	// The reduction is the same ring with or without one.
 	Cluster *topology.Cluster
 	// BucketElems enables gradient bucketing in the fleet's reducers.
 	BucketElems int

@@ -77,7 +77,7 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 				vecs[r][i] = math.Sin(float64(gen*7919+r*104729+i)) * 1e3
 			}
 		}
-		want, err := ReferenceAllReduce(topo, vecs)
+		want, err := ReferenceAllReduce(vecs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +109,8 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 			t.Fatalf("generation %d (%d ranks): %v", gen, n, err)
 		}
 		if mallocs := after.Mallocs - before.Mallocs; exact && prev != nil && mallocs != 0 {
-			t.Errorf("generation %d (%d ranks, hierarchical=%v): first AllReduce on adopted scratch made %d allocations, want 0",
-				gen, n, g.Hierarchical(), mallocs)
+			t.Errorf("generation %d (%d ranks, link %s): first AllReduce on adopted scratch made %d allocations, want 0",
+				gen, n, LinkLabelOf(topo), mallocs)
 		}
 		for r := range vecs {
 			for i, v := range vecs[r] {
@@ -135,10 +135,11 @@ func clustered(t *testing.T, counts ...int) Topology {
 
 // TestAdoptedScratchFirstAllReduceZeroAllocs: a group that adopted its
 // predecessor's scratch reduces without allocating from its first call on —
-// growing and shrinking, flat and hierarchical, and across the two as a fleet
-// that scales in onto one node and back out does. The vector length is a
-// multiple of every chunk count involved, so each predecessor's memory is
-// exactly what its successor carves; other lengths are the next test's.
+// growing and shrinking, on one node and across two ("hier" names a 2×4 or
+// 2×2 placement), and between the two as a fleet that scales in onto one
+// node and back out does. The vector length is a multiple of every chunk
+// count involved, so each predecessor's memory is exactly what its
+// successor carves; other lengths are the next test's.
 func TestAdoptedScratchFirstAllReduceZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
@@ -155,8 +156,8 @@ func TestAdoptedScratchFirstAllReduceZeroAllocs(t *testing.T) {
 
 // TestAdoptedScratchAnyLength: when the adopted memory does not divide into
 // the successor's chunks, or is simply too little (a 2-rank group's scratch
-// under an 8-rank hierarchy), the successor allocates the difference and the
-// sums stay bit-identical to the reference.
+// under an 8-rank group on two nodes), the successor allocates the
+// difference and the sums stay bit-identical to the reference.
 func TestAdoptedScratchAnyLength(t *testing.T) {
 	for _, elems := range []int{1, 7, 1001, 4099} {
 		t.Run(fmt.Sprint(elems), func(t *testing.T) {
@@ -168,7 +169,8 @@ func TestAdoptedScratchAnyLength(t *testing.T) {
 // TestPrimeOnceForTheLongestVector: a rank primed to its longest vector does
 // not prime again when vectors of other lengths follow in any order — the
 // ddp reducer's buckets — where an unprimed one re-primes at every new
-// maximum. Priming is counted by the slabs it leaves in the pool.
+// maximum. Priming is counted by the slabs it leaves in the pool: one for
+// the whole group each time its ranks prime.
 func TestPrimeOnceForTheLongestVector(t *testing.T) {
 	const n = 4
 	lengths := []int{1000, 12000, 400, 36000, 36000, 8}
@@ -198,11 +200,11 @@ func TestPrimeOnceForTheLongestVector(t *testing.T) {
 		defer g.pool.mu.Unlock()
 		return len(g.pool.slabs)
 	}
-	if got := slabs(true); got != n {
-		t.Errorf("%d slabs with every rank primed to the longest vector, want one per rank (%d)", got, n)
+	if got := slabs(true); got != 1 {
+		t.Errorf("%d slabs with every rank primed to the longest vector, want one", got)
 	}
-	if got := slabs(false); got != 3*n {
-		t.Errorf("%d slabs without priming, want one per rank per new maximum (%d)", got, 3*n)
+	if got := slabs(false); got != 3 {
+		t.Errorf("%d slabs without priming, want one per new maximum (3)", got)
 	}
 }
 

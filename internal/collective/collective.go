@@ -4,14 +4,16 @@
 // reconstruction, which the elastic runtime performs after every resource
 // adjustment (Section II, step 5).
 //
-// Groups are topology-aware. A flat placement (every rank on one node) runs
-// the textbook two-phase ring: a reduce-scatter of N chunks over N-1 steps
-// followed by an allgather over N-1 steps. A placement spanning nodes runs
-// the two-tier hierarchy of hierarchical.go: intra-node rings at L1/L2 plus
-// a single cross-node leader ring at L4, so only node leaders pay the
-// slowest-link price. Each rank runs in its own goroutine, so the gradient
-// math of the pure-Go training substrate is genuinely distributed rather
-// than simulated.
+// Every group runs the same textbook two-phase ring — a reduce-scatter of
+// N chunks over N-1 steps followed by an allgather over N-1 steps — whatever
+// its placement, so the accumulation order of a reduction depends on the
+// rank count alone (ReferenceAllReduce). A placement on the hardware tree
+// (Topology) only names the link level the group's telemetry reports.
+// In-process links are uniform Go channels, where a two-tier hierarchy adds
+// hops and saves nothing; the hierarchy lives in the analytic cost model
+// (perfmodel.CommModel.Hierarchical), where links differ. Each rank runs in
+// its own goroutine, so the gradient math of the pure-Go training substrate
+// is genuinely distributed rather than simulated.
 package collective
 
 import (
@@ -35,14 +37,10 @@ type chunkMsg struct {
 // protocol: a send hands the buffer to the receiver for good (the channel
 // send is the transfer point), and every receive deposits the incoming
 // buffer into the receiver's arena for its next send. Buffers therefore
-// migrate around the group — what cycles is the arena slot, not a fixed
+// migrate around the ring — what cycles is the arena slot, not a fixed
 // buffer — and no rank ever writes a buffer its neighbor might still be
-// reading. The free list is a stack because the hierarchical path is
-// unbalanced within a call: a node leader absorbs one buffer per member
-// during the gather stage and pays them all back during the scatter stage,
-// so its pool transiently holds up to g+1 buffers; the stack is built with
-// room for that, so depositing never grows it. Once primed, steady state
-// performs one withdrawal per deposit and never allocates.
+// reading. Each ring step is one withdrawal and one deposit, so a primed
+// arena holds its two buffers and steady state never allocates.
 type rankScratch struct {
 	free   [][]float64
 	capPer int
@@ -108,9 +106,13 @@ func (p *scratchPool) carve(n int) []float64 {
 }
 
 // prime gives s two buffers of maxChunk values each, carved from spare
-// memory when there is any and from a new slab otherwise. Whatever s held
+// memory. The rank that finds none left allocates one slab for the two
+// buffers of every rank of the group, so the pool's memory stays in pieces
+// the size of a whole group's scratch: a successor of any size carves its
+// longer chunks from what it adopts, where per-rank slabs of an 8-rank group
+// would each be too short for a chunk of a 3-rank one. Whatever s held
 // before is dropped: its memory stays in slabs for the group's successor.
-func (p *scratchPool) prime(s *rankScratch, maxChunk int) {
+func (p *scratchPool) prime(s *rankScratch, maxChunk, ranks int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	clear(s.free)
@@ -118,7 +120,7 @@ func (p *scratchPool) prime(s *rankScratch, maxChunk int) {
 	for len(s.free) < 2 {
 		b := p.carve(maxChunk)
 		if b == nil {
-			slab := make([]float64, (2-len(s.free))*maxChunk)
+			slab := make([]float64, 2*ranks*maxChunk)
 			p.slabs = append(p.slabs, slab)
 			p.spare = append(p.spare, slab)
 			continue
@@ -129,29 +131,12 @@ func (p *scratchPool) prime(s *rankScratch, maxChunk int) {
 }
 
 // Group is a communication group of n ranks. All ranks must call AllReduce
-// (or Barrier) collectively; the calls block until the collective completes.
-// A Group is safe for concurrent use by its n member goroutines.
+// collectively; the calls block until the collective completes. A Group is
+// safe for concurrent use by its n member goroutines.
 type Group struct {
 	n int
-	// ring[i] carries messages from rank i to rank (i+1)%n: the channel
-	// fabric of the flat ring and of Broadcast.
+	// ring[i] carries messages from rank i to rank (i+1)%n.
 	ring []chan chunkMsg
-	// pair[a][b] carries messages from rank a to rank b. The global ring
-	// edges alias ring[a]; hierarchical groups add the extra directed edges
-	// their stages use (intra-node rings, member<->leader, leader ring).
-	// Unused edges stay nil.
-	pair [][]chan chunkMsg
-	// allRanks is [0, 1, ..., n-1]: the member list of the flat ring.
-	allRanks []int
-	// lay is the two-tier decomposition of the group's topology, nil when
-	// the placement fits one node and the group runs the flat ring.
-	lay *hierLayout
-
-	// barrier support
-	barrierMu  sync.Mutex
-	barrierN   int
-	barrierGen int
-	barrierC   *sync.Cond
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -172,63 +157,37 @@ type Group struct {
 	mElements    *telemetry.Counter
 }
 
-// NewGroup constructs a communication group with n ranks on the flat
-// single-node topology: NewGroupWithTopology(Flat(n)).
+// NewGroup constructs a communication group of n ranks.
 func NewGroup(n int) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("collective: non-positive group size %d", n)
 	}
-	return NewGroupWithTopology(Flat(n))
-}
-
-// NewGroupWithTopology constructs a communication group whose reduction
-// structure matches the placement described by t. A single-node placement
-// yields the classic flat ring, bit-for-bit identical to NewGroup; a
-// placement spanning nodes yields the two-tier hierarchical engine. The
-// reduction order of either engine is specified executably by
-// ReferenceAllReduce.
-func NewGroupWithTopology(t Topology) (*Group, error) {
-	n := t.Ranks()
-	if n <= 0 {
-		return nil, fmt.Errorf("collective: non-positive group size %d", n)
-	}
 	g := &Group{
-		n:        n,
-		ring:     make([]chan chunkMsg, n),
-		pair:     make([][]chan chunkMsg, n),
-		allRanks: make([]int, n),
-		closed:   make(chan struct{}),
-		scratch:  make([]rankScratch, n),
-		tr:       telemetry.Nop{},
+		n:       n,
+		ring:    make([]chan chunkMsg, n),
+		closed:  make(chan struct{}),
+		scratch: make([]rankScratch, n),
+		tr:      telemetry.Nop{},
 	}
 	for i := range g.ring {
 		g.ring[i] = make(chan chunkMsg, 1)
-		g.pair[i] = make([]chan chunkMsg, n)
-		g.pair[i][(i+1)%n] = g.ring[i]
-		g.allRanks[i] = i
-	}
-	g.barrierC = sync.NewCond(&g.barrierMu)
-	if lay := layoutOf(t); len(lay.nodes) > 1 {
-		g.lay = lay
-		g.wireHierEdges(lay)
-	}
-	// Room for a rank's own two buffers plus, on a node leader, one from
-	// each other member of its node (rankScratch): deposits never grow the
-	// stack.
-	for r := range g.scratch {
-		room := 2
-		if g.lay != nil {
-			room += len(g.lay.nodes[g.lay.nodeOf[r]]) - 1
-		}
-		g.scratch[r].free = make([][]float64, 0, room)
+		g.scratch[i].free = make([][]float64, 0, 2)
 	}
 	return g, nil
 }
 
+// NewGroupWithTopology constructs a group with one rank per rank of t. The
+// placement does not shape the reduction: every group runs the same ring,
+// so the result depends on the rank count alone, as ReferenceAllReduce
+// specifies. Callers pass the topology's LinkLabelOf to SetTelemetry.
+func NewGroupWithTopology(t Topology) (*Group, error) {
+	return NewGroup(t.Ranks())
+}
+
 // AdoptScratch makes g the successor of old: old is closed and the memory
 // its ranks' chunk buffers were carved from becomes g's, to be carved again
-// for g's own size and topology — a group that replaces another of the same
-// job allocates no scratch of its own unless it needs more than its
+// for g's own size — a group that replaces another of the same job
+// allocates no scratch of its own unless it needs more than its
 // predecessor had. This is an ownership transfer, so it is only valid at a
 // point where no rank is inside a collective on old and none has started on
 // g: between steps, under the lock that serializes them (DESIGN §9).
@@ -245,36 +204,6 @@ func (g *Group) AdoptScratch(old *Group) {
 	g.pool.slabs = append(g.pool.slabs, slabs...)
 	g.pool.spare = append(g.pool.spare, slabs...)
 	g.pool.mu.Unlock()
-}
-
-// wireHierEdges creates the directed channels the hierarchical stages use
-// beyond the global ring: each node's intra ring, each member's two edges
-// to its leader, and the leader ring. Edges that coincide with a global
-// ring edge reuse it.
-func (g *Group) wireHierEdges(lay *hierLayout) {
-	edge := func(a, b int) {
-		if g.pair[a][b] == nil {
-			g.pair[a][b] = make(chan chunkMsg, 1)
-		}
-	}
-	for _, members := range lay.nodes {
-		gn := len(members)
-		if gn == 1 {
-			continue
-		}
-		leader := members[0]
-		for k, r := range members {
-			edge(r, members[(k+1)%gn])
-			if r != leader {
-				edge(r, leader)
-				edge(leader, r)
-			}
-		}
-	}
-	m := len(lay.leaders)
-	for j, l := range lay.leaders {
-		edge(l, lay.leaders[(j+1)%m])
-	}
 }
 
 // SetTelemetry attaches tracing and metrics to the group: every AllReduce
@@ -315,54 +244,33 @@ func (g *Group) Tracer() telemetry.Tracer {
 // Size returns the number of ranks.
 func (g *Group) Size() int { return g.n }
 
-// Hierarchical reports whether the group runs the two-tier engine (true
-// exactly when its topology spans more than one node).
-func (g *Group) Hierarchical() bool { return g.lay != nil }
-
 // Close aborts pending collectives; blocked ranks return ErrClosed.
 func (g *Group) Close() {
-	g.closeOnce.Do(func() {
-		close(g.closed)
-		g.barrierMu.Lock()
-		g.barrierGen++
-		g.barrierN = 0
-		g.barrierC.Broadcast()
-		g.barrierMu.Unlock()
-	})
+	g.closeOnce.Do(func() { close(g.closed) })
 }
 
-// sendTo delivers msg on the directed edge from -> to.
+// send hands msg to rank from's successor.
 //
 //elan:hotpath
-func (g *Group) sendTo(from, to int, msg chunkMsg) error {
+func (g *Group) send(from int, msg chunkMsg) error {
 	select {
-	case g.pair[from][to] <- msg:
+	case g.ring[from] <- msg:
 		return nil
 	case <-g.closed:
 		return ErrClosed
 	}
 }
 
-// recvFrom receives the next message on the directed edge from -> to.
+// recv takes the next message from rank to's predecessor.
 //
 //elan:hotpath
-func (g *Group) recvFrom(from, to int) (chunkMsg, error) {
+func (g *Group) recv(to int) (chunkMsg, error) {
 	select {
-	case m := <-g.pair[from][to]:
+	case m := <-g.ring[(to-1+g.n)%g.n]:
 		return m, nil
 	case <-g.closed:
 		return chunkMsg{}, ErrClosed
 	}
-}
-
-//elan:hotpath
-func (g *Group) send(from int, msg chunkMsg) error {
-	return g.sendTo(from, (from+1)%g.n, msg)
-}
-
-//elan:hotpath
-func (g *Group) recv(to int) (chunkMsg, error) {
-	return g.recvFrom((to-1+g.n)%g.n, to)
 }
 
 // AllReduce sums vec elementwise across all ranks, in place. Every rank must
@@ -410,11 +318,6 @@ func (g *Group) allReduceTagged(parent telemetry.TraceContext, rank int, vec []f
 	if bucket >= 0 {
 		span.AnnotateInt("bucket", bucket)
 	}
-	if g.lay != nil {
-		span.Annotate("intra_link", g.lay.intraLevel.String())
-		span.Annotate("leader_link", g.lay.leaderLevel.String())
-		span.AnnotateInt("nodes", len(g.lay.nodes))
-	}
 	start := g.clk.Now()
 	err := g.reduce(rank, vec)
 	g.mSeconds.Observe(g.clk.Since(start).Seconds())
@@ -427,7 +330,11 @@ func (g *Group) allReduceTagged(parent telemetry.TraceContext, rank int, vec []f
 	return err
 }
 
-// reduce dispatches to the engine matching the group's topology.
+// reduce is the two-phase ring over all ranks: a reduce-scatter, then an
+// allgather. Outgoing chunks are copied into recycled arena buffers (see
+// rankScratch) instead of fresh allocations: the send transfers buffer
+// ownership to the successor rank and each receive deposits the
+// predecessor's buffer for reuse.
 //
 //elan:hotpath
 func (g *Group) reduce(rank int, vec []float64) error {
@@ -438,10 +345,10 @@ func (g *Group) reduce(rank int, vec []float64) error {
 		return nil
 	}
 	g.Prime(rank, len(vec))
-	if g.lay != nil {
-		return g.hierAllReduce(rank, vec)
+	if err := g.reduceScatter(rank, vec); err != nil {
+		return err
 	}
-	return g.flatAllReduce(rank, vec)
+	return g.allGather(rank, vec)
 }
 
 // Prime sizes rank's chunk scratch for vectors of up to maxElems values: no
@@ -456,68 +363,40 @@ func (g *Group) Prime(rank, maxElems int) {
 	if g.n == 1 || rank < 0 || rank >= g.n {
 		return
 	}
-	// The largest chunk any stage sends is the vector over the shortest
-	// ring: all ranks, or in a hierarchy the leaders or the smallest
-	// multi-member node. Buffers migrate between ranks (and, over the leader
-	// ring, between nodes), so every rank primes to the same group-wide
-	// bound.
-	ring := g.n
-	if g.lay != nil {
-		ring = len(g.lay.nodes)
-		if g.lay.minMulti > 0 {
-			ring = min(ring, g.lay.minMulti)
-		}
-	}
-	if sc, maxChunk := &g.scratch[rank], ceilDiv(maxElems, ring); sc.capPer < maxChunk {
-		g.pool.prime(sc, maxChunk)
+	// Buffers migrate around the ring, so every rank primes to the same
+	// group-wide bound: the longest chunk.
+	if sc, maxChunk := &g.scratch[rank], ceilDiv(maxElems, g.n); sc.capPer < maxChunk {
+		g.pool.prime(sc, maxChunk, g.n)
 	}
 }
 
-// flatAllReduce is the uninstrumented two-phase ring over all ranks.
-// Outgoing chunks are copied into recycled arena buffers (see rankScratch)
-// instead of fresh allocations: the send transfers buffer ownership to the
-// successor rank and each receive deposits the predecessor's buffer for
-// reuse.
+// reduceScatter runs the reduce-scatter half of the ring, splitting vec into
+// n chunks. At step s (0-based), rank r sends chunk (r-s) mod n to its
+// successor and receives chunk (r-s-1) mod n from its predecessor,
+// accumulating into it. On return, rank r holds the fully reduced chunk
+// (r+1) mod n; chunk c's value is the left fold of the ranks' values in
+// ascending rank order starting at rank c.
 //
 //elan:hotpath
-func (g *Group) flatAllReduce(rank int, vec []float64) error {
-	if err := g.ringReduceScatter(g.allRanks, rank, vec); err != nil {
-		return err
-	}
-	return g.ringAllGather(g.allRanks, rank, vec)
-}
-
-// ringReduceScatter runs the reduce-scatter half of the ring over the ranks
-// in members (len >= 2), with the caller at position pos, splitting vec
-// into len(members) chunks. At step s (0-based), position p sends chunk
-// (p-s) mod gn to its successor and receives chunk (p-s-1) mod gn from its
-// predecessor, accumulating into it. On return, position p holds the fully
-// reduced chunk (p+1) mod gn; chunk c's value is the left fold of the
-// members' values in ascending position order starting at position c.
-//
-//elan:hotpath
-func (g *Group) ringReduceScatter(members []int, pos int, vec []float64) error {
-	gn := len(members)
-	me := members[pos]
-	succ := members[(pos+1)%gn]
-	pred := members[(pos-1+gn)%gn]
-	sc := &g.scratch[me]
-	for s := 0; s < gn-1; s++ {
-		sendIdx := ((pos-s)%gn + gn) % gn
-		lo, hi := bounds(len(vec), gn, sendIdx)
+func (g *Group) reduceScatter(rank int, vec []float64) error {
+	n := g.n
+	sc := &g.scratch[rank]
+	for s := 0; s < n-1; s++ {
+		sendIdx := ((rank-s)%n + n) % n
+		lo, hi := bounds(len(vec), n, sendIdx)
 		out := sc.get(hi - lo)
 		copy(out, vec[lo:hi])
-		if err := g.sendTo(me, succ, chunkMsg{idx: sendIdx, data: out}); err != nil {
+		if err := g.send(rank, chunkMsg{idx: sendIdx, data: out}); err != nil {
 			return err
 		}
-		m, err := g.recvFrom(pred, me)
+		m, err := g.recv(rank)
 		if err != nil {
 			return err
 		}
-		lo, hi = bounds(len(vec), gn, m.idx)
+		lo, hi = bounds(len(vec), n, m.idx)
 		if hi-lo != len(m.data) {
 			return fmt.Errorf("collective: rank %d got chunk %d of %d values, want %d (vector length mismatch across ranks?)", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
-				me, m.idx, len(m.data), hi-lo)
+				rank, m.idx, len(m.data), hi-lo)
 		}
 		for i, v := range m.data {
 			vec[lo+i] += v
@@ -527,35 +406,31 @@ func (g *Group) ringReduceScatter(members []int, pos int, vec []float64) error {
 	return nil
 }
 
-// ringAllGather runs the allgather half of the ring over the ranks in
-// members (len >= 2), with the caller at position pos. It requires the
-// reduce-scatter ownership invariant: position p holds the final value of
-// chunk (p+1) mod gn. At step s, position p sends chunk (p+1-s) mod gn and
-// receives chunk (p-s) mod gn, overwriting it; after gn-1 steps every
-// member holds every chunk.
+// allGather runs the allgather half of the ring. It requires the
+// reduce-scatter ownership invariant: rank r holds the final value of chunk
+// (r+1) mod n. At step s, rank r sends chunk (r+1-s) mod n and receives
+// chunk (r-s) mod n, overwriting it; after n-1 steps every rank holds every
+// chunk.
 //
 //elan:hotpath
-func (g *Group) ringAllGather(members []int, pos int, vec []float64) error {
-	gn := len(members)
-	me := members[pos]
-	succ := members[(pos+1)%gn]
-	pred := members[(pos-1+gn)%gn]
-	sc := &g.scratch[me]
-	for s := 0; s < gn-1; s++ {
-		sendIdx := ((pos+1-s)%gn + gn) % gn
-		lo, hi := bounds(len(vec), gn, sendIdx)
+func (g *Group) allGather(rank int, vec []float64) error {
+	n := g.n
+	sc := &g.scratch[rank]
+	for s := 0; s < n-1; s++ {
+		sendIdx := ((rank+1-s)%n + n) % n
+		lo, hi := bounds(len(vec), n, sendIdx)
 		out := sc.get(hi - lo)
 		copy(out, vec[lo:hi])
-		if err := g.sendTo(me, succ, chunkMsg{idx: sendIdx, data: out}); err != nil {
+		if err := g.send(rank, chunkMsg{idx: sendIdx, data: out}); err != nil {
 			return err
 		}
-		m, err := g.recvFrom(pred, me)
+		m, err := g.recv(rank)
 		if err != nil {
 			return err
 		}
-		lo, hi = bounds(len(vec), gn, m.idx)
+		lo, hi = bounds(len(vec), n, m.idx)
 		if hi-lo != len(m.data) {
-			return fmt.Errorf("collective: rank %d allgather chunk %d size mismatch", me, m.idx) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+			return fmt.Errorf("collective: rank %d allgather chunk %d size mismatch", rank, m.idx) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 		}
 		copy(vec[lo:hi], m.data)
 		sc.put(m.data)
@@ -576,32 +451,18 @@ func (g *Group) AllReduceMean(rank int, vec []float64) error {
 	return nil
 }
 
-// Barrier blocks until all n ranks have called it.
-func (g *Group) Barrier() error {
-	g.barrierMu.Lock()
-	defer g.barrierMu.Unlock()
-	select {
-	case <-g.closed:
-		return ErrClosed
-	default:
+// bounds returns the [lo, hi) range of part idx when total elements are
+// split into parts pieces, the first (total % parts) pieces one element
+// larger — the chunking of the ring.
+func bounds(total, parts, idx int) (int, int) {
+	base := total / parts
+	rem := total % parts
+	lo := idx*base + min(idx, rem)
+	size := base
+	if idx < rem {
+		size++
 	}
-	gen := g.barrierGen
-	g.barrierN++
-	if g.barrierN == g.n {
-		g.barrierN = 0
-		g.barrierGen++
-		g.barrierC.Broadcast()
-		return nil
-	}
-	for gen == g.barrierGen {
-		g.barrierC.Wait()
-		select {
-		case <-g.closed:
-			return ErrClosed
-		default:
-		}
-	}
-	return nil
+	return lo, lo + size
 }
 
 // ceilDiv returns ceil(a/b) for non-negative a and positive b.

@@ -35,81 +35,44 @@ func startRing(t *testing.T, g *Group, vecs [][]float64) *sync.WaitGroup {
 
 // TestAllReduceZeroAllocs is the tentpole proof for the collective layer:
 // once every rank's scratch arena is primed, a bare (un-instrumented) ring
-// allreduce allocates nothing. AllocsPerRun counts mallocs process-wide, so
-// the measurement covers all four ranks, not just the caller.
+// allreduce allocates nothing, on one node and on a 2×4 placement alike.
+// AllocsPerRun counts mallocs process-wide, so the measurement covers every
+// rank, not just the caller.
 func TestAllReduceZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
 	}
-	const n, size = 4, 4096
-	g, err := NewGroup(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, size)
-	}
-	wg := startRing(t, g, vecs)
-	for i := 0; i < 3; i++ { // prime every rank's arena
-		if err := g.AllReduce(0, vecs[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := g.AllReduce(0, vecs[0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	g.Close()
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("%v allocs per allreduce, want 0", avg)
-	}
-}
-
-// TestHierAllReduceZeroAllocs extends the zero-alloc guarantee to the
-// two-tier engine: leaders absorb and pay back member buffers within each
-// call, so once the arenas and free-list stacks reach their high-water
-// marks (first calls), a hierarchical allreduce allocates nothing.
-// AllocsPerRun counts mallocs process-wide, so members, leaders and the
-// leader ring are all covered.
-func TestHierAllReduceZeroAllocs(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
-	}
 	const size = 4096
-	topo, err := NewClustered(placement(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroupWithTopology(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Hierarchical() {
-		t.Fatal("2x4 placement should be hierarchical")
-	}
-	n := g.Size()
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, size)
-	}
-	wg := startRing(t, g, vecs)
-	for i := 0; i < 3; i++ { // prime arenas and free-list high-water marks
-		if err := g.AllReduce(0, vecs[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := g.AllReduce(0, vecs[0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	g.Close()
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("%v allocs per hierarchical allreduce, want 0", avg)
+	for name, topo := range map[string]Topology{
+		"flat 4":        Flat(4),
+		"clustered 2x4": clustered(t, 4, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			g, err := NewGroupWithTopology(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vecs := make([][]float64, g.Size())
+			for r := range vecs {
+				vecs[r] = make([]float64, size)
+			}
+			wg := startRing(t, g, vecs)
+			for i := 0; i < 3; i++ { // prime every rank's arena
+				if err := g.AllReduce(0, vecs[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(100, func() {
+				if err := g.AllReduce(0, vecs[0]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			g.Close()
+			wg.Wait()
+			if avg != 0 {
+				t.Fatalf("%v allocs per allreduce, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -202,54 +165,6 @@ func BenchmarkAllReduceBare4x64k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, size)
-	}
-	var wg sync.WaitGroup
-	for r := 1; r < n; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if err := g.AllReduce(r, vecs[r]); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 3; i++ {
-		if err := g.AllReduce(0, vecs[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(size * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.AllReduce(0, vecs[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	g.Close()
-	wg.Wait()
-}
-
-// BenchmarkAllReduceHier2x4x64k is the hierarchical counterpart of the bare
-// flat benchmark: same payload, 8 ranks placed 4+4 across two nodes.
-func BenchmarkAllReduceHier2x4x64k(b *testing.B) {
-	const size = 1 << 16
-	topo, err := NewClustered(placement(4, 4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := NewGroupWithTopology(topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.Size()
 	vecs := make([][]float64, n)
 	for r := range vecs {
 		vecs[r] = make([]float64, size)

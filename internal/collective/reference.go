@@ -3,35 +3,25 @@ package collective
 import "fmt"
 
 // ReferenceAllReduce computes the allreduce of vecs (vecs[r] is rank r's
-// input) sequentially, in the exact accumulation order the group engines
-// produce for topology t. It is the executable specification the
-// differential tests hold both engines to, bit for bit:
+// input) sequentially, in the exact accumulation order a group of
+// len(vecs) ranks produces. It is the executable specification the
+// differential tests hold the ring to, bit for bit: element e falls in
+// chunk c of the ring's n-way split, and its sum is the left fold of the
+// ranks' values in ascending rank order starting at rank c (the rotated
+// order of the reduce-scatter, where chunk c's partial sum starts at rank
+// c and travels the ring).
 //
-//   - Within a node group of g members, element e falls in chunk
-//     c = chunkOf(e, g); its node partial is the left fold of the members'
-//     values in ascending position order starting at position c (the
-//     rotated k-ascending order of the ring reduce-scatter, where chunk
-//     c's partial sum starts at position c and travels the ring).
-//   - Across m node groups, element e falls in leader chunk t = chunkOf(e,
-//     m); the global sum is the left fold of the node partials in
-//     ascending node order starting at node t — the same rotated order,
-//     one level up.
-//
-// With a single node group the outer fold is the identity and the inner
-// fold is exactly the flat ring's order, so one reference specifies both
-// engines. IEEE-754 addition is commutative (each engine step adds the
+// The order depends on the rank count alone, never on where the ranks
+// are placed. IEEE-754 addition is commutative (each ring step adds the
 // same two operands the reference adds, possibly swapped), so equality is
 // exact even for non-associative inputs — with the one caveat that when
 // both operands are NaNs with different payloads the hardware's payload
 // choice is operand-order dependent; the differential tests therefore use
 // a single canonical NaN payload.
-func ReferenceAllReduce(t Topology, vecs [][]float64) ([]float64, error) {
-	n := t.Ranks()
-	if len(vecs) != n {
-		return nil, fmt.Errorf("collective: reference got %d vectors for %d ranks", len(vecs), n)
-	}
+func ReferenceAllReduce(vecs [][]float64) ([]float64, error) {
+	n := len(vecs)
 	if n == 0 {
-		return nil, fmt.Errorf("collective: reference on empty topology")
+		return nil, fmt.Errorf("collective: reference on no ranks")
 	}
 	L := len(vecs[0])
 	for r, v := range vecs {
@@ -39,41 +29,13 @@ func ReferenceAllReduce(t Topology, vecs [][]float64) ([]float64, error) {
 			return nil, fmt.Errorf("collective: reference rank %d vector length %d, want %d", r, len(v), L)
 		}
 	}
-	lay := layoutOf(t)
-
-	partials := make([][]float64, len(lay.nodes))
-	for j, members := range lay.nodes {
-		gn := len(members)
-		p := make([]float64, L)
-		if gn == 1 {
-			copy(p, vecs[members[0]])
-		} else {
-			for c := 0; c < gn; c++ {
-				lo, hi := bounds(L, gn, c)
-				for e := lo; e < hi; e++ {
-					acc := vecs[members[c]][e]
-					for s := 1; s < gn; s++ {
-						acc += vecs[members[(c+s)%gn]][e]
-					}
-					p[e] = acc
-				}
-			}
-		}
-		partials[j] = p
-	}
-
-	m := len(partials)
 	out := make([]float64, L)
-	if m == 1 {
-		copy(out, partials[0])
-		return out, nil
-	}
-	for c := 0; c < m; c++ {
-		lo, hi := bounds(L, m, c)
+	for c := 0; c < n; c++ {
+		lo, hi := bounds(L, n, c)
 		for e := lo; e < hi; e++ {
-			acc := partials[c][e]
-			for s := 1; s < m; s++ {
-				acc += partials[(c+s)%m][e]
+			acc := vecs[c][e]
+			for s := 1; s < n; s++ {
+				acc += vecs[(c+s)%n][e]
 			}
 			out[e] = acc
 		}

@@ -6,12 +6,10 @@ import (
 	"github.com/elan-sys/elan/internal/topology"
 )
 
-// Topology tells a communication group where its ranks live: which GPU
-// hosts each rank and what link level connects any two of them. The group
-// uses it to pick a reduction structure — a single flat ring when every
-// rank shares a node, a two-tier hierarchy (intra-node rings at L1/L2, a
-// leader ring at L4) when the placement spans nodes — and to tag telemetry
-// spans with the link levels each stage traverses.
+// Topology tells a communication group where its ranks live: how many
+// there are and what link level connects any two of them. The reduction
+// does not depend on it — every group runs the same ring — but the link
+// level its traffic crosses labels the group's telemetry (LinkLabelOf).
 //
 // Implementations must be immutable after construction: the elastic runtime
 // rebuilds the group (with a fresh Topology) on every resource adjustment
@@ -19,33 +17,23 @@ import (
 type Topology interface {
 	// Ranks returns the number of ranks in the group.
 	Ranks() int
-	// Placement returns the GPU hosting a rank, for rank in [0, Ranks()).
-	Placement(rank int) topology.GPUID
 	// Level classifies the link between two ranks' GPUs.
 	Level(a, b int) topology.LinkLevel
 }
 
-// Flat is the degenerate single-node topology: all ranks share one PCIe
-// switch, so every pair is L1 and the group runs the classic flat ring.
-// It preserves the exact behavior (and bit-exact reduction order) of groups
-// built with NewGroup, which is defined as NewGroupWithTopology(Flat(n)).
+// Flat is the single-node topology: all ranks share one PCIe switch, so
+// every pair is L1.
 type Flat int
 
 // Ranks returns the group size.
 func (f Flat) Ranks() int { return int(f) }
-
-// Placement puts every rank on node 0, switch 0 — one GPU per rank index.
-func (f Flat) Placement(rank int) topology.GPUID {
-	return topology.GPUID{Node: 0, Socket: 0, Switch: 0, Index: rank}
-}
 
 // Level is L1 for every pair: the flat topology models co-located ranks.
 func (f Flat) Level(a, b int) topology.LinkLevel { return topology.L1 }
 
 // Clustered is a Topology backed by a concrete GPU placement on a
 // topology.Cluster-shaped hardware tree: rank r runs on place[r]. Link
-// levels come from the hardware tree structure (topology.Link), so a
-// placement spanning nodes yields a hierarchical group.
+// levels come from the hardware tree structure (topology.Link).
 type Clustered struct {
 	place []topology.GPUID
 }
@@ -71,9 +59,6 @@ func NewClustered(place []topology.GPUID) (*Clustered, error) {
 // Ranks returns the group size.
 func (c *Clustered) Ranks() int { return len(c.place) }
 
-// Placement returns the GPU hosting a rank.
-func (c *Clustered) Placement(rank int) topology.GPUID { return c.place[rank] }
-
 // Level classifies the link between two ranks from the hardware tree.
 func (c *Clustered) Level(a, b int) topology.LinkLevel {
 	return topology.Link(c.place[a], c.place[b])
@@ -92,98 +77,4 @@ func LinkLabelOf(t Topology) string {
 		}
 	}
 	return worst.String()
-}
-
-// hierLayout is the group-construction-time decomposition of a topology
-// into node groups: the structure both the hierarchical engine and the
-// sequential reference execute, and therefore the definition of the
-// reduction order.
-type hierLayout struct {
-	// nodes[j] lists the ranks of node group j in ascending rank order;
-	// node groups are ordered by ascending node id. nodes[j][0] is the
-	// node's leader.
-	nodes [][]int
-	// nodeOf[r] is the node-group index of rank r; memIdx[r] its position
-	// within nodes[nodeOf[r]].
-	nodeOf []int
-	memIdx []int
-	// leaders[j] == nodes[j][0], kept as a slice so the leader ring can run
-	// the same ring engine as the intra-node rings.
-	leaders []int
-	// minMulti is the smallest member count among multi-member node groups
-	// (0 if every node holds a single rank). Together with the node count it
-	// bounds the largest chunk any stage of the hierarchy sends, which is
-	// what the scratch arenas must be primed for.
-	minMulti int
-	// intraLevel is the widest link inside any node group; leaderLevel the
-	// widest link between any two leaders. Telemetry tags.
-	intraLevel  topology.LinkLevel
-	leaderLevel topology.LinkLevel
-}
-
-// layoutOf decomposes a topology into the hierarchical layout. A topology
-// whose placement occupies a single node (or a single rank) yields a
-// one-group layout, which the group executes as the classic flat ring.
-func layoutOf(t Topology) *hierLayout {
-	n := t.Ranks()
-	byNode := make(map[int][]int)
-	var nodeIDs []int
-	for r := 0; r < n; r++ {
-		id := t.Placement(r).Node
-		if _, ok := byNode[id]; !ok {
-			nodeIDs = append(nodeIDs, id)
-		}
-		byNode[id] = append(byNode[id], r)
-	}
-	// Ascending node id; ranks were appended in ascending order already.
-	for i := 1; i < len(nodeIDs); i++ {
-		for j := i; j > 0 && nodeIDs[j] < nodeIDs[j-1]; j-- {
-			nodeIDs[j], nodeIDs[j-1] = nodeIDs[j-1], nodeIDs[j]
-		}
-	}
-	lay := &hierLayout{
-		nodeOf:      make([]int, n),
-		memIdx:      make([]int, n),
-		intraLevel:  topology.L1,
-		leaderLevel: topology.L1,
-	}
-	for j, id := range nodeIDs {
-		members := byNode[id]
-		lay.nodes = append(lay.nodes, members)
-		lay.leaders = append(lay.leaders, members[0])
-		if len(members) > 1 && (lay.minMulti == 0 || len(members) < lay.minMulti) {
-			lay.minMulti = len(members)
-		}
-		for k, r := range members {
-			lay.nodeOf[r] = j
-			lay.memIdx[r] = k
-			for _, other := range members[:k] {
-				if l := t.Level(other, r); l > lay.intraLevel {
-					lay.intraLevel = l
-				}
-			}
-		}
-	}
-	for j := 1; j < len(lay.nodes); j++ {
-		for i := 0; i < j; i++ {
-			if l := t.Level(lay.nodes[i][0], lay.nodes[j][0]); l > lay.leaderLevel {
-				lay.leaderLevel = l
-			}
-		}
-	}
-	return lay
-}
-
-// bounds returns the [lo, hi) range of part idx when total elements are
-// split into parts pieces, the first (total % parts) pieces one element
-// larger — the chunking used by every ring and by the leader exchange.
-func bounds(total, parts, idx int) (int, int) {
-	base := total / parts
-	rem := total % parts
-	lo := idx*base + min(idx, rem)
-	size := base
-	if idx < rem {
-		size++
-	}
-	return lo, lo + size
 }

@@ -206,7 +206,7 @@ func TestBucketedMatchesPerBucketReference(t *testing.T) {
 		for r := 0; r < n; r++ {
 			segs[r] = raw[r][bk.lo:bk.hi]
 		}
-		ref, err := collective.ReferenceAllReduce(collective.Flat(n), segs)
+		ref, err := collective.ReferenceAllReduce(segs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +220,9 @@ func TestBucketedMatchesPerBucketReference(t *testing.T) {
 	}
 }
 
-// TestBucketedOnHierarchicalGroup: bucketing composes with the two-tier
-// engine; all ranks converge to one gradient, equal to the sequential mean
-// within float tolerance.
+// TestBucketedOnHierarchicalGroup: bucketing composes with a group placed
+// across two nodes; all ranks converge to one gradient, equal to the
+// sequential mean within float tolerance.
 func TestBucketedOnHierarchicalGroup(t *testing.T) {
 	topo := clustered(t, 3, 3) // 6 ranks over 2 nodes
 	n := topo.Ranks()

@@ -135,7 +135,7 @@ func interleave(dst []float64, ws, bs []*tensor.Matrix) []float64 {
 // layers below, one fused optimizer pass — end on the parameters, velocity
 // and gradients, bit for bit, that the old sequence (unfusedRank) ends on
 // from the same seed, at each of the benchmark's shape families: 3 and 60
-// samples a rank, one bucket and three, a flat group of 2 and a hierarchical
+// samples a rank, one bucket and three, a flat group of 2 and a group placed
 // 2x4, momentum 0 and 0.9.
 func TestStepMatchesUnfusedReference(t *testing.T) {
 	const steps = 4

@@ -38,7 +38,7 @@ type CommModel struct {
 	// Hierarchical selects the two-tier allreduce for multi-node
 	// configurations: intra-node reduce-scatter/allgather rings at
 	// intra-node bandwidth plus a single leaders-only ring exchange across
-	// the network, mirroring internal/collective's topology-aware engine.
+	// the network.
 	// The flat ring pays 2(N-1) network-bound steps; the hierarchical one
 	// pays 2(nodes-1), which is what restores near-linear weak scaling.
 	Hierarchical bool
@@ -75,7 +75,7 @@ func (cm CommModel) AllreduceTime(nWorkers int, bytes int64) time.Duration {
 	return time.Duration(steps)*cm.LatencyPerStep + time.Duration(sec*float64(time.Second))
 }
 
-// HierAllreduceTime models internal/collective's hierarchical allreduce:
+// HierAllreduceTime models a two-tier hierarchical allreduce:
 // an intra-node ring reduce-scatter, member-to-leader chunk gathering, a
 // leaders-only flat ring allreduce across the network, leader-to-member
 // chunk return, and an intra-node ring allgather. Only the leader ring

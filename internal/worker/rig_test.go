@@ -249,7 +249,7 @@ func elasticRound(t *testing.T, f *Fleet) {
 
 // TestWarmElasticRoundAllocatesNoState: after priming, a full
 // round — scale-out, crash and sweep, rejoin, scale-in, with four group
-// reconstructions between a flat and a hierarchical placement — allocates
+// reconstructions between a one-node and a two-node placement — allocates
 // less than one gradient vector in all, where every joiner used to cost its
 // rig (some seven of them) and every new group its scratch.
 func TestWarmElasticRoundAllocatesNoState(t *testing.T) {

@@ -357,15 +357,13 @@ type FleetConfig struct {
 	// through the ring and the fleet dumps it automatically on worker and
 	// AM crash paths. Nil disables it at zero cost.
 	Flight *telemetry.FlightRecorder
-	// LinkLabel tags the collective group's allreduce spans with a link
-	// level (topology naming); empty defaults to "inproc", the in-process
-	// goroutine substrate. Ignored when Cluster is set: the label then
-	// comes from the worst link level of the actual GPU placement.
-	LinkLabel string
 	// Cluster, when non-nil, places workers on simulated GPUs: every group
 	// (re)construction reserves one GPU per worker in deterministic tree
-	// order and builds a topology-aware group, so placements spanning nodes
-	// get the hierarchical allreduce. Nil keeps the flat single-node group.
+	// order, the replication plan picks each joiner's nearest source and
+	// its contention domains from those GPUs, and allreduce and install
+	// spans carry the link levels of the placement. The reduction itself
+	// is the same ring either way. Nil labels every link "inproc", the
+	// in-process goroutine substrate.
 	Cluster *topology.Cluster
 	// BucketElems caps gradient-bucket sizes for the ddp reducer, enabling
 	// comm/compute overlap during backward. 0 keeps one whole-vector
@@ -490,9 +488,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.MonitorInterval <= 0 {
 		cfg.MonitorInterval = DefaultMonitorInterval
-	}
-	if cfg.LinkLabel == "" {
-		cfg.LinkLabel = "inproc"
 	}
 	ownsBus := cfg.Bus == nil
 	if ownsBus {
@@ -988,6 +983,10 @@ func (f *Fleet) Step() (float64, error) {
 	return loss / float64(n), nil
 }
 
+// inprocLink labels the links of a fleet without a Cluster: the in-process
+// goroutine substrate.
+const inprocLink = "inproc"
+
 // placement is where a group runs: its topology and link label and, with a
 // Cluster, the GPUs reserved for it — rank i on gpus[i].
 type placement struct {
@@ -999,13 +998,12 @@ type placement struct {
 // placeLocked reserves the placement of an n-rank group. With a Cluster the
 // fleet's reservation is swapped for the first n free GPUs in deterministic
 // tree order, its own counting as free: surviving ranks keep their GPUs and
-// joiners take the next ones, so the topology (and with it the
-// flat-vs-hierarchical algorithm and the link label) always matches the
-// actual placement. f.gpus keeps naming the old reservation until
-// regroupLocked commits the new one; unplaceLocked goes back to it. On
-// error the old reservation stands.
+// joiners take the next ones, so the topology (and with it the link label)
+// always matches the actual placement. f.gpus keeps naming the old
+// reservation until regroupLocked commits the new one; unplaceLocked goes
+// back to it. On error the old reservation stands.
 func (f *Fleet) placeLocked(n int) (placement, error) {
-	p := placement{topo: collective.Flat(n), link: f.cfg.LinkLabel}
+	p := placement{topo: collective.Flat(n), link: inprocLink}
 	cl := f.cfg.Cluster
 	if cl == nil {
 		return p, nil
@@ -1176,7 +1174,7 @@ func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID,
 		tr = f.tr
 	}
 	return plan.Run(func(i int, pair replication.Pair) error {
-		src, link := sources[i%len(sources)], f.cfg.LinkLabel
+		src, link := sources[i%len(sources)], inprocLink
 		if len(ids) > 0 {
 			src, link = sources[slices.Index(ids, pair.Source)], pair.Level.String()
 		}
