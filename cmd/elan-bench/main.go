@@ -7,14 +7,13 @@
 //	elan-bench -list                       # list experiment ids
 //	elan-bench -exp fig20 -quick           # short trace for a fast run
 //	elan-bench -adjust-trace adjust.json   # trace one scaling adjustment
-//	elan-bench -json hotpath.json          # hot-path micro-benchmark report
-//	elan-bench -collective coll.json       # ring allreduce + flat vs hierarchical model report
-//	elan-bench -telemetry telem.json       # span + flight-recorder overhead report
-//	elan-bench -transport transport.json   # pooled TCP data-plane report
-//	elan-bench -store store.json           # sharded store + delta checkpoint report
+//
+// Layer timings are `go test -bench` benchmarks in the package they time;
+// the end-to-end benchmark is bench/.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,52 +30,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast run")
 	adjTrace := flag.String("adjust-trace", "",
 		"write a Chrome trace-event JSON file of one live scale-out adjustment and exit")
-	jsonOut := flag.String("json", "",
-		"run the hot-path micro-benchmarks (matmul, train step, allreduce) and write ns/op, allocs/op and B/op to this JSON file")
-	collOut := flag.String("collective", "",
-		"measure the ring allreduce in-process and simulate flat vs hierarchical under the analytic comm model; write the report to this JSON file")
-	telemOut := flag.String("telemetry", "",
-		"measure the tracing overhead (disabled/enabled spans, flight ring) and write the report to this JSON file")
-	transOut := flag.String("transport", "",
-		"measure the TCP data plane (pooled multiplexed client at 1/64/256 concurrent callers) and write the report to this JSON file")
-	storeOut := flag.String("store", "",
-		"measure the sharded store (vs the old single-mutex design), watch fan-out cost and delta checkpoints, and write the report to this JSON file")
 	flag.Parse()
-	if *storeOut != "" {
-		if err := writeStoreJSON(*storeOut, *quick, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "elan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *transOut != "" {
-		if err := writeTransportJSON(*transOut, *quick, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "elan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *telemOut != "" {
-		if err := writeTelemetryJSON(*telemOut, *quick, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "elan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *collOut != "" {
-		if err := writeCollectiveJSON(*collOut, *quick, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "elan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := writeHotpathJSON(*jsonOut, *quick, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "elan-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *adjTrace != "" {
 		if err := writeAdjustTrace(*adjTrace, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "elan-bench:", err)
@@ -172,7 +126,7 @@ func run(exp string, list, quick bool, w io.Writer) error {
 		return nil
 	}
 	if err := experiment.Run(exp, w, quick); err != nil {
-		if strings.Contains(err.Error(), "unknown id") {
+		if errors.Is(err, experiment.ErrUnknownID) {
 			return fmt.Errorf("unknown experiment %q (use -list)", exp)
 		}
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -32,8 +33,12 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var b strings.Builder
-	if err := run("fig999", false, false, &b); err == nil {
-		t.Fatal("unknown experiment accepted")
+	if err := experiment.Run("fig999", &b, false); !errors.Is(err, experiment.ErrUnknownID) {
+		t.Fatalf("experiment.Run(fig999) = %v, want ErrUnknownID", err)
+	}
+	err := run("fig999", false, false, &b)
+	if err == nil || !strings.Contains(err.Error(), "(use -list)") {
+		t.Fatalf("run(fig999) = %v, want the -list hint", err)
 	}
 	if err := run("", false, false, &b); err == nil {
 		t.Fatal("missing -exp accepted")

@@ -2,22 +2,17 @@
 // baseline uses to replicate training state (Section V-B, Figures 10/11):
 // GPU state is first copied device-to-host over PCIe, then serialized and
 // written to a shared filesystem (the paper's Lustre), and restored by the
-// inverse path. The package provides both the cost model (simulated
-// durations) and a real in-memory file store with gob serialization used by
-// the integration tests, so the code path exercised is the same shape as
-// the production one: copy, serialize, write, read, deserialize, copy back.
+// inverse path. FSModel prices that path in simulated durations. The real
+// checkpoints of a live fleet go to DeltaStore: content-hashed chunk
+// chains that write only the chunks a save changed.
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 )
 
-// ErrNoCheckpoint is returned when loading a checkpoint that was never saved.
+// ErrNoCheckpoint is returned when restoring a checkpoint that was never saved.
 var ErrNoCheckpoint = errors.New("checkpoint: not found")
 
 // FSModel is the shared-filesystem cost model.
@@ -76,62 +71,4 @@ func (m FSModel) LoadTime(gpuBytes, cpuBytes int64, nReaders int) time.Duration 
 	read := time.Duration(float64(gpuBytes+cpuBytes) / perReader * float64(time.Second))
 	h2d := time.Duration(float64(gpuBytes) / m.PCIeBytesPerSec * float64(time.Second))
 	return m.OpLatency + read + h2d
-}
-
-// Store is a real in-memory checkpoint store with gob serialization,
-// standing in for files on the shared FS.
-type Store struct {
-	mu    sync.Mutex
-	blobs map[string][]byte
-}
-
-// NewStore creates an empty checkpoint store.
-func NewStore() *Store {
-	return &Store{blobs: make(map[string][]byte)}
-}
-
-// Save serializes state under name and returns the serialized size.
-func (s *Store) Save(name string, state any) (int64, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
-		return 0, fmt.Errorf("checkpoint: encode %q: %w", name, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob := make([]byte, buf.Len())
-	copy(blob, buf.Bytes())
-	s.blobs[name] = blob
-	return int64(len(blob)), nil
-}
-
-// Load deserializes the checkpoint saved under name into state (a pointer).
-func (s *Store) Load(name string, state any) error {
-	s.mu.Lock()
-	blob, ok := s.blobs[name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoCheckpoint, name)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(state); err != nil {
-		return fmt.Errorf("checkpoint: decode %q: %w", name, err)
-	}
-	return nil
-}
-
-// Size returns the stored size of a checkpoint, or an error if absent.
-func (s *Store) Size(name string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, ok := s.blobs[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoCheckpoint, name)
-	}
-	return int64(len(blob)), nil
-}
-
-// Delete removes a checkpoint; deleting a missing one is a no-op.
-func (s *Store) Delete(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.blobs, name)
 }

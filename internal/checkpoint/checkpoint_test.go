@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -40,75 +39,5 @@ func TestLoadTimeReadersShareBandwidth(t *testing.T) {
 	}
 	if got := m.LoadTime(1<<20, 0, 0); got <= 0 {
 		t.Fatalf("nReaders=0 load = %v", got)
-	}
-}
-
-type fakeState struct {
-	Params  []float64
-	Cursor  int
-	Epoch   int
-	LabelLR float64
-}
-
-func TestStoreRoundTrip(t *testing.T) {
-	s := NewStore()
-	in := fakeState{Params: []float64{1, 2, 3}, Cursor: 42, Epoch: 3, LabelLR: 0.1}
-	size, err := s.Save("job1", in)
-	if err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if size <= 0 {
-		t.Fatalf("size = %d", size)
-	}
-	got, err := s.Size("job1")
-	if err != nil || got != size {
-		t.Fatalf("Size = %d, %v", got, err)
-	}
-	var out fakeState
-	if err := s.Load("job1", &out); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if out.Cursor != 42 || out.Epoch != 3 || len(out.Params) != 3 || out.Params[2] != 3 {
-		t.Fatalf("round trip = %+v", out)
-	}
-}
-
-func TestStoreMissing(t *testing.T) {
-	s := NewStore()
-	var out fakeState
-	if err := s.Load("ghost", &out); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("Load missing = %v", err)
-	}
-	if _, err := s.Size("ghost"); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("Size missing = %v", err)
-	}
-	s.Delete("ghost") // no-op must not panic
-}
-
-func TestStoreOverwrite(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Save("k", fakeState{Cursor: 1}); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if _, err := s.Save("k", fakeState{Cursor: 2}); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	var out fakeState
-	if err := s.Load("k", &out); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if out.Cursor != 2 {
-		t.Fatalf("Cursor = %d, want 2", out.Cursor)
-	}
-	s.Delete("k")
-	if err := s.Load("k", &out); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatal("checkpoint survived delete")
-	}
-}
-
-func TestStoreSaveUnencodable(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Save("bad", func() {}); err == nil {
-		t.Fatal("function value encoded")
 	}
 }

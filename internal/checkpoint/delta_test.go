@@ -43,37 +43,56 @@ func TestDeltaSaveRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaSaveWritesOnlyDirtyChunks: a delta save and a warm restore cost
+// O(dirty), not O(model). The same two dirty elements in models of 16, 64
+// and 256 chunks write the same bytes and chunks, and the warm RestoreFrom
+// replays the same chunks, at every size.
 func TestDeltaSaveWritesOnlyDirtyChunks(t *testing.T) {
-	d := NewDeltaStore(DeltaConfig{ChunkElems: 64, CompactEvery: 100})
-	state := ramp(64*16, 0)
-	if _, err := d.Save("job", nil, state); err != nil {
-		t.Fatal(err)
-	}
-	// Touch two elements in distinct chunks.
-	state[10] += 0.5
-	state[64*9+3] -= 1.25
-	st, err := d.Save("job", []byte("h2"), state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Full || st.ChunksDirty != 2 || st.ChunksWritten != 2 {
-		t.Fatalf("delta stats = %+v", st)
-	}
-	if st.BytesWritten != 2*64*8 || st.BytesSkipped != 14*64*8 {
-		t.Fatalf("byte accounting = %+v", st)
-	}
-	_, got, rs, err := d.Restore("job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != state[i] {
-			t.Fatalf("elem %d: %v != %v", i, got[i], state[i])
+	for _, chunks := range []int{16, 64, 256} {
+		d := NewDeltaStore(DeltaConfig{ChunkElems: 64, CompactEvery: 100})
+		state := ramp(64*chunks, 0)
+		base, err := d.Save("job", nil, state)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Cold restore still decodes every chunk, via the chain.
-	if rs.ChainLen != 2 || rs.ChunksReplayed != 16 {
-		t.Fatalf("restore stats = %+v", rs)
+		warm := append([]float64(nil), state...)
+		// Touch two elements in distinct chunks.
+		state[10] += 0.5
+		state[64*9+3] -= 1.25
+		st, err := d.Save("job", []byte("h2"), state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Full || st.ChunksDirty != 2 || st.ChunksWritten != 2 {
+			t.Fatalf("%d chunks: delta stats = %+v", chunks, st)
+		}
+		if st.BytesWritten != 2*64*8 || st.BytesSkipped != int64(chunks-2)*64*8 {
+			t.Fatalf("%d chunks: byte accounting = %+v", chunks, st)
+		}
+		_, got, rs, err := d.Restore("job")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != state[i] {
+				t.Fatalf("%d chunks: elem %d: %v != %v", chunks, i, got[i], state[i])
+			}
+		}
+		// Cold restore still decodes every chunk, via the chain.
+		if rs.ChainLen != 2 || rs.ChunksReplayed != chunks {
+			t.Fatalf("%d chunks: restore stats = %+v", chunks, rs)
+		}
+		if _, rs, err = d.RestoreFrom("job", warm, base.Seq); err != nil {
+			t.Fatal(err)
+		}
+		if rs.ChunksReplayed != 2 {
+			t.Fatalf("%d chunks: warm restore replayed %d chunks, want 2", chunks, rs.ChunksReplayed)
+		}
+		for i := range warm {
+			if warm[i] != state[i] {
+				t.Fatalf("%d chunks: warm elem %d: %v != %v", chunks, i, warm[i], state[i])
+			}
+		}
 	}
 }
 

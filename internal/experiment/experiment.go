@@ -1,9 +1,9 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation (Section VI) plus the motivating figures of Sections I, III
 // and IV. Each function produces the same rows or series the paper
-// reports and writes them to the supplied writer; the benchmark harness
-// (bench_test.go) and the CLI (cmd/elan-bench) both call into this package
-// so there is a single source of truth per experiment.
+// reports and writes them to the supplied writer; cmd/elan-bench and
+// cmd/elan-report both call into this package so there is a single source
+// of truth per experiment.
 //
 // Calibration note: all experiments use the default performance model
 // except the Section VI-B elastic-training set (Figures 17-19, Table IV),

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -120,11 +121,14 @@ func IDs() []string {
 	return out
 }
 
+// ErrUnknownID is returned (wrapped) by Run for an id not in the registry.
+var ErrUnknownID = errors.New("experiment: unknown id")
+
 // Run dispatches one experiment by id.
 func Run(id string, w io.Writer, quick bool) error {
 	r, ok := Registry()[id]
 	if !ok {
-		return fmt.Errorf("experiment: unknown id %q", id)
+		return fmt.Errorf("%w %q", ErrUnknownID, id)
 	}
 	return r(w, quick)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/racecheck"
 	"github.com/elan-sys/elan/internal/tensor"
 )
@@ -190,42 +191,133 @@ func TestWorkspacesPerBatchShape(t *testing.T) {
 
 // TestTrainStepZeroAllocs is the tentpole proof for the nn layer: once the
 // per-shape workspaces exist, a full forward / loss / backward / flatten /
-// optimizer step allocates nothing.
+// optimizer step allocates nothing. The accumulate case runs a second
+// Backward without ZeroGrads, the form that computes into scratch and adds.
 func TestTrainStepZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
 	}
-	rng := rand.New(rand.NewSource(21))
-	net := newNet(t, 8, 32, 32, 5)
-	opt, err := NewSGD(net.Params(), 0.05, 0.9)
+	for name, backwards := range map[string]int{"direct": 1, "accumulate": 2} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			net := newNet(t, 8, 32, 32, 5)
+			opt, err := NewSGD(net.Params(), 0.05, 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := randBatch(rng, 16, 8, 5)
+			var flat []float64
+			step := func() {
+				out, err := net.Forward(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, grad, err := net.SoftmaxLoss(out, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.ZeroGrads()
+				for i := 0; i < backwards; i++ {
+					if err := net.Backward(grad); err != nil {
+						t.Fatal(err)
+					}
+				}
+				flat = net.FlattenGrads(flat[:0])
+				if err := net.LoadGrads(flat); err != nil {
+					t.Fatal(err)
+				}
+				if err := opt.Step(net.Params(), net.Grads()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // warm the workspaces, the accumulate scratch and the flat vector
+			if avg := testing.AllocsPerRun(100, step); avg != 0 {
+				t.Fatalf("%v allocs per training step, want 0", avg)
+			}
+		})
+	}
+}
+
+// benchOp times op after one warm-up call, which builds the workspaces.
+func benchOp(b *testing.B, op func() error) {
+	if err := op(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLayerStep times one layer of the benchmark's steady_comm
+// workload at its widest (3 samples a rank, 384 -> 384): Backward onto
+// gradients ZeroGrads marked zero, which writes the gradient arena directly
+// (the step's form), beside Backward onto gradients that hold something,
+// which computes into scratch and adds; then the optimizer's one pass over
+// the layer's 147,840 parameters.
+func BenchmarkLayerStep(b *testing.B) {
+	const rows, width = 3, 384
+	rng := rand.New(rand.NewSource(1))
+	layer, err := NewReplica(rng, []int{width, width}, 0.05, 0.9)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	x, y := randBatch(rng, 16, 8, 5)
-	var flat []float64
-	step := func() {
-		out, err := net.Forward(x)
+	x, grad := tensor.MustNew(rows, width), tensor.MustNew(rows, width)
+	x.Randn(rng, 1)
+	grad.Randn(rng, 1)
+	if _, err := layer.Net.Forward(x); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("backward_direct", func(b *testing.B) {
+		benchOp(b, func() error {
+			layer.Net.ZeroGrads()
+			return layer.Net.Backward(grad)
+		})
+	})
+	b.Run("backward_accumulate", func(b *testing.B) {
+		benchOp(b, func() error { return layer.Net.Backward(grad) })
+	})
+	b.Run("sgd_step_fused", func(b *testing.B) {
+		benchOp(b, func() error { return layer.Opt.Step(layer.Net.Params(), layer.Net.Grads()) })
+	})
+}
+
+// BenchmarkTrainStep times the step a worker agent runs, on one rank:
+// batch, ZeroGrads, forward, loss, backward over the gradient arena,
+// optimizer. The gradient exchange between backward and the optimizer is
+// collective's BenchmarkAllReduceBare.
+func BenchmarkTrainStep(b *testing.B) {
+	ds, err := data.GenGaussianMixture(1, 2048, 8, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := NewReplica(rand.New(rand.NewSource(1)), []int{8, 32, 32, 3}, 0.05, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 32
+	x, y := tensor.MustNew(batch, ds.Features), make([]int, batch)
+	cursor := 0
+	benchOp(b, func() error {
+		if err := ds.BatchInto(x, y, cursor, cursor+batch); err != nil {
+			return err
+		}
+		cursor = (cursor + batch) % ds.N()
+		rep.Net.ZeroGrads()
+		out, err := rep.Net.Forward(x)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		_, grad, err := net.SoftmaxLoss(out, y)
+		_, grad, err := rep.Net.SoftmaxLoss(out, y)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		net.ZeroGrads()
-		if err := net.Backward(grad); err != nil {
-			t.Fatal(err)
+		if err := rep.Net.Backward(grad); err != nil {
+			return err
 		}
-		flat = net.FlattenGrads(flat[:0])
-		if err := net.LoadGrads(flat); err != nil {
-			t.Fatal(err)
-		}
-		if err := opt.Step(net.Params(), net.Grads()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // warm the workspaces and the flat vector
-	if avg := testing.AllocsPerRun(100, step); avg != 0 {
-		t.Fatalf("%v allocs per training step, want 0", avg)
-	}
+		return rep.Opt.Step(rep.Net.Params(), rep.Net.Grads())
+	})
 }

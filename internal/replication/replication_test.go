@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/elan-sys/elan/internal/models"
 	"github.com/elan-sys/elan/internal/topology"
 )
 
@@ -155,6 +156,26 @@ func TestPaperExampleTwoParallelReplications(t *testing.T) {
 	clu := cluster(t)
 	if p.Duration(clu) != p.MaxPairTime(clu) {
 		t.Fatal("the two replications did not run concurrently")
+	}
+}
+
+// BenchmarkReplicationPlanning plans a 64 -> 96 scale-out of ResNet-50 on
+// 16 nodes: 32 joiners, each matched to its nearest of 64 sources.
+func BenchmarkReplicationPlanning(b *testing.B) {
+	g := topology.DefaultGeometry()
+	g.Nodes = 16
+	c, err := topology.NewCluster(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	existing := topology.IDsOf(c.AllGPUs()[:64])
+	add := topology.IDsOf(c.AllGPUs()[64:96])
+	m := models.ResNet50()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlan(existing, add, m.GPUStateBytes(), m.CPUStateBytes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/racecheck"
@@ -58,5 +61,52 @@ func TestStoreGetIntoMissZeroAllocs(t *testing.T) {
 		dst, _, _ = s.GetInto("missing", dst)
 	}); avg != 0 {
 		t.Fatalf("%v allocs per GetInto miss, want 0", avg)
+	}
+}
+
+// BenchmarkStoreMixed runs 80 % GetInto and 20 % Put over 256 keys of 1 KB
+// from 1, 64 and 256 goroutines. ns/op is wall time over all goroutines'
+// operations. The mix itself allocates nothing; allocs/op counts each
+// goroutine's start and read buffer, so it falls toward zero as b.N grows.
+func BenchmarkStoreMixed(b *testing.B) {
+	const keys = 256
+	names := make([]string, keys)
+	value := make([]byte, 1024)
+	s := New()
+	for i := range names {
+		names[i] = fmt.Sprintf("job/worker-%03d", i)
+		s.Put(names[i], value)
+	}
+	for _, conc := range []int{1, 64, 256} {
+		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < conc; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]byte, 0, len(value))
+					x := uint64(g)*2654435761 + 1 // xorshift state, one per goroutine
+					for next.Add(1) <= int64(b.N) {
+						x ^= x << 13
+						x ^= x >> 7
+						x ^= x << 17
+						key := names[x%keys]
+						if x%10 >= 8 {
+							s.Put(key, value)
+							continue
+						}
+						var err error
+						if buf, _, err = s.GetInto(key, buf[:0]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }

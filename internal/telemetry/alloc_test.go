@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // nopStepPath replays exactly the instrumentation sequence of the worker
 // step hot path (worker.Fleet.Step plus the collective allreduce it
@@ -49,15 +52,23 @@ func BenchmarkNopStepPath(b *testing.B) {
 }
 
 // BenchmarkLiveStepPath is the comparison point: the same sequence against
-// a live recorder and registry.
+// a live recorder and registry, bare and with the flight ring attached,
+// which every span End then also feeds.
 func BenchmarkLiveStepPath(b *testing.B) {
-	rec := NewRecorder(nil, 1) // cap at one span: steady-state drops, no growth
-	reg := NewRegistry()
-	steps := reg.Counter("worker_steps_total")
-	secs := reg.Histogram("worker_step_seconds")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nopStepPath(rec, steps, secs)
+	for _, flight := range []bool{false, true} {
+		b.Run(fmt.Sprintf("flight=%v", flight), func(b *testing.B) {
+			rec := NewRecorder(nil, 1) // cap at one span: steady-state drops, no growth
+			if flight {
+				rec.SetFlightRecorder(NewFlightRecorder(0))
+			}
+			reg := NewRegistry()
+			steps := reg.Counter("worker_steps_total")
+			secs := reg.Histogram("worker_step_seconds")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nopStepPath(rec, steps, secs)
+			}
+		})
 	}
 }

@@ -307,8 +307,9 @@ func TestSetParallelismGoroutineAccounting(t *testing.T) {
 
 // TestMatMulIntoZeroAllocs is the tentpole proof for the kernels: after the
 // operands exist, MatMulInto performs zero allocations per call, serial and
-// parallel alike. AllocsPerRun counts mallocs process-wide, so helper
-// goroutine activity is included in the measurement.
+// parallel alike, and eight concurrent callers stay under one a round.
+// Mallocs are counted process-wide, so helper goroutine activity is
+// included in the measurement.
 func TestMatMulIntoZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
@@ -335,6 +336,23 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("parallelism %d: %v allocs/op, want 0", workers, avg)
 		}
+	}
+	// Eight concurrent callers on the shared pool, as a fleet's ranks call
+	// it: at parallelism 2 a caller that finds the one region slot taken
+	// computes inline. AllocsPerRun runs at GOMAXPROCS 1, where the callers
+	// barely overlap, so the mallocs of 100 rounds are counted directly;
+	// fewer than one a round leaves room for the runtime's own.
+	SetParallelism(2)
+	round := startCallers(t, 8, 3, 256, 384)
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= 100 {
+		t.Fatalf("8 concurrent callers: %d allocs in 100 rounds, want fewer than 100", n)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // Client is the TCP call path: a fixed set of long-lived connections to
 // one server, each carrying many concurrent requests matched to responses
 // by per-connection request IDs. No TCP handshake sits on the steady-state
-// call; elan-bench -transport measures the path at 1, 64 and 256
+// call; BenchmarkPooledCall measures the path at 1, 64 and 256
 // concurrent callers.
 //
 // Restart transparency comes from pool invalidation: when a connection

@@ -14,7 +14,7 @@ import (
 
 // echoServer starts a Server whose handler echoes kind:payload, closed at
 // test end.
-func echoServer(t *testing.T) (*Server, string) {
+func echoServer(t testing.TB) (*Server, string) {
 	t.Helper()
 	srv := NewServer(func(m Message) ([]byte, error) {
 		out := make([]byte, 0, len(m.Kind)+1+len(m.Payload))
@@ -333,6 +333,40 @@ func TestPooledCallSteadyStateAllocsBounded(t *testing.T) {
 	const maxAllocs = 25
 	if avg > maxAllocs {
 		t.Fatalf("pooled call = %.1f allocs/op, want <= %d (buffer reuse broken)", avg, maxAllocs)
+	}
+}
+
+// BenchmarkPooledCall drives one pooled client over 8 connections against a
+// loopback echo server with 1, 64 and 256 concurrent callers and a 64-byte
+// payload. ns/op is wall time over all callers' calls, so it falls as
+// concurrency fills the connections; allocs/op is process-wide and
+// includes the server side of each call.
+func BenchmarkPooledCall(b *testing.B) {
+	_, addr := echoServer(b)
+	client := NewClient(addr, ClientConfig{Conns: 8})
+	defer client.Close()
+	ctx := context.Background()
+	payload := make([]byte, 64)
+	for _, conc := range []int{1, 64, 256} {
+		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < conc; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := client.Call(ctx, "echo", payload, 30*time.Second); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 
