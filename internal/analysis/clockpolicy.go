@@ -16,11 +16,10 @@ var clockBanned = map[string]bool{
 }
 
 // clockAllowedPkgs are the only packages that may touch the time package
-// directly: the clock substrate itself and the discrete-event engine it
-// wraps.
+// directly: the clock substrate itself. The discrete-event engine it wraps
+// (internal/simclock) only names durations, so it gets no exemption.
 var clockAllowedPkgs = map[string]bool{
-	"internal/clock":    true,
-	"internal/simclock": true,
+	"internal/clock": true,
 }
 
 // ClockAllowedPackages returns the sorted allowlist of packages that may
@@ -46,8 +45,8 @@ func ClockAllowedPackages() []string {
 // guarded only five packages.
 var ClockPolicy = &Analyzer{
 	Name: "clockpolicy",
-	Doc: "forbid direct time.Now/Sleep/After/... calls outside internal/clock " +
-		"and internal/simclock; inject a clock.Clock instead",
+	Doc: "forbid direct time.Now/Sleep/After/... calls outside internal/clock; " +
+		"inject a clock.Clock instead",
 	Run: runClockPolicy,
 }
 

@@ -10,7 +10,7 @@ import (
 // its spans and flight records would stop being exact virtual time — so any
 // addition has to be made here, deliberately, too.
 func TestClockAllowedPackages(t *testing.T) {
-	want := []string{"internal/clock", "internal/simclock"}
+	want := []string{"internal/clock"}
 	if got := ClockAllowedPackages(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("clockpolicy allowlist = %v, want exactly %v", got, want)
 	}

@@ -14,11 +14,9 @@ var ctxExemptNames = map[string]bool{
 }
 
 // ctxAllowedPkgs may block without a context: the clock substrate is the
-// thing contexts are *implemented* on top of, and the discrete-event
-// engine below it advances virtual time by blocking by design.
+// thing contexts are *implemented* on top of.
 var ctxAllowedPkgs = map[string]bool{
-	"internal/clock":    true,
-	"internal/simclock": true,
+	"internal/clock": true,
 }
 
 // CtxBlocking enforces the cancellable-API invariant: an exported function

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/clock"
@@ -83,6 +84,11 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 		}
 		c := newCrew(n)
 		procs := runtime.GOMAXPROCS(1) // as testing.AllocsPerRun does
+		// No collection may run from the warm-up through the measured round:
+		// one empties the runtime's sudog cache, and the round's blocked
+		// selects would then count the runtime refilling it.
+		runtime.GC()
+		gcPercent := debug.SetGCPercent(-1)
 		// A round on a group of its own first, so that what the runtime
 		// allocates the first time this many goroutines block in selects is
 		// not counted against g.
@@ -103,6 +109,7 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 		runtime.ReadMemStats(&before)
 		err = c.round(reduce)
 		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gcPercent)
 		runtime.GOMAXPROCS(procs)
 		c.stop()
 		if err != nil {

@@ -384,18 +384,26 @@ func TestAblationProgressiveLRSmoother(t *testing.T) {
 	}
 }
 
+// TestAblationAsyncTimeline: the table renders both modes, and a second run
+// prints it byte for byte again: runTimeline owns virtual time and waits for
+// the AM before the admitting Step, so nothing depends on scheduling.
 func TestAblationAsyncTimeline(t *testing.T) {
-	var b strings.Builder
-	tab, err := AblationAsyncTimeline(&b)
-	if err != nil {
-		t.Fatalf("AblationAsyncTimeline: %v", err)
+	var runs [2]strings.Builder
+	for i := range runs {
+		tab, err := AblationAsyncTimeline(&runs[i])
+		if err != nil {
+			t.Fatalf("AblationAsyncTimeline: %v", err)
+		}
+		if tab.NumRows() != 2 {
+			t.Fatalf("rows = %d", tab.NumRows())
+		}
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("rows = %d", tab.NumRows())
-	}
-	out := b.String()
+	out := runs[0].String()
 	if !strings.Contains(out, "asynchronous") || !strings.Contains(out, "synchronous") {
 		t.Fatal("modes missing")
+	}
+	if again := runs[1].String(); again != out {
+		t.Fatalf("two runs differ:\n%s\n%s", out, again)
 	}
 }
 

@@ -11,15 +11,9 @@ package simclock
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
-	"math"
 	"time"
 )
-
-// ErrStopped is returned by Run when the simulation is stopped explicitly
-// before the event queue drains.
-var ErrStopped = errors.New("simclock: simulation stopped")
 
 // Event is a scheduled callback in virtual time.
 type Event struct {
@@ -78,9 +72,6 @@ type Clock struct {
 	now     time.Duration
 	queue   eventQueue
 	nextSeq uint64
-	stopped bool
-	// Trace, when non-nil, receives a line for every event executed.
-	Trace func(at time.Duration, name string)
 }
 
 // New returns a clock starting at virtual time zero with an empty queue.
@@ -125,9 +116,6 @@ func (c *Clock) Cancel(ev *Event) bool {
 	return true
 }
 
-// Stop aborts the run loop after the current event completes.
-func (c *Clock) Stop() { c.stopped = true }
-
 // Pending reports the number of events waiting in the queue.
 func (c *Clock) Pending() int { return len(c.queue) }
 
@@ -142,55 +130,34 @@ func (c *Clock) Next() (time.Duration, bool) {
 	return c.queue[0].At, true
 }
 
-// Run executes events in timestamp order until the queue drains, Stop is
-// called, or the virtual clock passes deadline (use RunAll for no deadline).
-// It returns ErrStopped when stopped explicitly.
-func (c *Clock) Run(deadline time.Duration) error {
-	c.stopped = false
+// Run executes events in timestamp order until the queue drains or the next
+// event lies past deadline; events left queued stay for a later Run.
+func (c *Clock) Run(deadline time.Duration) {
 	for len(c.queue) > 0 {
-		if c.stopped {
-			return ErrStopped
-		}
 		next := c.queue[0]
 		if next.At > deadline {
 			// Leave future events queued; advance the clock to the deadline
 			// so that Now() reflects how far the simulation ran.
 			c.now = deadline
-			return nil
+			return
 		}
-		popped, ok := heap.Pop(&c.queue).(*Event)
-		if !ok {
-			return errors.New("simclock: corrupt event queue")
-		}
-		c.now = popped.At
-		if c.Trace != nil {
-			c.Trace(c.now, popped.Name)
-		}
-		popped.dead = true
-		popped.Fn()
+		heap.Pop(&c.queue) // removes next, the queue's minimum
+		c.now = next.At
+		next.dead = true
+		next.Fn()
 	}
-	return nil
 }
 
-// RunAll executes events until the queue drains or Stop is called.
-func (c *Clock) RunAll() error {
-	return c.Run(time.Duration(math.MaxInt64))
-}
-
-// Advance moves virtual time forward by d without executing any events. It is
-// intended for driving the clock from an external discrete-time loop (the
-// scheduler simulator uses fixed ticks). Events scheduled inside the skipped
-// window fire in order before Advance returns.
-func (c *Clock) Advance(d time.Duration) error {
+// Advance moves virtual time forward by d. Events scheduled inside the
+// skipped window fire in order before Advance returns; a negative d is a
+// no-op. clock.Sim drives the engine through it.
+func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
-		return fmt.Errorf("simclock: negative advance %v", d)
+		return
 	}
 	target := c.now + d
-	if err := c.Run(target); err != nil {
-		return err
-	}
+	c.Run(target)
 	if c.now < target {
 		c.now = target
 	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -12,9 +11,7 @@ func TestScheduleOrdering(t *testing.T) {
 	c.After(3*time.Second, "c", func() { got = append(got, "c") })
 	c.After(1*time.Second, "a", func() { got = append(got, "a") })
 	c.After(2*time.Second, "b", func() { got = append(got, "b") })
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	c.Advance(3 * time.Second)
 	want := "abc"
 	if s := join(got); s != want {
 		t.Fatalf("order = %q, want %q", s, want)
@@ -31,9 +28,7 @@ func TestTieBreakInsertionOrder(t *testing.T) {
 		name := name
 		c.After(time.Second, name, func() { got = append(got, name) })
 	}
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	c.Advance(time.Second)
 	if s := join(got); s != "xyz" {
 		t.Fatalf("tie order = %q, want xyz", s)
 	}
@@ -42,9 +37,7 @@ func TestTieBreakInsertionOrder(t *testing.T) {
 func TestScheduleInPast(t *testing.T) {
 	c := New()
 	c.After(time.Second, "advance", func() {})
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	c.Advance(time.Second)
 	if _, err := c.Schedule(0, "past", func() {}); err == nil {
 		t.Fatal("scheduling in the past succeeded, want error")
 	}
@@ -58,9 +51,7 @@ func TestNestedScheduling(t *testing.T) {
 			fired = append(fired, c.Now())
 		})
 	})
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	c.Advance(3 * time.Second)
 	if len(fired) != 1 || fired[0] != 3*time.Second {
 		t.Fatalf("inner fired at %v, want [3s]", fired)
 	}
@@ -76,31 +67,9 @@ func TestCancel(t *testing.T) {
 	if c.Cancel(ev) {
 		t.Fatal("Cancel returned true for already-cancelled event")
 	}
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	c.Advance(time.Second)
 	if ran {
 		t.Fatal("cancelled event still ran")
-	}
-}
-
-func TestStop(t *testing.T) {
-	c := New()
-	var count int
-	c.After(time.Second, "first", func() {
-		count++
-		c.Stop()
-	})
-	c.After(2*time.Second, "second", func() { count++ })
-	err := c.RunAll()
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("RunAll err = %v, want ErrStopped", err)
-	}
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", c.Pending())
 	}
 }
 
@@ -109,9 +78,7 @@ func TestRunDeadline(t *testing.T) {
 	var fired int
 	c.After(time.Second, "in", func() { fired++ })
 	c.After(10*time.Second, "out", func() { fired++ })
-	if err := c.Run(5 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	c.Run(5 * time.Second)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
@@ -127,17 +94,16 @@ func TestAdvance(t *testing.T) {
 	c := New()
 	var at time.Duration
 	c.After(2*time.Second, "ev", func() { at = c.Now() })
-	if err := c.Advance(5 * time.Second); err != nil {
-		t.Fatalf("Advance: %v", err)
-	}
+	c.Advance(5 * time.Second)
 	if at != 2*time.Second {
 		t.Fatalf("event fired at %v, want 2s", at)
 	}
 	if c.Now() != 5*time.Second {
 		t.Fatalf("Now = %v, want 5s", c.Now())
 	}
-	if err := c.Advance(-time.Second); err == nil {
-		t.Fatal("negative Advance succeeded, want error")
+	c.Advance(-time.Second)
+	if c.Now() != 5*time.Second {
+		t.Fatalf("Now after negative Advance = %v, want 5s unchanged", c.Now())
 	}
 }
 
@@ -145,28 +111,12 @@ func TestNegativeAfterClamped(t *testing.T) {
 	c := New()
 	ran := false
 	c.After(-time.Second, "neg", func() { ran = true })
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	c.Advance(0)
 	if !ran {
 		t.Fatal("negative-delay event did not run")
 	}
 	if c.Now() != 0 {
 		t.Fatalf("Now = %v, want 0", c.Now())
-	}
-}
-
-func TestTrace(t *testing.T) {
-	c := New()
-	var names []string
-	c.Trace = func(_ time.Duration, name string) { names = append(names, name) }
-	c.After(time.Second, "one", func() {})
-	c.After(2*time.Second, "two", func() {})
-	if err := c.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(names) != 2 || names[0] != "one" || names[1] != "two" {
-		t.Fatalf("trace = %v", names)
 	}
 }
 

@@ -170,6 +170,76 @@ func TestScaleOutCrossProcessTrace(t *testing.T) {
 	}
 }
 
+// TestStartInitDelaysReports pins FleetConfig.StartInit on a frozen sim
+// clock: joiners report only once virtual time reaches request + start/init,
+// so no Step admits them before; each report span ends exactly at that
+// instant; and the first Step after the AM reads Ready admits.
+func TestStartInitDelaysReports(t *testing.T) {
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	sim := clock.NewSim(epoch)
+	rec := telemetry.NewRecorder(sim, 0)
+	guardGoroutines(t)
+	const startInit = 30 * time.Second
+	f, err := NewFleet(FleetConfig{
+		Dataset:    dataset(t, 1024),
+		LayerSizes: []int{4, 16, 3},
+		Workers:    2,
+		TotalBatch: 24,
+		LR:         0.05,
+		Momentum:   0.9,
+		Seed:       21,
+		Clock:      sim,
+		Tracer:     rec,
+		StartInit:  func() time.Duration { return startInit },
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(f.Close)
+
+	sim.Advance(5 * time.Second)
+	request := sim.Now()
+	if err := f.RequestScaleOut(2); err != nil {
+		t.Fatalf("RequestScaleOut: %v", err)
+	}
+	// Step through the start/init window, one virtual second a Step: none
+	// may admit, however long the joiners' goroutines have had.
+	for sim.Now().Before(request.Add(startInit)) {
+		steps(t, f, 1)
+		if n := f.NumWorkers(); n != 2 {
+			t.Fatalf("%d workers at %v, before request + %v", n, sim.Now().Sub(request), startInit)
+		}
+		sim.Advance(time.Second)
+	}
+	if !sim.Now().Equal(request.Add(startInit)) {
+		t.Fatalf("clock at %v, want request + %v", sim.Now().Sub(request), startInit)
+	}
+	waitReady(t, f)
+	// A report span ends once its reply is back, which may be just after
+	// the AM turned Ready; the clock stays frozen until both have.
+	var reports []telemetry.SpanRecord
+	for deadline := time.Now().Add(5 * time.Second); len(reports) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker.report_ready spans = %d, want 2", len(reports))
+		}
+		reports = reports[:0]
+		for _, s := range rec.Snapshot() {
+			if s.Name == "worker.report_ready" {
+				reports = append(reports, s)
+			}
+		}
+	}
+	for _, s := range reports {
+		if !s.End.Equal(request.Add(startInit)) {
+			t.Errorf("%s report ends at request + %v, want + %v", s.Proc, s.End.Sub(request), startInit)
+		}
+	}
+	steps(t, f, 1)
+	if n := f.NumWorkers(); n != 4 {
+		t.Fatalf("%d workers after the first Step once Ready, want 4", n)
+	}
+}
+
 // TestStepTraceFansOutToRanks: a traced Step produces per-rank remote
 // children on each agent's process track, with the reducer's backward and
 // allreduce spans joined to the same trace — the raw material of the

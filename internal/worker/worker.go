@@ -369,6 +369,14 @@ type FleetConfig struct {
 	// comm/compute overlap during backward. 0 keeps one whole-vector
 	// bucket — arithmetic identical to the historical AllReduceMean path.
 	BucketElems int
+	// StartInit, when set, gives a joiner's start+initialization time on
+	// Clock: RequestScaleOut calls it once per joiner, in name order under
+	// the fleet lock, and arms a timer that long; the joiner reports to the
+	// AM only when it fires. Training goes on meanwhile, so a caller that
+	// advances a clock.Sim between Steps sees the paper's hidden start/init
+	// (experiment.AblationAsyncTimeline). Nil reports as soon as the agent
+	// is up.
+	StartInit func() time.Duration
 }
 
 // Fleet is the controller plus its resident agents.
@@ -799,8 +807,13 @@ func (f *Fleet) RequestScaleOut(n int) error {
 	for _, name := range names {
 		j := &joiner{up: make(chan struct{})}
 		f.spawned[name] = j
+		// Armed here, the deadline depends only on the request's time.
+		var startInit clock.Timer
+		if f.cfg.StartInit != nil {
+			startInit = f.clk.NewTimer(f.cfg.StartInit())
+		}
 		f.wg.Add(1)
-		go f.bringUp(name, j, f.takeSpareLocked(), span.Context())
+		go f.bringUp(name, j, f.takeSpareLocked(), startInit, span.Context())
 	}
 	return nil
 }
@@ -809,10 +822,10 @@ func (f *Fleet) RequestScaleOut(n int) error {
 // lock — a Step holds that for a whole iteration, and the paper's joiners
 // start and initialize while training continues: start the agent on r, the
 // spare rig the request had to hand, or on one built here; publish it through
-// j; then report ready over the bus like a real worker would, until the
-// report lands. The goroutine is fleet-tracked and aborts when the fleet
-// closes.
-func (f *Fleet) bringUp(name string, j *joiner, r *rig, request telemetry.TraceContext) {
+// j; wait out startInit, when set; then report ready over the bus like a real
+// worker would, until the report lands. The goroutine is fleet-tracked and
+// aborts when the fleet closes.
+func (f *Fleet) bringUp(name string, j *joiner, r *rig, startInit clock.Timer, request telemetry.TraceContext) {
 	defer f.wg.Done()
 	// The report span runs on the new agent's own process track, a remote
 	// child of the request span (which may already be ended — only
@@ -826,6 +839,14 @@ func (f *Fleet) bringUp(name string, j *joiner, r *rig, request telemetry.TraceC
 	if err != nil {
 		rspan.Annotate("error", err.Error())
 		return // never reports: the adjustment stays pending, as for a worker that failed to start
+	}
+	if startInit != nil {
+		select {
+		case <-startInit.C():
+		case <-f.ctx.Done():
+			startInit.Stop()
+			return
+		}
 	}
 	cl, err := coord.NewClientCtx(f.ctx, f.cfg.Bus, name, "fleet-am")
 	if err != nil {
