@@ -189,6 +189,49 @@ func TestWorkspacesPerBatchShape(t *testing.T) {
 	}
 }
 
+// TestFirstLayerComputesNoInputGradient pins what the backward pass leaves
+// out: the first layer's input gradient, the gradient with respect to the
+// batch, which nothing reads. Its workspace never gets an input-gradient
+// buffer; every deeper layer's does, since the layer below reads it. The
+// exported Linear.Backward still returns the input gradient.
+func TestFirstLayerComputesNoInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	net := newNet(t, 6, 16, 8, 3)
+	const rows = 5
+	for pass := 0; pass < 2; pass++ {
+		x, y := randBatch(rng, rows, 6, 3)
+		out, err := net.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, grad, err := net.SoftmaxLoss(out, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.ZeroGrads()
+		if err := net.Backward(grad); err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range net.layers {
+			w := l.ws[rows]
+			if w == nil {
+				t.Fatalf("pass %d: layer %d has no workspace for %d rows", pass, i, rows)
+			}
+			if got, want := w.gradIn != nil, i > 0; got != want {
+				t.Fatalf("pass %d: layer %d has an input-gradient buffer: %v, want %v", pass, i, got, want)
+			}
+		}
+	}
+
+	gin, err := net.layers[0].Backward(tensor.MustNew(rows, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gin == nil || gin.Rows != rows || gin.Cols != 6 {
+		t.Fatalf("Linear.Backward returned input gradient %v, want %dx6", gin, rows)
+	}
+}
+
 // TestTrainStepZeroAllocs is the tentpole proof for the nn layer: once the
 // per-shape workspaces exist, a full forward / loss / backward / flatten /
 // optimizer step allocates nothing. The accumulate case runs a second
@@ -253,11 +296,13 @@ func benchOp(b *testing.B, op func() error) {
 }
 
 // BenchmarkLayerStep times one layer of the benchmark's steady_comm
-// workload at its widest (3 samples a rank, 384 -> 384): Backward onto
-// gradients ZeroGrads marked zero, which writes the gradient arena directly
-// (the step's form), beside Backward onto gradients that hold something,
-// which computes into scratch and adds; then the optimizer's one pass over
-// the layer's 147,840 parameters.
+// workload at its widest (3 samples a rank, 384 -> 384): a hidden layer's
+// backward, input gradient included, onto gradients ZeroGrads marked zero,
+// which writes the gradient arena directly (the step's form), beside the
+// same onto gradients that hold something, which computes into scratch and
+// adds; then the optimizer's one pass over the layer's 147,840 parameters.
+// The layer is a one-layer replica's only layer, which MLP.Backward would
+// run without its input gradient, so the rows call Linear.Backward.
 func BenchmarkLayerStep(b *testing.B) {
 	const rows, width = 3, 384
 	rng := rand.New(rand.NewSource(1))
@@ -271,14 +316,18 @@ func BenchmarkLayerStep(b *testing.B) {
 	if _, err := layer.Net.Forward(x); err != nil {
 		b.Fatal(err)
 	}
+	backward := func() error {
+		_, err := layer.Net.layers[0].Backward(grad)
+		return err
+	}
 	b.Run("backward_direct", func(b *testing.B) {
 		benchOp(b, func() error {
 			layer.Net.ZeroGrads()
-			return layer.Net.Backward(grad)
+			return backward()
 		})
 	})
 	b.Run("backward_accumulate", func(b *testing.B) {
-		benchOp(b, func() error { return layer.Net.Backward(grad) })
+		benchOp(b, backward)
 	})
 	b.Run("sgd_step_fused", func(b *testing.B) {
 		benchOp(b, func() error { return layer.Opt.Step(layer.Net.Params(), layer.Net.Grads()) })

@@ -29,9 +29,12 @@ import (
 // cached per batch-row count; after the first step with a given shape the
 // layer's forward and backward passes allocate nothing.
 type linearWS struct {
-	input  *tensor.Matrix // batch x in, owned copy of the forward input
-	out    *tensor.Matrix // batch x out
-	gradIn *tensor.Matrix // batch x in
+	input *tensor.Matrix // batch x in, owned copy of the forward input
+	out   *tensor.Matrix // batch x out
+	// gradIn (batch x in) is built by the first backward that computes an
+	// input gradient. A network's first layer never does (MLP.BackwardLayers),
+	// so its workspaces never have one.
+	gradIn *tensor.Matrix
 }
 
 // Linear is a fully connected layer y = xW + b.
@@ -102,9 +105,8 @@ func (l *Linear) wsFor(rows int) *linearWS {
 	w := l.ws[rows]
 	if w == nil {
 		w = &linearWS{ //elan:vet-allow hotpathalloc — first-use workspace priming; steady state reuses it
-			input:  tensor.MustNew(rows, l.W.Rows),
-			out:    tensor.MustNew(rows, l.W.Cols),
-			gradIn: tensor.MustNew(rows, l.W.Rows),
+			input: tensor.MustNew(rows, l.W.Rows),
+			out:   tensor.MustNew(rows, l.W.Cols),
 		}
 		l.ws[rows] = w
 	}
@@ -145,6 +147,15 @@ func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
 //
 //elan:hotpath
 func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
+	return l.backward(grad, true)
+}
+
+// backward is Backward, computing the input gradient only when wantIn: the
+// parameter gradients are the same either way, and without wantIn it
+// returns a nil matrix.
+//
+//elan:hotpath
+func (l *Linear) backward(grad *tensor.Matrix, wantIn bool) (*tensor.Matrix, error) {
 	w := l.cur
 	if w == nil {
 		return nil, fmt.Errorf("nn: backward before forward") //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
@@ -174,6 +185,12 @@ func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 		if err := l.GradB.Axpy(1, l.gb); err != nil {
 			return nil, err
 		}
+	}
+	if !wantIn {
+		return nil, nil
+	}
+	if w.gradIn == nil {
+		w.gradIn = tensor.MustNew(w.input.Rows, l.W.Rows)
 	}
 	if err := tensor.MatMulBTInto(w.gradIn, grad, l.W); err != nil {
 		return nil, err
@@ -294,12 +311,15 @@ func (m *MLP) Backward(grad *tensor.Matrix) error {
 // the rest of the backward pass. Layers complete in descending index
 // order. A nil onLayer makes it exactly Backward.
 //
+// The first layer computes no input gradient: it would be the gradient
+// with respect to the batch, which nothing reads.
+//
 //elan:hotpath
 func (m *MLP) BackwardLayers(grad *tensor.Matrix, onLayer func(layer int) error) error {
 	g := grad
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		var err error
-		g, err = m.layers[i].Backward(g)
+		g, err = m.layers[i].backward(g, i > 0)
 		if err != nil {
 			return fmt.Errorf("nn: layer %d backward: %w", i, err) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 		}

@@ -61,9 +61,12 @@ func benchSquare(b *testing.B, n int) {
 // MatMulATInto(in x out <- 60 x in, 60 x out) and the input gradient
 // MatMulBTInto(60 x in <- 60 x out, in x out). The relu variants zero the
 // negative half of the a operand, as a hidden layer's activations and
-// masked gradients are. Serial, so a row is the kernel's own speed; the
-// one parallel row is the pool's dispatch at a workload shape, where the
-// helper's wake-up is a few percent of the region.
+// masked gradients are. 12x256x2048, dense a only, is the first layer of
+// the elastic_churn workload (12 samples a rank, MLP 256-2048-10): its
+// MatMulBTInto row times the input gradient a network's backward does not
+// compute for its first layer. Serial, so a row is the kernel's own speed;
+// the one parallel row is the pool's dispatch at a workload shape, where
+// the helper's wake-up is a few percent of the region.
 func BenchmarkWorkloadKernels(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -74,9 +77,18 @@ func BenchmarkWorkloadKernels(b *testing.B) {
 		{"MatMulATInto", MatMulATInto, func(n, in, out int) (_, _, _ [2]int) { return [2]int{in, out}, [2]int{n, in}, [2]int{n, out} }},
 		{"MatMulBTInto", MatMulBTInto, func(n, in, out int) (_, _, _ [2]int) { return [2]int{n, in}, [2]int{n, out}, [2]int{in, out} }},
 	}
+	shapes := []struct {
+		dims  [3]int
+		fills []string
+	}{
+		{[3]int{60, 512, 512}, []string{"dense", "relu"}},
+		{[3]int{60, 128, 512}, []string{"dense", "relu"}},
+		{[3]int{12, 256, 2048}, []string{"dense"}},
+	}
 	for _, k := range kernels {
-		for _, sh := range [][3]int{{60, 512, 512}, {60, 128, 512}} {
-			for _, fill := range []string{"dense", "relu"} {
+		for _, shape := range shapes {
+			sh := shape.dims
+			for _, fill := range shape.fills {
 				dd, da, db := k.dims(sh[0], sh[1], sh[2])
 				rng := rand.New(rand.NewSource(1))
 				dst, x, y := MustNew(dd[0], dd[1]), MustNew(da[0], da[1]), MustNew(db[0], db[1])
