@@ -16,8 +16,8 @@ var clockBanned = map[string]bool{
 }
 
 // clockAllowedPkgs are the only packages that may touch the time package
-// directly: the clock substrate itself. The discrete-event engine it wraps
-// (internal/simclock) only names durations, so it gets no exemption.
+// directly: the clock substrate itself, whose virtual clock (Sim) carries
+// its own discrete-event engine.
 var clockAllowedPkgs = map[string]bool{
 	"internal/clock": true,
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/coord"
 	"github.com/elan-sys/elan/internal/data"
-	"github.com/elan-sys/elan/internal/store"
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/topology"
 	"github.com/elan-sys/elan/internal/transport"
@@ -50,14 +49,13 @@ type Config struct {
 }
 
 // Harness owns a fully wired rig — sim clock, bus with the fault hook
-// installed, store, fleet — and replays the schedule against it. The
-// exported fields are live handles for tests and drivers (request a
-// scale-out mid-run, inspect the store, assert on fleet state).
+// installed, fleet — and replays the schedule against it. The exported
+// fields are live handles for tests and drivers (request a scale-out
+// mid-run, assert on fleet state).
 type Harness struct {
 	Fleet *worker.Fleet
 	Bus   *transport.Bus
 	Sim   *clock.Sim
-	Store *store.Store
 
 	cfg      Config
 	inj      *Injector
@@ -105,7 +103,6 @@ func New(cfg Config) (*Harness, error) {
 	bus := transport.NewBus(busCfg)
 	inj := NewInjector(cfg.Schedule.Seed)
 	bus.SetFaultHook(inj.Fate)
-	st := store.New()
 	ds, err := data.GenGaussianMixture(cfg.Seed, 1024, 4, 3)
 	if err != nil {
 		stopAuto()
@@ -122,7 +119,6 @@ func New(cfg Config) (*Harness, error) {
 		Seed:        cfg.Seed,
 		Bus:         bus,
 		Clock:       sim,
-		Store:       st,
 		Tracer:      cfg.Tracer,
 		Metrics:     cfg.Metrics,
 		Cluster:     cfg.Cluster,
@@ -139,7 +135,6 @@ func New(cfg Config) (*Harness, error) {
 		Fleet:    fleet,
 		Bus:      bus,
 		Sim:      sim,
-		Store:    st,
 		cfg:      cfg,
 		inj:      inj,
 		stopAuto: stopAuto,

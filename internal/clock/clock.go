@@ -7,8 +7,8 @@
 // detection claims depend on being able to measure trustworthily.
 //
 // Two implementations are provided: Wall (the real time package) and Sim
-// (a goroutine-safe wrapper around the internal/simclock discrete-event
-// engine, advanced manually or by an auto-advance driver).
+// (a goroutine-safe discrete-event clock on virtual time, advanced manually
+// or by an auto-advance driver).
 package clock
 
 import (

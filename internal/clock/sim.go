@@ -1,11 +1,10 @@
 package clock
 
 import (
+	"container/heap"
 	"context"
 	"sync"
 	"time"
-
-	"github.com/elan-sys/elan/internal/simclock"
 )
 
 // defaultGrain is the real-time pause between auto-advance steps: long
@@ -14,28 +13,108 @@ import (
 // microseconds instead of its face value.
 const defaultGrain = 200 * time.Microsecond
 
-// Sim is a Clock on virtual time, backed by the internal/simclock
-// discrete-event engine. Unlike the bare engine it is safe for concurrent
-// use: any number of goroutines may sleep or wait on timers while a driver
-// (a test calling Advance, or the AutoAdvance goroutine) moves time
-// forward. Waiters scheduled for the same instant fire in registration
-// order, inherited from the engine's deterministic tie-break.
+// Sim is a Clock on virtual time: a discrete-event engine whose waiters
+// (sleeps, timers, tickers) are callbacks in a queue ordered by deadline.
+// It is safe for concurrent use: any number of goroutines may sleep or wait
+// on timers while a driver (a test calling Advance, or the AutoAdvance
+// goroutine) moves time forward. Waiters scheduled for the same instant fire
+// in registration order, which makes same-seed runs deterministic.
 type Sim struct {
-	mu    sync.Mutex
-	sc    *simclock.Clock
-	epoch time.Time
+	mu      sync.Mutex
+	now     time.Duration // virtual time since epoch
+	queue   eventQueue
+	nextSeq uint64
+	epoch   time.Time
+}
+
+// event is a waiter's callback at virtual time at. It runs with Sim.mu
+// held, inside Advance.
+type event struct {
+	at    time.Duration
+	fn    func()
+	seq   uint64 // registration order, the tie-break for equal at
+	index int    // position in the queue; -1 once fired or cancelled
+}
+
+// eventQueue is a min-heap of events ordered by (at, seq).
+type eventQueue []*event
+
+func (q eventQueue) Len() int { return len(q) }
+
+func (q eventQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+
+func (q *eventQueue) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
+
+func (q *eventQueue) Pop() any {
+	old := *q
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.index = -1
+	*q = old[:n-1]
+	return ev
 }
 
 // NewSim returns a simulated clock whose Now starts at epoch.
 func NewSim(epoch time.Time) *Sim {
-	return &Sim{sc: simclock.New(), epoch: epoch}
+	return &Sim{epoch: epoch}
+}
+
+// after registers fn to run once virtual time has advanced by d (a
+// negative d counts as zero); callers hold s.mu.
+func (s *Sim) after(d time.Duration, fn func()) *event {
+	ev := &event{at: s.now + max(d, 0), fn: fn, seq: s.nextSeq}
+	s.nextSeq++
+	heap.Push(&s.queue, ev)
+	return ev
+}
+
+// cancel removes a pending event, reporting whether it was still pending;
+// callers hold s.mu.
+func (s *Sim) cancel(ev *event) bool {
+	if ev == nil || ev.index < 0 {
+		return false
+	}
+	heap.Remove(&s.queue, ev.index)
+	return true
+}
+
+// advance fires, in (deadline, registration) order, every event due within
+// the next d of virtual time — including ones the callbacks register inside
+// the window — then sets the clock to the window's end; callers hold s.mu.
+func (s *Sim) advance(d time.Duration) {
+	if d < 0 {
+		return
+	}
+	end := s.now + d
+	for len(s.queue) > 0 && s.queue[0].at <= end {
+		ev := heap.Pop(&s.queue).(*event)
+		s.now = ev.at
+		ev.fn()
+	}
+	s.now = end
 }
 
 // Now implements Clock.
 func (s *Sim) Now() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.epoch.Add(s.sc.Now())
+	return s.epoch.Add(s.now)
 }
 
 // Since implements Clock.
@@ -45,7 +124,7 @@ func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 func (s *Sim) Elapsed() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sc.Now()
+	return s.now
 }
 
 // Advance moves virtual time forward by d, firing every waiter whose
@@ -54,7 +133,7 @@ func (s *Sim) Elapsed() time.Duration {
 func (s *Sim) Advance(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sc.Advance(d)
+	s.advance(d)
 }
 
 // AdvanceToNext jumps virtual time to the earliest pending deadline and
@@ -63,11 +142,10 @@ func (s *Sim) Advance(d time.Duration) {
 func (s *Sim) AdvanceToNext() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at, ok := s.sc.Next()
-	if !ok {
+	if len(s.queue) == 0 {
 		return false
 	}
-	s.sc.Advance(at - s.sc.Now())
+	s.advance(s.queue[0].at - s.now)
 	return true
 }
 
@@ -75,7 +153,7 @@ func (s *Sim) AdvanceToNext() bool {
 func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sc.Pending()
+	return len(s.queue)
 }
 
 // AutoAdvance starts a background driver that repeatedly jumps virtual
@@ -118,7 +196,7 @@ func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 	}
 	fired := make(chan struct{})
 	s.mu.Lock()
-	ev := s.sc.After(d, "clock.Sleep", func() { close(fired) })
+	ev := s.after(d, func() { close(fired) })
 	s.mu.Unlock()
 	if ctx == nil {
 		<-fired
@@ -129,7 +207,7 @@ func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		s.sc.Cancel(ev)
+		s.cancel(ev)
 		s.mu.Unlock()
 		return ctx.Err()
 	}
@@ -148,19 +226,19 @@ func (s *Sim) NewTimer(d time.Duration) Timer {
 }
 
 // simTimer is a one-shot timer on virtual time. Its callback runs with
-// s.mu held (waiters fire inside Advance), so it touches the engine
-// directly and communicates through the buffered channel only.
+// s.mu held (waiters fire inside Advance), so it reads s.now directly and
+// communicates through the buffered channel only.
 type simTimer struct {
 	s  *Sim
 	ch chan time.Time
-	ev *simclock.Event
+	ev *event
 }
 
 // schedule arms the timer; callers hold s.mu.
 func (t *simTimer) schedule(d time.Duration) {
-	t.ev = t.s.sc.After(d, "clock.Timer", func() {
+	t.ev = t.s.after(d, func() {
 		select {
-		case t.ch <- t.s.epoch.Add(t.s.sc.Now()):
+		case t.ch <- t.s.epoch.Add(t.s.now):
 		default:
 		}
 	})
@@ -171,13 +249,13 @@ func (t *simTimer) C() <-chan time.Time { return t.ch }
 func (t *simTimer) Stop() bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	return t.s.sc.Cancel(t.ev)
+	return t.s.cancel(t.ev)
 }
 
 func (t *simTimer) Reset(d time.Duration) bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	active := t.s.sc.Cancel(t.ev)
+	active := t.s.cancel(t.ev)
 	t.schedule(d)
 	return active
 }
@@ -200,15 +278,15 @@ type simTicker struct {
 	s       *Sim
 	d       time.Duration
 	ch      chan time.Time
-	ev      *simclock.Event
+	ev      *event
 	stopped bool
 }
 
 // schedule arms the next tick; callers hold s.mu.
 func (k *simTicker) schedule() {
-	k.ev = k.s.sc.After(k.d, "clock.Ticker", func() {
+	k.ev = k.s.after(k.d, func() {
 		select {
-		case k.ch <- k.s.epoch.Add(k.s.sc.Now()):
+		case k.ch <- k.s.epoch.Add(k.s.now):
 		default:
 		}
 		if !k.stopped {
@@ -223,5 +301,5 @@ func (k *simTicker) Stop() {
 	k.s.mu.Lock()
 	defer k.s.mu.Unlock()
 	k.stopped = true
-	k.s.sc.Cancel(k.ev)
+	k.s.cancel(k.ev)
 }

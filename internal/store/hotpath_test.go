@@ -1,18 +1,14 @@
 package store
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/racecheck"
 )
 
-// TestStorePutSteadyStateZeroAllocs pins the sharded store's write fast
-// path: once a key exists and the incoming value fits its buffer, Put
-// copies in place — no fresh value buffer, no event (the key is
-// unwatched), no instrument overhead (nil counters are no-ops).
+// TestStorePutSteadyStateZeroAllocs pins the store's write fast path: once
+// a key exists and the incoming value fits its buffer, Put copies in place
+// and allocates no fresh value buffer.
 func TestStorePutSteadyStateZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
@@ -64,49 +60,31 @@ func TestStoreGetIntoMissZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreMixed runs 80 % GetInto and 20 % Put over 256 keys of 1 KB
-// from 1, 64 and 256 goroutines. ns/op is wall time over all goroutines'
-// operations. The mix itself allocates nothing; allocs/op counts each
-// goroutine's start and read buffer, so it falls toward zero as b.N grows.
-func BenchmarkStoreMixed(b *testing.B) {
-	const keys = 256
-	names := make([]string, keys)
-	value := make([]byte, 1024)
+// BenchmarkStoreAMKey times the traffic the store serves: one key, one
+// caller, at the size of a persisted AM state. cas is the AM's persist on
+// every transition (a CAS at the current version); get_into is a warm read
+// into a reused buffer. Both allocate nothing.
+func BenchmarkStoreAMKey(b *testing.B) {
+	value := make([]byte, 512)
 	s := New()
-	for i := range names {
-		names[i] = fmt.Sprintf("job/worker-%03d", i)
-		s.Put(names[i], value)
-	}
-	for _, conc := range []int{1, 64, 256} {
-		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ReportAllocs()
-			b.ResetTimer()
-			for g := 0; g < conc; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					buf := make([]byte, 0, len(value))
-					x := uint64(g)*2654435761 + 1 // xorshift state, one per goroutine
-					for next.Add(1) <= int64(b.N) {
-						x ^= x << 13
-						x ^= x >> 7
-						x ^= x << 17
-						key := names[x%keys]
-						if x%10 >= 8 {
-							s.Put(key, value)
-							continue
-						}
-						var err error
-						if buf, _, err = s.GetInto(key, buf[:0]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
+	ver := s.Put("am/bench", value)
+	b.Run("cas", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if ver, err = s.CAS("am/bench", ver, value); err != nil {
+				b.Fatal(err)
 			}
-			wg.Wait()
-		})
-	}
+		}
+	})
+	b.Run("get_into", func(b *testing.B) {
+		buf := make([]byte, 0, len(value))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, _, err = s.GetInto("am/bench", buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,20 +1,10 @@
-// Package store implements a versioned key-value store with watches and
-// compare-and-swap — the etcd substitute the application master persists its
-// state machine to (Section V-D). Versions increase monotonically per key;
-// CAS enables the leader-recovery pattern (only the AM incarnation holding
-// the latest version may advance the state machine).
-//
-// The store is sharded: keys route to one of numShards shards by FNV-1a
-// hash, each shard guarded by its own mutex, so writers to unrelated keys
-// never contend (DESIGN §13). A single atomic revision counter, bumped
-// while the owning shard's lock is held, preserves the global ordering the
-// per-key monotonic-version and CAS leader-fencing contracts rely on.
-//
-// Watch fan-out is O(changed keys): a mutation enqueues an event on its
-// shard only when that key has watchers (one map lookup), and a central
-// dispatcher goroutine — started lazily with the first watcher, stopped
-// with the last — drains the per-shard queues and delivers to watcher
-// channels. Ten thousand idle watchers on other keys cost a Put nothing.
+// Package store is the versioned key-value store the application master
+// persists its state machine to — the etcd substitute of Section V-D. Its
+// traffic is one key per job: a CAS on every transition and one Get when a
+// new incarnation recovers, so one mutex over one map serves it (DESIGN
+// §13). Versions strictly increase per key; CAS enables the leader-recovery
+// pattern (only the AM incarnation holding the latest version may advance
+// the state machine).
 package store
 
 import (
@@ -22,11 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"github.com/elan-sys/elan/internal/clock"
-	"github.com/elan-sys/elan/internal/telemetry"
 )
 
 // Errors returned by the store.
@@ -35,145 +20,36 @@ var (
 	ErrCASFailure = errors.New("store: compare-and-swap version mismatch")
 )
 
-// numShards is the fixed shard count. A power of two keeps the key→shard
-// route a mask instead of a modulo; 32 is comfortably past the point of
-// diminishing returns for a control-plane store whose hot keys number in
-// the hundreds.
-const numShards = 32
-
-const shardMask = numShards - 1
-
-// watchBuf is the per-watcher channel capacity; a slow consumer conflates
-// (drop oldest, keep newest) past this depth.
-const watchBuf = 16
-
 // Entry is a value with its version.
 type Entry struct {
 	Value   []byte
 	Version int64
 }
 
-// Event describes a change delivered to watchers.
-type Event struct {
-	Key     string
-	Value   []byte
-	Version int64
-	Deleted bool
-}
-
-// shard is one lock domain: a slice of the keyspace, its watcher registry,
-// and the queue of not-yet-dispatched events for watched keys.
-type shard struct {
-	mu       sync.Mutex
-	data     map[string]Entry
-	watchers map[string][]chan Event
-	queue    []Event
-}
-
 // Store is an in-memory versioned KV store, safe for concurrent use.
 type Store struct {
-	shards [numShards]shard
-
-	// rev is the global revision; incremented under the owning shard's
-	// lock, so writes to one key observe strictly increasing values.
-	rev atomic.Int64
-
-	// wake (capacity 1) nudges the dispatcher after an enqueue.
-	wake chan struct{}
-
-	// dmu guards the dispatcher lifecycle: refcount of live watchers and
-	// the current generation's quit/done channels. The dispatcher is lazy
-	// — a store that is never watched owns no goroutine — and refcounted,
-	// because Store has no Close and callers drop stores freely.
-	dmu    sync.Mutex
-	nwatch int
-	quit   chan struct{}
-	done   chan struct{}
-
-	// deliveries counts per-watcher delivery attempts — the O(changed
-	// keys) fan-out proof: a Put on an unwatched key must not move it.
-	deliveries atomic.Int64
-
-	// Telemetry (nil instruments are free no-ops).
-	clk         clock.Clock
-	mGets       *telemetry.Counter
-	mPuts       *telemetry.Counter
-	mCAS        *telemetry.Counter
-	mCASFail    *telemetry.Counter
-	mDeletes    *telemetry.Counter
-	mEvents     *telemetry.Counter
-	mDrops      *telemetry.Counter
-	hGetSeconds *telemetry.Histogram
-	hPutSeconds *telemetry.Histogram
-	hCASSeconds *telemetry.Histogram
+	mu   sync.Mutex
+	data map[string]Entry
+	// ver is the last version handed out; every write takes the next one,
+	// so per-key versions strictly increase.
+	ver int64
 }
 
 // New creates an empty store.
 func New() *Store {
-	s := &Store{wake: make(chan struct{}, 1)}
-	for i := range s.shards {
-		s.shards[i].data = make(map[string]Entry)
-		s.shards[i].watchers = make(map[string][]chan Event)
-	}
-	return s
-}
-
-// Instrument wires the store's telemetry: operation counters, watch-drop
-// counter, and — when clk is non-nil — per-operation latency histograms
-// (store_get_seconds etc.). Latency observation takes a per-histogram
-// mutex, so leave clk nil on stores whose throughput matters more than
-// latency quantiles. Call before concurrent use.
-func (s *Store) Instrument(clk clock.Clock, reg *telemetry.Registry) {
-	s.mGets = reg.Counter("store_gets_total")
-	s.mPuts = reg.Counter("store_puts_total")
-	s.mCAS = reg.Counter("store_cas_total")
-	s.mCASFail = reg.Counter("store_cas_failures_total")
-	s.mDeletes = reg.Counter("store_deletes_total")
-	s.mEvents = reg.Counter("store_watch_events_total")
-	s.mDrops = reg.Counter("store_watch_drops_total")
-	if clk != nil {
-		s.clk = clk
-		s.hGetSeconds = reg.Histogram("store_get_seconds")
-		s.hPutSeconds = reg.Histogram("store_put_seconds")
-		s.hCASSeconds = reg.Histogram("store_cas_seconds")
-	}
-}
-
-// shardIndex routes a key to its shard with inline FNV-1a (hash/fnv's
-// New32a allocates a hash.Hash32; the loop below does not).
-//
-//elan:hotpath
-func shardIndex(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h & shardMask
+	return &Store{data: make(map[string]Entry)}
 }
 
 // Get returns the entry for key. The value is a fresh copy the caller may
 // mutate; the allocation-free variant is GetInto.
 func (s *Store) Get(key string) (Entry, error) {
-	var t0 time.Time
-	if s.hGetSeconds != nil {
-		t0 = s.clk.Now()
-	}
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	e, ok := sh.data[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.data[key]
 	if !ok {
-		sh.mu.Unlock()
 		return Entry{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	out := Entry{Value: make([]byte, len(e.Value)), Version: e.Version}
-	copy(out.Value, e.Value)
-	sh.mu.Unlock()
-	s.mGets.Inc()
-	if s.hGetSeconds != nil {
-		s.hGetSeconds.Observe(s.clk.Now().Sub(t0).Seconds())
-	}
-	return out, nil
+	return Entry{Value: append([]byte{}, e.Value...), Version: e.Version}, nil
 }
 
 // GetInto appends the value for key to dst and returns the extended slice
@@ -183,362 +59,60 @@ func (s *Store) Get(key string) (Entry, error) {
 //
 //elan:hotpath
 func (s *Store) GetInto(key string, dst []byte) ([]byte, int64, error) {
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	e, ok := sh.data[key]
+	s.mu.Lock()
+	e, ok := s.data[key]
 	if !ok {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return dst, 0, ErrNotFound
 	}
 	dst = append(dst, e.Value...)
-	ver := e.Version
-	sh.mu.Unlock()
-	s.mGets.Inc()
-	return dst, ver, nil
+	s.mu.Unlock()
+	return dst, e.Version, nil
 }
 
 // Put stores value under key unconditionally and returns the new version.
-// Steady-state Put (existing key, value fits the entry's buffer, no
-// watchers on the key) is allocation-free: the value is copied in place.
+// Steady-state Put (existing key, value fits the entry's buffer) is
+// allocation-free: the value is copied in place.
 //
 //elan:hotpath
 func (s *Store) Put(key string, value []byte) int64 {
-	var t0 time.Time
-	if s.hPutSeconds != nil {
-		t0 = s.clk.Now()
-	}
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	rev := s.putLocked(sh, key, value)
-	watched := len(sh.watchers[key]) > 0
-	if watched {
-		s.enqueueLocked(sh, key, value, rev, false)
-	}
-	sh.mu.Unlock()
-	if watched {
-		s.signalWake()
-	}
-	s.mPuts.Inc()
-	if s.hPutSeconds != nil {
-		s.hPutSeconds.Observe(s.clk.Now().Sub(t0).Seconds())
-	}
-	return rev
-}
-
-// putLocked installs value under key, reusing the existing entry's buffer
-// when it fits.
-//
-//elan:hotpath
-func (s *Store) putLocked(sh *shard, key string, value []byte) int64 {
-	rev := s.rev.Add(1)
-	e, ok := sh.data[key]
-	if ok && cap(e.Value) >= len(value) {
-		e.Value = e.Value[:len(value)]
-		copy(e.Value, value)
-		e.Version = rev
-		sh.data[key] = e
-		return rev
-	}
-	s.putGrow(sh, key, value, rev)
-	return rev
-}
-
-// putGrow is the cold path of putLocked: first write of a key, or a value
-// larger than the entry's buffer. Called with the shard lock held.
-func (s *Store) putGrow(sh *shard, key string, value []byte, rev int64) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	sh.data[key] = Entry{Value: v, Version: rev}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.putLocked(key, value)
 }
 
 // CAS stores value under key only if the current version equals expected
 // (use 0 for "key must not exist"). It returns the new version.
 func (s *Store) CAS(key string, expected int64, value []byte) (int64, error) {
-	var t0 time.Time
-	if s.hCASSeconds != nil {
-		t0 = s.clk.Now()
-	}
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	cur, ok := sh.data[key]
-	curVersion := int64(0)
-	if ok {
-		curVersion = cur.Version
-	}
-	if curVersion != expected {
-		sh.mu.Unlock()
-		s.mCASFail.Inc()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur := s.data[key].Version; cur != expected {
 		return 0, fmt.Errorf("%w: key %q at version %d, expected %d",
-			ErrCASFailure, key, curVersion, expected)
+			ErrCASFailure, key, cur, expected)
 	}
-	rev := s.putLocked(sh, key, value)
-	watched := len(sh.watchers[key]) > 0
-	if watched {
-		s.enqueueLocked(sh, key, value, rev, false)
-	}
-	sh.mu.Unlock()
-	if watched {
-		s.signalWake()
-	}
-	s.mCAS.Inc()
-	if s.hCASSeconds != nil {
-		s.hCASSeconds.Observe(s.clk.Now().Sub(t0).Seconds())
-	}
-	return rev, nil
+	return s.putLocked(key, value), nil
 }
 
-// Delete removes key; deleting a missing key is an error.
-func (s *Store) Delete(key string) error {
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	if _, ok := sh.data[key]; !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	delete(sh.data, key)
-	rev := s.rev.Add(1)
-	watched := len(sh.watchers[key]) > 0
-	if watched {
-		s.enqueueLocked(sh, key, nil, rev, true)
-	}
-	sh.mu.Unlock()
-	if watched {
-		s.signalWake()
-	}
-	s.mDeletes.Inc()
-	return nil
-}
-
-// enqueueLocked records a change event for a watched key on the shard's
-// queue. The value is copied here — the entry's buffer may be overwritten
-// in place by a later Put before the dispatcher runs. Called with the
-// shard lock held; runs only when the key has watchers, so an unwatched
-// Put never reaches it.
-func (s *Store) enqueueLocked(sh *shard, key string, value []byte, rev int64, deleted bool) {
-	ev := Event{Key: key, Version: rev, Deleted: deleted}
-	if value != nil {
-		ev.Value = append([]byte(nil), value...)
-	}
-	sh.queue = append(sh.queue, ev)
-	s.mEvents.Inc()
-}
-
-// signalWake nudges the dispatcher (non-blocking; wake has capacity 1).
+// putLocked installs a copy of value under key at the next version. The
+// copy reuses the entry's buffer when it fits and grows it only on the
+// first write of a key or for a larger value. Called with s.mu held.
 //
 //elan:hotpath
-func (s *Store) signalWake() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+func (s *Store) putLocked(key string, value []byte) int64 {
+	s.ver++
+	s.data[key] = Entry{Value: append(s.data[key].Value[:0], value...), Version: s.ver}
+	return s.ver
 }
-
-// Watch subscribes to changes of key. The returned cancel function must be
-// called to release the watcher; it closes the channel, so a consumer
-// ranging over it terminates, and is idempotent. Events are delivered
-// asynchronously by the dispatcher on a buffered channel; a slow consumer
-// loses the oldest events (the channel is a conflating buffer of size 16),
-// which is acceptable because consumers re-read the current state with Get
-// after waking. Each event carries its own copy of the value, so watchers
-// may mutate it freely.
-func (s *Store) Watch(key string) (<-chan Event, func()) {
-	ch := make(chan Event, watchBuf)
-	sh := &s.shards[shardIndex(key)]
-	// Start the dispatcher before registering: once the channel is in the
-	// watcher map, mutations enqueue events and expect a drain.
-	s.retainDispatcher()
-	sh.mu.Lock()
-	sh.watchers[key] = append(sh.watchers[key], ch)
-	sh.mu.Unlock()
-	cancel := func() {
-		removed := false
-		sh.mu.Lock()
-		ws := sh.watchers[key]
-		for i, w := range ws {
-			if w == ch {
-				sh.watchers[key] = append(ws[:i], ws[i+1:]...)
-				if len(sh.watchers[key]) == 0 {
-					delete(sh.watchers, key)
-				}
-				// Closing under the shard lock makes cancel idempotent
-				// (the second call no longer finds ch) and cannot race the
-				// dispatcher, which only sends to registered channels
-				// under the same lock.
-				close(ch)
-				removed = true
-				break
-			}
-		}
-		sh.mu.Unlock()
-		if removed {
-			s.releaseDispatcher()
-		}
-	}
-	return ch, cancel
-}
-
-// retainDispatcher bumps the watcher refcount, starting the dispatcher
-// generation on 0→1.
-func (s *Store) retainDispatcher() {
-	s.dmu.Lock()
-	s.nwatch++
-	if s.nwatch == 1 {
-		s.quit = make(chan struct{})
-		s.done = make(chan struct{})
-		go s.dispatch(s.quit, s.done)
-	}
-	s.dmu.Unlock()
-}
-
-// releaseDispatcher drops the refcount; on 1→0 it stops the dispatcher
-// goroutine (waiting for it to exit outside dmu, so tests' goroutine-leak
-// guards see a clean heap without blocking under the lifecycle lock) and
-// clears any queued events, which have no audience. If a new generation
-// started while we waited, the clearing is skipped — the new dispatcher
-// owns the queues.
-func (s *Store) releaseDispatcher() {
-	s.dmu.Lock()
-	s.nwatch--
-	var wait chan struct{}
-	if s.nwatch == 0 {
-		close(s.quit)
-		wait = s.done
-		s.quit, s.done = nil, nil
-	}
-	s.dmu.Unlock()
-	if wait == nil {
-		return
-	}
-	<-wait
-	s.dmu.Lock()
-	if s.nwatch == 0 {
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			sh.queue = nil
-			sh.mu.Unlock()
-		}
-	}
-	s.dmu.Unlock()
-}
-
-// dispatch is the central fan-out goroutine: woken after an enqueue, it
-// sweeps every shard queue and delivers to that key's watchers. Total work
-// per sweep is O(sum over changed keys of their watcher counts) — idle
-// watchers on unchanged keys are never visited.
-func (s *Store) dispatch(quit, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-quit:
-			return
-		case <-s.wake:
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				if len(sh.queue) > 0 {
-					s.deliverLocked(sh)
-				}
-				sh.mu.Unlock()
-			}
-		}
-	}
-}
-
-// deliverLocked drains one shard's event queue to the current watchers of
-// each changed key. Called with the shard lock held (by the dispatcher),
-// which excludes cancel's close-under-lock — a send can never hit a closed
-// channel. Sends conflate: a full buffer drops its oldest event to admit
-// the newest.
-func (s *Store) deliverLocked(sh *shard) {
-	for i := range sh.queue {
-		ev := sh.queue[i]
-		sh.queue[i] = Event{} // release the value buffer to the GC
-		for _, ch := range sh.watchers[ev.Key] {
-			s.deliveries.Add(1)
-			// Each watcher gets a private copy of the value; aliasing one
-			// slice across watchers lets a mutating consumer corrupt a
-			// sibling's view.
-			evCopy := ev
-			if ev.Value != nil {
-				evCopy.Value = append([]byte(nil), ev.Value...)
-			}
-			select {
-			case ch <- evCopy:
-			default:
-				// Drop oldest, then insert: keeps the newest event visible.
-				s.mDrops.Inc()
-				select {
-				case <-ch:
-				default:
-				}
-				select {
-				case ch <- evCopy:
-				default:
-				}
-			}
-		}
-	}
-	sh.queue = sh.queue[:0]
-}
-
-// WatchWork returns the cumulative count of per-watcher delivery attempts
-// — the observable for the O(changed-keys) contract: mutations on
-// unwatched keys must not advance it no matter how many watchers idle on
-// other keys.
-func (s *Store) WatchWork() int64 { return s.deliveries.Load() }
-
-// Snapshot returns a point-in-time consistent copy of the requested keys
-// (of every key, when none are named) together with the store revision at
-// that instant. It locks all shards in index order, so no mutation — each
-// of which holds exactly one shard lock — can interleave: the returned map
-// is a true cut of the keyspace, not a per-key racy read.
-func (s *Store) Snapshot(keys ...string) (map[string]Entry, int64) {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	out := make(map[string]Entry)
-	if len(keys) == 0 {
-		for i := range s.shards {
-			for k, e := range s.shards[i].data {
-				out[k] = copyEntry(e)
-			}
-		}
-	} else {
-		for _, k := range keys {
-			if e, ok := s.shards[shardIndex(k)].data[k]; ok {
-				out[k] = copyEntry(e)
-			}
-		}
-	}
-	rev := s.rev.Load()
-	for i := range s.shards {
-		s.shards[i].mu.Unlock()
-	}
-	return out, rev
-}
-
-func copyEntry(e Entry) Entry {
-	v := make([]byte, len(e.Value))
-	copy(v, e.Value)
-	return Entry{Value: v, Version: e.Version}
-}
-
-// Rev returns the current global revision.
-func (s *Store) Rev() int64 { return s.rev.Load() }
 
 // Keys returns all keys currently present, sorted (for inspection and
 // tests).
 func (s *Store) Keys() []string {
-	out := []string{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.data {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	out := make([]string, 0, len(s.data))
+	for k := range s.data {
+		out = append(out, k)
 	}
+	s.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

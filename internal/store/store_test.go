@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestGetPut(t *testing.T) {
@@ -97,149 +96,6 @@ func TestCASLeaderElectionPattern(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := New()
-	s.Put("k", []byte("a"))
-	if err := s.Delete("k"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("key survived delete")
-	}
-	if err := s.Delete("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete = %v", err)
-	}
-}
-
-func TestWatch(t *testing.T) {
-	s := New()
-	ch, cancel := s.Watch("k")
-	defer cancel()
-	v := s.Put("k", []byte("a"))
-	select {
-	case ev := <-ch:
-		if ev.Key != "k" || string(ev.Value) != "a" || ev.Version != v || ev.Deleted {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no event delivered")
-	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	select {
-	case ev := <-ch:
-		if !ev.Deleted {
-			t.Fatalf("event = %+v, want deletion", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no deletion event")
-	}
-}
-
-func TestWatchCancel(t *testing.T) {
-	s := New()
-	ch, cancel := s.Watch("k")
-	cancel()
-	s.Put("k", []byte("a"))
-	select {
-	case ev, ok := <-ch:
-		if ok {
-			t.Fatalf("event after cancel: %+v", ev)
-		}
-	case <-time.After(50 * time.Millisecond):
-		// No event: correct.
-	}
-}
-
-func TestWatchEventValueIsPrivateCopy(t *testing.T) {
-	// A watcher mutating the event value must not corrupt the stored entry
-	// or a sibling watcher's view. Before the fix, putLocked handed the
-	// same backing slice to s.data and every watcher event.
-	s := New()
-	ch1, cancel1 := s.Watch("k")
-	defer cancel1()
-	ch2, cancel2 := s.Watch("k")
-	defer cancel2()
-	s.Put("k", []byte("abc"))
-	ev1 := <-ch1
-	ev1.Value[0] = 'X'
-	e, err := s.Get("k")
-	if err != nil || string(e.Value) != "abc" {
-		t.Fatalf("stored entry corrupted by watcher: %q, %v", e.Value, err)
-	}
-	ev2 := <-ch2
-	if string(ev2.Value) != "abc" {
-		t.Fatalf("sibling watcher saw mutation: %q", ev2.Value)
-	}
-}
-
-func TestWatchRangeTerminatesAfterCancel(t *testing.T) {
-	// A consumer ranging over the watch channel must unblock when the watch
-	// is cancelled. Before the fix, cancel only removed the channel from
-	// the registry and the range below blocked forever.
-	s := New()
-	ch, cancel := s.Watch("k")
-	s.Put("k", []byte("a"))
-	s.Put("k", []byte("b"))
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range ch {
-			n++
-		}
-		done <- n
-	}()
-	// Let the consumer drain, then cancel; the range loop must exit.
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case n := <-done:
-		if n != 2 {
-			t.Fatalf("consumer saw %d events, want 2", n)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("range over cancelled watch never terminated")
-	}
-	// Cancel is idempotent and post-cancel puts don't panic.
-	cancel()
-	s.Put("k", []byte("c"))
-}
-
-func TestWatchSlowConsumerKeepsNewest(t *testing.T) {
-	s := New()
-	ch, cancel := s.Watch("k")
-	defer cancel()
-	// Overflow the 16-slot buffer.
-	for i := 0; i < 40; i++ {
-		s.Put("k", []byte{byte(i)})
-	}
-	// Drain until the final event shows up (delivery is asynchronous); it
-	// must never be conflated away.
-	var last Event
-	deadline := time.After(2 * time.Second)
-	for len(last.Value) != 1 || last.Value[0] != 39 {
-		select {
-		case ev := <-ch:
-			last = ev
-		case <-deadline:
-			t.Fatalf("newest event lost, last = %+v", last)
-		}
-	}
-}
-
-func TestWatchOnlyMatchingKey(t *testing.T) {
-	s := New()
-	ch, cancel := s.Watch("a")
-	defer cancel()
-	s.Put("b", []byte("x"))
-	select {
-	case ev := <-ch:
-		t.Fatalf("event for wrong key: %+v", ev)
-	case <-time.After(20 * time.Millisecond):
-	}
-}
-
 func TestKeys(t *testing.T) {
 	s := New()
 	s.Put("a", nil)
@@ -247,6 +103,35 @@ func TestKeys(t *testing.T) {
 	keys := s.Keys()
 	if len(keys) != 2 {
 		t.Fatalf("Keys = %v", keys)
+	}
+}
+
+func TestKeysSorted(t *testing.T) {
+	s := New()
+	s.Put("b", nil)
+	s.Put("a", nil)
+	s.Put("c", nil)
+	keys := s.Keys()
+	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
+		t.Fatalf("Keys = %v", keys)
+	}
+}
+
+func TestGetInto(t *testing.T) {
+	s := New()
+	dst := make([]byte, 0, 16)
+	if _, _, err := s.GetInto("missing", dst); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetInto missing = %v", err)
+	}
+	v := s.Put("k", []byte("abc"))
+	out, ver, err := s.GetInto("k", dst)
+	if err != nil || string(out) != "abc" || ver != v {
+		t.Fatalf("GetInto = %q, %d, %v", out, ver, err)
+	}
+	// Appends after existing content.
+	out2, _, err := s.GetInto("k", []byte("x"))
+	if err != nil || string(out2) != "xabc" {
+		t.Fatalf("GetInto append = %q, %v", out2, err)
 	}
 }
 

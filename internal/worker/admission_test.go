@@ -527,7 +527,7 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 		restore: func() {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			hdrB, state, _, err := ckpt.Restore(f.ckptName)
+			hdrB, state, _, err := ckpt.Restore(ckptName)
 			if err != nil {
 				t.Fatal(err)
 			}

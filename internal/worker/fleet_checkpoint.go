@@ -61,7 +61,7 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 	// The store reads the lead replica's arena in place: the agent is idle
 	// between commands while f.mu is held, so nothing writes it.
 	state := src.rep.State()
-	stats, err := f.cfg.Checkpoints.Save(f.ckptName, buf.Bytes(), state)
+	stats, err := f.cfg.Checkpoints.Save(ckptName, buf.Bytes(), state)
 	if err != nil {
 		// A failed save (e.g. a crash injected between chunk writes and
 		// the manifest commit) leaves the previous chain — and our warm
@@ -101,9 +101,9 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 		stats checkpoint.RestoreStats
 	)
 	if state != nil {
-		_, stats, err = ds.RestoreFrom(f.ckptName, state, f.ckptSeq)
+		_, stats, err = ds.RestoreFrom(ckptName, state, f.ckptSeq)
 	} else {
-		_, state, stats, err = ds.Restore(f.ckptName)
+		_, state, stats, err = ds.Restore(ckptName)
 	}
 	if err != nil {
 		return checkpoint.RestoreStats{}, err
@@ -148,9 +148,9 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 // must be a valid one, which it returns built.
 func (f *Fleet) checkpointHeaderLocked() (fleetCkptHeader, *scaling.LRSchedule, error) {
 	var h fleetCkptHeader
-	chain := f.cfg.Checkpoints.Chain(f.ckptName)
+	chain := f.cfg.Checkpoints.Chain(ckptName)
 	if len(chain) == 0 {
-		return h, nil, fmt.Errorf("%w: %q", checkpoint.ErrNoCheckpoint, f.ckptName)
+		return h, nil, fmt.Errorf("%w: %q", checkpoint.ErrNoCheckpoint, ckptName)
 	}
 	last := chain[len(chain)-1]
 	if err := gob.NewDecoder(bytes.NewReader(last.Header)).Decode(&h); err != nil {

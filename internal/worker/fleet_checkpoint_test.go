@@ -276,7 +276,7 @@ func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.Save(f.ckptName, buf.Bytes(), tc.state); err != nil {
+		if _, err := ds.Save(ckptName, buf.Bytes(), tc.state); err != nil {
 			t.Fatal(err)
 		}
 		before := readFleetState(f)

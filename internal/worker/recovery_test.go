@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/elan-sys/elan/internal/coord"
-	"github.com/elan-sys/elan/internal/store"
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
@@ -96,7 +95,6 @@ func TestCrashedWorkerRejoins(t *testing.T) {
 
 func TestAMCrashRecoveryFencesOldIncarnation(t *testing.T) {
 	guardGoroutines(t)
-	st := store.New()
 	reg := telemetry.NewRegistry()
 	f, err := NewFleet(FleetConfig{
 		Dataset:    dataset(t, 1024),
@@ -106,7 +104,6 @@ func TestAMCrashRecoveryFencesOldIncarnation(t *testing.T) {
 		LR:         0.05,
 		Momentum:   0.9,
 		Seed:       21,
-		Store:      st,
 		Metrics:    reg,
 	})
 	if err != nil {

@@ -42,13 +42,14 @@ import (
 	"github.com/elan-sys/elan/internal/transport"
 )
 
-// Liveness-monitoring defaults (overridable via FleetConfig).
 const (
-	// DefaultHeartbeatTTL is how long an agent may go without completing
-	// a step before the monitor reports it dead.
-	DefaultHeartbeatTTL = 500 * time.Millisecond
-	// DefaultMonitorInterval is how often the liveness monitor checks.
-	DefaultMonitorInterval = 50 * time.Millisecond
+	// heartbeatTTL is how long an agent may go without completing a step
+	// before the liveness monitor reports it dead.
+	heartbeatTTL = 500 * time.Millisecond
+	// monitorInterval is how often the liveness monitor checks.
+	monitorInterval = 50 * time.Millisecond
+	// ckptName is the manifest-chain name the fleet checkpoints under.
+	ckptName = "fleet"
 )
 
 // command is one mailbox message to an agent.
@@ -323,10 +324,6 @@ type FleetConfig struct {
 	// nil (tests inject lossy buses). A fleet-created bus is closed by
 	// Close; an injected one is left to its owner.
 	Bus *transport.Bus
-	// Store persists the AM state machine; nil creates a private store.
-	// Injecting one lets tests (and the chaos harness) inspect the
-	// persisted state and drive CAS-fenced AM recovery.
-	Store *store.Store
 	// Checkpoints, when non-nil, is the delta checkpoint store the fleet
 	// saves training state into (SaveCheckpoint) and recovers from after
 	// a crash (RestoreCheckpoint). The fleet keeps the last committed
@@ -334,17 +331,10 @@ type FleetConfig struct {
 	// only the chunks that changed since — O(delta), not O(model). Nil
 	// disables checkpointing.
 	Checkpoints *checkpoint.DeltaStore
-	// CheckpointName is the manifest-chain name used in Checkpoints;
-	// empty defaults to "fleet".
-	CheckpointName string
 	// Clock is the time source for liveness monitoring; nil selects the
 	// wall clock. When the fleet creates its own bus the bus shares this
 	// clock.
 	Clock clock.Clock
-	// HeartbeatTTL and MonitorInterval tune the liveness monitor started
-	// by Start; zero values select the defaults.
-	HeartbeatTTL    time.Duration
-	MonitorInterval time.Duration
 	// Tracer records fleet lifecycle, per-step and adjustment spans; nil
 	// disables tracing at zero cost. A fleet-created bus shares it.
 	Tracer telemetry.Tracer
@@ -434,7 +424,6 @@ type Fleet struct {
 	// Delta checkpointing: ckptState is the state vector exactly as
 	// committed at manifest ckptSeq — the warm base a post-crash restore
 	// applies the manifest-chain tail onto.
-	ckptName  string
 	ckptState []float64
 	ckptSeq   int64
 
@@ -491,12 +480,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall{}
 	}
-	if cfg.HeartbeatTTL <= 0 {
-		cfg.HeartbeatTTL = DefaultHeartbeatTTL
-	}
-	if cfg.MonitorInterval <= 0 {
-		cfg.MonitorInterval = DefaultMonitorInterval
-	}
 	ownsBus := cfg.Bus == nil
 	if ownsBus {
 		busCfg := transport.DefaultBusConfig()
@@ -505,14 +488,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		busCfg.Metrics = cfg.Metrics
 		cfg.Bus = transport.NewBus(busCfg)
 	}
-	if cfg.Store == nil {
-		cfg.Store = store.New()
-	}
-	if cfg.CheckpointName == "" {
-		cfg.CheckpointName = "fleet"
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	am, err := coord.NewAM("fleet", cfg.Store)
+	st := store.New()
+	am, err := coord.NewAM("fleet", st)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -549,14 +527,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg:            cfg,
 		clk:            cfg.Clock,
 		loader:         loader,
-		store:          cfg.Store,
+		store:          st,
 		am:             am,
 		amSvc:          amSvc,
 		coordinator:    coordinator,
 		sched:          sched,
 		spawned:        make(map[string]*joiner),
 		lrSched:        lrSched,
-		ckptName:       cfg.CheckpointName,
 		ctx:            ctx,
 		cancel:         cancel,
 		ownsBus:        ownsBus,
@@ -598,7 +575,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 // Start ties the fleet's lifetime to ctx — when ctx is cancelled the fleet
 // closes — and launches the liveness monitor: agents heartbeat on every
-// completed step, and agents whose beats lapse past HeartbeatTTL are
+// completed step, and agents whose beats lapse past heartbeatTTL are
 // recorded (DeadWorkers) for the scheduler to replace, the failure-
 // mitigation loop of Section VII. Start may be called at most once.
 func (f *Fleet) Start(ctx context.Context) error {
@@ -627,14 +604,14 @@ func (f *Fleet) Start(ctx context.Context) error {
 // clock. It exits when Close cancels the fleet context.
 func (f *Fleet) monitorLoop() {
 	defer f.wg.Done()
-	tick := f.clk.NewTicker(f.cfg.MonitorInterval)
+	tick := f.clk.NewTicker(monitorInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-f.ctx.Done():
 			return
 		case <-tick.C():
-			expired := f.hb.Expired(f.cfg.HeartbeatTTL)
+			expired := f.hb.Expired(heartbeatTTL)
 			if len(expired) == 0 {
 				continue
 			}

@@ -251,19 +251,17 @@ func TestFleetStartLifecycle(t *testing.T) {
 func TestFleetLivenessDetectsSilentWorkers(t *testing.T) {
 	guardGoroutines(t)
 	// Everything — bus, heartbeats, monitor ticker — runs on one sim clock;
-	// a 200ms TTL expires in microseconds of wall time.
+	// the default 500ms TTL expires in microseconds of wall time.
 	sim := clock.NewSim(time.Unix(0, 0))
 	t.Cleanup(sim.AutoAdvance(0))
 	f, err := NewFleet(FleetConfig{
-		Dataset:         dataset(t, 256),
-		LayerSizes:      []int{4, 8, 3},
-		Workers:         2,
-		TotalBatch:      16,
-		LR:              0.05,
-		Seed:            21,
-		Clock:           sim,
-		HeartbeatTTL:    200 * time.Millisecond,
-		MonitorInterval: 50 * time.Millisecond,
+		Dataset:    dataset(t, 256),
+		LayerSizes: []int{4, 8, 3},
+		Workers:    2,
+		TotalBatch: 16,
+		LR:         0.05,
+		Seed:       21,
+		Clock:      sim,
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
