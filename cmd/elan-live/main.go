@@ -207,18 +207,17 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	// Telemetry is optional: when no flag asks for it the tracer stays
-	// Nop and the instruments stay nil, so the training path is unchanged.
+	// Telemetry is optional: when no flag asks for it the recorder and the
+	// instruments stay nil, which trace and count nothing, so the training
+	// path is unchanged.
 	var (
 		rec    *elan.TraceRecorder
 		reg    *elan.MetricsRegistry
-		tracer elan.Tracer
 		flight *elan.FlightRecorder
 	)
 	if opts.traceOut != "" || opts.spansOut != "" || opts.debugAddr != "" || opts.flightrec > 0 {
 		rec = elan.NewTraceRecorder(nil, 0)
 		reg = elan.NewMetricsRegistry()
-		tracer = rec
 	}
 	if opts.flightrec > 0 {
 		flight = elan.NewFlightRecorder(opts.flightrec)
@@ -249,7 +248,7 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 		LR:         opts.lr,
 		Momentum:   0.9,
 		Seed:       opts.seed,
-		Tracer:     tracer,
+		Tracer:     rec,
 		Metrics:    reg,
 	})
 	if err != nil {

@@ -37,7 +37,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc1, err := coord.NewTCPService(am1, "127.0.0.1:0", nil, nil)
+	svc1, err := coord.NewTCPService(am1, "127.0.0.1:0", nil)
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc2, err := coord.NewTCPService(am2, addr, nil, nil)
+	svc2, err := coord.NewTCPService(am2, addr, nil)
 	if err != nil {
 		return err
 	}

@@ -197,7 +197,7 @@ func (h *Harness) applyDue() {
 			h.inj.Heal()
 			h.log("net.heal")
 		case DropBurst:
-			h.inj.SetDropRate(0)
+			h.inj.SetLoss(0)
 			h.log("net.drop.end")
 		case SlowLink:
 			h.inj.SetSlow(w.fault.Target, 0)
@@ -247,7 +247,7 @@ func (h *Harness) apply(f Fault) {
 		h.windows = append(h.windows, window{expire: f.Iter + f.Dur, fault: f})
 	case DropBurst:
 		h.log(fmt.Sprintf("net.drop rate=%.3f dur=%d", f.Rate, f.Dur))
-		h.inj.SetDropRate(f.Rate)
+		h.inj.SetLoss(f.Rate)
 		h.windows = append(h.windows, window{expire: f.Iter + f.Dur, fault: f})
 	case SlowLink:
 		h.log(fmt.Sprintf("net.slow target=%s delay=%s dur=%d", f.Target, f.Delay, f.Dur))

@@ -13,11 +13,11 @@ import (
 // with Bus.SetFaultHook(inj.Fate) and reconfigured by the harness as timed
 // fault windows open and close. Safe for concurrent use.
 type Injector struct {
-	mu       sync.Mutex
-	rng      *rand.Rand // drop-burst decisions; seeded for reproducible drops
-	cut      map[string]bool
-	dropRate float64
-	slow     map[string]time.Duration
+	mu   sync.Mutex
+	rng  *rand.Rand // drop-burst decisions; seeded for reproducible drops
+	cut  map[string]bool
+	loss float64
+	slow map[string]time.Duration
 }
 
 // NewInjector creates an injector whose probabilistic decisions are driven
@@ -39,7 +39,7 @@ func (in *Injector) Fate(m transport.Message) transport.Fate {
 	if in.cut[linkKey(m.From, m.To)] {
 		return transport.Fate{Drop: true}
 	}
-	if in.dropRate > 0 && in.rng.Float64() < in.dropRate {
+	if in.loss > 0 && in.rng.Float64() < in.loss {
 		return transport.Fate{Drop: true}
 	}
 	var d time.Duration
@@ -71,11 +71,11 @@ func (in *Injector) Heal() {
 	in.cut = make(map[string]bool)
 }
 
-// SetDropRate sets the probability that any message is dropped (0 disables).
-func (in *Injector) SetDropRate(r float64) {
+// SetLoss sets the probability that any message is lost (0 disables).
+func (in *Injector) SetLoss(r float64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.dropRate = r
+	in.loss = r
 }
 
 // SetSlow adds d of latency to every message to or from name (0 clears).

@@ -3,10 +3,11 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
-	"time"
 
-	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/store"
 	"github.com/elan-sys/elan/internal/transport"
 )
@@ -24,7 +25,8 @@ func FuzzServiceHandle(f *testing.F) {
 		}
 		return b
 	}
-	// The messages of TestOneServiceBothWires.
+	// The messages of TestOneServiceBothWires, and a malformed request and
+	// report.
 	for _, m := range []struct {
 		kind    string
 		payload []byte
@@ -35,8 +37,8 @@ func FuzzServiceHandle(f *testing.F) {
 		{KindWorkerReport, seed(ReportMsg{Worker: "w9"})},
 		{KindAMState, nil},
 		{KindCoordinate, nil},
-		{KindHeartbeats, seed(BeatsMsg{Workers: []string{"w1"}})},
 		{KindAdjustRequest, []byte(`{"kind":`)},
+		{KindWorkerReport, []byte(`{"worker":`)},
 	} {
 		for start := uint8(0); start < 3; start++ {
 			f.Add(start, m.kind, m.payload)
@@ -45,10 +47,6 @@ func FuzzServiceHandle(f *testing.F) {
 
 	bus := transport.NewBus(transport.DefaultBusConfig())
 	f.Cleanup(bus.Close)
-	hb, err := NewHeartbeatMonitor(clock.NewSim(time.Time{}))
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, start uint8, kind string, payload []byte) {
 		am, err := NewAM("fuzz", store.New())
 		if err != nil {
@@ -64,7 +62,7 @@ func FuzzServiceHandle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc, err := NewServiceWith(context.Background(), am, bus, "am", nil, hb)
+		svc, err := NewServiceWith(context.Background(), am, bus, "am", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,6 +86,41 @@ func FuzzServiceHandle(f *testing.F) {
 		if err != nil && (am.State() != state || am.Seq() != seq) {
 			t.Fatalf("refused %s %q (%v) moved the AM from %v/%d to %v/%d",
 				kind, payload, err, state, seq, am.State(), am.Seq())
+		}
+	})
+}
+
+// FuzzRestoreSentinel feeds restoreSentinel a handler error off the TCP
+// wire with an arbitrary code and message, and errors that no handler
+// returned. A handler error must keep its message and gain the identity of
+// exactly the AM sentinels its message starts with; any other error must
+// come back as it went in.
+func FuzzRestoreSentinel(f *testing.F) {
+	for _, s := range wireSentinels {
+		f.Add(uint8(transport.CodeApp), s.Error())
+		f.Add(uint8(transport.CodeApp), s.Error()+": w9 (pending [w5 w6])")
+		f.Add(uint8(transport.CodeStaleIncarnation), "  "+s.Error())
+	}
+	f.Add(uint8(transport.CodeHandlerPanic), "transport: handler panicked: worker.coord boom")
+	f.Add(uint8(200), "")
+	f.Fuzz(func(t *testing.T, code uint8, msg string) {
+		he := &transport.HandlerError{Code: transport.ErrorCode(code), Msg: msg}
+		out := restoreSentinel(he)
+		if out.Error() != msg {
+			t.Fatalf("message %q came back as %q", msg, out.Error())
+		}
+		if !transport.IsHandlerError(out) || transport.Retryable(out) != transport.Retryable(he) {
+			t.Fatalf("%q lost its place in the retry contract", msg)
+		}
+		for _, s := range wireSentinels {
+			if got, want := errors.Is(out, s), strings.HasPrefix(msg, s.Error()); got != want {
+				t.Fatalf("errors.Is(%q, %v) = %v, want %v", msg, s, got, want)
+			}
+		}
+		for _, in := range []error{errors.New(msg), fmt.Errorf("%w: %s", transport.ErrCallTimeout, msg)} {
+			if out := restoreSentinel(in); out != in {
+				t.Fatalf("non-handler error %v came back as %#v", in, out)
+			}
 		}
 	})
 }

@@ -18,13 +18,12 @@ import (
 //	adjust.request   scheduler -> AM    RequestAdjustment
 //	worker.report    new worker -> AM   ReportReady
 //	worker.coord     existing -> AM     Coordinate
-//	worker.beats     workers -> AM      batched heartbeats
 //	am.state         anyone -> AM       State/Seq inspection
 //
 // One Service answers them and one Client sends them, on either wire: the
 // in-process bus, with resend and dedup, for the job's own workers; or
-// pooled TCP, with retry on transport errors, for a scheduler outside the
-// job's process — the deployment the paper describes. Pool invalidation
+// TCP, with retry on transport errors, for a scheduler outside the job's
+// process — the deployment the paper describes. Dropping a dead connection
 // plus the retry backoff makes an AM restart on the same address
 // transparent (the ZeroMQ property), and with the AM state machine's
 // persistence a restarted AM resumes where it stopped.
@@ -69,7 +68,6 @@ type StateReplyMsg struct {
 type Service struct {
 	am *AM
 	tr telemetry.Tracer
-	hb *HeartbeatMonitor
 	// Addr is the bound address of a TCP service; empty on the bus.
 	Addr string
 	// close shuts the endpoint or server this service opened; stop
@@ -78,11 +76,11 @@ type Service struct {
 	stop  func() bool
 }
 
-func newService(am *AM, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
+func newService(am *AM, tr telemetry.Tracer) (*Service, error) {
 	if am == nil {
 		return nil, fmt.Errorf("coord: nil AM")
 	}
-	return &Service{am: am, tr: telemetry.OrNop(tr), hb: hb}, nil
+	return &Service{am: am, tr: telemetry.OrNop(tr)}, nil
 }
 
 // NewService registers the AM at name on the bus and starts serving. The
@@ -95,17 +93,17 @@ func NewService(am *AM, bus *transport.Bus, name string) (*Service, error) {
 // is cancelled the service deregisters from the bus, so an AM torn down by
 // its job's context stops answering automatically.
 func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string) (*Service, error) {
-	return NewServiceWith(ctx, am, bus, name, nil, nil)
+	return NewServiceWith(ctx, am, bus, name, nil)
 }
 
 // NewServiceWith is NewServiceCtx for a service that opens a span on tr per
 // AM operation (a remote child of the transport handler's span, which itself
-// chains to the caller) and fans batched worker.beats frames into hb; either
-// may be nil. Both are arguments and not setters because registering the
-// endpoint is what starts serving: a worker may be retrying a call against
-// name already, and the first message handled must find the service whole.
-func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
-	s, err := newService(am, tr, hb)
+// chains to the caller); tr may be nil. It is an argument and not a setter
+// because registering the endpoint is what starts serving: a worker may be
+// retrying a call against name already, and the first message handled must
+// find the service whole.
+func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string, tr telemetry.Tracer) (*Service, error) {
+	s, err := newService(am, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -121,12 +119,12 @@ func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string
 }
 
 // NewTCPService serves am on addr ("127.0.0.1:0" for an ephemeral port) to
-// callers in other processes, with tr and hb as in NewServiceWith. The
-// server opens a transport.handle span per request on tr, labeled with the
-// AM's store key, so the AM's spans join the caller's trace as they do on
-// the bus.
-func NewTCPService(am *AM, addr string, tr telemetry.Tracer, hb *HeartbeatMonitor) (*Service, error) {
-	s, err := newService(am, tr, hb)
+// callers in other processes, with tr as in NewServiceWith. The server
+// opens a transport.handle span per request on tr, labeled with the AM's
+// store key, so the AM's spans join the caller's trace as they do on the
+// bus.
+func NewTCPService(am *AM, addr string, tr telemetry.Tracer) (*Service, error) {
+	s, err := newService(am, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +202,6 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 			return nil, err
 		}
 		return json.Marshal(CoordReplyMsg{HasAdjustment: ok, Adjustment: adj})
-	case KindHeartbeats:
-		return handleBeats(s.hb, m.Payload)
 	case KindAMState:
 		return json.Marshal(StateReplyMsg{
 			State:   s.am.State(),
@@ -216,14 +212,6 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		return nil, fmt.Errorf("coord: unknown message kind %q", m.Kind)
 	}
 }
-
-// TCP client call policy: the per-attempt timeout, and the attempt budget
-// whose jittered backoff (up to 10, 20, 40 and 80 ms) rides out an AM
-// restart on the same address.
-const (
-	tcpCallTimeout  = transport.DefaultCallTimeout
-	tcpCallAttempts = 5
-)
 
 // Client is the worker/scheduler side of the AM service, on either wire.
 // Every call runs under the client's parent context, so cancelling it
@@ -256,31 +244,30 @@ func NewClientCtx(ctx context.Context, bus *transport.Bus, name, amName string) 
 	return &Client{ctx: ctx, call: call, close: ep.Close}, nil
 }
 
-// NewTCPClient creates a client for the AM served at addr. Its pooled
-// connections are dialed lazily and carry concurrent calls. A dead
-// connection fails its calls with retryable transport errors, and the
-// retry backoff redials a restarted AM. Errors the AM returned are not
-// retried, so a call executes at most once per Client call, and they keep
-// their identity: errors.Is(err, ErrBusy) holds as it does on the bus.
+// NewTCPClient creates a client for the AM served at addr. Its one
+// connection is dialed lazily and carries concurrent calls. A dead
+// connection fails its calls with retryable transport errors, and
+// CallRetry's backoff redials a restarted AM. Errors the AM returned are
+// not retried, so a call executes at most once per Client call, and they
+// keep their identity: errors.Is(err, ErrBusy) holds as it does on the bus.
 func NewTCPClient(addr string) *Client {
 	pc := transport.NewClient(addr, transport.ClientConfig{})
-	policy := transport.RetryPolicy{Attempts: tcpCallAttempts}
 	call := func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
-		out, err := pc.CallRetry(ctx, kind, payload, tcpCallTimeout, policy)
+		out, err := pc.CallRetry(ctx, kind, payload, transport.DefaultCallTimeout)
 		return out, restoreSentinel(err)
 	}
 	return &Client{ctx: context.Background(), call: call, close: pc.Close}
 }
 
-// Close releases the client's wire — its bus endpoint, or its pooled TCP
-// connections — and in-flight calls fail with transport.ErrClosed. Closing
+// Close releases the client's wire — its bus endpoint, or its TCP
+// connection — and in-flight calls fail with transport.ErrClosed. Closing
 // twice is safe.
 func (c *Client) Close() { c.close() }
 
 // wireSentinels are the AM's errors that callers test with errors.Is. The
 // bus hands them over as Go values; a TCP reply carries only the message,
 // which starts with the sentinel's text.
-var wireSentinels = []error{ErrBusy, ErrFenced, ErrUnknownWorker, ErrNoMonitor}
+var wireSentinels = []error{ErrBusy, ErrFenced, ErrUnknownWorker}
 
 // sentinelError is an AM error off the TCP wire with its sentinel restored.
 type sentinelError struct{ sentinel, err error }
@@ -333,17 +320,6 @@ func (c *Client) ReportReadyCtx(ctx context.Context, worker string) error {
 		return err
 	}
 	_, err = c.call(c.callCtx(ctx), KindWorkerReport, payload)
-	return err
-}
-
-// Beats ships one batched liveness frame covering workers — the wire form
-// BeatBatcher produces. The service fans it into its attached monitor.
-func (c *Client) Beats(workers []string) error {
-	payload, err := json.Marshal(BeatsMsg{Workers: workers})
-	if err != nil {
-		return err
-	}
-	_, err = c.call(c.ctx, KindHeartbeats, payload)
 	return err
 }
 

@@ -3,6 +3,8 @@ package coord
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,11 +77,16 @@ func TestServiceFullAdjustmentOverBus(t *testing.T) {
 
 func TestServiceSurvivesMessageLoss(t *testing.T) {
 	cfg := transport.DefaultBusConfig()
-	cfg.DropRate = 0.3
-	cfg.Seed = 99
 	cfg.AckTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 60
 	bus, am := setupService(t, cfg)
+	rng := rand.New(rand.NewSource(99))
+	var mu sync.Mutex
+	bus.SetFaultHook(func(transport.Message) transport.Fate {
+		mu.Lock()
+		defer mu.Unlock()
+		return transport.Fate{Drop: rng.Float64() < 0.3}
+	})
 	sched, err := NewClient(bus, "scheduler", "am")
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -149,20 +156,16 @@ func TestServiceUnknownKind(t *testing.T) {
 }
 
 // TestServiceCreatedUnderTraffic is the regression test for a race
-// Fleet.RecoverAM had: a joiner's bring-up goroutine retries ReportReady (and
-// a worker its beats) against the AM's bus name while the successor service
-// is being created, so the handler can run the moment the endpoint exists.
-// The service used to get its tracer and monitor from setters after that
-// moment. Now the first message it handles finds both, every round, and
-// under -race nothing the handler reads is written after registration.
+// Fleet.RecoverAM had: a joiner's bring-up goroutine retries ReportReady
+// against the AM's bus name while the successor service is being created,
+// so the handler can run the moment the endpoint exists. The service used
+// to get its tracer from a setter after that moment. Now the first message
+// it handles finds it, every round, and under -race nothing the handler
+// reads is written after registration.
 func TestServiceCreatedUnderTraffic(t *testing.T) {
 	bus := transport.NewBus(transport.DefaultBusConfig())
 	defer bus.Close()
 	joiner, err := NewClient(bus, "joiner", "am")
-	if err != nil {
-		t.Fatal(err)
-	}
-	beater, err := NewClient(bus, "beater", "am")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,35 +177,26 @@ func TestServiceCreatedUnderTraffic(t *testing.T) {
 		if err := am.RequestAdjustment(ScaleOut, []string{"w9"}, nil); err != nil {
 			t.Fatal(err)
 		}
-		hb, err := NewHeartbeatMonitor(clock.Wall{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		rec := telemetry.NewRecorder(clock.Wall{}, 64)
-		// Both callers are retrying before the service exists and stop at the
-		// first reply a handler gives them (or when the bus closes).
-		retrying := make(chan struct{}, 2)
-		errs := make(chan error, 2)
-		hammer := func(call func() error) {
-			err := call()
+		// The joiner is retrying before the service exists and stops at the
+		// first reply a handler gives it (or when the bus closes).
+		retrying := make(chan struct{}, 1)
+		errs := make(chan error, 1)
+		go func() {
+			err := joiner.ReportReady("w9")
 			retrying <- struct{}{}
 			for errors.Is(err, transport.ErrNoEndpoint) {
-				err = call()
+				err = joiner.ReportReady("w9")
 			}
 			errs <- err
-		}
-		go hammer(func() error { return joiner.ReportReady("w9") })
-		go hammer(func() error { return beater.Beats([]string{"w1"}) })
+		}()
 		<-retrying
-		<-retrying
-		svc, err := NewServiceWith(context.Background(), am, bus, "am", rec, hb)
+		svc, err := NewServiceWith(context.Background(), am, bus, "am", rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2; i++ {
-			if err := <-errs; err != nil {
-				t.Fatalf("round %d: first call against the new service: %v", round, err)
-			}
+		if err := <-errs; err != nil {
+			t.Fatalf("round %d: first call against the new service: %v", round, err)
 		}
 		svc.Close()
 		traced := 0
@@ -213,9 +207,6 @@ func TestServiceCreatedUnderTraffic(t *testing.T) {
 		}
 		if traced != 1 {
 			t.Fatalf("round %d: %d coord.report_ready spans, want the first report traced", round, traced)
-		}
-		if got := hb.Tracked(); len(got) != 1 || got[0] != "w1" {
-			t.Fatalf("round %d: monitor tracks %v, want the first beat", round, got)
 		}
 	}
 }

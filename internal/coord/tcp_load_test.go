@@ -12,11 +12,10 @@ import (
 )
 
 // TestTCPServiceLoadSmoke is the coord half of the CI load-smoke job: many
-// concurrent TCP clients (each holding its own pooled connections) drive
-// the full service API — reports, state reads, coordination polls —
-// against one AM over real TCP. Every call must succeed, the AM must end
-// in a consistent state, and the pooled clients must reclaim all their
-// goroutines on Close.
+// concurrent TCP clients (each holding its own connection) drive the full
+// service API — reports, state reads, coordination polls — against one AM
+// over real TCP. Every call must succeed, the AM must end in a consistent
+// state, and the clients must reclaim all their goroutines on Close.
 func TestTCPServiceLoadSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
 	clients, callsPer := 128, 10
@@ -28,7 +27,7 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	svc, err := NewTCPService(am, "127.0.0.1:0", nil, nil)
+	svc, err := NewTCPService(am, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("NewTCPService: %v", err)
 	}
@@ -97,9 +96,9 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 		t.Fatalf("adjustment observed by %d pollers, want exactly 1", got)
 	}
 
-	// Leak guard: all per-client pools must be gone once their Close ran.
-	// The admin client is closed here rather than by its defer so its
-	// pooled connection (one client reader + one server conn reader) is
+	// Leak guard: all per-client connections must be gone once their Close
+	// ran. The admin client is closed here rather than by its defer so its
+	// connection (one client reader + one server conn reader) is
 	// out of the count; Close is idempotent.
 	admin.Close()
 	deadline := time.Now().Add(5 * time.Second)

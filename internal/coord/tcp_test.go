@@ -13,7 +13,7 @@ func TestTCPServiceFullAdjustment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	svc, err := NewTCPService(am, "127.0.0.1:0", nil, nil)
+	svc, err := NewTCPService(am, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("NewTCPService: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestTCPServiceErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	svc, err := NewTCPService(am, "127.0.0.1:0", nil, nil)
+	svc, err := NewTCPService(am, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("NewTCPService: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestTCPServiceSurvivesAMRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	svc1, err := NewTCPService(am1, "127.0.0.1:0", nil, nil)
+	svc1, err := NewTCPService(am1, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("NewTCPService: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestTCPServiceSurvivesAMRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	svc2, err := NewTCPService(am2, addr, nil, nil)
+	svc2, err := NewTCPService(am2, addr, nil)
 	if err != nil {
 		t.Fatalf("re-serve: %v", err)
 	}

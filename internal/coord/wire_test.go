@@ -16,19 +16,19 @@ import (
 	"github.com/elan-sys/elan/internal/transport"
 )
 
-// serveFunc serves am on one wire, with tr and hb attached, and returns a
-// client calling it. Everything it opens is closed at test cleanup.
-type serveFunc func(t *testing.T, am *AM, tr telemetry.Tracer, hb *HeartbeatMonitor) *Client
+// serveFunc serves am on one wire, with tr attached, and returns a client
+// calling it. Everything it opens is closed at test cleanup.
+type serveFunc func(t *testing.T, am *AM, tr telemetry.Tracer) *Client
 
 var wires = []struct {
 	name  string
 	serve serveFunc
 }{
-	{"bus", func(t *testing.T, am *AM, tr telemetry.Tracer, hb *HeartbeatMonitor) *Client {
+	{"bus", func(t *testing.T, am *AM, tr telemetry.Tracer) *Client {
 		t.Helper()
 		bus := transport.NewBus(transport.BusConfig{Tracer: tr})
 		t.Cleanup(bus.Close)
-		svc, err := NewServiceWith(context.Background(), am, bus, "am", tr, hb)
+		svc, err := NewServiceWith(context.Background(), am, bus, "am", tr)
 		if err != nil {
 			t.Fatalf("NewServiceWith: %v", err)
 		}
@@ -39,9 +39,9 @@ var wires = []struct {
 		}
 		return cl
 	}},
-	{"tcp", func(t *testing.T, am *AM, tr telemetry.Tracer, hb *HeartbeatMonitor) *Client {
+	{"tcp", func(t *testing.T, am *AM, tr telemetry.Tracer) *Client {
 		t.Helper()
-		svc, err := NewTCPService(am, "127.0.0.1:0", tr, hb)
+		svc, err := NewTCPService(am, "127.0.0.1:0", tr)
 		if err != nil {
 			t.Fatalf("NewTCPService: %v", err)
 		}
@@ -72,7 +72,7 @@ func runWireScript(t *testing.T, serve serveFunc) []string {
 	note := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
 
 	// A whole adjustment: request, two reports, a state read, coordination.
-	cl := serve(t, newWireAM(t, "script", store.New()), nil, nil)
+	cl := serve(t, newWireAM(t, "script", store.New()), nil)
 	note("request: %v", cl.RequestAdjustment(ScaleOut, []string{"w5", "w6"}, nil))
 	note("report w5: %v", cl.ReportReady("w5"))
 	note("report w6: %v", cl.ReportReady("w6"))
@@ -91,14 +91,14 @@ func runWireScript(t *testing.T, serve serveFunc) []string {
 		run      func(t *testing.T) error
 	}{
 		{"busy", ErrBusy, func(t *testing.T) error {
-			cl := serve(t, newWireAM(t, "busy", store.New()), nil, nil)
+			cl := serve(t, newWireAM(t, "busy", store.New()), nil)
 			if err := cl.RequestAdjustment(ScaleOut, []string{"w5"}, nil); err != nil {
 				t.Fatalf("first request: %v", err)
 			}
 			return cl.RequestAdjustment(ScaleOut, []string{"w6"}, nil)
 		}},
 		{"unknown worker", ErrUnknownWorker, func(t *testing.T) error {
-			cl := serve(t, newWireAM(t, "stranger", store.New()), nil, nil)
+			cl := serve(t, newWireAM(t, "stranger", store.New()), nil)
 			if err := cl.RequestAdjustment(ScaleOut, []string{"w5"}, nil); err != nil {
 				t.Fatalf("request: %v", err)
 			}
@@ -106,15 +106,11 @@ func runWireScript(t *testing.T, serve serveFunc) []string {
 		}},
 		{"fenced", ErrFenced, func(t *testing.T) error {
 			st := store.New()
-			cl := serve(t, newWireAM(t, "fenced", st), nil, nil)
+			cl := serve(t, newWireAM(t, "fenced", st), nil)
 			if _, err := Recover("fenced", st); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 			return cl.RequestAdjustment(ScaleIn, nil, []string{"w1"})
-		}},
-		{"no monitor", ErrNoMonitor, func(t *testing.T) error {
-			cl := serve(t, newWireAM(t, "bare", store.New()), nil, nil)
-			return cl.Beats([]string{"w1"})
 		}},
 	}
 	for _, c := range sentinels {
@@ -128,7 +124,7 @@ func runWireScript(t *testing.T, serve serveFunc) []string {
 	// A traced coordination: the AM side records the same tree under the
 	// caller's trace.
 	rec := telemetry.NewRecorder(clock.Wall{}, 64)
-	cl = serve(t, newWireAM(t, "traced", store.New()), rec, nil)
+	cl = serve(t, newWireAM(t, "traced", store.New()), rec)
 	root := rec.StartSpan("caller")
 	_, _, err = cl.CoordinateCtx(telemetry.ContextWithSpan(context.Background(), root))
 	root.End()

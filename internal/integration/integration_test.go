@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/elan-sys/elan/internal/chaos"
 	"github.com/elan-sys/elan/internal/checkpoint"
 	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/scaling"
@@ -66,12 +67,13 @@ func steps(t *testing.T, f *worker.Fleet, n int) {
 // stay consistent.
 func TestElasticStackOverLossyBus(t *testing.T) {
 	cfg := transport.DefaultBusConfig()
-	cfg.DropRate = 0.25
-	cfg.Seed = 77
 	cfg.AckTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 100
 	bus := transport.NewBus(cfg)
 	t.Cleanup(bus.Close)
+	inj := chaos.NewInjector(77)
+	inj.SetLoss(0.25)
+	bus.SetFaultHook(inj.Fate)
 	reg := telemetry.NewRegistry()
 	job, err := worker.NewFleet(worker.FleetConfig{
 		Dataset:    dataset(t, 11, 1024),

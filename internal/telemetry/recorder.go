@@ -71,16 +71,24 @@ func (r *Recorder) Instrument(reg *Registry) {
 }
 
 // StartSpan implements Tracer. The span roots a fresh trace (trace ID =
-// span ID).
+// span ID). A nil recorder traces nothing, like Nop: a nil *Recorder in a
+// Tracer field is a non-nil interface that OrNop lets through.
 func (r *Recorder) StartSpan(name string) *Span {
+	if r == nil {
+		return nil
+	}
 	id := r.allocID()
 	return &Span{rec: r, id: id, trace: id, name: name, start: r.clk.Now()}
 }
 
 // StartRemoteSpan implements RemoteTracer: the new span joins the parent's
 // trace as a remote child, inheriting the parent's process label until
-// SetProc overrides it. An invalid parent degrades to a fresh root.
+// SetProc overrides it. An invalid parent degrades to a fresh root. A nil
+// recorder returns nil, as StartSpan does.
 func (r *Recorder) StartRemoteSpan(name string, parent TraceContext) *Span {
+	if r == nil {
+		return nil
+	}
 	id := r.allocID()
 	if !parent.Valid() {
 		return &Span{rec: r, id: id, trace: id, name: name, start: r.clk.Now()}

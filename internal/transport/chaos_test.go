@@ -14,17 +14,17 @@ import (
 )
 
 func TestSlowHandlerResendGetsGenuineReply(t *testing.T) {
-	// Latency 10ms, ack timeout 15ms, handler takes 50ms of virtual time:
+	// Delay 10ms per leg, ack timeout 15ms, handler takes 50ms of virtual time:
 	// the resend reaches the server at t=25ms while the first delivery's
 	// handler is still running. Before the in-flight fix the duplicate
 	// returned the previous (empty) cached reply, and the caller's Call
 	// completed with a stale payload at t=35ms instead of the genuine
 	// result at t=70ms.
 	cfg := DefaultBusConfig()
-	cfg.Latency = 10 * time.Millisecond
 	cfg.AckTimeout = 15 * time.Millisecond
 	cfg.MaxRetries = 20
 	bus, _ := simBus(t, cfg)
+	bus.SetFaultHook(delayHook(10 * time.Millisecond))
 	var calls atomic.Int64
 	if _, err := bus.Endpoint("server", func(m Message) ([]byte, error) {
 		calls.Add(1)

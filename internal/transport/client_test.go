@@ -44,14 +44,14 @@ func TestPooledCallBasic(t *testing.T) {
 	}
 }
 
-// TestPooledCallConcurrentDemux drives many goroutines through a
-// deliberately tiny pool so every connection multiplexes many requests at
-// once, and verifies each caller gets its own reply — the demux-by-ID
-// contract that replaces the old one-request-per-connection lockstep.
+// TestPooledCallConcurrentDemux drives many goroutines through the one
+// connection so it multiplexes many requests at once, and verifies each
+// caller gets its own reply — the demux-by-ID contract that replaces the
+// old one-request-per-connection lockstep.
 func TestPooledCallConcurrentDemux(t *testing.T) {
 	guardGoroutines(t)
 	_, addr := echoServer(t)
-	client := NewClient(addr, ClientConfig{Conns: 2})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	const goroutines, calls = 32, 50
 	var wg sync.WaitGroup
@@ -83,7 +83,7 @@ func TestPooledCallConcurrentDemux(t *testing.T) {
 }
 
 // TestPooledNoHeadOfLineBlocking pins the concurrent-dispatch fix: on a
-// single pooled connection, a fast request issued after a slow one must
+// the client's one connection, a fast request issued after a slow one must
 // complete first. The old serveConn ran handlers inline in the read loop,
 // so the slow handler head-of-line blocked the whole connection.
 func TestPooledNoHeadOfLineBlocking(t *testing.T) {
@@ -103,7 +103,7 @@ func TestPooledNoHeadOfLineBlocking(t *testing.T) {
 	defer srv.Close()
 	// Runs before srv.Close (LIFO), which joins the parked slow handler.
 	defer releaseOnce()
-	client := NewClient(addr, ClientConfig{Conns: 1})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 
 	slowDone := make(chan error, 1)
@@ -135,7 +135,7 @@ func TestPooledNoHeadOfLineBlocking(t *testing.T) {
 
 // TestPooledClientSurvivesServerRestart is the restart-transparency
 // contract: kill the server, bring a new one up on the same address, and
-// CallRetry must ride it out by invalidating the dead pooled connection and
+// CallRetry must ride it out by dropping the dead connection and
 // redialing.
 func TestPooledClientSurvivesServerRestart(t *testing.T) {
 	guardGoroutines(t)
@@ -152,8 +152,7 @@ func TestPooledClientSurvivesServerRestart(t *testing.T) {
 		t.Fatalf("re-listen: %v", err)
 	}
 	defer srv2.Close()
-	out, err := client.CallRetry(context.Background(), "probe", nil, time.Second,
-		RetryPolicy{Attempts: 5, Base: 5 * time.Millisecond})
+	out, err := client.CallRetry(context.Background(), "probe", nil, time.Second)
 	if err != nil {
 		t.Fatalf("CallRetry across restart: %v", err)
 	}
@@ -162,7 +161,7 @@ func TestPooledClientSurvivesServerRestart(t *testing.T) {
 	}
 }
 
-// TestServerCloseResolvesInflightPooledCalls kills the server while pooled
+// TestServerCloseResolvesInflightPooledCalls kills the server while
 // calls are parked in handlers: every in-flight call must resolve with a
 // definite (retryable, transport-level) error — no hangs — and neither
 // side may leak goroutines.
@@ -179,7 +178,7 @@ func TestServerCloseResolvesInflightPooledCalls(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client := NewClient(addr, ClientConfig{Conns: 3})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	const inflight = 8
 	results := make(chan error, inflight)
@@ -213,7 +212,7 @@ func TestServerCloseResolvesInflightPooledCalls(t *testing.T) {
 				t.Fatalf("in-flight call resolved terminal: %v", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("in-flight pooled call never resolved after Server.Close")
+			t.Fatal("in-flight call never resolved after Server.Close")
 		}
 	}
 	close(block)
@@ -244,7 +243,7 @@ func TestClientCloseResolvesInflightCalls(t *testing.T) {
 	// Registered after srv.Close so it runs first: Close joins the parked
 	// handler goroutines, which need block released to return.
 	defer close(block)
-	client := NewClient(addr, ClientConfig{Conns: 2})
+	client := NewClient(addr, ClientConfig{})
 	const inflight = 4
 	results := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
@@ -275,7 +274,7 @@ func TestClientCloseResolvesInflightCalls(t *testing.T) {
 
 // TestPooledCallTimeoutLeavesConnUsable: a timed-out call (slow handler)
 // must not poison the connection — the late reply is discarded and
-// subsequent calls on the same pooled connection succeed.
+// subsequent calls on the same connection succeed.
 func TestPooledCallTimeoutLeavesConnUsable(t *testing.T) {
 	guardGoroutines(t)
 	release := make(chan struct{})
@@ -292,7 +291,7 @@ func TestPooledCallTimeoutLeavesConnUsable(t *testing.T) {
 	defer srv.Close()
 	// Runs before srv.Close (LIFO), which joins the parked slow handler.
 	defer close(release)
-	client := NewClient(addr, ClientConfig{Conns: 1})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	_, err = client.Call(context.Background(), "slow", nil, 50*time.Millisecond)
 	if !errors.Is(err, ErrCallTimeout) {
@@ -308,7 +307,7 @@ func TestPooledCallTimeoutLeavesConnUsable(t *testing.T) {
 }
 
 // TestPooledCallSteadyStateAllocsBounded guards the buffer-reuse contract:
-// once the pool and frame buffers are warm, a round trip performs a small
+// once the connection and frame buffers are warm, a round trip performs a small
 // constant number of allocations (result copy, reply channel, timer —
 // not per-call frame buffers or codec scratch).
 func TestPooledCallSteadyStateAllocsBounded(t *testing.T) {
@@ -316,7 +315,7 @@ func TestPooledCallSteadyStateAllocsBounded(t *testing.T) {
 		t.Skip("allocation counts are perturbed under -race; the CI hotpath job runs this without it")
 	}
 	_, addr := echoServer(t)
-	client := NewClient(addr, ClientConfig{Conns: 1})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	ctx := context.Background()
 	payload := []byte("steady-state-payload")
@@ -325,25 +324,25 @@ func TestPooledCallSteadyStateAllocsBounded(t *testing.T) {
 			t.Fatalf("Call: %v", err)
 		}
 	}
-	call() // warm: dial, reader start, pool buffers
+	call() // warm: dial, reader start, frame buffers
 	avg := testing.AllocsPerRun(200, call)
 	// The bound is deliberately loose enough to tolerate runtime noise but
 	// tight enough that a per-call frame buffer or codec scratch slice
 	// (tens of allocs under gob) fails it.
 	const maxAllocs = 25
 	if avg > maxAllocs {
-		t.Fatalf("pooled call = %.1f allocs/op, want <= %d (buffer reuse broken)", avg, maxAllocs)
+		t.Fatalf("call = %.1f allocs/op, want <= %d (buffer reuse broken)", avg, maxAllocs)
 	}
 }
 
-// BenchmarkPooledCall drives one pooled client over 8 connections against a
-// loopback echo server with 1, 64 and 256 concurrent callers and a 64-byte
-// payload. ns/op is wall time over all callers' calls, so it falls as
-// concurrency fills the connections; allocs/op is process-wide and
+// BenchmarkPooledCall drives one client, over its one connection, against
+// a loopback echo server with 1, 64 and 256 concurrent callers and a
+// 64-byte payload. ns/op is wall time over all callers' calls, so it falls
+// as concurrency fills the connection; allocs/op is process-wide and
 // includes the server side of each call.
 func BenchmarkPooledCall(b *testing.B) {
 	_, addr := echoServer(b)
-	client := NewClient(addr, ClientConfig{Conns: 8})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	ctx := context.Background()
 	payload := make([]byte, 64)
@@ -388,7 +387,7 @@ func TestPooledRequestIDsUniquePerConn(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
-	client := NewClient(addr, ClientConfig{Conns: 1})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	var wg sync.WaitGroup
 	var failed atomic.Bool

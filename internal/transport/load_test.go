@@ -13,9 +13,9 @@ import (
 )
 
 // TestLoadSmokePooledClients is the load harness the CI load-smoke job
-// runs: many concurrent callers multiplexed over a handful of pooled
-// connections, every reply checked for cross-talk, zero tolerated errors,
-// and the goroutine-leak guard proving the pool reclaims everything. In
+// runs: many concurrent callers multiplexed over the client's one
+// connection, every reply checked for cross-talk, zero tolerated errors,
+// and the goroutine-leak guard proving the client reclaims everything. In
 // -short mode (the default `go test ./...` sweep is not short) it still
 // runs but with a smaller fleet.
 func TestLoadSmokePooledClients(t *testing.T) {
@@ -38,7 +38,7 @@ func TestLoadSmokePooledClients(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
-	client := NewClient(addr, ClientConfig{Conns: 8, Metrics: reg})
+	client := NewClient(addr, ClientConfig{Metrics: reg})
 	defer client.Close()
 
 	var wg sync.WaitGroup
@@ -77,16 +77,16 @@ func TestLoadSmokePooledClients(t *testing.T) {
 	if got := reg.Counter("transport_server_requests_total").Value(); got != want {
 		t.Fatalf("transport_server_requests_total = %d, want %d", got, want)
 	}
-	// The whole load must have ridden the fixed pool: at most Conns dials.
-	if got := reg.Counter("transport_client_dials_total").Value(); got > 8 {
-		t.Fatalf("pool dialed %d times for %d calls, want <= 8 (pooling broken)", got, want)
+	// The whole load must have ridden one connection: at most one dial.
+	if got := reg.Counter("transport_client_dials_total").Value(); got > 1 {
+		t.Fatalf("client dialed %d times for %d calls, want <= 1 (connection reuse broken)", got, want)
 	}
 }
 
 // TestLoadSurvivesMidLoadRestart drives sustained CallRetry traffic while
 // the server is torn down and replaced on the same address: every call
 // must eventually succeed (the retry budget absorbs the outage) or fail
-// with a definite retryable error, and afterwards the pool must be fully
+// with a definite retryable error, and afterwards the connection must be
 // re-established against the new incarnation.
 func TestLoadSurvivesMidLoadRestart(t *testing.T) {
 	guardGoroutines(t)
@@ -98,14 +98,13 @@ func TestLoadSurvivesMidLoadRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client := NewClient(addr, ClientConfig{Conns: 4})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 
 	const workers = 32
 	var succeeded, retryableFailed atomic.Int64
 	stopTraffic := make(chan struct{})
 	var wg sync.WaitGroup
-	policy := RetryPolicy{Attempts: 8, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -116,7 +115,7 @@ func TestLoadSurvivesMidLoadRestart(t *testing.T) {
 					return
 				default:
 				}
-				_, err := client.CallRetry(context.Background(), "tick", nil, time.Second, policy)
+				_, err := client.CallRetry(context.Background(), "tick", nil, time.Second)
 				if err == nil {
 					succeeded.Add(1)
 				} else if Retryable(err) {

@@ -2,39 +2,26 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
-	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
 // This file implements the server side of the request/reply protocol over
-// real TCP, and the retry policy callers run against it. The AM's Service
-// API (coord.NewTCPService) is served this way to a scheduler outside the
-// training job's process. The wire format is the length-prefixed binary
-// framing of frame.go/wire.go, and requests multiplex over the long-lived
-// connections of pool.go's Client. A server restart is transparent to
-// callers: a broken connection fails its calls with retryable transport
-// errors, the pool drops it, and Client.CallRetry redials under the
-// policy's backoff — the property the paper gets from ZeroMQ.
+// real TCP. The AM's Service API (coord.NewTCPService) is served this way
+// to a scheduler outside the training job's process. The wire format is
+// the length-prefixed binary framing of frame.go/wire.go, and requests
+// multiplex over the one long-lived connection of client.go's Client. A
+// server restart is transparent to callers: a broken connection fails its
+// calls with retryable transport errors, the client drops it, and
+// Client.CallRetry redials after a backoff — the property the paper gets
+// from ZeroMQ.
 
-// TCP call defaults, named once and referenced everywhere.
-const (
-	// DefaultCallTimeout bounds one pooled call (dial, write and reply)
-	// when neither the call nor the ClientConfig sets a timeout.
-	DefaultCallTimeout = 2 * time.Second
-	// DefaultRetryAttempts is the attempt budget of an unconfigured
-	// RetryPolicy.
-	DefaultRetryAttempts = 3
-	// DefaultRetryBase is the first backoff delay of an unconfigured
-	// RetryPolicy; subsequent delays double up to DefaultRetryMax.
-	DefaultRetryBase = 10 * time.Millisecond
-	// DefaultRetryMax caps the exponential backoff delay.
-	DefaultRetryMax = 500 * time.Millisecond
-)
+// DefaultCallTimeout bounds one call (dial, write and reply) when the call
+// sets no timeout.
+const DefaultCallTimeout = 2 * time.Second
 
 // serverConn is one accepted connection: reads are owned by the serveConn
 // loop, writes come from per-request handler goroutines and serialize on
@@ -215,7 +202,7 @@ func (s *Server) dispatch(msg Message, panics *telemetry.Counter) (out []byte, e
 
 // Close stops accepting and tears down open connections, waiting for the
 // serving goroutines — including in-flight per-request handlers — to exit.
-// In-flight pooled callers observe the torn connection as a retryable
+// In-flight callers observe the torn connection as a retryable
 // transport error, never a hang.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -233,71 +220,4 @@ func (s *Server) Close() {
 		_ = c.conn.Close()
 	}
 	s.wg.Wait()
-}
-
-// RetryPolicy shapes Client.CallRetry's exponential backoff. The zero value
-// is normalized to the package defaults.
-type RetryPolicy struct {
-	// Attempts is the total call budget (first try included).
-	Attempts int
-	// Base is the delay before the second attempt; each later delay
-	// doubles (Base, 2*Base, 4*Base, ...) up to Max.
-	Base time.Duration
-	// Max caps individual delays.
-	Max time.Duration
-	// Seed makes the jitter deterministic. Delays are jittered
-	// multiplicatively in [delay/2, delay) so that retrying peers
-	// de-synchronize without losing reproducibility.
-	Seed int64
-	// Clock is the time source the backoff sleeps on; nil selects the
-	// wall clock. Tests pass a clock.Sim to assert the schedule in
-	// virtual time.
-	Clock clock.Clock
-}
-
-// DefaultRetryPolicy returns the standard reconnect policy.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: DefaultRetryAttempts, Base: DefaultRetryBase, Max: DefaultRetryMax}
-}
-
-// normalized fills zero fields with defaults.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = DefaultRetryAttempts
-	}
-	if p.Base <= 0 {
-		p.Base = DefaultRetryBase
-	}
-	if p.Max <= 0 {
-		p.Max = DefaultRetryMax
-	}
-	if p.Clock == nil {
-		p.Clock = clock.Wall{}
-	}
-	return p
-}
-
-// Schedule returns the exact backoff delays a CallRetry under this policy
-// sleeps between attempts (length Attempts-1). It is exported so tests and
-// capacity planning can assert the schedule without running calls.
-func (p RetryPolicy) Schedule() []time.Duration {
-	p = p.normalized()
-	rng := rand.New(rand.NewSource(p.Seed))
-	delays := make([]time.Duration, 0, p.Attempts-1)
-	backoff := p.Base
-	for i := 1; i < p.Attempts; i++ {
-		d := backoff
-		if d > p.Max {
-			d = p.Max
-		}
-		// Multiplicative jitter in [d/2, d).
-		if half := d / 2; half > 0 {
-			d = half + time.Duration(rng.Int63n(int64(half)))
-		}
-		delays = append(delays, d)
-		if backoff <= p.Max {
-			backoff *= 2
-		}
-	}
-	return delays
 }

@@ -9,20 +9,19 @@
 // incarnation number survives endpoint removal: a crash-restarted sender
 // starts a new incarnation instead of reusing low message IDs that the
 // receiver's dedup state would silently swallow, and a zombie sender from a
-// fenced incarnation is rejected with ErrStaleIncarnation. A configurable
-// drop rate, latency and a pluggable fault hook (partition / drop-burst /
-// straggler injection, see internal/chaos) let tests inject failures.
+// fenced incarnation is rejected with ErrStaleIncarnation. A pluggable
+// fault hook (partition / drop / straggler injection, see internal/chaos)
+// is the one way to inject failures.
 //
-// The TCP Server (rpc.go) and the pooled Client (pool.go) carry the same
-// request/reply protocol across a process boundary, with at-least-once
-// retry semantics instead of dedup.
+// The TCP Server (rpc.go) and the Client (client.go) carry the same
+// request/reply protocol across a process boundary over one multiplexed
+// connection, with at-least-once retry semantics instead of dedup.
 package transport
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -77,10 +76,9 @@ type Message struct {
 // Fate is a fault hook's verdict on one delivery leg.
 type Fate struct {
 	// Drop loses this leg; the sender's resend protocol recovers (or times
-	// out) exactly as for a random drop.
+	// out).
 	Drop bool
-	// Delay adds straggler latency to this leg on top of the bus's
-	// configured Latency.
+	// Delay adds straggler latency to this leg.
 	Delay time.Duration
 }
 
@@ -94,19 +92,14 @@ type FaultHook func(m Message) Fate
 // payload (delivered to the sender's Call, if any).
 type Handler func(Message) ([]byte, error)
 
-// BusConfig controls the simulated fault characteristics of the bus.
+// BusConfig controls the bus's resend protocol, time source and
+// instrumentation. Faults are injected with Bus.SetFaultHook.
 type BusConfig struct {
-	// DropRate is the probability a given delivery attempt is lost.
-	DropRate float64
-	// Latency delays every delivery.
-	Latency time.Duration
 	// AckTimeout is how long a sender waits for an ack before resending.
 	AckTimeout time.Duration
 	// MaxRetries bounds resends before Send fails with ErrTimeout.
 	MaxRetries int
-	// Seed makes drop decisions deterministic.
-	Seed int64
-	// Clock is the time source for ack timeouts and latency injection.
+	// Clock is the time source for ack timeouts and fault-hook delays.
 	// Nil selects the wall clock; tests inject a clock.Sim so the whole
 	// resend protocol runs on instant virtual time.
 	Clock clock.Clock
@@ -141,14 +134,13 @@ type Bus struct {
 	mLatency    *telemetry.Histogram
 
 	// ctx is the bus lifecycle: Close cancels it, aborting in-flight
-	// latency sleeps and pending calls. wg tracks delivery goroutines so
+	// delay sleeps and pending calls. wg tracks delivery goroutines so
 	// Close can prove they all exited.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
-	rng       *rand.Rand
 	endpoints map[string]*Endpoint
 	// incarnations counts endpoint creations per name. Unlike the endpoint
 	// map it survives Remove, so a re-created endpoint (a restarted worker
@@ -165,12 +157,6 @@ func NewBus(cfg BusConfig) *Bus {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
-	if cfg.DropRate < 0 {
-		cfg.DropRate = 0
-	}
-	if cfg.DropRate > 0.95 {
-		cfg.DropRate = 0.95
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall{}
 	}
@@ -186,7 +172,6 @@ func NewBus(cfg BusConfig) *Bus {
 		mLatency:     cfg.Metrics.Histogram("transport_call_seconds"),
 		ctx:          ctx,
 		cancel:       cancel,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		endpoints:    make(map[string]*Endpoint),
 		incarnations: make(map[string]uint64),
 	}
@@ -274,20 +259,6 @@ func (b *Bus) Remove(name string) {
 	if ep, ok := b.lookup(name); ok {
 		ep.Close()
 	}
-}
-
-// shouldDrop decides message loss under the bus lock.
-func (b *Bus) shouldDrop() bool {
-	if b.cfg.DropRate == 0 {
-		return false
-	}
-	b.mu.Lock()
-	drop := b.rng.Float64() < b.cfg.DropRate
-	b.mu.Unlock()
-	if drop {
-		b.mDrops.Inc()
-	}
-	return drop
 }
 
 func (b *Bus) lookup(name string) (*Endpoint, bool) {
@@ -463,14 +434,11 @@ func (e *Endpoint) CallCtx(ctx context.Context, to, kind string, payload []byte)
 	return nil, fmt.Errorf("%w (to=%s kind=%s id=%d)", ErrTimeout, to, kind, msg.ID)
 }
 
-// deliver attempts one delivery of msg (possibly dropped by the configured
-// rate or the fault hook). The receiver's handler runs on a fresh
+// deliver attempts one delivery of msg (possibly dropped or delayed by the
+// fault hook). The receiver's handler runs on a fresh
 // bus-tracked goroutine; its reply is routed back to the pending Call, also
 // subject to drops and fault injection.
 func (e *Endpoint) deliver(msg Message) {
-	if e.bus.shouldDrop() {
-		return
-	}
 	fate := e.bus.fate(msg)
 	if fate.Drop {
 		return
@@ -485,23 +453,20 @@ func (e *Endpoint) deliver(msg Message) {
 	e.bus.wg.Add(1)
 	go func() {
 		defer e.bus.wg.Done()
-		if d := e.bus.cfg.Latency + fate.Delay; d > 0 {
-			if e.bus.clk.Sleep(e.bus.ctx, d) != nil {
+		if fate.Delay > 0 {
+			if e.bus.clk.Sleep(e.bus.ctx, fate.Delay) != nil {
 				return // bus closed mid-flight
 			}
 		}
 		payload, err := dst.handle(msg)
-		if e.bus.shouldDrop() {
-			return // the reply got lost; sender will resend
-		}
 		back := msg
 		back.From, back.To = msg.To, msg.From
 		backFate := e.bus.fate(back)
 		if backFate.Drop {
-			return
+			return // the reply got lost; sender will resend
 		}
-		if d := e.bus.cfg.Latency + backFate.Delay; d > 0 {
-			if e.bus.clk.Sleep(e.bus.ctx, d) != nil {
+		if backFate.Delay > 0 {
+			if e.bus.clk.Sleep(e.bus.ctx, backFate.Delay) != nil {
 				return
 			}
 		}

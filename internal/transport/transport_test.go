@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -49,6 +50,23 @@ func simBus(t *testing.T, cfg BusConfig) (*Bus, *clock.Sim) {
 	bus := NewBus(cfg)
 	t.Cleanup(bus.Close)
 	return bus, sim
+}
+
+// dropHook is a fault hook losing each delivery leg with probability rate,
+// drawn from a generator seeded with seed.
+func dropHook(rate float64, seed int64) FaultHook {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return func(Message) Fate {
+		mu.Lock()
+		defer mu.Unlock()
+		return Fate{Drop: rng.Float64() < rate}
+	}
+}
+
+// delayHook is a fault hook delaying every delivery leg by d.
+func delayHook(d time.Duration) FaultHook {
+	return func(Message) Fate { return Fate{Delay: d} }
 }
 
 func TestCallBasic(t *testing.T) {
@@ -107,11 +125,10 @@ func TestHandlerError(t *testing.T) {
 
 func TestResendSurvivesDrops(t *testing.T) {
 	cfg := DefaultBusConfig()
-	cfg.DropRate = 0.4
-	cfg.Seed = 42
 	cfg.AckTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 50
 	bus, _ := simBus(t, cfg)
+	bus.SetFaultHook(dropHook(0.4, 42))
 	var handled atomic.Int64
 	if _, err := bus.Endpoint("server", func(m Message) ([]byte, error) {
 		handled.Add(1)
@@ -136,12 +153,12 @@ func TestResendSurvivesDrops(t *testing.T) {
 }
 
 func TestResendOnSimLatency(t *testing.T) {
-	// Latency injection also runs on virtual time: a 50 ms round trip
+	// Delay injection also runs on virtual time: a 50 ms round trip
 	// costs no real sleeping.
 	cfg := DefaultBusConfig()
-	cfg.Latency = 25 * time.Millisecond
 	cfg.AckTimeout = 200 * time.Millisecond
 	bus, sim := simBus(t, cfg)
+	bus.SetFaultHook(delayHook(25 * time.Millisecond))
 	if _, err := bus.Endpoint("server", func(m Message) ([]byte, error) {
 		return m.Payload, nil
 	}); err != nil {
@@ -246,11 +263,10 @@ func TestOlderConcurrentCallRefused(t *testing.T) {
 
 func TestTimeoutAfterRetries(t *testing.T) {
 	cfg := DefaultBusConfig()
-	cfg.DropRate = 0.95 // nearly everything lost
-	cfg.Seed = 7
 	cfg.AckTimeout = time.Millisecond
 	cfg.MaxRetries = 3
 	bus, _ := simBus(t, cfg)
+	bus.SetFaultHook(dropHook(0.95, 7)) // nearly everything lost
 	if _, err := bus.Endpoint("server", func(m Message) ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatalf("Endpoint: %v", err)
 	}
@@ -304,10 +320,10 @@ func TestBusCloseAbortsCalls(t *testing.T) {
 	guardGoroutines(t)
 	cfg := DefaultBusConfig()
 	cfg.AckTimeout = time.Hour
-	cfg.Latency = time.Hour // delivery goroutine parks in a latency sleep
 	sim := clock.NewSim(time.Unix(0, 0))
 	cfg.Clock = sim
 	bus := NewBus(cfg)
+	bus.SetFaultHook(delayHook(time.Hour)) // delivery goroutine parks in a delay sleep
 	if _, err := bus.Endpoint("server", func(m Message) ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatalf("Endpoint: %v", err)
 	}
@@ -317,7 +333,7 @@ func TestBusCloseAbortsCalls(t *testing.T) {
 		_, err := client.Call("server", "x", nil)
 		done <- err
 	}()
-	// Close must abort both the latency-sleeping delivery goroutine and
+	// Close must abort both the delay-sleeping delivery goroutine and
 	// the pending call — with no driver ever advancing virtual time.
 	time.Sleep(10 * time.Millisecond) // let the call start
 	bus.Close()
@@ -423,7 +439,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client := NewClient(addr, ClientConfig{Conns: 1})
+	client := NewClient(addr, ClientConfig{})
 	defer client.Close()
 	if _, err := client.Call(ctx, "ping", nil, time.Second); err != nil {
 		t.Fatalf("first Call: %v", err)
@@ -439,8 +455,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 		t.Fatalf("re-Listen: %v", err)
 	}
 	defer srv2.Close()
-	policy := RetryPolicy{Attempts: 5, Base: time.Millisecond, Max: 10 * time.Millisecond}
-	out, err := client.CallRetry(ctx, "ping", nil, 200*time.Millisecond, policy)
+	out, err := client.CallRetry(ctx, "ping", nil, 200*time.Millisecond)
 	if err != nil {
 		t.Fatalf("CallRetry after restart: %v", err)
 	}
@@ -450,15 +465,11 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 }
 
 func TestCallRetryExhausts(t *testing.T) {
-	// Dial a port that nothing listens on; backoff runs on the sim clock
-	// so exhaustion is instant in wall time.
-	sim := clock.NewSim(time.Unix(0, 0))
-	stop := sim.AutoAdvance(0)
-	defer stop()
-	policy := RetryPolicy{Attempts: 2, Base: 50 * time.Millisecond, Clock: sim}
+	// Dial a port that nothing listens on: every attempt fails and the
+	// whole backoff schedule runs.
 	client := NewClient("127.0.0.1:1", ClientConfig{})
 	defer client.Close()
-	if _, err := client.CallRetry(context.Background(), "x", nil, 50*time.Millisecond, policy); err == nil {
+	if _, err := client.CallRetry(context.Background(), "x", nil, 50*time.Millisecond); err == nil {
 		t.Fatal("CallRetry to dead address succeeded")
 	}
 }

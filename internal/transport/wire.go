@@ -258,7 +258,7 @@ func decodeRequest(body []byte) (id uint64, kind string, payload []byte, tc tele
 
 // decodeResponse parses a response frame body. The returned payload
 // aliases body; callers that hand it beyond the frame buffer's lifetime
-// must copy (the pooled client copies once into the caller's result).
+// must copy (the client copies once into the caller's result).
 func decodeResponse(body []byte) (id uint64, code ErrorCode, errMsg string, payload []byte, err error) {
 	r := &wireReader{b: body}
 	if t := wireType(r.u8()); r.err == nil && t != wireResponse {

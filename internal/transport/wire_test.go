@@ -152,7 +152,7 @@ func busPath(t *testing.T, h Handler) error {
 	return callErr
 }
 
-// tcpOneShotPath makes one CallRetry through a fresh pooled client, the
+// tcpOneShotPath makes one CallRetry through a fresh client, the
 // way coord's TCP client calls: the retry loop must hand a terminal error
 // back as it came.
 func tcpOneShotPath(t *testing.T, h Handler) error {
@@ -165,7 +165,7 @@ func tcpOneShotPath(t *testing.T, h Handler) error {
 	t.Cleanup(srv.Close)
 	client := NewClient(addr, ClientConfig{})
 	t.Cleanup(client.Close)
-	_, callErr := client.CallRetry(context.Background(), "probe", nil, time.Second, RetryPolicy{})
+	_, callErr := client.CallRetry(context.Background(), "probe", nil, time.Second)
 	return callErr
 }
 
@@ -186,7 +186,7 @@ func tcpPooledPath(t *testing.T, h Handler) error {
 // TestErrorIdentityAcrossPaths is the regression for the error-identity
 // bug: the gob path collapsed server errors into errors.New(resp.Err), so
 // errors.Is(err, ErrStaleIncarnation) held on the bus but silently failed
-// over TCP. The bus, a pooled Call and a pooled CallRetry run the same
+// over TCP. The bus, a TCP Call and a TCP CallRetry run the same
 // table.
 func TestErrorIdentityAcrossPaths(t *testing.T) {
 	guardGoroutines(t)

@@ -316,3 +316,28 @@ func TestStepTraceFansOutToRanks(t *testing.T) {
 		t.Fatalf("attribution rank steps = %d, want 2", len(a.RankSteps))
 	}
 }
+
+// TestFleetTypedNilTracer: a nil *telemetry.Recorder in the Tracer field is
+// a non-nil interface, so OrNop lets it through. It must behave as tracing
+// off — no panic in NewFleet's flight-recorder hookup or in a Step's spans.
+func TestFleetTypedNilTracer(t *testing.T) {
+	guardGoroutines(t)
+	f, err := NewFleet(FleetConfig{
+		Dataset:    dataset(t, 1024),
+		LayerSizes: []int{4, 16, 3},
+		Workers:    2,
+		TotalBatch: 32,
+		LR:         0.05,
+		Momentum:   0.9,
+		Seed:       21,
+		Tracer:     (*telemetry.Recorder)(nil),
+		Flight:     telemetry.NewFlightRecorder(16),
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	defer f.Close()
+	if _, err := f.Step(); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+}

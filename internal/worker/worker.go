@@ -497,7 +497,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	// AM-side spans are labeled with the service's endpoint so the
 	// cross-process trace shows coord work on the fleet-am track.
-	amSvc, err := coord.NewServiceWith(ctx, am, cfg.Bus, "fleet-am", cfg.Tracer, nil)
+	amSvc, err := coord.NewServiceWith(ctx, am, cfg.Bus, "fleet-am", cfg.Tracer)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -554,7 +554,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		mRigsBuilt:     cfg.Metrics.Counter("worker_rig_built_total"),
 		mSpareRigs:     cfg.Metrics.Gauge("worker_spare_rigs"),
 	}
-	if rec, ok := cfg.Tracer.(*telemetry.Recorder); ok && cfg.Flight != nil {
+	if rec, ok := cfg.Tracer.(*telemetry.Recorder); ok && rec != nil && cfg.Flight != nil {
 		rec.SetFlightRecorder(cfg.Flight)
 	}
 	if err := f.rebuildGroupLocked(cfg.Workers); err != nil {
@@ -1332,7 +1332,7 @@ func (f *Fleet) RecoverAM() error {
 	}
 	// Joiners' bring-up goroutines may be retrying ReportReady against
 	// fleet-am right now: the service has its tracer before it has an endpoint.
-	svc, err := coord.NewServiceWith(f.ctx, am, f.cfg.Bus, "fleet-am", f.tr, nil)
+	svc, err := coord.NewServiceWith(f.ctx, am, f.cfg.Bus, "fleet-am", f.tr)
 	if err != nil {
 		return err
 	}

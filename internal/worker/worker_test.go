@@ -3,9 +3,11 @@ package worker
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,13 +195,18 @@ func TestFleetSurvivesLossyBus(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
 	t.Cleanup(sim.AutoAdvance(0))
 	cfg := transport.DefaultBusConfig()
-	cfg.DropRate = 0.3
-	cfg.Seed = 5
 	cfg.AckTimeout = 4 * time.Millisecond
 	cfg.MaxRetries = 100
 	cfg.Clock = sim
 	bus := transport.NewBus(cfg)
 	t.Cleanup(bus.Close)
+	rng := rand.New(rand.NewSource(5))
+	var mu sync.Mutex
+	bus.SetFaultHook(func(transport.Message) transport.Fate {
+		mu.Lock()
+		defer mu.Unlock()
+		return transport.Fate{Drop: rng.Float64() < 0.3}
+	})
 	f := fleet(t, 2, 32, bus)
 	if err := f.RequestScaleOut(2); err != nil {
 		t.Fatalf("RequestScaleOut under loss: %v", err)
