@@ -64,9 +64,41 @@ func benchSquare(b *testing.B, n int) {
 // masked gradients are. 12x256x2048, dense a only, is the first layer of
 // the elastic_churn workload (12 samples a rank, MLP 256-2048-10): its
 // MatMulBTInto row times the input gradient a network's backward does not
-// compute for its first layer. Serial, so a row is the kernel's own speed;
-// the one parallel row is the pool's dispatch at a workload shape, where
-// the helper's wake-up is a few percent of the region.
+// compute for its first layer. 3x384x384 is a hidden layer of the
+// steady_comm workload (3 samples a rank, MLP 256-384-384-256-10): the
+// weight gradient runs a tile of two plus the odd last term, and the input
+// gradient has fewer than 4 rows, so it runs the Go loop on every host.
+// Serial, so a row is the kernel's own speed; the two parallel rows are
+// the pool's dispatch at a workload shape, where the helper's wake-up is a
+// few percent of the region.
+//
+// Go loops → packed AVX2 tiles, median of five alternating runs of 30
+// iterations on a 2-vCPU Intel Xeon VM, in ms:
+//
+//	MatMulInto    60x512x512 dense     6.43 → 2.66
+//	MatMulInto    60x512x512 parallel  6.64 → 1.56
+//	MatMulInto    60x512x512 relu      4.50 → 1.69
+//	MatMulInto    60x128x512 dense     1.58 → 0.63
+//	MatMulInto    60x128x512 relu      0.86 → 0.40
+//	MatMulInto    12x256x2048          2.97 → 1.70
+//	MatMulInto    3x384x384            0.18 → 0.08
+//	MatMulATInto  60x512x512 dense     7.07 → 2.59
+//	MatMulATInto  60x512x512 relu      4.02 → 1.81
+//	MatMulATInto  60x128x512 dense     1.81 → 0.63
+//	MatMulATInto  60x128x512 relu      1.03 → 0.39
+//	MatMulATInto  12x256x2048          2.80 → 1.35
+//	MatMulATInto  3x384x384            0.46 → 0.28
+//	MatMulBTInto  60x512x512 dense     7.04 → 2.69
+//	MatMulBTInto  60x512x512 parallel  4.34 → 1.51
+//	MatMulBTInto  60x512x512 relu      6.66 → 2.37
+//	MatMulBTInto  60x128x512 dense     1.45 → 0.59
+//	MatMulBTInto  60x128x512 relu      1.36 → 0.59
+//	MatMulBTInto  12x256x2048          3.03 → 1.18
+//	MatMulBTInto  3x384x384            0.22 → 0.23 (Go loop on both sides)
+//
+// The host is noisy: single runs of one row differed by up to 2x, hence
+// medians. 12x256x2048's forward stays memory-bound, streaming the 4 MB
+// weight matrix once per output row.
 func BenchmarkWorkloadKernels(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -84,6 +116,7 @@ func BenchmarkWorkloadKernels(b *testing.B) {
 		{[3]int{60, 512, 512}, []string{"dense", "relu"}},
 		{[3]int{60, 128, 512}, []string{"dense", "relu"}},
 		{[3]int{12, 256, 2048}, []string{"dense"}},
+		{[3]int{3, 384, 384}, []string{"dense"}},
 	}
 	for _, k := range kernels {
 		for _, shape := range shapes {
@@ -100,7 +133,7 @@ func BenchmarkWorkloadKernels(b *testing.B) {
 				call := func() error { return k.into(dst, x, y) }
 				name := fmt.Sprintf("%s/%dx%dx%d/%s", k.name, sh[0], sh[1], sh[2], fill)
 				b.Run(name, func(b *testing.B) { benchKernel(b, 1, call) })
-				if name == "MatMulInto/60x512x512/dense" {
+				if name == "MatMulInto/60x512x512/dense" || name == "MatMulBTInto/60x512x512/dense" {
 					b.Run(name+"_parallel", func(b *testing.B) { benchKernel(b, parallelRows(), call) })
 				}
 			}

@@ -23,6 +23,33 @@ func forcePool(t *testing.T) {
 	})
 }
 
+// hostAVX2 reports whether this host can run the packed path. It is
+// detected afresh rather than read from useAVX2, which a race-detector build
+// leaves off: this package's own tests still run the packed path there (the
+// detector is blind to it, and sees the Go-loop run of each case).
+var hostAVX2 = hasAVX2()
+
+// kernelPaths lists the kernel paths this host runs: the Go loops, which
+// every host and GOARCH has, then the packed AVX2 tiles where the host has
+// AVX2. A test sets useAVX2 to each in turn; the init setting is back at
+// cleanup.
+func kernelPaths(tb testing.TB) []bool {
+	prev := useAVX2
+	tb.Cleanup(func() { useAVX2 = prev })
+	if hostAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// pathName names the kernel path useAVX2 selects, for failure messages.
+func pathName() string {
+	if useAVX2 {
+		return "packed AVX2"
+	}
+	return "Go loop"
+}
+
 // fillAdversarial populates m with a mix of ordinary values, exact zeros
 // (which the kernels skip), denormals, infinities and NaNs, so bitwise
 // comparison exercises the full accumulation-order contract.
@@ -81,10 +108,18 @@ var intoShapes = [][3]int{
 	{64, 33, 48},  // moderately large, crosses minParallelWork
 	{1, 1000, 1},  // long dot product, single row
 	{100, 1, 100}, // rank-1 outer product
+	// Past one kBlock: widths 8 to 17 take every tail of the packed tiles'
+	// 8/4/1 loop, and 5 to 9 and 13 rows put leftover rows beside a 4-row
+	// block of the packed MatMulBTInto.
+	{3, kBlock + 5, 8}, {3, kBlock + 5, 9}, {3, kBlock + 5, 10}, {3, kBlock + 5, 11}, {3, kBlock + 5, 12},
+	{3, kBlock + 5, 13}, {3, kBlock + 5, 14}, {3, kBlock + 5, 15}, {3, kBlock + 5, 16}, {3, kBlock + 5, 17},
+	{5, kBlock + 7, 9}, {6, kBlock + 7, 8}, {7, kBlock + 7, 13}, {8, kBlock + 7, 12}, {9, kBlock + 7, 6},
+	{13, 2*kBlock + 1, 11},
 }
 
 func TestMatMulIntoMatchesNaiveBitwise(t *testing.T) {
 	forcePool(t)
+	paths := kernelPaths(t)
 	rng := rand.New(rand.NewSource(7))
 	for _, sh := range intoShapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -97,15 +132,18 @@ func TestMatMulIntoMatchesNaiveBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MatMul(%dx%d, %dx%d): %v", m, k, k, n, err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				SetParallelism(workers)
-				dst := MustNew(m, n)
-				fillAdversarial(rng, dst, special) // Into must fully overwrite
-				if err := MatMulInto(dst, a, b); err != nil {
-					t.Fatalf("MatMulInto k=%d shape=%v: %v", workers, sh, err)
-				}
-				if !bitsEqual(dst, want) {
-					t.Fatalf("MatMulInto k=%d shape=%v special=%v differs from naive", workers, sh, special)
+			for _, packed := range paths {
+				useAVX2 = packed
+				for _, workers := range []int{1, 2, 8} {
+					SetParallelism(workers)
+					dst := MustNew(m, n)
+					fillAdversarial(rng, dst, special) // Into must fully overwrite
+					if err := MatMulInto(dst, a, b); err != nil {
+						t.Fatalf("MatMulInto %s k=%d shape=%v: %v", pathName(), workers, sh, err)
+					}
+					if !bitsEqual(dst, want) {
+						t.Fatalf("MatMulInto %s k=%d shape=%v special=%v differs from naive", pathName(), workers, sh, special)
+					}
 				}
 			}
 		}
@@ -114,6 +152,7 @@ func TestMatMulIntoMatchesNaiveBitwise(t *testing.T) {
 
 func TestMatMulATIntoMatchesNaiveBitwise(t *testing.T) {
 	forcePool(t)
+	paths := kernelPaths(t)
 	rng := rand.New(rand.NewSource(11))
 	for _, sh := range intoShapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -126,15 +165,18 @@ func TestMatMulATIntoMatchesNaiveBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MatMulAT shape=%v: %v", sh, err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				SetParallelism(workers)
-				dst := MustNew(m, n)
-				fillAdversarial(rng, dst, special)
-				if err := MatMulATInto(dst, a, b); err != nil {
-					t.Fatalf("MatMulATInto k=%d shape=%v: %v", workers, sh, err)
-				}
-				if !bitsEqual(dst, want) {
-					t.Fatalf("MatMulATInto k=%d shape=%v special=%v differs from naive", workers, sh, special)
+			for _, packed := range paths {
+				useAVX2 = packed
+				for _, workers := range []int{1, 2, 8} {
+					SetParallelism(workers)
+					dst := MustNew(m, n)
+					fillAdversarial(rng, dst, special)
+					if err := MatMulATInto(dst, a, b); err != nil {
+						t.Fatalf("MatMulATInto %s k=%d shape=%v: %v", pathName(), workers, sh, err)
+					}
+					if !bitsEqual(dst, want) {
+						t.Fatalf("MatMulATInto %s k=%d shape=%v special=%v differs from naive", pathName(), workers, sh, special)
+					}
 				}
 			}
 		}
@@ -143,6 +185,7 @@ func TestMatMulATIntoMatchesNaiveBitwise(t *testing.T) {
 
 func TestMatMulBTIntoMatchesNaiveBitwise(t *testing.T) {
 	forcePool(t)
+	paths := kernelPaths(t)
 	rng := rand.New(rand.NewSource(13))
 	for _, sh := range intoShapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -155,15 +198,18 @@ func TestMatMulBTIntoMatchesNaiveBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MatMulBT shape=%v: %v", sh, err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				SetParallelism(workers)
-				dst := MustNew(m, n)
-				fillAdversarial(rng, dst, special)
-				if err := MatMulBTInto(dst, a, b); err != nil {
-					t.Fatalf("MatMulBTInto k=%d shape=%v: %v", workers, sh, err)
-				}
-				if !bitsEqual(dst, want) {
-					t.Fatalf("MatMulBTInto k=%d shape=%v special=%v differs from naive", workers, sh, special)
+			for _, packed := range paths {
+				useAVX2 = packed
+				for _, workers := range []int{1, 2, 8} {
+					SetParallelism(workers)
+					dst := MustNew(m, n)
+					fillAdversarial(rng, dst, special)
+					if err := MatMulBTInto(dst, a, b); err != nil {
+						t.Fatalf("MatMulBTInto %s k=%d shape=%v: %v", pathName(), workers, sh, err)
+					}
+					if !bitsEqual(dst, want) {
+						t.Fatalf("MatMulBTInto %s k=%d shape=%v special=%v differs from naive", pathName(), workers, sh, special)
+					}
 				}
 			}
 		}
@@ -321,38 +367,42 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 	dst := MustNew(64, 64)
 	a.Randn(rng, 1)
 	b.Randn(rng, 1)
-	for _, workers := range []int{1, 4} {
-		SetParallelism(workers)
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := MatMulInto(dst, a, b); err != nil {
-				t.Fatal(err)
+	for _, packed := range kernelPaths(t) {
+		useAVX2 = packed
+		for _, workers := range []int{1, 4} {
+			SetParallelism(workers)
+			if avg := testing.AllocsPerRun(100, func() {
+				if err := MatMulInto(dst, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if err := MatMulATInto(dst, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if err := MatMulBTInto(dst, a, b); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("%s, parallelism %d: %v allocs/op, want 0", pathName(), workers, avg)
 			}
-			if err := MatMulATInto(dst, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := MatMulBTInto(dst, a, b); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Fatalf("parallelism %d: %v allocs/op, want 0", workers, avg)
 		}
-	}
-	// Eight concurrent callers on the shared pool, as a fleet's ranks call
-	// it: at parallelism 2 a caller that finds the one region slot taken
-	// computes inline. AllocsPerRun runs at GOMAXPROCS 1, where the callers
-	// barely overlap, so the mallocs of 100 rounds are counted directly;
-	// fewer than one a round leaves room for the runtime's own.
-	SetParallelism(2)
-	round := startCallers(t, 8, 3, 256, 384)
-	round()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 100; i++ {
+		// Eight concurrent callers on the shared pool, as a fleet's ranks
+		// call it: at parallelism 2 a caller that finds the one region slot
+		// taken computes inline. AllocsPerRun runs at GOMAXPROCS 1, where
+		// the callers barely overlap, so the mallocs of 100 rounds are
+		// counted directly; fewer than one a round leaves room for the
+		// runtime's own.
+		SetParallelism(2)
+		round := startCallers(t, 8, 3, 256, 384)
 		round()
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n >= 100 {
-		t.Fatalf("8 concurrent callers: %d allocs in 100 rounds, want fewer than 100", n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n >= 100 {
+			t.Fatalf("%s, 8 concurrent callers: %d allocs in 100 rounds, want fewer than 100", pathName(), n)
+		}
 	}
 }
 
@@ -418,6 +468,19 @@ func (o kernelOperands) diff() string {
 	return ""
 }
 
+// TestRaceBuildRunsGoLoops: the race detector does not see the assembly's
+// loads and stores, so a -race build must run the Go loops, or the -race
+// runs of the packages that share matrices across goroutines (the gradient
+// arena of DESIGN §9) would miss every kernel write into them.
+func TestRaceBuildRunsGoLoops(t *testing.T) {
+	if racecheck.Enabled && useAVX2 {
+		t.Fatal("useAVX2 is set in a race-detector build")
+	}
+	if !racecheck.Enabled && useAVX2 != hostAVX2 {
+		t.Fatalf("useAVX2 = %v, host AVX2 = %v", useAVX2, hostAVX2)
+	}
+}
+
 // TestTiledKernelsEveryRemainder drives the register tiles through every
 // remainder they have: output widths, row counts and per-row non-zero
 // counts of every residue mod 4 (all-zero rows included), non-zeros that
@@ -436,22 +499,25 @@ func TestTiledKernelsEveryRemainder(t *testing.T) {
 		{"straddling kBlock", func(i, k int) bool { return k >= kBlock-1-i%4 && k <= kBlock+i%3 }},
 		{"every third", func(i, k int) bool { return (i+k)%3 == 0 }},
 	}
-	for _, workers := range []int{1, 2, 8} {
-		SetParallelism(workers)
-		for _, p := range patterns {
-			for _, m := range []int{1, 2, 3, 4, 5, 9} {
-				for _, k := range []int{1, 2, 3, 4, 5, 7, kBlock + 2, 2*kBlock + 3} {
-					for n := 1; n <= 9; n++ {
-						o := newKernelOperands(m, k, n,
-							func(i, kk int) float64 {
-								if p.nonZero(i, kk) {
-									return val()
-								}
-								return 0
-							},
-							func(int, int) float64 { return val() })
-						if bad := o.diff(); bad != "" {
-							t.Fatalf("%s: %dx%dx%d pattern %q at parallelism %d", bad, m, k, n, p.name, workers)
+	for _, packed := range kernelPaths(t) {
+		useAVX2 = packed
+		for _, workers := range []int{1, 2, 8} {
+			SetParallelism(workers)
+			for _, p := range patterns {
+				for _, m := range []int{1, 2, 3, 4, 5, 9} {
+					for _, k := range []int{1, 2, 3, 4, 5, 7, kBlock + 2, 2*kBlock + 3} {
+						for n := 1; n <= 9; n++ {
+							o := newKernelOperands(m, k, n,
+								func(i, kk int) float64 {
+									if p.nonZero(i, kk) {
+										return val()
+									}
+									return 0
+								},
+								func(int, int) float64 { return val() })
+							if bad := o.diff(); bad != "" {
+								t.Fatalf("%s (%s): %dx%dx%d pattern %q at parallelism %d", bad, pathName(), m, k, n, p.name, workers)
+							}
 						}
 					}
 				}
@@ -508,10 +574,13 @@ func TestTiledKernelsNaNRecompute(t *testing.T) {
 	if !math.IsNaN(want.At(0, 0)) || !math.IsNaN(want.At(1, 0)) || !math.IsInf(want.At(2, 0), 1) || !math.IsInf(want.At(2, 1), -1) || math.IsNaN(want.At(3, 0)) {
 		t.Fatalf("operands do not produce the intended NaN, Inf and clean rows: %v", want.Data)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		SetParallelism(workers)
-		if bad := o.diff(); bad != "" {
-			t.Fatalf("%s on NaN/Inf rows at parallelism %d", bad, workers)
+	for _, packed := range kernelPaths(t) {
+		useAVX2 = packed
+		for _, workers := range []int{1, 2, 8} {
+			SetParallelism(workers)
+			if bad := o.diff(); bad != "" {
+				t.Fatalf("%s (%s) on NaN/Inf rows at parallelism %d", bad, pathName(), workers)
+			}
 		}
 	}
 }
@@ -556,8 +625,11 @@ func FuzzMatMulIntoBitwise(f *testing.F) {
 		forcePool(t)
 		SetParallelism([]int{1, 2, 3, 8}[workers%4])
 		o := newKernelOperands(1+int(m%16), 1+int(k%300), 1+int(n%16), fillFromBytes(data, 0), fillFromBytes(data, 7))
-		if bad := o.diff(); bad != "" {
-			t.Fatal(bad)
+		for _, packed := range kernelPaths(t) {
+			useAVX2 = packed
+			if bad := o.diff(); bad != "" {
+				t.Fatalf("%s (%s)", bad, pathName())
+			}
 		}
 	})
 }
@@ -578,22 +650,26 @@ func TestTiledKernelsConcurrentCallers(t *testing.T) {
 			func(int, int) float64 { return float64(rng.Intn(3)) * rng.NormFloat64() },
 			func(int, int) float64 { return rng.NormFloat64() })
 	}
-	before := runtime.NumGoroutine()
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(o kernelOperands) {
-			defer wg.Done()
-			for r := 0; r < 20; r++ {
-				if bad := o.diff(); bad != "" {
-					t.Errorf("%s with %d concurrent callers", bad, callers)
-					return
+	for _, packed := range kernelPaths(t) {
+		useAVX2 = packed
+		path := pathName()
+		before := runtime.NumGoroutine()
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(o kernelOperands) {
+				defer wg.Done()
+				for r := 0; r < 20; r++ {
+					if bad := o.diff(); bad != "" {
+						t.Errorf("%s (%s) with %d concurrent callers", bad, path, callers)
+						return
+					}
 				}
-			}
-		}(ops[c])
-	}
-	wg.Wait()
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("%d goroutines after the concurrent callers, %d before", after, before)
+			}(ops[c])
+		}
+		wg.Wait()
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%s: %d goroutines after the concurrent callers, %d before", path, after, before)
+		}
 	}
 }

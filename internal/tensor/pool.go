@@ -289,11 +289,14 @@ func (p *pool) run(kern kernelFn, dst, a, b *Matrix, rows, work int) {
 }
 
 // blockRowsFor picks the claim granularity: a handful of blocks per worker
-// for load balance, but never so small that claim traffic dominates.
+// for load balance, but never so small that claim traffic dominates. A
+// block of 4 or more rows is a multiple of 4, so every block but the last
+// is whole 4-row tiles for the packed MatMulBTInto; smaller blocks stay as
+// they are and keep their parallelism.
 func blockRowsFor(rows, k int) int {
 	b := rows / (4 * k)
-	if b < 1 {
-		b = 1
+	if b >= 4 {
+		return b &^ 3
 	}
-	return b
+	return max(b, 1)
 }

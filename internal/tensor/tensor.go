@@ -171,6 +171,8 @@ func matMulATRows(dst, a, b *Matrix, lo, hi int) {
 // for 0*Inf) and applies them four at a time (then two, then one), so an
 // output element is loaded and stored once per four multiply-adds instead
 // of once each, with every element still accumulating in k-ascending order.
+// With useAVX2 the tiles of four and two run packed, one output element a
+// lane, each lane doing the Go loop's own multiply and then add.
 //
 // The register accumulator changes which operand of an addition a NaN
 // arrives in, and which of two NaN payloads survives depends on that. No
@@ -206,6 +208,10 @@ func axpyRows(dst, b *Matrix, ad []float64, iStride, kStride, kn, lo, hi int) {
 				b1 := b.Data[ks[t+1]*n:][:len(o)]
 				b2 := b.Data[ks[t+2]*n:][:len(o)]
 				b3 := b.Data[ks[t+3]*n:][:len(o)]
+				if useAVX2 {
+					axpy4AVX2(o, b0, b1, b2, b3, a0, a1, a2, a3)
+					continue
+				}
 				for j := range o {
 					s := o[j]
 					s += a0 * b0[j]
@@ -219,11 +225,15 @@ func axpyRows(dst, b *Matrix, ad []float64, iStride, kStride, kn, lo, hi int) {
 				a0, a1 := av[t], av[t+1]
 				b0 := b.Data[ks[t]*n:][:len(o)]
 				b1 := b.Data[ks[t+1]*n:][:len(o)]
-				for j := range o {
-					s := o[j]
-					s += a0 * b0[j]
-					s += a1 * b1[j]
-					o[j] = s
+				if useAVX2 {
+					axpy2AVX2(o, b0, b1, a0, a1)
+				} else {
+					for j := range o {
+						s := o[j]
+						s += a0 * b0[j]
+						s += a1 * b1[j]
+						o[j] = s
+					}
 				}
 				t += 2
 			}
@@ -303,10 +313,14 @@ func MatMulBTInto(dst, a, b *Matrix) error {
 // four output columns at a time: the four sums are independent add chains
 // that overlap in the pipeline and share each load of the a row, and each
 // still accumulates k-ascending from zero like the naive MatMulBT. NaN
-// rows are recomputed by dotScalar for the reason given at axpyRows.
+// rows are recomputed by dotScalar for the reason given at axpyRows. With
+// useAVX2, matMulBTBlocks computes the whole 4-row blocks first.
 //
 //elan:hotpath
 func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
+	if useAVX2 {
+		lo = matMulBTBlocks(dst, a, b, lo, hi)
+	}
 	kn := a.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*kn : (i+1)*kn]
@@ -331,6 +345,48 @@ func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
 			dotScalar(o, arow, b, 0)
 		}
 	}
+}
+
+// matMulBTBlocks computes the whole 4-row blocks of rows [lo, hi) of
+// dst = a*bᵀ on the packed path and returns the first row it left to the Go
+// loop. Per block and kBlock it copies the block's four rows of a
+// k-interleaved into a stack array, over which dot4x4AVX2 runs every 4x4
+// output block: four accumulators, one per output column, whose lanes are
+// the four rows. Each sum starts at +0 in the first kBlock and continues
+// from the partial sum stored in dst in the next, k-ascending as in
+// MatMulBT. The last n mod 4 columns and the NaN recompute run dotScalar.
+//
+//elan:hotpath
+func matMulBTBlocks(dst, a, b *Matrix, lo, hi int) int {
+	kn, n := a.Cols, dst.Cols
+	if n < 4 {
+		return lo
+	}
+	var pack [4 * kBlock]float64
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		for k0 := 0; k0 < kn || k0 == 0; k0 += kBlock { // once even for kn == 0: the sums are still cleared
+			k1 := min(k0+kBlock, kn)
+			p := pack[:4*(k1-k0)]
+			for r := 0; r < 4; r++ {
+				for k, v := range a.Data[(i+r)*kn+k0 : (i+r)*kn+k1] {
+					p[4*k+r] = v
+				}
+			}
+			for j := 0; j+4 <= n; j += 4 {
+				dot4x4AVX2(dst.Data[i*n+j:(i+3)*n+j+4], n, p, b.Data[j*kn+k0:(j+3)*kn+k1], kn, k0 > 0)
+			}
+		}
+		for r := i; r < i+4; r++ {
+			arow := a.Data[r*kn : (r+1)*kn]
+			o := dst.Data[r*n : (r+1)*n]
+			dotScalar(o, arow, b, n&^3)
+			if maybeNaN(o) {
+				dotScalar(o, arow, b, 0)
+			}
+		}
+	}
+	return i
 }
 
 // dotScalar sets o[j] = arow · (row j of b) for j in [j0, len(o)), one

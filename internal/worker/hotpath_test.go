@@ -45,6 +45,23 @@ func TestAgentStepZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("%v allocs per agent step, want 0", avg)
 	}
+	// Elastic rounds move the shard width and later move it back: once both
+	// widths are warm, alternating between them allocates nothing either.
+	narrow := cmd
+	narrow.hi = 16
+	if r := a.step(ds, narrow); r.err != nil { // warm the second width
+		t.Fatal(r.err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if r := a.step(ds, cmd); r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r := a.step(ds, narrow); r.err != nil {
+			t.Fatal(r.err)
+		}
+	}); avg != 0 {
+		t.Fatalf("%v allocs per pair of agent steps alternating two shard widths, want 0", avg)
+	}
 }
 
 // TestRigHoldsThreeParameterVectors: building a rig and stepping it ten times

@@ -25,13 +25,12 @@ import (
 // end in a NaN loss or a diverged replica.
 func poison(r *rig) {
 	r.rep.Poison()
-	if r.batchX != nil {
-		for i := range r.batchX.Data {
-			r.batchX.Data[i] = math.NaN()
-		}
-		for i := range r.batchY {
-			r.batchY[i] = -1
-		}
+	x, y := r.batchX.Data[:cap(r.batchX.Data)], r.batchY[:cap(r.batchY)]
+	for i := range x {
+		x[i] = math.NaN()
+	}
+	for i := range y {
+		y[i] = -1
 	}
 }
 

@@ -108,9 +108,13 @@ var (
 // arenas, and when). While an agent runs, only its goroutine and its
 // reducer's comm goroutine touch its rig.
 type rig struct {
-	rep    *nn.Replica
-	red    *ddp.Reducer
-	batchX *tensor.Matrix
+	rep *nn.Replica
+	red *ddp.Reducer
+	// batchX and batchY are resliced to each step's shard width over
+	// buffers as wide as the widest shard so far: elastic rounds move the
+	// width back and forth, and only a shard wider than any before
+	// allocates.
+	batchX tensor.Matrix
 	batchY []int
 }
 
@@ -122,6 +126,19 @@ func newRig(rng *rand.Rand, sizes []int, lr, momentum float64, bucketElems int) 
 		return nil, err
 	}
 	return &rig{rep: rep, red: ddp.New(rep.Net, ddp.Config{BucketElems: bucketElems})}, nil
+}
+
+// batchFor reslices the rig's batch buffers to a shard of n rows, growing
+// them first if the shard is wider than any before.
+//
+//elan:hotpath
+func (r *rig) batchFor(n, features int) (*tensor.Matrix, []int) {
+	if cap(r.batchY) < n || cap(r.batchX.Data) < n*features {
+		r.batchX.Data, r.batchY = make([]float64, n*features), make([]int, n) //elan:vet-allow hotpathalloc — batch buffer growth, only for a shard wider than any before
+	}
+	r.batchX = tensor.Matrix{Rows: n, Cols: features, Data: r.batchX.Data[:n*features]}
+	r.batchY = r.batchY[:n]
+	return &r.batchX, r.batchY
 }
 
 // Agent is one resident worker.
@@ -241,23 +258,20 @@ func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
 	if n <= 0 {
 		return result{err: fmt.Errorf("worker: empty shard [%d, %d)", cmd.lo, cmd.hi)} //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 	}
-	if a.batchX == nil || a.batchX.Rows != n {
-		a.batchX = tensor.MustNew(n, ds.Features)
-		a.batchY = make([]int, n) //elan:vet-allow hotpathalloc — batch workspace priming on first step or shard-width change
-	}
+	x, y := a.batchFor(n, ds.Features)
 	fspan := span.Child("worker.forward")
-	if err := ds.BatchInto(a.batchX, a.batchY, cmd.lo, cmd.hi); err != nil {
+	if err := ds.BatchInto(x, y, cmd.lo, cmd.hi); err != nil {
 		fspan.End()
 		return result{err: err}
 	}
 	net := a.rep.Net
 	net.ZeroGrads()
-	out, err := net.Forward(a.batchX)
+	out, err := net.Forward(x)
 	if err != nil {
 		fspan.End()
 		return result{err: err}
 	}
-	loss, grad, err := net.SoftmaxLoss(out, a.batchY)
+	loss, grad, err := net.SoftmaxLoss(out, y)
 	fspan.End()
 	if err != nil {
 		return result{err: err}
