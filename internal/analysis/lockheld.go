@@ -8,7 +8,8 @@ import (
 )
 
 // lockBlockingCalls are method names from this codebase's known-blocking
-// set: clock sleeps, reliable transport calls, and collective operations.
+// set: clock sleeps, reliable transport calls, collective operations, and
+// the ddp reducer's steps, which run them.
 // Calling any of them — or touching a channel — while a mutex acquired in
 // the same function is still held is how the pre-PR3 adjustment deadlocks
 // happened: the lock holder waits on a peer that needs the lock to make
@@ -16,7 +17,8 @@ import (
 // calls made under a lock (sync.Cond.Broadcast) stay out.
 var lockBlockingCalls = map[string]bool{
 	"Sleep": true, "Call": true, "CallCtx": true, "CallRetry": true,
-	"AllReduce": true, "AllReduceMean": true,
+	"AllReduce": true, "AllReduceMean": true, "AllReduceMeanBucket": true,
+	"BackwardAllReduce": true, "BackwardAllReduceTraced": true,
 }
 
 // LockHeld flags blocking operations performed while a sync.Mutex/RWMutex

@@ -60,10 +60,11 @@ var poolPairSpec = &ownershipSpec{
 			if fun.Sel.Name != "Get" && fun.Sel.Name != "get" {
 				return false
 			}
-			// Receiver names a pool/arena either textually (framePool,
-			// sc := &g.scratch[r] → printed "sc" won't match, so also…)
-			// or by its intra-package type (rankScratch resolves via the
-			// package's own type info even under stubbed imports).
+			// Receiver names a pool/arena either textually (framePool;
+			// an alias like sc := &x.scratch[r] prints "sc" and won't
+			// match, so also…) or by its intra-package type (a
+			// scratchArena resolves via the package's own type info even
+			// under stubbed imports).
 			if poolRecvRe.MatchString(exprKey(pass.Fset, fun.X)) {
 				return true
 			}

@@ -93,6 +93,17 @@ func (b *box) waived() {
 	b.mu.Unlock()
 }
 
+// badStep: a reducer step runs the collective, so it blocks on every peer.
+func (b *box) badStep(r *reducer) {
+	b.mu.Lock()
+	r.BackwardAllReduce() // want "blocking call BackwardAllReduce while b.mu is held"
+	b.mu.Unlock()
+}
+
 type caller struct{}
 
 func (*caller) Call() {}
+
+type reducer struct{}
+
+func (*reducer) BackwardAllReduce() {}

@@ -7,9 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/racecheck"
-	"github.com/elan-sys/elan/internal/telemetry"
 )
 
 // crew is one resident goroutine per rank of a group, so that a measured
@@ -52,10 +50,11 @@ func (c *crew) stop() {
 	}
 }
 
-// succession builds a group for each topology in turn, each adopting its
-// predecessor's scratch, and runs one AllReduce of elems values on it. Every
-// result must be bit-identical to ReferenceAllReduce; with exact set, the
-// very first AllReduce of every adopting group must also allocate nothing.
+// succession builds a group for each topology in turn, closing its
+// predecessor as the elastic runtime does, and runs one AllReduce of elems
+// values on it. Every result must be bit-identical to ReferenceAllReduce;
+// with exact set, the very first AllReduce of every successor group must
+// also allocate nothing.
 func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 	t.Helper()
 	var prev *Group
@@ -65,9 +64,9 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 			t.Fatal(err)
 		}
 		if prev != nil {
-			g.AdoptScratch(prev)
+			prev.Close()
 			if err := prev.AllReduce(0, make([]float64, elems)); err == nil && prev.Size() > 1 {
-				t.Fatalf("generation %d: the adopted-from group still reduces", gen)
+				t.Fatalf("generation %d: the closed predecessor still reduces", gen)
 			}
 		}
 		n := g.Size()
@@ -86,11 +85,11 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 		procs := runtime.GOMAXPROCS(1) // as testing.AllocsPerRun does
 		// No collection may run from the warm-up through the measured round:
 		// one empties the runtime's sudog cache, and the round's blocked
-		// selects would then count the runtime refilling it.
+		// barrier waits would then count the runtime refilling it.
 		runtime.GC()
 		gcPercent := debug.SetGCPercent(-1)
 		// A round on a group of its own first, so that what the runtime
-		// allocates the first time this many goroutines block in selects is
+		// allocates the first time this many goroutines block at once is
 		// not counted against g.
 		warm, err := NewGroupWithTopology(topo)
 		if err != nil {
@@ -116,7 +115,7 @@ func succession(t *testing.T, topos []Topology, elems int, exact bool) {
 			t.Fatalf("generation %d (%d ranks): %v", gen, n, err)
 		}
 		if mallocs := after.Mallocs - before.Mallocs; exact && prev != nil && mallocs != 0 {
-			t.Errorf("generation %d (%d ranks, link %s): first AllReduce on adopted scratch made %d allocations, want 0",
+			t.Errorf("generation %d (%d ranks, link %s): first AllReduce of a successor group made %d allocations, want 0",
 				gen, n, LinkLabelOf(topo), mallocs)
 		}
 		for r := range vecs {
@@ -140,13 +139,14 @@ func clustered(t *testing.T, counts ...int) Topology {
 	return topo
 }
 
-// TestAdoptedScratchFirstAllReduceZeroAllocs: a group that adopted its
-// predecessor's scratch reduces without allocating from its first call on —
-// growing and shrinking, on one node and across two ("hier" names a 2×4 or
-// 2×2 placement), and between the two as a fleet that scales in onto one
-// node and back out does. The vector length is a multiple of every chunk
-// count involved, so each predecessor's memory is exactly what its
-// successor carves; other lengths are the next test's.
+// TestAdoptedScratchFirstAllReduceZeroAllocs: a group that replaced its
+// predecessor reduces without allocating from its first call on — growing
+// and shrinking, on one node and across two ("hier" names a 2×4 or 2×2
+// placement), and between the two as a fleet that scales in onto one node
+// and back out does. The exchange works in the ranks' own vectors, so there
+// is no scratch to carry from one group to the next. The vector length is a
+// multiple of every chunk count involved; other lengths are the next
+// test's.
 func TestAdoptedScratchFirstAllReduceZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
@@ -161,102 +161,13 @@ func TestAdoptedScratchFirstAllReduceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAdoptedScratchAnyLength: when the adopted memory does not divide into
-// the successor's chunks, or is simply too little (a 2-rank group's scratch
-// under an 8-rank group on two nodes), the successor allocates the
-// difference and the sums stay bit-identical to the reference.
+// TestAdoptedScratchAnyLength: vector lengths that do not divide into the
+// chunks, and groups that grow from 2 ranks to 8 on two nodes and shrink
+// again, keep the sums bit-identical to the reference.
 func TestAdoptedScratchAnyLength(t *testing.T) {
 	for _, elems := range []int{1, 7, 1001, 4099} {
 		t.Run(fmt.Sprint(elems), func(t *testing.T) {
 			succession(t, []Topology{Flat(2), Flat(3), clustered(t, 4, 4), Flat(1), Flat(5), clustered(t, 1, 3), Flat(2)}, elems, false)
 		})
-	}
-}
-
-// TestPrimeOnceForTheLongestVector: a rank primed to its longest vector does
-// not prime again when vectors of other lengths follow in any order — the
-// ddp reducer's buckets — where an unprimed one re-primes at every new
-// maximum. Priming is counted by the slabs it leaves in the pool: one for
-// the whole group each time its ranks prime.
-func TestPrimeOnceForTheLongestVector(t *testing.T) {
-	const n = 4
-	lengths := []int{1000, 12000, 400, 36000, 36000, 8}
-	slabs := func(prime bool) int {
-		g, err := NewGroup(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.Close()
-		c := newCrew(n)
-		defer c.stop()
-		for _, elems := range lengths {
-			vecs := make([][]float64, n)
-			for r := range vecs {
-				vecs[r] = make([]float64, elems)
-			}
-			if err := c.round(func(r int) error {
-				if prime {
-					g.Prime(r, 36000)
-				}
-				return g.AllReduce(r, vecs[r])
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g.pool.mu.Lock()
-		defer g.pool.mu.Unlock()
-		return len(g.pool.slabs)
-	}
-	if got := slabs(true); got != 1 {
-		t.Errorf("%d slabs with every rank primed to the longest vector, want one", got)
-	}
-	if got := slabs(false); got != 3 {
-		t.Errorf("%d slabs without priming, want one per new maximum (3)", got)
-	}
-}
-
-// TestScratchRefillIsCounted: a rank whose arena was drained — here by hand,
-// in a job by a peer's error path keeping a buffer it owed — still reduces
-// correctly, and the allocation it falls back on shows in
-// collective_scratch_refill_total instead of passing unseen.
-func TestScratchRefillIsCounted(t *testing.T) {
-	const n, elems = 3, 300
-	g, err := NewGroup(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	reg := telemetry.NewRegistry()
-	g.SetTelemetry(nil, reg, clock.Wall{}, "inproc")
-	c := newCrew(n)
-	defer c.stop()
-	reduce := func() {
-		vecs := make([][]float64, n)
-		for r := range vecs {
-			vecs[r] = make([]float64, elems)
-			for i := range vecs[r] {
-				vecs[r][i] = float64(r + i)
-			}
-		}
-		if err := c.round(func(r int) error { return g.AllReduce(r, vecs[r]) }); err != nil {
-			t.Fatal(err)
-		}
-		for r := range vecs {
-			for i, v := range vecs[r] {
-				if want := float64(n*i + n*(n-1)/2); v != want {
-					t.Fatalf("rank %d elem %d: %v, want %v", r, i, v, want)
-				}
-			}
-		}
-	}
-	reduce()
-	refills := reg.Counter("collective_scratch_refill_total")
-	if got := refills.Value(); got != 0 {
-		t.Fatalf("%d refills in a balanced allreduce, want 0", got)
-	}
-	g.scratch[1].free = g.scratch[1].free[:0]
-	reduce()
-	if got := refills.Value(); got == 0 {
-		t.Fatal("a drained arena was refilled without being counted")
 	}
 }

@@ -205,7 +205,7 @@ func TestGroupReconstruction(t *testing.T) {
 }
 
 func TestAllReduceMatchesSequentialSum(t *testing.T) {
-	// Property: ring allreduce equals a sequential elementwise sum for
+	// Property: the allreduce equals a sequential elementwise sum for
 	// random vectors, sizes and group sizes.
 	prop := func(seed int64, nRaw, lenRaw uint8) bool {
 		n := int(nRaw%7) + 2 // 2..8 ranks
@@ -338,7 +338,7 @@ func randVecs(rng *rand.Rand, n, length int) [][]float64 {
 	return vecs
 }
 
-// TestFlatMatchesReferenceBitwise pins the ring to the executable order
+// TestFlatMatchesReferenceBitwise pins the exchange to the executable order
 // spec on order-sensitive inputs.
 func TestFlatMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -350,9 +350,9 @@ func TestFlatMatchesReferenceBitwise(t *testing.T) {
 }
 
 // The Hierarchical* tests below date from a second, two-tier engine that
-// multi-node placements used to run. Every group now runs the one ring, and
-// these tests pin what that buys: a placement across nodes — ragged,
-// striped, resized, reused — reduces exactly as the flat ring does, so the
+// multi-node placements used to run. Every group now runs the one exchange,
+// and these tests pin what that buys: a placement across nodes — ragged,
+// striped, resized, reused — reduces exactly as a flat group does, so the
 // result depends on the rank count alone.
 
 // TestHierarchicalMatchesReferenceBitwise holds multi-node placements of
@@ -431,8 +431,8 @@ func TestHierarchicalMatchesFlatBitwise(t *testing.T) {
 }
 
 // TestHierarchicalNaNPropagation: a canonical NaN contributed by one rank
-// must survive the ring at full payload, on one node and across two (the
-// ring only ever adds it to non-NaN values, so the payload choice is
+// must survive the exchange at full payload, on one node and across two
+// (the fold only ever adds it to non-NaN values, so the payload choice is
 // unambiguous).
 func TestHierarchicalNaNPropagation(t *testing.T) {
 	const n = 6
@@ -482,8 +482,8 @@ func TestHierarchicalElasticResize(t *testing.T) {
 }
 
 // TestHierarchicalRepeatedAndResizing exercises one group on a three-node
-// placement across many collectives with alternating vector lengths: arenas
-// must re-prime and every call must match the reference.
+// placement across many collectives with alternating vector lengths: every
+// call must match the reference.
 func TestHierarchicalRepeatedAndResizing(t *testing.T) {
 	g, err := NewGroupWithTopology(mustClustered(t, placement(3, 2, 3)))
 	if err != nil {
@@ -518,7 +518,7 @@ func TestHierarchicalCloseUnblocks(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		// Only rank 3 joins; it blocks in the ring until Close.
+		// Only rank 3 joins; it blocks at entry until Close.
 		done <- g.AllReduce(3, []float64{1, 2, 3})
 	}()
 	g.Close()
@@ -528,7 +528,7 @@ func TestHierarchicalCloseUnblocks(t *testing.T) {
 }
 
 // TestTopologySingleNodeIsFlat: a clustered placement on one node reduces
-// exactly as the flat ring.
+// exactly as a flat group.
 func TestTopologySingleNodeIsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	expectReference(t, "single-node", mustClustered(t, placement(4)), randVecs(rng, 4, 13))

@@ -11,9 +11,9 @@ import (
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
-// startRing launches ranks 1..n-1 looping AllReduce until the group closes,
-// so the measured rank 0 always has ring partners.
-func startRing(t *testing.T, g *Group, vecs [][]float64) *sync.WaitGroup {
+// startPeers launches ranks 1..n-1 looping AllReduce until the group closes,
+// so the measured rank 0 always has partners.
+func startPeers(t *testing.T, g *Group, vecs [][]float64) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
 	for r := 1; r < g.Size(); r++ {
@@ -35,8 +35,8 @@ func startRing(t *testing.T, g *Group, vecs [][]float64) *sync.WaitGroup {
 }
 
 // TestAllReduceZeroAllocs is the tentpole proof for the collective layer:
-// once every rank's scratch arena is primed, a bare (un-instrumented) ring
-// allreduce allocates nothing, on one node and on a 2×4 placement alike.
+// once the ranks' goroutines are warm, a bare (un-instrumented) allreduce
+// allocates nothing, on one node and on a 2×4 placement alike.
 // AllocsPerRun counts mallocs process-wide, so the measurement covers every
 // rank, not just the caller.
 func TestAllReduceZeroAllocs(t *testing.T) {
@@ -57,8 +57,8 @@ func TestAllReduceZeroAllocs(t *testing.T) {
 			for r := range vecs {
 				vecs[r] = make([]float64, size)
 			}
-			wg := startRing(t, g, vecs)
-			for i := 0; i < 3; i++ { // prime every rank's arena
+			wg := startPeers(t, g, vecs)
+			for i := 0; i < 3; i++ { // warm every rank up
 				if err := g.AllReduce(0, vecs[0]); err != nil {
 					t.Fatal(err)
 				}
@@ -78,8 +78,8 @@ func TestAllReduceZeroAllocs(t *testing.T) {
 }
 
 // TestScratchArenaSurvivesSizeChanges runs alternating vector lengths
-// through one group: the arena must re-prime for larger chunks and keep
-// producing correct sums.
+// through one group, which must keep producing correct sums: a group keeps
+// no buffers sized by an earlier call.
 func TestScratchArenaSurvivesSizeChanges(t *testing.T) {
 	const n = 3
 	g, err := NewGroup(n)
@@ -159,8 +159,8 @@ func TestInstrumentedGroupRecords(t *testing.T) {
 }
 
 // BenchmarkAllReduceBare measures the un-instrumented fast path on 4 and 8
-// ranks (8 is the benchmark's steady_comm fleet); with the scratch arenas
-// warm it reports 0 allocs/op. One op is one allreduce of a 64k-element
+// ranks (8 is the benchmark's steady_comm fleet); warm, it reports
+// 0 allocs/op. One op is one allreduce of a 64k-element
 // vector, timed at rank 0 while the other ranks loop.
 func BenchmarkAllReduceBare(b *testing.B) {
 	for _, n := range []int{4, 8} {

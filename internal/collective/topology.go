@@ -8,7 +8,7 @@ import (
 
 // Topology tells a communication group where its ranks live: how many
 // there are and what link level connects any two of them. The reduction
-// does not depend on it — every group runs the same ring — but the link
+// does not depend on it — every group runs the same exchange — but the link
 // level its traffic crosses labels the group's telemetry (LinkLabelOf).
 //
 // Implementations must be immutable after construction: the elastic runtime

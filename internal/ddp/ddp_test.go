@@ -184,7 +184,7 @@ func TestDefaultMatchesAllReduceMeanBitwise(t *testing.T) {
 }
 
 // TestBucketedMatchesPerBucketReference: with real bucketing, each bucket
-// is an independent flat-ring allreduce over its range; the reference
+// is an independent allreduce over its range; the reference
 // order spec applied per bucket (then scaled by 1/n) must match the
 // reducer bit for bit.
 func TestBucketedMatchesPerBucketReference(t *testing.T) {
@@ -244,7 +244,7 @@ func TestBucketedOnHierarchicalGroup(t *testing.T) {
 }
 
 // TestBucketSpansTagged: every bucket's allreduce span carries its bucket
-// index, so overlap schedules can be read off a trace.
+// index, so a step's reductions can be read off a trace.
 func TestBucketSpansTagged(t *testing.T) {
 	const n = 2
 	g, err := collective.NewGroup(n)
@@ -304,6 +304,70 @@ func TestBucketSpansTagged(t *testing.T) {
 		if count != n {
 			t.Fatalf("bucket %s has %d spans, want %d", b, count, n)
 		}
+	}
+}
+
+// TestBackwardSpansLeaveExchangesToComm: on a traced, bucketed step each
+// rank gets one ddp.backward span per stretch of backward between buckets,
+// and none of them covers a bucket's exchange, so step attribution counts
+// the exchanges as comm rather than as compute.
+func TestBackwardSpansLeaveExchangesToComm(t *testing.T) {
+	const n = 2
+	g, err := collective.NewGroup(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	rec := telemetry.NewRecorder(clock.Wall{}, 256)
+	g.SetTelemetry(rec, nil, clock.Wall{}, "inproc")
+	buckets := make([]int, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			net := buildNet(t)
+			red := New(net, Config{BucketElems: 40})
+			buckets[r] = red.NumBuckets()
+			net.ZeroGrads()
+			grad := lossGradOf(t, net, r)
+			step := rec.StartSpan("worker.rank_step")
+			if err := red.BackwardAllReduceTraced(g, r, grad, step.Context()); err != nil {
+				t.Errorf("rank %d: %v", r, err)
+			}
+			step.End()
+		}()
+	}
+	wg.Wait()
+	if buckets[0] < 2 {
+		t.Fatalf("want >= 2 buckets, got %d", buckets[0])
+	}
+	byRank := map[string]map[string][]telemetry.SpanRecord{}
+	for _, s := range rec.Snapshot() {
+		rank, ok := s.Attr("rank")
+		if !ok {
+			continue
+		}
+		if byRank[rank] == nil {
+			byRank[rank] = map[string][]telemetry.SpanRecord{}
+		}
+		byRank[rank][s.Name] = append(byRank[rank][s.Name], s)
+	}
+	for rank, spans := range byRank {
+		bw, ar := spans["ddp.backward"], spans["collective.allreduce"]
+		if len(bw) != buckets[0] || len(ar) != buckets[0] {
+			t.Fatalf("rank %s: %d backward and %d allreduce spans, want %d each", rank, len(bw), len(ar), buckets[0])
+		}
+		for _, b := range bw {
+			for _, a := range ar {
+				if b.Start.Before(a.End) && a.Start.Before(b.End) {
+					t.Fatalf("rank %s: backward [%v, %v] overlaps allreduce [%v, %v]", rank, b.Start, b.End, a.Start, a.End)
+				}
+			}
+		}
+	}
+	if len(byRank) != n {
+		t.Fatalf("spans for %d ranks, want %d", len(byRank), n)
 	}
 }
 
@@ -398,45 +462,6 @@ func TestReducerCloseIdempotent(t *testing.T) {
 	used.Close()
 	if err := used.BackwardAllReduce(solo, 0, grad); err == nil {
 		t.Fatal("step after Close succeeded")
-	}
-}
-
-// TestReducerReopen: a closed reducer handed to a new owner works again over
-// the gradient arena it had, with a comm goroutine of its own, and whatever
-// the arena held is never read: poisoned while closed, it yields the
-// gradients a new reducer computes. Reopen leaves an open reducer alone.
-func TestReducerReopen(t *testing.T) {
-	solo, err := collective.NewGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer solo.Close()
-	step := func(red *Reducer) []float64 {
-		red.net.ZeroGrads()
-		if err := red.BackwardAllReduce(solo, 0, lossGradOf(t, red.net, 0)); err != nil {
-			t.Fatal(err)
-		}
-		return red.net.FlattenGrads(nil)
-	}
-	fresh := New(buildNet(t), Config{BucketElems: 40})
-	defer fresh.Close()
-	want := step(fresh)
-
-	red := New(buildNet(t), Config{BucketElems: 40})
-	step(red)
-	red.Reopen() // open: a no-op
-	if !red.started {
-		t.Fatal("Reopen restarted an open reducer")
-	}
-	red.Close()
-	for i := range red.grads {
-		red.grads[i] = math.NaN()
-	}
-	red.Reopen()
-	defer red.Close()
-	expectBits(t, "reopened", 0, step(red), want)
-	if &red.grads[0] != &red.net.GradArena()[0] {
-		t.Fatal("the reducer reduces a vector that is not the network's gradient arena")
 	}
 }
 

@@ -307,9 +307,9 @@ func (m *MLP) Backward(grad *tensor.Matrix) error {
 // BackwardLayers is Backward with a per-layer completion hook: onLayer(i)
 // runs as soon as layer i's parameter gradients are final, while layers
 // i-1..0 still have backward compute ahead of them. Gradient bucketing
-// hangs off this hook — the allreduce of already-finished layers overlaps
-// the rest of the backward pass. Layers complete in descending index
-// order. A nil onLayer makes it exactly Backward.
+// hangs off this hook: the ddp reducer averages the buckets of finished
+// layers from it, before the layers below run. Layers complete in
+// descending index order. A nil onLayer makes it exactly Backward.
 //
 // The first layer computes no input gradient: it would be the gradient
 // with respect to the batch, which nothing reads.

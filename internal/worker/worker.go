@@ -105,8 +105,9 @@ var (
 // outlives its agent, so a warm elastic event does not either: a leaving
 // agent's rig is parked on its fleet's spare list and the next joiner takes
 // it over (DESIGN §9 has the life-cycle and the rules for who may touch the
-// arenas, and when). While an agent runs, only its goroutine and its
-// reducer's comm goroutine touch its rig.
+// arenas, and when). While an agent runs, only its goroutine touches its
+// rig, apart from the gradient-arena chunks its peers own inside an
+// exchange.
 type rig struct {
 	rep *nn.Replica
 	red *ddp.Reducer
@@ -176,8 +177,6 @@ func newAgent(name string, seed int64, sizes []int, lr, momentum float64, bucket
 // refuses to train until an install has overwritten whatever r holds: the
 // zeros of a new rig, or its previous owner's state.
 func launchAgent(name string, r *rig, seeded bool, ds *data.Dataset) *Agent {
-	// A recycled rig's reducer was closed with its previous agent.
-	r.red.Reopen()
 	a := &Agent{
 		Name:      name,
 		rig:       r,
@@ -193,10 +192,6 @@ func launchAgent(name string, r *rig, seeded bool, ds *data.Dataset) *Agent {
 // loop is the agent's resident goroutine.
 func (a *Agent) loop(ds *data.Dataset) {
 	defer close(a.done)
-	// The reducer's comm goroutine dies with the agent — on stop and on
-	// simulated crash alike — so neither group reconstruction nor the rig's
-	// next agent inherits one.
-	defer a.red.Close()
 	for {
 		select {
 		case <-a.killed:
@@ -231,8 +226,8 @@ func (a *Agent) loop(ds *data.Dataset) {
 }
 
 // step runs one data-parallel iteration: local forward on the shard, then
-// the shared ddp reducer runs backward with bucketed, overlap-scheduled
-// gradient averaging, then the optimizer update. Everything it touches
+// the shared ddp reducer runs backward and averages each gradient bucket as
+// backward closes it, then the optimizer update. Everything it touches
 // after warm-up is agent-owned and reused — the batch buffers, the network
 // workspaces, and the gradient arena backward writes, the reducer averages
 // and the optimizer reads in place — so a steady-state step allocates
@@ -366,12 +361,13 @@ type FleetConfig struct {
 	// order, the replication plan picks each joiner's nearest source and
 	// its contention domains from those GPUs, and allreduce and install
 	// spans carry the link levels of the placement. The reduction itself
-	// is the same ring either way. Nil labels every link "inproc", the
+	// is the same exchange either way. Nil labels every link "inproc", the
 	// in-process goroutine substrate.
 	Cluster *topology.Cluster
-	// BucketElems caps gradient-bucket sizes for the ddp reducer, enabling
-	// comm/compute overlap during backward. 0 keeps one whole-vector
-	// bucket — arithmetic identical to the historical AllReduceMean path.
+	// BucketElems caps gradient-bucket sizes for the ddp reducer, which
+	// averages each bucket as soon as backward has finished its layers. 0
+	// keeps one whole-vector bucket — arithmetic identical to the
+	// historical AllReduceMean path.
 	BucketElems int
 	// StartInit, when set, gives a joiner's start+initialization time on
 	// Clock: RequestScaleOut calls it once per joiner, in name order under
@@ -891,7 +887,7 @@ func (f *Fleet) RequestScaleIn(n int) error {
 // execute the iteration concurrently.
 //
 // Step tolerates faults: crashed agents are swept out of the group before
-// dispatch (so a dead rank never wedges the ring collective), and an
+// dispatch (so a dead rank never wedges the collective), and an
 // unreachable AM downgrades coordination to a skip — the fleet keeps
 // training through AM outages and picks up pending adjustments once the AM
 // recovers, per the paper's decoupling of training from coordination.
@@ -1056,9 +1052,7 @@ func (f *Fleet) regroupLocked(p placement) error {
 	}
 	group.SetTelemetry(f.tr, f.cfg.Metrics, f.clk, p.link)
 	if f.group != nil {
-		// Under f.mu and between steps no rank is inside a collective: the
-		// old group's chunk scratch changes hands here (DESIGN §9).
-		group.AdoptScratch(f.group)
+		f.group.Close()
 	}
 	f.group, f.gpus = group, p.gpus
 	return nil
@@ -1200,7 +1194,7 @@ func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID,
 }
 
 // sweepDeadLocked excises crashed agents before dispatch: a killed rank
-// would never join the ring collective and wedge every other rank, so the
+// would never join the collective and wedge every other rank, so the
 // survivors repartition the loader and rebuild the group without it.
 // Callers hold f.mu.
 func (f *Fleet) sweepDeadLocked() error {
