@@ -63,42 +63,46 @@ func benchSquare(b *testing.B, n int) {
 // negative half of the a operand, as a hidden layer's activations and
 // masked gradients are. 12x256x2048, dense a only, is the first layer of
 // the elastic_churn workload (12 samples a rank, MLP 256-2048-10): its
-// MatMulBTInto row times the input gradient a network's backward does not
-// compute for its first layer. 3x384x384 is a hidden layer of the
+// forward sweeps each kBlock tile of the weight matrix in column panels,
+// and its MatMulBTInto row times the input gradient a network's backward
+// does not compute for its first layer. 3x384x384 is a hidden layer of the
 // steady_comm workload (3 samples a rank, MLP 256-384-384-256-10): the
-// weight gradient runs a tile of two plus the odd last term, and the input
-// gradient has fewer than 4 rows, so it runs the Go loop on every host.
-// Serial, so a row is the kernel's own speed; the two parallel rows are
-// the pool's dispatch at a workload shape, where the helper's wake-up is a
-// few percent of the region.
+// weight gradient's tiles of 3 terms run in one pass, and the input
+// gradient's 3 rows run the packed few-row kernel. Serial, so a row is the
+// kernel's own speed; the two parallel rows are the pool's dispatch at a
+// workload shape, where the helper's wake-up is a few percent of the
+// region.
 //
-// Go loops → packed AVX2 tiles, median of five alternating runs of 30
-// iterations on a 2-vCPU Intel Xeon VM, in ms:
+// Medians of five alternating runs of 30 iterations on a 2-vCPU Intel
+// Xeon VM, in ms. The first pair is the Go loops → the packed AVX2 tiles.
+// The second, measured side by side later on the same VM, is the packed
+// tiles → the same with the one-pass tiles, the column panels and the
+// few-row MatMulBTInto:
 //
-//	MatMulInto    60x512x512 dense     6.43 → 2.66
-//	MatMulInto    60x512x512 parallel  6.64 → 1.56
-//	MatMulInto    60x512x512 relu      4.50 → 1.69
-//	MatMulInto    60x128x512 dense     1.58 → 0.63
-//	MatMulInto    60x128x512 relu      0.86 → 0.40
-//	MatMulInto    12x256x2048          2.97 → 1.70
-//	MatMulInto    3x384x384            0.18 → 0.08
-//	MatMulATInto  60x512x512 dense     7.07 → 2.59
-//	MatMulATInto  60x512x512 relu      4.02 → 1.81
-//	MatMulATInto  60x128x512 dense     1.81 → 0.63
-//	MatMulATInto  60x128x512 relu      1.03 → 0.39
-//	MatMulATInto  12x256x2048          2.80 → 1.35
-//	MatMulATInto  3x384x384            0.46 → 0.28
-//	MatMulBTInto  60x512x512 dense     7.04 → 2.69
-//	MatMulBTInto  60x512x512 parallel  4.34 → 1.51
-//	MatMulBTInto  60x512x512 relu      6.66 → 2.37
-//	MatMulBTInto  60x128x512 dense     1.45 → 0.59
-//	MatMulBTInto  60x128x512 relu      1.36 → 0.59
-//	MatMulBTInto  12x256x2048          3.03 → 1.18
-//	MatMulBTInto  3x384x384            0.22 → 0.23 (Go loop on both sides)
+//	MatMulInto    60x512x512 dense      6.43 → 2.66     2.70 → 2.36
+//	MatMulInto    60x512x512 parallel   6.64 → 1.56     1.55 → 1.42
+//	MatMulInto    60x512x512 relu       4.50 → 1.69     1.81 → 1.76
+//	MatMulInto    60x128x512 dense      1.58 → 0.63     0.65 → 0.68
+//	MatMulInto    60x128x512 relu       0.86 → 0.40     0.44 → 0.44
+//	MatMulInto    12x256x2048           2.97 → 1.70     1.52 → 1.15
+//	MatMulInto    3x384x384             0.18 → 0.08    0.081 → 0.091
+//	MatMulATInto  60x512x512 dense      7.07 → 2.59     2.78 → 2.44
+//	MatMulATInto  60x512x512 relu       4.02 → 1.81     1.96 → 1.68
+//	MatMulATInto  60x128x512 dense      1.81 → 0.63     0.67 → 0.52
+//	MatMulATInto  60x128x512 relu       1.03 → 0.39     0.48 → 0.35
+//	MatMulATInto  12x256x2048           2.80 → 1.35     1.33 → 0.91
+//	MatMulATInto  3x384x384             0.46 → 0.28     0.37 → 0.054
+//	MatMulBTInto  60x512x512 dense      7.04 → 2.69     2.89 → 2.74
+//	MatMulBTInto  60x512x512 parallel   4.34 → 1.51     1.55 → 1.40
+//	MatMulBTInto  60x512x512 relu       6.66 → 2.37     2.81 → 3.05
+//	MatMulBTInto  60x128x512 dense      1.45 → 0.59     0.40 → 0.64
+//	MatMulBTInto  60x128x512 relu       1.36 → 0.59     0.61 → 0.62
+//	MatMulBTInto  12x256x2048           3.03 → 1.18     0.97 → 1.09
+//	MatMulBTInto  3x384x384             0.22 → 0.23     0.21 → 0.074
 //
-// The host is noisy: single runs of one row differed by up to 2x, hence
-// medians. 12x256x2048's forward stays memory-bound, streaming the 4 MB
-// weight matrix once per output row.
+// The host is noisy: single runs of one row differed by up to 2x, and in
+// the second pair the medians of rows whose code did not change (the
+// MatMulBTInto rows of 4-row blocks) moved by up to a third either way.
 func BenchmarkWorkloadKernels(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -196,6 +200,51 @@ func startCallers(tb testing.TB, n, m, k, cols int) (round func()) {
 			if err != nil {
 				tb.Fatal(err)
 			}
+		}
+	}
+}
+
+// nanSink keeps BenchmarkOnePass's maybeNaN calls from being optimized away.
+var nanSink bool
+
+// BenchmarkOnePass times the two forms of one axpyTile on the packed path
+// as a tile's non-zero count grows: 128 output rows of 512, each taking nz
+// terms from distinct rows of a 128x512 b, as one pass (axpyNAVX2, which
+// flags NaNs as it stores) and as streaming tiles of four, two and one
+// (axpyStream) followed by the maybeNaN pass. Its rows set onePassTerms.
+func BenchmarkOnePass(b *testing.B) {
+	if !hostAVX2 {
+		b.Skip("no AVX2 on this host")
+	}
+	const rows, n = 128, 512
+	rng := rand.New(rand.NewSource(1))
+	y, dst := MustNew(kBlock, n), MustNew(rows, n)
+	y.Randn(rng, 1)
+	for _, nz := range []int{1, 2, 3, 4, 8, 12, 16, 20, 24, 32, 60} {
+		offs := make([][]int, rows)
+		av := make([]float64, nz)
+		for i := range offs {
+			for t := 0; t < nz; t++ {
+				offs[i] = append(offs[i], (i+t*(kBlock/nz))%kBlock*n)
+			}
+		}
+		for t := range av {
+			av[t] = rng.NormFloat64()
+		}
+		for _, form := range []string{"one_pass", "stream"} {
+			b.Run(fmt.Sprintf("nz=%d/%s", nz, form), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := range offs {
+						o := dst.Data[r*n : (r+1)*n]
+						if form == "one_pass" {
+							axpyNAVX2(o, y.Data, offs[r], av, true)
+						} else {
+							axpyStream(o, y.Data, offs[r], av, true)
+							nanSink = maybeNaN(o)
+						}
+					}
+				}
+			})
 		}
 	}
 }

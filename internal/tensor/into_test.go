@@ -531,55 +531,170 @@ func TestTiledKernelsEveryRemainder(t *testing.T) {
 // survivor depends on which operand of the addition each arrives in), rows
 // where Inf-Inf makes the NaN, rows of ±Inf only (the sum check's false
 // positive) and clean rows in between, in the first tile and past a kBlock
-// boundary, for tiles of four, of two and the odd last one.
+// boundary. Rows 0-7 have 2 to 9 live terms straddling the boundary (the
+// Go loops' tiles of four, of two and the odd last one; the packed path's
+// one-pass tiles), rows 8-11 have 17 to 23 (streaming tiles on both paths).
+// Row 12's only NaN is in one column c, where two NaNs of b meet, and c
+// takes in turn the one-pass tile's scalar tail, its 4-lane group and each
+// register pair of its 32-lane group, which must flag it alone. The rest of
+// b's pattern repeats every 9 columns, so at 8+9 columns the NaNs reach
+// the packed MatMulBTInto's 8-column kernel, at 3 rows its few-row form,
+// and at 512+9 columns the second column panel of the first tile.
 func TestTiledKernelsNaNRecompute(t *testing.T) {
 	forcePool(t)
 	nan := func(sign, payload uint64) float64 {
 		return math.Float64frombits(sign<<63 | 0x7FF8000000000000 | payload)
 	}
-	const m, k, n = 8, kBlock + 9, 7
+	const k = kBlock + 9
 	av := func(i, kk int) float64 {
-		if kk < kBlock-3 || kk > kBlock+5 { // nine live k, four before the boundary
-			return 0
+		start, n, class := kBlock-3, 2+i, i%4 // nine live k, four before the boundary
+		switch {
+		case i == 12:
+			start, n, class = kBlock+6, 3, 3
+		case i >= 8:
+			start, n = kBlock-20, 17+2*(i-8)
 		}
-		live := kk - (kBlock - 3)
-		if live >= 2+i { // row i has min(2+i, 9) non-zeros: tiles of 2, 2+1, 4, 4+1, ...
+		live := kk - start
+		if live < 0 || live >= n {
 			return 0
 		}
 		switch {
-		case i%4 == 0 && live == 0:
+		case class == 0 && live == 0:
 			return nan(0, 0x111)
-		case i%4 == 0 && live == 1:
+		case class == 0 && live == 1:
 			return nan(1, 0x222)
-		case i%4 == 1 && live == 0:
+		case class == 1 && live == 0:
 			return math.Inf(1)
-		case i%4 == 1 && live == 1:
+		case class == 1 && live == 1:
 			return math.Inf(-1)
-		case i%4 == 2 && live == 0:
+		case class == 2 && live == 0:
 			return math.Inf(1)
 		}
 		return float64(1 + live)
 	}
+	c := 0
 	bv := func(kk, j int) float64 {
-		if j == 3 && kk == kBlock-2 {
+		switch {
+		case j%9 == 3 && kk == kBlock-2:
 			return nan(0, 0x333) // a NaN from b, meeting a's in rows 0 and 4
-		}
-		if j%2 == 1 {
+		case j == c && kk == kBlock+6:
+			return nan(1, 0x444) // two NaNs from b alone, in row 12
+		case j == c && kk == kBlock+8:
+			return nan(0, 0x555)
+		case j%9%2 == 1:
 			return -1.5 // rows i%4 == 2 end as +Inf and -Inf side by side
 		}
 		return 2.5
 	}
-	o := newKernelOperands(m, k, n, av, bv)
-	want, _ := MatMul(o.a, o.b)
-	if !math.IsNaN(want.At(0, 0)) || !math.IsNaN(want.At(1, 0)) || !math.IsInf(want.At(2, 0), 1) || !math.IsInf(want.At(2, 1), -1) || math.IsNaN(want.At(3, 0)) {
-		t.Fatalf("operands do not produce the intended NaN, Inf and clean rows: %v", want.Data)
+	for _, sh := range [][3]int{{13, 9, 8}, {13, 40, 37}, {13, 32, 5}, {13, 32, 14}, {13, 32, 20}, {13, 32, 27}, {3, 17, 0}, {5, 512 + 9, 0}} {
+		m, n := sh[0], sh[1]
+		c = sh[2]
+		o := newKernelOperands(m, k, n, av, bv)
+		want, _ := MatMul(o.a, o.b)
+		if !math.IsNaN(want.At(0, 0)) || !math.IsNaN(want.At(1, 0)) || !math.IsInf(want.At(2, 0), 1) || !math.IsInf(want.At(2, 1), -1) || (m > 3 && math.IsNaN(want.At(3, 0))) {
+			t.Fatalf("%dx%dx%d: operands do not produce the intended NaN, Inf and clean rows", m, k, n)
+		}
+		for _, packed := range kernelPaths(t) {
+			useAVX2 = packed
+			for _, workers := range []int{1, 2, 8} {
+				SetParallelism(workers)
+				if bad := o.diff(); bad != "" {
+					t.Fatalf("%s (%s) on NaN/Inf rows of %dx%dx%d at parallelism %d", bad, pathName(), m, k, n, workers)
+				}
+			}
+		}
 	}
+}
+
+// TestOnePassTiles runs tiles of 1 to 17 non-zero terms, on both sides of
+// onePassTerms, through MatMulInto and MatMulATInto: row 0 takes them in
+// the first tile alone, row 1 in the first tile and again in the continued
+// second, row 2 only in the continued tile after an empty first. The widths
+// take the one-pass loop's 32-lane groups, every count of 4-lane groups
+// after them and every scalar tail.
+func TestOnePassTiles(t *testing.T) {
+	forcePool(t)
+	rng := rand.New(rand.NewSource(41))
+	const k = kBlock + 40
 	for _, packed := range kernelPaths(t) {
 		useAVX2 = packed
-		for _, workers := range []int{1, 2, 8} {
-			SetParallelism(workers)
-			if bad := o.diff(); bad != "" {
-				t.Fatalf("%s (%s) on NaN/Inf rows at parallelism %d", bad, pathName(), workers)
+		for nz := 1; nz <= 17; nz++ {
+			av := func(i, kk int) float64 {
+				tile, off := kk/kBlock, kk%kBlock
+				if (i == 0 && tile == 1) || (i == 2 && tile == 0) || off%2 == 1 || off/2 >= nz {
+					return 0
+				}
+				return rng.NormFloat64()
+			}
+			for _, n := range []int{1, 3, 4, 7, 31, 32, 33, 37, 42, 47, 52, 57, 62, 63, 64, 99} {
+				o := newKernelOperands(3, k, n, av, func(int, int) float64 { return rng.NormFloat64() })
+				if bad := o.diff(); bad != "" {
+					t.Fatalf("%s (%s): %d terms a tile, width %d", bad, pathName(), nz, n)
+				}
+			}
+		}
+	}
+}
+
+// TestColumnPanels runs shapes whose kBlock tile of b outgrows panelElems,
+// so axpyRows sweeps it in column panels with a ragged last one (at
+// 5x300x1100: 512, 512 and 76 columns, then the shorter last tile in one),
+// on finite values with zeros: no NaN arises, so no recompute can hide a
+// panel that reads the wrong part of b.
+func TestColumnPanels(t *testing.T) {
+	forcePool(t)
+	rng := rand.New(rand.NewSource(47))
+	val := func(int, int) float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return rng.NormFloat64()
+	}
+	for _, sh := range [][3]int{{5, 300, 1100}, {3, kBlock + 1, 530}} {
+		if panelWidth(kBlock, sh[2]) == sh[2] {
+			t.Fatalf("%v: one panel", sh)
+		}
+		o := newKernelOperands(sh[0], sh[1], sh[2], val, val)
+		for _, packed := range kernelPaths(t) {
+			useAVX2 = packed
+			for _, workers := range []int{1, 2} {
+				SetParallelism(workers)
+				if bad := o.diff(); bad != "" {
+					t.Fatalf("%s (%s): %v at parallelism %d", bad, pathName(), sh, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulBTIntoFewRows covers MatMulBTInto's rows outside 4-row blocks:
+// 1 to 3 rows alone and beside one block (5 to 7), at widths 1 to 17 (the
+// packed path's 8-column groups with every scalar tail), for shared
+// dimensions of every residue mod 4 (the packed kernel's four-k steps)
+// including past one kBlock, on adversarial fills.
+func TestMatMulBTIntoFewRows(t *testing.T) {
+	forcePool(t)
+	SetParallelism(1)
+	rng := rand.New(rand.NewSource(43))
+	for _, packed := range kernelPaths(t) {
+		useAVX2 = packed
+		for _, m := range []int{1, 2, 3, 5, 6, 7} {
+			for _, k := range []int{1, 2, 3, 4, 7, kBlock + 5, kBlock + 6} {
+				for n := 1; n <= 17; n++ {
+					a, b := MustNew(m, k), MustNew(n, k)
+					special := (m+k+n)%2 == 0
+					fillAdversarial(rng, a, special)
+					fillAdversarial(rng, b, special)
+					want, _ := MatMulBT(a, b)
+					dst := MustNew(m, n)
+					fillAdversarial(rng, dst, true)
+					if err := MatMulBTInto(dst, a, b); err != nil {
+						t.Fatal(err)
+					}
+					if !bitsEqual(dst, want) {
+						t.Fatalf("MatMulBTInto (%s) %dx%dx%d special=%v differs from naive", pathName(), m, k, n, special)
+					}
+				}
 			}
 		}
 	}
@@ -611,20 +726,30 @@ func fillFromBytes(data []byte, off int) func(int, int) float64 {
 }
 
 // FuzzMatMulIntoBitwise checks all three Into kernels against the naive
-// references bit for bit on fuzzer-chosen shapes, parallelism and fill.
+// references bit for bit on fuzzer-chosen shapes, parallelism and fill. The
+// output width is 1-16 plus 16 times a 0-47 scale, so a kBlock tile of b
+// can outgrow panelElems and take column panels.
 func FuzzMatMulIntoBitwise(f *testing.F) {
-	f.Add(uint8(1), uint16(1), uint8(1), uint8(0), []byte{5})
-	f.Add(uint8(5), uint16(7), uint8(6), uint8(1), []byte{3, 11, 5, 0, 19, 2, 27, 13})
-	f.Add(uint8(9), uint16(kBlock+5), uint8(13), uint8(2), []byte{5, 0, 13, 5, 3, 21, 0, 5, 5, 10, 4, 1})
-	f.Add(uint8(3), uint16(2*kBlock+1), uint8(4), uint8(3), []byte{0, 0, 0, 5, 0, 0, 0, 0, 13, 3})
-	f.Add(uint8(16), uint16(4), uint8(3), uint8(1), []byte{3, 3, 11, 2, 10, 5})
-	f.Fuzz(func(t *testing.T, m uint8, k uint16, n, workers uint8, data []byte) {
+	f.Add(uint8(1), uint16(1), uint8(1), uint8(0), uint8(0), []byte{5})
+	f.Add(uint8(5), uint16(7), uint8(6), uint8(1), uint8(0), []byte{3, 11, 5, 0, 19, 2, 27, 13})
+	f.Add(uint8(9), uint16(kBlock+5), uint8(13), uint8(2), uint8(0), []byte{5, 0, 13, 5, 3, 21, 0, 5, 5, 10, 4, 1})
+	f.Add(uint8(3), uint16(2*kBlock+1), uint8(4), uint8(3), uint8(0), []byte{0, 0, 0, 5, 0, 0, 0, 0, 13, 3})
+	f.Add(uint8(16), uint16(4), uint8(3), uint8(1), uint8(0), []byte{3, 3, 11, 2, 10, 5})
+	// Column panels: 6 rows, two tiles, 16+512 columns.
+	f.Add(uint8(5), uint16(kBlock+9), uint8(15), uint8(1), uint8(32), []byte{5, 3, 13, 0, 21, 6, 5, 11, 2})
+	// One-pass tiles of at most 5 terms, some of a's entries zero, over
+	// 3 rows of 39 (a 32-lane group, a 4-lane group and a tail of 3).
+	f.Add(uint8(2), uint16(4), uint8(6), uint8(0), uint8(2), []byte{5, 0, 13, 21, 8, 6, 3, 29})
+	// MatMulBTInto's few-row kernel: 1 and 3 rows, 8-column groups, NaNs.
+	f.Add(uint8(0), uint16(kBlock+4), uint8(10), uint8(0), uint8(0), []byte{5, 3, 13, 14, 6})
+	f.Add(uint8(2), uint16(9), uint8(15), uint8(2), uint8(0), []byte{5, 11, 3, 19, 2, 5})
+	f.Fuzz(func(t *testing.T, m uint8, k uint16, n, workers, wide uint8, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		forcePool(t)
 		SetParallelism([]int{1, 2, 3, 8}[workers%4])
-		o := newKernelOperands(1+int(m%16), 1+int(k%300), 1+int(n%16), fillFromBytes(data, 0), fillFromBytes(data, 7))
+		o := newKernelOperands(1+int(m%16), 1+int(k%300), 1+int(n%16)+16*int(wide%48), fillFromBytes(data, 0), fillFromBytes(data, 7))
 		for _, packed := range kernelPaths(t) {
 			useAVX2 = packed
 			if bad := o.diff(); bad != "" {

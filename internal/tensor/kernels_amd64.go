@@ -34,3 +34,22 @@ func axpy2AVX2(o, b0, b1 []float64, a0, a1 float64)
 //
 //go:noescape
 func dot4x4AVX2(o []float64, ldo int, pack, b []float64, ldb int, cont bool)
+
+// axpyNAVX2 applies a whole tile's terms to o in one pass: for every j,
+// s := +0 (o[j] when cont is set); s += av[t]*b[offs[t]+j] for t in
+// [0, len(av)); o[j] = s. It keeps thirty-two, then four elements, then
+// one in registers across all the terms, stores each once, and reports
+// whether it stored a NaN. offs and av must have the same length, at least
+// 1, and each b[offs[t]:] must hold at least len(o) elements.
+//
+//go:noescape
+func axpyNAVX2(o, b []float64, offs []int, av []float64, cont bool) (nan bool)
+
+// dotRows8AVX2 sets o[r*ldo+c] = sum over k of a[r*kn+k] * b[c*kn+k] for
+// rows r in [0, rows), rows in [1, 3], and columns c in [0, 8). Each sum
+// starts at +0 and runs k-ascending in its own lane: per four k, the eight
+// b rows are transposed in registers so the lanes are output columns, and
+// each row's a[r*kn+k] is broadcast, multiplied and added.
+//
+//go:noescape
+func dotRows8AVX2(o []float64, ldo int, a, b []float64, rows, kn int)

@@ -19,3 +19,11 @@ func axpy2AVX2(o, b0, b1 []float64, a0, a1 float64) {
 func dot4x4AVX2(o []float64, ldo int, pack, b []float64, ldb int, cont bool) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
+
+func axpyNAVX2(o, b []float64, offs []int, av []float64, cont bool) bool {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func dotRows8AVX2(o []float64, ldo int, a, b []float64, rows, kn int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}

@@ -164,103 +164,169 @@ func matMulATRows(dst, a, b *Matrix, lo, hi int) {
 	axpyRows(dst, b, a.Data, 1, a.Cols, a.Rows, lo, hi)
 }
 
+// onePassTerms is the most non-zero terms a tile may have for axpyTile to
+// apply them in one pass on the packed path. One pass stores each output
+// element once per tile and flags NaNs as it stores, where the streaming
+// tiles load and store it once per group and then sum the row for
+// maybeNaN. But it reads as many b rows at once as the tile has terms. In
+// BenchmarkOnePass on a 2-vCPU Xeon VM, with b and the output in L2, one
+// pass took 0.2-0.5 of the streaming time up to 4 terms, 0.87-0.95 from 8
+// to 24, and 1.02-1.07 at 32 and 60. End to end the limit sits between
+// two workloads: steady_compute, whose 60-sample weight-gradient tiles
+// hold mostly 10 to 16 non-zeros, read 1.9 % more samples/s at 8 than at
+// 16, and elastic_churn, whose 12-sample tiles are dense, read its
+// scale-in pause 6 % longer at 8 (5 of 5 pairs each). Twelve keeps every
+// tile of up to 12 samples in one pass.
+const onePassTerms = 12
+
+// panelElems is the size, in elements, of the part of a kBlock tile of b
+// that axpyRows sweeps with a block of output rows before it moves on:
+// 512 KiB, so every row after the first reads it from L2. A wider tile is
+// swept in column panels of at most this many elements.
+const panelElems = 64 << 10
+
+// panelWidth is the column panel width for a tile of rows rows of a b with
+// n columns: all of n when the tile fits panelElems, else the widest
+// multiple of 16 columns that does (16 at the least).
+func panelWidth(rows, n int) int {
+	if rows*n <= panelElems {
+		return n
+	}
+	return max(panelElems/rows&^15, 16)
+}
+
 // axpyRows computes rows [lo, hi) of dst = A*b for the kn x dst.Cols matrix
 // b, where A(i, k) = ad[i*iStride+k*kStride] — a row of a for MatMulInto, a
-// column of a for MatMulATInto. Per kBlock tile and output row it gathers
-// the tile's non-zero A(i, k) (the naive kernels skip zeros, which matters
-// for 0*Inf) and applies them four at a time (then two, then one), so an
-// output element is loaded and stored once per four multiply-adds instead
-// of once each, with every element still accumulating in k-ascending order.
-// With useAVX2 the tiles of four and two run packed, one output element a
-// lane, each lane doing the Go loop's own multiply and then add.
+// column of a for MatMulATInto. Per kBlock tile, column panel (panelWidth)
+// and output row it gathers the tile's non-zero A(i, k) (the naive kernels
+// skip zeros, which matters for 0*Inf) and applies them with axpyTile;
+// every element still accumulates in k-ascending order, and the panels
+// change only which elements are computed when.
 //
 // The register accumulator changes which operand of an addition a NaN
 // arrives in, and which of two NaN payloads survives depends on that. No
 // other IEEE sum depends on operand order, and NaN is sticky, so it is
-// enough that a row which took a register tile and now holds a NaN is
+// enough that a row panel which took a register tile and now holds a NaN is
 // recomputed up to this tile by axpyScalar, which accumulates in the
 // references' own form.
 //
 //elan:hotpath
 func axpyRows(dst, b *Matrix, ad []float64, iStride, kStride, kn, lo, hi int) {
 	n := dst.Cols
-	var ks [kBlock]int
+	var offs [kBlock]int
 	var av [kBlock]float64
 	for k0 := 0; k0 < kn || k0 == 0; k0 += kBlock { // once even for kn == 0: the rows are still cleared
 		k1 := min(k0+kBlock, kn)
-		for i := lo; i < hi; i++ {
-			o := dst.Data[i*n : (i+1)*n]
-			if k0 == 0 {
-				clear(o)
-			}
-			ai := ad[i*iStride:]
-			nz := 0
-			for k := k0; k < k1; k++ {
-				if v := ai[k*kStride]; v != 0 {
-					ks[nz], av[nz] = k, v
-					nz++
-				}
-			}
-			t := 0
-			for ; t+4 <= nz; t += 4 {
-				a0, a1, a2, a3 := av[t], av[t+1], av[t+2], av[t+3]
-				b0 := b.Data[ks[t]*n:][:len(o)]
-				b1 := b.Data[ks[t+1]*n:][:len(o)]
-				b2 := b.Data[ks[t+2]*n:][:len(o)]
-				b3 := b.Data[ks[t+3]*n:][:len(o)]
-				if useAVX2 {
-					axpy4AVX2(o, b0, b1, b2, b3, a0, a1, a2, a3)
-					continue
-				}
-				for j := range o {
-					s := o[j]
-					s += a0 * b0[j]
-					s += a1 * b1[j]
-					s += a2 * b2[j]
-					s += a3 * b3[j]
-					o[j] = s
-				}
-			}
-			if t+2 <= nz {
-				a0, a1 := av[t], av[t+1]
-				b0 := b.Data[ks[t]*n:][:len(o)]
-				b1 := b.Data[ks[t+1]*n:][:len(o)]
-				if useAVX2 {
-					axpy2AVX2(o, b0, b1, a0, a1)
-				} else {
-					for j := range o {
-						s := o[j]
-						s += a0 * b0[j]
-						s += a1 * b1[j]
-						o[j] = s
+		pw := panelWidth(k1-k0, n)
+		for j0 := 0; j0 < n; j0 += pw {
+			j1 := min(j0+pw, n)
+			for i := lo; i < hi; i++ {
+				o := dst.Data[i*n+j0 : i*n+j1]
+				ai := ad[i*iStride:]
+				nz := 0
+				for k := k0; k < k1; k++ {
+					if v := ai[k*kStride]; v != 0 {
+						offs[nz], av[nz] = k*n+j0, v
+						nz++
 					}
 				}
-				t += 2
-			}
-			if t < nz {
-				axpyScalar(o, b, ai, kStride, ks[t], ks[t]+1)
-			}
-			if nz >= 2 && maybeNaN(o) {
-				clear(o)
-				axpyScalar(o, b, ai, kStride, 0, k1)
+				if axpyTile(o, b.Data, offs[:nz], av[:nz], k0 > 0) {
+					clear(o)
+					axpyScalar(o, b, j0, ai, kStride, 0, k1)
+				}
 			}
 		}
 	}
 }
 
-// axpyScalar adds ai[k*kStride] * (row k of b) to o for k in [k0, k1),
-// skipping zeros, one k at a time in the exact form of the naive MatMul and
-// MatMulAT. It applies the odd last non-zero of a tile in axpyRows and
-// recomputes its NaN rows.
+// axpyTile applies one tile's terms to o: o[j] += av[t] * b[offs[t]+j] for
+// each t in order, with o taken as all +0 on the first tile (cont unset). It
+// reports whether o must be recomputed: a register tile wrote it, and it
+// may hold a NaN.
+//
+// With useAVX2 and at most onePassTerms terms, axpyNAVX2 keeps each output
+// element in a register across all of them, stores it once and flags the
+// NaNs it stores, which spares the maybeNaN pass over o. Otherwise
+// the terms go four at a time as s := o[j]; s += a0*b0[j]; ...;
+// s += a3*b3[j]; o[j] = s, then two, then one, packed with useAVX2, so an
+// output element is loaded and stored once per group rather than once per
+// term.
 //
 //elan:hotpath
-func axpyScalar(o []float64, b *Matrix, ai []float64, kStride, k0, k1 int) {
+func axpyTile(o, b []float64, offs []int, av []float64, cont bool) bool {
+	nz := len(av)
+	if useAVX2 && nz > 0 && nz <= onePassTerms {
+		return axpyNAVX2(o, b, offs, av, cont)
+	}
+	axpyStream(o, b, offs, av, cont)
+	return nz >= 2 && maybeNaN(o)
+}
+
+// axpyStream is axpyTile's streaming form: the terms go four at a time,
+// then two, then one, and o is loaded and stored once per group.
+//
+//elan:hotpath
+func axpyStream(o, b []float64, offs []int, av []float64, cont bool) {
+	nz := len(av)
+	if !cont {
+		clear(o)
+	}
+	t := 0
+	for ; t+4 <= nz; t += 4 {
+		a0, a1, a2, a3 := av[t], av[t+1], av[t+2], av[t+3]
+		b0 := b[offs[t]:][:len(o)]
+		b1 := b[offs[t+1]:][:len(o)]
+		b2 := b[offs[t+2]:][:len(o)]
+		b3 := b[offs[t+3]:][:len(o)]
+		if useAVX2 {
+			axpy4AVX2(o, b0, b1, b2, b3, a0, a1, a2, a3)
+			continue
+		}
+		for j := range o {
+			s := o[j]
+			s += a0 * b0[j]
+			s += a1 * b1[j]
+			s += a2 * b2[j]
+			s += a3 * b3[j]
+			o[j] = s
+		}
+	}
+	if t+2 <= nz {
+		a0, a1 := av[t], av[t+1]
+		b0 := b[offs[t]:][:len(o)]
+		b1 := b[offs[t+1]:][:len(o)]
+		if useAVX2 {
+			axpy2AVX2(o, b0, b1, a0, a1)
+		} else {
+			for j := range o {
+				s := o[j]
+				s += a0 * b0[j]
+				s += a1 * b1[j]
+				o[j] = s
+			}
+		}
+		t += 2
+	}
+	if t < nz { // the odd last term, in the references' own form
+		v := av[t]
+		for j, bv := range b[offs[t]:][:len(o)] {
+			o[j] += v * bv
+		}
+	}
+}
+
+// axpyScalar adds ai[k*kStride] * b[k, j0:j0+len(o)] to o for k in
+// [k0, k1), skipping zeros, one k at a time in the exact form of the naive
+// MatMul and MatMulAT. It recomputes axpyRows's NaN row panels.
+//
+//elan:hotpath
+func axpyScalar(o []float64, b *Matrix, j0 int, ai []float64, kStride, k0, k1 int) {
 	for k := k0; k < k1; k++ {
 		v := ai[k*kStride]
 		if v == 0 {
 			continue
 		}
-		brow := b.Data[k*len(o) : (k+1)*len(o)]
+		brow := b.Data[k*b.Cols+j0:][:len(o)]
 		for j, bv := range brow {
 			o[j] += v * bv
 		}
@@ -314,12 +380,15 @@ func MatMulBTInto(dst, a, b *Matrix) error {
 // that overlap in the pipeline and share each load of the a row, and each
 // still accumulates k-ascending from zero like the naive MatMulBT. NaN
 // rows are recomputed by dotScalar for the reason given at axpyRows. With
-// useAVX2, matMulBTBlocks computes the whole 4-row blocks first.
+// useAVX2, matMulBTBlocks computes the whole 4-row blocks and
+// matMulBTFewRows the rows left over instead.
 //
 //elan:hotpath
 func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
 	if useAVX2 {
 		lo = matMulBTBlocks(dst, a, b, lo, hi)
+		matMulBTFewRows(dst, a, b, lo, hi)
+		return
 	}
 	kn := a.Cols
 	for i := lo; i < hi; i++ {
@@ -387,6 +456,33 @@ func matMulBTBlocks(dst, a, b *Matrix, lo, hi int) int {
 		}
 	}
 	return i
+}
+
+// matMulBTFewRows computes the rows [lo, hi) of dst = a*bᵀ that
+// matMulBTBlocks left, on the packed path: fewer than 4 of them, or any
+// number when n < 4, which take dotScalar alone. dotRows8AVX2 computes each
+// eight output columns of all the rows at once, with the columns as lanes,
+// each sum from +0 and k-ascending as in MatMulBT. The last n mod 8 columns
+// and the NaN recompute run dotScalar.
+//
+//elan:hotpath
+func matMulBTFewRows(dst, a, b *Matrix, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	kn, n := a.Cols, dst.Cols
+	ar := a.Data[lo*kn : hi*kn]
+	for j := 0; j+8 <= n; j += 8 {
+		dotRows8AVX2(dst.Data[lo*n+j:(hi-1)*n+j+8], n, ar, b.Data[j*kn:(j+8)*kn], hi-lo, kn)
+	}
+	for r := lo; r < hi; r++ {
+		arow := a.Data[r*kn : (r+1)*kn]
+		o := dst.Data[r*n : (r+1)*n]
+		dotScalar(o, arow, b, n&^7)
+		if n >= 8 && maybeNaN(o) {
+			dotScalar(o, arow, b, 0)
+		}
+	}
 }
 
 // dotScalar sets o[j] = arow · (row j of b) for j in [j0, len(o)), one

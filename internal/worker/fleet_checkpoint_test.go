@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
+	"github.com/elan-sys/elan/internal/data"
 )
 
 func checkpointFleet(t *testing.T, ds *checkpoint.DeltaStore) *Fleet {
@@ -296,4 +297,87 @@ func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 			t.Errorf("%s: the refused restore moved the warm base", tc.name)
 		}
 	}
+}
+
+// FuzzCheckpointHeader commits arbitrary header bytes under the fleet's
+// checkpoint name, over a state of the right length, and restores. The
+// restore must not panic. It either fails and leaves the arenas, the
+// iteration, the loader cursor and the warm base as they were, or it
+// restores a header that checkpointHeaderLocked accepts: the fleet then
+// holds that header's iteration and cursor.
+func FuzzCheckpointHeader(f *testing.F) {
+	d, err := data.GenGaussianMixture(21, 1024, 4, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 8})
+	fl, err := NewFleet(FleetConfig{
+		Dataset: d, LayerSizes: []int{4, 16, 3}, Workers: 2, TotalBatch: 24,
+		LR: 0.05, Momentum: 0.9, Seed: 21, Checkpoints: ds,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(fl.Close)
+	for i := 0; i < 3; i++ {
+		if _, err := fl.Step(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := fl.SaveCheckpoint(); err != nil {
+		f.Fatal(err)
+	}
+	fl.mu.Lock()
+	good := fleetCkptHeader{Iter: fl.iter, TBS: fl.cfg.TotalBatch, LR: *fl.lrSched, Cursor: fl.loader.Cursor()}
+	state := slices.Clone(fl.agents[0].rep.State())
+	fl.mu.Unlock()
+	encode := func(h fleetCkptHeader) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(encode(good))
+	f.Add(encode(good)[:len(encode(good))/2])
+	bad := good
+	bad.Cursor = -1
+	f.Add(encode(bad))
+	bad = good
+	bad.LR.T = -5
+	f.Add(encode(bad))
+	bad = good
+	bad.Iter, bad.TBS = 1<<40, 3
+	f.Add(encode(bad))
+	f.Add([]byte{})
+	f.Add([]byte{0x03, 0xff, 0x81, 0x00})
+	f.Fuzz(func(t *testing.T, header []byte) {
+		if _, err := ds.Save(ckptName, header, state); err != nil {
+			t.Fatal(err)
+		}
+		before := readFleetState(fl)
+		_, err := fl.RestoreCheckpoint()
+		after := readFleetState(fl)
+		if err != nil {
+			if !slices.EqualFunc(after.arenas, before.arenas, sameBits) {
+				t.Fatalf("refused restore (%v) changed a replica", err)
+			}
+			if after.iter != before.iter || after.cursor != before.cursor {
+				t.Fatalf("refused restore (%v) moved iteration or cursor: %d %d, were %d %d", err, after.iter, after.cursor, before.iter, before.cursor)
+			}
+			if after.ckptSeq != before.ckptSeq || !sameBits(after.ckptState, before.ckptState) {
+				t.Fatalf("refused restore (%v) moved the warm base", err)
+			}
+			return
+		}
+		fl.mu.Lock()
+		h, _, err := fl.checkpointHeaderLocked()
+		fl.mu.Unlock()
+		if err != nil {
+			t.Fatalf("restored a header checkpointHeaderLocked refuses: %v", err)
+		}
+		if after.iter != h.Iter || after.cursor != h.Cursor {
+			t.Fatalf("restored iteration %d, cursor %d; the header holds %d, %d", after.iter, after.cursor, h.Iter, h.Cursor)
+		}
+	})
 }
