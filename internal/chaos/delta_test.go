@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,15 +11,15 @@ import (
 )
 
 // TestChaosDeltaCheckpointRecovery is the tentpole acceptance scenario run
-// through the harness: periodic delta saves ride the chaos run, a store
-// crash is injected mid-save (chunks written, manifest never committed),
-// the AM crashes and a successor recovers — and the fleet restores
-// bit-identical to the last *committed* manifest. Bit-identity is proven
-// through the chain itself: a save taken immediately after the restore
-// must find zero dirty chunks against the committed hashes.
+// through the harness: periodic saves ride the chaos run, a store crash is
+// injected mid-save (payload encoded, never published), the AM crashes and
+// a successor recovers — and the fleet restores bit-identical to the last
+// *committed* snapshot. Bit-identity is proven through the store: a save
+// taken immediately after the restore publishes the lead arena, and its
+// header bytes and state must equal the committed snapshot's bit for bit.
 func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 	guardGoroutines(t)
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 100})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	h, err := New(Config{
 		Workers: 2,
 		Schedule: Schedule{Seed: 5, Faults: []Fault{
@@ -39,10 +42,14 @@ func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 		t.Fatal("no committed checkpoint after first window")
 	}
 	committedSeq := h.Fleet.CheckpointSeq()
+	wantHeader, want, _, err := ds.Restore("fleet")
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
 
-	// The next periodic save (after iter 5) dies between its chunk writes
-	// and the manifest commit; the AM crashes at 6 and recovers at 7.
-	ds.InjectCrash(1)
+	// The next periodic save (after iter 5) dies between its encode and
+	// its publish; the AM crashes at 6 and recovers at 7.
+	ds.InjectCrash()
 	if err := h.Run(3); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -54,12 +61,12 @@ func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 		t.Fatalf("torn save advanced the committed seq: %d -> %d", committedSeq, h.Fleet.CheckpointSeq())
 	}
 	if head, ok := ds.LastSeq("fleet"); !ok || head != committedSeq {
-		t.Fatalf("store chain head = %d (ok=%v), want last commit %d", head, ok, committedSeq)
+		t.Fatalf("store head = %d (ok=%v), want last commit %d", head, ok, committedSeq)
 	}
 
-	// Recover from the manifest chain, then prove bit-identity: re-saving
-	// the restored state finds every chunk clean against the committed
-	// chain. The torn save's orphan chunks are invisible.
+	// Recover from the published snapshot, then prove bit-identity:
+	// re-saving the restored lead arena publishes the committed header and
+	// state again. The torn save's encode is invisible.
 	rs, err := h.Fleet.RestoreCheckpoint()
 	if err != nil {
 		t.Fatalf("RestoreCheckpoint: %v", err)
@@ -67,12 +74,18 @@ func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 	if rs.Seq != committedSeq {
 		t.Fatalf("restored seq %d, want %d", rs.Seq, committedSeq)
 	}
-	st, err := h.Fleet.SaveCheckpoint()
-	if err != nil {
+	if _, err := h.Fleet.SaveCheckpoint(); err != nil {
 		t.Fatalf("post-restore save: %v", err)
 	}
-	if st.ChunksDirty != 0 || st.BytesWritten != 0 {
-		t.Fatalf("restored state differs from committed chain: %+v", st)
+	gotHeader, got, _, err := ds.Restore("fleet")
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if !bytes.Equal(gotHeader, wantHeader) {
+		t.Fatal("restored runtime header differs from the committed snapshot's")
+	}
+	if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+		t.Fatal("restored lead arena differs from the committed snapshot's state")
 	}
 
 	// Training continues, and the next periodic save commits cleanly.
@@ -81,7 +94,7 @@ func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 	}
 	r = h.Report()
 	if !r.Consistent {
-		t.Fatal("replicas inconsistent after delta recovery")
+		t.Fatal("replicas inconsistent after checkpoint recovery")
 	}
 	if r.AMDown {
 		t.Fatal("AM still down")
@@ -107,7 +120,7 @@ func TestChaosCheckpointEventsDeterministic(t *testing.T) {
 				{Iter: 1, Kind: WorkerCrash, Target: "agent-1"},
 				{Iter: 3, Kind: WorkerRestart, Target: "agent-1"},
 			}},
-			Checkpoints:     checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16}),
+			Checkpoints:     checkpoint.NewDeltaStore(checkpoint.DeltaConfig{}),
 			CheckpointEvery: 2,
 		})
 		if err != nil {

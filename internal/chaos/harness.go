@@ -39,10 +39,10 @@ type Config struct {
 	// event per injected fault, and is dumped automatically on each fault
 	// so the recent span history around a disruption survives.
 	Flight *telemetry.FlightRecorder
-	// Checkpoints, when non-nil, wires the fleet to a delta checkpoint
-	// store and Run saves into it every CheckpointEvery iterations —
-	// including, under an injected store crash, mid-save failures whose
-	// recovery the delta tests assert on. CheckpointEvery <= 0 disables
+	// Checkpoints, when non-nil, wires the fleet to a checkpoint store
+	// and Run saves into it every CheckpointEvery iterations — including,
+	// under an injected store crash, torn saves whose recovery the
+	// checkpoint tests assert on. CheckpointEvery <= 0 disables
 	// the periodic saves (explicit SaveCheckpoint calls still work).
 	Checkpoints     *checkpoint.DeltaStore
 	CheckpointEvery int
@@ -70,7 +70,7 @@ type Harness struct {
 	oldAMs    []*coord.AM
 	mFaults   *telemetry.Counter
 
-	ckptSaves int      // committed periodic delta saves
+	ckptSaves int      // committed periodic saves
 	ckptErrs  []string // failed periodic saves (e.g. injected store crashes)
 }
 
@@ -165,7 +165,7 @@ func (h *Harness) Run(iters int) error {
 	return nil
 }
 
-// maybeCheckpoint runs the periodic delta save. Save timing is a pure
+// maybeCheckpoint runs the periodic checkpoint save. Save timing is a pure
 // function of the iteration counter, so the ckpt.save log lines stay
 // byte-comparable across same-schedule runs; a failed save (a fault, not a
 // schedule event) is reported, never logged.

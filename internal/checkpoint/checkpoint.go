@@ -3,8 +3,8 @@
 // GPU state is first copied device-to-host over PCIe, then serialized and
 // written to a shared filesystem (the paper's Lustre), and restored by the
 // inverse path. FSModel prices that path in simulated durations. The real
-// checkpoints of a live fleet go to DeltaStore: content-hashed chunk
-// chains that write only the chunks a save changed.
+// checkpoints of a live fleet go to DeltaStore: one full snapshot per job
+// name, encoded into a spare buffer and published by one swap.
 package checkpoint
 
 import (

@@ -8,20 +8,21 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/racecheck"
 )
 
-// The delta store recycles payload buffers and fills them from several
-// goroutines, so a mistake shows as one name's old commit changing under
-// it, possibly many saves later. The tests here check it against a model
-// that cannot alias: a plain copy of every committed state.
+// The store encodes into one of two buffers per name, from several
+// goroutines, and publishes by swapping them, so a mistake shows as a
+// committed snapshot changing under a later save, torn or not, of the same
+// name or another. The tests here check it against a model that cannot
+// alias: a plain copy of every committed state.
 
 // modelJob is the oracle's view of one name.
 type modelJob struct {
+	size    int                 // the name's original length; resizes stay near it
 	work    []float64           // the caller's live state, mutated between saves
 	header  []byte              // header of the last commit
 	seq     int64               // seq of the last commit (0: none)
@@ -33,117 +34,123 @@ type storeModel struct {
 	t     *testing.T
 	d     *DeltaStore
 	jobs  map[string]*modelJob
-	armed int // InjectCrash argument still waiting to fire, -1 if none
+	seq   int64 // the store's last commit, of any name
 	chunk int
 }
 
 // Two names of different, non-chunk-aligned sizes share one store. "big" has
 // enough chunks for the chunk-parallel passes to start goroutines, "small"
-// runs them inline; both kinds of buffer meet in the one free list.
+// runs them inline.
 const (
 	modelChunk = 4
-	bigElems   = 4*2*chunksPerWorker + 3
+	bigElems   = 4*2*chunksPerWorker + 7
 	smallElems = 41
 )
 
 func newStoreModel(t *testing.T) *storeModel {
-	m := &storeModel{
-		t: t, armed: -1, chunk: modelChunk,
-		d:    NewDeltaStore(DeltaConfig{ChunkElems: modelChunk, CompactEvery: 3}),
-		jobs: map[string]*modelJob{},
-	}
+	m := &storeModel{t: t, d: newTestStore(modelChunk, nil), jobs: map[string]*modelJob{}, chunk: modelChunk}
 	for name, n := range map[string]int{"big": bigElems, "small": smallElems} {
-		j := &modelJob{work: make([]float64, n), commits: map[int64][]float64{}}
+		j := &modelJob{size: n, work: make([]float64, n), commits: map[int64][]float64{}}
 		for i := range j.work {
-			j.work[i] = float64(i%7) + 0.5 // repeats, so chunks dedup within and across names
+			j.work[i] = float64(i%7) + 0.5
 		}
 		m.jobs[name] = j
 	}
 	return m
 }
 
+func filled(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// save saves name's working state and brings the oracle along.
-func (m *storeModel) save(name string, hdr byte) {
+// save saves name's working state, torn if torn, and brings the oracle
+// along.
+func (m *storeModel) save(name string, hdr byte, torn bool) {
 	m.t.Helper()
 	j := m.jobs[name]
 	header := []byte{hdr, byte(len(j.order))}
 	offered := slices.Clone(j.work)
+	if torn {
+		m.d.InjectCrash()
+	}
 	st, err := m.d.Save(name, header, j.work)
 	if !sameBits(j.work, offered) {
 		m.t.Fatalf("Save(%s) modified the caller's state", name)
 	}
+	units := (len(j.work) + m.chunk - 1) / m.chunk
 	switch {
-	case errors.Is(err, ErrCrashInjected):
-		// Torn: exactly the armed number of payloads landed, nothing
-		// committed. The oracle does not move.
-		if m.armed < 0 || st.ChunksWritten != m.armed {
-			m.t.Fatalf("torn save wrote %d payloads with crash armed at %d", st.ChunksWritten, m.armed)
-		}
-		m.armed = -1
-		if seq, ok := m.d.LastSeq(name); (j.seq == 0) == ok || seq != j.seq {
-			m.t.Fatalf("torn save moved %s's head to %d (ok=%v), last commit is %d", name, seq, ok, j.seq)
+	case torn:
+		if !errors.Is(err, ErrCrashInjected) || st != (SaveStats{ChunksTotal: units}) {
+			m.t.Fatalf("armed Save(%s) = %+v, %v; want torn, nothing written", name, st, err)
 		}
 	case err != nil:
 		m.t.Fatalf("Save(%s): %v", name, err)
 	default:
-		if m.armed >= 0 && st.ChunksWritten > m.armed {
-			m.t.Fatalf("save wrote %d payloads past a crash armed at %d", st.ChunksWritten, m.armed)
+		if want := (SaveStats{Seq: m.seq + 1, ChunksTotal: units, ChunksWritten: units, BytesWritten: 8 * int64(len(j.work))}); st != want {
+			m.t.Fatalf("Save(%s) stats %+v, want %+v", name, st, want)
 		}
-		if st.Seq <= j.seq || st.ChunksTotal != (len(j.work)+m.chunk-1)/m.chunk {
-			m.t.Fatalf("save stats %+v after seq %d", st, j.seq)
-		}
-		if st.ChunksDirty == st.ChunksTotal && !st.Full {
-			m.t.Fatalf("a save that rewrote every chunk was not promoted: %+v", st)
-		}
+		m.seq = st.Seq
 		j.seq, j.header = st.Seq, header
 		j.commits[st.Seq] = offered
 		j.order = append(j.order, st.Seq)
 	}
-	m.check()
 }
 
-// check compares every name's committed state with the oracle, bit for bit,
-// through a cold restore, and checks the chain's shape.
+// check compares every name's published snapshot with the oracle — seq,
+// header, length and, through a cold restore, the state bit for bit — and
+// checks that the names' buffers are all distinct.
 func (m *storeModel) check() {
 	m.t.Helper()
 	for name, j := range m.jobs {
+		seq, ok := m.d.LastSeq(name)
+		hhdr, n, hok := m.d.Head(name)
 		hdr, got, rs, err := m.d.Restore(name)
 		if j.seq == 0 {
-			if !errors.Is(err, ErrNoCheckpoint) {
-				m.t.Fatalf("Restore(%s) before any commit = %v", name, err)
+			if ok || hok || !errors.Is(err, ErrNoCheckpoint) {
+				m.t.Fatalf("%s before any commit: LastSeq ok=%v, Head ok=%v, Restore %v", name, ok, hok, err)
 			}
 			continue
 		}
+		want := j.commits[j.seq]
 		if err != nil {
 			m.t.Fatalf("Restore(%s): %v", name, err)
 		}
-		if rs.Seq != j.seq || !bytes.Equal(hdr, j.header) {
-			m.t.Fatalf("Restore(%s) = seq %d header %v, oracle has seq %d header %v", name, rs.Seq, hdr, j.seq, j.header)
+		if seq != j.seq || rs.Seq != j.seq || n != len(want) || !bytes.Equal(hhdr, j.header) || !bytes.Equal(hdr, j.header) {
+			m.t.Fatalf("%s: LastSeq %d, Head %v %d, Restore seq %d header %v; oracle has seq %d header %v length %d",
+				name, seq, hhdr, n, rs.Seq, hdr, j.seq, j.header, len(want))
 		}
-		if !sameBits(got, j.commits[j.seq]) {
-			m.t.Fatalf("Restore(%s) at seq %d differs from the committed state", name, j.seq)
+		if rs.Bytes != 8*int64(len(want)) || !sameBits(got, want) {
+			m.t.Fatalf("Restore(%s) at seq %d (%d bytes) differs from the committed state", name, j.seq, rs.Bytes)
 		}
-		chain := m.d.Chain(name)
-		if !chain[0].Full || chain[0].Base != 0 || chain[len(chain)-1].Seq != j.seq {
-			m.t.Fatalf("%s chain %+v", name, chain)
-		}
-		for i := 1; i < len(chain); i++ {
-			if chain[i].Full || chain[i].Base != chain[i-1].Seq {
-				m.t.Fatalf("%s chain link %d: %+v after %+v", name, i, chain[i], chain[i-1])
+	}
+	seen := map[*byte]string{}
+	for name, s := range m.d.jobs {
+		for _, b := range [][]byte{s.payload, s.spare} {
+			if len(b) == 0 {
+				continue
 			}
+			if other, dup := seen[&b[0]]; dup {
+				m.t.Fatalf("%s and %s share a payload buffer", name, other)
+			}
+			seen[&b[0]] = name
 		}
 	}
 }
 
-// restoreFrom warm-restores name from the commit age saves back (0: the
-// current one; past the oldest: a seq that was never committed), holding
-// exactly that commit's state — or garbage when the seq is unknown, since a
-// full replay must overwrite every element.
-func (m *storeModel) restoreFrom(name string, age int) {
+// restore restores name: cold, or warm from the head, from another commit's
+// seq or from a seq never committed. A warm restore at the head must decode
+// nothing and leave the committed state in the caller's buffer; any other
+// must overwrite every element (the buffer starts as NaN). Buffers one
+// element short or long must be refused untouched.
+func (m *storeModel) restore(name string, arg int) {
 	m.t.Helper()
 	j := m.jobs[name]
 	if j.seq == 0 {
@@ -152,27 +159,38 @@ func (m *storeModel) restoreFrom(name string, age int) {
 		}
 		return
 	}
-	var have int64 = 1 << 40
-	warm := make([]float64, len(j.work))
-	for i := range warm {
-		warm[i] = math.NaN()
-	}
-	if age < len(j.order) {
-		have = j.order[len(j.order)-1-age]
-		copy(warm, j.commits[have])
+	want := j.commits[j.seq]
+	warm := filled(len(want), math.NaN())
+	have := int64(1) << 40 // never committed
+	switch arg % 4 {
+	case 0: // cold: check() restores cold after every op
+		return
+	case 1:
+		have = j.seq
+		copy(warm, want)
+	case 2:
+		if m.seq > 1 {
+			if have = int64(1 + arg%int(m.seq)); have == j.seq {
+				have--
+			}
+		}
 	}
 	hdr, rs, err := m.d.RestoreFrom(name, warm, have)
 	if err != nil {
 		m.t.Fatalf("RestoreFrom(%s, seq %d): %v", name, have, err)
 	}
-	if rs.Seq != j.seq || !bytes.Equal(hdr, j.header) || !sameBits(warm, j.commits[j.seq]) {
-		m.t.Fatalf("RestoreFrom(%s, seq %d) did not land on commit %d", name, have, j.seq)
+	decoded := int64(8 * len(want))
+	if have == j.seq {
+		decoded = 0
 	}
-	if age == 0 && rs.ChunksReplayed != 0 {
-		m.t.Fatalf("warm restore from the head replayed %d chunks", rs.ChunksReplayed)
+	if rs.Seq != j.seq || rs.Bytes != decoded || !bytes.Equal(hdr, j.header) || !sameBits(warm, want) {
+		m.t.Fatalf("RestoreFrom(%s, seq %d) = %+v, did not land on commit %d", name, have, rs, j.seq)
 	}
-	if _, _, err := m.d.RestoreFrom(name, warm[1:], have); !errors.Is(err, ErrStateSize) {
-		m.t.Fatalf("short warm buffer = %v, want ErrStateSize", err)
+	for _, n := range []int{len(want) - 1, len(want) + 1} {
+		bad := filled(n, -3)
+		if _, _, err := m.d.RestoreFrom(name, bad, j.seq); !errors.Is(err, ErrStateSize) || !sameBits(bad, filled(n, -3)) {
+			m.t.Fatalf("warm buffer of %d elems for %d = %v", n, len(want), err)
+		}
 	}
 }
 
@@ -188,52 +206,45 @@ func runStoreOps(t *testing.T, data []byte) {
 			name = "small"
 		}
 		j := m.jobs[name]
-		switch (op >> 1) % 7 {
-		case 0: // sparse-dirty save: a few elements move
+		switch (op >> 1) % 6 {
+		case 0: // sparse mutate: a few elements move
 			for k := 0; k <= arg%3; k++ {
 				j.work[(arg*7+k*13)%len(j.work)] += float64(arg%5) + 0.25
 			}
-			m.save(name, op)
-		case 1: // dense save: every element moves, the save is promoted
+			m.save(name, op, false)
+		case 1: // dense mutate: every element moves
 			for i := range j.work {
 				j.work[i] += float64(arg%3) + 1
 			}
-			m.save(name, op)
-		case 2: // torn save, if the save needs more than arg%6 new payloads
-			m.armed = arg % 6
-			m.d.InjectCrash(m.armed)
-			for i := range j.work {
-				j.work[i] -= 0.5
-			}
-			m.save(name, op)
-		case 3:
-			m.restoreFrom(name, arg%5)
-		case 4: // revert to an earlier commit's content: dedup against stored payloads
-			if len(j.order) > 0 {
-				copy(j.work, j.commits[j.order[arg%len(j.order)]])
-			}
-			m.save(name, op)
-		case 5: // copy the other name's leading values in: dedup across names
-			other := m.jobs[map[string]string{"big": "small", "small": "big"}[name]]
-			copy(j.work, other.work[:min(len(other.work), len(j.work), m.chunk*(1+arg%8))])
-			m.save(name, op)
-		case 6: // clean save: nothing moved
-			m.save(name, op)
+			m.save(name, op, false)
+		case 2: // torn save of a changed state
+			j.work[arg%len(j.work)] -= 0.5
+			m.save(name, op, true)
+		case 3: // resize, near the original length
+			n := j.size + arg%9 - 4
+			j.work = append(j.work[:min(n, len(j.work))], filled(max(0, n-len(j.work)), float64(arg))...)
+			m.save(name, op, arg&16 != 0)
+		case 4: // clean save: nothing moved
+			m.save(name, op, false)
+		case 5:
+			m.restore(name, arg)
 		}
+		m.check()
 	}
 }
 
 // storeOpSeeds are op sequences that reach, between them, every operation
-// and the interactions that matter: promotion right after a torn save,
-// recycled buffers taken by the other name, dedup against a commit that
-// compaction is about to drop.
+// and the interactions that matter: a torn save before any commit, right
+// after a commit and right before a resize; warm restores at the head, at a
+// stale and at an unknown seq on both names; resizes both ways, torn and
+// committed.
 var storeOpSeeds = [][]byte{
-	{0, 1, 2, 2, 2, 1, 6, 0, 2, 2, 6, 4},
-	{2, 0, 3, 0, 2, 1, 4, 3, 2, 2, 3, 1, 6, 3, 7, 4},
-	{2, 0, 2, 1, 8, 0, 2, 2, 8, 1, 6, 1, 6, 2},
-	{0, 5, 1, 5, 10, 3, 11, 3, 2, 1, 3, 2, 10, 0, 11, 7},
-	{4, 0, 2, 0, 4, 9, 2, 1, 2, 2, 12, 0, 6, 0, 6, 1, 6, 2, 6, 3, 6, 4},
-	{0, 0, 0, 9, 0, 20, 0, 33, 6, 1, 6, 2, 2, 1, 6, 0, 8, 2},
+	{4, 0, 0, 1, 2, 2, 10, 1, 8, 0, 10, 2},
+	{2, 0, 4, 3, 5, 0, 0, 5, 10, 1, 11, 2, 3, 1, 10, 3},
+	{6, 0, 6, 1, 4, 2, 7, 16, 6, 17, 10, 1, 11, 1},
+	{0, 5, 1, 5, 6, 3, 4, 1, 10, 2, 11, 3, 2, 1, 10, 0},
+	{8, 0, 4, 9, 6, 1, 6, 2, 6, 19, 10, 1, 10, 2, 11, 2},
+	{0, 0, 1, 9, 3, 20, 3, 33, 7, 8, 5, 1, 4, 2, 6, 0, 10, 6},
 }
 
 // TestDeltaStoreModel runs the seed sequences and a few hundred random ones
@@ -265,85 +276,63 @@ func FuzzDeltaStoreOps(f *testing.F) {
 }
 
 // storeTrace is everything observable about a store after a script: what
-// each Save returned, the chains, and the stored payloads themselves.
+// each Save returned and the payload bytes each one encoded.
 type storeTrace struct {
-	stats   []SaveStats
-	errs    []string
-	chains  map[string][]Manifest
-	stored  []uint64 // hashes of the payloads held, sorted
-	payload map[uint64][]byte
-	torn    []uint64 // the stored set right after the torn save
-}
-
-func storedHashes(d *DeltaStore) []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]uint64, 0, len(d.chunks))
-	for h := range d.chunks {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	stats    []SaveStats
+	errs     []string
+	payloads [][]byte
 }
 
 // runSaveScript saves a state big enough for the parallel passes through
-// full, sparse, torn, retried and dense (promoted) saves.
+// full, sparse, torn, retried, dense and resized saves.
 func runSaveScript(t *testing.T) storeTrace {
 	t.Helper()
-	d := NewDeltaStore(DeltaConfig{ChunkElems: 8, CompactEvery: 4})
-	tr := storeTrace{chains: map[string][]Manifest{}, payload: map[uint64][]byte{}}
+	d := newTestStore(8, nil)
+	var tr storeTrace
 	state := ramp(8*5*chunksPerWorker+5, 0)
-	save := func() {
+	save := func(torn bool) {
+		if torn {
+			d.InjectCrash()
+		}
 		st, err := d.Save("job", []byte("h"), state)
 		tr.stats = append(tr.stats, st)
 		tr.errs = append(tr.errs, fmt.Sprint(err))
+		s := d.jobs["job"]
+		if torn {
+			tr.payloads = append(tr.payloads, slices.Clone(s.spare)) // what the torn save encoded
+		}
+		tr.payloads = append(tr.payloads, slices.Clone(s.payload))
 	}
-	save() // full
+	save(false)
 	for i := 0; i < len(state); i += 97 {
 		state[i] = -1
 	}
-	save() // sparse delta
+	save(false)
 	for i := range state {
 		state[i] += 0.5
 	}
-	d.InjectCrash(37)
-	save() // torn after 37 payloads, well into the state
-	tr.torn = storedHashes(d)
-	save() // the retry, dense: promoted and compacted
+	save(true)
+	save(false) // the retry
 	state[3] = 9
-	save() // delta on the promoted base
-	tr.chains["job"] = d.Chain("job")
-	tr.stored = storedHashes(d)
-	d.mu.Lock()
-	for h, b := range d.chunks {
-		tr.payload[h] = slices.Clone(b)
-	}
-	d.mu.Unlock()
+	save(false)
+	state = append(state, ramp(8*chunksPerWorker+3, 7)...)
+	save(false)
 	return tr
 }
 
 // TestSaveParallelMatchesSerial: the worker count of a Save is computed from
-// the chunk count and GOMAXPROCS, and must show in nothing — manifests,
-// hashes, SaveStats, the error and the stored-chunk set of a torn save, the
-// payload bytes — whether the passes run inline (GOMAXPROCS 1 is the serial
-// code) or on 2 or 8 goroutines.
+// the chunk count and GOMAXPROCS, and must show in nothing — SaveStats, the
+// error, the payload bytes, of a torn save too — whether the passes run
+// inline (GOMAXPROCS 1 is the serial code) or on 2 or 8 goroutines.
 func TestSaveParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := runSaveScript(t)
-	if want := []string{"<nil>", "<nil>", `checkpoint: injected crash before manifest commit: "job" after 37 chunk writes`, "<nil>", "<nil>"}; !slices.Equal(serial.errs, want) {
+	if want := []string{"<nil>", "<nil>", `checkpoint: injected crash before publish: "job"`, "<nil>", "<nil>", "<nil>"}; !slices.Equal(serial.errs, want) {
 		t.Fatalf("script errors %q, want %q", serial.errs, want)
 	}
-	if st := serial.stats[2]; st.ChunksWritten != 37 {
-		t.Fatalf("torn save stats %+v, want 37 payloads written", st)
-	}
-	if st := serial.stats[3]; !st.Full || !st.Compacted || st.ChunksWritten != st.ChunksTotal-37 {
-		t.Fatalf("retried dense save %+v: want promoted, compacted, the torn save's 37 payloads reused", st)
-	}
-	if st := serial.stats[4]; st.Full || st.ChunksDirty != 1 {
-		t.Fatalf("delta after promotion %+v", st)
-	}
-	if got, want := len(serial.torn), serial.stats[0].ChunksTotal+serial.stats[1].ChunksWritten+37; got != want {
-		t.Fatalf("%d payloads stored after the torn save, want %d", got, want)
+	// payloads: one per save, and the torn save's spare before its published one.
+	if p := serial.payloads; !bytes.Equal(p[2], p[4]) || !bytes.Equal(p[3], p[1]) || bytes.Equal(p[2], p[3]) {
+		t.Fatal("the torn save did not encode the retried save's bytes beside an untouched published snapshot")
 	}
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -351,67 +340,59 @@ func TestSaveParallelMatchesSerial(t *testing.T) {
 		if !slices.Equal(got.stats, serial.stats) || !slices.Equal(got.errs, serial.errs) {
 			t.Errorf("GOMAXPROCS %d: stats/errors %+v %q, serial %+v %q", procs, got.stats, got.errs, serial.stats, serial.errs)
 		}
-		if !slices.Equal(got.torn, serial.torn) || !slices.Equal(got.stored, serial.stored) {
-			t.Errorf("GOMAXPROCS %d: stored-chunk sets differ from serial", procs)
-		}
-		if !slices.EqualFunc(got.chains["job"], serial.chains["job"], func(a, b Manifest) bool {
-			return a.Seq == b.Seq && a.Base == b.Base && a.Full == b.Full && a.NumElems == b.NumElems &&
-				bytes.Equal(a.Header, b.Header) && slices.Equal(a.Chunks, b.Chunks)
-		}) {
-			t.Errorf("GOMAXPROCS %d: manifests differ from serial", procs)
-		}
-		for h, b := range serial.payload {
-			if !bytes.Equal(got.payload[h], b) {
-				t.Errorf("GOMAXPROCS %d: payload %x differs from serial", procs, h)
-			}
+		if !slices.EqualFunc(got.payloads, serial.payloads, bytes.Equal) {
+			t.Errorf("GOMAXPROCS %d: payload bytes differ from serial", procs)
 		}
 	}
 }
 
-// TestSaveSteadyStateZeroAllocs guards the recycling: once warm, a dense
-// save — every chunk rewritten, the case training produces — takes its
-// payload buffers from the free list, so it allocates only bookkeeping
-// (hashes, refs, the manifest): under a twentieth of the state's bytes. And
-// promotion keeps the store at one live generation plus one recycled, not
-// CompactEvery of them.
+// TestSaveSteadyStateZeroAllocs guards the double buffer: once warm, a dense
+// save of two names sharing one store — every element moved, the case
+// training produces — encodes into the spare it swapped out last time, so it
+// allocates under 1 KiB (its goroutines' bookkeeping), and the store holds
+// exactly two payload buffers per name.
 func TestSaveSteadyStateZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
 	}
 	d := NewDeltaStore(DeltaConfig{})
 	const chunks = 4 * chunksPerWorker
-	state := ramp(chunks*DefaultChunkElems, 0)
-	denseSave := func() {
+	states := map[string][]float64{"a": ramp(chunks*DefaultChunkElems, 0), "b": ramp(chunks*DefaultChunkElems/2+1, 3)}
+	denseSave := func(name string) {
+		state := states[name]
 		for i := range state {
 			state[i] += 0.125
 		}
-		st, err := d.Save("job", nil, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.Full || st.ChunksWritten != chunks {
-			t.Fatalf("dense save stats %+v", st)
-		}
-		if got := d.ChunkCount(); got > 2*chunks {
-			t.Fatalf("%d payloads stored, want at most two generations of %d", got, chunks)
+		if st, err := d.Save(name, nil, state); err != nil || st.BytesWritten != 8*int64(len(state)) {
+			t.Fatalf("dense save of %s = %+v, %v", name, st, err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		denseSave() // warm-up: the third save is the first to run entirely on recycled buffers
+	for i := 0; i < 2; i++ {
+		denseSave("a") // warm-up: the second save allocates the spare
+		denseSave("b")
 	}
 	const runs = 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		denseSave()
+		denseSave("a")
+		denseSave("b")
 	}
 	runtime.ReadMemStats(&after)
-	perSave := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(8 * len(state) / 20); perSave > limit {
-		t.Fatalf("a warmed-up dense save allocates %d bytes, want under %d (5%% of the state)", perSave, limit)
+	if perSave := (after.TotalAlloc - before.TotalAlloc) / (2 * runs); perSave >= 1024 {
+		t.Fatalf("a warmed-up dense save allocates %d bytes, want under 1 KiB", perSave)
 	}
-	if len(d.Chain("job")) != 1 {
-		t.Fatalf("chain of %d manifests after dense saves, want 1", len(d.Chain("job")))
+	buffers := map[*byte]bool{}
+	for name, s := range d.jobs {
+		for _, b := range [][]byte{s.payload, s.spare} {
+			if len(b) != 8*len(states[name]) {
+				t.Fatalf("%s holds a buffer of %d bytes, want %d", name, len(b), 8*len(states[name]))
+			}
+			buffers[&b[0]] = true
+		}
+	}
+	if len(d.jobs) != 2 || len(buffers) != 4 {
+		t.Fatalf("%d names hold %d distinct payload buffers, want two each", len(d.jobs), len(buffers))
 	}
 }
 
@@ -422,76 +403,60 @@ type restoreTrace struct {
 	errs   []string
 }
 
-// runRestoreScript restores a state big enough for the parallel decode — cold
-// over a chain of a full save and two deltas, warm from the middle of it —
-// then loses two payloads and restores again.
+// runRestoreScript restores a state big enough for the parallel decode: cold,
+// warm from a stale seq, warm from the head, and into a buffer of the wrong
+// length.
 func runRestoreScript(t *testing.T) restoreTrace {
 	t.Helper()
-	d := NewDeltaStore(DeltaConfig{ChunkElems: 8, CompactEvery: 8})
+	d := newTestStore(8, nil)
 	state := ramp(8*5*chunksPerWorker+5, 0)
-	var seqs []int64
-	var saved [][]float64
-	save := func() {
-		st, err := d.Save("job", []byte("h"), state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs = append(seqs, st.Seq)
-		saved = append(saved, slices.Clone(state))
+	s1, err := d.Save("job", []byte("h"), state)
+	if err != nil {
+		t.Fatal(err)
 	}
-	save()
-	for i := 0; i < len(state); i += 97 {
-		state[i] = -1
-	}
-	save()
+	stale := slices.Clone(state)
 	for i := 3; i < len(state); i += 11 {
 		state[i] += 0.5
 	}
-	save()
+	s2, err := d.Save("job", []byte("h"), state)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var tr restoreTrace
+	record := func(got []float64, st RestoreStats, err error) {
+		tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, got), append(tr.errs, fmt.Sprint(err))
+	}
 	_, cold, st, err := d.Restore("job")
-	tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, cold), append(tr.errs, fmt.Sprint(err))
-	warm := slices.Clone(saved[1])
-	_, st, err = d.RestoreFrom("job", warm, seqs[1])
-	tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, warm), append(tr.errs, fmt.Sprint(err))
+	record(cold, st, err)
+	_, st, err = d.RestoreFrom("job", stale, s1.Seq)
+	record(stale, st, err)
+	head := slices.Clone(state)
+	_, st, err = d.RestoreFrom("job", head, s2.Seq)
+	record(head, st, err)
 	for _, got := range tr.states {
 		if !sameBits(got, state) {
 			t.Fatal("restored state differs from the last save")
 		}
 	}
-
-	// Two chunks of the newest state lose their payloads: the restore names
-	// the lower one and leaves the caller's buffer as it was.
-	last := d.Chain("job")[2]
-	d.mu.Lock()
-	for _, ref := range last.Chunks {
-		if ref.Index == 41 || ref.Index == 107 {
-			delete(d.chunks, ref.Hash)
-		}
-	}
-	d.mu.Unlock()
-	torn := slices.Clone(saved[1])
-	_, st, err = d.RestoreFrom("job", torn, seqs[1])
-	tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, torn), append(tr.errs, fmt.Sprint(err))
-	if !sameBits(torn, saved[1]) {
-		t.Fatal("a restore that failed on a missing chunk wrote into the caller's state")
-	}
+	short := slices.Clone(state[1:])
+	_, st, err = d.RestoreFrom("job", short, s2.Seq)
+	record(short, st, err)
 	return tr
 }
 
 // TestRestoreParallelMatchesSerial is TestSaveParallelMatchesSerial for the
 // other direction: the decode of a restore fans out by chunk count and
-// GOMAXPROCS, and that must show in nothing — the state, RestoreStats, which
-// missing chunk the error names.
+// GOMAXPROCS, and that must show in nothing — the state, RestoreStats, the
+// error.
 func TestRestoreParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := runRestoreScript(t)
-	if !strings.Contains(serial.errs[2], "chunk 41 ") {
-		t.Fatalf("restore over two missing chunks = %q, want chunk 41 named", serial.errs[2])
+	if n := int64(8 * len(serial.states[0])); serial.stats[0].Bytes != n || serial.stats[1].Bytes != n || serial.stats[2].Bytes != 0 {
+		t.Fatalf("restore stats %+v: want cold and stale to decode %d bytes, the head none", serial.stats, n)
 	}
-	if st := serial.stats[1]; st.ChainLen != 1 || st.ChunksReplayed == 0 || st.ChunksReplayed >= serial.stats[0].ChunksReplayed {
-		t.Fatalf("warm restore %+v against cold %+v: want the last delta alone replayed", st, serial.stats[0])
+	if !strings.HasPrefix(serial.errs[3], ErrStateSize.Error()) {
+		t.Fatalf("restore into a short buffer = %q", serial.errs[3])
 	}
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)

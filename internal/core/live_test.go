@@ -4,7 +4,7 @@ package core_test
 // runtime, is gone; these tests keep their names and drive the one runtime,
 // worker.Fleet, through its public API. A scale action is a request that the
 // coordination of a later Step applies, and the training state is read back
-// through the delta checkpoint store the fleet saves into.
+// through the checkpoint store the fleet saves into.
 
 import (
 	"bytes"
@@ -286,25 +286,22 @@ func TestLiveSetTotalBatchImmediate(t *testing.T) {
 	}
 }
 
-// TestLiveJobDeltaRoundTrip trains, delta-saves, trains further, then
-// restores — warm on the job that saved, cold on a fresh job on the same
-// store. Both must land bit-identical on the checkpointed state, which a
-// save right after the restore shows: it commits the same header and state
-// as a clean delta. An immediate re-save writes nothing: every chunk is
-// clean.
+// TestLiveJobDeltaRoundTrip trains, saves, trains further, then restores —
+// warm on the job that saved, cold on a fresh job on the same store. Both
+// must land bit-identical on the checkpointed state. A save right after the
+// restore shows it: the save publishes the lead arena as it is, and what
+// ds.Restore then reads, header bytes and state, must equal the checkpoint
+// bit for bit.
 func TestLiveJobDeltaRoundTrip(t *testing.T) {
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 100})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	cfg := liveConfig(t, 2, 8)
 	cfg.Checkpoints = ds
 	lj := newLive(t, cfg)
 	lj.steps(t, 3)
-	if st, err := lj.SaveCheckpoint(); err != nil || !st.Full || st.ChunksWritten == 0 {
+	if st, err := lj.SaveCheckpoint(); err != nil || st.ChunksWritten == 0 || st.ChunksWritten != st.ChunksTotal {
 		t.Fatalf("first save = %+v, %v", st, err)
 	}
 	wantHeader, want := committed(t, ds)
-	if st, err := lj.SaveCheckpoint(); err != nil || st.Full || st.ChunksDirty != 0 || st.BytesWritten != 0 {
-		t.Fatalf("clean re-save = %+v, %v", st, err)
-	}
 
 	// Train past the checkpoint, then recover from it.
 	lj.steps(t, 4)
@@ -312,20 +309,19 @@ func TestLiveJobDeltaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := newLive(t, cfg)
-	if rs, err := cold.RestoreCheckpoint(); err != nil || rs.ChunksReplayed == 0 {
-		t.Fatalf("cold restore = %+v, %v", rs, err)
+	if rs, err := cold.RestoreCheckpoint(); err != nil || rs.Bytes != 8*int64(len(want)) {
+		t.Fatalf("cold restore = %+v, %v; want the whole snapshot decoded", rs, err)
 	}
 	for name, j := range map[string]*live{"warm": lj, "cold": cold} {
-		st, err := j.SaveCheckpoint()
-		if err != nil {
+		if _, err := j.SaveCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
 		gotHeader, got := committed(t, ds)
 		if !bytes.Equal(gotHeader, wantHeader) {
 			t.Fatalf("%s: runtime state (iteration, batch, LR, cursor) differs from the checkpoint's", name)
 		}
-		if st.ChunksDirty != 0 || !sameBits(got, want) {
-			t.Fatalf("%s: state not bit-identical to the checkpoint's (%d dirty chunks)", name, st.ChunksDirty)
+		if !sameBits(got, want) {
+			t.Fatalf("%s: restored lead arena not bit-identical to the checkpoint's state", name)
 		}
 	}
 	// Training resumes from the restored state.
@@ -342,7 +338,7 @@ func TestLiveJobDeltaRoundTrip(t *testing.T) {
 // written: the job's state afterwards is bit for bit the state before, on
 // every worker.
 func TestRestoreSnapshotRefusesWithoutWriting(t *testing.T) {
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	cfg := liveConfig(t, 2, 16)
 	cfg.Checkpoints = ds
 	lj := newLive(t, cfg)

@@ -1,6 +1,6 @@
 // Package integration contains cross-subsystem end-to-end tests on the
 // worker fleet: the full adjustment protocol over a lossy message bus, the
-// S&R restart path through a delta checkpoint shared by two fleets of
+// S&R restart path through a checkpoint shared by two fleets of
 // different sizes, and migration of a live job, mid learning-rate ramp, to a
 // fresh fleet.
 package integration

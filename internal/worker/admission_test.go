@@ -607,11 +607,11 @@ func runElasticScript(t *testing.T, f *Fleet, ops elasticOps) uint64 {
 // reference's.
 func TestPlannedInstallsMatchSequentialSingleSource(t *testing.T) {
 	guardGoroutines(t)
-	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 256})
+	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	planned := placedFleet(t, 4096, nil, ckpt) // wide enough for concurrent installs
 	got := runElasticScript(t, planned, fleetOps(t, planned))
 
-	refCkpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 256})
+	refCkpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	ref := placedFleet(t, 4096, nil, refCkpt)
 	want := runElasticScript(t, ref, referenceOps(t, ref, refCkpt))
 	if got != want {

@@ -11,17 +11,16 @@ import (
 	"github.com/elan-sys/elan/internal/topology"
 )
 
-// Fleet delta checkpointing (DESIGN §13): SaveCheckpoint hands the lead
-// replica's state arena to the delta store, which persists only the chunks
-// the optimizer moved since the previous save.
-// RestoreCheckpoint is the crash-recovery inverse; it prefers the warm
-// path — the fleet keeps the last committed state vector in memory, so
-// after an AM crash (RecoverAM) only the manifest-chain tail since that
-// commit is deserialized, keeping recovery work proportional to the delta
-// rather than the model.
+// Fleet checkpointing (DESIGN §13): SaveCheckpoint hands the lead replica's
+// state arena to the checkpoint store, which encodes it whole and publishes
+// it as the fleet's one snapshot. RestoreCheckpoint is the crash-recovery
+// inverse; it prefers the warm path — the fleet keeps the last committed
+// state vector in memory, so after an AM crash (RecoverAM) a restore of the
+// fleet's own last save decodes nothing, and only a snapshot published
+// since then is decoded.
 
 // fleetCkptHeader is the runtime (non-tensor) state riding in the
-// manifest header. LR is the whole schedule, so a restore mid-ramp goes on
+// snapshot header. LR is the whole schedule, so a restore mid-ramp goes on
 // ramping.
 type fleetCkptHeader struct {
 	Iter   int
@@ -34,7 +33,7 @@ type fleetCkptHeader struct {
 // without FleetConfig.Checkpoints.
 var ErrNoCheckpointStore = errors.New("worker: fleet has no checkpoint store")
 
-// SaveCheckpoint delta-saves the fleet's training state (lead replica's
+// SaveCheckpoint saves the fleet's training state (lead replica's
 // parameters and optimizer state, iteration, batch size, learning rate,
 // loader cursor) into the configured checkpoint store.
 func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
@@ -63,9 +62,8 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 	state := src.rep.State()
 	stats, err := f.cfg.Checkpoints.Save(ckptName, buf.Bytes(), state)
 	if err != nil {
-		// A failed save (e.g. a crash injected between chunk writes and
-		// the manifest commit) leaves the previous chain — and our warm
-		// cache of it — authoritative.
+		// A failed save (e.g. a crash injected before the publish) leaves
+		// the previous snapshot — and our warm copy of it — authoritative.
 		return stats, err
 	}
 	if len(f.ckptState) != len(state) {
@@ -82,9 +80,8 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 // agent and restores the runtime state. It is all or nothing: the header and
 // the state length are checked against this fleet before any agent, the
 // loader or the warm base is touched. When the warm base (the state as of
-// the fleet's own last committed save) is available, only the chunks
-// committed after it are deserialized; a fleet that has never saved replays
-// the full chain.
+// the fleet's own last committed save) is available and still the published
+// snapshot, nothing is decoded; otherwise the snapshot is decoded whole.
 func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -148,19 +145,18 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 // must be a valid one, which it returns built.
 func (f *Fleet) checkpointHeaderLocked() (fleetCkptHeader, *scaling.LRSchedule, error) {
 	var h fleetCkptHeader
-	chain := f.cfg.Checkpoints.Chain(ckptName)
-	if len(chain) == 0 {
+	header, numElems, ok := f.cfg.Checkpoints.Head(ckptName)
+	if !ok {
 		return h, nil, fmt.Errorf("%w: %q", checkpoint.ErrNoCheckpoint, ckptName)
 	}
-	last := chain[len(chain)-1]
-	if err := gob.NewDecoder(bytes.NewReader(last.Header)).Decode(&h); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(header)).Decode(&h); err != nil {
 		return h, nil, fmt.Errorf("worker: decode checkpoint header: %w", err)
 	}
 	if len(f.agents) == 0 {
 		return h, nil, fmt.Errorf("worker: no agent to restore into")
 	}
-	if want := len(f.agents[0].rep.State()); last.NumElems != want {
-		return h, nil, fmt.Errorf("worker: checkpoint state of %d values, the replicas hold %d", last.NumElems, want)
+	if want := len(f.agents[0].rep.State()); numElems != want {
+		return h, nil, fmt.Errorf("worker: checkpoint state of %d values, the replicas hold %d", numElems, want)
 	}
 	if n := f.cfg.Dataset.N(); h.Cursor < 0 || h.Cursor >= n {
 		return h, nil, fmt.Errorf("worker: checkpoint cursor %d out of [0, %d)", h.Cursor, n)
@@ -172,7 +168,7 @@ func (f *Fleet) checkpointHeaderLocked() (fleetCkptHeader, *scaling.LRSchedule, 
 	return h, sched, nil
 }
 
-// CheckpointSeq returns the manifest seq of the fleet's last committed
+// CheckpointSeq returns the store seq of the fleet's last committed
 // save (0 if none).
 func (f *Fleet) CheckpointSeq() int64 {
 	f.mu.Lock()

@@ -43,11 +43,11 @@ func exportState(t *testing.T, f *Fleet) []float64 {
 
 // TestFleetCheckpointRestoreBitIdentical trains, saves, trains on, then
 // restores: replicas, iteration and loader cursor must be exactly the
-// checkpointed ones, and the restore must use the warm path (only the
-// chunks of the post-save deltas are replayed — here zero, since nothing
-// was committed after the save).
+// checkpointed ones, and the restore must use the warm path — nothing
+// decoded, since the fleet's own save is still the published snapshot. A
+// warm base older than the published snapshot decodes it once, whole.
 func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 100})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	f := checkpointFleet(t, ds)
 	for i := 0; i < 5; i++ {
 		if _, err := f.Step(); err != nil {
@@ -58,7 +58,7 @@ func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Full || st.ChunksWritten == 0 {
+	if st.ChunksWritten == 0 || st.ChunksWritten != st.ChunksTotal {
 		t.Fatalf("first save stats = %+v", st)
 	}
 	want := exportState(t, f)
@@ -73,10 +73,10 @@ func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm restore: the fleet's cached base is the committed state, so no
-	// chunks needed replaying at all.
-	if rs.ChunksReplayed != 0 {
-		t.Fatalf("warm restore replayed %d chunks, want 0: %+v", rs.ChunksReplayed, rs)
+	// Warm restore: the fleet's cached base is the committed state, so
+	// nothing needed decoding at all.
+	if rs.Bytes != 0 {
+		t.Fatalf("warm restore decoded %d bytes, want 0: %+v", rs.Bytes, rs)
 	}
 	if f.Iteration() != wantIter {
 		t.Fatalf("iteration = %d, want %d", f.Iteration(), wantIter)
@@ -93,18 +93,28 @@ func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
 	if !f.ReplicasConsistent() {
 		t.Fatal("replicas diverged after restore")
 	}
+
+	// A stale warm base: the snapshot is decoded whole, over it.
+	f.mu.Lock()
+	f.ckptSeq = st.Seq - 1
+	f.mu.Unlock()
+	if rs, err = f.RestoreCheckpoint(); err != nil || rs.Bytes != 8*int64(len(want)) {
+		t.Fatalf("restore from a stale base = %+v, %v; want %d bytes decoded", rs, err, 8*len(want))
+	}
+	if got := exportState(t, f); !sameBits(got, want) {
+		t.Fatal("restore from a stale base is not bit-identical to the checkpoint")
+	}
 	if _, err := f.Step(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestFleetAMCrashMidDeltaSaveRecovers is the acceptance scenario: the AM
-// dies between a delta save's chunk writes and its manifest commit. The
-// successor incarnation recovers via CAS, restores from the manifest
-// chain, and lands bit-identical on the last *committed* save — the torn
-// one invisible.
+// dies between a save's encode and its publish. The successor incarnation
+// recovers via CAS, restores the published snapshot, and lands
+// bit-identical on the last *committed* save — the torn one invisible.
 func TestFleetAMCrashMidDeltaSaveRecovers(t *testing.T) {
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 100})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	f := checkpointFleet(t, ds)
 	for i := 0; i < 3; i++ {
 		if _, err := f.Step(); err != nil {
@@ -117,13 +127,13 @@ func TestFleetAMCrashMidDeltaSaveRecovers(t *testing.T) {
 	committed := exportState(t, f)
 	committedIter := f.Iteration()
 
-	// Train on, then crash mid-save: chunk writes land, no manifest.
+	// Train on, then crash mid-save: the encode lands, no publish.
 	for i := 0; i < 2; i++ {
 		if _, err := f.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ds.InjectCrash(1)
+	ds.InjectCrash()
 	if _, err := f.SaveCheckpoint(); !errors.Is(err, checkpoint.ErrCrashInjected) {
 		t.Fatalf("crash save = %v", err)
 	}
@@ -155,47 +165,6 @@ func TestFleetAMCrashMidDeltaSaveRecovers(t *testing.T) {
 	}
 	if _, err := f.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFleetWarmRestoreReplaysOnlyDelta: saves bracket further training, so
-// recovering to the newest commit from the older warm base replays only
-// the chunks the optimizer touched in between — not the whole model.
-func TestFleetWarmRestoreReplaysOnlyDelta(t *testing.T) {
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 100})
-	f := checkpointFleet(t, ds)
-	if _, err := f.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.SaveCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Step(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := f.SaveCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := f.RestoreCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The warm base is the second save itself: zero replay. More
-	// interesting: force the base back to the first save and confirm the
-	// replay equals the second save's dirty set, not the full model.
-	f.mu.Lock()
-	f.ckptSeq = st.Seq - 1
-	f.mu.Unlock()
-	rs, err = f.RestoreCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dense SGD moves every parameter each step, so the delta here spans
-	// all chunks; what matters is that the warm replay equals exactly the
-	// recorded dirty set of the chain tail (sparse workloads shrink it).
-	if rs.ChunksReplayed != st.ChunksDirty {
-		t.Fatalf("replayed %d chunks, want the delta's %d", rs.ChunksReplayed, st.ChunksDirty)
 	}
 }
 
@@ -244,7 +213,7 @@ func sameBits(a, b []float64) bool {
 // the warm base are bit for bit as before. A batch size the fleet's workers
 // cannot shard is no error: the restore goes through and keeps the batch.
 func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	f := checkpointFleet(t, ds)
 	steps(t, f, 3)
 	if err := f.SetTotalBatch(48, 10, true); err != nil {
@@ -310,7 +279,7 @@ func FuzzCheckpointHeader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 16, CompactEvery: 8})
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	fl, err := NewFleet(FleetConfig{
 		Dataset: d, LayerSizes: []int{4, 16, 3}, Workers: 2, TotalBatch: 24,
 		LR: 0.05, Momentum: 0.9, Seed: 21, Checkpoints: ds,

@@ -74,7 +74,7 @@ func failAdmission(t *testing.T, f *Fleet, n int, reported func()) {
 // consistent after every elastic operation on the way.
 func TestPoisonedSpareRigsDoNotShow(t *testing.T) {
 	guardGoroutines(t)
-	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 256})
+	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	f := placedFleet(t, 4096, nil, ckpt)
 	f.onPark = poison
 	// Six spares before the script starts, without a training step taken.
@@ -100,7 +100,7 @@ func TestPoisonedSpareRigsDoNotShow(t *testing.T) {
 		t.Fatalf("%d live + %d spare rigs after the script, want the 8 of its peak", live, spare)
 	}
 
-	refCkpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{ChunkElems: 256})
+	refCkpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	ref := placedFleet(t, 4096, nil, refCkpt)
 	want := runElasticScript(t, ref, referenceOps(t, ref, refCkpt))
 	if got != want {

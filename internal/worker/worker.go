@@ -48,7 +48,7 @@ const (
 	heartbeatTTL = 500 * time.Millisecond
 	// monitorInterval is how often the liveness monitor checks.
 	monitorInterval = 50 * time.Millisecond
-	// ckptName is the manifest-chain name the fleet checkpoints under.
+	// ckptName is the name the fleet checkpoints under.
 	ckptName = "fleet"
 )
 
@@ -333,12 +333,12 @@ type FleetConfig struct {
 	// nil (tests inject lossy buses). A fleet-created bus is closed by
 	// Close; an injected one is left to its owner.
 	Bus *transport.Bus
-	// Checkpoints, when non-nil, is the delta checkpoint store the fleet
-	// saves training state into (SaveCheckpoint) and recovers from after
-	// a crash (RestoreCheckpoint). The fleet keeps the last committed
-	// state vector warm in memory, so a restore after an AM crash replays
-	// only the chunks that changed since — O(delta), not O(model). Nil
-	// disables checkpointing.
+	// Checkpoints, when non-nil, is the checkpoint store the fleet saves
+	// training state into (SaveCheckpoint) and recovers from after a
+	// crash (RestoreCheckpoint). The fleet keeps the last committed state
+	// vector warm in memory, so a restore after an AM crash decodes
+	// nothing unless a newer snapshot was published since. Nil disables
+	// checkpointing.
 	Checkpoints *checkpoint.DeltaStore
 	// Clock is the time source for liveness monitoring; nil selects the
 	// wall clock. When the fleet creates its own bus the bus shares this
@@ -431,9 +431,9 @@ type Fleet struct {
 	deadMu sync.Mutex
 	dead   map[string]bool
 
-	// Delta checkpointing: ckptState is the state vector exactly as
-	// committed at manifest ckptSeq — the warm base a post-crash restore
-	// applies the manifest-chain tail onto.
+	// Checkpointing: ckptState is the state vector exactly as committed
+	// at store seq ckptSeq — the warm base a post-crash restore installs
+	// without decoding while ckptSeq is still the published snapshot.
 	ckptState []float64
 	ckptSeq   int64
 
