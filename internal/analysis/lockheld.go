@@ -18,7 +18,8 @@ import (
 var lockBlockingCalls = map[string]bool{
 	"Sleep": true, "Call": true, "CallCtx": true, "CallRetry": true,
 	"AllReduce": true, "AllReduceMean": true, "AllReduceMeanBucket": true,
-	"BackwardAllReduce": true, "BackwardAllReduceTraced": true,
+	"ReduceScatterMeanBucket": true, "ReduceScatterMeanCommit": true,
+	"BackwardAllReduce": true, "BackwardStep": true,
 }
 
 // LockHeld flags blocking operations performed while a sync.Mutex/RWMutex

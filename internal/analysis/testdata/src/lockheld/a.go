@@ -100,6 +100,16 @@ func (b *box) badStep(r *reducer) {
 	b.mu.Unlock()
 }
 
+// badCommit: the training step and the exchange it ends in block on every
+// peer too.
+func (b *box) badCommit(r *reducer, g *group) {
+	b.mu.Lock()
+	r.BackwardStep()            // want "blocking call BackwardStep while b.mu is held"
+	g.ReduceScatterMeanBucket() // want "blocking call ReduceScatterMeanBucket while b.mu is held"
+	g.ReduceScatterMeanCommit() // want "blocking call ReduceScatterMeanCommit while b.mu is held"
+	b.mu.Unlock()
+}
+
 type caller struct{}
 
 func (*caller) Call() {}
@@ -107,3 +117,11 @@ func (*caller) Call() {}
 type reducer struct{}
 
 func (*reducer) BackwardAllReduce() {}
+
+func (*reducer) BackwardStep() {}
+
+type group struct{}
+
+func (*group) ReduceScatterMeanBucket() {}
+
+func (*group) ReduceScatterMeanCommit() {}

@@ -28,6 +28,15 @@ import (
 // ErrClosed is returned when operating on a closed group.
 var ErrClosed = errors.New("collective: group closed")
 
+// ErrAborted is returned by a commit exchange on every rank when some rank
+// published OK == false: no rank ran its Commit.
+var ErrAborted = errors.New("collective: a rank withdrew from the commit")
+
+// errCommitShape is returned by an exchange on every rank when the ranks
+// disagree on whether it commits, or publish state arenas of different
+// lengths.
+var errCommitShape = errors.New("collective: ranks disagree on the commit or its state length")
+
 // barrier is a reusable generation barrier for a group's n ranks, a mutex
 // and a condition variable: ranks outnumber processors on a busy host, so a
 // waiter sleeps rather than spins.
@@ -80,14 +89,19 @@ func (b *barrier) wait(entry bool) error {
 // An exchange runs on the calling ranks' own goroutines, in shared memory,
 // between two barriers: every rank publishes its vector in vecs and waits at
 // entry; rank c then owns chunk c of every vector — it folds the ranks'
-// chunk c into its own in ReferenceAllReduce's order and copies the result
-// into its peers' chunk c — and every rank waits at exit. Between the two
+// chunk c into its own in ReferenceAllReduce's order, scales it for a mean,
+// and then does one of three things: copies the result into its peers'
+// chunk c (AllReduce*), keeps it (ReduceScatterMeanBucket), or runs the
+// caller's Commit over every rank's published state arena
+// (ReduceScatterMeanCommit) — and every rank waits at exit. Between the two
 // barriers chunk c of any vector is touched by rank c alone, and the
 // barriers order every cross-rank access.
 type Group struct {
-	n    int
-	vecs [][]float64
-	bar  barrier
+	n       int
+	vecs    [][]float64
+	commits []*Commit   // each rank's Commit for the exchange in progress, nil for none
+	states  [][]float64 // the commits' State arenas, handed to Commit.Apply
+	bar     barrier
 
 	// Telemetry (SetTelemetry); an un-instrumented group takes the
 	// AllReduce fast path and records nothing at zero cost.
@@ -105,7 +119,7 @@ func NewGroup(n int) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("collective: non-positive group size %d", n)
 	}
-	g := &Group{n: n, vecs: make([][]float64, n), tr: telemetry.Nop{}}
+	g := &Group{n: n, vecs: make([][]float64, n), commits: make([]*Commit, n), states: make([][]float64, n), tr: telemetry.Nop{}}
 	g.bar.n = n
 	g.bar.cond.L = &g.bar.mu
 	return g, nil
@@ -156,13 +170,42 @@ func (g *Group) Size() int { return g.n }
 
 // Close aborts pending collectives: ranks waiting to start one, and every
 // rank that calls one later, return ErrClosed; ranks already inside one
-// finish it and return ErrClosed too. Safe to call repeatedly.
+// finish it and return ErrClosed too, except that a commit every rank is
+// past the entry of returns nil (ReduceScatterMeanCommit). Safe to call
+// repeatedly.
 func (g *Group) Close() {
 	g.bar.mu.Lock()
 	g.bar.closed = true
 	g.bar.mu.Unlock()
 	g.bar.cond.Broadcast()
 }
+
+// A Commit is what the owners run inside a step's last exchange instead of
+// handing the reduced chunk out (ReduceScatterMeanCommit). Its entry barrier
+// is the commit point: either every rank runs Apply, or none does.
+type Commit struct {
+	// State is the caller's state arena, published for the exchange.
+	// Between the two barriers the owners of its ranges write it.
+	State []float64
+	// OK says the caller's step succeeded up to this exchange. A rank that
+	// publishes false makes every rank skip Apply and return ErrAborted.
+	OK bool
+	// Apply runs on every rank between the barriers, after the rank's
+	// fold, once every rank has published OK and a State of one length;
+	// states[r] is rank r's State. It must write only the ranges the
+	// calling rank owns (Chunk), in any rank's arena. The caller sets it
+	// once and reuses the Commit, so a step builds no closure.
+	Apply func(states [][]float64)
+}
+
+// What an exchange's owner does with its reduced chunk.
+type handout uint8
+
+const (
+	toPeers   handout = iota // copy it into every peer's vector: an allreduce
+	kept                     // leave it in the owner's vector: a reduce-scatter
+	committed                // run the caller's Commit
+)
 
 // AllReduce sums vec elementwise across all ranks, in place. Every rank must
 // call it with a vector of identical length; on return every rank holds the
@@ -172,7 +215,7 @@ func (g *Group) Close() {
 //
 //elan:hotpath
 func (g *Group) AllReduce(rank int, vec []float64) error {
-	return g.exchange(telemetry.TraceContext{}, rank, vec, -1, false)
+	return g.exchange(telemetry.TraceContext{}, rank, vec, -1, false, toPeers, nil)
 }
 
 // AllReduceMean is AllReduce followed by multiplying by 1/n, which is how
@@ -181,7 +224,7 @@ func (g *Group) AllReduce(rank int, vec []float64) error {
 //
 //elan:hotpath
 func (g *Group) AllReduceMean(rank int, vec []float64) error {
-	return g.exchange(telemetry.TraceContext{}, rank, vec, -1, true)
+	return g.exchange(telemetry.TraceContext{}, rank, vec, -1, true, toPeers, nil)
 }
 
 // AllReduceMeanBucket is AllReduceMean for one gradient bucket, with a
@@ -192,16 +235,38 @@ func (g *Group) AllReduceMean(rank int, vec []float64) error {
 //
 //elan:hotpath
 func (g *Group) AllReduceMeanBucket(parent telemetry.TraceContext, rank int, vec []float64, bucket int) error {
-	return g.exchange(parent, rank, vec, bucket, true)
+	return g.exchange(parent, rank, vec, bucket, true, toPeers, nil)
+}
+
+// ReduceScatterMeanBucket is AllReduceMeanBucket without the hand-out: on
+// return the caller's chunk of vec, Chunk(len(vec), n, rank), holds the
+// mean, and the rest of vec is as the caller left it.
+//
+//elan:hotpath
+func (g *Group) ReduceScatterMeanBucket(parent telemetry.TraceContext, rank int, vec []float64, bucket int) error {
+	return g.exchange(parent, rank, vec, bucket, true, kept, nil)
+}
+
+// ReduceScatterMeanCommit is ReduceScatterMeanBucket for a step's last
+// bucket, with c run between its barriers: after its fold each rank calls
+// c.Apply with every rank's c.State, unless some rank published c.OK ==
+// false (every rank returns ErrAborted) or the ranks disagree on the call.
+// A Close before every rank is past entry leaves every State as it was and
+// returns ErrClosed; once every rank is past entry every rank applies, and
+// the call returns nil even if the group closes meanwhile.
+//
+//elan:hotpath
+func (g *Group) ReduceScatterMeanCommit(parent telemetry.TraceContext, rank int, vec []float64, bucket int, c *Commit) error {
+	return g.exchange(parent, rank, vec, bucket, true, committed, c)
 }
 
 // exchange runs one reduction, with a span and metrics once SetTelemetry
 // has instrumented the group.
 //
 //elan:hotpath
-func (g *Group) exchange(parent telemetry.TraceContext, rank int, vec []float64, bucket int, mean bool) error {
+func (g *Group) exchange(parent telemetry.TraceContext, rank int, vec []float64, bucket int, mean bool, out handout, c *Commit) error {
 	if !g.instrumented {
-		return g.reduce(rank, vec, mean)
+		return g.reduce(rank, vec, mean, out, c)
 	}
 	var span *telemetry.Span
 	if parent.Valid() {
@@ -217,8 +282,14 @@ func (g *Group) exchange(parent telemetry.TraceContext, rank int, vec []float64,
 	if bucket >= 0 {
 		span.AnnotateInt("bucket", bucket)
 	}
+	switch out {
+	case kept:
+		span.Annotate("op", "reduce_scatter")
+	case committed:
+		span.Annotate("op", "commit")
+	}
 	start := g.clk.Now()
-	err := g.reduce(rank, vec, mean)
+	err := g.reduce(rank, vec, mean, out, c)
 	g.mSeconds.Observe(g.clk.Since(start).Seconds())
 	g.mOps.Inc()
 	g.mElements.Add(int64(len(vec)))
@@ -231,21 +302,26 @@ func (g *Group) exchange(parent telemetry.TraceContext, rank int, vec []float64,
 
 // reduce is the owner-computes exchange (see Group). Rank c folds chunk c of
 // rank c+1, c+2, ... (mod n) into its own chunk c — the left fold in
-// ascending rank order starting at rank c, ReferenceAllReduce's order — then
-// scales it by 1/n for a mean and copies it into every peer's chunk c.
+// ascending rank order starting at rank c, ReferenceAllReduce's order —
+// scales it by 1/n for a mean, and then hands it out as out says. c is the
+// caller's Commit when out is committed, and nil otherwise.
 //
 //elan:hotpath
-func (g *Group) reduce(rank int, vec []float64, mean bool) error {
+func (g *Group) reduce(rank int, vec []float64, mean bool, out handout, c *Commit) error {
 	if rank < 0 || rank >= g.n {
 		return fmt.Errorf("collective: rank %d out of [0, %d)", rank, g.n) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 	}
 	n := g.n
 	g.vecs[rank] = vec
+	g.commits[rank] = c
+	if c != nil {
+		g.states[rank] = c.State
+	}
 	if err := g.bar.wait(true); err != nil {
 		return err
 	}
-	// Every rank reads the same lengths, so all of them fail together,
-	// before any has written.
+	// Every rank reads the same lengths and flags, so all of them fail
+	// together, before any has written.
 	var err error
 	for r, v := range g.vecs {
 		if len(v) != len(vec) {
@@ -255,7 +331,10 @@ func (g *Group) reduce(rank int, vec []float64, mean bool) error {
 		}
 	}
 	if err == nil {
-		lo, hi := bounds(len(vec), n, rank)
+		err = g.checkCommits(c)
+	}
+	if err == nil {
+		lo, hi := Chunk(len(vec), n, rank)
 		own := vec[lo:hi]
 		g.fold(own, rank, lo)
 		if mean {
@@ -264,14 +343,46 @@ func (g *Group) reduce(rank int, vec []float64, mean bool) error {
 				own[i] *= inv
 			}
 		}
-		for s := 1; s < n; s++ {
-			copy(g.vecs[(rank+s)%n][lo:hi], own)
+		switch out {
+		case toPeers:
+			for s := 1; s < n; s++ {
+				copy(g.vecs[(rank+s)%n][lo:hi], own)
+			}
+		case committed:
+			c.Apply(g.states)
 		}
 	}
-	if xErr := g.bar.wait(false); xErr != nil {
+	if xErr := g.bar.wait(false); xErr != nil && (out != committed || err != nil) {
+		// Past a commit's entry every rank applies, so a Close now does
+		// not undo the step: the commit reports success.
 		return xErr
 	}
 	return err
+}
+
+// checkCommits reports whether every rank published a Commit exactly when c
+// is one, with OK set and a State as long as c's. Every rank reads the same
+// flags, so every rank gets the same answer.
+//
+//elan:hotpath
+func (g *Group) checkCommits(c *Commit) error {
+	aborted := false
+	for _, pc := range g.commits {
+		if (pc == nil) != (c == nil) {
+			return errCommitShape
+		}
+		if c == nil {
+			continue
+		}
+		if len(pc.State) != len(c.State) {
+			return errCommitShape
+		}
+		aborted = aborted || !pc.OK
+	}
+	if aborted {
+		return ErrAborted
+	}
+	return nil
 }
 
 // fold adds the chunk at lo of ranks rank+1, rank+2, ... (mod n) into own,
@@ -313,15 +424,17 @@ func (g *Group) peer(r, lo, m int) []float64 {
 	return g.vecs[r%g.n][lo : lo+m]
 }
 
-// bounds returns the [lo, hi) range of part idx when total elements are
-// split into parts pieces, the first (total % parts) pieces one element
-// larger — the chunks the ranks own.
-func bounds(total, parts, idx int) (int, int) {
-	base := total / parts
-	rem := total % parts
-	lo := idx*base + min(idx, rem)
+// Chunk returns the [lo, hi) range of a vector of length elements that rank
+// owns in a group of ranks: the split the exchange folds by, the first
+// (length % ranks) chunks one element longer.
+//
+//elan:hotpath
+func Chunk(length, ranks, rank int) (int, int) {
+	base := length / ranks
+	rem := length % ranks
+	lo := rank*base + min(rank, rem)
 	size := base
-	if idx < rem {
+	if rank < rem {
 		size++
 	}
 	return lo, lo + size

@@ -30,7 +30,7 @@ func ReferenceAllReduce(vecs [][]float64) ([]float64, error) {
 	}
 	out := make([]float64, L)
 	for c := 0; c < n; c++ {
-		lo, hi := bounds(L, n, c)
+		lo, hi := Chunk(L, n, c)
 		for e := lo; e < hi; e++ {
 			acc := vecs[c][e]
 			for s := 1; s < n; s++ {

@@ -12,10 +12,17 @@
 // whole-vector bucket, which makes the reducer's arithmetic — and its
 // accumulation order — exactly the historical AllReduceMean path.
 //
+// The training step (BackwardStep) goes one further: it reduce-scatters
+// every bucket, and inside the last bucket's exchange the owner of each
+// chunk applies the optimizer update to its chunks of every bucket and
+// copies the updated parameters and velocity into its peers' replicas, so
+// each element is updated once rather than once a rank.
+//
 // A Reducer belongs to one worker goroutine at a time.
 package ddp
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/elan-sys/elan/internal/collective"
@@ -23,6 +30,10 @@ import (
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/tensor"
 )
+
+// errForeignReplica is returned by BackwardStep for a replica whose network
+// is not the one the reducer was built for.
+var errForeignReplica = errors.New("ddp: step on a replica of another network")
 
 // Config parametrizes gradient bucketing.
 type Config struct {
@@ -56,13 +67,17 @@ type Reducer struct {
 
 	// The step in progress, for onLayer: the group and rank it reduces
 	// over, the causal parent of its spans, the open backward span, the
-	// next bucket to reduce and the first reduction error.
-	g     *collective.Group
-	rank  int
-	tc    telemetry.TraceContext
-	bspan *telemetry.Span
-	next  int
-	err   error
+	// next bucket to reduce and the first reduction error. rep is the
+	// replica a BackwardStep updates, nil for BackwardAllReduce; commit is
+	// its last exchange's Commit, whose Apply hook is cached like onLayer.
+	g      *collective.Group
+	rank   int
+	tc     telemetry.TraceContext
+	bspan  *telemetry.Span
+	next   int
+	err    error
+	rep    *nn.Replica
+	commit collective.Commit
 
 	closed bool
 }
@@ -111,6 +126,7 @@ func New(net *nn.MLP, cfg Config) *Reducer {
 		}
 		return nil
 	}
+	r.commit.Apply = r.apply
 	return r
 }
 
@@ -121,26 +137,57 @@ func (r *Reducer) NumBuckets() int { return len(r.buckets) }
 // network's gradients across g in place, bucket by bucket as backward
 // completes them. It must be called collectively: every rank of g steps
 // with the same bucket plan. Blocking is bounded by g.Close, which aborts
-// the reductions with collective.ErrClosed.
+// the reductions with collective.ErrClosed. The training step is
+// BackwardStep; this is its reference form, with the update left to
+// SGD.Step.
 //
 //elan:hotpath
 func (r *Reducer) BackwardAllReduce(g *collective.Group, rank int, lossGrad *tensor.Matrix) error {
-	return r.BackwardAllReduceTraced(g, rank, lossGrad, telemetry.TraceContext{})
+	return r.run(g, rank, lossGrad, nil, telemetry.TraceContext{})
 }
 
-// BackwardAllReduceTraced is BackwardAllReduce with a causal parent
-// (typically the rank's step span): the backward compute between two
-// bucket reductions gets a child span of its own and every bucket's
-// allreduce span is a child of the same parent, so the trace shows compute
-// and communication side by side. A zero tc is the plain uninstrumented
-// path.
+// BackwardStep is the training step after the forward pass: backward, the
+// gradient mean and the optimizer update of rep, whose network the reducer
+// was built for. Every bucket but the last is reduce-scattered as backward
+// closes it; in the last bucket's exchange rank c updates the range it owns
+// of every bucket (collective.Chunk of the bucket) in its own replica, with
+// rep.Opt's LR and Momentum, and copies the updated parameters and velocity
+// of those ranges into every peer's replica (DESIGN §9, "The owner rule").
+// On return every rank's state is what BackwardAllReduce followed by
+// rep.Opt.Step would leave, bit for bit; its gradient arena holds the mean
+// only on the ranges it owns.
+//
+// The last exchange's entry is the commit point. A rank whose backward
+// failed still joins every exchange but withdraws from the commit, so no
+// replica is updated and every rank returns an error; a Close before the
+// commit's entry leaves every replica as it was.
+//
+// tc is the causal parent of the step's spans, typically the rank's step
+// span: the backward compute between two bucket exchanges gets a
+// ddp.backward child of its own, every bucket's exchange span is a child
+// of the same parent, and the owner's update runs in a worker.optimize
+// child, so the trace shows compute and communication side by side. A
+// zero tc is the plain uninstrumented path.
 //
 //elan:hotpath
-func (r *Reducer) BackwardAllReduceTraced(g *collective.Group, rank int, lossGrad *tensor.Matrix, tc telemetry.TraceContext) error {
+func (r *Reducer) BackwardStep(g *collective.Group, rank int, lossGrad *tensor.Matrix, rep *nn.Replica, tc telemetry.TraceContext) error {
+	if rep == nil || rep.Net != r.net {
+		return errForeignReplica
+	}
+	r.commit.State = rep.State()
+	return r.run(g, rank, lossGrad, rep, tc)
+}
+
+// run is a step of either kind: BackwardAllReduce with a nil rep,
+// BackwardStep otherwise.
+//
+//elan:hotpath
+func (r *Reducer) run(g *collective.Group, rank int, lossGrad *tensor.Matrix, rep *nn.Replica, tc telemetry.TraceContext) error {
 	if r.closed {
 		return fmt.Errorf("ddp: reducer closed") //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 	}
-	r.g, r.rank, r.tc, r.next, r.err = g, rank, tc, 0, nil
+	r.g, r.rank, r.tc, r.next, r.err, r.rep = g, rank, tc, 0, nil, rep
+	r.commit.OK = true
 	r.bspan = r.startBackward()
 	bErr := r.net.BackwardLayers(lossGrad, r.onLayer)
 	if bErr != nil {
@@ -148,13 +195,15 @@ func (r *Reducer) BackwardAllReduceTraced(g *collective.Group, rank int, lossGra
 		r.bspan.End()
 		r.bspan = nil
 		// Backward bailed early: reduce the buckets it never closed, so
-		// this rank still joins every exchange its peers are counting on.
+		// this rank still joins every exchange its peers are counting on,
+		// and withdraw from the commit, so no replica takes the step.
+		r.commit.OK = false
 		for r.next < len(r.buckets) {
 			r.reduceNext()
 		}
 	}
 	err := r.err
-	r.g = nil
+	r.g, r.rep = nil, nil
 	if bErr != nil {
 		return bErr
 	}
@@ -172,9 +221,11 @@ func (r *Reducer) startBackward() *telemetry.Span {
 	return s
 }
 
-// reduceNext averages the step's next bucket across the group. After a
-// failed exchange it reduces nothing more: every rank of the group fails
-// the same exchange, so none is left waiting.
+// reduceNext averages the step's next bucket across the group: an
+// allreduce for BackwardAllReduce; for BackwardStep a reduce-scatter, and
+// the commit for the last bucket. After a failed exchange it reduces
+// nothing more: every rank of the group fails the same exchange, so none is
+// left waiting.
 //
 //elan:hotpath
 func (r *Reducer) reduceNext() {
@@ -184,7 +235,42 @@ func (r *Reducer) reduceNext() {
 		return
 	}
 	bk := r.buckets[b]
-	r.err = r.g.AllReduceMeanBucket(r.tc, r.rank, r.grads[bk.lo:bk.hi], b)
+	vec := r.grads[bk.lo:bk.hi]
+	switch {
+	case r.rep == nil:
+		r.err = r.g.AllReduceMeanBucket(r.tc, r.rank, vec, b)
+	case b < len(r.buckets)-1:
+		r.err = r.g.ReduceScatterMeanBucket(r.tc, r.rank, vec, b)
+	default:
+		r.err = r.g.ReduceScatterMeanCommit(r.tc, r.rank, vec, b, &r.commit)
+	}
+}
+
+// apply is the step's Commit.Apply, run between the last exchange's
+// barriers once every rank is in: the update of the rank's owned range of
+// every bucket, each range copied into every peer's state arena as soon as
+// it is updated. states[r] is rank r's arena, [params | velocity].
+//
+//elan:hotpath
+func (r *Reducer) apply(states [][]float64) {
+	var span *telemetry.Span
+	if r.tc.Valid() {
+		span = telemetry.StartRemote(r.g.Tracer(), "worker.optimize", r.tc)
+		span.AnnotateInt("rank", r.rank)
+	}
+	n, np := len(states), r.net.NumParams()
+	own := states[r.rank]
+	for _, bk := range r.buckets {
+		lo, hi := collective.Chunk(bk.hi-bk.lo, n, r.rank)
+		lo, hi = bk.lo+lo, bk.lo+hi
+		r.rep.Update(lo, hi)
+		for s := 1; s < n; s++ {
+			peer := states[(r.rank+s)%n]
+			copy(peer[lo:hi], own[lo:hi])
+			copy(peer[np+lo:np+hi], own[np+lo:np+hi])
+		}
+	}
+	span.End()
 }
 
 // Close makes the reducer refuse to step from then on. Safe to call

@@ -310,7 +310,8 @@ func TestBucketSpansTagged(t *testing.T) {
 // TestBackwardSpansLeaveExchangesToComm: on a traced, bucketed step each
 // rank gets one ddp.backward span per stretch of backward between buckets,
 // and none of them covers a bucket's exchange, so step attribution counts
-// the exchanges as comm rather than as compute.
+// the exchanges as comm rather than as compute. The owner's update gets
+// one worker.optimize span, inside the last exchange.
 func TestBackwardSpansLeaveExchangesToComm(t *testing.T) {
 	const n = 2
 	g, err := collective.NewGroup(n)
@@ -326,13 +327,17 @@ func TestBackwardSpansLeaveExchangesToComm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			net := buildNet(t)
-			red := New(net, Config{BucketElems: 40})
+			rep, err := nn.NewReplica(rand.New(rand.NewSource(42)), testSizes, 0.05, 0.9)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			red := New(rep.Net, Config{BucketElems: 40})
 			buckets[r] = red.NumBuckets()
-			net.ZeroGrads()
-			grad := lossGradOf(t, net, r)
+			rep.Net.ZeroGrads()
+			grad := lossGradOf(t, rep.Net, r)
 			step := rec.StartSpan("worker.rank_step")
-			if err := red.BackwardAllReduceTraced(g, r, grad, step.Context()); err != nil {
+			if err := red.BackwardStep(g, r, grad, rep, step.Context()); err != nil {
 				t.Errorf("rank %d: %v", r, err)
 			}
 			step.End()
@@ -354,9 +359,15 @@ func TestBackwardSpansLeaveExchangesToComm(t *testing.T) {
 		byRank[rank][s.Name] = append(byRank[rank][s.Name], s)
 	}
 	for rank, spans := range byRank {
-		bw, ar := spans["ddp.backward"], spans["collective.allreduce"]
+		bw, ar, opt := spans["ddp.backward"], spans["collective.allreduce"], spans["worker.optimize"]
 		if len(bw) != buckets[0] || len(ar) != buckets[0] {
 			t.Fatalf("rank %s: %d backward and %d allreduce spans, want %d each", rank, len(bw), len(ar), buckets[0])
+		}
+		if len(opt) != 1 {
+			t.Fatalf("rank %s: %d optimize spans, want 1", rank, len(opt))
+		}
+		if last := ar[len(ar)-1]; opt[0].Start.Before(last.Start) || last.End.Before(opt[0].End) {
+			t.Fatalf("rank %s: optimize [%v, %v] outside the last allreduce [%v, %v]", rank, opt[0].Start, opt[0].End, last.Start, last.End)
 		}
 		for _, b := range bw {
 			for _, a := range ar {
@@ -468,6 +479,24 @@ func TestReducerCloseIdempotent(t *testing.T) {
 // TestReducerStepZeroAllocs: after workspaces and arenas warm up, a full
 // backward + bucketed allreduce + load step allocates nothing.
 func TestReducerStepZeroAllocs(t *testing.T) {
+	stepZeroAllocs(t, "bucketed step", func(red *Reducer, rep *nn.Replica, g *collective.Group, rank int, grad *tensor.Matrix) error {
+		return red.BackwardAllReduce(g, rank, grad)
+	})
+}
+
+// TestBackwardStepZeroAllocs: the training step — backward, bucketed
+// reduce-scatter and the owners' update and hand-out inside the last
+// exchange — allocates nothing either: its commit hook is cached.
+func TestBackwardStepZeroAllocs(t *testing.T) {
+	stepZeroAllocs(t, "training step", func(red *Reducer, rep *nn.Replica, g *collective.Group, rank int, grad *tensor.Matrix) error {
+		return red.BackwardStep(g, rank, grad, rep, telemetry.TraceContext{})
+	})
+}
+
+// stepZeroAllocs measures rank 0's allocations for forward, loss and
+// step on a bucketed 2-rank group, rank 1 stepping alongside.
+func stepZeroAllocs(t *testing.T, what string, step func(red *Reducer, rep *nn.Replica, g *collective.Group, rank int, grad *tensor.Matrix) error) {
+	t.Helper()
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
 	}
@@ -476,12 +505,20 @@ func TestReducerStepZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replica := func() *nn.Replica {
+		rep, err := nn.NewReplica(rand.New(rand.NewSource(42)), testSizes, 0.05, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	peer := replica()
 	go func() {
 		defer wg.Done()
-		net := buildNet(t)
+		net := peer.Net
 		red := New(net, Config{BucketElems: 40})
 		defer red.Close()
 		x, labels := batchFor(t, 1)
@@ -500,16 +537,17 @@ func TestReducerStepZeroAllocs(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := red.BackwardAllReduce(g, 1, grad); err != nil {
+			if err := step(red, peer, g, 1, grad); err != nil {
 				return
 			}
 		}
 	}()
-	net := buildNet(t)
+	rep := replica()
+	net := rep.Net
 	red := New(net, Config{BucketElems: 40})
 	defer red.Close()
 	x, labels := batchFor(t, 0)
-	step := func() {
+	run := func() {
 		net.ZeroGrads()
 		logits, err := net.Forward(x)
 		if err != nil {
@@ -519,18 +557,18 @@ func TestReducerStepZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := red.BackwardAllReduce(g, 0, grad); err != nil {
+		if err := step(red, rep, g, 0, grad); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		step()
+		run()
 	}
-	avg := testing.AllocsPerRun(50, step)
+	avg := testing.AllocsPerRun(50, run)
 	close(stop)
 	g.Close()
 	wg.Wait()
 	if avg != 0 {
-		t.Fatalf("%v allocs per bucketed step, want 0", avg)
+		t.Fatalf("%v allocs per %s, want 0", avg, what)
 	}
 }

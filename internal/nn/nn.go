@@ -408,6 +408,11 @@ func (m *MLP) Grads() []*tensor.Matrix {
 // reads and writes the network's live gradients, so the owner decides when
 // that is safe; ZeroGrads does not clear it (the zero mark is settled here,
 // once, not on later use of the slice).
+//
+// After a ddp step (Reducer.BackwardStep) a rank's arena holds the mean
+// gradient only on the ranges it owns (collective.Chunk of each bucket);
+// elsewhere it holds the rank's own partial sums. After BackwardAllReduce
+// it holds the mean everywhere.
 func (m *MLP) GradArena() []float64 {
 	m.settleGrads()
 	return m.gradArena
@@ -571,15 +576,7 @@ func newSGD(params []*tensor.Matrix, lr, momentum float64, vel []float64) (*SGD,
 }
 
 // Step applies one update, v = mu*v + g; p -= lr*v, in one pass over each
-// matrix. Every element ends on the bits of the three passes this replaces
-// (v.Scale(mu), v.Axpy(1, g), p.Axpy(-lr, v)) on every platform. The
-// conversion is the rounding Scale's store made before Axpy added to it,
-// which a compiler that contracts multiply-adds (arm64) would otherwise fuse
-// away; p - lr*v has none, as Axpy's m += a*x had none, so such a compiler
-// fuses both alike. And p - lr*v is p + (-lr)*v in every bit, with the one
-// difference that a compiler may not commute it: when p and v are both NaN
-// the result carries p's payload, as the Axpy's did (DESIGN §9 rule 3), and
-// not that of whichever operand the register allocator put first.
+// matrix (sgdUpdate).
 //
 //elan:hotpath
 func (s *SGD) Step(params, grads []*tensor.Matrix) error {
@@ -587,22 +584,38 @@ func (s *SGD) Step(params, grads []*tensor.Matrix) error {
 		return fmt.Errorf("nn: optimizer state mismatch: %d params, %d grads, %d velocities", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 			len(params), len(grads), len(s.velocity))
 	}
-	mu, lr := s.Momentum, s.LR
 	for i, p := range params {
 		v, g := s.velocity[i], grads[i]
 		if v.Rows != p.Rows || v.Cols != p.Cols || g.Rows != p.Rows || g.Cols != p.Cols {
 			return fmt.Errorf("nn: optimizer step %d: %dx%d parameter, %dx%d gradient, %dx%d velocity", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
 				i, p.Rows, p.Cols, g.Rows, g.Cols, v.Rows, v.Cols)
 		}
-		pd := p.Data
-		vd, gd := v.Data[:len(pd)], g.Data[:len(pd)]
-		for j := range pd {
-			vj := float64(vd[j]*mu) + gd[j]
-			vd[j] = vj
-			pd[j] -= lr * vj
-		}
+		sgdUpdate(p.Data, v.Data, g.Data, s.LR, s.Momentum)
 	}
 	return nil
+}
+
+// sgdUpdate is the optimizer's one update loop, v = mu*v + g; p -= lr*v
+// for every element of p, v and g (equal lengths), shared by SGD.Step and
+// Replica.Update. Every element ends on the bits of the three passes it
+// replaces (v.Scale(mu), v.Axpy(1, g), p.Axpy(-lr, v)) on every platform.
+// The conversion is the rounding Scale's store made before Axpy added to
+// it, which a compiler that contracts multiply-adds (arm64) would otherwise
+// fuse away; p - lr*v has none, as Axpy's m += a*x had none, so such a
+// compiler fuses both alike. And p - lr*v is p + (-lr)*v in every bit, with
+// the one difference that a compiler may not commute it: when p and v are
+// both NaN the result carries p's payload, as the Axpy's did (DESIGN §9
+// rule 3), and not that of whichever operand the register allocator put
+// first.
+//
+//elan:hotpath
+func sgdUpdate(p, v, g []float64, lr, mu float64) {
+	v, g = v[:len(p)], g[:len(p)]
+	for j := range p {
+		vj := float64(v[j]*mu) + g[j]
+		v[j] = vj
+		p[j] -= lr * vj
+	}
 }
 
 // FlattenState appends the optimizer velocity to dst; part of the replicated
@@ -689,6 +702,18 @@ func (r *Replica) Poison() {
 	for _, p := range r.Net.probs {
 		nan(p)
 	}
+}
+
+// Update applies the optimizer update to the parameters in [lo, hi) of the
+// flat parameter order, from the gradients in the same range of the
+// network's gradient arena: SGD.Step's update loop on that range alone, with
+// the optimizer's LR and Momentum. The ddp reducer's step runs it on the
+// ranges a rank owns, then copies them to its peers.
+//
+//elan:hotpath
+func (r *Replica) Update(lo, hi int) {
+	n := len(r.Net.flat)
+	sgdUpdate(r.arena[lo:hi], r.arena[n+lo:n+hi], r.Net.GradArena()[lo:hi], r.Opt.LR, r.Opt.Momentum)
 }
 
 // State returns the arena itself, not a copy. Whoever holds it reads (or

@@ -226,17 +226,18 @@ func (a *Agent) loop(ds *data.Dataset) {
 }
 
 // step runs one data-parallel iteration: local forward on the shard, then
-// the shared ddp reducer runs backward and averages each gradient bucket as
-// backward closes it, then the optimizer update. Everything it touches
-// after warm-up is agent-owned and reused — the batch buffers, the network
-// workspaces, and the gradient arena backward writes, the reducer averages
-// and the optimizer reads in place — so a steady-state step allocates
-// nothing.
+// the shared ddp reducer runs backward, reduce-scatters each gradient bucket
+// as backward closes it, and inside the last bucket's exchange each rank
+// updates the parameters and velocity it owns and hands them to its peers
+// (ddp.Reducer.BackwardStep). Everything it touches after warm-up is
+// agent-owned and reused — the batch buffers, the network workspaces, and
+// the gradient arena backward writes, the reducer averages and the owners'
+// update reads in place — so a steady-state step allocates nothing.
 //
 //elan:hotpath
 func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
 	// The rank-step span is a remote child of the fleet's step span; its
-	// forward/optimize children plus the reducer's backward and allreduce
+	// forward child plus the reducer's backward, allreduce and optimize
 	// spans are what the step-time attribution folds into phases. With no
 	// tracer in cmd every span below is nil and the path allocates nothing.
 	span := telemetry.StartRemote(cmd.tr, "worker.rank_step", cmd.trace)
@@ -271,14 +272,8 @@ func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
 	if err != nil {
 		return result{err: err}
 	}
-	if err := a.red.BackwardAllReduceTraced(cmd.group, cmd.rank, grad, span.Context()); err != nil {
-		return result{err: err}
-	}
-	ospan := span.Child("worker.optimize")
 	a.rep.Opt.LR = cmd.lr
-	err = a.rep.Opt.Step(net.Params(), net.Grads())
-	ospan.End()
-	if err != nil {
+	if err := a.red.BackwardStep(cmd.group, cmd.rank, grad, a.rep, span.Context()); err != nil {
 		return result{err: err}
 	}
 	return result{loss: loss}
@@ -1450,8 +1445,11 @@ func (f *Fleet) Evaluate(ds *data.Dataset) (loss, acc float64, err error) {
 }
 
 // ReplicasConsistent checks the data-parallel invariant across agents:
-// every replica holds the same parameters and optimizer state. The arenas
-// are compared in place; under f.mu no agent is writing its own.
+// every replica holds the same parameters and optimizer state. After a
+// step it holds by construction — each element is updated by one rank and
+// copied to the others (ddp.Reducer.BackwardStep) — so divergence in the
+// update itself shows in the sequential-reference tests instead. The
+// arenas are compared in place; under f.mu no step is writing them.
 func (f *Fleet) ReplicasConsistent() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
