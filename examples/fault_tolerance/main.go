@@ -1,11 +1,11 @@
 // Fault tolerance: the application master is a single point of failure, so
 // Elan (Section V-D) persists its state machine to a replicated store,
-// tags every message with a unique ID for resend-and-dedup, and relies on
-// reconnecting sockets. This example kills the AM in the middle of a
-// scale-out — after one of two new workers has reported — recovers a new
-// incarnation from the store on the same TCP address, and completes the
-// adjustment without losing the first report. It also shows the fencing of
-// the stale incarnation.
+// makes its calls idempotent in that state (a resent message finds its own
+// effect, on a restarted AM too), and relies on reconnecting sockets. This
+// example kills the AM in the middle of a scale-out — after one of two new
+// workers has reported — recovers a new incarnation from the store on the
+// same TCP address, and completes the adjustment without losing the first
+// report. It also shows the fencing of the stale incarnation.
 //
 //	go run ./examples/fault_tolerance
 package main

@@ -203,7 +203,7 @@ func TestMidAdjustmentCrashRecovery(t *testing.T) {
 	if len(oldAMs) != 1 {
 		t.Fatalf("crashed AM incarnations = %d, want 1", len(oldAMs))
 	}
-	if _, _, err := oldAMs[0].Coordinate(); !errors.Is(err, coord.ErrFenced) {
+	if _, _, err := oldAMs[0].Coordinate(oldAMs[0].Seq()); !errors.Is(err, coord.ErrFenced) {
 		if err != nil {
 			t.Fatalf("old AM Coordinate = %v, want ErrFenced or nil", err)
 		}

@@ -18,6 +18,12 @@
 // versioned store (the etcd stand-in) using compare-and-swap: a recovered
 // incarnation resumes from the stored state, and a stale incarnation that
 // lost the key fences itself off with ErrFenced.
+//
+// Both wires deliver at least once, so the calls that change the state are
+// idempotent in it, keyed by the adjustment sequence number: a caller names
+// after, the last adjustment it received, and a repeat — after a lost
+// reply, a resend or an AM restart — finds its own effect and gets the
+// first answer again (DESIGN.md §7).
 package coord
 
 import (
@@ -25,6 +31,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/elan-sys/elan/internal/store"
@@ -40,7 +47,7 @@ var (
 	// race to a newer one and must stop.
 	ErrFenced = errors.New("coord: AM incarnation fenced off")
 	// ErrUnknownWorker is returned for a report from a worker that is not
-	// part of the pending adjustment.
+	// part of an open adjustment: never named, or already handed out.
 	ErrUnknownWorker = errors.New("coord: worker not in pending adjustment")
 )
 
@@ -114,21 +121,35 @@ type Adjustment struct {
 	Trace telemetry.TraceContext
 }
 
+// is reports whether a is the adjustment a request for kind, add and remove
+// opens; a nil a is none.
+func (a *Adjustment) is(kind Kind, add, remove []string) bool {
+	return a != nil && a.Kind == kind && slices.Equal(a.Add, add) && slices.Equal(a.Remove, remove)
+}
+
+// clone returns a copy of a that shares no slice with it.
+func (a *Adjustment) clone() Adjustment {
+	c := *a
+	c.Add, c.Remove = slices.Clone(a.Add), slices.Clone(a.Remove)
+	return c
+}
+
 // persisted is the gob-serialized AM state saved to the store.
 type persisted struct {
 	State   State
 	Seq     int64
 	Pending *pendingState
+	// Last is adjustment Seq, the last one handed out, for Coordinate to
+	// hand out again to a caller whose reply was lost.
+	Last *Adjustment
 }
 
+// pendingState is the open adjustment: its Seq is the number it will be
+// handed out as, and its Trace survives persistence so a recovered AM
+// still hands the original request's causal identity to Coordinate.
 type pendingState struct {
-	Kind     Kind
-	Add      []string
-	Remove   []string
+	Adjustment
 	Reported map[string]bool
-	// Trace survives persistence (exported for gob) so a recovered AM still
-	// hands the original request's causal identity to Coordinate.
-	Trace telemetry.TraceContext
 }
 
 // AM is the application master of one job. It is safe for concurrent use:
@@ -141,6 +162,7 @@ type AM struct {
 	state   State
 	seq     int64
 	pending *pendingState
+	last    *Adjustment
 	version int64 // store version for CAS fencing
 }
 
@@ -189,6 +211,7 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 		state:   p.State,
 		seq:     p.Seq,
 		pending: p.Pending,
+		last:    p.Last,
 	}
 	// Take over by bumping the version.
 	blob, err := am.encode()
@@ -206,7 +229,7 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 // encode must be called with or without the lock but with a consistent view.
 func (am *AM) encode() ([]byte, error) {
 	var buf bytes.Buffer
-	p := persisted{State: am.state, Seq: am.seq, Pending: am.pending}
+	p := persisted{State: am.state, Seq: am.seq, Pending: am.pending, Last: am.last}
 	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
 		return nil, fmt.Errorf("coord: encode AM state: %w", err)
 	}
@@ -245,18 +268,21 @@ func (am *AM) Seq() int64 {
 }
 
 // RequestAdjustment is the service API offered to the scheduler (step 1 of
-// the adjustment procedure). add names workers being launched; remove names
-// workers that will leave. If no new workers are required (pure scale-in),
-// the adjustment is immediately Ready.
-func (am *AM) RequestAdjustment(kind Kind, add, remove []string) error {
-	return am.RequestAdjustmentTraced(kind, add, remove, telemetry.TraceContext{})
+// the adjustment procedure): it opens adjustment after+1 when the AM is Idle
+// at after, the last adjustment the caller received. add names workers
+// being launched; remove names workers that will leave. If no new workers
+// are required (pure scale-in), the adjustment is immediately Ready. A
+// repeat that finds the same request still open, or already handed out as
+// after+1, returns nil; anything else is ErrBusy.
+func (am *AM) RequestAdjustment(after int64, kind Kind, add, remove []string) error {
+	return am.RequestAdjustmentTraced(after, kind, add, remove, telemetry.TraceContext{})
 }
 
 // RequestAdjustmentTraced is RequestAdjustment carrying the requesting
 // span's identity: the context is stored with the pending adjustment and
 // returned on the eventual Coordinate, linking request and application into
 // one cross-process trace.
-func (am *AM) RequestAdjustmentTraced(kind Kind, add, remove []string, tc telemetry.TraceContext) error {
+func (am *AM) RequestAdjustmentTraced(after int64, kind Kind, add, remove []string, tc telemetry.TraceContext) error {
 	if kind != ScaleOut && kind != ScaleIn && kind != Migrate {
 		return fmt.Errorf("coord: invalid kind %v", kind)
 	}
@@ -268,19 +294,27 @@ func (am *AM) RequestAdjustmentTraced(kind Kind, add, remove []string, tc teleme
 	}
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if am.state != Idle {
-		return fmt.Errorf("%w (state=%v)", ErrBusy, am.state)
+	switch {
+	case am.seq == after && am.state == Idle: // opened below
+	case am.seq == after && am.pending != nil && am.pending.is(kind, add, remove),
+		am.seq == after+1 && am.last.is(kind, add, remove):
+		return nil // a repeat: still open, or already handed out
+	default:
+		return fmt.Errorf("%w (state=%v, seq=%d, after=%d)", ErrBusy, am.state, am.seq, after)
 	}
 	reported := make(map[string]bool, len(add))
 	for _, w := range add {
 		reported[w] = false
 	}
 	am.pending = &pendingState{
-		Kind:     kind,
-		Add:      append([]string(nil), add...),
-		Remove:   append([]string(nil), remove...),
+		Adjustment: Adjustment{
+			Seq:    after + 1,
+			Kind:   kind,
+			Add:    slices.Clone(add),
+			Remove: slices.Clone(remove),
+			Trace:  tc,
+		},
 		Reported: reported,
-		Trace:    tc,
 	}
 	if len(add) == 0 {
 		am.state = Ready
@@ -298,54 +332,60 @@ func (am *AM) RequestAdjustmentTraced(kind Kind, add, remove []string, tc teleme
 
 // ReportReady records that a newly launched worker finished start and
 // initialization (step 2). When the last pending worker reports, the
-// adjustment becomes Ready.
+// adjustment becomes Ready. A repeat while the adjustment is open returns
+// nil; once it is handed out, or for a worker it does not name, the report
+// is ErrUnknownWorker.
 func (am *AM) ReportReady(worker string) error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if am.state != Pending || am.pending == nil {
-		return fmt.Errorf("coord: report from %q in state %v", worker, am.state)
+	if am.pending == nil || !slices.Contains(am.pending.Add, worker) {
+		return fmt.Errorf("%w: %q (state=%v)", ErrUnknownWorker, worker, am.state)
 	}
-	done, ok := am.pending.Reported[worker]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownWorker, worker)
-	}
-	if done {
-		return nil // duplicate report (resend); idempotent
+	if am.pending.Reported[worker] {
+		return nil // a repeat while the adjustment is open
 	}
 	am.pending.Reported[worker] = true
+	am.state = Ready
 	for _, v := range am.pending.Reported {
 		if !v {
-			return am.persistLocked()
+			am.state = Pending
+			break
 		}
 	}
-	am.state = Ready
-	return am.persistLocked()
+	if err := am.persistLocked(); err != nil {
+		// Roll back: a fenced AM must not answer a repeat as reported.
+		am.pending.Reported[worker], am.state = false, Pending
+		return err
+	}
+	return nil
 }
 
 // Coordinate is called by the existing workers at iteration boundaries
-// (step 3). If an adjustment is Ready it is returned and the AM goes back
+// (step 3) with the last adjustment they received. It returns adjustment
+// after+1 if the AM handed it out before (a repeat after a lost reply or an
+// AM restart) or hands it out now because it is Ready, taking the AM back
 // to Idle; otherwise ok is false and training proceeds immediately — this
 // is what hides worker start and initialization off the critical path.
-func (am *AM) Coordinate() (Adjustment, bool, error) {
+func (am *AM) Coordinate(after int64) (Adjustment, bool, error) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if am.state != Ready || am.pending == nil {
+	if am.last != nil && am.last.Seq == after+1 {
+		return am.last.clone(), true, nil
+	}
+	if after != am.seq {
+		return Adjustment{}, false, fmt.Errorf("coord: coordinate after adjustment %d, but the AM is at %d", after, am.seq)
+	}
+	if am.state != Ready {
 		return Adjustment{}, false, nil
 	}
-	am.seq++
-	adj := Adjustment{
-		Seq:    am.seq,
-		Kind:   am.pending.Kind,
-		Add:    append([]string(nil), am.pending.Add...),
-		Remove: append([]string(nil), am.pending.Remove...),
-		Trace:  am.pending.Trace,
-	}
-	am.state = Idle
-	am.pending = nil
+	last, pending := am.last, am.pending
+	am.state, am.seq, am.last, am.pending = Idle, pending.Seq, &pending.Adjustment, nil
 	if err := am.persistLocked(); err != nil {
+		// Roll back so a fenced AM hands nothing out.
+		am.state, am.seq, am.last, am.pending = Ready, after, last, pending
 		return Adjustment{}, false, err
 	}
-	return adj, true, nil
+	return am.last.clone(), true, nil
 }
 
 // PendingWorkers returns the not-yet-reported workers of the pending

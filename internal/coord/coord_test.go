@@ -39,10 +39,10 @@ func TestScaleOutLifecycle(t *testing.T) {
 		t.Fatalf("initial state = %v", am.State())
 	}
 	// Coordinate with nothing pending: keep training.
-	if _, ok, err := am.Coordinate(); ok || err != nil {
+	if _, ok, err := am.Coordinate(0); ok || err != nil {
 		t.Fatalf("idle Coordinate = %v, %v", ok, err)
 	}
-	if err := am.RequestAdjustment(ScaleOut, []string{"w5", "w6"}, nil); err != nil {
+	if err := am.RequestAdjustment(0, ScaleOut, []string{"w5", "w6"}, nil); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
 	if am.State() != Pending {
@@ -50,7 +50,7 @@ func TestScaleOutLifecycle(t *testing.T) {
 	}
 	// Async property: coordination while workers are starting returns
 	// no-adjustment, training proceeds.
-	if _, ok, err := am.Coordinate(); ok || err != nil {
+	if _, ok, err := am.Coordinate(0); ok || err != nil {
 		t.Fatalf("pending Coordinate = %v, %v", ok, err)
 	}
 	if err := am.ReportReady("w5"); err != nil {
@@ -68,7 +68,7 @@ func TestScaleOutLifecycle(t *testing.T) {
 	if am.State() != Ready {
 		t.Fatalf("state = %v, want Ready", am.State())
 	}
-	adj, ok, err := am.Coordinate()
+	adj, ok, err := am.Coordinate(0)
 	if err != nil || !ok {
 		t.Fatalf("Coordinate = %v, %v", ok, err)
 	}
@@ -78,21 +78,21 @@ func TestScaleOutLifecycle(t *testing.T) {
 	if am.State() != Idle {
 		t.Fatalf("state after adjustment = %v", am.State())
 	}
-	// Exactly-once: a second coordinate returns nothing.
-	if _, ok, _ := am.Coordinate(); ok {
+	// The next coordinate, after adjustment 1, returns nothing.
+	if _, ok, _ := am.Coordinate(1); ok {
 		t.Fatal("adjustment delivered twice")
 	}
 }
 
 func TestScaleInImmediatelyReady(t *testing.T) {
 	am, _ := newAM(t)
-	if err := am.RequestAdjustment(ScaleIn, nil, []string{"w3", "w4"}); err != nil {
+	if err := am.RequestAdjustment(0, ScaleIn, nil, []string{"w3", "w4"}); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
 	if am.State() != Ready {
 		t.Fatalf("scale-in state = %v, want Ready (no new workers to wait for)", am.State())
 	}
-	adj, ok, err := am.Coordinate()
+	adj, ok, err := am.Coordinate(0)
 	if err != nil || !ok || adj.Kind != ScaleIn || len(adj.Remove) != 2 {
 		t.Fatalf("Coordinate = %+v, %v, %v", adj, ok, err)
 	}
@@ -100,13 +100,13 @@ func TestScaleInImmediatelyReady(t *testing.T) {
 
 func TestMigration(t *testing.T) {
 	am, _ := newAM(t)
-	if err := am.RequestAdjustment(Migrate, []string{"w9"}, []string{"w1"}); err != nil {
+	if err := am.RequestAdjustment(0, Migrate, []string{"w9"}, []string{"w1"}); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
 	if err := am.ReportReady("w9"); err != nil {
 		t.Fatalf("ReportReady: %v", err)
 	}
-	adj, ok, err := am.Coordinate()
+	adj, ok, err := am.Coordinate(0)
 	if err != nil || !ok {
 		t.Fatalf("Coordinate: %v %v", ok, err)
 	}
@@ -117,23 +117,23 @@ func TestMigration(t *testing.T) {
 
 func TestRequestValidation(t *testing.T) {
 	am, _ := newAM(t)
-	if err := am.RequestAdjustment(Kind(99), nil, nil); err == nil {
+	if err := am.RequestAdjustment(0, Kind(99), nil, nil); err == nil {
 		t.Fatal("invalid kind accepted")
 	}
-	if err := am.RequestAdjustment(ScaleOut, nil, nil); err == nil {
+	if err := am.RequestAdjustment(0, ScaleOut, nil, nil); err == nil {
 		t.Fatal("scale-out without workers accepted")
 	}
-	if err := am.RequestAdjustment(ScaleIn, nil, nil); err == nil {
+	if err := am.RequestAdjustment(0, ScaleIn, nil, nil); err == nil {
 		t.Fatal("scale-in without workers accepted")
 	}
 }
 
 func TestBusyRejectsSecondRequest(t *testing.T) {
 	am, _ := newAM(t)
-	if err := am.RequestAdjustment(ScaleOut, []string{"w5"}, nil); err != nil {
+	if err := am.RequestAdjustment(0, ScaleOut, []string{"w5"}, nil); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
-	if err := am.RequestAdjustment(ScaleOut, []string{"w6"}, nil); !errors.Is(err, ErrBusy) {
+	if err := am.RequestAdjustment(0, ScaleOut, []string{"w6"}, nil); !errors.Is(err, ErrBusy) {
 		t.Fatalf("second request = %v, want ErrBusy", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestReportValidation(t *testing.T) {
 	if err := am.ReportReady("w5"); err == nil {
 		t.Fatal("report in Idle accepted")
 	}
-	if err := am.RequestAdjustment(ScaleOut, []string{"w5"}, nil); err != nil {
+	if err := am.RequestAdjustment(0, ScaleOut, []string{"w5"}, nil); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
 	if err := am.ReportReady("stranger"); !errors.Is(err, ErrUnknownWorker) {
@@ -160,7 +160,7 @@ func TestReportValidation(t *testing.T) {
 
 func TestRecoverAfterFailure(t *testing.T) {
 	am, st := newAM(t)
-	if err := am.RequestAdjustment(ScaleOut, []string{"w5", "w6"}, nil); err != nil {
+	if err := am.RequestAdjustment(0, ScaleOut, []string{"w5", "w6"}, nil); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
 	if err := am.ReportReady("w5"); err != nil {
@@ -181,7 +181,7 @@ func TestRecoverAfterFailure(t *testing.T) {
 	if err := am2.ReportReady("w6"); err != nil {
 		t.Fatalf("ReportReady on recovered AM: %v", err)
 	}
-	adj, ok, err := am2.Coordinate()
+	adj, ok, err := am2.Coordinate(0)
 	if err != nil || !ok || len(adj.Add) != 2 {
 		t.Fatalf("Coordinate on recovered AM = %+v, %v, %v", adj, ok, err)
 	}
@@ -194,7 +194,7 @@ func TestOldIncarnationFenced(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	// The old incarnation's next mutation is fenced.
-	err := am.RequestAdjustment(ScaleOut, []string{"w5"}, nil)
+	err := am.RequestAdjustment(0, ScaleOut, []string{"w5"}, nil)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale AM mutation = %v, want ErrFenced", err)
 	}
@@ -216,10 +216,10 @@ func TestRecoverMissing(t *testing.T) {
 func TestSeqIncrements(t *testing.T) {
 	am, _ := newAM(t)
 	for i := int64(1); i <= 3; i++ {
-		if err := am.RequestAdjustment(ScaleIn, nil, []string{"w"}); err != nil {
+		if err := am.RequestAdjustment(i-1, ScaleIn, nil, []string{"w"}); err != nil {
 			t.Fatalf("RequestAdjustment %d: %v", i, err)
 		}
-		adj, ok, err := am.Coordinate()
+		adj, ok, err := am.Coordinate(i - 1)
 		if err != nil || !ok {
 			t.Fatalf("Coordinate %d: %v %v", i, ok, err)
 		}
@@ -231,3 +231,98 @@ func TestSeqIncrements(t *testing.T) {
 		t.Fatalf("Seq() = %d", am.Seq())
 	}
 }
+
+// TestIdempotentCalls checks the three idempotence rules of the AM's
+// state-changing calls, keyed by the adjustment sequence number: repeats
+// before and after the hand-out, and across Recover, answer as the first
+// call did and change nothing.
+func TestIdempotentCalls(t *testing.T) {
+	// A step is one call: "request" (after, kind, add, remove), "report"
+	// (worker), "coord" (after; want is the Seq returned, 0 for none) or
+	// "recover". err is the sentinel the call must return.
+	type step struct {
+		op          string
+		after       int64
+		kind        Kind
+		add, remove []string
+		worker      string
+		want        int64
+		err         error
+	}
+	in := func(after int64, names ...string) step {
+		return step{op: "request", after: after, kind: ScaleIn, remove: names}
+	}
+	out := func(after int64, names ...string) step {
+		return step{op: "request", after: after, kind: ScaleOut, add: names}
+	}
+	busy := func(s step) step { s.err = ErrBusy; return s }
+	report := func(w string, err error) step { return step{op: "report", worker: w, err: err} }
+	coord := func(after, want int64) step { return step{op: "coord", after: after, want: want} }
+	restart := step{op: "recover"}
+	cases := []struct {
+		name  string
+		steps []step
+		state State
+		seq   int64
+	}{
+		{"coordinate repeated after the hand-out",
+			[]step{in(0, "w4"), coord(0, 1), coord(0, 1), coord(1, 0), coord(0, 1)}, Idle, 1},
+		{"coordinate repeated across recover",
+			[]step{in(0, "w4"), coord(0, 1), restart, coord(0, 1), coord(1, 0)}, Idle, 1},
+		{"coordinate from the future or the past",
+			[]step{in(0, "w4"), coord(0, 1), in(1, "w3"), coord(1, 2),
+				{op: "coord", after: 0, err: errAny}, {op: "coord", after: 3, err: errAny}}, Idle, 2},
+		{"request repeated while open",
+			[]step{out(0, "w5"), out(0, "w5"), busy(out(0, "w6")), busy(in(0, "w5")), coord(0, 0)}, Pending, 0},
+		{"request repeated after the hand-out",
+			[]step{in(0, "w4"), coord(0, 1), in(0, "w4"), coord(1, 0), busy(in(0, "w3")), in(1, "w3"), in(0, "w4"), coord(1, 2)}, Idle, 2},
+		{"request repeated across recover",
+			[]step{out(0, "w5"), restart, out(0, "w5"), report("w5", nil), coord(0, 1), restart, out(0, "w5"), coord(1, 0)}, Idle, 1},
+		{"request behind the hand-out before last",
+			[]step{in(0, "w4"), coord(0, 1), in(1, "w3"), coord(1, 2), busy(in(0, "w4")), busy(in(1, "w4"))}, Idle, 2},
+		{"report repeated while open",
+			[]step{out(0, "w5", "w6"), report("w5", nil), report("w5", nil), report("w6", nil), report("w6", nil), coord(0, 1)}, Idle, 1},
+		{"report repeated after the hand-out",
+			[]step{out(0, "w5"), report("w5", nil), coord(0, 1), report("w5", ErrUnknownWorker), restart, report("w5", ErrUnknownWorker)}, Idle, 1},
+		{"report repeated across recover",
+			[]step{out(0, "w5", "w6"), report("w5", nil), restart, report("w5", nil), report("w6", nil), coord(0, 1)}, Idle, 1},
+		{"report from a worker not named",
+			[]step{report("w5", ErrUnknownWorker), out(0, "w5"), report("w9", ErrUnknownWorker), coord(0, 0)}, Pending, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			am, st := newAM(t)
+			for i, s := range c.steps {
+				var err error
+				var got int64
+				switch s.op {
+				case "request":
+					err = am.RequestAdjustment(s.after, s.kind, s.add, s.remove)
+				case "report":
+					err = am.ReportReady(s.worker)
+				case "coord":
+					var adj Adjustment
+					var ok bool
+					adj, ok, err = am.Coordinate(s.after)
+					if ok {
+						got = adj.Seq
+					}
+				case "recover":
+					am, err = Recover("job1", st)
+				}
+				if s.err == errAny && err != nil {
+					continue
+				}
+				if !errors.Is(err, s.err) || got != s.want {
+					t.Fatalf("step %d %+v: got seq %d, err %v; want seq %d, err %v", i, s, got, err, s.want, s.err)
+				}
+			}
+			if am.State() != c.state || am.Seq() != c.seq {
+				t.Fatalf("AM ends %v at %d, want %v at %d", am.State(), am.Seq(), c.state, c.seq)
+			}
+		})
+	}
+}
+
+// errAny marks a step that must fail, with any error.
+var errAny = errors.New("any error")

@@ -36,7 +36,7 @@ func FuzzServiceHandle(f *testing.F) {
 		{KindWorkerReport, seed(ReportMsg{Worker: "w5"})},
 		{KindWorkerReport, seed(ReportMsg{Worker: "w9"})},
 		{KindAMState, nil},
-		{KindCoordinate, nil},
+		{KindCoordinate, seed(CoordMsg{})},
 		{KindAdjustRequest, []byte(`{"kind":`)},
 		{KindWorkerReport, []byte(`{"worker":`)},
 	} {
@@ -55,9 +55,9 @@ func FuzzServiceHandle(f *testing.F) {
 		// start picks the AM's state: idle, pending on w5 and w6, or ready.
 		switch start % 3 {
 		case 1:
-			err = am.RequestAdjustment(ScaleOut, []string{"w5", "w6"}, nil)
+			err = am.RequestAdjustment(0, ScaleOut, []string{"w5", "w6"}, nil)
 		case 2:
-			err = am.RequestAdjustment(ScaleIn, nil, []string{"w1"})
+			err = am.RequestAdjustment(0, ScaleIn, nil, []string{"w1"})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func FuzzRestoreSentinel(f *testing.F) {
 	for _, s := range wireSentinels {
 		f.Add(uint8(transport.CodeApp), s.Error())
 		f.Add(uint8(transport.CodeApp), s.Error()+": w9 (pending [w5 w6])")
-		f.Add(uint8(transport.CodeStaleIncarnation), "  "+s.Error())
+		f.Add(uint8(transport.CodeNoEndpoint), "  "+s.Error())
 	}
 	f.Add(uint8(transport.CodeHandlerPanic), "transport: handler panicked: worker.coord boom")
 	f.Add(uint8(200), "")

@@ -129,13 +129,13 @@ func TestHeartbeatDrivesReplacement(t *testing.T) {
 		t.Fatalf("dead = %v", dead)
 	}
 	// Replace the dead worker: migrate w3's rank to w4.
-	if err := am.RequestAdjustment(Migrate, []string{"w4"}, dead); err != nil {
+	if err := am.RequestAdjustment(0, Migrate, []string{"w4"}, dead); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
 	}
 	if err := am.ReportReady("w4"); err != nil {
 		t.Fatalf("ReportReady: %v", err)
 	}
-	adj, ok, err := am.Coordinate()
+	adj, ok, err := am.Coordinate(0)
 	if err != nil || !ok {
 		t.Fatalf("Coordinate: %v %v", ok, err)
 	}

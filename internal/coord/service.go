@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
@@ -21,12 +22,13 @@ import (
 //	am.state         anyone -> AM       State/Seq inspection
 //
 // One Service answers them and one Client sends them, on either wire: the
-// in-process bus, with resend and dedup, for the job's own workers; or
+// in-process bus, with resend on ack timeout, for the job's own workers; or
 // TCP, with retry on transport errors, for a scheduler outside the job's
-// process — the deployment the paper describes. Dropping a dead connection
-// plus the retry backoff makes an AM restart on the same address
-// transparent (the ZeroMQ property), and with the AM state machine's
-// persistence a restarted AM resumes where it stopped.
+// process — the deployment the paper describes. Both wires deliver at
+// least once, and the AM's calls are idempotent in its persisted state
+// (coord.go), so a repeated message finds its own effect, on a restarted AM
+// too. Dropping a dead connection plus the retry backoff makes an AM
+// restart on the same address transparent (the ZeroMQ property).
 
 // Message kinds understood by the AM service.
 const (
@@ -36,8 +38,10 @@ const (
 	KindAMState       = "am.state"
 )
 
-// AdjustRequestMsg is the payload of adjust.request.
+// AdjustRequestMsg is the payload of adjust.request. After is the last
+// adjustment the requester knows was handed out; the request opens After+1.
 type AdjustRequestMsg struct {
+	After  int64    `json:"after"`
 	Kind   Kind     `json:"kind"`
 	Add    []string `json:"add"`
 	Remove []string `json:"remove"`
@@ -49,6 +53,12 @@ type AdjustRequestMsg struct {
 // ReportMsg is the payload of worker.report.
 type ReportMsg struct {
 	Worker string `json:"worker"`
+}
+
+// CoordMsg is the payload of worker.coord: the last adjustment the caller
+// received.
+type CoordMsg struct {
+	After int64 `json:"after"`
 }
 
 // CoordReplyMsg is the reply to worker.coord.
@@ -166,7 +176,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		if !tc.Valid() {
 			tc = span.Context()
 		}
-		err := s.am.RequestAdjustmentTraced(req.Kind, req.Add, req.Remove, tc)
+		err := s.am.RequestAdjustmentTraced(req.After, req.Kind, req.Add, req.Remove, tc)
 		if err != nil {
 			span.Annotate("error", err.Error())
 		}
@@ -192,8 +202,12 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		}
 		return []byte(`{}`), nil
 	case KindCoordinate:
+		var req CoordMsg
+		if err := json.Unmarshal(m.Payload, &req); err != nil {
+			return nil, fmt.Errorf("coord: bad worker.coord: %w", err)
+		}
 		span := telemetry.StartRemote(s.tr, "coord.coordinate", m.Trace)
-		adj, ok, err := s.am.Coordinate()
+		adj, ok, err := s.am.Coordinate(req.After)
 		if err != nil {
 			span.Annotate("error", err.Error())
 		}
@@ -220,6 +234,9 @@ type Client struct {
 	ctx   context.Context
 	call  func(ctx context.Context, kind string, payload []byte) ([]byte, error)
 	close func()
+	// seq is the last adjustment this client received: the after of its
+	// seq-free RequestAdjustment and Coordinate.
+	seq atomic.Int64
 }
 
 // NewClient creates a client endpoint named name talking to the AM at
@@ -248,8 +265,9 @@ func NewClientCtx(ctx context.Context, bus *transport.Bus, name, amName string) 
 // connection is dialed lazily and carries concurrent calls. A dead
 // connection fails its calls with retryable transport errors, and
 // CallRetry's backoff redials a restarted AM. Errors the AM returned are
-// not retried, so a call executes at most once per Client call, and they
-// keep their identity: errors.Is(err, ErrBusy) holds as it does on the bus.
+// not retried, and they keep their identity: errors.Is(err, ErrBusy) holds
+// as it does on the bus. A retried call may reach the AM twice, which its
+// idempotence absorbs.
 func NewTCPClient(addr string) *Client {
 	pc := transport.NewClient(addr, transport.ClientConfig{})
 	call := func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
@@ -289,17 +307,19 @@ func restoreSentinel(err error) error {
 	return err
 }
 
-// RequestAdjustment calls the AM's service API.
+// RequestAdjustment calls the AM's service API, opening the adjustment
+// after the last one this client received.
 func (c *Client) RequestAdjustment(kind Kind, add, remove []string) error {
-	return c.RequestAdjustmentTraced(c.ctx, kind, add, remove, telemetry.TraceContext{})
+	return c.RequestAdjustmentTraced(c.ctx, c.seq.Load(), kind, add, remove, telemetry.TraceContext{})
 }
 
 // RequestAdjustmentTraced is RequestAdjustment under a caller context (which
-// may carry the requesting span for the transport layer) and with an
-// explicit trace context stored alongside the pending adjustment. A nil ctx
-// selects the client's parent context.
-func (c *Client) RequestAdjustmentTraced(ctx context.Context, kind Kind, add, remove []string, tc telemetry.TraceContext) error {
-	payload, err := json.Marshal(AdjustRequestMsg{Kind: kind, Add: add, Remove: remove, Trace: tc})
+// may carry the requesting span for the transport layer), opening the
+// adjustment after adjustment after, and with an explicit trace context
+// stored alongside the pending adjustment. A nil ctx selects the client's
+// parent context.
+func (c *Client) RequestAdjustmentTraced(ctx context.Context, after int64, kind Kind, add, remove []string, tc telemetry.TraceContext) error {
+	payload, err := json.Marshal(AdjustRequestMsg{After: after, Kind: kind, Add: add, Remove: remove, Trace: tc})
 	if err != nil {
 		return err
 	}
@@ -323,21 +343,31 @@ func (c *Client) ReportReadyCtx(ctx context.Context, worker string) error {
 	return err
 }
 
-// Coordinate polls the AM for a pending adjustment.
+// Coordinate polls the AM for the adjustment after the last one this
+// client received.
 func (c *Client) Coordinate() (Adjustment, bool, error) {
-	return c.CoordinateCtx(c.ctx)
+	return c.CoordinateCtx(c.ctx, c.seq.Load())
 }
 
-// CoordinateCtx is Coordinate under a caller context; a span carried in ctx
-// makes the coordination round-trip part of its trace.
-func (c *Client) CoordinateCtx(ctx context.Context) (Adjustment, bool, error) {
-	out, err := c.call(c.callCtx(ctx), KindCoordinate, nil)
+// CoordinateCtx is Coordinate under a caller context, for the adjustment
+// after adjustment after; a span carried in ctx makes the coordination
+// round-trip part of its trace. An adjustment it returns becomes the
+// client's last received.
+func (c *Client) CoordinateCtx(ctx context.Context, after int64) (Adjustment, bool, error) {
+	payload, err := json.Marshal(CoordMsg{After: after})
+	if err != nil {
+		return Adjustment{}, false, err
+	}
+	out, err := c.call(c.callCtx(ctx), KindCoordinate, payload)
 	if err != nil {
 		return Adjustment{}, false, err
 	}
 	var reply CoordReplyMsg
 	if err := json.Unmarshal(out, &reply); err != nil {
 		return Adjustment{}, false, fmt.Errorf("coord: bad coord reply: %w", err)
+	}
+	if reply.HasAdjustment {
+		c.seq.Store(reply.Adjustment.Seq)
 	}
 	return reply.Adjustment, reply.HasAdjustment, nil
 }

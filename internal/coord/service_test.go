@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -174,7 +175,7 @@ func TestServiceCreatedUnderTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := am.RequestAdjustment(ScaleOut, []string{"w9"}, nil); err != nil {
+		if err := am.RequestAdjustment(0, ScaleOut, []string{"w9"}, nil); err != nil {
 			t.Fatal(err)
 		}
 		rec := telemetry.NewRecorder(clock.Wall{}, 64)
@@ -208,5 +209,79 @@ func TestServiceCreatedUnderTraffic(t *testing.T) {
 		if traced != 1 {
 			t.Fatalf("round %d: %d coord.report_ready spans, want the first report traced", round, traced)
 		}
+	}
+}
+
+// TestLostCoordReplyAcrossAMRestart is the regression test for an adjustment
+// lost on the bus: the reply leg of the first worker.coord is dropped, and
+// the AM restarts under the same name before the lead's resend. The
+// restarted AM recovers adjustment 1 as handed out, so the resend must get
+// it back, and the lead must receive it exactly once.
+func TestLostCoordReplyAcrossAMRestart(t *testing.T) {
+	// Virtual time is advanced by hand: the lead resends only once the
+	// restart is complete.
+	sim := clock.NewSim(time.Unix(0, 0))
+	cfg := transport.DefaultBusConfig()
+	cfg.Clock = sim
+	bus := transport.NewBus(cfg)
+	t.Cleanup(bus.Close)
+	st := store.New()
+	am, err := NewAM("job1", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(am, bus, "am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := make(chan struct{})
+	var cut sync.Once
+	bus.SetFaultHook(func(m transport.Message) transport.Fate {
+		drop := false
+		if m.Kind == KindCoordinate && m.From == "am" {
+			cut.Do(func() {
+				defer close(restarted)
+				drop = true
+				svc.Close()
+				am2, err := Recover("job1", st)
+				if err == nil {
+					svc, err = NewService(am2, bus, "am")
+				}
+				if err != nil {
+					t.Errorf("restart: %v", err)
+				}
+			})
+		}
+		return transport.Fate{Drop: drop}
+	})
+	sched, err := NewClient(bus, "scheduler", "am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, err := NewClient(bus, "lead", "am")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.RequestAdjustment(ScaleIn, nil, []string{"w4"}); err != nil {
+		t.Fatalf("RequestAdjustment: %v", err)
+	}
+	type result struct {
+		adj Adjustment
+		ok  bool
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		adj, ok, err := lead.Coordinate()
+		done <- result{adj, ok, err}
+	}()
+	<-restarted
+	sim.Advance(cfg.AckTimeout) // the lead's ack timer fires and it resends
+	r := <-done
+	if r.err != nil || !r.ok || r.adj.Seq != 1 || r.adj.Kind != ScaleIn || !reflect.DeepEqual(r.adj.Remove, []string{"w4"}) {
+		t.Fatalf("Coordinate across the restart = %+v, %v, %v; want adjustment 1", r.adj, r.ok, r.err)
+	}
+	if _, ok, err := lead.Coordinate(); ok || err != nil {
+		t.Fatalf("second Coordinate = %v, %v; want nothing", ok, err)
 	}
 }

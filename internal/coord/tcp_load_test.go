@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +41,6 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var coordinated atomic.Int64
 	errc := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		c := c
@@ -51,6 +49,7 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 			defer wg.Done()
 			cl := NewTCPClient(svc.Addr)
 			defer cl.Close()
+			seen := false
 			for i := 0; i < callsPer; i++ {
 				if _, err := cl.AMState(); err != nil {
 					errc <- fmt.Errorf("client %d AMState: %w", c, err)
@@ -62,11 +61,11 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 					return
 				}
 				if ok {
-					if len(adj.Add) != 2 {
-						errc <- fmt.Errorf("client %d observed adjustment %+v", c, adj)
+					if len(adj.Add) != 2 || adj.Seq != 1 || seen {
+						errc <- fmt.Errorf("client %d observed adjustment %+v, seen before: %v", c, adj, seen)
 						return
 					}
-					coordinated.Add(1)
+					seen = true
 				}
 			}
 			// Two designated clients complete the adjustment mid-load.
@@ -82,18 +81,15 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	// The adjustment completes mid-load; either a load client's poll
-	// consumed it or the admin's post-load poll does — exactly one party
-	// may see it.
-	if coordinated.Load() == 0 {
-		adj, ok, err := admin.Coordinate()
-		if err != nil || !ok || len(adj.Add) != 2 {
-			t.Fatalf("post-load Coordinate = %+v, %v, %v", adj, ok, err)
-		}
-		coordinated.Add(1)
+	// The adjustment completes mid-load. Every poller that asks for it
+	// after the hand-out gets it, once: a client's next poll is after it.
+	// The admin's post-load poll is such a poller.
+	adj, ok, err := admin.Coordinate()
+	if err != nil || !ok || adj.Seq != 1 || len(adj.Add) != 2 {
+		t.Fatalf("post-load Coordinate = %+v, %v, %v", adj, ok, err)
 	}
-	if got := coordinated.Load(); got != 1 {
-		t.Fatalf("adjustment observed by %d pollers, want exactly 1", got)
+	if _, ok, err := admin.Coordinate(); ok || err != nil {
+		t.Fatalf("second post-load Coordinate = %v, %v, want nothing", ok, err)
 	}
 
 	// Leak guard: all per-client connections must be gone once their Close

@@ -126,7 +126,7 @@ func runWireScript(t *testing.T, serve serveFunc) []string {
 	rec := telemetry.NewRecorder(clock.Wall{}, 64)
 	cl = serve(t, newWireAM(t, "traced", store.New()), rec)
 	root := rec.StartSpan("caller")
-	_, _, err = cl.CoordinateCtx(telemetry.ContextWithSpan(context.Background(), root))
+	_, _, err = cl.CoordinateCtx(telemetry.ContextWithSpan(context.Background(), root), 0)
 	root.End()
 	if err != nil {
 		t.Fatalf("CoordinateCtx: %v", err)

@@ -294,10 +294,11 @@ var retryDelays = [...]time.Duration{10 * time.Millisecond, 20 * time.Millisecon
 // CallRetry is Call with resend for transport-level failures: it tries up
 // to len(retryDelays)+1 times, sleeping retryDelays between attempts, so a
 // connection broken by a server restart redials without hammering the
-// address. Handler-level errors (Retryable reports false) return at once —
-// a handler that ran and failed must not be re-executed by the transport,
-// because the TCP path has no incarnation dedup to absorb the repeat.
-// Cancelling ctx aborts both in-flight calls and backoff sleeps.
+// address. A transport failure does not say whether the handler ran, so a
+// resend may run it again: delivery is at-least-once, as on the bus, and
+// the handler's own idempotence absorbs the repeat. Handler-level errors
+// (Retryable reports false) return at once: the handler ran and gave its
+// verdict. Cancelling ctx aborts both in-flight calls and backoff sleeps.
 func (c *Client) CallRetry(ctx context.Context, kind string, payload []byte, timeout time.Duration) ([]byte, error) {
 	var lastErr error
 	for i := 0; i <= len(retryDelays); i++ {

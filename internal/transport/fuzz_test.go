@@ -21,7 +21,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	binary.BigEndian.PutUint32(req[:frameHeaderLen], uint32(len(req)-frameHeaderLen))
-	resp := encodeResponse(nil, 99, CodeStaleIncarnation, "zombie", []byte("data"))
+	resp := encodeResponse(nil, 99, CodeNoEndpoint, "w9", []byte("data"))
 	binary.BigEndian.PutUint32(resp[:frameHeaderLen], uint32(len(resp)-frameHeaderLen))
 	short, err := encodeRequest(nil, 1, "k", []byte("p"), telemetry.TraceContext{})
 	if err != nil {

@@ -2,20 +2,17 @@
 // application master and workers — the stand-in for the paper's ZeroMQ
 // sockets (Section V-D). It has two wires behind one Handler type.
 //
-// The in-process Bus carries the job's own traffic. Every message carries a
-// unique ID plus the sender's endpoint incarnation; senders resend on ack
-// timeout and receivers deduplicate by (incarnation, ID), so delivery is
-// exactly-once at the handler as long as the peer eventually responds. The
-// incarnation number survives endpoint removal: a crash-restarted sender
-// starts a new incarnation instead of reusing low message IDs that the
-// receiver's dedup state would silently swallow, and a zombie sender from a
-// fenced incarnation is rejected with ErrStaleIncarnation. A pluggable
-// fault hook (partition / drop / straggler injection, see internal/chaos)
-// is the one way to inject failures.
-//
-// The TCP Server (rpc.go) and the Client (client.go) carry the same
-// request/reply protocol across a process boundary over one multiplexed
-// connection, with at-least-once retry semantics instead of dedup.
+// The in-process Bus carries the job's own traffic. Senders resend on ack
+// timeout, and the first reply to arrive completes the call. The TCP Server
+// (rpc.go) and the Client (client.go) carry the same request/reply protocol
+// across a process boundary over one multiplexed connection, and
+// Client.CallRetry resends on transport errors. Both wires are therefore
+// at-least-once: a handler may run more than once for one call (a dropped
+// reply, a resend overtaking a slow handler, a delayed duplicate), so
+// handlers whose effects must not repeat make them idempotent themselves,
+// as the AM does (internal/coord). A pluggable fault hook on the bus
+// (partition / drop / straggler injection, see internal/chaos) is the one
+// way to inject failures.
 package transport
 
 import (
@@ -34,15 +31,6 @@ var (
 	ErrNoEndpoint = errors.New("transport: no such endpoint")
 	ErrTimeout    = errors.New("transport: send timed out after all retries")
 	ErrClosed     = errors.New("transport: endpoint closed")
-	// ErrStaleIncarnation is replied to a sender whose endpoint incarnation
-	// is older than one the receiver has already heard from — a zombie that
-	// was replaced by a restarted instance must stop, not be silently acked.
-	ErrStaleIncarnation = errors.New("transport: message from stale sender incarnation")
-	// ErrSuperseded is replied to a message whose ID is below the highest
-	// the receiver has handled from the same sender incarnation. The
-	// receiver keeps no record of older IDs, so it cannot tell whether the
-	// handler ran for this one; the caller must not take the call as done.
-	ErrSuperseded = errors.New("transport: message superseded by a newer one from the same sender")
 )
 
 // Package-level defaults, referenced everywhere a config value is missing
@@ -56,13 +44,10 @@ const (
 )
 
 // Message is the unit of communication. Payloads are opaque bytes; Kind
-// routes them at the receiver. Inc is the sender endpoint's incarnation:
-// message IDs are only monotonic within one incarnation, so receivers key
-// their dedup state on (From, Inc) and reset it when a restarted sender
-// shows up with a higher incarnation.
+// routes them at the receiver. ID matches replies to the sender's pending
+// call; every resend of one call carries the same ID.
 type Message struct {
 	ID      uint64 `json:"id"`
-	Inc     uint64 `json:"inc"`
 	From    string `json:"from"`
 	To      string `json:"to"`
 	Kind    string `json:"kind"`
@@ -142,11 +127,7 @@ type Bus struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
-	// incarnations counts endpoint creations per name. Unlike the endpoint
-	// map it survives Remove, so a re-created endpoint (a restarted worker
-	// or AM) sends under a strictly higher incarnation.
-	incarnations map[string]uint64
-	hook         FaultHook
+	hook      FaultHook
 }
 
 // NewBus constructs a bus. Invalid config values are normalized.
@@ -162,18 +143,17 @@ func NewBus(cfg BusConfig) *Bus {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Bus{
-		cfg:          cfg,
-		clk:          cfg.Clock,
-		tr:           telemetry.OrNop(cfg.Tracer),
-		mCalls:       cfg.Metrics.Counter("transport_calls_total"),
-		mResends:     cfg.Metrics.Counter("transport_resends_total"),
-		mDrops:       cfg.Metrics.Counter("transport_drops_total"),
-		mCallErrors:  cfg.Metrics.Counter("transport_call_errors_total"),
-		mLatency:     cfg.Metrics.Histogram("transport_call_seconds"),
-		ctx:          ctx,
-		cancel:       cancel,
-		endpoints:    make(map[string]*Endpoint),
-		incarnations: make(map[string]uint64),
+		cfg:         cfg,
+		clk:         cfg.Clock,
+		tr:          telemetry.OrNop(cfg.Tracer),
+		mCalls:      cfg.Metrics.Counter("transport_calls_total"),
+		mResends:    cfg.Metrics.Counter("transport_resends_total"),
+		mDrops:      cfg.Metrics.Counter("transport_drops_total"),
+		mCallErrors: cfg.Metrics.Counter("transport_call_errors_total"),
+		mLatency:    cfg.Metrics.Histogram("transport_call_seconds"),
+		ctx:         ctx,
+		cancel:      cancel,
+		endpoints:   make(map[string]*Endpoint),
 	}
 }
 
@@ -237,18 +217,12 @@ func (b *Bus) Endpoint(name string, h Handler) (*Endpoint, error) {
 		ep.mu.Unlock()
 		return ep, nil
 	}
-	b.incarnations[name]++
 	ep := &Endpoint{
-		name:      name,
-		bus:       b,
-		inc:       b.incarnations[name],
-		handler:   h,
-		seen:      make(map[string]uint64),
-		peerInc:   make(map[string]uint64),
-		lastReply: make(map[string]reply),
-		inflight:  make(map[string]*inflightCall),
-		replies:   make(map[uint64]chan reply),
-		closed:    make(chan struct{}),
+		name:    name,
+		bus:     b,
+		handler: h,
+		replies: make(map[uint64]chan reply),
+		closed:  make(chan struct{}),
 	}
 	b.endpoints[name] = ep
 	return ep, nil
@@ -273,40 +247,16 @@ type reply struct {
 	err     error
 }
 
-// inflightCall tracks a message whose handler is still executing, so a
-// duplicate delivery (a resend racing the slow handler) waits for the
-// genuine reply instead of returning the previous message's cached one.
-type inflightCall struct {
-	id   uint64
-	inc  uint64
-	done chan struct{}
-	r    reply // valid once done is closed
-}
-
 // Endpoint is a named participant on a bus.
 type Endpoint struct {
 	name string
 	bus  *Bus
-	// inc is this endpoint's incarnation, stamped on every message it
-	// sends; assigned once at creation from the bus's per-name counter.
-	inc uint64
 
 	mu      sync.Mutex
 	handler Handler
 	nextID  uint64
-	// seen[from] is the highest processed message ID from that sender used
-	// for dedup; senders allocate IDs monotonically within an incarnation.
-	seen map[string]uint64
-	// peerInc[from] is the highest sender incarnation heard from; a higher
-	// one resets the dedup state, a lower one is a fenced zombie.
-	peerInc map[string]uint64
-	// lastReply[from] caches the reply to the highest processed message so
-	// that a resend (after a dropped reply) still returns the real result.
-	lastReply map[string]reply
-	// inflight[from] is the latest message from that sender whose handler
-	// has not returned yet.
-	inflight map[string]*inflightCall
-	replies  map[uint64]chan reply
+	// replies[id] is the pending call waiting for message id's reply.
+	replies map[uint64]chan reply
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -314,11 +264,6 @@ type Endpoint struct {
 
 // Name returns the endpoint's bus name.
 func (e *Endpoint) Name() string { return e.name }
-
-// Incarnation returns the endpoint's incarnation number: 1 for the first
-// endpoint created under a name, and one higher for each re-creation after
-// a Remove (a restarted process).
-func (e *Endpoint) Incarnation() uint64 { return e.inc }
 
 func (e *Endpoint) close() {
 	e.closeOnce.Do(func() { close(e.closed) })
@@ -346,8 +291,7 @@ func (e *Endpoint) allocID() uint64 {
 }
 
 // Call sends a message and waits for the receiver's reply, resending on
-// timeout and deduplicating at the receiver. It is the reliable RPC used for
-// AM<->worker coordination.
+// timeout. It is the at-least-once RPC used for AM<->worker coordination.
 func (e *Endpoint) Call(to, kind string, payload []byte) ([]byte, error) {
 	return e.CallCtx(context.Background(), to, kind, payload)
 }
@@ -390,7 +334,6 @@ func (e *Endpoint) CallCtx(ctx context.Context, to, kind string, payload []byte)
 	}()
 	msg := Message{
 		ID:      e.allocID(),
-		Inc:     e.inc,
 		From:    e.name,
 		To:      to,
 		Kind:    kind,
@@ -486,94 +429,35 @@ func (e *Endpoint) routeReply(id uint64, r reply) {
 	}
 }
 
-// handle runs the endpoint handler exactly once per (incarnation, ID):
-// duplicate deliveries of the most recent message either wait for the
-// in-flight handler's genuine reply (a resend racing a slow handler) or
-// return the cached reply (a resend after a dropped reply). An older ID
-// gets ErrSuperseded: the dedup state is one high-water mark, so a
-// concurrent call whose first leg was lost while a newer call went through
-// is refused rather than acked as done without running. A message from a
-// higher sender incarnation resets the sender's dedup state — a restarted
-// sender restarts its ID sequence and must not be blackholed by the dead
-// incarnation's high-water mark — while a lower incarnation is a fenced
-// zombie and gets ErrStaleIncarnation. Handlers therefore see each logical
-// message once.
+// handle runs the endpoint handler for one delivery of msg; every delivery
+// runs it, duplicates included.
 func (e *Endpoint) handle(msg Message) ([]byte, error) {
-	e.mu.Lock()
 	select {
 	case <-e.closed:
-		e.mu.Unlock()
 		return nil, ErrClosed
 	default:
 	}
-	cur := e.peerInc[msg.From]
-	if msg.Inc < cur {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s sent incarnation %d, current is %d",
-			ErrStaleIncarnation, msg.From, msg.Inc, cur)
-	}
-	if msg.Inc > cur {
-		e.peerInc[msg.From] = msg.Inc
-		delete(e.seen, msg.From)
-		delete(e.lastReply, msg.From)
-		// An in-flight handler from the dead incarnation may still finish;
-		// its completion guard below sees the incarnation moved on and
-		// skips the cache.
-		delete(e.inflight, msg.From)
-	}
-	last := e.seen[msg.From]
-	if msg.ID <= last {
-		if msg.ID == last {
-			if inf := e.inflight[msg.From]; inf != nil && inf.id == msg.ID && inf.inc == msg.Inc {
-				e.mu.Unlock()
-				select {
-				case <-inf.done:
-					return inf.r.payload, inf.r.err
-				case <-e.closed:
-					return nil, ErrClosed
-				}
-			}
-			cached := e.lastReply[msg.From]
-			e.mu.Unlock()
-			return cached.payload, cached.err
-		}
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s sent id %d, already at %d", ErrSuperseded, msg.From, msg.ID, last)
-	}
-	e.seen[msg.From] = msg.ID
-	inf := &inflightCall{id: msg.ID, inc: msg.Inc, done: make(chan struct{})}
-	e.inflight[msg.From] = inf
+	e.mu.Lock()
 	h := e.handler
 	e.mu.Unlock()
-	var payload []byte
-	var err error
-	if h != nil {
-		// The handler span is a remote child of the sender's call span. Its
-		// context replaces msg.Trace only when a span was actually opened,
-		// so an untraced bus still forwards the sender's causality to
-		// handlers that trace on their own recorder.
-		hspan := telemetry.StartRemote(e.bus.tr, "transport.handle", msg.Trace)
-		if hspan != nil {
-			hspan.SetProc(e.name)
-			hspan.Annotate("from", msg.From)
-			hspan.Annotate("kind", msg.Kind)
-			msg.Trace = hspan.Context()
-		}
-		payload, err = h(msg)
-		if err != nil {
-			hspan.Annotate("error", err.Error())
-		}
-		hspan.End()
+	if h == nil {
+		return nil, nil
 	}
-	e.mu.Lock()
-	inf.r = reply{payload: payload, err: err}
-	close(inf.done)
-	if e.inflight[msg.From] == inf {
-		delete(e.inflight, msg.From)
+	// The handler span is a remote child of the sender's call span. Its
+	// context replaces msg.Trace only when a span was actually opened, so
+	// an untraced bus still forwards the sender's causality to handlers
+	// that trace on their own recorder.
+	hspan := telemetry.StartRemote(e.bus.tr, "transport.handle", msg.Trace)
+	if hspan != nil {
+		hspan.SetProc(e.name)
+		hspan.Annotate("from", msg.From)
+		hspan.Annotate("kind", msg.Kind)
+		msg.Trace = hspan.Context()
 	}
-	if e.peerInc[msg.From] == msg.Inc && e.seen[msg.From] == msg.ID {
-		e.lastReply[msg.From] = reply{payload: payload, err: err}
+	payload, err := h(msg)
+	if err != nil {
+		hspan.Annotate("error", err.Error())
 	}
-	e.mu.Unlock()
+	hspan.End()
 	return payload, err
 }

@@ -11,9 +11,8 @@ import (
 
 // Binary codec for the TCP path. The previous protocol gob-encoded each
 // request/response, which allocated per message and — worse — flattened
-// server-side errors into bare strings, so errors.Is(err,
-// ErrStaleIncarnation) held on the in-process bus but silently failed over
-// TCP. This codec writes fixed-layout binary bodies into pooled frame
+// server-side errors into bare strings, so errors.Is(err, ErrNoEndpoint)
+// held on the in-process bus but silently failed over TCP. This codec writes fixed-layout binary bodies into pooled frame
 // buffers and carries a typed error code in every response so sentinel
 // identity survives the round trip.
 //
@@ -50,11 +49,10 @@ const (
 	// CodeOK marks a successful response; the error message is empty.
 	CodeOK ErrorCode = iota
 	// CodeApp is a handler error with no sentinel identity: only its
-	// message crosses the wire. It is terminal — retrying re-executes the
-	// handler, which the transport must never do on the caller's behalf.
+	// message crosses the wire. It is terminal: the handler ran and gave
+	// its verdict, which a resend would only repeat.
 	CodeApp
-	// CodeStaleIncarnation maps ErrStaleIncarnation (zombie fencing).
-	CodeStaleIncarnation
+	_ // 2 is retired (a stale sender incarnation); left unused so no code changes value
 	// CodeNoEndpoint maps ErrNoEndpoint.
 	CodeNoEndpoint
 	// CodeClosed maps ErrClosed.
@@ -72,10 +70,9 @@ var ErrHandlerPanic = errors.New("transport: handler panicked")
 // codeSentinels maps each typed code to the sentinel it preserves. CodeApp
 // is deliberately absent: an application error has message-only identity.
 var codeSentinels = map[ErrorCode]error{
-	CodeStaleIncarnation: ErrStaleIncarnation,
-	CodeNoEndpoint:       ErrNoEndpoint,
-	CodeClosed:           ErrClosed,
-	CodeHandlerPanic:     ErrHandlerPanic,
+	CodeNoEndpoint:   ErrNoEndpoint,
+	CodeClosed:       ErrClosed,
+	CodeHandlerPanic: ErrHandlerPanic,
 }
 
 // codeOf classifies a handler error for the wire.
@@ -83,8 +80,6 @@ func codeOf(err error) ErrorCode {
 	switch {
 	case err == nil:
 		return CodeOK
-	case errors.Is(err, ErrStaleIncarnation):
-		return CodeStaleIncarnation
 	case errors.Is(err, ErrNoEndpoint):
 		return CodeNoEndpoint
 	case errors.Is(err, ErrClosed):
@@ -98,7 +93,7 @@ func codeOf(err error) ErrorCode {
 
 // HandlerError is a remote handler's error reconstructed on the client
 // side of the TCP path. Unwrap restores the sentinel named by Code, so
-// errors.Is(err, transport.ErrStaleIncarnation) behaves identically on the
+// errors.Is(err, transport.ErrNoEndpoint) behaves identically on the
 // bus and TCP paths. A HandlerError is terminal: the remote handler ran
 // and deterministically failed, so CallRetry returns it immediately
 // instead of re-executing the handler through the backoff budget.

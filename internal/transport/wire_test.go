@@ -32,12 +32,12 @@ func TestWireRequestRoundTrip(t *testing.T) {
 }
 
 func TestWireResponseRoundTrip(t *testing.T) {
-	frame := encodeResponse(nil, 99, CodeStaleIncarnation, "zombie", []byte("data"))
+	frame := encodeResponse(nil, 99, CodeNoEndpoint, "w9", []byte("data"))
 	id, code, msg, payload, err := decodeResponse(frame[frameHeaderLen:])
 	if err != nil {
 		t.Fatalf("decodeResponse: %v", err)
 	}
-	if id != 99 || code != CodeStaleIncarnation || msg != "zombie" || string(payload) != "data" {
+	if id != 99 || code != CodeNoEndpoint || msg != "w9" || string(payload) != "data" {
 		t.Fatalf("round trip = (%d, %d, %q, %q)", id, code, msg, payload)
 	}
 }
@@ -109,7 +109,7 @@ func TestRetryableClassification(t *testing.T) {
 		{"ctx deadline", context.DeadlineExceeded, false},
 		{"client closed", ErrClosed, false},
 		{"handler app error", &HandlerError{Code: CodeApp, Msg: "boom"}, false},
-		{"handler stale", &HandlerError{Code: CodeStaleIncarnation, Msg: "zombie"}, false},
+		{"handler no endpoint", &HandlerError{Code: CodeNoEndpoint, Msg: "w9"}, false},
 		{"handler panic", &HandlerError{Code: CodeHandlerPanic, Msg: "panicked"}, false},
 		{"wrapped handler error", fmt.Errorf("coord: %w", &HandlerError{Code: CodeApp, Msg: "x"}), false},
 	}
@@ -128,7 +128,6 @@ var errorIdentityTable = []struct {
 	handler  error
 	sentinel error
 }{
-	{"stale incarnation", fmt.Errorf("%w: w3 sent incarnation 1, current is 2", ErrStaleIncarnation), ErrStaleIncarnation},
 	{"no endpoint", fmt.Errorf("%w: w9", ErrNoEndpoint), ErrNoEndpoint},
 	{"closed", fmt.Errorf("%w: during drain", ErrClosed), ErrClosed},
 	{"app error", errors.New("coord: worker w1 not in pending state"), nil},
@@ -185,7 +184,7 @@ func tcpPooledPath(t *testing.T, h Handler) error {
 
 // TestErrorIdentityAcrossPaths is the regression for the error-identity
 // bug: the gob path collapsed server errors into errors.New(resp.Err), so
-// errors.Is(err, ErrStaleIncarnation) held on the bus but silently failed
+// errors.Is(err, ErrNoEndpoint) held on the bus but silently failed
 // over TCP. The bus, a TCP Call and a TCP CallRetry run the same
 // table.
 func TestErrorIdentityAcrossPaths(t *testing.T) {
@@ -212,7 +211,7 @@ func TestErrorIdentityAcrossPaths(t *testing.T) {
 				// Non-sentinel identity must not be invented: an app error
 				// matches no transport sentinel.
 				if c.sentinel == nil {
-					for _, s := range []error{ErrStaleIncarnation, ErrNoEndpoint, ErrClosed, ErrHandlerPanic} {
+					for _, s := range []error{ErrNoEndpoint, ErrClosed, ErrHandlerPanic} {
 						if errors.Is(err, s) {
 							t.Fatalf("app error %v gained sentinel identity %v", err, s)
 						}

@@ -134,7 +134,7 @@ func TestAMCrashRecoveryFencesOldIncarnation(t *testing.T) {
 		t.Fatalf("RecoverAM: %v", err)
 	}
 	// The dead incarnation lost the CAS fence: any write it attempts fails.
-	if err := old.RequestAdjustment(coord.ScaleOut, []string{"zombie"}, nil); !errors.Is(err, coord.ErrFenced) {
+	if err := old.RequestAdjustment(old.Seq(), coord.ScaleOut, []string{"zombie"}, nil); !errors.Is(err, coord.ErrFenced) {
 		t.Fatalf("old AM write = %v, want ErrFenced", err)
 	}
 	// The successor coordinates normally: a scale-out goes through it.

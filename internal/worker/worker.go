@@ -394,6 +394,9 @@ type Fleet struct {
 	// scheduler-side client that requests adjustments.
 	coordinator *coord.Client
 	sched       *coord.Client
+	// seq is the last adjustment the lead received from the AM, applied or
+	// rolled back: the after of both clients' calls.
+	seq int64
 	// spawned holds the joiners of requested scale-outs, from the request
 	// to the adjustment that admits them.
 	spawned map[string]*joiner
@@ -782,7 +785,7 @@ func (f *Fleet) RequestScaleOut(n int) error {
 		names[i] = f.nextName()
 	}
 	reqCtx := telemetry.ContextWithSpan(f.ctx, span)
-	if err := f.sched.RequestAdjustmentTraced(reqCtx, coord.ScaleOut, names, nil, span.Context()); err != nil {
+	if err := f.sched.RequestAdjustmentTraced(reqCtx, f.seq, coord.ScaleOut, names, nil, span.Context()); err != nil {
 		span.Annotate("error", err.Error())
 		return err
 	}
@@ -874,7 +877,7 @@ func (f *Fleet) RequestScaleIn(n int) error {
 	span.AnnotateInt("remove", n)
 	defer span.End()
 	return f.sched.RequestAdjustmentTraced(
-		telemetry.ContextWithSpan(f.ctx, span), coord.ScaleIn, nil, names, span.Context())
+		telemetry.ContextWithSpan(f.ctx, span), f.seq, coord.ScaleIn, nil, names, span.Context())
 }
 
 // Step runs one training iteration: the lead worker coordinates with the
@@ -900,7 +903,7 @@ func (f *Fleet) Step() (float64, error) {
 	if err := f.sweepDeadLocked(); err != nil {
 		return 0, err
 	}
-	adj, ok, err := f.coordinator.CoordinateCtx(telemetry.ContextWithSpan(f.ctx, span))
+	adj, ok, err := f.coordinator.CoordinateCtx(telemetry.ContextWithSpan(f.ctx, span), f.seq)
 	if err != nil {
 		if errors.Is(err, transport.ErrClosed) || f.ctx.Err() != nil {
 			return 0, err
@@ -912,6 +915,7 @@ func (f *Fleet) Step() (float64, error) {
 		ok = false
 	}
 	if ok {
+		f.seq = adj.Seq
 		// When the adjustment carries the scheduler request's trace, the
 		// apply span joins that cross-process tree (the request → report →
 		// coordinate → apply arc); otherwise it nests under this step.
@@ -1253,9 +1257,9 @@ func (f *Fleet) CrashWorker(name string) error {
 }
 
 // RejoinWorker restarts a previously crashed worker under its old name: a
-// fresh agent process re-registers on the bus (new incarnation, so its
-// messages are not blackholed by stale dedup state), receives the current
-// replica state from a surviving agent, and is folded back into the group.
+// fresh agent process re-registers on the bus under that name, receives the
+// current replica state from a surviving agent, and is folded back into the
+// group.
 func (f *Fleet) RejoinWorker(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1278,9 +1282,9 @@ func (f *Fleet) RejoinWorker(name string) error {
 	if err != nil {
 		return err
 	}
-	// The restarted process announces itself over the bus; a fresh endpoint
-	// under the old name gets a new incarnation number. The AM state probe
-	// is advisory — rejoin proceeds even if the AM is down right now.
+	// The restarted process announces itself over the bus under the old
+	// name. The AM state probe is advisory — rejoin proceeds even if the AM
+	// is down right now.
 	if cl, err := coord.NewClientCtx(f.ctx, f.cfg.Bus, name, "fleet-am"); err == nil {
 		_, _ = cl.AMState()
 	}
@@ -1322,7 +1326,7 @@ func (f *Fleet) CrashAM() (*coord.AM, error) {
 // RecoverAM starts a successor AM incarnation: it re-reads the persisted
 // state machine from the store and takes over via CAS, fencing the dead
 // incarnation (any write it might still attempt fails with coord.ErrFenced).
-// The service re-registers under the same bus name with a new incarnation.
+// The service re-registers under the same bus name.
 func (f *Fleet) RecoverAM() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
