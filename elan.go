@@ -94,8 +94,9 @@ type (
 	Fleet = worker.Fleet
 	// FleetConfig configures a Fleet.
 	FleetConfig = worker.FleetConfig
-	// Engine is the framework contract of the hook API; StaticEngine and
-	// DynamicEngine are the two demo integrations.
+	// Engine is the framework contract: a training Step, plus State() and
+	// Install(), the two calls the runtime replicates and checkpoints
+	// through. StaticEngine and DynamicEngine are the two demo integrations.
 	Engine = engine.Engine
 	// StaticEngine is the Caffe-like precompiled engine.
 	StaticEngine = engine.StaticEngine

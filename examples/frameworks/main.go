@@ -1,9 +1,11 @@
 // Frameworks: Elan's generality claim (Section V-A). The paper integrates
 // Elan with both Caffe (a static execution engine) and PyTorch (a dynamic
-// one) through the same hook API. This example trains the same task with a
-// static precompiled engine and a dynamic eager engine — one of whose
-// branches changes per step, something a static plan cannot express — and
-// shows that the identical replication hook adapter makes both elastic.
+// one) through the same framework contract. This example trains the same
+// task with a static precompiled engine and a dynamic eager engine — one of
+// whose branches changes per step, something a static plan cannot express —
+// and shows that the one contract, State()/Install(), makes both elastic:
+// replicating a worker is dst.Install(src.State()), the call a Fleet makes
+// when a joiner is installed.
 //
 //	go run ./examples/frameworks
 package main
@@ -13,7 +15,6 @@ import (
 	"log"
 
 	elan "github.com/elan-sys/elan"
-	"github.com/elan-sys/elan/internal/replication"
 )
 
 func main() {
@@ -45,36 +46,45 @@ func run() error {
 	}
 	dynamic.Select = func(step int) int { return step % 2 }
 
-	for name, eng := range map[string]elan.Engine{"static (Caffe-like)": static, "dynamic (PyTorch-like)": dynamic} {
+	for _, fw := range []struct {
+		name string
+		eng  elan.Engine
+	}{
+		{"static (Caffe-like)", static},
+		{"dynamic (PyTorch-like)", dynamic},
+	} {
 		var loss float64
 		for i := 0; i < 80; i++ {
-			l, err := eng.Step(x, y, 0.08)
+			l, err := fw.eng.Step(x, y, 0.08)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return fmt.Errorf("%s: %w", fw.name, err)
 			}
 			loss = l
 		}
-		_, acc, err := eng.Eval(x, y)
+		_, acc, err := fw.eng.Eval(x, y)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-24s final loss %.3f, accuracy %.1f%%\n", name, loss, 100*acc)
+		fmt.Printf("%-24s final loss %.3f, accuracy %.1f%%\n", fw.name, loss, 100*acc)
 	}
 
-	// Elasticity through the hook API, identically for both frameworks: a
-	// scale-out from 1 to 3 replicas replicates the trained state.
-	fmt.Println("\nscale-out via the RegisterHook API (1 -> 3 replicas):")
-	for name, build := range map[string]func() (elan.Engine, error){
-		"static": func() (elan.Engine, error) {
+	// Elasticity through the one contract, identically for both frameworks:
+	// a scale-out from 1 to 3 replicas installs the trained state.
+	fmt.Println("\nscale-out via State()/Install() (1 -> 3 replicas):")
+	for _, fw := range []struct {
+		name  string
+		build func() (elan.Engine, error)
+	}{
+		{"static", func() (elan.Engine, error) {
 			return elan.NewStaticEngine(9, []int{4, 24, 3}, 0.1, 0.9)
-		},
-		"dynamic": func() (elan.Engine, error) {
+		}},
+		{"dynamic", func() (elan.Engine, error) {
 			return elan.NewDynamicEngine(9, [][]int{{4, 24, 3}}, 0.1, 0.9)
-		},
+		}},
 	} {
 		replicas := make([]elan.Engine, 3)
 		for i := range replicas {
-			e, err := build()
+			e, err := fw.build()
 			if err != nil {
 				return err
 			}
@@ -85,15 +95,10 @@ func run() error {
 				return err
 			}
 		}
-		copier := replication.NewCopier()
-		if err := engineHooks(copier, replicas); err != nil {
-			return err
-		}
-		if err := copier.Execute(0, 1); err != nil {
-			return err
-		}
-		if err := copier.Execute(0, 2); err != nil {
-			return err
+		for _, dst := range replicas[1:] {
+			if err := dst.Install(replicas[0].State()); err != nil {
+				return err
+			}
 		}
 		l0, _, err := replicas[0].Eval(x, y)
 		if err != nil {
@@ -103,19 +108,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-8s replica 0 loss %.4f == replica 2 loss %.4f\n", name, l0, l2)
+		fmt.Printf("  %-8s replica 0 loss %.4f == replica 2 loss %.4f\n", fw.name, l0, l2)
 	}
-	fmt.Println("\nthe same hooks served both execution models: that is the generality claim.")
+	fmt.Println("\nthe same two calls served both execution models: that is the generality claim.")
 	return nil
-}
-
-// engineHooks registers the one hook any framework must provide.
-func engineHooks(c *replication.Copier, replicas []elan.Engine) error {
-	return c.RegisterHook(replication.Hook{
-		Kind:  "engine-state",
-		OnGPU: true,
-		Copy: func(src, dst int) error {
-			return replicas[dst].ImportState(replicas[src].ExportState())
-		},
-	})
 }

@@ -385,7 +385,16 @@ func TestScaleOutSpanExactVirtualTimestamps(t *testing.T) {
 		t.Fatalf("scale-out: %v, workers = %d, want 3", err, lj.NumWorkers())
 	}
 
+	// The joiner's report span ends once the reply is back on its own
+	// goroutine, which may be after the Step that admitted it.
+	isReport := func(s telemetry.SpanRecord) bool { return s.Name == "worker.report_ready" }
 	spans := rec.Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); !slices.ContainsFunc(spans, isReport); spans = rec.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker.report_ready span 5s after the admitting Step")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	i := slices.IndexFunc(spans, func(s telemetry.SpanRecord) bool { return s.Name == "worker.request_scale_out" })
 	if i < 0 {
 		t.Fatalf("no worker.request_scale_out span in %d spans", len(spans))

@@ -1,7 +1,8 @@
 // Package engine demonstrates Elan's framework generality (Section V-A):
-// the elastic runtime talks to the DL framework only through the hook API
-// (state extraction/installation functions registered per state kind), so
-// integrating a new framework means implementing a handful of hooks.
+// the elastic runtime needs exactly two things from a DL framework, a way
+// to read its training state and a way to install it. The contract is
+// State()/Install(), the two calls a worker.Fleet makes on its nn.Replica
+// to replicate a joiner and to save and restore a checkpoint.
 //
 // Two engines are provided, mirroring the paper's two integrations:
 //
@@ -12,8 +13,8 @@
 //     objects and records a tape, allowing per-step graph changes (the test
 //     suite exercises a step-dependent structure).
 //
-// Both satisfy the same Engine interface, and ReplicationHooks adapts any
-// Engine to the replication.Copier registry.
+// Both satisfy the same Engine interface, and both keep their whole
+// training state in one arena, so State() is the live state, never a copy.
 package engine
 
 import (
@@ -21,31 +22,31 @@ import (
 	"math/rand"
 
 	"github.com/elan-sys/elan/internal/nn"
-	"github.com/elan-sys/elan/internal/replication"
 	"github.com/elan-sys/elan/internal/tensor"
 )
 
 // Engine is the minimal framework contract the elastic runtime needs: run
-// a training step, expose flattenable training state, and report its size.
+// a training step, and read and install the replicable training state.
 type Engine interface {
 	// Step runs forward+backward+update on one batch and returns the loss.
 	Step(x *tensor.Matrix, y []int, lr float64) (float64, error)
 	// Eval returns loss and accuracy without updating parameters.
 	Eval(x *tensor.Matrix, y []int) (loss, acc float64, err error)
-	// ExportState flattens all replicable state (parameters + optimizer).
-	ExportState() []float64
-	// ImportState installs previously exported state.
-	ImportState([]float64) error
+	// State returns all replicable state (parameters + optimizer) as the
+	// live arena itself, not a copy: a Step changes what it holds.
+	State() []float64
+	// Install overwrites the whole state with the State of an engine of the
+	// same shape. A state of the wrong length is an error and changes
+	// nothing.
+	Install([]float64) error
 	// Kind names the engine for diagnostics.
 	Kind() string
 }
 
 // StaticEngine precompiles an MLP into a fixed plan (Caffe-style).
 type StaticEngine struct {
-	net      *nn.MLP
-	opt      *nn.SGD
+	rep      *nn.Replica
 	inDim    int
-	outDim   int
 	compiled bool
 }
 
@@ -55,21 +56,11 @@ func NewStatic(seed int64, sizes []int, lr, momentum float64) (*StaticEngine, er
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("engine: need at least 2 layer sizes")
 	}
-	net, err := nn.NewMLP(rand.New(rand.NewSource(seed)), sizes)
+	rep, err := nn.NewReplica(rand.New(rand.NewSource(seed)), sizes, lr, momentum)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := nn.NewSGD(net.Params(), lr, momentum)
-	if err != nil {
-		return nil, err
-	}
-	return &StaticEngine{
-		net:      net,
-		opt:      opt,
-		inDim:    sizes[0],
-		outDim:   sizes[len(sizes)-1],
-		compiled: true,
-	}, nil
+	return &StaticEngine{rep: rep, inDim: sizes[0], compiled: true}, nil
 }
 
 // Kind implements Engine.
@@ -83,32 +74,49 @@ func (e *StaticEngine) Step(x *tensor.Matrix, y []int, lr float64) (float64, err
 	if x.Cols != e.inDim {
 		return 0, fmt.Errorf("engine: static plan expects %d features, got %d", e.inDim, x.Cols)
 	}
-	e.net.ZeroGrads()
-	out, err := e.net.Forward(x)
+	return step(e.rep, x, y, lr)
+}
+
+// Eval implements Engine.
+func (e *StaticEngine) Eval(x *tensor.Matrix, y []int) (float64, float64, error) {
+	return eval(e.rep.Net, x, y)
+}
+
+// State implements Engine: the replica's arena, [params | velocity].
+func (e *StaticEngine) State() []float64 { return e.rep.State() }
+
+// Install implements Engine.
+func (e *StaticEngine) Install(state []float64) error { return e.rep.Install(state) }
+
+// step runs one forward, backward and optimizer update of rep on a batch.
+func step(rep *nn.Replica, x *tensor.Matrix, y []int, lr float64) (float64, error) {
+	net := rep.Net
+	net.ZeroGrads()
+	out, err := net.Forward(x)
 	if err != nil {
 		return 0, err
 	}
-	loss, grad, err := e.net.SoftmaxLoss(out, y)
+	loss, grad, err := net.SoftmaxLoss(out, y)
 	if err != nil {
 		return 0, err
 	}
-	if err := e.net.Backward(grad); err != nil {
+	if err := net.Backward(grad); err != nil {
 		return 0, err
 	}
-	e.opt.LR = lr
-	if err := e.opt.Step(e.net.Params(), e.net.Grads()); err != nil {
+	rep.Opt.LR = lr
+	if err := rep.Opt.Step(net.Params(), net.Grads()); err != nil {
 		return 0, err
 	}
 	return loss, nil
 }
 
-// Eval implements Engine.
-func (e *StaticEngine) Eval(x *tensor.Matrix, y []int) (float64, float64, error) {
-	out, err := e.net.Forward(x)
+// eval returns net's loss and accuracy on a batch.
+func eval(net *nn.MLP, x *tensor.Matrix, y []int) (float64, float64, error) {
+	out, err := net.Forward(x)
 	if err != nil {
 		return 0, 0, err
 	}
-	loss, _, err := e.net.SoftmaxLoss(out, y)
+	loss, _, err := net.SoftmaxLoss(out, y)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -116,30 +124,14 @@ func (e *StaticEngine) Eval(x *tensor.Matrix, y []int) (float64, float64, error)
 	return loss, acc, err
 }
 
-// ExportState implements Engine.
-func (e *StaticEngine) ExportState() []float64 {
-	state := e.net.FlattenParams(nil)
-	return e.opt.FlattenState(state)
-}
-
-// ImportState implements Engine.
-func (e *StaticEngine) ImportState(state []float64) error {
-	nParams := e.net.NumParams()
-	if len(state) != nParams+e.opt.StateElements() {
-		return fmt.Errorf("engine: state of %d values, want %d", len(state), nParams+e.opt.StateElements())
-	}
-	if err := e.net.LoadParams(state[:nParams]); err != nil {
-		return err
-	}
-	return e.opt.LoadState(state[nParams:])
-}
-
 // DynamicEngine executes eagerly and may change structure between steps
 // (PyTorch-style). It keeps a set of branches and picks one per step based
 // on a caller-provided selector, re-recording the tape each time.
 type DynamicEngine struct {
-	branches []*nn.MLP
-	opts     []*nn.SGD
+	// branches are carved out of state, laid out
+	// [branch 0 params | velocity | branch 1 params | velocity | ...].
+	branches []*nn.Replica
+	state    []float64
 	// Select picks the branch for a given step; defaults to branch 0.
 	Select func(step int) int
 	step   int
@@ -153,23 +145,18 @@ func NewDynamic(seed int64, branchSizes [][]int, lr, momentum float64) (*Dynamic
 	if len(branchSizes) == 0 {
 		return nil, fmt.Errorf("engine: need at least one branch")
 	}
-	e := &DynamicEngine{}
+	rngs := make([]*rand.Rand, len(branchSizes))
 	for i, sizes := range branchSizes {
 		if len(sizes) < 2 {
 			return nil, fmt.Errorf("engine: branch %d too shallow", i)
 		}
-		net, err := nn.NewMLP(rand.New(rand.NewSource(seed+int64(i))), sizes)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := nn.NewSGD(net.Params(), lr, momentum)
-		if err != nil {
-			return nil, err
-		}
-		e.branches = append(e.branches, net)
-		e.opts = append(e.opts, opt)
+		rngs[i] = rand.New(rand.NewSource(seed + int64(i)))
 	}
-	return e, nil
+	branches, state, err := nn.NewReplicas(rngs, branchSizes, lr, momentum)
+	if err != nil {
+		return nil, err
+	}
+	return &DynamicEngine{branches: branches, state: state}, nil
 }
 
 // Kind implements Engine.
@@ -191,93 +178,25 @@ func (e *DynamicEngine) pick(step int) int {
 func (e *DynamicEngine) Step(x *tensor.Matrix, y []int, lr float64) (float64, error) {
 	b := e.pick(e.step)
 	e.step++
-	net, opt := e.branches[b], e.opts[b]
-	net.ZeroGrads()
-	out, err := net.Forward(x)
-	if err != nil {
-		return 0, err
-	}
-	loss, grad, err := net.SoftmaxLoss(out, y)
-	if err != nil {
-		return 0, err
-	}
-	if err := net.Backward(grad); err != nil {
-		return 0, err
-	}
-	opt.LR = lr
-	if err := opt.Step(net.Params(), net.Grads()); err != nil {
-		return 0, err
-	}
-	return loss, nil
+	return step(e.branches[b], x, y, lr)
 }
 
 // Eval implements Engine using branch 0 (the inference branch).
 func (e *DynamicEngine) Eval(x *tensor.Matrix, y []int) (float64, float64, error) {
-	out, err := e.branches[0].Forward(x)
-	if err != nil {
-		return 0, 0, err
-	}
-	loss, _, err := e.branches[0].SoftmaxLoss(out, y)
-	if err != nil {
-		return 0, 0, err
-	}
-	acc, err := nn.Accuracy(out, y)
-	return loss, acc, err
+	return eval(e.branches[0].Net, x, y)
 }
 
-// ExportState implements Engine: all branches' parameters and optimizer
-// states, in branch order.
-func (e *DynamicEngine) ExportState() []float64 {
-	var state []float64
-	for i, net := range e.branches {
-		state = net.FlattenParams(state)
-		state = e.opts[i].FlattenState(state)
-	}
-	return state
-}
+// State implements Engine: every branch's parameters and velocity, in
+// branch order.
+func (e *DynamicEngine) State() []float64 { return e.state }
 
-// ImportState implements Engine.
-func (e *DynamicEngine) ImportState(state []float64) error {
-	off := 0
-	for i, net := range e.branches {
-		n := net.NumParams()
-		s := e.opts[i].StateElements()
-		if off+n+s > len(state) {
-			return fmt.Errorf("engine: state too short at branch %d", i)
-		}
-		if err := net.LoadParams(state[off : off+n]); err != nil {
-			return err
-		}
-		off += n
-		if err := e.opts[i].LoadState(state[off : off+s]); err != nil {
-			return err
-		}
-		off += s
+// Install implements Engine.
+func (e *DynamicEngine) Install(state []float64) error {
+	if len(state) != len(e.state) {
+		return fmt.Errorf("engine: install state of %d values, want %d", len(state), len(e.state))
 	}
-	if off != len(state) {
-		return fmt.Errorf("engine: %d trailing state values", len(state)-off)
-	}
+	copy(e.state, state)
 	return nil
-}
-
-// ReplicationHooks adapts any Engine to the elastic runtime's hook API:
-// given a fleet of engine replicas, it registers the "model+optimizer"
-// GPU-state hook that copies state between replicas. This is all a new
-// framework must provide to gain elasticity (Table III, RegisterHook).
-func ReplicationHooks(copier *replication.Copier, replicas []Engine) error {
-	if len(replicas) == 0 {
-		return fmt.Errorf("engine: no replicas")
-	}
-	return copier.RegisterHook(replication.Hook{
-		Kind:  "engine-state",
-		OnGPU: true,
-		Copy: func(src, dst int) error {
-			if src < 0 || src >= len(replicas) || dst < 0 || dst >= len(replicas) {
-				return fmt.Errorf("engine: hook indices %d->%d out of range", src, dst)
-			}
-			return replicas[dst].ImportState(replicas[src].ExportState())
-		},
-	})
 }
 
 var (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/elan-sys/elan/internal/data"
-	"github.com/elan-sys/elan/internal/replication"
 	"github.com/elan-sys/elan/internal/tensor"
 )
 
@@ -105,129 +104,110 @@ func TestDynamicEngineValidation(t *testing.T) {
 	}
 }
 
+// TestStateRoundTripBothEngines pins the one framework contract on both
+// engines, the dynamic one with two branches: Install of another engine's
+// State makes the two states bitwise equal and the next Steps return the
+// same losses; State is the live state, so a Step changes it with no copy;
+// and Install of a wrong length is an error that changes nothing.
 func TestStateRoundTripBothEngines(t *testing.T) {
 	x, y := trainBatch(t)
-	engines := []Engine{}
-	st, err := NewStatic(3, []int{4, 16, 3}, 0.1, 0.9)
-	if err != nil {
-		t.Fatalf("NewStatic: %v", err)
-	}
-	dy, err := NewDynamic(3, [][]int{{4, 16, 3}}, 0.1, 0.9)
-	if err != nil {
-		t.Fatalf("NewDynamic: %v", err)
-	}
-	engines = append(engines, st, dy)
-	for _, e := range engines {
-		for i := 0; i < 10; i++ {
-			if _, err := e.Step(x, y, 0.05); err != nil {
-				t.Fatalf("%s Step: %v", e.Kind(), err)
+	build := map[string]func(seed int64) (Engine, error){
+		"static": func(seed int64) (Engine, error) {
+			return NewStatic(seed, []int{4, 16, 3}, 0.1, 0.9)
+		},
+		"dynamic": func(seed int64) (Engine, error) {
+			e, err := NewDynamic(seed, [][]int{{4, 16, 3}, {4, 8, 8, 3}}, 0.1, 0.9)
+			if err == nil {
+				e.Select = func(step int) int { return step % 2 }
 			}
-		}
-		state := e.ExportState()
-		if len(state) == 0 {
-			t.Fatalf("%s: empty state", e.Kind())
-		}
-		// Round trip into a fresh engine of the same shape.
-		var fresh Engine
-		var err error
-		if e.Kind() == "static" {
-			fresh, err = NewStatic(99, []int{4, 16, 3}, 0.1, 0.9)
-		} else {
-			fresh, err = NewDynamic(99, [][]int{{4, 16, 3}}, 0.1, 0.9)
-		}
-		if err != nil {
-			t.Fatalf("fresh %s: %v", e.Kind(), err)
-		}
-		if err := fresh.ImportState(state); err != nil {
-			t.Fatalf("%s ImportState: %v", e.Kind(), err)
-		}
-		lossA, accA, err := e.Eval(x, y)
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
-		}
-		lossB, accB, err := fresh.Eval(x, y)
-		if err != nil {
-			t.Fatalf("Eval fresh: %v", err)
-		}
-		if math.Abs(lossA-lossB) > 1e-12 || math.Abs(accA-accB) > 1e-12 {
-			t.Fatalf("%s: state round trip changed behaviour", e.Kind())
-		}
-		// Corrupt-length state rejected.
-		if err := fresh.ImportState(state[:len(state)-1]); err == nil {
-			t.Fatalf("%s: short state accepted", e.Kind())
-		}
-	}
-}
-
-func TestReplicationHooksAdaptAnyEngine(t *testing.T) {
-	// The generality claim: the same hook adapter replicates state for a
-	// static-engine fleet and a dynamic-engine fleet.
-	x, y := trainBatch(t)
-	build := func(kind string) []Engine {
-		var out []Engine
-		for i := 0; i < 3; i++ {
-			var e Engine
-			var err error
-			if kind == "static" {
-				e, err = NewStatic(7, []int{4, 16, 3}, 0.1, 0.9)
-			} else {
-				e, err = NewDynamic(7, [][]int{{4, 16, 3}}, 0.1, 0.9)
-			}
-			if err != nil {
-				t.Fatalf("build %s: %v", kind, err)
-			}
-			out = append(out, e)
-		}
-		return out
+			return e, err
+		},
 	}
 	for _, kind := range []string{"static", "dynamic"} {
-		replicas := build(kind)
-		// Train only replica 0; replicas 1, 2 stay at init.
-		for i := 0; i < 15; i++ {
-			if _, err := replicas[0].Step(x, y, 0.05); err != nil {
-				t.Fatalf("Step: %v", err)
-			}
-		}
-		copier := replication.NewCopier()
-		if err := ReplicationHooks(copier, replicas); err != nil {
-			t.Fatalf("ReplicationHooks: %v", err)
-		}
-		// Replicate 0 -> 1 and 0 -> 2 (a scale-out from 1 to 3 workers).
-		if err := copier.Execute(0, 1); err != nil {
-			t.Fatalf("Execute: %v", err)
-		}
-		if err := copier.Execute(0, 2); err != nil {
-			t.Fatalf("Execute: %v", err)
-		}
-		loss0, _, err := replicas[0].Eval(x, y)
+		src, err := build[kind](5)
 		if err != nil {
-			t.Fatalf("Eval: %v", err)
+			t.Fatalf("%s: %v", kind, err)
 		}
-		for r := 1; r < 3; r++ {
-			loss, _, err := replicas[r].Eval(x, y)
+		dst, err := build[kind](77)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for i := 0; i < 7; i++ {
+			if _, err := src.Step(x, y, 0.05); err != nil {
+				t.Fatalf("%s Step: %v", kind, err)
+			}
+		}
+		// Both engines at the same step count, so a dynamic pair picks the
+		// same branch next.
+		for i := 0; i < 7; i++ {
+			if _, err := dst.Step(x, y, 0.05); err != nil {
+				t.Fatalf("%s Step: %v", kind, err)
+			}
+		}
+
+		// State aliases the live state: a Step shows in a slice taken
+		// before it.
+		live := src.State()
+		before := append([]float64(nil), live...)
+		if _, err := src.Step(x, y, 0.05); err != nil {
+			t.Fatalf("%s Step: %v", kind, err)
+		}
+		if bitsEqual(live, before) {
+			t.Fatalf("%s: a Step left the State slice unchanged", kind)
+		}
+		if &live[0] != &src.State()[0] {
+			t.Fatalf("%s: State returned a different slice after a Step", kind)
+		}
+		if _, err := dst.Step(x, y, 0.05); err != nil {
+			t.Fatalf("%s Step: %v", kind, err)
+		}
+
+		if err := dst.Install(src.State()); err != nil {
+			t.Fatalf("%s Install: %v", kind, err)
+		}
+		if !bitsEqual(dst.State(), src.State()) {
+			t.Fatalf("%s: states differ after Install", kind)
+		}
+		for i := 0; i < 2; i++ {
+			ls, err := src.Step(x, y, 0.05)
 			if err != nil {
-				t.Fatalf("Eval replica %d: %v", r, err)
+				t.Fatalf("%s Step: %v", kind, err)
 			}
-			if math.Abs(loss-loss0) > 1e-12 {
-				t.Fatalf("%s replica %d not replicated: loss %v vs %v", kind, r, loss, loss0)
+			ld, err := dst.Step(x, y, 0.05)
+			if err != nil {
+				t.Fatalf("%s Step: %v", kind, err)
+			}
+			if math.Float64bits(ls) != math.Float64bits(ld) {
+				t.Fatalf("%s step %d after Install: loss %v vs %v", kind, i, ld, ls)
 			}
 		}
-	}
-	if err := ReplicationHooks(replication.NewCopier(), nil); err == nil {
-		t.Fatal("empty fleet accepted")
+
+		// A wrong length is refused and leaves every bit in place.
+		kept := append([]float64(nil), dst.State()...)
+		n := len(kept)
+		for _, length := range []int{0, 1, n - 1, n + 1} {
+			bad := make([]float64, length)
+			for i := range bad {
+				bad[i] = 7
+			}
+			if err := dst.Install(bad); err == nil {
+				t.Fatalf("%s: Install of %d values for %d accepted", kind, length, n)
+			}
+			if !bitsEqual(dst.State(), kept) {
+				t.Fatalf("%s: refused Install of %d values changed the state", kind, length)
+			}
+		}
 	}
 }
 
-func TestReplicationHookIndexValidation(t *testing.T) {
-	st, err := NewStatic(1, []int{4, 8, 3}, 0.1, 0.9)
-	if err != nil {
-		t.Fatalf("NewStatic: %v", err)
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	copier := replication.NewCopier()
-	if err := ReplicationHooks(copier, []Engine{st}); err != nil {
-		t.Fatalf("ReplicationHooks: %v", err)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
-	if err := copier.Execute(0, 5); err == nil {
-		t.Fatal("out-of-range replica accepted")
-	}
+	return true
 }

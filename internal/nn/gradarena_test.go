@@ -354,9 +354,9 @@ func TestGradArenaLayout(t *testing.T) {
 	}
 }
 
-// TestLoadersExactAndAtomic: LoadParams, SGD.LoadState and LoadGrads take a
-// vector of exactly the right length; a short or a long one is an error that
-// leaves every bit of the network, optimizer and gradients as it was.
+// TestLoadersExactAndAtomic: Replica.Install and LoadGrads take a vector of
+// exactly the right length; a short or a long one is an error that leaves
+// every bit of the network, optimizer and gradients as it was.
 func TestLoadersExactAndAtomic(t *testing.T) {
 	r, err := NewReplica(rand.New(rand.NewSource(6)), []int{4, 6, 3}, 0.1, 0.9)
 	if err != nil {
@@ -369,14 +369,15 @@ func TestLoadersExactAndAtomic(t *testing.T) {
 	}
 	loaders := []struct {
 		name string
+		n    int
 		load func([]float64) error
 		read func() []float64
 	}{
-		{"LoadParams", r.Net.LoadParams, func() []float64 { return r.Net.FlattenParams(nil) }},
-		{"LoadState", r.Opt.LoadState, func() []float64 { return r.Opt.FlattenState(nil) }},
-		{"LoadGrads", r.Net.LoadGrads, func() []float64 { return r.Net.FlattenGrads(nil) }},
+		{"Install", 2 * n, r.Install, r.State},
+		{"LoadGrads", n, r.Net.LoadGrads, func() []float64 { return r.Net.FlattenGrads(nil) }},
 	}
 	for _, l := range loaders {
+		n := l.n
 		for _, length := range []int{0, 3, n - 1, n + 1, 2 * n} {
 			vec := make([]float64, length)
 			for i := range vec {

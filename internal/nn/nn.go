@@ -424,16 +424,6 @@ func (m *MLP) NumParams() int { return len(m.flat) }
 // FlattenParams appends all parameters to dst.
 func (m *MLP) FlattenParams(dst []float64) []float64 { return append(dst, m.flat...) }
 
-// LoadParams copies a flattened parameter vector into the network: one of
-// exactly NumParams values, or an error and an untouched network.
-func (m *MLP) LoadParams(flat []float64) error {
-	if len(flat) != len(m.flat) {
-		return fmt.Errorf("nn: load %d parameters into a network of %d", len(flat), len(m.flat))
-	}
-	copy(m.flat, flat)
-	return nil
-}
-
 // FlattenGrads appends all gradients to dst.
 //
 //elan:hotpath
@@ -622,16 +612,6 @@ func sgdUpdate(p, v, g []float64, lr, mu float64) {
 // GPU state.
 func (s *SGD) FlattenState(dst []float64) []float64 { return append(dst, s.state...) }
 
-// LoadState restores the optimizer velocity from a flattened vector: one of
-// exactly StateElements values, or an error and an untouched optimizer.
-func (s *SGD) LoadState(flat []float64) error {
-	if len(flat) != len(s.state) {
-		return fmt.Errorf("nn: load %d optimizer values into a state of %d", len(flat), len(s.state))
-	}
-	copy(s.state, flat)
-	return nil
-}
-
 // StateElements returns the number of float64 values in the optimizer state.
 func (s *SGD) StateElements() int { return len(s.state) }
 
@@ -652,20 +632,49 @@ type Replica struct {
 // a nil rng leaves the whole state zero — the replica of a joining worker,
 // whose state arrives by Install.
 func NewReplica(rng *rand.Rand, sizes []int, lr, momentum float64) (*Replica, error) {
-	n, err := numParams(sizes)
+	reps, _, err := NewReplicas([]*rand.Rand{rng}, [][]int{sizes}, lr, momentum)
 	if err != nil {
 		return nil, err
 	}
-	arena := make([]float64, 2*n)
-	net, err := newMLP(rng, sizes, arena[:n:n])
-	if err != nil {
-		return nil, err
+	return reps[0], nil
+}
+
+// NewReplicas carves one replica per entry of sizes out of one arena laid
+// out [replica 0 params | velocity | replica 1 params | velocity | ...], and
+// returns the replicas and that arena. Replica i is built as NewReplica
+// would build it from rngs[i] and sizes[i]; the arena is the live state of
+// all of them at once.
+func NewReplicas(rngs []*rand.Rand, sizes [][]int, lr, momentum float64) ([]*Replica, []float64, error) {
+	if len(rngs) != len(sizes) {
+		return nil, nil, fmt.Errorf("nn: %d random sources for %d replicas", len(rngs), len(sizes))
 	}
-	opt, err := newSGD(net.Params(), lr, momentum, arena[n:])
-	if err != nil {
-		return nil, err
+	counts := make([]int, len(sizes))
+	total := 0
+	for i, s := range sizes {
+		n, err := numParams(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		counts[i] = n
+		total += 2 * n
 	}
-	return &Replica{Net: net, Opt: opt, arena: arena}, nil
+	arena := make([]float64, total)
+	reps := make([]*Replica, len(sizes))
+	off := 0
+	for i, n := range counts {
+		own := arena[off : off+2*n : off+2*n]
+		net, err := newMLP(rngs[i], sizes[i], own[:n:n])
+		if err != nil {
+			return nil, nil, err
+		}
+		opt, err := newSGD(net.Params(), lr, momentum, own[n:])
+		if err != nil {
+			return nil, nil, err
+		}
+		reps[i] = &Replica{Net: net, Opt: opt, arena: own}
+		off += 2 * n
+	}
+	return reps, arena, nil
 }
 
 // Poison overwrites with NaN everything a recycled replica's next owner is

@@ -203,32 +203,32 @@ func TestAccuracyValidation(t *testing.T) {
 	}
 }
 
+// TestParamsRoundTrip: FlattenParams exports every parameter in the arena
+// order, so a replica that installs [params | velocity] from them holds the
+// same parameters.
 func TestParamsRoundTrip(t *testing.T) {
-	m := newNet(t, 3, 4, 2)
-	flat := m.FlattenParams(nil)
-	if len(flat) != m.NumParams() {
-		t.Fatalf("flat len %d != NumParams %d", len(flat), m.NumParams())
+	sizes := []int{3, 4, 2}
+	src, err := NewReplica(rand.New(rand.NewSource(1)), sizes, 0.1, 0.9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m2 := newNet(t, 3, 4, 2)
-	// Different seed paths would give identical nets here, so perturb m.
+	flat := src.Net.FlattenParams(nil)
+	if len(flat) != src.Net.NumParams() {
+		t.Fatalf("flat len %d != NumParams %d", len(flat), src.Net.NumParams())
+	}
 	flat[0] = 123.456
-	if err := m.LoadParams(flat); err != nil {
-		t.Fatalf("LoadParams: %v", err)
+	dst, err := NewReplica(nil, sizes, 0.1, 0.9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := m2.LoadParams(m.FlattenParams(nil)); err != nil {
-		t.Fatalf("LoadParams m2: %v", err)
+	if err := dst.Install(src.Opt.FlattenState(flat)); err != nil {
+		t.Fatalf("Install: %v", err)
 	}
-	f2 := m2.FlattenParams(nil)
-	for i := range flat {
-		if flat[i] != f2[i] {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
+	if got := dst.Net.FlattenParams(nil); !bitsEqual(got, flat) {
+		t.Fatal("parameters did not round-trip")
 	}
-	if err := m.LoadParams(flat[:3]); err == nil {
-		t.Fatal("short LoadParams accepted")
-	}
-	if err := m.LoadParams(append(flat, 1)); err == nil {
-		t.Fatal("long LoadParams accepted")
+	if src.Net.FlattenParams(nil)[0] == 123.456 {
+		t.Fatal("FlattenParams returned the live parameters, not a copy")
 	}
 }
 
@@ -291,38 +291,35 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 }
 
+// TestSGDStateRoundTrip: after a step the velocity is nonzero, FlattenState
+// exports it in the arena order, and a replica that installs it holds it.
 func TestSGDStateRoundTrip(t *testing.T) {
-	m := newNet(t, 2, 3, 2)
-	opt, err := NewSGD(m.Params(), 0.1, 0.9)
+	sizes := []int{2, 3, 2}
+	src, err := NewReplica(rand.New(rand.NewSource(2)), sizes, 0.1, 0.9)
 	if err != nil {
-		t.Fatalf("NewSGD: %v", err)
+		t.Fatal(err)
 	}
-	// Take a step so the velocity is nonzero.
-	x := tensor.MustNew(2, 2)
-	out, _ := m.Forward(x)
-	_, grad, _ := SoftmaxCrossEntropy(out, []int{0, 1})
-	if err := m.Backward(grad); err != nil {
-		t.Fatalf("backward: %v", err)
+	trainSteps(t, src.Net, src.Opt, 1)
+	state := src.Opt.FlattenState(nil)
+	if len(state) != src.Opt.StateElements() {
+		t.Fatalf("state len %d != %d", len(state), src.Opt.StateElements())
 	}
-	if err := opt.Step(m.Params(), m.Grads()); err != nil {
-		t.Fatalf("step: %v", err)
+	nonzero := false
+	for _, v := range state {
+		nonzero = nonzero || v != 0
 	}
-	state := opt.FlattenState(nil)
-	if len(state) != opt.StateElements() {
-		t.Fatalf("state len %d != %d", len(state), opt.StateElements())
+	if !nonzero {
+		t.Fatal("velocity all zero after a step")
 	}
-	opt2, err := NewSGD(m.Params(), 0.1, 0.9)
+	dst, err := NewReplica(nil, sizes, 0.1, 0.9)
 	if err != nil {
-		t.Fatalf("NewSGD: %v", err)
+		t.Fatal(err)
 	}
-	if err := opt2.LoadState(state); err != nil {
-		t.Fatalf("LoadState: %v", err)
+	if err := dst.Install(src.Opt.FlattenState(src.Net.FlattenParams(nil))); err != nil {
+		t.Fatalf("Install: %v", err)
 	}
-	s2 := opt2.FlattenState(nil)
-	for i := range state {
-		if state[i] != s2[i] {
-			t.Fatalf("state mismatch at %d", i)
-		}
+	if got := dst.Opt.FlattenState(nil); !bitsEqual(got, state) {
+		t.Fatal("optimizer state did not round-trip")
 	}
 }
 

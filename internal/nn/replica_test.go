@@ -127,6 +127,41 @@ func TestReplicaMatchesSeparateConstruction(t *testing.T) {
 	}
 }
 
+// TestReplicasShareOneArena: NewReplicas builds each replica as NewReplica
+// would from the same source, every one a view of its own stretch of one
+// arena laid out [params | velocity] replica after replica; training one
+// changes only its stretch.
+func TestReplicasShareOneArena(t *testing.T) {
+	sizes := [][]int{{6, 9, 3}, {6, 4, 4, 3}}
+	reps, arena, err := NewReplicas([]*rand.Rand{rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))}, sizes, 0.1, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for i, r := range reps {
+		alone, err := NewReplica(rand.New(rand.NewSource(int64(i+1))), sizes[i], 0.1, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(r.State())
+		if &r.State()[0] != &arena[off] || !bitsEqual(arena[off:off+n], alone.State()) {
+			t.Fatalf("replica %d is not NewReplica's state at arena[%d:]", i, off)
+		}
+		off += n
+	}
+	if off != len(arena) {
+		t.Fatalf("replicas cover %d of %d arena values", off, len(arena))
+	}
+	second := append([]float64(nil), reps[1].State()...)
+	trainSteps(t, reps[0].Net, reps[0].Opt, 2)
+	if !bitsEqual(reps[1].State(), second) {
+		t.Fatal("training replica 0 wrote into replica 1's stretch")
+	}
+	if _, _, err := NewReplicas([]*rand.Rand{nil}, sizes, 0.1, 0.8); err == nil {
+		t.Fatal("one random source for two replicas accepted")
+	}
+}
+
 // TestReplicaInstall: a joiner's replica (nil rng) starts all zero, Install
 // makes it bit-identical to its source with one copy, and a state of the
 // wrong length is rejected untouched.

@@ -9,6 +9,11 @@
 // physical link (the socket-level QPI link on L3 paths, NICs on L4 paths).
 // CPU state is replicated in parallel with GPU state and, being orders of
 // magnitude smaller, is fully overlapped.
+//
+// Plan.Run executes a plan on real state through a per-pair callback; the
+// one framework contract it needs is State()/Install() (worker.Fleet copies
+// a source replica's State() into each target's Install), so the package
+// keeps no registry of per-framework copy functions.
 package replication
 
 import (
@@ -181,65 +186,4 @@ func (p *Plan) MaxPairTime(c *topology.Cluster) time.Duration {
 		}
 	}
 	return worst
-}
-
-// Copier moves real bytes for in-process integration: the elastic runtime
-// registers per-state-kind copy hooks and Execute invokes them pairwise.
-// This mirrors the paper's hook API (Section V-A): the framework supplies
-// functions that extract and install each kind of state.
-type Copier struct {
-	hooks map[string]Hook
-	order []string
-}
-
-// Hook extracts state from the source worker and installs it into the
-// target worker. Implementations are supplied by the framework integration.
-type Hook struct {
-	// Kind names the state (e.g. "model", "optimizer", "data", "runtime").
-	Kind string
-	// OnGPU reports whether the state lives in device memory (Table II).
-	OnGPU bool
-	// Copy performs the actual transfer between two worker indices.
-	Copy func(srcWorker, dstWorker int) error
-}
-
-// NewCopier creates an empty hook registry.
-func NewCopier() *Copier {
-	return &Copier{hooks: make(map[string]Hook)}
-}
-
-// RegisterHook adds a state-replication hook. Registering the same kind
-// twice replaces the hook (framework re-initialization).
-func (c *Copier) RegisterHook(h Hook) error {
-	if h.Kind == "" {
-		return fmt.Errorf("replication: hook with empty kind")
-	}
-	if h.Copy == nil {
-		return fmt.Errorf("replication: hook %q without copy function", h.Kind)
-	}
-	if _, exists := c.hooks[h.Kind]; !exists {
-		c.order = append(c.order, h.Kind)
-	}
-	c.hooks[h.Kind] = h
-	return nil
-}
-
-// Kinds returns the registered state kinds in registration order.
-func (c *Copier) Kinds() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Execute runs every hook for the pair (srcWorker, dstWorker). GPU-resident
-// and CPU-resident hooks are both executed; the timing overlap is accounted
-// for by Plan.Duration, while Execute performs the real data movement.
-func (c *Copier) Execute(srcWorker, dstWorker int) error {
-	for _, kind := range c.order {
-		h := c.hooks[kind]
-		if err := h.Copy(srcWorker, dstWorker); err != nil {
-			return fmt.Errorf("replication: hook %q: %w", kind, err)
-		}
-	}
-	return nil
 }

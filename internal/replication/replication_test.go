@@ -187,68 +187,6 @@ func TestEmptyPlanDuration(t *testing.T) {
 	}
 }
 
-func TestCopierHooks(t *testing.T) {
-	c := NewCopier()
-	if err := c.RegisterHook(Hook{Kind: "", Copy: func(a, b int) error { return nil }}); err == nil {
-		t.Fatal("empty kind accepted")
-	}
-	if err := c.RegisterHook(Hook{Kind: "model"}); err == nil {
-		t.Fatal("nil copy function accepted")
-	}
-	var calls []string
-	mk := func(kind string) Hook {
-		return Hook{Kind: kind, Copy: func(src, dst int) error {
-			calls = append(calls, kind)
-			return nil
-		}}
-	}
-	for _, k := range []string{"model", "optimizer", "data", "runtime"} {
-		if err := c.RegisterHook(mk(k)); err != nil {
-			t.Fatalf("RegisterHook(%s): %v", k, err)
-		}
-	}
-	if got := len(c.Kinds()); got != 4 {
-		t.Fatalf("Kinds = %v", c.Kinds())
-	}
-	if err := c.Execute(0, 1); err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if len(calls) != 4 || calls[0] != "model" || calls[3] != "runtime" {
-		t.Fatalf("hook order = %v", calls)
-	}
-}
-
-func TestCopierReplaceHook(t *testing.T) {
-	c := NewCopier()
-	v := 0
-	if err := c.RegisterHook(Hook{Kind: "model", Copy: func(a, b int) error { v = 1; return nil }}); err != nil {
-		t.Fatalf("RegisterHook: %v", err)
-	}
-	if err := c.RegisterHook(Hook{Kind: "model", Copy: func(a, b int) error { v = 2; return nil }}); err != nil {
-		t.Fatalf("RegisterHook replace: %v", err)
-	}
-	if len(c.Kinds()) != 1 {
-		t.Fatalf("Kinds = %v", c.Kinds())
-	}
-	if err := c.Execute(0, 1); err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if v != 2 {
-		t.Fatalf("v = %d, replacement not effective", v)
-	}
-}
-
-func TestCopierHookError(t *testing.T) {
-	c := NewCopier()
-	boom := errors.New("boom")
-	if err := c.RegisterHook(Hook{Kind: "model", Copy: func(a, b int) error { return boom }}); err != nil {
-		t.Fatalf("RegisterHook: %v", err)
-	}
-	if err := c.Execute(0, 1); !errors.Is(err, boom) {
-		t.Fatalf("Execute = %v, want boom", err)
-	}
-}
-
 // TestPlanRunSchedule drives Run with transfers that block until every
 // contention domain has one in flight: it only terminates if distinct
 // domains (and key-less pairs) really run concurrently, and the per-key

@@ -713,27 +713,12 @@ func (m *Matrix) HasNaN() bool {
 }
 
 // FlattenTo appends all elements of the matrices to dst in order and returns
-// the extended slice; the inverse is UnflattenFrom.
+// the extended slice.
 func FlattenTo(dst []float64, ms ...*Matrix) []float64 {
 	for _, m := range ms {
 		dst = append(dst, m.Data...)
 	}
 	return dst
-}
-
-// UnflattenFrom copies values from src back into the matrices in order and
-// returns the number of values consumed.
-func UnflattenFrom(src []float64, ms ...*Matrix) (int, error) {
-	off := 0
-	for _, m := range ms {
-		n := len(m.Data)
-		if off+n > len(src) {
-			return off, fmt.Errorf("tensor: unflatten needs %d values, have %d", off+n, len(src))
-		}
-		copy(m.Data, src[off:off+n])
-		off += n
-	}
-	return off, nil
 }
 
 // NumElements returns the total element count of the matrices.

@@ -244,11 +244,14 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	if len(flat) != 10 {
 		t.Fatalf("flat len = %d", len(flat))
 	}
-	a2 := MustNew(2, 3)
-	b2 := MustNew(4, 1)
-	n, err := UnflattenFrom(flat, a2, b2)
-	if err != nil || n != 10 {
-		t.Fatalf("UnflattenFrom = %d, %v", n, err)
+	// Views over the flat vector are the matrices again.
+	a2, err := FromSlice(2, 3, flat[:6])
+	if err != nil {
+		t.Fatalf("FromSlice: %v", err)
+	}
+	b2, err := FromSlice(4, 1, flat[6:])
+	if err != nil {
+		t.Fatalf("FromSlice: %v", err)
 	}
 	for i := range a.Data {
 		if a.Data[i] != a2.Data[i] {
@@ -260,8 +263,8 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 			t.Fatal("round trip mismatch in b")
 		}
 	}
-	if _, err := UnflattenFrom(flat[:5], a2, b2); err == nil {
-		t.Fatal("short unflatten accepted")
+	if _, err := FromSlice(2, 3, flat[:5]); err == nil {
+		t.Fatal("short view accepted")
 	}
 	if got := NumElements(a, b); got != 10 {
 		t.Fatalf("NumElements = %d", got)

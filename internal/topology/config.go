@@ -39,15 +39,28 @@ var transportNames = map[string]Transport{
 	"net": NET,
 }
 
+// maxConfigGPUs bounds the cluster a config file may describe. NewCluster
+// builds every GPU of a geometry, so without a bound a few digits in a
+// config would ask for billions of them.
+const maxConfigGPUs = 1 << 16
+
 // ParseGeometry decodes a JSON geometry description. Missing links fall
-// back to the defaults; other fields are required.
+// back to the defaults; other fields are required, and the cluster may
+// hold at most maxConfigGPUs GPUs.
 func ParseGeometry(data []byte) (Geometry, error) {
 	var cfg GeometryConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return Geometry{}, fmt.Errorf("topology: parse geometry: %w", err)
 	}
-	if cfg.Nodes <= 0 || cfg.SocketsPerNode <= 0 || cfg.SwitchesPerSocket <= 0 || cfg.GPUsPerSwitch <= 0 {
-		return Geometry{}, fmt.Errorf("topology: non-positive dimensions in config %+v", cfg)
+	gpus := 1
+	for _, d := range []int{cfg.Nodes, cfg.SocketsPerNode, cfg.SwitchesPerSocket, cfg.GPUsPerSwitch} {
+		if d <= 0 {
+			return Geometry{}, fmt.Errorf("topology: non-positive dimensions in config %+v", cfg)
+		}
+		if d > maxConfigGPUs/gpus {
+			return Geometry{}, fmt.Errorf("topology: config describes more than %d GPUs", maxConfigGPUs)
+		}
+		gpus *= d
 	}
 	g := Geometry{
 		Nodes:           cfg.Nodes,

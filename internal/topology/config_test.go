@@ -50,11 +50,18 @@ func TestParseGeometryErrors(t *testing.T) {
 		  "links": {"warp": {"latencyMicros": 1, "peakGBps": 1}}}`,
 		`{"nodes": 1, "socketsPerNode": 1, "switchesPerSocket": 1, "gpusPerSwitch": 1,
 		  "links": {"p2p": {"latencyMicros": 1, "peakGBps": 0}}}`,
+		// More GPUs than a config may describe, and a product that
+		// overflows int.
+		`{"nodes": 65537, "socketsPerNode": 1, "switchesPerSocket": 1, "gpusPerSwitch": 1}`,
+		`{"nodes": 4294967296, "socketsPerNode": 4294967296, "switchesPerSocket": 4294967296, "gpusPerSwitch": 4294967296}`,
 	}
 	for i, c := range cases {
 		if _, err := ParseGeometry([]byte(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	if _, err := ParseGeometry([]byte(`{"nodes": 256, "socketsPerNode": 2, "switchesPerSocket": 2, "gpusPerSwitch": 64}`)); err != nil {
+		t.Errorf("a geometry of exactly %d GPUs refused: %v", maxConfigGPUs, err)
 	}
 }
 

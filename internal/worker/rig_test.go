@@ -453,7 +453,7 @@ func TestRigTelemetry(t *testing.T) {
 	scaleOutNow(t, f, 2) // warm: agent-4, agent-5
 	metrics("warm scale-out", 4, 2, 0)
 
-	spans := rec.Snapshot()
+	spans := waitSpans(t, rec, "worker.report_ready", 4)
 	builds := map[uint64]telemetry.SpanRecord{} // by parent
 	for _, s := range spans {
 		if s.Name == "worker.build_rig" {

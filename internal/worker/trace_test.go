@@ -8,6 +8,29 @@ import (
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
+// waitSpans waits until rec holds at least n ended spans named name and
+// returns the snapshot that does. A joiner's worker.report_ready span ends
+// only once its report's reply is back on the joiner's goroutine, which can
+// be after the AM turned Ready and after the Step that admitted the joiner:
+// fleet state alone does not say the span is in the recorder.
+func waitSpans(t *testing.T, rec *telemetry.Recorder, name string, n int) []telemetry.SpanRecord {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		spans, got := rec.Snapshot(), 0
+		for _, s := range spans {
+			if s.Name == name {
+				got++
+			}
+		}
+		if got >= n {
+			return spans
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s spans = %d after 5s, want %d", name, got, n)
+		}
+	}
+}
+
 // TestScaleOutCrossProcessTrace is the acceptance test for causal trace
 // propagation: one RequestScaleOut renders as a single causally-linked span
 // tree spanning the scheduler, the transport layer, the AM service, the two
@@ -49,7 +72,7 @@ func TestScaleOutCrossProcessTrace(t *testing.T) {
 		}
 	}
 
-	spans := rec.Snapshot()
+	spans := waitSpans(t, rec, "worker.report_ready", 2)
 	var root telemetry.SpanRecord
 	for _, s := range spans {
 		if s.Name == "worker.request_scale_out" {
@@ -215,21 +238,11 @@ func TestStartInitDelaysReports(t *testing.T) {
 		t.Fatalf("clock at %v, want request + %v", sim.Now().Sub(request), startInit)
 	}
 	waitReady(t, f)
-	// A report span ends once its reply is back, which may be just after
-	// the AM turned Ready; the clock stays frozen until both have.
-	var reports []telemetry.SpanRecord
-	for deadline := time.Now().Add(5 * time.Second); len(reports) < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker.report_ready spans = %d, want 2", len(reports))
+	// The clock stays frozen until both report spans have ended.
+	for _, s := range waitSpans(t, rec, "worker.report_ready", 2) {
+		if s.Name != "worker.report_ready" {
+			continue
 		}
-		reports = reports[:0]
-		for _, s := range rec.Snapshot() {
-			if s.Name == "worker.report_ready" {
-				reports = append(reports, s)
-			}
-		}
-	}
-	for _, s := range reports {
 		if !s.End.Equal(request.Add(startInit)) {
 			t.Errorf("%s report ends at request + %v, want + %v", s.Proc, s.End.Sub(request), startInit)
 		}
