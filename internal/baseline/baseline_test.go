@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -234,18 +235,36 @@ func TestLitzAdjustCheapButThroughputPoor(t *testing.T) {
 }
 
 func TestSRBreakdownPhases(t *testing.T) {
-	sr := newSR(t)
-	phases := sr.Breakdown(models.VGG19(), 8, 16)
-	want := []string{"coordinate", "checkpoint", "shutdown", "start", "initialize", "load"}
-	if len(phases) != len(want) {
-		t.Fatalf("breakdown = %v", phases)
+	// With no jitter, Adjust's phases are the means of the S&R model (the
+	// Figure 11 rows), and the pause is their sum.
+	costs := core.DefaultSystemCosts()
+	costs.JitterRel = 0
+	fs := checkpoint.DefaultFSModel()
+	m := models.VGG19()
+	rep, err := NewSR(costs, fs, 1).Adjust(coord.ScaleOut, m, 8, 16)
+	if err != nil {
+		t.Fatalf("Adjust: %v", err)
 	}
-	for i, p := range phases {
-		if p.Name != want[i] {
-			t.Fatalf("phase %d = %q, want %q", i, p.Name, want[i])
-		}
+	gpu, cpu := m.GPUStateBytes(), m.CPUStateBytes
+	want := []core.Phase{
+		{Name: "coordinate", Duration: costs.CoordMean(8)},
+		{Name: "checkpoint", Duration: fs.SaveTime(gpu, cpu)},
+		{Name: "shutdown", Duration: costs.ShutdownTime},
+		{Name: "start", Duration: costs.WorkerStart},
+		{Name: "initialize", Duration: costs.WorkerInit},
+		{Name: "load", Duration: fs.LoadTime(gpu, cpu, 16)},
+	}
+	if !slices.Equal(rep.Breakdown, want) {
+		t.Fatalf("breakdown = %v, want %v", rep.Breakdown, want)
+	}
+	var sum time.Duration
+	for _, p := range want {
 		if p.Duration <= 0 {
 			t.Fatalf("phase %q non-positive", p.Name)
 		}
+		sum += p.Duration
+	}
+	if rep.Pause != sum {
+		t.Fatalf("pause %v != phase sum %v", rep.Pause, sum)
 	}
 }

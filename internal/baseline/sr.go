@@ -39,11 +39,12 @@ func NewSR(costs core.SystemCosts, fs checkpoint.FSModel, seed int64) *SR {
 }
 
 // Adjust returns the training pause an S&R adjustment causes for the given
-// model when changing from oldWorkers to newWorkers. kind selects the
-// procedure: migration hides the start/init of the destination workers
-// (they boot while the job still trains), while scale-out and scale-in
-// must restart the existing workers, putting shutdown + start + init on the
-// critical path — the asymmetry the paper's Figure 15 exhibits.
+// model when changing from oldWorkers to newWorkers. It is the one model of
+// an S&R pause: with Costs.JitterRel 0 its phases are their means. kind
+// selects the procedure: migration hides the start/init of the destination
+// workers (they boot while the job still trains), while scale-out and
+// scale-in must restart the existing workers, putting shutdown + start +
+// init on the critical path — the asymmetry the paper's Figure 15 exhibits.
 func (s *SR) Adjust(kind coord.Kind, m models.Model, oldWorkers, newWorkers int) (core.AdjustmentReport, error) {
 	if oldWorkers <= 0 || newWorkers <= 0 {
 		return core.AdjustmentReport{}, fmt.Errorf("baseline: invalid worker counts %d -> %d",
@@ -59,7 +60,7 @@ func (s *SR) Adjust(kind coord.Kind, m models.Model, oldWorkers, newWorkers int)
 		rep.Pause += rep.Breakdown[len(rep.Breakdown)-1].Duration
 	}
 
-	addPhase("coordinate", s.Costs.CoordBase+time.Duration(oldWorkers)*s.Costs.CoordPerWorker)
+	addPhase("coordinate", s.Costs.CoordMean(oldWorkers))
 	addPhase("checkpoint", s.FS.SaveTime(gpu, cpu))
 	switch kind {
 	case coord.Migrate:
@@ -82,24 +83,4 @@ func (s *SR) Adjust(kind coord.Kind, m models.Model, oldWorkers, newWorkers int)
 	}
 	addPhase("load", s.FS.LoadTime(gpu, cpu, newWorkers))
 	return rep, nil
-}
-
-// Breakdown returns the mean contribution of each S&R phase for a scale-out
-// (the Figure 11 experiment) without jitter.
-func (s *SR) Breakdown(m models.Model, oldWorkers, newWorkers int) []core.Phase {
-	gpu, cpu := m.GPUStateBytes(), m.CPUStateBytes
-	return []core.Phase{
-		{Name: "coordinate", Duration: s.Costs.CoordBase + time.Duration(oldWorkers)*s.Costs.CoordPerWorker},
-		{Name: "checkpoint", Duration: s.FS.SaveTime(gpu, cpu)},
-		{Name: "shutdown", Duration: s.Costs.ShutdownTime},
-		{Name: "start", Duration: s.Costs.WorkerStart},
-		{Name: "initialize", Duration: s.Costs.WorkerInit},
-		{Name: "load", Duration: s.FS.LoadTime(gpu, cpu, newWorkers)},
-	}
-}
-
-// RuntimeOverhead is identical to Elan's: both systems perform the same
-// periodic coordination when no adjustment is pending (Section VI-A1).
-func (s *SR) RuntimeOverhead(j *core.Job) (float64, error) {
-	return j.RuntimeOverhead()
 }

@@ -74,9 +74,15 @@ func (c SystemCosts) StartInitTime(rng *rand.Rand) time.Duration {
 	return c.sample(rng, c.WorkerStart) + c.sample(rng, c.WorkerInit)
 }
 
+// CoordMean is the unjittered time of one coordination round across
+// nWorkers.
+func (c SystemCosts) CoordMean(nWorkers int) time.Duration {
+	return c.CoordBase + time.Duration(nWorkers)*c.CoordPerWorker
+}
+
 // CoordTime samples one coordination round across nWorkers.
 func (c SystemCosts) CoordTime(rng *rand.Rand, nWorkers int) time.Duration {
-	return c.sample(rng, c.CoordBase+time.Duration(nWorkers)*c.CoordPerWorker)
+	return c.sample(rng, c.CoordMean(nWorkers))
 }
 
 // GroupReconstructTime samples communicator reconstruction for nWorkers.

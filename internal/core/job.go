@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/elan-sys/elan/internal/coord"
@@ -108,8 +109,7 @@ func (j *Job) Throughput() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	coordPer := time.Duration(float64(j.Costs.CoordBase+
-		time.Duration(len(j.Workers))*j.Costs.CoordPerWorker) / float64(j.CoordInterval))
+	coordPer := time.Duration(float64(j.Costs.CoordMean(len(j.Workers))) / float64(j.CoordInterval))
 	return float64(j.TotalBatch) / (it + coordPer).Seconds(), nil
 }
 
@@ -121,8 +121,7 @@ func (j *Job) RuntimeOverhead() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	coord := j.Costs.CoordBase + time.Duration(len(j.Workers))*j.Costs.CoordPerWorker
-	per := float64(coord) / float64(j.CoordInterval)
+	per := float64(j.Costs.CoordMean(len(j.Workers))) / float64(j.CoordInterval)
 	return per / float64(it), nil
 }
 
@@ -153,6 +152,103 @@ func (r *AdjustmentReport) add(name string, d time.Duration) {
 	r.Pause += d
 }
 
+// Adjust prices one Elan adjustment of a job that holds the GPUs from before
+// it and the GPUs to after it; it is the one closed-form model of an Elan
+// pause. The workers in to but not in from start and initialize off the
+// critical path (HiddenStartInit is the slowest of them) and receive the
+// training state by the concurrent topology-aware replication plan, from the
+// workers that stay or, when none stays, from all of from. The pause is one
+// coordination of len(from) workers, that replication (only when a worker
+// joins), the data repartition and the communicator reconstruction for
+// len(to) workers, each sampled from rng in that order.
+func (c SystemCosts) Adjust(rng *rand.Rand, cl *topology.Cluster, m models.Model,
+	kind coord.Kind, from, to []topology.GPUID) (AdjustmentReport, error) {
+	held := make(map[topology.GPUID]bool, len(from))
+	for _, g := range from {
+		held[g] = true
+	}
+	var stay, join []topology.GPUID
+	for _, g := range to {
+		if held[g] {
+			stay = append(stay, g)
+		} else {
+			join = append(join, g)
+		}
+	}
+	rep := AdjustmentReport{Kind: kind}
+	var plan *replication.Plan
+	if len(join) > 0 {
+		sources := stay
+		if len(sources) == 0 {
+			sources = from
+		}
+		var err error
+		if plan, err = replication.NewPlan(sources, join, m.GPUStateBytes(), m.CPUStateBytes); err != nil {
+			return AdjustmentReport{}, err
+		}
+		for range join {
+			rep.HiddenStartInit = max(rep.HiddenStartInit, c.StartInitTime(rng))
+		}
+	}
+	rep.add("coordinate", c.CoordTime(rng, len(from)))
+	if plan != nil {
+		rep.add("replicate", c.sample(rng, plan.Duration(cl)))
+	}
+	rep.add("repartition", c.sample(rng, c.Repartition))
+	rep.add("group-reconstruct", c.GroupReconstructTime(rng, len(to)))
+	return rep, nil
+}
+
+// AdjustInTreeOrder prices an adjustment of kind from oldWorkers to
+// newWorkers by Adjust, on the canonical placement: a cluster of the default
+// geometry whose GPUs are handed out in tree order, the job's oldWorkers
+// first. A scale-out or scale-in ends on the first newWorkers GPUs; a
+// migration on the newWorkers GPUs after the old ones.
+func (c SystemCosts) AdjustInTreeOrder(rng *rand.Rand, kind coord.Kind, m models.Model,
+	oldWorkers, newWorkers int) (AdjustmentReport, error) {
+	if oldWorkers <= 0 || newWorkers <= 0 {
+		return AdjustmentReport{}, fmt.Errorf("core: invalid worker counts %d -> %d", oldWorkers, newWorkers)
+	}
+	g := topology.DefaultGeometry()
+	perNode := g.SocketsPerNode * g.SwitchesPerSock * g.GPUsPerSwitch
+	g.Nodes = (oldWorkers + newWorkers + perNode - 1) / perNode
+	cl, err := topology.NewCluster(g)
+	if err != nil {
+		return AdjustmentReport{}, err
+	}
+	gpus, err := cl.Reserve(oldWorkers + newWorkers)
+	if err != nil {
+		return AdjustmentReport{}, err
+	}
+	ids := topology.IDsOf(gpus)
+	var to []topology.GPUID
+	switch kind {
+	case coord.ScaleOut, coord.ScaleIn:
+		to = ids[:newWorkers]
+	case coord.Migrate:
+		to = ids[oldWorkers:]
+	default:
+		return AdjustmentReport{}, fmt.Errorf("core: invalid adjustment kind %v", kind)
+	}
+	return c.Adjust(rng, cl, m, kind, ids[:oldWorkers], to)
+}
+
+// resize moves the job onto to by Adjust and applies the hybrid scaling
+// mechanism's new total batch size and learning-rate target.
+func (j *Job) resize(kind coord.Kind, to []topology.GPUID) (AdjustmentReport, error) {
+	dec, err := j.Mech.Decide(j.Model, len(j.Workers), j.TotalBatch, len(to), j.LR)
+	if err != nil {
+		return AdjustmentReport{}, fmt.Errorf("core: hybrid scaling: %w", err)
+	}
+	rep, err := j.Costs.Adjust(j.rng, j.Cluster, j.Model, kind, j.Workers, to)
+	if err != nil {
+		return AdjustmentReport{}, err
+	}
+	rep.Decision = dec
+	j.Workers, j.TotalBatch, j.LR = to, dec.TotalBatch, dec.TargetLR
+	return rep, nil
+}
+
 // ScaleOut grows the job onto the additional GPUs using Elan's mechanisms:
 // start/init of the new workers overlaps training; the pause is one
 // coordination, the concurrent topology-aware replication, the data
@@ -162,34 +258,8 @@ func (j *Job) ScaleOut(add []topology.GPUID) (AdjustmentReport, error) {
 	if len(add) == 0 {
 		return AdjustmentReport{}, fmt.Errorf("core: scale-out with no GPUs")
 	}
-	newWorkers := len(j.Workers) + len(add)
-	dec, err := j.Mech.Decide(j.Model, len(j.Workers), j.TotalBatch, newWorkers, j.LR)
-	if err != nil {
-		return AdjustmentReport{}, fmt.Errorf("core: hybrid scaling: %w", err)
-	}
-	plan, err := replication.NewPlan(j.Workers, add, j.Model.GPUStateBytes(), j.Model.CPUStateBytes)
-	if err != nil {
-		return AdjustmentReport{}, err
-	}
-	rep := AdjustmentReport{Kind: coord.ScaleOut, Decision: dec}
-	// Start+init of new workers happens off the critical path: record the
-	// hidden cost (max over workers starting in parallel).
-	var hidden time.Duration
-	for range add {
-		if t := j.Costs.StartInitTime(j.rng); t > hidden {
-			hidden = t
-		}
-	}
-	rep.HiddenStartInit = hidden
-	rep.add("coordinate", j.Costs.CoordTime(j.rng, len(j.Workers)))
-	rep.add("replicate", j.Costs.sample(j.rng, plan.Duration(j.Cluster)))
-	rep.add("repartition", j.Costs.sample(j.rng, j.Costs.Repartition))
-	rep.add("group-reconstruct", j.Costs.GroupReconstructTime(j.rng, newWorkers))
-
-	j.Workers = append(j.Workers, add...)
-	j.TotalBatch = dec.TotalBatch
-	j.LR = dec.TargetLR
-	return rep, nil
+	to := append(append([]topology.GPUID(nil), j.Workers...), add...)
+	return j.resize(coord.ScaleOut, to)
 }
 
 // ScaleIn shrinks the job by removing the given GPUs. No state movement is
@@ -215,91 +285,39 @@ func (j *Job) ScaleIn(remove []topology.GPUID) (AdjustmentReport, error) {
 	if len(survivors)+len(remove) != len(j.Workers) {
 		return AdjustmentReport{}, fmt.Errorf("core: scale-in GPUs not all part of the job")
 	}
-	dec, err := j.Mech.Decide(j.Model, len(j.Workers), j.TotalBatch, len(survivors), j.LR)
-	if err != nil {
-		return AdjustmentReport{}, fmt.Errorf("core: hybrid scaling: %w", err)
-	}
-	rep := AdjustmentReport{Kind: coord.ScaleIn, Decision: dec}
-	rep.add("coordinate", j.Costs.CoordTime(j.rng, len(j.Workers)))
-	rep.add("repartition", j.Costs.sample(j.rng, j.Costs.Repartition))
-	rep.add("group-reconstruct", j.Costs.GroupReconstructTime(j.rng, len(survivors)))
-	j.Workers = survivors
-	j.TotalBatch = dec.TotalBatch
-	j.LR = dec.TargetLR
-	return rep, nil
+	return j.resize(coord.ScaleIn, survivors)
 }
 
 // Replace swaps a single worker for a new GPU — the straggler-mitigation
 // primitive: when one device degrades, its rank is moved to a healthy GPU
 // while the rest of the job keeps its placement. State for the replacement
-// comes from the nearest surviving worker; the pause is one coordination,
-// one replication, repartition and group reconstruction, like a one-worker
+// comes from the nearest surviving worker; the pause is that of a one-worker
 // migration. The batch size and learning rate are untouched.
 func (j *Job) Replace(old, new topology.GPUID) (AdjustmentReport, error) {
-	idx := -1
-	for i, w := range j.Workers {
-		if w == old {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(j.Workers, old)
 	if idx < 0 {
 		return AdjustmentReport{}, fmt.Errorf("core: worker %v not part of the job", old)
 	}
-	survivors := make([]topology.GPUID, 0, len(j.Workers)-1)
-	for i, w := range j.Workers {
-		if i != idx {
-			survivors = append(survivors, w)
-		}
-	}
-	if len(survivors) == 0 {
+	if len(j.Workers) == 1 {
 		return AdjustmentReport{}, fmt.Errorf("core: cannot replace the only worker")
 	}
-	plan, err := replication.NewPlan(survivors, []topology.GPUID{new},
-		j.Model.GPUStateBytes(), j.Model.CPUStateBytes)
+	to := slices.Clone(j.Workers)
+	to[idx] = new
+	rep, err := j.Costs.Adjust(j.rng, j.Cluster, j.Model, coord.Migrate, j.Workers, to)
 	if err != nil {
 		return AdjustmentReport{}, err
 	}
-	rep := AdjustmentReport{Kind: coord.Migrate}
-	rep.HiddenStartInit = j.Costs.StartInitTime(j.rng)
-	rep.add("coordinate", j.Costs.CoordTime(j.rng, len(j.Workers)))
-	rep.add("replicate", j.Costs.sample(j.rng, plan.Duration(j.Cluster)))
-	rep.add("repartition", j.Costs.sample(j.rng, j.Costs.Repartition))
-	rep.add("group-reconstruct", j.Costs.GroupReconstructTime(j.rng, len(j.Workers)))
-	j.Workers[idx] = new
+	j.Workers = to
 	return rep, nil
 }
 
-// Migrate moves the job to an entirely new worker set of the same size.
-// State is replicated from the old workers to the new ones concurrently;
-// old workers are released afterwards (their shutdown is off the critical
-// path).
+// Migrate moves the job to a new worker set. State is replicated to the
+// workers that join, from those that stay or, for a move to a disjoint set,
+// from all old workers; the old workers are released afterwards (their
+// shutdown is off the critical path).
 func (j *Job) Migrate(dest []topology.GPUID) (AdjustmentReport, error) {
 	if len(dest) == 0 {
 		return AdjustmentReport{}, fmt.Errorf("core: migrate to empty worker set")
 	}
-	dec, err := j.Mech.Decide(j.Model, len(j.Workers), j.TotalBatch, len(dest), j.LR)
-	if err != nil {
-		return AdjustmentReport{}, fmt.Errorf("core: hybrid scaling: %w", err)
-	}
-	plan, err := replication.NewPlan(j.Workers, dest, j.Model.GPUStateBytes(), j.Model.CPUStateBytes)
-	if err != nil {
-		return AdjustmentReport{}, err
-	}
-	rep := AdjustmentReport{Kind: coord.Migrate, Decision: dec}
-	var hidden time.Duration
-	for range dest {
-		if t := j.Costs.StartInitTime(j.rng); t > hidden {
-			hidden = t
-		}
-	}
-	rep.HiddenStartInit = hidden
-	rep.add("coordinate", j.Costs.CoordTime(j.rng, len(j.Workers)))
-	rep.add("replicate", j.Costs.sample(j.rng, plan.Duration(j.Cluster)))
-	rep.add("repartition", j.Costs.sample(j.rng, j.Costs.Repartition))
-	rep.add("group-reconstruct", j.Costs.GroupReconstructTime(j.rng, len(dest)))
-	j.Workers = append([]topology.GPUID(nil), dest...)
-	j.TotalBatch = dec.TotalBatch
-	j.LR = dec.TargetLR
-	return rep, nil
+	return j.resize(coord.Migrate, slices.Clone(dest))
 }

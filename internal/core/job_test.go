@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -306,5 +309,106 @@ func TestReplaceStraggler(t *testing.T) {
 	// Replacing a non-member fails.
 	if _, err := j.Replace(victim, spare[0].ID); err == nil {
 		t.Fatal("replacing a departed worker accepted")
+	}
+}
+
+func TestAdjustmentsShareOneModel(t *testing.T) {
+	// Every adjustment method is a thin wrapper over SystemCosts.Adjust: its
+	// report is the model's for the same GPU sets and seed, the pause is the
+	// sum of the breakdown, and the phases are the documented ones.
+	moving := []string{"coordinate", "replicate", "repartition", "group-reconstruct"}
+	cases := []struct {
+		name   string
+		kind   coord.Kind
+		phases []string
+		run    func(j *Job, c *topology.Cluster) (AdjustmentReport, error)
+	}{
+		{"ScaleOut", coord.ScaleOut, moving, func(j *Job, c *topology.Cluster) (AdjustmentReport, error) {
+			add, err := c.Reserve(4)
+			if err != nil {
+				return AdjustmentReport{}, err
+			}
+			return j.ScaleOut(topology.IDsOf(add))
+		}},
+		{"ScaleIn", coord.ScaleIn, []string{"coordinate", "repartition", "group-reconstruct"},
+			func(j *Job, _ *topology.Cluster) (AdjustmentReport, error) {
+				return j.ScaleIn(slices.Clone(j.Workers[4:]))
+			}},
+		{"Migrate", coord.Migrate, moving, func(j *Job, c *topology.Cluster) (AdjustmentReport, error) {
+			dest, err := c.Reserve(8)
+			if err != nil {
+				return AdjustmentReport{}, err
+			}
+			return j.Migrate(topology.IDsOf(dest))
+		}},
+		{"Replace", coord.Migrate, moving, func(j *Job, c *topology.Cluster) (AdjustmentReport, error) {
+			spare, err := c.Reserve(1)
+			if err != nil {
+				return AdjustmentReport{}, err
+			}
+			return j.Replace(j.Workers[3], spare[0].ID)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j, c := testJob(t, 8, 256)
+			from := slices.Clone(j.Workers)
+			rep, err := tc.run(j, c)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			want, err := j.Costs.Adjust(rand.New(rand.NewSource(1)), c, j.Model, tc.kind, from, j.Workers)
+			if err != nil {
+				t.Fatalf("Adjust: %v", err)
+			}
+			want.Decision = rep.Decision
+			if !reflect.DeepEqual(rep, want) {
+				t.Fatalf("report %+v, model %+v", rep, want)
+			}
+			var sum time.Duration
+			var names []string
+			for _, p := range rep.Breakdown {
+				sum += p.Duration
+				names = append(names, p.Name)
+			}
+			if rep.Pause != sum {
+				t.Fatalf("pause %v != breakdown sum %v", rep.Pause, sum)
+			}
+			if !slices.Equal(names, tc.phases) {
+				t.Fatalf("phases %v, want %v", names, tc.phases)
+			}
+		})
+	}
+}
+
+func TestAdjustInTreeOrderPlacement(t *testing.T) {
+	costs := DefaultSystemCosts()
+	costs.JitterRel = 0
+	m := models.ResNet50()
+	// A scale-in moves no state; a scale-out and a migration do, and with
+	// no jitter both their replications are priced on plans of their own.
+	in, err := costs.AdjustInTreeOrder(rand.New(rand.NewSource(1)), coord.ScaleIn, m, 16, 8)
+	if err != nil {
+		t.Fatalf("scale-in: %v", err)
+	}
+	if len(in.Breakdown) != 3 || in.HiddenStartInit != 0 {
+		t.Fatalf("scale-in report %+v", in)
+	}
+	for _, kind := range []coord.Kind{coord.ScaleOut, coord.Migrate} {
+		rep, err := costs.AdjustInTreeOrder(rand.New(rand.NewSource(1)), kind, m, 8, 16)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if rep.Breakdown[1].Name != "replicate" || rep.HiddenStartInit != costs.WorkerStart+costs.WorkerInit {
+			t.Fatalf("%v report %+v", kind, rep)
+		}
+	}
+	for _, bad := range []struct {
+		kind     coord.Kind
+		old, new int
+	}{{coord.ScaleOut, 0, 8}, {coord.ScaleIn, 8, 0}, {coord.Kind(42), 8, 8}} {
+		if _, err := costs.AdjustInTreeOrder(rand.New(rand.NewSource(1)), bad.kind, m, bad.old, bad.new); err == nil {
+			t.Fatalf("AdjustInTreeOrder(%v, %d, %d) accepted", bad.kind, bad.old, bad.new)
+		}
 	}
 }

@@ -4,6 +4,14 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"github.com/elan-sys/elan/internal/baseline"
+	"github.com/elan-sys/elan/internal/checkpoint"
+	"github.com/elan-sys/elan/internal/coord"
+	"github.com/elan-sys/elan/internal/core"
+	"github.com/elan-sys/elan/internal/metrics"
+	"github.com/elan-sys/elan/internal/models"
+	"github.com/elan-sys/elan/internal/sched"
 )
 
 func TestTable01ListsAllModels(t *testing.T) {
@@ -450,5 +458,71 @@ func TestSpotScenario(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "reclaim") {
 		t.Fatal("missing reclaim rows")
+	}
+}
+
+// csvRows returns a table's data rows; none of the tables read here quote
+// a cell.
+func csvRows(t *testing.T, tab *metrics.Table) [][]string {
+	t.Helper()
+	var b strings.Builder
+	if err := tab.RenderCSV(&b); err != nil {
+		t.Fatalf("RenderCSV: %v", err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n")[1:] {
+		rows = append(rows, strings.Split(line, ","))
+	}
+	return rows
+}
+
+func TestSchedulerElanPauseIsFig15Pause(t *testing.T) {
+	// The scheduler's Elan system prices a pause with Figure 15's model and
+	// placement: run r of a Fig 15 case is the first pause of
+	// sched.NewElanSystem(r) for that case.
+	tab, err := Fig15(io.Discard)
+	if err != nil {
+		t.Fatalf("Fig15: %v", err)
+	}
+	rows := csvRows(t, tab)
+	i := 0
+	for _, m := range models.Zoo() {
+		for _, cse := range Fig15Cases() {
+			samples := make([]float64, Repeats)
+			for r := range samples {
+				samples[r] = sched.NewElanSystem(int64(r)).Pause(cse.Kind, m, cse.From, cse.To).Seconds()
+			}
+			want := metrics.NewTable("", "Elan")
+			want.AddRow(metrics.Summarize(samples))
+			if got := rows[i][2]; got != csvRows(t, want)[0][0] {
+				t.Errorf("%s %v: Fig 15 Elan %q, scheduler %q", m.Letter, cse, got, csvRows(t, want)[0][0])
+			}
+			i++
+		}
+	}
+}
+
+func TestFig11RowsAreSRMeans(t *testing.T) {
+	tab, err := Fig11(io.Discard)
+	if err != nil {
+		t.Fatalf("Fig11: %v", err)
+	}
+	costs := core.DefaultSystemCosts()
+	costs.JitterRel = 0
+	rep, err := baseline.NewSR(costs, checkpoint.DefaultFSModel(), 1).Adjust(coord.ScaleOut, models.ResNet50(), 8, 16)
+	if err != nil {
+		t.Fatalf("Adjust: %v", err)
+	}
+	rows := csvRows(t, tab)
+	if len(rows) != len(rep.Breakdown)+1 {
+		t.Fatalf("%d rows for %d phases", len(rows), len(rep.Breakdown))
+	}
+	for i, p := range rep.Breakdown {
+		if rows[i][0] != p.Name || rows[i][1] != fmtDur(p.Duration) {
+			t.Errorf("row %d = %v, want %s %s", i, rows[i][:2], p.Name, fmtDur(p.Duration))
+		}
+	}
+	if total := rows[len(rows)-1]; total[0] != "TOTAL" || total[1] != fmtDur(rep.Pause) {
+		t.Errorf("total row = %v, want %s", total[:2], fmtDur(rep.Pause))
 	}
 }

@@ -36,7 +36,10 @@ func Registry() map[string]Runner {
 			_, err := Fig09(w)
 			return err
 		},
-		"fig11": wrap(func(w io.Writer) { Fig11(w) }),
+		"fig11": func(w io.Writer, _ bool) error {
+			_, err := Fig11(w)
+			return err
+		},
 		"fig12": func(w io.Writer, _ bool) error {
 			_, err := Fig12(w)
 			return err

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"time"
+	"math/rand"
 
 	"github.com/elan-sys/elan/internal/baseline"
 	"github.com/elan-sys/elan/internal/checkpoint"
@@ -73,22 +73,23 @@ func Fig09(w io.Writer) (*replication.Plan, error) {
 }
 
 // Fig11 regenerates Figure 11: the time breakdown of an S&R scale-out,
-// showing start + initialization dominating.
-func Fig11(w io.Writer) *metrics.Table {
-	sr := baseline.NewSR(core.DefaultSystemCosts(), checkpoint.DefaultFSModel(), 11)
+// showing start + initialization dominating. The phases are S&R's Adjust
+// without jitter, i.e. their means.
+func Fig11(w io.Writer) (*metrics.Table, error) {
+	costs := core.DefaultSystemCosts()
+	costs.JitterRel = 0
+	rep, err := baseline.NewSR(costs, checkpoint.DefaultFSModel(), 11).Adjust(coord.ScaleOut, models.ResNet50(), 8, 16)
+	if err != nil {
+		return nil, err
+	}
 	t := metrics.NewTable("Figure 11: S&R time breakdown (ResNet-50, 8 -> 16 workers)",
 		"Phase", "Time", "Share")
-	phases := sr.Breakdown(models.ResNet50(), 8, 16)
-	var total time.Duration
-	for _, p := range phases {
-		total += p.Duration
+	for _, p := range rep.Breakdown {
+		t.AddRow(p.Name, fmtDur(p.Duration), fmt.Sprintf("%.1f%%", 100*float64(p.Duration)/float64(rep.Pause)))
 	}
-	for _, p := range phases {
-		t.AddRow(p.Name, fmtDur(p.Duration), fmt.Sprintf("%.1f%%", 100*float64(p.Duration)/float64(total)))
-	}
-	t.AddRow("TOTAL", fmtDur(total), "100%")
+	t.AddRow("TOTAL", fmtDur(rep.Pause), "100%")
 	t.Render(w)
-	return t
+	return t, nil
 }
 
 // Fig12 regenerates the Figure 10/12 timeline comparison: the training
@@ -184,8 +185,10 @@ func Fig15Cases() []AdjustmentCase {
 }
 
 // Fig15 regenerates Figure 15: the adjustment pause of Elan vs S&R for
-// every case and model (mean +/- stddev over Repeats runs).
+// every case and model (mean +/- stddev over Repeats runs). Elan's pause of
+// run r is core's model on its canonical placement with seed r.
 func Fig15(w io.Writer) (*metrics.Table, error) {
+	costs := core.DefaultSystemCosts()
 	t := metrics.NewTable("Figure 15: adjustment pause, Elan vs S&R (seconds)",
 		"Model", "Case", "Elan", "S&R", "Speedup")
 	for _, m := range models.Zoo() {
@@ -193,12 +196,12 @@ func Fig15(w io.Writer) (*metrics.Table, error) {
 			elanSamples := make([]float64, 0, Repeats)
 			srSamples := make([]float64, 0, Repeats)
 			for r := 0; r < Repeats; r++ {
-				pause, err := elanAdjustPause(m, cse, int64(r))
+				elan, err := costs.AdjustInTreeOrder(rand.New(rand.NewSource(int64(r))), cse.Kind, m, cse.From, cse.To)
 				if err != nil {
 					return nil, fmt.Errorf("elan %s %v: %w", m.Name, cse, err)
 				}
-				elanSamples = append(elanSamples, pause.Seconds())
-				sr := baseline.NewSR(core.DefaultSystemCosts(), checkpoint.DefaultFSModel(), int64(100+r))
+				elanSamples = append(elanSamples, elan.Pause.Seconds())
+				sr := baseline.NewSR(costs, checkpoint.DefaultFSModel(), int64(100+r))
 				rep, err := sr.Adjust(cse.Kind, m, cse.From, cse.To)
 				if err != nil {
 					return nil, fmt.Errorf("sr %s %v: %w", m.Name, cse, err)
@@ -213,57 +216,6 @@ func Fig15(w io.Writer) (*metrics.Table, error) {
 	}
 	t.Render(w)
 	return t, nil
-}
-
-// elanAdjustPause runs one Elan adjustment on a fresh cluster and returns
-// the pause.
-func elanAdjustPause(m models.Model, cse AdjustmentCase, seed int64) (time.Duration, error) {
-	c := bigCluster(16) // room for 64 + 64
-	gpus, err := c.Reserve(cse.From)
-	if err != nil {
-		return 0, err
-	}
-	// Pick a feasible total batch at both sizes.
-	per := m.MaxPerWorkerBatch / 2
-	tbs := cse.From * per
-	if cse.Kind == coord.ScaleIn && tbs/cse.To > m.MaxPerWorkerBatch {
-		tbs = cse.To * m.MaxPerWorkerBatch
-	}
-	job, err := core.NewJob(core.JobConfig{
-		Model: m, Cluster: c, Workers: topology.IDsOf(gpus),
-		TotalBatch: tbs, LR: 0.1, Seed: seed,
-	})
-	if err != nil {
-		return 0, err
-	}
-	switch cse.Kind {
-	case coord.Migrate:
-		dest, err := c.Reserve(cse.To)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := job.Migrate(topology.IDsOf(dest))
-		if err != nil {
-			return 0, err
-		}
-		return rep.Pause, nil
-	case coord.ScaleIn:
-		rep, err := job.ScaleIn(job.Workers[cse.To:])
-		if err != nil {
-			return 0, err
-		}
-		return rep.Pause, nil
-	default:
-		add, err := c.Reserve(cse.To - cse.From)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := job.ScaleOut(topology.IDsOf(add))
-		if err != nil {
-			return 0, err
-		}
-		return rep.Pause, nil
-	}
 }
 
 // Fig16 regenerates Figure 16: relative training throughput of Litz-2 and

@@ -13,8 +13,6 @@ import (
 	"github.com/elan-sys/elan/internal/metrics"
 	"github.com/elan-sys/elan/internal/models"
 	"github.com/elan-sys/elan/internal/perfmodel"
-	"github.com/elan-sys/elan/internal/replication"
-	"github.com/elan-sys/elan/internal/topology"
 	"github.com/elan-sys/elan/internal/transport"
 	"github.com/elan-sys/elan/internal/worker"
 )
@@ -66,8 +64,8 @@ type timelineResult struct {
 // (perfmodel) and a coordination round (core.SystemCosts) would take on the
 // testbed, advancing the clock only between Fleet calls. At 10 s it requests
 // 8 -> 16 workers; each joiner's report waits on its sampled start+init time
-// (FleetConfig.StartInit). The Step that admits the joiners also costs the
-// replication plan, the repartition and the group reconstruction. The
+// (FleetConfig.StartInit). The Step that admits the joiners costs core's
+// Elan pause in place of the coordination round. The
 // asynchronous run keeps stepping until the last joiner's deadline has passed;
 // the synchronous one stops at the request and charges the whole wait as
 // pause. Either way, runTimeline reads the AM over the fleet's bus until it is
@@ -83,19 +81,6 @@ func runTimeline(synchronous bool) (timelineResult, error) {
 	var res timelineResult
 	m, perf, costs := models.ResNet50(), perfmodel.Default(), core.DefaultSystemCosts()
 	rng := rand.New(rand.NewSource(seed))
-	// The fleet reserves its GPUs in tree order, founders first, so the
-	// first 16 GPUs of a fresh cluster are where the grown fleet runs: the
-	// replication plan is priced over them.
-	priced := newCluster()
-	gpus, err := priced.Reserve(workers + joiners)
-	if err != nil {
-		return res, err
-	}
-	ids := topology.IDsOf(gpus)
-	plan, err := replication.NewPlan(ids[:workers], ids[workers:], m.GPUStateBytes(), m.CPUStateBytes)
-	if err != nil {
-		return res, err
-	}
 	ds, err := data.GenGaussianMixture(seed, 1024, 4, 3)
 	if err != nil {
 		return res, err
@@ -147,10 +132,17 @@ func runTimeline(synchronous bool) (timelineResult, error) {
 			}
 		}
 		n := f.NumWorkers()
-		cost := costs.CoordTime(rng, n)
+		var cost time.Duration
 		if admit {
-			n += joiners
-			cost += plan.Duration(priced) + costs.Repartition + costs.GroupReconstructTime(rng, n)
+			// The fleet reserves its GPUs in tree order, founders first:
+			// the canonical placement core prices the adjustment on.
+			rep, err := costs.AdjustInTreeOrder(rng, coord.ScaleOut, m, n, n+joiners)
+			if err != nil {
+				return res, err
+			}
+			n, cost = n+joiners, rep.Pause
+		} else {
+			cost = costs.CoordTime(rng, n)
 		}
 		iter, err := perf.IterTime(m, n, totalBatch/n)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/elan-sys/elan/internal/baseline"
 	"github.com/elan-sys/elan/internal/checkpoint"
 	"github.com/elan-sys/elan/internal/coord"
 	"github.com/elan-sys/elan/internal/core"
@@ -99,34 +100,24 @@ func (e *ElanSystem) Name() string { return "Elan" }
 // against ~200ms iterations is well under 3 per-mille.
 func (e *ElanSystem) Overhead() float64 { return 0.0015 }
 
-// Pause implements System: replication (for scale-out/migration) plus
-// repartition and group reconstruction.
+// Pause implements System with core's one Elan model, on its canonical
+// tree-order placement (the one Figure 15 prices).
 func (e *ElanSystem) Pause(kind coord.Kind, m models.Model, oldWorkers, newWorkers int) time.Duration {
-	base := e.Costs.CoordTime(e.rng, oldWorkers) +
-		e.Costs.Repartition +
-		e.Costs.GroupReconstructTime(e.rng, newWorkers)
-	if kind == coord.ScaleIn {
-		return base
+	rep, err := e.Costs.AdjustInTreeOrder(e.rng, kind, m, oldWorkers, newWorkers)
+	if err != nil {
+		panic(fmt.Sprintf("sched: Elan pause: %v", err))
 	}
-	// Approximate the concurrent replication by one P2P/SHM-class transfer.
-	repl := time.Duration(float64(m.GPUStateBytes()) / 8e9 * float64(time.Second))
-	return base + repl
+	return rep.Pause
 }
 
 // SRSystem charges Shutdown-&-Restart costs.
 type SRSystem struct {
-	costs core.SystemCosts
-	fs    checkpoint.FSModel
-	rng   *rand.Rand
+	sr *baseline.SR
 }
 
 // NewSRSystem builds the S&R cost model.
 func NewSRSystem(seed int64) *SRSystem {
-	return &SRSystem{
-		costs: core.DefaultSystemCosts(),
-		fs:    checkpoint.DefaultFSModel(),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &SRSystem{sr: baseline.NewSR(core.DefaultSystemCosts(), checkpoint.DefaultFSModel(), seed)}
 }
 
 // Name implements System.
@@ -135,14 +126,13 @@ func (s *SRSystem) Name() string { return "S&R" }
 // Overhead implements System: same periodic coordination as Elan.
 func (s *SRSystem) Overhead() float64 { return 0.0015 }
 
-// Pause implements System: checkpoint + (restart for scaling) + load.
+// Pause implements System with baseline's one S&R model.
 func (s *SRSystem) Pause(kind coord.Kind, m models.Model, oldWorkers, newWorkers int) time.Duration {
-	gpu, cpu := m.GPUStateBytes(), m.CPUStateBytes
-	pause := s.fs.SaveTime(gpu, cpu) + s.fs.LoadTime(gpu, cpu, newWorkers)
-	if kind != coord.Migrate {
-		pause += s.costs.ShutdownTime + s.costs.WorkerStart + s.costs.WorkerInit
+	rep, err := s.sr.Adjust(kind, m, oldWorkers, newWorkers)
+	if err != nil {
+		panic(fmt.Sprintf("sched: S&R pause: %v", err))
 	}
-	return perfmodel.Jitter(s.rng, pause, s.costs.JitterRel)
+	return rep.Pause
 }
 
 // Config parametrizes a simulation run.
@@ -657,37 +647,32 @@ func (s *sim) rate(j *simJob) float64 {
 }
 
 // reallocate runs the paper's allocation rule: every running job gets
-// min_res, then GPUs go one at a time to the job with the highest marginal
-// gain (throughput increase per added worker) until resources, max_res or
-// positive gains are exhausted. reserve GPUs are withheld from the greedy
-// phase so a pending admission can claim them. Changed jobs pay the
-// system's adjustment pause.
+// min_res from the whole pool, then GPUs go one at a time to the job with
+// the highest marginal gain (throughput increase per added worker) until
+// resources, max_res or positive gains are exhausted. reserve GPUs are
+// withheld from the greedy phase so a pending admission can claim them.
+// Jobs are visited in running order, so a tie goes to the earlier job.
+// Changed jobs pay the system's adjustment pause. Only a pool below the
+// jobs' total min_res, which transient capacity can cause, leaves a job
+// allocated 0: it keeps its workers, and free goes negative.
 func (s *sim) reallocate(running []*simJob, reserve int) {
 	if len(running) == 0 {
 		return
 	}
 	s.mReallocs.Inc()
 	avail := s.free
-	alloc := make(map[*simJob]int, len(running))
+	var live []*simJob
 	for _, j := range running {
-		if j.finished {
-			continue
+		if !j.finished {
+			avail += j.workers
+			live = append(live, j)
 		}
-		avail += j.workers
-		alloc[j] = 0
 	}
-	avail -= reserve
-	if avail < 0 {
-		avail = 0
-	}
+	alloc := make([]int, len(live))
 	// Give everyone min_res.
-	for j := range alloc {
-		w := j.spec.MinWorkers
-		if w > avail {
-			w = avail
-		}
-		alloc[j] = w
-		avail -= w
+	for i, j := range live {
+		alloc[i] = max(0, min(j.spec.MinWorkers, avail))
+		avail -= alloc[i]
 	}
 	// Greedy marginal gain.
 	tp := func(j *simJob, w int) float64 {
@@ -700,27 +685,24 @@ func (s *sim) reallocate(running []*simJob, reserve int) {
 		}
 		return v
 	}
-	for avail > 0 {
-		var best *simJob
-		bestGain := 0.0
-		for j, w := range alloc {
-			if w >= j.spec.MaxWorkers {
+	for avail -= reserve; avail > 0; avail-- {
+		best, bestGain := -1, 0.0
+		for i, j := range live {
+			if alloc[i] >= j.spec.MaxWorkers {
 				continue
 			}
-			gain := tp(j, w+1) - tp(j, w)
-			if gain > bestGain {
-				bestGain = gain
-				best = j
+			if gain := tp(j, alloc[i]+1) - tp(j, alloc[i]); gain > bestGain {
+				best, bestGain = i, gain
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
 		alloc[best]++
-		avail--
 	}
 	// Apply changes, charging adjustment pauses.
-	for j, w := range alloc {
+	for i, j := range live {
+		w := alloc[i]
 		if w == j.workers || w == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -314,5 +315,58 @@ func TestRandomTracesAllComplete(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReallocateMinResFromWholePool(t *testing.T) {
+	// Two jobs at min_res 4 hold 8 of 9 GPUs while an admission reserves 3:
+	// min_res plus the reserve exceeds the pool. Both jobs keep min_res, and
+	// only the greedy phase gives way to the reserve.
+	job := func(id int) *simJob {
+		return &simJob{spec: trace.Job{ID: id, Model: models.ResNet50(), ReqWorkers: 4, MinWorkers: 4,
+			MaxWorkers: 16, PerWorkerBatch: 32, TotalSamples: 1e9}, started: true, workers: 4}
+	}
+	running := []*simJob{job(1), job(2)}
+	s := &sim{cfg: DefaultConfig(ElasticBackfill, IdealSystem{}), free: 1, total: 9}
+	s.reallocate(running, 3)
+	for _, j := range running {
+		if j.workers != 4 {
+			t.Fatalf("job %d holds %d workers, want its min_res 4", j.spec.ID, j.workers)
+		}
+	}
+	if err := s.checkInvariants(running); err != nil || s.free != 1 {
+		t.Fatalf("free %d, invariants: %v", s.free, err)
+	}
+	// With nothing reserved, the greedy phase hands out the spare GPU.
+	s.reallocate(running, 0)
+	if err := s.checkInvariants(running); err != nil || s.free != 0 {
+		t.Fatalf("free %d, invariants: %v", s.free, err)
+	}
+}
+
+func TestRunDeterministic(t *testing.T) {
+	// The quick trace of the scheduling figures, loaded enough that the
+	// elastic rules shrink jobs to admit others: two runs must agree on
+	// every statistic.
+	cfg := trace.DefaultConfig()
+	cfg.Seed = 21
+	cfg.Span = 3 * time.Hour
+	cfg.JobsPerDay = 700
+	cfg.MeanServiceMinutes = 55
+	jobs, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	for _, sys := range []func() System{
+		func() System { return IdealSystem{} },
+		func() System { return NewElanSystem(1) },
+		func() System { return NewSRSystem(1) },
+	} {
+		a := runPolicy(t, ElasticBackfill, sys(), jobs)
+		b := runPolicy(t, ElasticBackfill, sys(), jobs)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: two runs differ: mean JCT %v vs %v, makespan %v vs %v",
+				a.System, a.MeanJCT, b.MeanJCT, a.Makespan, b.Makespan)
+		}
 	}
 }
