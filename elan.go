@@ -14,7 +14,11 @@
 //   - the hybrid scaling mechanism (NewHybridMechanism, LRSchedule);
 //   - the analytic performance model (NewPerfModel);
 //   - the elastic scheduling simulator (RunSchedule) and trace generation
-//     (GenerateTrace).
+//     (GenerateTrace);
+//   - observability: one tracer type, TraceRecorder (NewTraceRecorder;
+//     nil is tracing off), exported with WriteChromeTrace, plus metrics
+//     (NewMetricsRegistry) and the always-on flight recorder
+//     (NewFlightRecorder).
 //
 // See the examples/ directory for runnable walkthroughs and DESIGN.md for
 // the system inventory and the experiment index.
@@ -108,14 +112,13 @@ type (
 	Clock = clock.Clock
 	// SimClock is a discrete-event virtual clock implementing Clock.
 	SimClock = clock.Sim
-	// Tracer records nested spans; inject via FleetConfig.Tracer. A
-	// TraceRecorder is the live implementation.
-	Tracer = telemetry.Tracer
 	// Span is one traced operation; safe (and free) on a nil receiver.
 	Span = telemetry.Span
 	// SpanRecord is a completed span as snapshotted by a TraceRecorder.
 	SpanRecord = telemetry.SpanRecord
-	// TraceRecorder collects spans against an injected Clock.
+	// TraceRecorder is the tracer: it collects spans against an injected
+	// Clock. Inject one via FleetConfig.Tracer; a nil *TraceRecorder is
+	// tracing off at zero cost.
 	TraceRecorder = telemetry.Recorder
 	// MetricsRegistry holds the runtime's named counters, gauges and
 	// histograms; inject via FleetConfig.Metrics.

@@ -4,21 +4,19 @@ import (
 	"go/ast"
 )
 
-// spanStartFuncs are the telemetry calls that mint an owned *Span. The
+// spanStartFuncs are the telemetry methods that mint an owned *Span. The
 // caller that starts a span owns its End: a span that never Ends is never
 // handed to the Recorder, so it silently vanishes from traces and — worse
 // — from the always-on flight recorder ring that postmortems depend on.
 var spanStartFuncs = map[string]bool{
 	"StartSpan":       true,
 	"StartRemoteSpan": true,
-	"StartChild":      true,
 	"Child":           true,
-	"StartRemote":     true, // telemetry.StartRemote(tr, name, parent)
 }
 
 // SpanEnd enforces the span-lifetime contract from DESIGN §6/§11: every
-// span acquired via Tracer.StartSpan / StartRemoteSpan / Span.Child /
-// telemetry.StartRemote must reach End() on all paths out of the
+// span acquired via Recorder.StartSpan / StartRemoteSpan / Span.Child
+// must reach End() on all paths out of the
 // acquiring function — either a defer span.End() or an explicit End on
 // every return. Handing the span elsewhere (returning it, storing it in a
 // struct or context, capturing it in a goroutine) transfers the
@@ -31,7 +29,7 @@ var spanStartFuncs = map[string]bool{
 // lifecycle it provides to everyone else.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
-	Doc: "every Tracer.StartSpan/StartRemoteSpan/Child span must reach End() " +
+	Doc: "every Recorder.StartSpan/StartRemoteSpan/Span.Child span must reach End() " +
 		"on all paths (defer or every return) or escape to a new owner",
 	Run: runSpanEnd,
 }
@@ -41,24 +39,7 @@ var spanEndSpec = &ownershipSpec{
 	action: "End()",
 	acquire: func(pass *Pass, file *File, call *ast.CallExpr) bool {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		if !spanStartFuncs[sel.Sel.Name] {
-			return false
-		}
-		// telemetry.StartRemote is a package function; the rest are
-		// methods. Distinguish only to keep the import-qualified form
-		// from matching unrelated StartRemote methods of other packages
-		// less precisely than it could — both shapes are span mints here.
-		if sel.Sel.Name == "StartRemote" {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				return pass.ImportedPath(file, id) == "github.com/elan-sys/elan/internal/telemetry" ||
-					(id.Obj == nil && id.Name == "telemetry")
-			}
-			return false
-		}
-		return true
+		return ok && spanStartFuncs[sel.Sel.Name]
 	},
 	release: func(pass *Pass, file *File, call *ast.CallExpr, obj *ast.Object) bool {
 		sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -36,6 +36,17 @@ func leakOnOneBranch(t *Tracer, ok bool) {
 	}
 }
 
+// leakRemote: a remote child minted from a message's context carries the
+// same obligation; the error path returns before End.
+func leakRemote(t *Tracer, parent TraceContext, fail bool) error {
+	sp := t.StartRemoteSpan("op", parent) // want `span assigned to sp does not reach End\(\) on every path`
+	if fail {
+		return errDummy
+	}
+	sp.End()
+	return nil
+}
+
 // leakChild: child spans carry the same obligation.
 func leakChild(parent *Span, skip bool) {
 	c := parent.Child("sub") // want `span assigned to c does not reach End\(\) on every path`
@@ -73,7 +84,7 @@ func endOnEveryReturn(t *Tracer, fail bool) error {
 }
 
 // branchAcquire: acquisition on both arms of a branch, one End at the
-// bottom — the remote-parent-or-root idiom from collective.AllReduce.
+// bottom.
 func branchAcquire(t *Tracer, parent TraceContext, remote bool) {
 	var sp *Span
 	if remote {

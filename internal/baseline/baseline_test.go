@@ -213,27 +213,6 @@ func TestLitzImprovesSlightlyWithWorkers(t *testing.T) {
 	}
 }
 
-func TestLitzAdjustCheapButThroughputPoor(t *testing.T) {
-	// Litz's trade-off: adjustments are cheap (executor reassignment), but
-	// steady-state throughput pays for it.
-	l, err := NewLitz(DefaultLitzConfig(2), perfmodel.Default())
-	if err != nil {
-		t.Fatalf("NewLitz: %v", err)
-	}
-	m := models.ResNet50()
-	adj := l.AdjustTime(m, 2)
-	if adj <= 0 {
-		t.Fatalf("AdjustTime = %v", adj)
-	}
-	// Moving 2 executors' contexts is sub-second scale.
-	if adj > 2.0 {
-		t.Fatalf("Litz adjustment %vs suspiciously expensive", adj)
-	}
-	if got := l.AdjustTime(m, -3); got != 0 {
-		t.Fatalf("negative moves = %v", got)
-	}
-}
-
 func TestSRBreakdownPhases(t *testing.T) {
 	// With no jitter, Adjust's phases are the means of the S&R model (the
 	// Figure 11 rows), and the pause is their sum.

@@ -65,19 +65,6 @@ func (l *Litz) SwapTimePerIteration(m models.Model) float64 {
 	return e * perSwap
 }
 
-// AdjustTime returns Litz's resource-adjustment cost: because work is
-// over-decomposed into executors, elasticity is just executor reassignment
-// plus one context migration per moved executor — cheap, which is the
-// design's selling point. Its price is the steady-state context-switching
-// overhead that RelativeThroughput quantifies.
-func (l *Litz) AdjustTime(m models.Model, executorsMoved int) float64 {
-	if executorsMoved < 0 {
-		executorsMoved = 0
-	}
-	perMove := float64(m.SwapContextBytes) / l.cfg.PCIeBytesPerSec
-	return float64(executorsMoved) * perMove
-}
-
 // RelativeThroughput returns Litz's training throughput relative to Elan
 // for the same model and resources (the Figure 16 metric, in (0, 1]).
 // perWorkerBatch is Elan's per-worker batch; Litz splits it across its

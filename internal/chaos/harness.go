@@ -26,7 +26,7 @@ type Config struct {
 	Seed       int64   // model/data seed (not the fault seed); default 21
 	Schedule   Schedule
 	Metrics    *telemetry.Registry // optional; harness counters land here
-	Tracer     telemetry.Tracer    // optional
+	Tracer     *telemetry.Recorder // optional
 	// Cluster places the fleet on simulated GPUs: group reconstruction
 	// after every crash, rejoin and adjustment then re-reserves GPUs, which
 	// drive the replication plan and the link labels of the fleet's spans.
@@ -35,7 +35,7 @@ type Config struct {
 	// BucketElems enables gradient bucketing in the fleet's reducers.
 	BucketElems int
 	// Flight, when set, receives every finished span from the fleet's
-	// tracer (if that tracer is a *telemetry.Recorder) plus a chaos marker
+	// tracer (when Tracer is set) plus a chaos marker
 	// event per injected fault, and is dumped automatically on each fault
 	// so the recent span history around a disruption survives.
 	Flight *telemetry.FlightRecorder

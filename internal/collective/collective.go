@@ -106,7 +106,7 @@ type Group struct {
 	// Telemetry (SetTelemetry); an un-instrumented group takes the
 	// AllReduce fast path and records nothing at zero cost.
 	instrumented bool
-	tr           telemetry.Tracer
+	tr           *telemetry.Recorder
 	clk          clock.Clock
 	link         string
 	mOps         *telemetry.Counter
@@ -119,7 +119,7 @@ func NewGroup(n int) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("collective: non-positive group size %d", n)
 	}
-	g := &Group{n: n, vecs: make([][]float64, n), commits: make([]*Commit, n), states: make([][]float64, n), tr: telemetry.Nop{}}
+	g := &Group{n: n, vecs: make([][]float64, n), commits: make([]*Commit, n), states: make([][]float64, n)}
 	g.bar.n = n
 	g.bar.cond.L = &g.bar.mu
 	return g, nil
@@ -142,9 +142,9 @@ func NewGroupWithTopology(t Topology) (*Group, error) {
 // "inproc" for the in-process goroutine substrate). Call before handing
 // the group to its ranks; the elastic runtime re-attaches after every
 // group reconstruction. Nil tracer/registry components stay disabled.
-func (g *Group) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry, clk clock.Clock, link string) {
+func (g *Group) SetTelemetry(tr *telemetry.Recorder, reg *telemetry.Registry, clk clock.Clock, link string) {
 	g.instrumented = true
-	g.tr = telemetry.OrNop(tr)
+	g.tr = tr
 	if clk == nil {
 		clk = clock.Wall{}
 	}
@@ -155,15 +155,10 @@ func (g *Group) SetTelemetry(tr telemetry.Tracer, reg *telemetry.Registry, clk c
 	g.mElements = reg.Counter("collective_allreduce_elements_total")
 }
 
-// Tracer returns the group's tracer (Nop until SetTelemetry attaches one),
-// so per-rank callers — the ddp reducer, the worker agents — can open spans
-// on the same recorder the allreduce spans land in.
-func (g *Group) Tracer() telemetry.Tracer {
-	if !g.instrumented {
-		return telemetry.Nop{}
-	}
-	return g.tr
-}
+// Tracer returns the group's recorder (nil until SetTelemetry attaches
+// one), so per-rank callers — the ddp reducer, the worker agents — can open
+// spans on the same recorder the allreduce spans land in.
+func (g *Group) Tracer() *telemetry.Recorder { return g.tr }
 
 // Size returns the number of ranks.
 func (g *Group) Size() int { return g.n }
@@ -268,12 +263,7 @@ func (g *Group) exchange(parent telemetry.TraceContext, rank int, vec []float64,
 	if !g.instrumented {
 		return g.reduce(rank, vec, mean, out, c)
 	}
-	var span *telemetry.Span
-	if parent.Valid() {
-		span = telemetry.StartRemote(g.tr, "collective.allreduce", parent)
-	} else {
-		span = g.tr.StartSpan("collective.allreduce")
-	}
+	span := g.tr.StartRemoteSpan("collective.allreduce", parent)
 	span.Annotate("link", g.link)
 	span.AnnotateInt("rank", rank)
 	span.AnnotateInt("ranks", g.n)

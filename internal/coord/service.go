@@ -77,7 +77,7 @@ type StateReplyMsg struct {
 // Service binds an AM to one wire: a bus endpoint or a TCP server.
 type Service struct {
 	am *AM
-	tr telemetry.Tracer
+	tr *telemetry.Recorder
 	// Addr is the bound address of a TCP service; empty on the bus.
 	Addr string
 	// close shuts the endpoint or server this service opened; stop
@@ -86,11 +86,11 @@ type Service struct {
 	stop  func() bool
 }
 
-func newService(am *AM, tr telemetry.Tracer) (*Service, error) {
+func newService(am *AM, tr *telemetry.Recorder) (*Service, error) {
 	if am == nil {
 		return nil, fmt.Errorf("coord: nil AM")
 	}
-	return &Service{am: am, tr: telemetry.OrNop(tr)}, nil
+	return &Service{am: am, tr: tr}, nil
 }
 
 // NewService registers the AM at name on the bus and starts serving. The
@@ -112,7 +112,7 @@ func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string)
 // because registering the endpoint is what starts serving: a worker may be
 // retrying a call against name already, and the first message handled must
 // find the service whole.
-func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string, tr telemetry.Tracer) (*Service, error) {
+func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string, tr *telemetry.Recorder) (*Service, error) {
 	s, err := newService(am, tr)
 	if err != nil {
 		return nil, err
@@ -133,7 +133,7 @@ func NewServiceWith(ctx context.Context, am *AM, bus *transport.Bus, name string
 // opens a transport.handle span per request on tr, labeled with the AM's
 // store key, so the AM's spans join the caller's trace as they do on the
 // bus.
-func NewTCPService(am *AM, addr string, tr telemetry.Tracer) (*Service, error) {
+func NewTCPService(am *AM, addr string, tr *telemetry.Recorder) (*Service, error) {
 	s, err := newService(am, tr)
 	if err != nil {
 		return nil, err
@@ -167,7 +167,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
 			return nil, fmt.Errorf("coord: bad adjust.request: %w", err)
 		}
-		span := telemetry.StartRemote(s.tr, "coord.adjust_request", m.Trace)
+		span := s.tr.StartRemoteSpan("coord.adjust_request", m.Trace)
 		span.Annotate("kind", req.Kind.String())
 		// The trace stored with the pending adjustment is the original
 		// requester's when it sent one, else this service span's, so
@@ -190,7 +190,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
 			return nil, fmt.Errorf("coord: bad worker.report: %w", err)
 		}
-		span := telemetry.StartRemote(s.tr, "coord.report_ready", m.Trace)
+		span := s.tr.StartRemoteSpan("coord.report_ready", m.Trace)
 		span.Annotate("worker", req.Worker)
 		err := s.am.ReportReady(req.Worker)
 		if err != nil {
@@ -206,7 +206,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
 			return nil, fmt.Errorf("coord: bad worker.coord: %w", err)
 		}
-		span := telemetry.StartRemote(s.tr, "coord.coordinate", m.Trace)
+		span := s.tr.StartRemoteSpan("coord.coordinate", m.Trace)
 		adj, ok, err := s.am.Coordinate(req.After)
 		if err != nil {
 			span.Annotate("error", err.Error())

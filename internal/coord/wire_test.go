@@ -18,13 +18,13 @@ import (
 
 // serveFunc serves am on one wire, with tr attached, and returns a client
 // calling it. Everything it opens is closed at test cleanup.
-type serveFunc func(t *testing.T, am *AM, tr telemetry.Tracer) *Client
+type serveFunc func(t *testing.T, am *AM, tr *telemetry.Recorder) *Client
 
 var wires = []struct {
 	name  string
 	serve serveFunc
 }{
-	{"bus", func(t *testing.T, am *AM, tr telemetry.Tracer) *Client {
+	{"bus", func(t *testing.T, am *AM, tr *telemetry.Recorder) *Client {
 		t.Helper()
 		bus := transport.NewBus(transport.BusConfig{Tracer: tr})
 		t.Cleanup(bus.Close)
@@ -39,7 +39,7 @@ var wires = []struct {
 		}
 		return cl
 	}},
-	{"tcp", func(t *testing.T, am *AM, tr telemetry.Tracer) *Client {
+	{"tcp", func(t *testing.T, am *AM, tr *telemetry.Recorder) *Client {
 		t.Helper()
 		svc, err := NewTCPService(am, "127.0.0.1:0", tr)
 		if err != nil {

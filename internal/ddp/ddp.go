@@ -216,7 +216,7 @@ func (r *Reducer) startBackward() *telemetry.Span {
 	if !r.tc.Valid() {
 		return nil
 	}
-	s := telemetry.StartRemote(r.g.Tracer(), "ddp.backward", r.tc)
+	s := r.g.Tracer().StartRemoteSpan("ddp.backward", r.tc)
 	s.AnnotateInt("rank", r.rank)
 	return s
 }
@@ -255,7 +255,7 @@ func (r *Reducer) reduceNext() {
 func (r *Reducer) apply(states [][]float64) {
 	var span *telemetry.Span
 	if r.tc.Valid() {
-		span = telemetry.StartRemote(r.g.Tracer(), "worker.optimize", r.tc)
+		span = r.g.Tracer().StartRemoteSpan("worker.optimize", r.tc)
 		span.AnnotateInt("rank", r.rank)
 	}
 	n, np := len(states), r.net.NumParams()

@@ -4,6 +4,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/elan-sys/elan/internal/baseline"
 	"github.com/elan-sys/elan/internal/checkpoint"
@@ -319,6 +320,22 @@ func TestFig20ElasticWins(t *testing.T) {
 	}
 	if byPolicy["E-BF"].Makespan > byPolicy["BF"].Makespan {
 		t.Error("E-BF makespan worse than BF")
+	}
+}
+
+// TestQuickTraceQueues: the quick scheduling trace must saturate the
+// cluster, or its Fig 20 has no queueing for elasticity to remove. A few
+// seconds of pending time would still print as 0.0 minutes, so FIFO must
+// queue for at least a minute on average.
+func TestQuickTraceQueues(t *testing.T) {
+	runs, err := Fig20(io.Discard, 1, true)
+	if err != nil {
+		t.Fatalf("Fig20: %v", err)
+	}
+	for _, r := range runs {
+		if r.Policy == sched.FIFO && r.MeanJPT < time.Minute {
+			t.Fatalf("FIFO mean JPT = %v on the quick trace, want at least 1m", r.MeanJPT)
+		}
 	}
 }
 

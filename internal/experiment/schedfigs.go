@@ -17,10 +17,11 @@ func schedTrace(seed int64, quick bool) ([]trace.Job, error) {
 	cfg.Seed = seed
 	if quick {
 		// Shrink the span but raise the load so the cluster still saturates
-		// and queueing (the phenomenon elasticity fixes) occurs.
-		cfg.Span = 3 * time.Hour
-		cfg.JobsPerDay = 700
-		cfg.MeanServiceMinutes = 55
+		// and queueing (the phenomenon elasticity fixes) occurs: short jobs
+		// arriving densely, since the span sits in the diurnal trough.
+		cfg.Span = 2 * time.Hour
+		cfg.JobsPerDay = 5600
+		cfg.MeanServiceMinutes = 15
 	}
 	return trace.Generate(cfg)
 }

@@ -65,9 +65,6 @@ func (m Model) GPUStateBytes() int64 {
 	return int64(float64(m.Params*4) * (1 + m.OptimizerFactor))
 }
 
-// TotalStateBytes returns all state replicated on an adjustment.
-func (m Model) TotalStateBytes() int64 { return m.GPUStateBytes() + m.CPUStateBytes }
-
 // Zoo returns the five evaluation models. The order matches the paper's
 // letters: A ResNet-50, B VGG-19, C MobileNet-v2, D Seq2Seq, E Transformer.
 func Zoo() []Model {
@@ -88,16 +85,6 @@ func ByName(name string) (Model, error) {
 		}
 	}
 	return Model{}, fmt.Errorf("models: unknown model %q", name)
-}
-
-// ByLetter looks a model up by its Figure 15 letter (A-E).
-func ByLetter(letter string) (Model, error) {
-	for _, m := range Zoo() {
-		if m.Letter == letter {
-			return m, nil
-		}
-	}
-	return Model{}, fmt.Errorf("models: unknown letter %q", letter)
 }
 
 // ResNet50 is the headline model of the elastic-training experiment

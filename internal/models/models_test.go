@@ -59,16 +59,6 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
-func TestByLetter(t *testing.T) {
-	m, err := ByLetter("B")
-	if err != nil || m.Name != "VGG-19" {
-		t.Fatalf("ByLetter(B) = %v, %v", m.Name, err)
-	}
-	if _, err := ByLetter("Z"); err == nil {
-		t.Fatal("unknown letter accepted")
-	}
-}
-
 func TestStateSizes(t *testing.T) {
 	m := ResNet50()
 	if got := m.GradBytes(); got != m.Params*4 {
@@ -77,9 +67,6 @@ func TestStateSizes(t *testing.T) {
 	// SGD+momentum: GPU state = 2x parameter bytes.
 	if got := m.GPUStateBytes(); got != m.Params*8 {
 		t.Fatalf("GPUStateBytes = %d, want %d", got, m.Params*8)
-	}
-	if m.TotalStateBytes() != m.GPUStateBytes()+m.CPUStateBytes {
-		t.Fatal("TotalStateBytes inconsistent")
 	}
 	// Table II observation: GPU state is much larger than CPU state.
 	if m.GPUStateBytes() < 100*m.CPUStateBytes {

@@ -464,10 +464,13 @@ func (s *sim) run() (*Result, error) {
 }
 
 // checkInvariants verifies resource conservation after every scheduling
-// decision: no GPU is double-allocated, free never goes negative, and every
-// running job's allocation respects its bounds.
+// decision: no GPU is double-allocated, every running job's allocation
+// respects its bounds, and free never goes negative — except under
+// transient capacity once every running job is down to 1 worker, where
+// applyCapacity's emergency shrink stops and the debt waits for
+// completions.
 func (s *sim) checkInvariants(running []*simJob) error {
-	used := 0
+	used, widest := 0, 0
 	for _, j := range running {
 		if j.finished {
 			continue
@@ -481,8 +484,9 @@ func (s *sim) checkInvariants(running []*simJob) error {
 				j.spec.ID, j.workers, j.spec.MaxWorkers)
 		}
 		used += j.workers
+		widest = max(widest, j.workers)
 	}
-	if s.free < 0 && s.cfg.CapacityFn == nil {
+	if s.free < 0 && (s.cfg.CapacityFn == nil || widest > 1) {
 		return fmt.Errorf("sched: negative free GPUs %d at %v", s.free, s.now)
 	}
 	if used+s.free != s.total {
@@ -654,7 +658,9 @@ func (s *sim) rate(j *simJob) float64 {
 // Jobs are visited in running order, so a tie goes to the earlier job.
 // Changed jobs pay the system's adjustment pause. Only a pool below the
 // jobs' total min_res, which transient capacity can cause, leaves a job
-// allocated 0: it keeps its workers, and free goes negative.
+// allocated 0: it keeps its workers. A job grows only out of GPUs that are
+// free or that a shrinking job gives back, never out of GPUs another job
+// still holds, so a pool in deficit grows no job.
 func (s *sim) reallocate(running []*simJob, reserve int) {
 	if len(running) == 0 {
 		return
@@ -685,20 +691,47 @@ func (s *sim) reallocate(running []*simJob, reserve int) {
 		}
 		return v
 	}
-	for avail -= reserve; avail > 0; avail-- {
+	// A job's gain changes only when it is the one handed a GPU, so each
+	// pass recomputes one gain instead of every job's.
+	gain := func(i int) float64 {
+		if j := live[i]; alloc[i] < j.spec.MaxWorkers {
+			return tp(j, alloc[i]+1) - tp(j, alloc[i])
+		}
+		return 0
+	}
+	avail -= reserve
+	var gains []float64
+	if avail > 0 {
+		gains = make([]float64, len(live))
+		for i := range live {
+			gains[i] = gain(i)
+		}
+	}
+	for ; avail > 0; avail-- {
 		best, bestGain := -1, 0.0
-		for i, j := range live {
-			if alloc[i] >= j.spec.MaxWorkers {
-				continue
-			}
-			if gain := tp(j, alloc[i]+1) - tp(j, alloc[i]); gain > bestGain {
-				best, bestGain = i, gain
+		for i, g := range gains {
+			if g > bestGain {
+				best, bestGain = i, g
 			}
 		}
 		if best < 0 {
 			break
 		}
 		alloc[best]++
+		gains[best] = gain(best)
+	}
+	budget := s.free
+	for i, j := range live {
+		if w := alloc[i]; w > 0 && w < j.workers {
+			budget += j.workers - w
+		}
+	}
+	for i, j := range live {
+		if grow := alloc[i] - j.workers; grow > 0 {
+			grow = max(0, min(grow, budget))
+			alloc[i] = j.workers + grow
+			budget -= grow
+		}
 	}
 	// Apply changes, charging adjustment pauses.
 	for i, j := range live {

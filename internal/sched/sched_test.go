@@ -370,3 +370,52 @@ func TestRunDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// deficitSim is a hand-built elastic sim under transient capacity whose
+// pool holds fewer GPUs than its running jobs hold, each job running the
+// given number of workers against a min_res of 2.
+func deficitSim(total int, workers ...int) (*sim, []*simJob) {
+	cfg := DefaultConfig(ElasticFIFO, IdealSystem{})
+	cfg.CapacityFn = func(time.Duration) int { return total }
+	s := &sim{cfg: cfg, total: total, free: total}
+	var running []*simJob
+	for i, w := range workers {
+		spec := trace.Job{ID: i, Model: models.ResNet50(), ReqWorkers: 4, MinWorkers: 2,
+			MaxWorkers: 8, PerWorkerBatch: 32, TotalSamples: 1e6}
+		j := &simJob{spec: spec, started: true, workers: w, remaining: spec.TotalSamples}
+		j.perBatch = s.batchFor(j, w)
+		s.free -= w
+		running = append(running, j)
+	}
+	return s, running
+}
+
+// TestReallocateDeficitGrowsNoJob: with the pool below the running jobs'
+// total min_res and every job already down to 1 worker, the allocation
+// rule hands the first job its min_res, but those GPUs are still held by
+// the jobs allocated 0; the job must not grow and the deficit must not
+// deepen.
+func TestReallocateDeficitGrowsNoJob(t *testing.T) {
+	s, running := deficitSim(2, 1, 1, 1)
+	s.reallocate(running, 0)
+	for _, j := range running {
+		if j.workers != 1 {
+			t.Errorf("job %d holds %d workers after reallocate, want 1", j.spec.ID, j.workers)
+		}
+	}
+	if s.free != -1 {
+		t.Errorf("free = %d after reallocate, want -1", s.free)
+	}
+	if err := s.checkInvariants(running); err != nil {
+		t.Errorf("all jobs at 1 worker: %v", err)
+	}
+}
+
+// TestInvariantDeficitOnlyAtOneWorker: under transient capacity free may
+// go negative only once every running job is down to 1 worker.
+func TestInvariantDeficitOnlyAtOneWorker(t *testing.T) {
+	s, running := deficitSim(2, 2, 1)
+	if err := s.checkInvariants(running); err == nil {
+		t.Error("negative free with a 2-worker job accepted")
+	}
+}

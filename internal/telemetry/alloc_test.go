@@ -7,8 +7,8 @@ import (
 
 // nopStepPath replays exactly the instrumentation sequence of the worker
 // step hot path (worker.Fleet.Step plus the collective allreduce it
-// triggers) against a disabled tracer and nil instruments.
-func nopStepPath(tr Tracer, steps *Counter, secs *Histogram) {
+// triggers) against a recorder (nil: tracing off) and instruments.
+func nopStepPath(tr *Recorder, steps *Counter, secs *Histogram) {
 	span := tr.StartSpan("worker.step")
 	span.AnnotateInt("iter", 17)
 	child := span.Child("collective.allreduce")
@@ -23,9 +23,9 @@ func nopStepPath(tr Tracer, steps *Counter, secs *Histogram) {
 
 // TestNopPathZeroAllocs is the contract behind "telemetry off is free":
 // the full instrumented step sequence performs no allocations when the
-// tracer is Nop and the instruments came from a nil Registry.
+// recorder is nil and the instruments came from a nil Registry.
 func TestNopPathZeroAllocs(t *testing.T) {
-	tr := OrNop(nil)
+	var tr *Recorder
 	var reg *Registry
 	steps := reg.Counter("worker_steps_total")
 	secs := reg.Histogram("worker_step_seconds")
@@ -40,7 +40,7 @@ func TestNopPathZeroAllocs(t *testing.T) {
 // BenchmarkNopStepPath quantifies the disabled-path cost; run with -benchmem
 // to see the 0 B/op, 0 allocs/op line.
 func BenchmarkNopStepPath(b *testing.B) {
-	tr := OrNop(nil)
+	var tr *Recorder
 	var reg *Registry
 	steps := reg.Counter("worker_steps_total")
 	secs := reg.Histogram("worker_step_seconds")

@@ -12,10 +12,10 @@ import (
 // stored, further End calls are counted as dropped instead of recorded.
 const DefaultMaxSpans = 1 << 16
 
-// Recorder is the live Tracer: it timestamps spans on an injected
-// clock.Clock and stores finished spans for export. It is safe for
-// concurrent use by any number of goroutines (each span itself stays on
-// one goroutine).
+// Recorder is the tracer: it timestamps spans on an injected clock.Clock
+// and stores finished spans for export. A nil *Recorder is tracing off:
+// its spans are nil and cost nothing. It is safe for concurrent use by any
+// number of goroutines (each span itself stays on one goroutine).
 type Recorder struct {
 	clk clock.Clock
 	max int
@@ -41,9 +41,6 @@ func NewRecorder(clk clock.Clock, maxSpans int) *Recorder {
 	return &Recorder{clk: clk, max: maxSpans}
 }
 
-// Clock returns the recorder's time source.
-func (r *Recorder) Clock() clock.Clock { return r.clk }
-
 func (r *Recorder) now() time.Time { return r.clk.Now() }
 
 // SetFlightRecorder attaches an always-on flight recorder: every finished
@@ -58,9 +55,10 @@ func (r *Recorder) SetFlightRecorder(f *FlightRecorder) {
 
 // Instrument publishes the recorder's drop count as the
 // telemetry_spans_dropped counter on reg, so a silently-capped trace is
-// visible on the /metrics debug page.
+// visible on the /metrics debug page. A no-op on a nil recorder or nil
+// registry.
 func (r *Recorder) Instrument(reg *Registry) {
-	if reg == nil {
+	if r == nil || reg == nil {
 		return
 	}
 	c := reg.Counter("telemetry_spans_dropped")
@@ -70,25 +68,32 @@ func (r *Recorder) Instrument(reg *Registry) {
 	r.mu.Unlock()
 }
 
-// StartSpan implements Tracer. The span roots a fresh trace (trace ID =
-// span ID). A nil recorder traces nothing, like Nop: a nil *Recorder in a
-// Tracer field is a non-nil interface that OrNop lets through.
+// StartSpan opens a root span, minting a fresh trace (trace ID = span
+// ID). A nil recorder returns a nil span, whose methods all no-op without
+// allocating, so call sites never check.
 func (r *Recorder) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	id := r.allocID()
-	return &Span{rec: r, id: id, trace: id, name: name, start: r.clk.Now()}
+	return r.start(name, TraceContext{})
 }
 
-// StartRemoteSpan implements RemoteTracer: the new span joins the parent's
-// trace as a remote child, inheriting the parent's process label until
-// SetProc overrides it. An invalid parent degrades to a fresh root. A nil
-// recorder returns nil, as StartSpan does.
+// StartRemoteSpan opens a span whose parent lives in another process,
+// identified by a TraceContext extracted from a message: the new span
+// joins the parent's trace as a remote child, inheriting the parent's
+// process label until SetProc overrides it. An invalid parent degrades to
+// a fresh root. A nil recorder returns nil, as StartSpan does.
 func (r *Recorder) StartRemoteSpan(name string, parent TraceContext) *Span {
 	if r == nil {
 		return nil
 	}
+	return r.start(name, parent)
+}
+
+// start mints the span for StartSpan and StartRemoteSpan. Keeping it out
+// of them keeps both small enough to inline, so a nil recorder costs its
+// callers a nil check and no call.
+func (r *Recorder) start(name string, parent TraceContext) *Span {
 	id := r.allocID()
 	if !parent.Valid() {
 		return &Span{rec: r, id: id, trace: id, name: name, start: r.clk.Now()}

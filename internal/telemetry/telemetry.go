@@ -1,5 +1,5 @@
 // Package telemetry is the observability substrate of the elastic runtime:
-// nested spans (a Tracer) and typed counters/gauges/histograms (a Registry)
+// nested spans (a Recorder) and typed counters/gauges/histograms (a Registry)
 // that every runtime layer — transport, coord, worker, core, collective,
 // sched — emits so the paper's timing claims (sub-second adjustment,
 // replication cost by link level, coordination overhead) are measurable
@@ -11,11 +11,11 @@
 //     clock.Clock, so runs under a clock.Sim produce exact virtual
 //     timestamps and traces become assertable test fixtures (the same
 //     discipline PR 1 established for timeouts and heartbeats).
-//   - A free disabled path. The default Tracer is Nop and unconfigured
-//     instruments are nil; every Span and instrument method is safe on a
-//     nil receiver and performs no allocation, so instrumented hot paths
-//     (the worker step, the bus call loop) cost nothing when telemetry is
-//     off.
+//   - A free disabled path. Tracing off is a nil *Recorder, whose spans
+//     are nil, and unconfigured instruments are nil; every Span and
+//     instrument method is safe on a nil receiver and performs no
+//     allocation, so instrumented hot paths (the worker step, the bus call
+//     loop) cost nothing when telemetry is off.
 //
 // Exporters turn the recorded data into standard formats: WriteChromeTrace
 // emits Chrome trace-event JSON loadable in chrome://tracing or Perfetto,
@@ -90,100 +90,7 @@ type TraceContext struct {
 // Valid reports whether the context names a real span.
 func (tc TraceContext) Valid() bool { return tc.Trace != 0 && tc.Span != 0 }
 
-// Tracer starts spans. The two implementations are Recorder (keeps finished
-// spans for export) and Nop (free). Component configs take a Tracer and
-// normalize nil to Nop via OrNop.
-type Tracer interface {
-	// StartSpan opens a root span. The returned *Span may be nil (the Nop
-	// tracer); all Span methods tolerate a nil receiver, so call sites
-	// never check.
-	StartSpan(name string) *Span
-}
-
-// RemoteTracer is the optional Tracer extension for opening a span whose
-// parent lives in another process, identified by a TraceContext extracted
-// from a message. Recorder implements it; Nop returns nil.
-type RemoteTracer interface {
-	Tracer
-	// StartRemoteSpan opens a span as a remote child of parent. An invalid
-	// (zero) parent degrades to a fresh root span.
-	StartRemoteSpan(name string, parent TraceContext) *Span
-}
-
-// Nop is the disabled tracer: StartSpan returns a nil span whose methods
-// all no-op without allocating.
-type Nop struct{}
-
-// StartSpan implements Tracer.
-//
-//elan:hotpath
-func (Nop) StartSpan(string) *Span { return nil }
-
-// StartRemoteSpan implements RemoteTracer.
-//
-//elan:hotpath
-func (Nop) StartRemoteSpan(string, TraceContext) *Span { return nil }
-
-// OrNop normalizes a possibly-nil Tracer to Nop, the plumbing idiom used
-// by every instrumented config.
-//
-//elan:hotpath
-func OrNop(tr Tracer) Tracer {
-	if tr == nil {
-		return Nop{}
-	}
-	return tr
-}
-
-// StartRemote opens a remote-child span on any Tracer: tracers that
-// implement RemoteTracer link to the parent context, others fall back to a
-// root span. A nil or Nop tracer returns nil, keeping disabled paths free.
-//
-//elan:hotpath
-func StartRemote(tr Tracer, name string, parent TraceContext) *Span {
-	if tr == nil {
-		return nil
-	}
-	if rt, ok := tr.(RemoteTracer); ok {
-		return rt.StartRemoteSpan(name, parent)
-	}
-	return tr.StartSpan(name)
-}
-
-// procTracer labels every span it starts with a fixed logical process name.
-type procTracer struct {
-	inner Tracer
-	proc  string
-}
-
-func (p procTracer) StartSpan(name string) *Span {
-	s := p.inner.StartSpan(name)
-	s.SetProc(p.proc)
-	return s
-}
-
-func (p procTracer) StartRemoteSpan(name string, parent TraceContext) *Span {
-	s := StartRemote(p.inner, name, parent)
-	s.SetProc(p.proc)
-	return s
-}
-
-// WithProc wraps tr so every span it starts is labeled with the given
-// logical process name ("fleet-am", "agent-3", ...). Children inherit the
-// label; remote children carry it across process boundaries inside their
-// TraceContext. A nil or Nop tracer passes through unchanged, so the
-// disabled path stays allocation-free.
-func WithProc(tr Tracer, proc string) Tracer {
-	if tr == nil {
-		return Nop{}
-	}
-	if _, ok := tr.(Nop); ok {
-		return tr
-	}
-	return procTracer{inner: tr, proc: proc}
-}
-
-// Span is an in-progress operation. Spans are created by a Tracer (or as
+// Span is an in-progress operation. Spans are created by a Recorder (or as
 // children of other spans), annotated, and closed with End, at which point
 // the owning Recorder stores a SpanRecord. A Span must not be used from
 // multiple goroutines concurrently, matching how the runtime scopes them
@@ -259,16 +166,6 @@ func (s *Span) AnnotateInt(key string, v int) {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: strconv.Itoa(v)})
-}
-
-// AnnotateDuration attaches a duration attribute. A no-op after End.
-//
-//elan:hotpath
-func (s *Span) AnnotateDuration(key string, d time.Duration) {
-	if s == nil || s.ended {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: d.String()})
 }
 
 // Event records an instantaneous named event at the current (injected)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"github.com/elan-sys/elan/internal/clock"
 )
@@ -69,38 +68,18 @@ func TestTraceContextValid(t *testing.T) {
 	}
 }
 
-// TestStartRemoteFallbacks: StartRemote is safe on nil and Nop tracers, and
-// degrades to a root span for tracers without RemoteTracer.
+// TestStartRemoteFallbacks: StartRemoteSpan is safe on a nil recorder,
+// and degrades to a root span on an invalid parent.
 func TestStartRemoteFallbacks(t *testing.T) {
-	parent := TraceContext{Trace: 9, Span: 9}
-	if StartRemote(nil, "x", parent) != nil {
-		t.Error("StartRemote(nil) returned a span")
-	}
-	if StartRemote(Nop{}, "x", parent) != nil {
-		t.Error("StartRemote(Nop) returned a span")
+	var off *Recorder
+	if off.StartRemoteSpan("x", TraceContext{Trace: 9, Span: 9}) != nil {
+		t.Error("nil recorder StartRemoteSpan returned a span")
 	}
 	rec := NewRecorder(clock.NewSim(epoch), 0)
 	if s := rec.StartRemoteSpan("x", TraceContext{}); s == nil {
 		t.Error("invalid parent should degrade to a root span")
 	} else if s.remote {
 		t.Error("degraded root span marked remote")
-	}
-}
-
-func TestWithProc(t *testing.T) {
-	if _, ok := WithProc(nil, "p").(Nop); !ok {
-		t.Error("WithProc(nil) is not Nop")
-	}
-	if _, ok := WithProc(Nop{}, "p").(Nop); !ok {
-		t.Error("WithProc(Nop) did not pass through")
-	}
-	rec := NewRecorder(clock.NewSim(epoch), 0)
-	tr := WithProc(rec, "agent-7")
-	tr.StartSpan("a").End()
-	StartRemote(tr, "b", TraceContext{Trace: 1, Span: 1, Proc: "elsewhere"}).End()
-	spans := rec.Snapshot()
-	if len(spans) != 2 || spans[0].Proc != "agent-7" || spans[1].Proc != "agent-7" {
-		t.Fatalf("proc labels = %+v, want agent-7 on both", spans)
 	}
 }
 
@@ -117,7 +96,6 @@ func TestFinishedRecordImmutable(t *testing.T) {
 	// Post-End mutations: all documented no-ops.
 	s.Annotate("late", "x")
 	s.AnnotateInt("late2", 1)
-	s.AnnotateDuration("late3", time.Second)
 	s.Event("late-event")
 	s.SetProc("late-proc")
 

@@ -11,7 +11,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -364,15 +363,6 @@ func ContentionKey(a, b GPUID) string {
 	}
 }
 
-// NICKeys returns the per-endpoint NIC contention keys of an L4 path; used
-// by schedulers that model NIC occupancy per node rather than per pair.
-func NICKeys(a, b GPUID) []string {
-	if Link(a, b) != L4 {
-		return nil
-	}
-	return []string{fmt.Sprintf("nic:n%d", a.Node), fmt.Sprintf("nic:n%d", b.Node)}
-}
-
 // Nearest selects the closest GPU to target among candidates: the one with
 // the lowest link level, tie-broken by GPUID order for determinism. It
 // returns false if candidates is empty.
@@ -390,11 +380,6 @@ func Nearest(target GPUID, candidates []GPUID) (GPUID, bool) {
 		}
 	}
 	return best, true
-}
-
-// SortGPUs orders ids in deterministic tree order, in place.
-func SortGPUs(ids []GPUID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
 }
 
 // IDsOf extracts the IDs of a GPU slice.

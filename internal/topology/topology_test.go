@@ -143,16 +143,6 @@ func TestContentionKey(t *testing.T) {
 	}
 }
 
-func TestNICKeys(t *testing.T) {
-	keys := NICKeys(GPUID{0, 0, 0, 0}, GPUID{5, 0, 0, 0})
-	if len(keys) != 2 || keys[0] != "nic:n0" || keys[1] != "nic:n5" {
-		t.Fatalf("NICKeys = %v", keys)
-	}
-	if got := NICKeys(GPUID{0, 0, 0, 0}, GPUID{0, 1, 0, 0}); got != nil {
-		t.Fatalf("intra-node NICKeys = %v, want nil", got)
-	}
-}
-
 func TestNearest(t *testing.T) {
 	target := GPUID{0, 1, 0, 0}
 	candidates := []GPUID{
@@ -275,19 +265,6 @@ func TestReserveSpecific(t *testing.T) {
 	}
 	if c.NumFree() != free {
 		t.Fatalf("failed batch leaked reservations: %d -> %d", free, c.NumFree())
-	}
-}
-
-func TestSortGPUs(t *testing.T) {
-	ids := []GPUID{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}, {0, 0, 0, 0}}
-	SortGPUs(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i].less(ids[i-1]) {
-			t.Fatalf("not sorted at %d: %v", i, ids)
-		}
-	}
-	if ids[0] != (GPUID{0, 0, 0, 0}) {
-		t.Fatalf("first = %v", ids[0])
 	}
 }
 

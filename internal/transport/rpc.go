@@ -45,7 +45,7 @@ type Server struct {
 	conns    map[*serverConn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
-	tr       telemetry.Tracer
+	tr       *telemetry.Recorder
 	proc     string
 
 	// Nil-safe instruments; SetMetrics replaces them.
@@ -55,15 +55,15 @@ type Server struct {
 
 // NewServer creates a server dispatching to h.
 func NewServer(h Handler) *Server {
-	return &Server{handler: h, conns: make(map[*serverConn]struct{}), tr: telemetry.Nop{}}
+	return &Server{handler: h, conns: make(map[*serverConn]struct{})}
 }
 
 // SetTracer makes the server open a remote-child "transport.handle" span
 // per request, labeled with the given logical process name. Nil disables
 // tracing again.
-func (s *Server) SetTracer(tr telemetry.Tracer, proc string) {
+func (s *Server) SetTracer(tr *telemetry.Recorder, proc string) {
 	s.mu.Lock()
-	s.tr = telemetry.OrNop(tr)
+	s.tr = tr
 	s.proc = proc
 	s.mu.Unlock()
 }
@@ -161,7 +161,7 @@ func (s *Server) serveRequest(sc *serverConn, id uint64, kind string, payload []
 	s.mu.Unlock()
 	mReq.Inc()
 	msg := Message{ID: id, Kind: kind, Payload: payload, Trace: tc}
-	hspan := telemetry.StartRemote(tr, "transport.handle", tc)
+	hspan := tr.StartRemoteSpan("transport.handle", tc)
 	if hspan != nil {
 		hspan.SetProc(proc)
 		hspan.Annotate("kind", kind)

@@ -90,7 +90,7 @@ type BusConfig struct {
 	Clock clock.Clock
 	// Tracer records a span per Call with resend events; nil disables
 	// tracing at zero cost.
-	Tracer telemetry.Tracer
+	Tracer *telemetry.Recorder
 	// Metrics receives the bus counters (calls, resends, drops, errors)
 	// and the call-latency histogram; nil disables them at zero cost.
 	Metrics *telemetry.Registry
@@ -108,7 +108,7 @@ func DefaultBusConfig() BusConfig {
 type Bus struct {
 	cfg BusConfig
 	clk clock.Clock
-	tr  telemetry.Tracer
+	tr  *telemetry.Recorder
 
 	// Instruments are resolved once at construction; all are nil-safe, so
 	// an uninstrumented bus pays nothing on the call path.
@@ -145,7 +145,7 @@ func NewBus(cfg BusConfig) *Bus {
 	return &Bus{
 		cfg:         cfg,
 		clk:         cfg.Clock,
-		tr:          telemetry.OrNop(cfg.Tracer),
+		tr:          cfg.Tracer,
 		mCalls:      cfg.Metrics.Counter("transport_calls_total"),
 		mResends:    cfg.Metrics.Counter("transport_resends_total"),
 		mDrops:      cfg.Metrics.Counter("transport_drops_total"),
@@ -181,9 +181,6 @@ func (b *Bus) fate(m Message) Fate {
 	}
 	return f
 }
-
-// Clock returns the bus's time source.
-func (b *Bus) Clock() clock.Clock { return b.clk }
 
 // Close shuts the bus down: every endpoint is closed, in-flight deliveries
 // are aborted, and Close blocks until all delivery goroutines have exited
@@ -447,7 +444,7 @@ func (e *Endpoint) handle(msg Message) ([]byte, error) {
 	// context replaces msg.Trace only when a span was actually opened, so
 	// an untraced bus still forwards the sender's causality to handlers
 	// that trace on their own recorder.
-	hspan := telemetry.StartRemote(e.bus.tr, "transport.handle", msg.Trace)
+	hspan := e.bus.tr.StartRemoteSpan("transport.handle", msg.Trace)
 	if hspan != nil {
 		hspan.SetProc(e.name)
 		hspan.Annotate("from", msg.From)

@@ -360,7 +360,7 @@ func twoNodeCluster(t *testing.T) *topology.Cluster {
 	return c
 }
 
-func placedFleet(t *testing.T, hidden int, tr telemetry.Tracer, ckpt *checkpoint.DeltaStore) *Fleet {
+func placedFleet(t *testing.T, hidden int, tr *telemetry.Recorder, ckpt *checkpoint.DeltaStore) *Fleet {
 	t.Helper()
 	f, err := NewFleet(FleetConfig{
 		Dataset: dataset(t, 2048), LayerSizes: []int{4, hidden, 3}, Workers: 2, TotalBatch: 56,

@@ -331,8 +331,8 @@ func TestStepTraceFansOutToRanks(t *testing.T) {
 }
 
 // TestFleetTypedNilTracer: a nil *telemetry.Recorder in the Tracer field is
-// a non-nil interface, so OrNop lets it through. It must behave as tracing
-// off — no panic in NewFleet's flight-recorder hookup or in a Step's spans.
+// tracing off — no panic in NewFleet's flight-recorder and dropped-span
+// counter hookup or in a Step's spans.
 func TestFleetTypedNilTracer(t *testing.T) {
 	guardGoroutines(t)
 	f, err := NewFleet(FleetConfig{
@@ -344,6 +344,7 @@ func TestFleetTypedNilTracer(t *testing.T) {
 		Momentum:   0.9,
 		Seed:       21,
 		Tracer:     (*telemetry.Recorder)(nil),
+		Metrics:    telemetry.NewRegistry(),
 		Flight:     telemetry.NewFlightRecorder(16),
 	})
 	if err != nil {
@@ -352,5 +353,30 @@ func TestFleetTypedNilTracer(t *testing.T) {
 	defer f.Close()
 	if _, err := f.Step(); err != nil {
 		t.Fatalf("Step: %v", err)
+	}
+}
+
+// TestFleetSpansDroppedCounter: a fleet with both a recorder and a metrics
+// registry publishes the recorder's drop count as telemetry_spans_dropped,
+// so a trace capped mid-run shows on the /metrics page.
+func TestFleetSpansDroppedCounter(t *testing.T) {
+	guardGoroutines(t)
+	rec := telemetry.NewRecorder(clock.Wall{}, 1)
+	reg := telemetry.NewRegistry()
+	f, err := NewFleet(FleetConfig{
+		Dataset: dataset(t, 1024), LayerSizes: []int{4, 16, 3}, Workers: 2, TotalBatch: 32,
+		LR: 0.05, Momentum: 0.9, Seed: 21, Tracer: rec, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	defer f.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step %d: %v", i, err)
+		}
+	}
+	if got := reg.Counter("telemetry_spans_dropped").Value(); got <= 0 {
+		t.Fatalf("telemetry_spans_dropped = %d after %d dropped spans, want > 0", got, rec.Dropped())
 	}
 }

@@ -69,9 +69,9 @@ type command struct {
 	state     []float64
 	src, link string
 	// tr/trace make the agent's spans remote children of the fleet span
-	// that issued the command. Both zero on untraced paths: StartRemote on
-	// a nil tracer returns a nil span, so the hot path stays free.
-	tr    telemetry.Tracer
+	// that issued the command. Both zero on untraced paths: a nil recorder
+	// returns a nil span, so the hot path stays free.
+	tr    *telemetry.Recorder
 	trace telemetry.TraceContext
 	reply chan result
 }
@@ -205,7 +205,7 @@ func (a *Agent) loop(ds *data.Dataset) {
 				}
 				cmd.reply <- a.step(ds, cmd)
 			case installCmd:
-				span := telemetry.StartRemote(cmd.tr, "worker.install_state", cmd.trace)
+				span := cmd.tr.StartRemoteSpan("worker.install_state", cmd.trace)
 				span.SetProc(a.Name)
 				span.Annotate("src", cmd.src)
 				span.Annotate("link", cmd.link)
@@ -240,7 +240,7 @@ func (a *Agent) step(ds *data.Dataset, cmd command) (res result) {
 	// forward child plus the reducer's backward, allreduce and optimize
 	// spans are what the step-time attribution folds into phases. With no
 	// tracer in cmd every span below is nil and the path allocates nothing.
-	span := telemetry.StartRemote(cmd.tr, "worker.rank_step", cmd.trace)
+	span := cmd.tr.StartRemoteSpan("worker.rank_step", cmd.trace)
 	span.SetProc(a.Name)
 	span.AnnotateInt("rank", cmd.rank)
 	span.AnnotateInt("iter", cmd.iter)
@@ -341,15 +341,16 @@ type FleetConfig struct {
 	Clock clock.Clock
 	// Tracer records fleet lifecycle, per-step and adjustment spans; nil
 	// disables tracing at zero cost. A fleet-created bus shares it.
-	Tracer telemetry.Tracer
+	Tracer *telemetry.Recorder
 	// Metrics receives the fleet's counters and histograms (steps, step
 	// latency, adjustments, dead-worker detections); nil disables them. A
-	// fleet-created bus and the heartbeat monitor share it.
+	// fleet-created bus, the heartbeat monitor and Tracer's dropped-span
+	// counter share it.
 	Metrics *telemetry.Registry
-	// Flight is the always-on black box: when set (and Tracer is a
-	// *telemetry.Recorder it is attached to), recent spans keep rolling
-	// through the ring and the fleet dumps it automatically on worker and
-	// AM crash paths. Nil disables it at zero cost.
+	// Flight is the always-on black box: when set (and attached to Tracer
+	// when that is non-nil), recent spans keep rolling through the ring and
+	// the fleet dumps it automatically on worker and AM crash paths. Nil
+	// disables it at zero cost.
 	Flight *telemetry.FlightRecorder
 	// Cluster, when non-nil, places workers on simulated GPUs: every group
 	// (re)construction reserves one GPU per worker in deterministic tree
@@ -437,7 +438,7 @@ type Fleet struct {
 
 	// Telemetry. lifeSpan covers Start..Close; the instruments are nil-safe
 	// so an uninstrumented fleet's step path is allocation-free.
-	tr             telemetry.Tracer
+	tr             *telemetry.Recorder
 	flight         *telemetry.FlightRecorder
 	lifeSpan       *telemetry.Span
 	mSteps         *telemetry.Counter
@@ -547,7 +548,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		ownsBus:        ownsBus,
 		hb:             hb,
 		dead:           make(map[string]bool),
-		tr:             telemetry.OrNop(cfg.Tracer),
+		tr:             cfg.Tracer,
 		flight:         cfg.Flight,
 		mSteps:         cfg.Metrics.Counter("worker_steps_total"),
 		mStepSeconds:   cfg.Metrics.Histogram("worker_step_seconds"),
@@ -562,9 +563,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		mRigsBuilt:     cfg.Metrics.Counter("worker_rig_built_total"),
 		mSpareRigs:     cfg.Metrics.Gauge("worker_spare_rigs"),
 	}
-	if rec, ok := cfg.Tracer.(*telemetry.Recorder); ok && rec != nil && cfg.Flight != nil {
-		rec.SetFlightRecorder(cfg.Flight)
+	if cfg.Tracer != nil && cfg.Flight != nil {
+		cfg.Tracer.SetFlightRecorder(cfg.Flight)
 	}
+	cfg.Tracer.Instrument(cfg.Metrics)
 	if err := f.rebuildGroupLocked(cfg.Workers); err != nil {
 		f.Close()
 		return nil, err
@@ -815,7 +817,7 @@ func (f *Fleet) bringUp(name string, j *joiner, r *rig, startInit clock.Timer, r
 	// The report span runs on the new agent's own process track, a remote
 	// child of the request span (which may already be ended — only
 	// annotation is frozen by End, not parenthood).
-	rspan := telemetry.StartRemote(f.tr, "worker.report_ready", request)
+	rspan := f.tr.StartRemoteSpan("worker.report_ready", request)
 	rspan.SetProc(name)
 	defer rspan.End()
 	a, err := f.startOn(name, r, true, rspan)
@@ -921,7 +923,7 @@ func (f *Fleet) Step() (float64, error) {
 		// coordinate → apply arc); otherwise it nests under this step.
 		var aspan *telemetry.Span
 		if adj.Trace.Valid() {
-			aspan = telemetry.StartRemote(f.tr, "worker.apply_adjustment", adj.Trace)
+			aspan = f.tr.StartRemoteSpan("worker.apply_adjustment", adj.Trace)
 			aspan.SetProc("fleet-lead")
 			aspan.AnnotateInt("iter", f.iter)
 		} else {
@@ -1174,7 +1176,7 @@ func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID,
 			return err
 		}
 	}
-	var tr telemetry.Tracer
+	var tr *telemetry.Recorder
 	if parent != nil {
 		tr = f.tr
 	}
