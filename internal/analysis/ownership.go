@@ -32,19 +32,13 @@ type ownershipSpec struct {
 	// what names the resource in diagnostics ("span", "pooled buffer").
 	what string
 	// action names the required release in diagnostics ("End()",
-	// "a Put/put/release call or ownership-transfer send").
+	// "a Put").
 	action string
 	// acquire reports whether a call expression mints a tracked value.
 	acquire func(pass *Pass, file *File, call *ast.CallExpr) bool
 	// release reports whether a call releases the tracked object obj
-	// (End() on the receiver, Put(x)/put(x) with x as argument, an
-	// ownership-transfer send/deposit call with x anywhere in its
-	// arguments, ...).
+	// (End() on the receiver, Put(x) with x as argument).
 	release func(pass *Pass, file *File, call *ast.CallExpr, obj *ast.Object) bool
-	// sendReleases: a channel send whose value mentions the variable
-	// transfers ownership (the collective arena protocol) rather than
-	// escaping it.
-	sendReleases bool
 	// argBorrows: passing the variable as a call argument is a borrow
 	// (caller still owes the release) instead of an escape. Release
 	// calls are recognized before this applies.
@@ -205,7 +199,9 @@ func (f *ownFlow) Transfer(node ast.Node, in FlowState) FlowState {
 	case *ast.DeferStmt:
 		f.deferStmt(n, st)
 	case *ast.SendStmt:
-		f.send(n, st)
+		// The receiver of the channel takes ownership.
+		f.scanUses(n.Chan, st, nil)
+		f.escapeExpr(n.Value, st)
 	case *ast.GoStmt:
 		// The goroutine takes ownership of anything it captures.
 		f.escapeCaptured(n.Call, st)
@@ -353,30 +349,6 @@ func (f *ownFlow) deferStmt(n *ast.DeferStmt, st *ownState) {
 	}
 	// defer f(x...) with tracked arguments: same rules as a direct call.
 	f.call(n.Call, st)
-}
-
-// send: channel sends transfer ownership under the arena protocol, or
-// escape otherwise.
-func (f *ownFlow) send(n *ast.SendStmt, st *ownState) {
-	f.scanUses(n.Chan, st, nil)
-	if f.spec.sendReleases {
-		sent := false
-		ast.Inspect(n.Value, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok && id.Obj != nil {
-				if _, tracked := st.vars[id.Obj]; tracked {
-					f.markReleased(id.Obj, n.Pos(), st)
-					sent = true
-				}
-			}
-			return true
-		})
-		if sent {
-			return
-		}
-		f.scanUses(n.Value, st, nil)
-		return
-	}
-	f.escapeExpr(n.Value, st)
 }
 
 // markEscaped performs the escape transition. Escape clears the live

@@ -49,7 +49,6 @@ var spanEndSpec = &ownershipSpec{
 		id := directIdent(sel.X)
 		return id != nil && id.Obj == obj
 	},
-	sendReleases:  false, // a span sent on a channel changes owner: escape
 	argBorrows:    false, // handing a span to a callee transfers the End obligation
 	doubleRelease: false, // End is idempotent by contract
 	skipPkg: func(path string) bool {

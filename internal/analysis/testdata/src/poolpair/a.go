@@ -1,8 +1,6 @@
 // Package poolpair exercises the pool-pairing analyzer. The fixtures
-// mirror the three real disciplines: a sync.Pool-shaped buffer pool
-// (framePool), a scratch arena with lowercase get/put and the
-// ownership-transfer send protocol (internal/collective), and package
-// helper functions (getFrameBuf/putFrameBuf).
+// mirror the real discipline: a sync.Pool-shaped buffer pool (framePool)
+// and package helper functions (getFrameBuf/putFrameBuf).
 package poolpair
 
 type bufPool struct{}
@@ -15,20 +13,7 @@ var framePool bufPool
 func getFrameBuf() []byte  { return framePool.Get() }
 func putFrameBuf(b []byte) { framePool.Put(b) }
 
-// scratchArena matches by type name even when the receiver variable does
-// not (sc := ...), exercising the intra-package type-info path.
-type scratchArena struct{}
-
-func (s *scratchArena) get(n int) []float64 { return nil }
-func (s *scratchArena) put(b []float64)     {}
-
-type msg struct {
-	idx  int
-	data []float64
-}
-
-func sendTo(ch chan msg, m msg) { ch <- m }
-func fill(b []byte)             {}
+func fill(b []byte) {}
 
 var errDummy = errOf("dummy")
 
@@ -38,7 +23,7 @@ func (e errOf) Error() string { return string(e) }
 
 // leakOnEarlyReturn: the error path drops the buffer.
 func leakOnEarlyReturn(fail bool) error {
-	b := framePool.Get() // want `pooled buffer assigned to b does not reach a put/release call or ownership-transfer send on every path`
+	b := framePool.Get() // want `pooled buffer assigned to b does not reach a Put on every path`
 	if fail {
 		return errDummy
 	}
@@ -48,7 +33,7 @@ func leakOnEarlyReturn(fail bool) error {
 
 // leakPastBorrow: lending the buffer to fill does not discharge the Put.
 func leakPastBorrow() {
-	b := framePool.Get() // want `pooled buffer assigned to b does not reach a put/release call or ownership-transfer send on every path`
+	b := framePool.Get() // want `pooled buffer assigned to b does not reach a Put on every path`
 	fill(b)
 }
 
@@ -92,24 +77,6 @@ func putOnEveryPath(fail bool) error {
 	fill(b)
 	framePool.Put(b)
 	return nil
-}
-
-// arenaSendTransfers: the collective ring step — a send call carrying the
-// buffer inside a message literal is the ownership-transfer point, and
-// the deposit of the received buffer balances the next withdrawal.
-func arenaSendTransfers(sc *scratchArena, ch chan msg, steps int) {
-	for s := 0; s < steps; s++ {
-		out := sc.get(16)
-		sendTo(ch, msg{idx: s, data: out})
-		m := <-ch
-		sc.put(m.data)
-	}
-}
-
-// channelSendTransfers: a direct channel send is equally a transfer.
-func channelSendTransfers(sc *scratchArena, ch chan msg) {
-	out := sc.get(8)
-	ch <- msg{data: out}
 }
 
 // helperFuncs: package-level get/put helpers pair like methods.

@@ -47,7 +47,7 @@ func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 
-	// The next periodic save (after iter 5) dies between its encode and
+	// The next periodic save (after iter 5) dies between its copy and
 	// its publish; the AM crashes at 6 and recovers at 7.
 	ds.InjectCrash()
 	if err := h.Run(3); err != nil {
@@ -66,7 +66,7 @@ func TestChaosDeltaCheckpointRecovery(t *testing.T) {
 
 	// Recover from the published snapshot, then prove bit-identity:
 	// re-saving the restored lead arena publishes the committed header and
-	// state again. The torn save's encode is invisible.
+	// state again. The torn save's copy is invisible.
 	rs, err := h.Fleet.RestoreCheckpoint()
 	if err != nil {
 		t.Fatalf("RestoreCheckpoint: %v", err)

@@ -30,7 +30,7 @@ type Config struct {
 	// Cluster places the fleet on simulated GPUs: group reconstruction
 	// after every crash, rejoin and adjustment then re-reserves GPUs, which
 	// drive the replication plan and the link labels of the fleet's spans.
-	// The reduction is the same ring with or without one.
+	// The reduction is the same in-process exchange with or without one.
 	Cluster *topology.Cluster
 	// BucketElems enables gradient bucketing in the fleet's reducers.
 	BucketElems int

@@ -4,7 +4,7 @@
 // written to a shared filesystem (the paper's Lustre), and restored by the
 // inverse path. FSModel prices that path in simulated durations. The real
 // checkpoints of a live fleet go to DeltaStore: one full snapshot per job
-// name, encoded into a spare buffer and published by one swap.
+// name, copied into a spare buffer and published by one swap.
 package checkpoint
 
 import (

@@ -1,10 +1,8 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,9 +11,9 @@ import (
 )
 
 // One snapshot, one publish (DESIGN §13): each name holds one full snapshot
-// of its state vector, the little-endian byte image of the float64s, plus a
-// spare buffer of the same size. Save encodes into the spare, then bumps the
-// store's seq and swaps spare and published payload under the store's lock.
+// of its state vector, a bit-for-bit copy of the float64s, plus a spare of
+// the same size. Save copies into the spare, then bumps the store's seq and
+// swaps spare and published snapshot under the store's lock.
 // That swap is the commit point: a save that dies before it leaves the
 // published snapshot bit for bit, and a stream of saves of one size runs on
 // the same two buffers.
@@ -23,30 +21,30 @@ import (
 // Errors returned by the checkpoint store.
 var (
 	// ErrCrashInjected reports a fault-injection crash after a save's
-	// encode and before its publish (chaos harness hook).
+	// copy and before its publish (chaos harness hook).
 	ErrCrashInjected = errors.New("checkpoint: injected crash before publish")
-	// ErrStateSize reports a warm restore against a state buffer whose
-	// length does not match the checkpointed model.
+	// ErrStateSize reports a RestoreFrom into a state buffer whose length
+	// does not match the checkpointed model.
 	ErrStateSize = errors.New("checkpoint: state length mismatch")
 )
 
-// DefaultChunkElems is the encode unit, 4096 float64s (32 KiB): saves,
-// restores and CopyState split the state into units of this size and spread
-// them over up to GOMAXPROCS goroutines.
+// DefaultChunkElems is the copy unit, 4096 float64s (32 KiB): saves and
+// restores split the state into units of this size and spread them over up
+// to GOMAXPROCS goroutines.
 const DefaultChunkElems = 4096
 
 // SaveStats describes one Save.
 type SaveStats struct {
 	Seq           int64
-	ChunksTotal   int   // encode units in the state
+	ChunksTotal   int   // copy units in the state
 	ChunksWritten int   // units published: all of them, or none on a torn save
-	BytesWritten  int64 // payload bytes published
+	BytesWritten  int64 // state bytes published
 }
 
 // RestoreStats describes one Restore/RestoreFrom.
 type RestoreStats struct {
 	Seq   int64
-	Bytes int64 // payload bytes decoded: none for a warm restore at the head
+	Bytes int64 // state bytes copied: the whole state
 }
 
 // DeltaConfig configures a DeltaStore. Metrics may be nil.
@@ -55,13 +53,12 @@ type DeltaConfig struct {
 }
 
 // snapshot is one name's published save and the buffer its next save
-// encodes into.
+// copies into.
 type snapshot struct {
-	seq      int64
-	header   []byte
-	numElems int
-	payload  []byte // published: 8*numElems bytes
-	spare    []byte // the previous payload, overwritten by the next save
+	seq    int64
+	header []byte
+	state  []float64 // published
+	spare  []float64 // the previous state, overwritten by the next save
 }
 
 // DeltaStore is an in-memory checkpoint store, one snapshot per name,
@@ -70,7 +67,7 @@ type DeltaStore struct {
 	mu         sync.Mutex
 	jobs       map[string]*snapshot
 	seq        int64
-	chunkElems int  // encode unit: DefaultChunkElems
+	chunkElems int  // copy unit: DefaultChunkElems
 	crash      bool // InjectCrash armed: the next Save tears
 
 	mSaves    *telemetry.Counter
@@ -90,20 +87,7 @@ func NewDeltaStore(cfg DeltaConfig) *DeltaStore {
 	}
 }
 
-// encodeChunk writes vals into b, which holds exactly 8 bytes per value.
-func encodeChunk(b []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-}
-
-func decodeChunk(b []byte, out []float64) {
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
-
-// InjectCrash arms a one-shot fault: the next Save encodes its whole payload
+// InjectCrash arms a one-shot fault: the next Save copies its whole state
 // and then fails with ErrCrashInjected instead of publishing it — the chaos
 // harness's crash-mid-save probe.
 func (d *DeltaStore) InjectCrash() {
@@ -164,19 +148,17 @@ func forChunks(n, chunk int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// CopyState copies src into dst like the builtin copy, with the fan-out a
-// Save of a state that size uses: the way to keep a warm copy of what was
-// just saved without a serial pass over it.
-func CopyState(dst, src []float64) {
-	forChunks(min(len(dst), len(src)), DefaultChunkElems, func(lo, hi int) {
+// copyChunks copies src into dst, of the same length, chunk-parallel.
+func (d *DeltaStore) copyChunks(dst, src []float64) {
+	forChunks(len(src), d.chunkElems, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
 }
 
 // Save checkpoints state, with its opaque header (typically the gob of the
-// runtime fields), under name: it encodes the whole state into name's spare
-// buffer, chunk-parallel, and publishes it. state is read in place and must
-// not change until Save returns; it is never written.
+// runtime fields), under name: it copies the whole state into name's spare,
+// chunk-parallel, and publishes it. state is read in place and must not
+// change until Save returns; it is never written.
 func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -185,14 +167,11 @@ func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStat
 	if s == nil {
 		s = &snapshot{} // enters the store at its first publish
 	}
-	size := 8 * len(state)
-	if cap(s.spare) < size {
-		s.spare = make([]byte, size)
+	if cap(s.spare) < len(state) {
+		s.spare = make([]float64, len(state))
 	}
-	s.spare = s.spare[:size]
-	forChunks(len(state), d.chunkElems, func(lo, hi int) {
-		encodeChunk(s.spare[8*lo:8*hi], state[lo:hi])
-	})
+	s.spare = s.spare[:len(state)]
+	d.copyChunks(s.spare, state)
 	stats := SaveStats{ChunksTotal: (len(state) + d.chunkElems - 1) / d.chunkElems}
 	if d.crash {
 		// Simulated process death at the last moment before the publish:
@@ -203,25 +182,23 @@ func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStat
 
 	// Commit point.
 	d.seq++
-	s.seq, s.numElems, s.header = d.seq, len(state), append(s.header[:0], header...)
-	s.payload, s.spare = s.spare, s.payload
+	s.seq, s.header = d.seq, append(s.header[:0], header...)
+	s.state, s.spare = s.spare, s.state
 	d.jobs[name] = s
 
-	stats.Seq, stats.ChunksWritten, stats.BytesWritten = s.seq, stats.ChunksTotal, int64(size)
+	stats.Seq, stats.ChunksWritten, stats.BytesWritten = s.seq, stats.ChunksTotal, 8*int64(len(state))
 	d.mSaves.Inc()
 	d.mBytesOut.Add(stats.BytesWritten)
 	return stats, nil
 }
 
-// decodeLocked decodes s's published payload into state, chunk-parallel.
-func (d *DeltaStore) decodeLocked(s *snapshot, state []float64) RestoreStats {
-	forChunks(len(state), d.chunkElems, func(lo, hi int) {
-		decodeChunk(s.payload[8*lo:8*hi], state[lo:hi])
-	})
-	return RestoreStats{Seq: s.seq, Bytes: int64(len(s.payload))}
+// restoreLocked copies s's published state into state, chunk-parallel.
+func (d *DeltaStore) restoreLocked(s *snapshot, state []float64) RestoreStats {
+	d.copyChunks(state, s.state)
+	return RestoreStats{Seq: s.seq, Bytes: 8 * int64(len(state))}
 }
 
-// Restore decodes name's published snapshot into a new state vector.
+// Restore copies name's published snapshot into a new state vector.
 func (d *DeltaStore) Restore(name string) ([]byte, []float64, RestoreStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -229,31 +206,27 @@ func (d *DeltaStore) Restore(name string) ([]byte, []float64, RestoreStats, erro
 	if !ok {
 		return nil, nil, RestoreStats{}, fmt.Errorf("%w: %q", ErrNoCheckpoint, name)
 	}
-	state := make([]float64, s.numElems)
-	stats := d.decodeLocked(s, state)
+	state := make([]float64, len(s.state))
+	stats := d.restoreLocked(s, state)
 	d.mRestores.Inc()
 	return append([]byte(nil), s.header...), state, stats, nil
 }
 
-// RestoreFrom is the warm-restart path: the caller already holds the state
-// exactly as committed at seq haveSeq (a restarted AM reusing host memory).
-// If that is the published snapshot nothing is decoded; otherwise the whole
-// snapshot is decoded into state.
-func (d *DeltaStore) RestoreFrom(name string, state []float64, haveSeq int64) ([]byte, RestoreStats, error) {
+// RestoreFrom copies name's whole published snapshot into state, which must
+// have its length. The last argument, the seq state was last restored or
+// saved at, is not consulted: every call copies.
+func (d *DeltaStore) RestoreFrom(name string, state []float64, _ int64) ([]byte, RestoreStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s, ok := d.jobs[name]
 	if !ok {
 		return nil, RestoreStats{}, fmt.Errorf("%w: %q", ErrNoCheckpoint, name)
 	}
-	if len(state) != s.numElems {
+	if len(state) != len(s.state) {
 		return nil, RestoreStats{}, fmt.Errorf("%w: have %d elems, checkpoint %q has %d",
-			ErrStateSize, len(state), name, s.numElems)
+			ErrStateSize, len(state), name, len(s.state))
 	}
-	stats := RestoreStats{Seq: s.seq}
-	if haveSeq != s.seq {
-		stats = d.decodeLocked(s, state)
-	}
+	stats := d.restoreLocked(s, state)
 	d.mRestores.Inc()
 	return append([]byte(nil), s.header...), stats, nil
 }
@@ -270,7 +243,7 @@ func (d *DeltaStore) LastSeq(name string) (int64, bool) {
 }
 
 // Head returns a copy of the header and the state length of name's
-// published snapshot, without decoding it.
+// published snapshot, without copying the state.
 func (d *DeltaStore) Head(name string) (header []byte, numElems int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -278,5 +251,5 @@ func (d *DeltaStore) Head(name string) (header []byte, numElems int, ok bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	return append([]byte(nil), s.header...), s.numElems, true
+	return append([]byte(nil), s.header...), len(s.state), true
 }

@@ -14,7 +14,7 @@ import (
 	"github.com/elan-sys/elan/internal/racecheck"
 )
 
-// The store encodes into one of two buffers per name, from several
+// The store copies into one of two buffers per name, from several
 // goroutines, and publishes by swapping them, so a mistake shows as a
 // committed snapshot changing under a later save, torn or not, of the same
 // name or another. The tests here check it against a model that cannot
@@ -65,6 +65,19 @@ func filled(n int, v float64) []float64 {
 		out[i] = v
 	}
 	return out
+}
+
+// specialFloats are values a float image must keep bit for bit: NaNs with
+// payloads (a signalling one and a quiet one), negative zero, both
+// infinities and subnormals.
+var specialFloats = []float64{
+	math.Float64frombits(0x7ff0000000000001),
+	math.Float64frombits(0x7ff8000000000abc),
+	math.Copysign(0, -1),
+	math.Inf(1),
+	math.Inf(-1),
+	math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000fffffffffffff),
 }
 
 func sameBits(a, b []float64) bool {
@@ -131,25 +144,24 @@ func (m *storeModel) check() {
 			m.t.Fatalf("Restore(%s) at seq %d (%d bytes) differs from the committed state", name, j.seq, rs.Bytes)
 		}
 	}
-	seen := map[*byte]string{}
+	seen := map[*float64]string{}
 	for name, s := range m.d.jobs {
-		for _, b := range [][]byte{s.payload, s.spare} {
+		for _, b := range [][]float64{s.state, s.spare} {
 			if len(b) == 0 {
 				continue
 			}
 			if other, dup := seen[&b[0]]; dup {
-				m.t.Fatalf("%s and %s share a payload buffer", name, other)
+				m.t.Fatalf("%s and %s share a state buffer", name, other)
 			}
 			seen[&b[0]] = name
 		}
 	}
 }
 
-// restore restores name: cold, or warm from the head, from another commit's
-// seq or from a seq never committed. A warm restore at the head must decode
-// nothing and leave the committed state in the caller's buffer; any other
-// must overwrite every element (the buffer starts as NaN). Buffers one
-// element short or long must be refused untouched.
+// restore restores name: cold, or into a caller's buffer given the head's
+// seq, another commit's seq or a seq never committed. Every one must
+// overwrite every element (the buffer starts as NaN). Buffers one element
+// short or long must be refused untouched.
 func (m *storeModel) restore(name string, arg int) {
 	m.t.Helper()
 	j := m.jobs[name]
@@ -165,9 +177,8 @@ func (m *storeModel) restore(name string, arg int) {
 	switch arg % 4 {
 	case 0: // cold: check() restores cold after every op
 		return
-	case 1:
+	case 1: // the published seq copies too
 		have = j.seq
-		copy(warm, want)
 	case 2:
 		if m.seq > 1 {
 			if have = int64(1 + arg%int(m.seq)); have == j.seq {
@@ -179,11 +190,7 @@ func (m *storeModel) restore(name string, arg int) {
 	if err != nil {
 		m.t.Fatalf("RestoreFrom(%s, seq %d): %v", name, have, err)
 	}
-	decoded := int64(8 * len(want))
-	if have == j.seq {
-		decoded = 0
-	}
-	if rs.Seq != j.seq || rs.Bytes != decoded || !bytes.Equal(hdr, j.header) || !sameBits(warm, want) {
+	if rs.Seq != j.seq || rs.Bytes != int64(8*len(want)) || !bytes.Equal(hdr, j.header) || !sameBits(warm, want) {
 		m.t.Fatalf("RestoreFrom(%s, seq %d) = %+v, did not land on commit %d", name, have, rs, j.seq)
 	}
 	for _, n := range []int{len(want) - 1, len(want) + 1} {
@@ -206,7 +213,7 @@ func runStoreOps(t *testing.T, data []byte) {
 			name = "small"
 		}
 		j := m.jobs[name]
-		switch (op >> 1) % 6 {
+		switch (op >> 1) % 7 {
 		case 0: // sparse mutate: a few elements move
 			for k := 0; k <= arg%3; k++ {
 				j.work[(arg*7+k*13)%len(j.work)] += float64(arg%5) + 0.25
@@ -228,6 +235,11 @@ func runStoreOps(t *testing.T, data []byte) {
 			m.save(name, op, false)
 		case 5:
 			m.restore(name, arg)
+		case 6: // special values land in the state
+			for k, v := range specialFloats {
+				j.work[(arg*11+k*17)%len(j.work)] = v
+			}
+			m.save(name, op, false)
 		}
 		m.check()
 	}
@@ -235,9 +247,10 @@ func runStoreOps(t *testing.T, data []byte) {
 
 // storeOpSeeds are op sequences that reach, between them, every operation
 // and the interactions that matter: a torn save before any commit, right
-// after a commit and right before a resize; warm restores at the head, at a
-// stale and at an unknown seq on both names; resizes both ways, torn and
-// committed.
+// after a commit and right before a resize; restores into a held buffer
+// given the head's, a stale and an unknown seq on both names; resizes both
+// ways, torn and committed; NaN payloads, -0, infinities and subnormals
+// saved, then restored cold and given the head's, a stale and an unknown seq.
 var storeOpSeeds = [][]byte{
 	{4, 0, 0, 1, 2, 2, 10, 1, 8, 0, 10, 2},
 	{2, 0, 4, 3, 5, 0, 0, 5, 10, 1, 11, 2, 3, 1, 10, 3},
@@ -245,6 +258,8 @@ var storeOpSeeds = [][]byte{
 	{0, 5, 1, 5, 6, 3, 4, 1, 10, 2, 11, 3, 2, 1, 10, 0},
 	{8, 0, 4, 9, 6, 1, 6, 2, 6, 19, 10, 1, 10, 2, 11, 2},
 	{0, 0, 1, 9, 3, 20, 3, 33, 7, 8, 5, 1, 4, 2, 6, 0, 10, 6},
+	{12, 0, 10, 1, 13, 3, 11, 3, 12, 5, 10, 2, 2, 4, 4, 1, 10, 3, 11, 1},
+	{13, 9, 12, 200, 0, 1, 11, 2, 10, 3, 6, 4, 12, 7, 10, 5},
 }
 
 // TestDeltaStoreModel runs the seed sequences and a few hundred random ones
@@ -276,11 +291,11 @@ func FuzzDeltaStoreOps(f *testing.F) {
 }
 
 // storeTrace is everything observable about a store after a script: what
-// each Save returned and the payload bytes each one encoded.
+// each Save returned and the state each one copied.
 type storeTrace struct {
-	stats    []SaveStats
-	errs     []string
-	payloads [][]byte
+	stats  []SaveStats
+	errs   []string
+	states [][]float64
 }
 
 // runSaveScript saves a state big enough for the parallel passes through
@@ -299,9 +314,9 @@ func runSaveScript(t *testing.T) storeTrace {
 		tr.errs = append(tr.errs, fmt.Sprint(err))
 		s := d.jobs["job"]
 		if torn {
-			tr.payloads = append(tr.payloads, slices.Clone(s.spare)) // what the torn save encoded
+			tr.states = append(tr.states, slices.Clone(s.spare)) // what the torn save copied
 		}
-		tr.payloads = append(tr.payloads, slices.Clone(s.payload))
+		tr.states = append(tr.states, slices.Clone(s.state))
 	}
 	save(false)
 	for i := 0; i < len(state); i += 97 {
@@ -322,7 +337,7 @@ func runSaveScript(t *testing.T) storeTrace {
 
 // TestSaveParallelMatchesSerial: the worker count of a Save is computed from
 // the chunk count and GOMAXPROCS, and must show in nothing — SaveStats, the
-// error, the payload bytes, of a torn save too — whether the passes run
+// error, the copied state, of a torn save too — whether the passes run
 // inline (GOMAXPROCS 1 is the serial code) or on 2 or 8 goroutines.
 func TestSaveParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -330,9 +345,9 @@ func TestSaveParallelMatchesSerial(t *testing.T) {
 	if want := []string{"<nil>", "<nil>", `checkpoint: injected crash before publish: "job"`, "<nil>", "<nil>", "<nil>"}; !slices.Equal(serial.errs, want) {
 		t.Fatalf("script errors %q, want %q", serial.errs, want)
 	}
-	// payloads: one per save, and the torn save's spare before its published one.
-	if p := serial.payloads; !bytes.Equal(p[2], p[4]) || !bytes.Equal(p[3], p[1]) || bytes.Equal(p[2], p[3]) {
-		t.Fatal("the torn save did not encode the retried save's bytes beside an untouched published snapshot")
+	// states: one per save, and the torn save's spare before its published one.
+	if p := serial.states; !sameBits(p[2], p[4]) || !sameBits(p[3], p[1]) || sameBits(p[2], p[3]) {
+		t.Fatal("the torn save did not copy the retried save's state beside an untouched published snapshot")
 	}
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -340,17 +355,17 @@ func TestSaveParallelMatchesSerial(t *testing.T) {
 		if !slices.Equal(got.stats, serial.stats) || !slices.Equal(got.errs, serial.errs) {
 			t.Errorf("GOMAXPROCS %d: stats/errors %+v %q, serial %+v %q", procs, got.stats, got.errs, serial.stats, serial.errs)
 		}
-		if !slices.EqualFunc(got.payloads, serial.payloads, bytes.Equal) {
-			t.Errorf("GOMAXPROCS %d: payload bytes differ from serial", procs)
+		if !slices.EqualFunc(got.states, serial.states, sameBits) {
+			t.Errorf("GOMAXPROCS %d: copied states differ from serial", procs)
 		}
 	}
 }
 
 // TestSaveSteadyStateZeroAllocs guards the double buffer: once warm, a dense
 // save of two names sharing one store — every element moved, the case
-// training produces — encodes into the spare it swapped out last time, so it
+// training produces — copies into the spare it swapped out last time, so it
 // allocates under 1 KiB (its goroutines' bookkeeping), and the store holds
-// exactly two payload buffers per name.
+// exactly two state buffers per name.
 func TestSaveSteadyStateZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
@@ -382,17 +397,17 @@ func TestSaveSteadyStateZeroAllocs(t *testing.T) {
 	if perSave := (after.TotalAlloc - before.TotalAlloc) / (2 * runs); perSave >= 1024 {
 		t.Fatalf("a warmed-up dense save allocates %d bytes, want under 1 KiB", perSave)
 	}
-	buffers := map[*byte]bool{}
+	buffers := map[*float64]bool{}
 	for name, s := range d.jobs {
-		for _, b := range [][]byte{s.payload, s.spare} {
-			if len(b) != 8*len(states[name]) {
-				t.Fatalf("%s holds a buffer of %d bytes, want %d", name, len(b), 8*len(states[name]))
+		for _, b := range [][]float64{s.state, s.spare} {
+			if len(b) != len(states[name]) {
+				t.Fatalf("%s holds a buffer of %d elems, want %d", name, len(b), len(states[name]))
 			}
 			buffers[&b[0]] = true
 		}
 	}
 	if len(d.jobs) != 2 || len(buffers) != 4 {
-		t.Fatalf("%d names hold %d distinct payload buffers, want two each", len(d.jobs), len(buffers))
+		t.Fatalf("%d names hold %d distinct state buffers, want two each", len(d.jobs), len(buffers))
 	}
 }
 
@@ -403,9 +418,9 @@ type restoreTrace struct {
 	errs   []string
 }
 
-// runRestoreScript restores a state big enough for the parallel decode: cold,
-// warm from a stale seq, warm from the head, and into a buffer of the wrong
-// length.
+// runRestoreScript restores a state big enough for the parallel copy: cold,
+// into a buffer given a stale seq, given the head's seq, and into a buffer
+// of the wrong length.
 func runRestoreScript(t *testing.T) restoreTrace {
 	t.Helper()
 	d := newTestStore(8, nil)
@@ -431,7 +446,7 @@ func runRestoreScript(t *testing.T) restoreTrace {
 	record(cold, st, err)
 	_, st, err = d.RestoreFrom("job", stale, s1.Seq)
 	record(stale, st, err)
-	head := slices.Clone(state)
+	head := filled(len(state), math.NaN())
 	_, st, err = d.RestoreFrom("job", head, s2.Seq)
 	record(head, st, err)
 	for _, got := range tr.states {
@@ -446,14 +461,14 @@ func runRestoreScript(t *testing.T) restoreTrace {
 }
 
 // TestRestoreParallelMatchesSerial is TestSaveParallelMatchesSerial for the
-// other direction: the decode of a restore fans out by chunk count and
+// other direction: the copy of a restore fans out by chunk count and
 // GOMAXPROCS, and that must show in nothing — the state, RestoreStats, the
 // error.
 func TestRestoreParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := runRestoreScript(t)
-	if n := int64(8 * len(serial.states[0])); serial.stats[0].Bytes != n || serial.stats[1].Bytes != n || serial.stats[2].Bytes != 0 {
-		t.Fatalf("restore stats %+v: want cold and stale to decode %d bytes, the head none", serial.stats, n)
+	if n := int64(8 * len(serial.states[0])); serial.stats[0].Bytes != n || serial.stats[1].Bytes != n || serial.stats[2].Bytes != n {
+		t.Fatalf("restore stats %+v: want cold, stale and head each to copy %d bytes", serial.stats, n)
 	}
 	if !strings.HasPrefix(serial.errs[3], ErrStateSize.Error()) {
 		t.Fatalf("restore into a short buffer = %q", serial.errs[3])

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/elan-sys/elan/internal/telemetry"
@@ -15,7 +16,7 @@ func ramp(n int, base float64) []float64 {
 	return out
 }
 
-// newTestStore is NewDeltaStore with an encode unit of chunk elements, so
+// newTestStore is NewDeltaStore with a copy unit of chunk elements, so
 // small states split into many units.
 func newTestStore(chunk int, reg *telemetry.Registry) *DeltaStore {
 	d := NewDeltaStore(DeltaConfig{Metrics: reg})
@@ -48,9 +49,9 @@ func TestDeltaSaveRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaWarmRestoreFrom: a warm restore from the published seq decodes
-// nothing; from any other seq it decodes the whole snapshot over the
-// caller's buffer.
+// TestDeltaWarmRestoreFrom: a restore into a buffer that holds an older
+// save, the published one or anything else copies the whole snapshot over
+// it.
 func TestDeltaWarmRestoreFrom(t *testing.T) {
 	d := newTestStore(64, nil)
 	state := ramp(64*64, 0)
@@ -71,8 +72,9 @@ func TestDeltaWarmRestoreFrom(t *testing.T) {
 	if rs != (RestoreStats{Seq: s2.Seq, Bytes: 8 * int64(len(state))}) || !sameBits(warm, state) {
 		t.Fatalf("stale warm restore %+v did not land on the published snapshot", rs)
 	}
-	if _, rs, err = d.RestoreFrom("job", warm, s2.Seq); err != nil || rs != (RestoreStats{Seq: s2.Seq}) {
-		t.Fatalf("warm restore at the head = %+v, %v; want nothing decoded", rs, err)
+	warm[1] = -3
+	if _, rs, err = d.RestoreFrom("job", warm, s2.Seq); err != nil || rs != (RestoreStats{Seq: s2.Seq, Bytes: 8 * int64(len(state))}) || !sameBits(warm, state) {
+		t.Fatalf("restore at the published seq = %+v, %v; want the whole snapshot copied", rs, err)
 	}
 	cold := make([]float64, len(state))
 	if _, rs, err = d.RestoreFrom("job", cold, 9999); err != nil || rs.Bytes != 8*int64(len(state)) || !sameBits(cold, state) {
@@ -81,6 +83,41 @@ func TestDeltaWarmRestoreFrom(t *testing.T) {
 	if _, _, err := d.RestoreFrom("job", make([]float64, 3), s2.Seq); !errors.Is(err, ErrStateSize) {
 		t.Fatalf("size mismatch = %v", err)
 	}
+}
+
+// TestDeltaSpecialValuesBitExact: NaN payloads, -0, infinities and
+// subnormals come back from Restore and RestoreFrom with the bits they were
+// saved with, from a state split into several copy units.
+func TestDeltaSpecialValuesBitExact(t *testing.T) {
+	d := newTestStore(4, nil)
+	state := ramp(30, 0.5)
+	for k, v := range specialFloats {
+		state[4*k+1] = v
+	}
+	saved := append([]float64(nil), state...)
+	st, err := d.Save("job", nil, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state[1] = 0 // the store holds its own copy
+	check := func(how string, got []float64) {
+		t.Helper()
+		for i := range saved {
+			if g, w := math.Float64bits(got[i]), math.Float64bits(saved[i]); g != w {
+				t.Fatalf("%s: element %d has bits %#016x, saved %#016x", how, i, g, w)
+			}
+		}
+	}
+	_, got, _, err := d.Restore("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Restore", got)
+	into := filled(len(saved), math.NaN())
+	if _, rs, err := d.RestoreFrom("job", into, 0); err != nil || rs != (RestoreStats{Seq: st.Seq, Bytes: 8 * int64(len(saved))}) {
+		t.Fatalf("RestoreFrom = %+v, %v", rs, err)
+	}
+	check("RestoreFrom", into)
 }
 
 func TestDeltaCrashMidSaveRecoversLastCommit(t *testing.T) {

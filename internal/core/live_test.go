@@ -287,7 +287,7 @@ func TestLiveSetTotalBatchImmediate(t *testing.T) {
 }
 
 // TestLiveJobDeltaRoundTrip trains, saves, trains further, then restores —
-// warm on the job that saved, cold on a fresh job on the same store. Both
+// on the job that saved and on a fresh job on the same store. Both
 // must land bit-identical on the checkpointed state. A save right after the
 // restore shows it: the save publishes the lead arena as it is, and what
 // ds.Restore then reads, header bytes and state, must equal the checkpoint
@@ -310,7 +310,7 @@ func TestLiveJobDeltaRoundTrip(t *testing.T) {
 	}
 	cold := newLive(t, cfg)
 	if rs, err := cold.RestoreCheckpoint(); err != nil || rs.Bytes != 8*int64(len(want)) {
-		t.Fatalf("cold restore = %+v, %v; want the whole snapshot decoded", rs, err)
+		t.Fatalf("cold restore = %+v, %v; want the whole snapshot copied", rs, err)
 	}
 	for name, j := range map[string]*live{"warm": lj, "cold": cold} {
 		if _, err := j.SaveCheckpoint(); err != nil {

@@ -40,8 +40,11 @@ type Config struct {
 	// BucketElems caps the element count of each gradient bucket. Buckets
 	// are closed greedily in reverse-layer order once they reach the cap,
 	// so every bucket except possibly the last (lowest layers) holds at
-	// least BucketElems elements. 0 disables bucketing: one whole-vector
-	// bucket, no overlap, bit-identical to a whole-vector AllReduceMean.
+	// least BucketElems elements. In BackwardStep every bucket but the last
+	// is reduce-scattered inline, on the caller's goroutine, as soon as
+	// backward closes it; the last bucket's exchange reduces it and commits
+	// the optimizer update. 0 disables bucketing: one whole-vector bucket,
+	// whose one exchange reduces and commits after the whole backward.
 	BucketElems int
 }
 

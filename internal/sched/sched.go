@@ -524,18 +524,23 @@ func (s *sim) admit(queue []*simJob, running *[]*simJob) []*simJob {
 			queue = queue[1:]
 		}
 		if len(queue) > 0 {
-			headStart := s.estimateHeadStart(queue[0], *running)
-			var rest []*simJob
-			for i, j := range queue {
-				if i == 0 {
-					rest = append(rest, j)
-					continue
+			// The head's estimated start is computed at the first job that
+			// fits: no job has started before it, so it is what the
+			// estimate would have been before the loop.
+			var headStart time.Duration
+			estimated := false
+			rest := queue[:1]
+			for _, j := range queue[1:] {
+				if j.spec.ReqWorkers <= s.free {
+					if !estimated {
+						headStart, estimated = s.estimateHeadStart(queue[0], *running), true
+					}
+					if s.estimateFinish(j, j.spec.ReqWorkers) <= headStart {
+						s.startJob(j, j.spec.ReqWorkers, running)
+						continue
+					}
 				}
-				if j.spec.ReqWorkers <= s.free && s.estimateFinish(j, j.spec.ReqWorkers) <= headStart {
-					s.startJob(j, j.spec.ReqWorkers, running)
-				} else {
-					rest = append(rest, j)
-				}
+				rest = append(rest, j)
 			}
 			return rest
 		}

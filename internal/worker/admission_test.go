@@ -602,7 +602,7 @@ func runElasticScript(t *testing.T, f *Fleet, ops elasticOps) uint64 {
 
 // TestPlannedInstallsMatchSequentialSingleSource: where a joiner copies its
 // state from, and how many copy at once, must not show in the result. The
-// same elastic script — scale-out, crash and rejoin, AM crash and warm
+// same elastic script — scale-out, crash and rejoin, AM crash and
 // restore — ends bit-identical whether state moved the fleet's way or the
 // reference's.
 func TestPlannedInstallsMatchSequentialSingleSource(t *testing.T) {

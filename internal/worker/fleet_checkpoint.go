@@ -12,12 +12,12 @@ import (
 )
 
 // Fleet checkpointing (DESIGN §13): SaveCheckpoint hands the lead replica's
-// state arena to the checkpoint store, which encodes it whole and publishes
+// state arena to the checkpoint store, which copies it whole and publishes
 // it as the fleet's one snapshot. RestoreCheckpoint is the crash-recovery
-// inverse; it prefers the warm path — the fleet keeps the last committed
-// state vector in memory, so after an AM crash (RecoverAM) a restore of the
-// fleet's own last save decodes nothing, and only a snapshot published
-// since then is decoded.
+// inverse: the store copies the published snapshot straight into the first
+// live agent's arena, and the other agents replicate it from that agent.
+// The store's snapshot is the only copy of the checkpoint; the fleet keeps
+// none of its own.
 
 // fleetCkptHeader is the runtime (non-tensor) state riding in the
 // snapshot header. LR is the whole schedule, so a restore mid-ramp goes on
@@ -59,17 +59,12 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 	}
 	// The store reads the lead replica's arena in place: the agent is idle
 	// between commands while f.mu is held, so nothing writes it.
-	state := src.rep.State()
-	stats, err := f.cfg.Checkpoints.Save(ckptName, buf.Bytes(), state)
+	stats, err := f.cfg.Checkpoints.Save(ckptName, buf.Bytes(), src.rep.State())
 	if err != nil {
 		// A failed save (e.g. a crash injected before the publish) leaves
-		// the previous snapshot — and our warm copy of it — authoritative.
+		// the previous snapshot authoritative.
 		return stats, err
 	}
-	if len(f.ckptState) != len(state) {
-		f.ckptState = make([]float64, len(state))
-	}
-	checkpoint.CopyState(f.ckptState, state)
 	f.ckptSeq = stats.Seq
 	f.lifeSpan.Event("checkpoint-save")
 	f.flight.RecordEvent("fleet-ckpt", "save", f.clk.Now())
@@ -78,10 +73,8 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 
 // RestoreCheckpoint installs the last committed checkpoint into every live
 // agent and restores the runtime state. It is all or nothing: the header and
-// the state length are checked against this fleet before any agent, the
-// loader or the warm base is touched. When the warm base (the state as of
-// the fleet's own last committed save) is available and still the published
-// snapshot, nothing is decoded; otherwise the snapshot is decoded whole.
+// the state length are checked against this fleet before any agent or the
+// loader is touched.
 func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -93,21 +86,6 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	if err != nil {
 		return checkpoint.RestoreStats{}, err
 	}
-	var (
-		state = f.ckptState
-		stats checkpoint.RestoreStats
-	)
-	if state != nil {
-		_, stats, err = ds.RestoreFrom(ckptName, state, f.ckptSeq)
-	} else {
-		_, state, stats, err = ds.Restore(ckptName)
-	}
-	if err != nil {
-		return checkpoint.RestoreStats{}, err
-	}
-	f.ckptState, f.ckptSeq = state, stats.Seq
-	// The first live agent takes the restored state from host memory; the
-	// others replicate it from that agent the way joiners do.
 	var live []*Agent
 	var ids []topology.GPUID
 	for i, a := range f.agents {
@@ -118,14 +96,20 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 			}
 		}
 	}
-	if len(live) > 0 {
-		err := live[0].send(command{kind: installCmd, state: state}).err
-		if err == nil {
-			err = f.replicateLocked(live[:1], live[1:], ids, nil)
-		}
-		if err != nil {
-			return checkpoint.RestoreStats{}, fmt.Errorf("worker: install checkpoint: %w", err)
-		}
+	if len(live) == 0 {
+		return checkpoint.RestoreStats{}, fmt.Errorf("worker: no live agent to restore into")
+	}
+	// The store copies the snapshot into the first live agent's arena in
+	// place, as SaveCheckpoint reads the lead arena: the agent is idle
+	// between commands while f.mu is held. The other agents replicate from
+	// it the way joiners do.
+	_, stats, err := ds.RestoreFrom(ckptName, live[0].rep.State(), 0)
+	if err != nil {
+		return checkpoint.RestoreStats{}, err
+	}
+	f.ckptSeq = stats.Seq
+	if err := f.replicateLocked(live[:1], live[1:], ids, nil); err != nil {
+		return checkpoint.RestoreStats{}, fmt.Errorf("worker: install checkpoint: %w", err)
 	}
 	f.iter, f.lrSched = h.Iter, sched
 	_ = f.loader.SetCursor(h.Cursor) // in range: checked with the header

@@ -43,9 +43,8 @@ func exportState(t *testing.T, f *Fleet) []float64 {
 
 // TestFleetCheckpointRestoreBitIdentical trains, saves, trains on, then
 // restores: replicas, iteration and loader cursor must be exactly the
-// checkpointed ones, and the restore must use the warm path — nothing
-// decoded, since the fleet's own save is still the published snapshot. A
-// warm base older than the published snapshot decodes it once, whole.
+// checkpointed ones, and the restore copies the published snapshot once,
+// whole, whether or not the fleet saved it itself.
 func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
 	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
 	f := checkpointFleet(t, ds)
@@ -73,10 +72,8 @@ func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm restore: the fleet's cached base is the committed state, so
-	// nothing needed decoding at all.
-	if rs.Bytes != 0 {
-		t.Fatalf("warm restore decoded %d bytes, want 0: %+v", rs.Bytes, rs)
+	if rs.Seq != st.Seq || rs.Bytes != 8*int64(len(want)) {
+		t.Fatalf("restore stats = %+v; want seq %d, %d bytes copied", rs, st.Seq, 8*len(want))
 	}
 	if f.Iteration() != wantIter {
 		t.Fatalf("iteration = %d, want %d", f.Iteration(), wantIter)
@@ -94,23 +91,13 @@ func TestFleetCheckpointRestoreBitIdentical(t *testing.T) {
 		t.Fatal("replicas diverged after restore")
 	}
 
-	// A stale warm base: the snapshot is decoded whole, over it.
-	f.mu.Lock()
-	f.ckptSeq = st.Seq - 1
-	f.mu.Unlock()
-	if rs, err = f.RestoreCheckpoint(); err != nil || rs.Bytes != 8*int64(len(want)) {
-		t.Fatalf("restore from a stale base = %+v, %v; want %d bytes decoded", rs, err, 8*len(want))
-	}
-	if got := exportState(t, f); !sameBits(got, want) {
-		t.Fatal("restore from a stale base is not bit-identical to the checkpoint")
-	}
 	if _, err := f.Step(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestFleetAMCrashMidDeltaSaveRecovers is the acceptance scenario: the AM
-// dies between a save's encode and its publish. The successor incarnation
+// dies between a save's copy and its publish. The successor incarnation
 // recovers via CAS, restores the published snapshot, and lands
 // bit-identical on the last *committed* save — the torn one invisible.
 func TestFleetAMCrashMidDeltaSaveRecovers(t *testing.T) {
@@ -127,7 +114,7 @@ func TestFleetAMCrashMidDeltaSaveRecovers(t *testing.T) {
 	committed := exportState(t, f)
 	committedIter := f.Iteration()
 
-	// Train on, then crash mid-save: the encode lands, no publish.
+	// Train on, then crash mid-save: the copy lands, no publish.
 	for i := 0; i < 2; i++ {
 		if _, err := f.Step(); err != nil {
 			t.Fatal(err)
@@ -184,7 +171,6 @@ type fleetState struct {
 	iter, cursor int
 	lrBits       uint64
 	tbs          int
-	ckptState    []float64
 	ckptSeq      int64
 }
 
@@ -193,7 +179,7 @@ func readFleetState(f *Fleet) fleetState {
 	defer f.mu.Unlock()
 	s := fleetState{
 		iter: f.iter, cursor: f.loader.Cursor(), lrBits: math.Float64bits(f.lrSched.At(f.iter)),
-		tbs: f.cfg.TotalBatch, ckptState: slices.Clone(f.ckptState), ckptSeq: f.ckptSeq,
+		tbs: f.cfg.TotalBatch, ckptSeq: f.ckptSeq,
 	}
 	for _, a := range f.agents {
 		s.arenas = append(s.arenas, slices.Clone(a.rep.State()))
@@ -210,7 +196,7 @@ func sameBits(a, b []float64) bool {
 // cannot take — a cursor out of the dataset, an invalid learning-rate
 // schedule, a state of another length — over a good one. Each restore must
 // fail before anything changed: arenas, iteration, learning rate, cursor and
-// the warm base are bit for bit as before. A batch size the fleet's workers
+// the fleet's checkpoint seq are bit for bit as before. A batch size the fleet's workers
 // cannot shard is no error: the restore goes through and keeps the batch.
 func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
@@ -262,8 +248,8 @@ func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 			t.Errorf("%s: iteration, LR, cursor, batch %d %x %d %d, were %d %x %d %d", tc.name,
 				after.iter, after.lrBits, after.cursor, after.tbs, before.iter, before.lrBits, before.cursor, before.tbs)
 		}
-		if tc.refuse && (after.ckptSeq != before.ckptSeq || !sameBits(after.ckptState, before.ckptState)) {
-			t.Errorf("%s: the refused restore moved the warm base", tc.name)
+		if tc.refuse && after.ckptSeq != before.ckptSeq {
+			t.Errorf("%s: the refused restore moved the checkpoint seq", tc.name)
 		}
 	}
 }
@@ -271,7 +257,7 @@ func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 // FuzzCheckpointHeader commits arbitrary header bytes under the fleet's
 // checkpoint name, over a state of the right length, and restores. The
 // restore must not panic. It either fails and leaves the arenas, the
-// iteration, the loader cursor and the warm base as they were, or it
+// iteration, the loader cursor and the checkpoint seq as they were, or it
 // restores a header that checkpointHeaderLocked accepts: the fleet then
 // holds that header's iteration and cursor.
 func FuzzCheckpointHeader(f *testing.F) {
@@ -334,8 +320,8 @@ func FuzzCheckpointHeader(f *testing.F) {
 			if after.iter != before.iter || after.cursor != before.cursor {
 				t.Fatalf("refused restore (%v) moved iteration or cursor: %d %d, were %d %d", err, after.iter, after.cursor, before.iter, before.cursor)
 			}
-			if after.ckptSeq != before.ckptSeq || !sameBits(after.ckptState, before.ckptState) {
-				t.Fatalf("refused restore (%v) moved the warm base", err)
+			if after.ckptSeq != before.ckptSeq {
+				t.Fatalf("refused restore (%v) moved the checkpoint seq", err)
 			}
 			return
 		}

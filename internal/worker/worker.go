@@ -63,9 +63,9 @@ type command struct {
 	lr    float64
 	group *collective.Group
 	// state is what installCmd copies into the replica: a source agent's
-	// own arena, read in place while that agent sits idle between commands,
-	// or a restored checkpoint. src and link name where it comes from and
-	// over which link level, for the install span.
+	// own arena, read in place while that agent sits idle between
+	// commands. src and link name where it comes from and over which link
+	// level, for the install span.
 	state     []float64
 	src, link string
 	// tr/trace make the agent's spans remote children of the fleet span
@@ -330,10 +330,10 @@ type FleetConfig struct {
 	Bus *transport.Bus
 	// Checkpoints, when non-nil, is the checkpoint store the fleet saves
 	// training state into (SaveCheckpoint) and recovers from after a
-	// crash (RestoreCheckpoint). The fleet keeps the last committed state
-	// vector warm in memory, so a restore after an AM crash decodes
-	// nothing unless a newer snapshot was published since. Nil disables
-	// checkpointing.
+	// crash (RestoreCheckpoint). Its snapshot is the checkpoint's one
+	// copy: a save copies the lead agent's arena into it, a restore copies
+	// it into the first live agent's arena, and the fleet holds no state
+	// vector of its own. Nil disables checkpointing.
 	Checkpoints *checkpoint.DeltaStore
 	// Clock is the time source for liveness monitoring; nil selects the
 	// wall clock. When the fleet creates its own bus the bus shares this
@@ -360,10 +360,12 @@ type FleetConfig struct {
 	// is the same exchange either way. Nil labels every link "inproc", the
 	// in-process goroutine substrate.
 	Cluster *topology.Cluster
-	// BucketElems caps gradient-bucket sizes for the ddp reducer, which
-	// averages each bucket as soon as backward has finished its layers. 0
-	// keeps one whole-vector bucket — arithmetic identical to the
-	// historical AllReduceMean path.
+	// BucketElems caps gradient-bucket sizes for the ddp reducer: every
+	// bucket but the last is reduce-scattered inline, on the agent's
+	// goroutine, as soon as backward has finished its layers; the last
+	// bucket's exchange reduces it and commits the optimizer update. 0
+	// keeps one whole-vector bucket, whose one exchange reduces and
+	// commits after the whole backward.
 	BucketElems int
 	// StartInit, when set, gives a joiner's start+initialization time on
 	// Clock: RequestScaleOut calls it once per joiner, in name order under
@@ -430,11 +432,9 @@ type Fleet struct {
 	deadMu sync.Mutex
 	dead   map[string]bool
 
-	// Checkpointing: ckptState is the state vector exactly as committed
-	// at store seq ckptSeq — the warm base a post-crash restore installs
-	// without decoding while ckptSeq is still the published snapshot.
-	ckptState []float64
-	ckptSeq   int64
+	// ckptSeq is the store seq of the fleet's last committed save or
+	// restore (0 if none).
+	ckptSeq int64
 
 	// Telemetry. lifeSpan covers Start..Close; the instruments are nil-safe
 	// so an uninstrumented fleet's step path is allocation-free.
