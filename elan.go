@@ -107,7 +107,7 @@ type (
 	// DynamicEngine is the PyTorch-like eager engine.
 	DynamicEngine = engine.DynamicEngine
 	// Clock is the injectable time source used across the runtime. All
-	// timeout, backoff and liveness logic goes through a Clock, so tests
+	// timeout, backoff and retry logic goes through a Clock, so tests
 	// and simulations can run on virtual time (see NewSimClock).
 	Clock = clock.Clock
 	// SimClock is a discrete-event virtual clock implementing Clock.
@@ -253,7 +253,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return worker.NewFleet(cfg) }
 func WallClock() Clock { return clock.Wall{} }
 
 // NewSimClock returns a virtual clock starting at epoch. Inject it via
-// FleetConfig.Clock to run timeout and liveness logic
+// FleetConfig.Clock to run timeout and retry logic
 // on deterministic discrete-event time; drive it with Advance, or start
 // AutoAdvance to have it jump to each next deadline automatically.
 func NewSimClock(epoch time.Time) *SimClock { return clock.NewSim(epoch) }

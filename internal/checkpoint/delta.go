@@ -41,7 +41,7 @@ type SaveStats struct {
 	BytesWritten  int64 // state bytes published
 }
 
-// RestoreStats describes one Restore/RestoreFrom.
+// RestoreStats describes one RestoreFrom.
 type RestoreStats struct {
 	Seq   int64
 	Bytes int64 // state bytes copied: the whole state
@@ -192,29 +192,10 @@ func (d *DeltaStore) Save(name string, header []byte, state []float64) (SaveStat
 	return stats, nil
 }
 
-// restoreLocked copies s's published state into state, chunk-parallel.
-func (d *DeltaStore) restoreLocked(s *snapshot, state []float64) RestoreStats {
-	d.copyChunks(state, s.state)
-	return RestoreStats{Seq: s.seq, Bytes: 8 * int64(len(state))}
-}
-
-// Restore copies name's published snapshot into a new state vector.
-func (d *DeltaStore) Restore(name string) ([]byte, []float64, RestoreStats, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s, ok := d.jobs[name]
-	if !ok {
-		return nil, nil, RestoreStats{}, fmt.Errorf("%w: %q", ErrNoCheckpoint, name)
-	}
-	state := make([]float64, len(s.state))
-	stats := d.restoreLocked(s, state)
-	d.mRestores.Inc()
-	return append([]byte(nil), s.header...), state, stats, nil
-}
-
-// RestoreFrom copies name's whole published snapshot into state, which must
-// have its length. The last argument, the seq state was last restored or
-// saved at, is not consulted: every call copies.
+// RestoreFrom copies name's whole published snapshot into state,
+// chunk-parallel; state must have its length (Head gives it). The last
+// argument, the seq state was last restored or saved at, is not consulted:
+// every call copies.
 func (d *DeltaStore) RestoreFrom(name string, state []float64, _ int64) ([]byte, RestoreStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -226,9 +207,9 @@ func (d *DeltaStore) RestoreFrom(name string, state []float64, _ int64) ([]byte,
 		return nil, RestoreStats{}, fmt.Errorf("%w: have %d elems, checkpoint %q has %d",
 			ErrStateSize, len(state), name, len(s.state))
 	}
-	stats := d.restoreLocked(s, state)
+	d.copyChunks(state, s.state)
 	d.mRestores.Inc()
-	return append([]byte(nil), s.header...), stats, nil
+	return append([]byte(nil), s.header...), RestoreStats{Seq: s.seq, Bytes: 8 * int64(len(state))}, nil
 }
 
 // LastSeq returns the seq of name's published snapshot.

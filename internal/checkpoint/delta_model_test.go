@@ -125,7 +125,7 @@ func (m *storeModel) check() {
 	for name, j := range m.jobs {
 		seq, ok := m.d.LastSeq(name)
 		hhdr, n, hok := m.d.Head(name)
-		hdr, got, rs, err := m.d.Restore(name)
+		hdr, got, rs, err := restore(m.d, name)
 		if j.seq == 0 {
 			if ok || hok || !errors.Is(err, ErrNoCheckpoint) {
 				m.t.Fatalf("%s before any commit: LastSeq ok=%v, Head ok=%v, Restore %v", name, ok, hok, err)
@@ -442,7 +442,7 @@ func runRestoreScript(t *testing.T) restoreTrace {
 	record := func(got []float64, st RestoreStats, err error) {
 		tr.stats, tr.states, tr.errs = append(tr.stats, st), append(tr.states, got), append(tr.errs, fmt.Sprint(err))
 	}
-	_, cold, st, err := d.Restore("job")
+	_, cold, st, err := restore(d, "job")
 	record(cold, st, err)
 	_, st, err = d.RestoreFrom("job", stale, s1.Seq)
 	record(stale, st, err)

@@ -24,6 +24,14 @@ func newTestStore(chunk int, reg *telemetry.Registry) *DeltaStore {
 	return d
 }
 
+// restore reads name's published snapshot into a buffer sized by Head.
+func restore(d *DeltaStore, name string) ([]byte, []float64, RestoreStats, error) {
+	_, n, _ := d.Head(name)
+	state := make([]float64, n)
+	hdr, st, err := d.RestoreFrom(name, state, 0)
+	return hdr, state, st, err
+}
+
 func TestDeltaSaveRestoreRoundTrip(t *testing.T) {
 	d := newTestStore(64, nil)
 	state := ramp(1000, 0) // 16 units, last one partial
@@ -34,7 +42,7 @@ func TestDeltaSaveRestoreRoundTrip(t *testing.T) {
 	if st.Seq != 1 || st.ChunksTotal != 16 || st.ChunksWritten != 16 || st.BytesWritten != 8000 {
 		t.Fatalf("first save stats = %+v", st)
 	}
-	hdr, got, rs, err := d.Restore("job")
+	hdr, got, rs, err := restore(d, "job")
 	if err != nil || string(hdr) != "hdr1" {
 		t.Fatalf("restore: %q, %v", hdr, err)
 	}
@@ -108,7 +116,7 @@ func TestDeltaSpecialValuesBitExact(t *testing.T) {
 			}
 		}
 	}
-	_, got, _, err := d.Restore("job")
+	_, got, _, err := restore(d, "job")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +149,7 @@ func TestDeltaCrashMidSaveRecoversLastCommit(t *testing.T) {
 	}
 
 	// Recovery sees the previous commit, bit-identical.
-	hdr, got, _, err := d.Restore("job")
+	hdr, got, _, err := restore(d, "job")
 	if err != nil || string(hdr) != "h1" || !sameBits(got, committed) {
 		t.Fatalf("post-crash restore: %q, %v, same=%v", hdr, err, sameBits(got, committed))
 	}
@@ -150,7 +158,7 @@ func TestDeltaCrashMidSaveRecoversLastCommit(t *testing.T) {
 	if _, err := d.Save("job", []byte("h2"), state); err != nil {
 		t.Fatal(err)
 	}
-	hdr, got, _, err = d.Restore("job")
+	hdr, got, _, err = restore(d, "job")
 	if err != nil || string(hdr) != "h2" || !sameBits(got, state) {
 		t.Fatalf("post-retry restore: %q, %v, same=%v", hdr, err, sameBits(got, state))
 	}
@@ -187,7 +195,7 @@ func TestInjectCrashTearsTheNextSave(t *testing.T) {
 
 	// A resize right after a torn save.
 	tear("job", ramp(300, 1))
-	hdr, got, _, err := d.Restore("job")
+	hdr, got, _, err := restore(d, "job")
 	if err != nil || string(hdr) != "h1" || !sameBits(got, state) {
 		t.Fatalf("restore after a torn resize: %q, %d elems, %v", hdr, len(got), err)
 	}
@@ -196,7 +204,7 @@ func TestInjectCrashTearsTheNextSave(t *testing.T) {
 	if err != nil || st.Seq <= s1.Seq || st.BytesWritten != 8*300 {
 		t.Fatalf("resized save after a torn one = %+v, %v", st, err)
 	}
-	if hdr, got, _, err = d.Restore("job"); err != nil || string(hdr) != "h3" || !sameBits(got, grown) {
+	if hdr, got, _, err = restore(d, "job"); err != nil || string(hdr) != "h3" || !sameBits(got, grown) {
 		t.Fatalf("restore after the resize: %q, %d elems, %v", hdr, len(got), err)
 	}
 }
@@ -211,7 +219,7 @@ func TestDeltaModelResizeForcesFull(t *testing.T) {
 	if err != nil || st.ChunksWritten != 4 || st.BytesWritten != 8*256 {
 		t.Fatalf("resized save = %+v, %v", st, err)
 	}
-	_, got, _, err := d.Restore("job")
+	_, got, _, err := restore(d, "job")
 	if err != nil || !sameBits(got, ramp(256, 1)) {
 		t.Fatalf("restore after resize: %d elems, %v", len(got), err)
 	}
@@ -235,7 +243,7 @@ func TestDeltaTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := d.Restore("job"); err != nil {
+	if _, _, _, err := restore(d, "job"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := d.RestoreFrom("job", state, s2.Seq); err != nil {
@@ -254,9 +262,6 @@ func TestDeltaTelemetry(t *testing.T) {
 
 func TestDeltaMissingName(t *testing.T) {
 	d := NewDeltaStore(DeltaConfig{})
-	if _, _, _, err := d.Restore("nope"); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("Restore missing = %v", err)
-	}
 	if _, _, err := d.RestoreFrom("nope", nil, 0); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("RestoreFrom missing = %v", err)
 	}

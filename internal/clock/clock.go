@@ -1,10 +1,10 @@
 // Package clock is the single time substrate shared by the distributed
-// runtime (transport, coord, worker, core) and the simulator. Every layer
-// that sleeps, times out, or reads the current time does so through the
-// Clock interface, so the same coordination stack runs on wall time in a
-// deployment and on deterministic virtual time in tests and simulations —
-// the property Elan's sub-second adjustment and heartbeat-driven failure
-// detection claims depend on being able to measure trustworthily.
+// runtime (transport, worker, collective, telemetry) and the simulator.
+// Every layer that sleeps, times out, or reads the current time does so
+// through the Clock interface, so the same coordination stack runs on wall
+// time in a deployment and on deterministic virtual time in tests and
+// simulations — the property Elan's sub-second adjustment claims depend on
+// being able to measure trustworthily.
 //
 // Two implementations are provided: Wall (the real time package) and Sim
 // (a goroutine-safe discrete-event clock on virtual time, advanced manually

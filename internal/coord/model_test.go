@@ -166,7 +166,7 @@ func (w *lossyAM) restartLocked() {
 		w.t.Errorf("recover: %v", err)
 		return
 	}
-	if w.svc, err = NewService(w.am, w.bus, lossyName); err != nil {
+	if w.svc, err = NewServiceCtx(context.Background(), w.am, w.bus, lossyName); err != nil {
 		w.t.Errorf("re-serve: %v", err)
 	}
 }
@@ -202,7 +202,7 @@ func runLossyModel(t *testing.T, ops, faults []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.svc, err = NewService(am, bus, lossyName); err != nil {
+	if w.svc, err = NewServiceCtx(context.Background(), am, bus, lossyName); err != nil {
 		t.Fatal(err)
 	}
 	w.am = am

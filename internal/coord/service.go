@@ -93,15 +93,10 @@ func newService(am *AM, tr *telemetry.Recorder) (*Service, error) {
 	return &Service{am: am, tr: tr}, nil
 }
 
-// NewService registers the AM at name on the bus and starts serving. The
-// service lives until Close (or bus shutdown).
-func NewService(am *AM, bus *transport.Bus, name string) (*Service, error) {
-	return NewServiceCtx(context.Background(), am, bus, name)
-}
-
-// NewServiceCtx is NewService under a parent lifecycle context: when ctx
-// is cancelled the service deregisters from the bus, so an AM torn down by
-// its job's context stops answering automatically.
+// NewServiceCtx registers the AM at name on the bus and starts serving
+// until Close, bus shutdown or the cancellation of ctx: when ctx is
+// cancelled the service deregisters from the bus, so an AM torn down by its
+// job's context stops answering automatically.
 func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string) (*Service, error) {
 	return NewServiceWith(ctx, am, bus, name, nil)
 }

@@ -28,8 +28,8 @@ func setupService(t *testing.T, cfg transport.BusConfig) (*transport.Bus, *AM) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	if _, err := NewService(am, bus, "am"); err != nil {
-		t.Fatalf("NewService: %v", err)
+	if _, err := NewServiceCtx(context.Background(), am, bus, "am"); err != nil {
+		t.Fatalf("NewServiceCtx: %v", err)
 	}
 	return bus, am
 }
@@ -230,7 +230,7 @@ func TestLostCoordReplyAcrossAMRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(am, bus, "am")
+	svc, err := NewServiceCtx(context.Background(), am, bus, "am")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestLostCoordReplyAcrossAMRestart(t *testing.T) {
 				svc.Close()
 				am2, err := Recover("job1", st)
 				if err == nil {
-					svc, err = NewService(am2, bus, "am")
+					svc, err = NewServiceCtx(context.Background(), am2, bus, "am")
 				}
 				if err != nil {
 					t.Errorf("restart: %v", err)

@@ -182,7 +182,7 @@ func TestServiceCloseLeavesSuccessor(t *testing.T) {
 	bus := transport.NewBus(transport.DefaultBusConfig())
 	defer bus.Close()
 	st := store.New()
-	dead, err := NewService(newWireAM(t, "job", st), bus, "am")
+	dead, err := NewServiceCtx(context.Background(), newWireAM(t, "job", st), bus, "am")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestServiceCloseLeavesSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewService(am2, bus, "am"); err != nil {
+	if _, err := NewServiceCtx(context.Background(), am2, bus, "am"); err != nil {
 		t.Fatal(err)
 	}
 	dead.Close()

@@ -117,9 +117,11 @@ func (l *live) scaleOut(t *testing.T, n int) error {
 // runtime header and the state vector.
 func committed(t *testing.T, ds *checkpoint.DeltaStore) ([]byte, []float64) {
 	t.Helper()
-	h, state, _, err := ds.Restore("fleet")
+	_, n, _ := ds.Head("fleet")
+	state := make([]float64, n)
+	h, _, err := ds.RestoreFrom("fleet", state, 0)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("RestoreFrom: %v", err)
 	}
 	return h, state
 }

@@ -478,17 +478,28 @@ func TestSpotScenario(t *testing.T) {
 	}
 }
 
-// csvRows returns a table's data rows; none of the tables read here quote
-// a cell.
-func csvRows(t *testing.T, tab *metrics.Table) [][]string {
+// tableRows returns a table's data rows, cut out of its rendering at the
+// column offsets its dashed separator line gives.
+func tableRows(t *testing.T, tab *metrics.Table) [][]string {
 	t.Helper()
-	var b strings.Builder
-	if err := tab.RenderCSV(&b); err != nil {
-		t.Fatalf("RenderCSV: %v", err)
+	lines := strings.Split(strings.TrimRight(tab.String(), "\n"), "\n")
+	if tab.Title != "" {
+		lines = lines[1:]
 	}
+	widths := strings.Fields(lines[1])
 	var rows [][]string
-	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n")[1:] {
-		rows = append(rows, strings.Split(line, ","))
+	for _, line := range lines[2:] {
+		row := make([]string, len(widths))
+		at := 0
+		for i, w := range widths {
+			end := min(at+len(w), len(line))
+			if i == len(widths)-1 {
+				end = len(line)
+			}
+			row[i] = strings.TrimSpace(line[at:end])
+			at = min(end+2, len(line))
+		}
+		rows = append(rows, row)
 	}
 	return rows
 }
@@ -501,7 +512,7 @@ func TestSchedulerElanPauseIsFig15Pause(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig15: %v", err)
 	}
-	rows := csvRows(t, tab)
+	rows := tableRows(t, tab)
 	i := 0
 	for _, m := range models.Zoo() {
 		for _, cse := range Fig15Cases() {
@@ -511,8 +522,8 @@ func TestSchedulerElanPauseIsFig15Pause(t *testing.T) {
 			}
 			want := metrics.NewTable("", "Elan")
 			want.AddRow(metrics.Summarize(samples))
-			if got := rows[i][2]; got != csvRows(t, want)[0][0] {
-				t.Errorf("%s %v: Fig 15 Elan %q, scheduler %q", m.Letter, cse, got, csvRows(t, want)[0][0])
+			if got := rows[i][2]; got != tableRows(t, want)[0][0] {
+				t.Errorf("%s %v: Fig 15 Elan %q, scheduler %q", m.Letter, cse, got, tableRows(t, want)[0][0])
 			}
 			i++
 		}
@@ -530,7 +541,7 @@ func TestFig11RowsAreSRMeans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Adjust: %v", err)
 	}
-	rows := csvRows(t, tab)
+	rows := tableRows(t, tab)
 	if len(rows) != len(rep.Breakdown)+1 {
 		t.Fatalf("%d rows for %d phases", len(rows), len(rep.Breakdown))
 	}

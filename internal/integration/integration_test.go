@@ -231,9 +231,11 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := job.SaveCheckpoint(); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
-	raw, state, _, err := ckpt.Restore("fleet")
+	_, n, _ := ckpt.Head("fleet")
+	state := make([]float64, n)
+	raw, _, err := ckpt.RestoreFrom("fleet", state, 0)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("RestoreFrom: %v", err)
 	}
 	// The fleet's checkpoint header, field for field.
 	type header struct {

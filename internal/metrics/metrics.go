@@ -299,47 +299,3 @@ func PlotASCII(w io.Writer, title string, width, height int, series ...*Series) 
 		fmt.Fprintf(w, "  %c = %s\n", markers[si%len(markers)], s.Name)
 	}
 }
-
-// RenderCSV writes the table as CSV (RFC-4180 quoting for cells containing
-// commas or quotes), so figure data can be re-plotted with external tools.
-func (t *Table) RenderCSV(w io.Writer) error {
-	writeRecord := func(cells []string) error {
-		for i, cell := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				cell = "\"" + strings.ReplaceAll(cell, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, cell); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRecord(t.headers); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := writeRecord(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSV renders the series as two-column CSV with the given column names.
-func (s *Series) CSV(w io.Writer, xName, yName string) error {
-	if _, err := fmt.Fprintf(w, "%s,%s\n", xName, yName); err != nil {
-		return err
-	}
-	for i := range s.X {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", s.X[i], s.Y[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

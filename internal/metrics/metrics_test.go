@@ -195,34 +195,6 @@ func TestTrimFloat(t *testing.T) {
 	}
 }
 
-func TestTableRenderCSV(t *testing.T) {
-	tb := NewTable("demo", "model", "note")
-	tb.AddRow("ResNet-50", `has "quotes", and commas`)
-	var b strings.Builder
-	if err := tb.RenderCSV(&b); err != nil {
-		t.Fatalf("RenderCSV: %v", err)
-	}
-	out := b.String()
-	want := "model,note\nResNet-50,\"has \"\"quotes\"\", and commas\"\n"
-	if out != want {
-		t.Fatalf("CSV = %q, want %q", out, want)
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	var s Series
-	s.Add(1, 2.5)
-	s.Add(3, 4)
-	var b strings.Builder
-	if err := s.CSV(&b, "workers", "throughput"); err != nil {
-		t.Fatalf("CSV: %v", err)
-	}
-	want := "workers,throughput\n1,2.5\n3,4\n"
-	if b.String() != want {
-		t.Fatalf("CSV = %q", b.String())
-	}
-}
-
 func TestQuantilesEmptyAndSingle(t *testing.T) {
 	if q := QuantilesOf(nil); q != (Quantiles{}) {
 		t.Fatalf("empty quantiles = %+v", q)

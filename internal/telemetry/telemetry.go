@@ -10,7 +10,7 @@
 //   - Clock injection. A Recorder reads time exclusively from an injected
 //     clock.Clock, so runs under a clock.Sim produce exact virtual
 //     timestamps and traces become assertable test fixtures (the same
-//     discipline PR 1 established for timeouts and heartbeats).
+//     discipline the transport's timeouts and resends follow).
 //   - A free disabled path. Tracing off is a nil *Recorder, whose spans
 //     are nil, and unconfigured instruments are nil; every Span and
 //     instrument method is safe on a nil receiver and performs no

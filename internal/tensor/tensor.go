@@ -693,15 +693,6 @@ func (m *Matrix) SoftmaxRows() {
 	}
 }
 
-// Norm returns the Frobenius norm.
-func (m *Matrix) Norm() float64 {
-	var ss float64
-	for _, v := range m.Data {
-		ss += v * v
-	}
-	return math.Sqrt(ss)
-}
-
 // HasNaN reports whether any element is NaN or infinite.
 func (m *Matrix) HasNaN() bool {
 	for _, v := range m.Data {

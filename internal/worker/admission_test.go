@@ -527,7 +527,9 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 		restore: func() {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			hdrB, state, _, err := ckpt.Restore(ckptName)
+			_, n, _ := ckpt.Head(ckptName)
+			state := make([]float64, n)
+			hdrB, _, err := ckpt.RestoreFrom(ckptName, state, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -600,11 +602,15 @@ func runElasticScript(t *testing.T, f *Fleet, ops elasticOps) uint64 {
 	return h.Sum64()
 }
 
+// fixedScriptHash is the state hash the fixed elastic script ends on. A
+// change that moves the trained bits re-pins it and says so.
+const fixedScriptHash = 0xcb20d2093af10035
+
 // TestPlannedInstallsMatchSequentialSingleSource: where a joiner copies its
 // state from, and how many copy at once, must not show in the result. The
 // same elastic script — scale-out, crash and rejoin, AM crash and
 // restore — ends bit-identical whether state moved the fleet's way or the
-// reference's.
+// reference's, and on fixedScriptHash.
 func TestPlannedInstallsMatchSequentialSingleSource(t *testing.T) {
 	guardGoroutines(t)
 	ckpt := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
@@ -616,5 +622,8 @@ func TestPlannedInstallsMatchSequentialSingleSource(t *testing.T) {
 	want := runElasticScript(t, ref, referenceOps(t, ref, refCkpt))
 	if got != want {
 		t.Fatalf("final state hash %x, the sequential single-source reference ends at %x", got, want)
+	}
+	if got != fixedScriptHash {
+		t.Fatalf("final state hash %x, pinned at %x", got, uint64(fixedScriptHash))
 	}
 }

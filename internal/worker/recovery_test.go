@@ -85,11 +85,77 @@ func TestCrashedWorkerRejoins(t *testing.T) {
 	if !f.ReplicasConsistent() {
 		t.Fatal("rejoined replica diverged")
 	}
-	// The rejoined worker is no longer listed dead.
-	for _, w := range f.DeadWorkers() {
-		if w == "agent-2" {
-			t.Fatal("rejoined worker still listed dead")
+}
+
+// TestCrashBeforeElasticEventKeepsBatchDivisible: a crash that lands before
+// an elastic event — before its request, or between the request and the
+// Step that applies it — never leaves a worker count that does not divide
+// the total batch, and a scale-in whose agent crashed first is done.
+func TestCrashBeforeElasticEventKeepsBatchDivisible(t *testing.T) {
+	crash := func(t *testing.T, f *Fleet, names ...string) {
+		t.Helper()
+		for _, name := range names {
+			if err := f.CrashWorker(name); err != nil {
+				t.Fatalf("CrashWorker: %v", err)
+			}
 		}
+	}
+	cases := []struct {
+		name         string
+		workers, tbs int
+		// before makes the request and the crashes.
+		before func(t *testing.T, f *Fleet)
+		// refused says the first Step, the one that applies the request,
+		// refuses it.
+		refused bool
+		want    int
+	}{
+		{"crash then scale-out", 4, 24, func(t *testing.T, f *Fleet) {
+			crash(t, f, "agent-1")
+			if err := f.RequestScaleOut(2); err == nil { // 3 live + 2
+				t.Fatal("scale-out to 5 workers accepted")
+			}
+		}, false, 3},
+		{"scale-out then crash", 4, 24, func(t *testing.T, f *Fleet) {
+			if err := f.RequestScaleOut(2); err != nil {
+				t.Fatalf("RequestScaleOut: %v", err)
+			}
+			waitReady(t, f) // the Step that sweeps the crashed agent admits
+			crash(t, f, "agent-1")
+		}, true, 3},
+		{"scale-in then crash of its agent", 4, 24, func(t *testing.T, f *Fleet) {
+			if err := f.RequestScaleIn(1); err != nil { // names agent-3
+				t.Fatalf("RequestScaleIn: %v", err)
+			}
+			crash(t, f, "agent-3")
+		}, false, 3},
+		{"scale-in then crash of others", 10, 40, func(t *testing.T, f *Fleet) {
+			if err := f.RequestScaleIn(2); err != nil { // names agent-8 and agent-9
+				t.Fatalf("RequestScaleIn: %v", err)
+			}
+			crash(t, f, "agent-0", "agent-1", "agent-2", "agent-3", "agent-4") // 5 live - 2
+		}, true, 5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := fleet(t, c.workers, c.tbs, nil)
+			c.before(t, f)
+			for i := 0; i < 3; i++ {
+				_, err := f.Step()
+				if tbs, n := f.TotalBatch(), f.NumWorkers(); tbs%n != 0 {
+					t.Fatalf("after Step %d: %d workers for a total batch of %d", i, n, tbs)
+				}
+				if refuse := i == 0 && c.refused; refuse != (err != nil) {
+					t.Fatalf("Step %d = %v, want refused %v", i, err, refuse)
+				}
+			}
+			if n := f.NumWorkers(); n != c.want {
+				t.Fatalf("NumWorkers = %d, want %d", n, c.want)
+			}
+			if !f.ReplicasConsistent() {
+				t.Fatal("replicas diverged")
+			}
+		})
 	}
 }
 

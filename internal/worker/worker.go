@@ -42,15 +42,8 @@ import (
 	"github.com/elan-sys/elan/internal/transport"
 )
 
-const (
-	// heartbeatTTL is how long an agent may go without completing a step
-	// before the liveness monitor reports it dead.
-	heartbeatTTL = 500 * time.Millisecond
-	// monitorInterval is how often the liveness monitor checks.
-	monitorInterval = 50 * time.Millisecond
-	// ckptName is the name the fleet checkpoints under.
-	ckptName = "fleet"
-)
+// ckptName is the name the fleet checkpoints under.
+const ckptName = "fleet"
 
 // command is one mailbox message to an agent.
 type command struct {
@@ -335,17 +328,16 @@ type FleetConfig struct {
 	// it into the first live agent's arena, and the fleet holds no state
 	// vector of its own. Nil disables checkpointing.
 	Checkpoints *checkpoint.DeltaStore
-	// Clock is the time source for liveness monitoring; nil selects the
-	// wall clock. When the fleet creates its own bus the bus shares this
-	// clock.
+	// Clock is the fleet's time source: step latency, joiners' start-up
+	// timers and report retries run on it. Nil selects the wall clock. When
+	// the fleet creates its own bus the bus shares this clock.
 	Clock clock.Clock
 	// Tracer records fleet lifecycle, per-step and adjustment spans; nil
 	// disables tracing at zero cost. A fleet-created bus shares it.
 	Tracer *telemetry.Recorder
 	// Metrics receives the fleet's counters and histograms (steps, step
-	// latency, adjustments, dead-worker detections); nil disables them. A
-	// fleet-created bus, the heartbeat monitor and Tracer's dropped-span
-	// counter share it.
+	// latency, adjustments, crashes and recoveries); nil disables them. A
+	// fleet-created bus and Tracer's dropped-span counter share it.
 	Metrics *telemetry.Registry
 	// Flight is the always-on black box: when set (and attached to Tracer
 	// when that is non-nil), recent spans keep rolling through the ring and
@@ -416,21 +408,15 @@ type Fleet struct {
 	// scaling rule's ramp after a batch change, a constant otherwise.
 	lrSched *scaling.LRSchedule
 
-	// Lifecycle. ctx bounds every goroutine the fleet owns (report
-	// clients, the liveness monitor); Close cancels it and waits for wg,
-	// so after Close no fleet goroutine survives.
+	// Lifecycle. ctx bounds every goroutine the fleet owns (the joiners'
+	// bring-up and report clients); Close cancels it and waits for wg, so
+	// after Close no fleet goroutine survives.
 	ctx     context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	ownsBus bool
 	started bool
 	closed  bool
-
-	// Liveness: agents beat on every completed step; the monitor records
-	// the ones whose beats lapse.
-	hb     *coord.HeartbeatMonitor
-	deadMu sync.Mutex
-	dead   map[string]bool
 
 	// ckptSeq is the store seq of the fleet's last committed save or
 	// restore (0 if none).
@@ -444,7 +430,6 @@ type Fleet struct {
 	mSteps         *telemetry.Counter
 	mStepSeconds   *telemetry.Histogram
 	mAdjustments   *telemetry.Counter
-	mDeadDetected  *telemetry.Counter
 	mWorkerCrashes *telemetry.Counter
 	mWorkerRejoins *telemetry.Counter
 	mAMCrashes     *telemetry.Counter
@@ -473,9 +458,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("worker: non-positive worker count")
 	}
-	if cfg.TotalBatch <= 0 || cfg.TotalBatch%cfg.Workers != 0 {
-		return nil, fmt.Errorf("worker: total batch %d not divisible by %d workers",
-			cfg.TotalBatch, cfg.Workers)
+	if err := checkBatch(cfg.TotalBatch, cfg.Workers); err != nil {
+		return nil, err
 	}
 	if n := len(cfg.LayerSizes); n < 2 || cfg.LayerSizes[0] != cfg.Dataset.Features ||
 		cfg.LayerSizes[n-1] != cfg.Dataset.Classes {
@@ -526,12 +510,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cancel()
 		return nil, err
 	}
-	hb, err := coord.NewHeartbeatMonitor(cfg.Clock)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	hb.Instrument(cfg.Metrics)
 	f := &Fleet{
 		cfg:            cfg,
 		clk:            cfg.Clock,
@@ -546,14 +524,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		ctx:            ctx,
 		cancel:         cancel,
 		ownsBus:        ownsBus,
-		hb:             hb,
-		dead:           make(map[string]bool),
 		tr:             cfg.Tracer,
 		flight:         cfg.Flight,
 		mSteps:         cfg.Metrics.Counter("worker_steps_total"),
 		mStepSeconds:   cfg.Metrics.Histogram("worker_step_seconds"),
 		mAdjustments:   cfg.Metrics.Counter("worker_adjustments_total"),
-		mDeadDetected:  cfg.Metrics.Counter("worker_dead_detected_total"),
 		mWorkerCrashes: cfg.Metrics.Counter("worker_crashes_total"),
 		mWorkerRejoins: cfg.Metrics.Counter("worker_rejoins_total"),
 		mAMCrashes:     cfg.Metrics.Counter("worker_am_crashes_total"),
@@ -578,16 +553,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, err
 		}
 		f.agents = append(f.agents, a)
-		f.hb.Beat(a.Name)
 	}
 	return f, nil
 }
 
-// Start ties the fleet's lifetime to ctx — when ctx is cancelled the fleet
-// closes — and launches the liveness monitor: agents heartbeat on every
-// completed step, and agents whose beats lapse past heartbeatTTL are
-// recorded (DeadWorkers) for the scheduler to replace, the failure-
-// mitigation loop of Section VII. Start may be called at most once.
+// Start opens the fleet's lifecycle span and ties the fleet's lifetime to
+// ctx: when ctx is cancelled the fleet closes. It starts no goroutine — a
+// crashed agent is noticed by the next Step's sweep. Start may be called at
+// most once.
 func (f *Fleet) Start(ctx context.Context) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -605,56 +578,7 @@ func (f *Fleet) Start(ctx context.Context) error {
 	if ctx != nil && ctx.Done() != nil {
 		context.AfterFunc(ctx, f.Close)
 	}
-	f.wg.Add(1)
-	go f.monitorLoop()
 	return nil
-}
-
-// monitorLoop periodically sweeps the heartbeat monitor on the fleet's
-// clock. It exits when Close cancels the fleet context.
-func (f *Fleet) monitorLoop() {
-	defer f.wg.Done()
-	tick := f.clk.NewTicker(monitorInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-f.ctx.Done():
-			return
-		case <-tick.C():
-			expired := f.hb.Expired(heartbeatTTL)
-			if len(expired) == 0 {
-				continue
-			}
-			newDead := 0
-			f.deadMu.Lock()
-			for _, w := range expired {
-				if !f.dead[w] {
-					newDead++
-				}
-				f.dead[w] = true
-			}
-			f.deadMu.Unlock()
-			if newDead > 0 {
-				f.mDeadDetected.Add(int64(newDead))
-				// Everyone else who writes the lifecycle span holds f.mu.
-				f.mu.Lock()
-				f.lifeSpan.Event("dead-worker-detected")
-				f.mu.Unlock()
-			}
-		}
-	}
-}
-
-// DeadWorkers returns the agents the liveness monitor has declared dead
-// (sorted insertion is not guaranteed; callers sort if needed).
-func (f *Fleet) DeadWorkers() []string {
-	f.deadMu.Lock()
-	defer f.deadMu.Unlock()
-	out := make([]string, 0, len(f.dead))
-	for w := range f.dead {
-		out = append(out, w)
-	}
-	return out
 }
 
 // nextName returns the next fresh agent name.
@@ -744,6 +668,15 @@ func (f *Fleet) retire(a *Agent) {
 	f.parkLocked(a)
 }
 
+// checkBatch refuses a worker count that does not split the total batch
+// tbs evenly: every rank trains tbs/n samples a step.
+func checkBatch(tbs, n int) error {
+	if tbs <= 0 || n <= 0 || tbs%n != 0 {
+		return fmt.Errorf("worker: total batch %d not divisible by %d workers", tbs, n)
+	}
+	return nil
+}
+
 // NumWorkers returns the active agent count.
 func (f *Fleet) NumWorkers() int {
 	f.mu.Lock()
@@ -763,16 +696,19 @@ func (f *Fleet) Iteration() int {
 // spare rig, or on one it has to build first — while the fleet keeps
 // training, and reports to the AM when it is up. The adjustment is applied
 // by a later Step's coordination, exactly as the paper's mechanism
-// prescribes.
+// prescribes. Crashed agents are swept first, so the grown count the total
+// batch must divide is counted from live agents.
 func (f *Fleet) RequestScaleOut(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("worker: scale out by %d", n)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.cfg.TotalBatch%(len(f.agents)+n) != 0 {
-		return fmt.Errorf("worker: total batch %d not divisible by %d workers",
-			f.cfg.TotalBatch, len(f.agents)+n)
+	if err := f.sweepDeadLocked(); err != nil {
+		return err
+	}
+	if err := checkBatch(f.cfg.TotalBatch, len(f.agents)+n); err != nil {
+		return err
 	}
 	// The request span roots the adjustment's cross-process trace: the
 	// transport call, the AM's service spans, each new agent's report, and
@@ -859,16 +795,20 @@ func (f *Fleet) bringUp(name string, j *joiner, r *rig, startInit clock.Timer, r
 	}
 }
 
-// RequestScaleIn registers a scale-in of the last n agents.
+// RequestScaleIn registers a scale-in of the last n agents, after sweeping
+// out crashed ones: a scale-in never names a dead agent, and the shrunk
+// count the total batch must divide is counted from live ones.
 func (f *Fleet) RequestScaleIn(n int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.sweepDeadLocked(); err != nil {
+		return err
+	}
 	if n <= 0 || n >= len(f.agents) {
 		return fmt.Errorf("worker: scale in by %d of %d", n, len(f.agents))
 	}
-	if f.cfg.TotalBatch%(len(f.agents)-n) != 0 {
-		return fmt.Errorf("worker: total batch %d not divisible by %d workers",
-			f.cfg.TotalBatch, len(f.agents)-n)
+	if err := checkBatch(f.cfg.TotalBatch, len(f.agents)-n); err != nil {
+		return err
 	}
 	names := make([]string, 0, n)
 	for _, a := range f.agents[len(f.agents)-n:] {
@@ -980,11 +920,6 @@ func (f *Fleet) Step() (float64, error) {
 			return 0, r.err
 		}
 		loss += r.loss
-	}
-	// Every agent that completed the iteration is alive: piggyback the
-	// heartbeat on the step, as the paper's workers do on coordination.
-	for _, a := range f.agents {
-		f.hb.Beat(a.Name)
 	}
 	f.iter++
 	f.mSteps.Inc()
@@ -1104,21 +1039,22 @@ func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) err
 		}
 		return err
 	case coord.ScaleIn:
-		leaving := make(map[string]bool, len(adj.Remove))
-		for _, name := range adj.Remove {
-			leaving[name] = true
-		}
-		var stay []*Agent
+		var stay, leave []*Agent
 		for _, a := range f.agents {
-			if leaving[a.Name] {
-				f.retire(a)
-				f.hb.Forget(a.Name) // left deliberately, not dead
+			if slices.Contains(adj.Remove, a.Name) {
+				leave = append(leave, a)
 			} else {
 				stay = append(stay, a)
 			}
 		}
-		if len(stay) == len(f.agents) {
-			return fmt.Errorf("worker: scale-in removed no agents")
+		if len(leave) == 0 {
+			return nil // every agent it names crashed and was swept already
+		}
+		if err := checkBatch(f.cfg.TotalBatch, len(stay)); err != nil {
+			return err
+		}
+		for _, a := range leave {
+			f.retire(a)
 		}
 		oldN := len(f.agents)
 		f.agents = stay
@@ -1134,11 +1070,16 @@ func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) err
 // admitLocked folds joiners into the fleet, all or nothing: the grown
 // fleet's placement is reserved first, every joiner then installs the state
 // of the source the replication plan gives it, and only when all of them
-// hold it do the loader partition, the group and the agent list change. On
-// error the fleet is as it was — same agents, group and reservation — and
-// the caller disposes of the joiners.
+// hold it do the loader partition, the group and the agent list change. A
+// grown count that does not divide the total batch is refused up front (a
+// crash since the request may have shrunk the fleet). On error the fleet is
+// as it was — same agents, group and reservation — and the caller disposes
+// of the joiners.
 func (f *Fleet) admitLocked(joiners []*Agent, parent *telemetry.Span) error {
 	oldN, newN := len(f.agents), len(f.agents)+len(joiners)
+	if err := checkBatch(f.cfg.TotalBatch, newN); err != nil {
+		return err
+	}
 	p, err := f.placeLocked(newN)
 	if err != nil {
 		return err
@@ -1213,9 +1154,8 @@ func (f *Fleet) sweepDeadLocked() error {
 	if len(live) == 0 {
 		return fmt.Errorf("worker: all agents crashed")
 	}
-	if f.cfg.TotalBatch%len(live) != 0 {
-		return fmt.Errorf("worker: total batch %d not divisible by %d surviving workers",
-			f.cfg.TotalBatch, len(live))
+	if err := checkBatch(f.cfg.TotalBatch, len(live)); err != nil {
+		return err
 	}
 	oldN := len(f.agents)
 	f.agents = live
@@ -1259,9 +1199,8 @@ func (f *Fleet) CrashWorker(name string) error {
 }
 
 // RejoinWorker restarts a previously crashed worker under its old name: a
-// fresh agent process re-registers on the bus under that name, receives the
-// current replica state from a surviving agent, and is folded back into the
-// group.
+// fresh agent starts under that name, receives the current replica state
+// from a surviving agent, and is folded back into the group.
 func (f *Fleet) RejoinWorker(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1276,28 +1215,17 @@ func (f *Fleet) RejoinWorker(name string) error {
 	if _, ok := f.spawned[name]; ok {
 		return fmt.Errorf("worker: %q is awaiting admission", name)
 	}
-	if f.cfg.TotalBatch%(len(f.agents)+1) != 0 {
-		return fmt.Errorf("worker: total batch %d not divisible by %d workers",
-			f.cfg.TotalBatch, len(f.agents)+1)
+	if err := checkBatch(f.cfg.TotalBatch, len(f.agents)+1); err != nil {
+		return err
 	}
 	a, err := f.startAgent(name, true)
 	if err != nil {
 		return err
 	}
-	// The restarted process announces itself over the bus under the old
-	// name. The AM state probe is advisory — rejoin proceeds even if the AM
-	// is down right now.
-	if cl, err := coord.NewClientCtx(f.ctx, f.cfg.Bus, name, "fleet-am"); err == nil {
-		_, _ = cl.AMState()
-	}
 	if err := f.admitLocked([]*Agent{a}, nil); err != nil {
 		f.retire(a)
 		return err
 	}
-	f.deadMu.Lock()
-	delete(f.dead, name)
-	f.deadMu.Unlock()
-	f.hb.Beat(name)
 	f.mWorkerRejoins.Inc()
 	f.lifeSpan.Event("worker-rejoin")
 	return nil
@@ -1365,12 +1293,16 @@ func (f *Fleet) AMDown() bool {
 // learning rate with it, from the current rate (mid-ramp included) to k
 // times that: linearly over rampIters iterations when progressive is true
 // (the progressive linear scaling rule), at once otherwise. The new batch
-// must be divisible by the current worker count.
+// must be divisible by the live worker count: crashed agents are swept
+// first.
 func (f *Fleet) SetTotalBatch(tbs, rampIters int, progressive bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if tbs <= 0 || tbs%len(f.agents) != 0 {
-		return fmt.Errorf("worker: total batch %d not divisible by %d workers", tbs, len(f.agents))
+	if err := f.sweepDeadLocked(); err != nil {
+		return err
+	}
+	if err := checkBatch(tbs, len(f.agents)); err != nil {
+		return err
 	}
 	k := float64(tbs) / float64(f.cfg.TotalBatch)
 	lr0 := f.lrSched.At(f.iter)
@@ -1468,10 +1400,10 @@ func (f *Fleet) ReplicasConsistent() bool {
 	return true
 }
 
-// Close stops all agents (including spawned-but-unadmitted ones), the
-// liveness monitor and any in-flight report goroutines, then waits for all
-// of them to exit — after Close returns the fleet owns no goroutines. A
-// fleet-created bus is closed too; an injected bus is left to its owner.
+// Close stops all agents (including spawned-but-unadmitted ones) and any
+// in-flight bring-up goroutines, then waits for all of them to exit —
+// after Close returns the fleet owns no goroutines. A fleet-created bus is
+// closed too; an injected bus is left to its owner.
 // Close is idempotent and safe to call concurrently with ctx cancellation.
 func (f *Fleet) Close() {
 	f.mu.Lock()
@@ -1480,7 +1412,7 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
-	// Cancel first so report clients and the monitor unblock.
+	// Cancel first so the joiners' goroutines unblock.
 	f.cancel()
 	var names []string
 	for _, a := range f.agents {
@@ -1512,7 +1444,6 @@ func (f *Fleet) Close() {
 	for _, name := range names {
 		f.cfg.Bus.Remove(name)
 	}
-	// The monitor has exited; the lifecycle span is single-owner again.
 	f.lifeSpan.Event("stop")
 	f.lifeSpan.End()
 	if f.ownsBus {

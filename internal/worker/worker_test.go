@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -255,12 +254,12 @@ func TestFleetStartLifecycle(t *testing.T) {
 	f.Close() // idempotent
 }
 
-func TestFleetLivenessDetectsSilentWorkers(t *testing.T) {
+// TestStartedFleetLeavesClockIdle: a started fleet arms nothing on its clock
+// of its own — no ticker, no timer — so on a clock.Sim nothing is pending
+// after Start or after any Step.
+func TestStartedFleetLeavesClockIdle(t *testing.T) {
 	guardGoroutines(t)
-	// Everything — bus, heartbeats, monitor ticker — runs on one sim clock;
-	// the default 500ms TTL expires in microseconds of wall time.
 	sim := clock.NewSim(time.Unix(0, 0))
-	t.Cleanup(sim.AutoAdvance(0))
 	f, err := NewFleet(FleetConfig{
 		Dataset:    dataset(t, 256),
 		LayerSizes: []int{4, 8, 3},
@@ -277,22 +276,16 @@ func TestFleetLivenessDetectsSilentWorkers(t *testing.T) {
 	if err := f.Start(context.Background()); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if got := f.DeadWorkers(); len(got) != 0 {
-		t.Fatalf("fresh fleet has dead workers: %v", got)
+	if n := sim.Pending(); n != 0 {
+		t.Fatalf("%d waiters pending on the clock after Start, want 0", n)
 	}
-	// No Steps happen, so no heartbeats: the monitor must declare every
-	// agent dead once virtual time passes the TTL.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(f.DeadWorkers()) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("monitor never flagged silent workers; dead = %v", f.DeadWorkers())
+	for i := 0; i < 3; i++ {
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step %d: %v", i, err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	dead := f.DeadWorkers()
-	sort.Strings(dead)
-	if dead[0] != "agent-0" || dead[1] != "agent-1" {
-		t.Fatalf("dead = %v, want [agent-0 agent-1]", dead)
+		if n := sim.Pending(); n != 0 {
+			t.Fatalf("%d waiters pending on the clock after Step %d, want 0", n, i)
+		}
 	}
 }
 
