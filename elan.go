@@ -276,8 +276,9 @@ func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 }
 
 // NewFlightRecorder pre-allocates a flight ring of the given capacity
-// (<= 0 selects the default). Recording into it never allocates; dump it
-// with its DumpNow/LastDump and render dumps with WriteFlightDump.
+// (<= 0 selects the default) and its dump image. Recording into it and
+// DumpNow never allocate; LastDump reads the last dump back, and
+// WriteFlightDump renders it.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	return telemetry.NewFlightRecorder(capacity)
 }

@@ -51,6 +51,29 @@ func BenchmarkNopStepPath(b *testing.B) {
 	}
 }
 
+// BenchmarkFlightDumpNow prices a crash dump of a default-sized ring with
+// 0, 64 and a whole ring of records written since the previous dump; run
+// with -benchmem to see 0 allocs/op. Between dumps the ring's cursor is
+// moved as that many records would move it, so the timer sees only the
+// dump's copy of the slots they would have written.
+func BenchmarkFlightDumpNow(b *testing.B) {
+	for _, fresh := range []int{0, 64, DefaultFlightCapacity} {
+		b.Run(fmt.Sprintf("records=%d", fresh), func(b *testing.B) {
+			f := NewFlightRecorder(DefaultFlightCapacity)
+			for i := 0; i < f.Capacity(); i++ {
+				f.RecordEvent("fleet-lead", "step", epoch)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.next = (f.next + fresh) % len(f.buf)
+				f.total += uint64(fresh)
+				f.DumpNow("worker-crash agent-1")
+			}
+		})
+	}
+}
+
 // BenchmarkLiveStepPath is the comparison point: the same sequence against
 // a live recorder and registry, bare and with the flight ring attached,
 // which every span End then also feeds.

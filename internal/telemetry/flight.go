@@ -8,8 +8,8 @@ import (
 )
 
 // DefaultFlightCapacity is the ring size a zero capacity selects: enough to
-// hold the last few hundred steps of a small fleet without mattering for
-// memory (~half a megabyte).
+// hold the last few hundred steps of a small fleet. A FlightRecord is 248
+// bytes, so the ring takes about 1 MB, and with its dump image about 2 MB.
 const DefaultFlightCapacity = 4096
 
 // flightAttrCap bounds how many attributes one flight record keeps. The
@@ -47,18 +47,27 @@ type FlightRecorder struct {
 	next  int    // index of the slot the next record overwrites
 	total uint64 // records ever written (wrapped records included)
 
-	lastReason string
-	lastDump   []FlightRecord
+	// dump is the ring as it stood at the last DumpNow, slot for slot in
+	// ring order: dumpNext and dumpTotal are next and total at that moment.
+	// A slot not written since then still equals its image, so a dump
+	// copies only the slots written since the previous one.
+	dump       []FlightRecord
+	dumpNext   int
+	dumpTotal  uint64
+	dumpReason string
 }
 
 // NewFlightRecorder pre-allocates a ring of the given capacity (<= 0
-// selects DefaultFlightCapacity). All memory is allocated here; recording
-// never allocates again.
+// selects DefaultFlightCapacity) and its dump image. All memory is
+// allocated here; recording and dumping never allocate again.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{buf: make([]FlightRecord, capacity)}
+	return &FlightRecorder{
+		buf:  make([]FlightRecord, capacity),
+		dump: make([]FlightRecord, capacity),
+	}
 }
 
 // Capacity returns the ring size.
@@ -159,56 +168,67 @@ func (f *FlightRecorder) RecordEvent(proc, name string, at time.Time) {
 	f.mu.Unlock()
 }
 
-// Snapshot copies the ring contents out, oldest first. The dump path may
-// allocate; only recording is allocation-free.
+// Snapshot copies the ring contents out, oldest first. Reading may
+// allocate; only recording and dumping are allocation-free.
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.snapshotLocked()
+	return oldestFirst(f.buf, f.next, f.total)
 }
 
-func (f *FlightRecorder) snapshotLocked() []FlightRecord {
-	n := len(f.buf)
-	if f.total < uint64(n) {
-		n = int(f.total)
+// oldestFirst copies a ring image whose next write goes to slot next, after
+// total writes in all, into a fresh slice, oldest record first.
+func oldestFirst(ring []FlightRecord, next int, total uint64) []FlightRecord {
+	if total < uint64(len(ring)) {
+		return append(make([]FlightRecord, 0, next), ring[:next]...)
 	}
-	out := make([]FlightRecord, 0, n)
-	if f.total >= uint64(len(f.buf)) {
-		out = append(out, f.buf[f.next:]...)
-		out = append(out, f.buf[:f.next]...)
-	} else {
-		out = append(out, f.buf[:f.next]...)
-	}
-	return out
+	out := make([]FlightRecord, 0, len(ring))
+	out = append(out, ring[next:]...)
+	return append(out, ring[:next]...)
 }
 
-// DumpNow captures the current ring contents as the "last dump" under the
-// given reason (a fault description, a crash site) and returns the copy.
+// DumpNow freezes the ring as it stands into the dump image under the
+// given reason (a fault description, a crash site); LastDump reads it back.
 // Crash and chaos paths call this at the moment of the fault so the black
-// box preserved is the one from just before impact.
-func (f *FlightRecorder) DumpNow(reason string) []FlightRecord {
+// box preserved is the one from just before impact. It copies only the
+// slots written since the previous dump, at most the whole ring, and never
+// allocates.
+//
+//elan:hotpath
+func (f *FlightRecorder) DumpNow(reason string) {
 	if f == nil {
-		return nil
+		return
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	dump := f.snapshotLocked()
-	f.lastReason = reason
-	f.lastDump = dump
-	return append([]FlightRecord(nil), dump...)
+	n := len(f.buf)
+	if fresh := f.total - f.dumpTotal; fresh < uint64(n) {
+		n = int(fresh)
+	}
+	// The n fresh slots end just before next, wrapping once at most.
+	from := f.next - n
+	if from < 0 {
+		copy(f.dump[len(f.buf)+from:], f.buf[len(f.buf)+from:])
+		from = 0
+	}
+	copy(f.dump[from:f.next], f.buf[from:f.next])
+	f.dumpNext = f.next
+	f.dumpTotal = f.total
+	f.dumpReason = reason
+	f.mu.Unlock()
 }
 
-// LastDump returns the most recent DumpNow capture and its reason.
+// LastDump returns the most recent DumpNow capture, oldest record first,
+// and its reason; before any dump it returns "" and no records.
 func (f *FlightRecorder) LastDump() (string, []FlightRecord) {
 	if f == nil {
 		return "", nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lastReason, append([]FlightRecord(nil), f.lastDump...)
+	return f.dumpReason, oldestFirst(f.dump, f.dumpNext, f.dumpTotal)
 }
 
 // WriteFlightDump renders records as a readable postmortem log, oldest

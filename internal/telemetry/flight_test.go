@@ -96,18 +96,45 @@ func TestFlightRecorderAttrTruncation(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderDump: LastDump reads back the ring as it stood at the
+// last DumpNow, frozen against later records, and a later dump replaces it.
 func TestFlightRecorderDump(t *testing.T) {
 	f := NewFlightRecorder(8)
-	f.RecordEvent("fleet-lead", "worker-crash", epoch)
-	dump := f.DumpNow("worker-crash agent-1")
-	if len(dump) != 1 {
-		t.Fatalf("dump len = %d, want 1", len(dump))
+	if reason, dump := f.LastDump(); reason != "" || len(dump) != 0 {
+		t.Fatalf("LastDump before any dump = %q %+v, want none", reason, dump)
 	}
+	f.RecordEvent("fleet-lead", "worker-crash", epoch)
+	f.DumpNow("worker-crash agent-1")
 	// The dump is frozen: later records do not change it.
 	f.RecordEvent("fleet-lead", "later", epoch.Add(time.Second))
 	reason, last := f.LastDump()
 	if reason != "worker-crash agent-1" || len(last) != 1 || last[0].Name != "worker-crash" {
 		t.Fatalf("LastDump = %q %+v, want frozen single-record dump", reason, last)
+	}
+	f.DumpNow("am-crash")
+	reason, last = f.LastDump()
+	if reason != "am-crash" || len(last) != 2 || last[0].Name != "worker-crash" || last[1].Name != "later" {
+		t.Fatalf("LastDump = %q %+v, want both records", reason, last)
+	}
+}
+
+// TestFlightDumpZeroAllocs: dumping, like recording, performs no
+// allocations, so a crash path can freeze the black box at no cost beyond
+// copying the slots written since the previous dump.
+func TestFlightDumpZeroAllocs(t *testing.T) {
+	f := NewFlightRecorder(64)
+	rec := SpanRecord{
+		ID: 7, Parent: 3, Trace: 7, Proc: "agent-1", Name: "worker.rank_step",
+		Start: epoch, End: epoch.Add(time.Millisecond),
+		Attrs:  []Attr{{Key: "rank", Value: "1"}},
+		Events: []EventRecord{{Name: "retry", At: epoch}},
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		f.Record(rec)
+		f.DumpNow("worker-crash agent-1")
+	})
+	if allocs != 0 {
+		t.Fatalf("record and dump allocate %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -115,10 +142,11 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(SpanRecord{ID: 1})
 	f.RecordEvent("p", "e", epoch)
+	f.DumpNow("x")
 	if f.Capacity() != 0 || f.Total() != 0 {
 		t.Fatal("nil recorder reports non-zero size")
 	}
-	if f.Snapshot() != nil || f.DumpNow("x") != nil {
+	if f.Snapshot() != nil {
 		t.Fatal("nil recorder returned records")
 	}
 	if reason, dump := f.LastDump(); reason != "" || dump != nil {

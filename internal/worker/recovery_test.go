@@ -6,10 +6,13 @@ package worker
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/coord"
+	"github.com/elan-sys/elan/internal/racecheck"
 	"github.com/elan-sys/elan/internal/telemetry"
 )
 
@@ -157,6 +160,62 @@ func TestCrashBeforeElasticEventKeepsBatchDivisible(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrashDumpCopiesNoRing: the crash paths freeze the flight ring without
+// copying it out. With a full default-sized ring (about 1 MB) written since
+// the previous dump, CrashWorker and CrashAM each allocate far less than one
+// ring, and the dump they leave ends with their crash marker.
+func TestCrashDumpCopiesNoRing(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("race instrumentation allocates; alloc guards run in the non-race CI job")
+	}
+	guardGoroutines(t)
+	flight := telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity)
+	f, err := NewFleet(FleetConfig{
+		Dataset: dataset(t, 1024), LayerSizes: []int{4, 16, 3}, Workers: 4, TotalBatch: 24,
+		LR: 0.05, Momentum: 0.9, Seed: 21,
+		Tracer: telemetry.NewRecorder(clock.Wall{}, 0), Metrics: telemetry.NewRegistry(), Flight: flight,
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(f.Close)
+	steps(t, f, 2)
+	if err := f.CrashWorker("agent-1"); err != nil {
+		t.Fatalf("warm-up CrashWorker: %v", err)
+	}
+	if err := f.RejoinWorker("agent-1"); err != nil {
+		t.Fatalf("warm-up RejoinWorker: %v", err)
+	}
+	steps(t, f, 2)
+
+	const limit = 64 << 10
+	crash := func(what string, do func() error, proc, marker string) {
+		t.Helper()
+		for i := 0; i < flight.Capacity(); i++ {
+			flight.RecordEvent("test", "filler", time.Time{})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := do()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s allocated %d bytes, want under %d", what, got, limit)
+		}
+		_, dump := flight.LastDump()
+		if len(dump) != flight.Capacity() {
+			t.Fatalf("%s: dump holds %d records, want the full ring of %d", what, len(dump), flight.Capacity())
+		}
+		if last := dump[len(dump)-1]; last.Proc != proc || last.Name != marker {
+			t.Errorf("%s: newest dump record %s/%s, want the crash marker %s/%s", what, last.Proc, last.Name, proc, marker)
+		}
+	}
+	crash("CrashWorker", func() error { return f.CrashWorker("agent-2") }, "fleet-lead", "crash:agent-2")
+	crash("CrashAM", func() error { _, err := f.CrashAM(); return err }, "fleet-am", "am-crash")
 }
 
 func TestAMCrashRecoveryFencesOldIncarnation(t *testing.T) {
