@@ -2,9 +2,8 @@
 // clock-injection contract behind deterministic simulation, seeded
 // randomness behind replayable chaos runs, context-cancellable blocking
 // APIs, no blocking under held mutexes, no test-masking t.Fatal in
-// goroutines, span lifetimes that always reach End, pooled buffers released
-// exactly once on every path, errors.Is instead of sentinel identity, and
-// allocation-free //elan:hotpath functions.
+// goroutines, span lifetimes that always reach End, errors.Is instead of
+// sentinel identity, and allocation-free //elan:hotpath functions.
 //
 // Usage:
 //

@@ -19,7 +19,8 @@
 //	//elan:vet-allow <analyzer> — <justification>
 //
 // comment. Waivers are deliberate, reviewable artifacts: the analyzer name
-// must match and the justification is mandatory by convention.
+// must match, the justification is mandatory by convention, and a waiver
+// that suppresses nothing is itself reported.
 package analysis
 
 import (
@@ -142,33 +143,6 @@ func (p *Pass) ImportedPath(file *File, id *ast.Ident) string {
 // that merely quotes the syntax does not waive anything.
 var allowPragma = regexp.MustCompile(`^//elan:vet-allow\s+([a-z0-9_,]+)(?:\s*—\s*(.*\S))?`)
 
-// suppressed reports whether a diagnostic from the named analyzer is waived
-// by a pragma on the same line of the same file.
-func suppressed(pkg *Package, d Diagnostic) bool {
-	for _, f := range pkg.Files {
-		if f.Name != d.Pos.Filename {
-			continue
-		}
-		for _, cg := range f.AST.Comments {
-			for _, c := range cg.List {
-				m := allowPragma.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				if pkg.Fset.Position(c.Pos()).Line != d.Pos.Line {
-					continue
-				}
-				for _, name := range strings.Split(m[1], ",") {
-					if name == d.Analyzer {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
 // Allow is one `//elan:vet-allow` waiver pragma found in a package: which
 // analyzers it silences, where, and why. An empty Justification means the
 // pragma has no `— why` clause and should be rejected by CI.
@@ -178,6 +152,27 @@ type Allow struct {
 	Justification string
 }
 
+// packageAllows lists pkg's waiver pragmas in source order.
+func packageAllows(pkg *Package) []Allow {
+	var out []Allow
+	for _, f := range pkg.Files {
+		for _, cg := range f.AST.Comments {
+			for _, c := range cg.List {
+				m := allowPragma.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				out = append(out, Allow{
+					Pos:           pkg.Fset.Position(c.Pos()),
+					Analyzers:     strings.Split(m[1], ","),
+					Justification: strings.TrimSpace(m[2]),
+				})
+			}
+		}
+	}
+	return out
+}
+
 // CollectAllows inventories every waiver pragma in pkgs, sorted by file then
 // line. Waivers are deliberate, reviewable artifacts; surfacing them as a
 // single list (`elan-vet -report-allows`) keeps suppressions from rotting
@@ -185,21 +180,7 @@ type Allow struct {
 func CollectAllows(pkgs []*Package) []Allow {
 	var out []Allow
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.AST.Comments {
-				for _, c := range cg.List {
-					m := allowPragma.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					out = append(out, Allow{
-						Pos:           pkg.Fset.Position(c.Pos()),
-						Analyzers:     strings.Split(m[1], ","),
-						Justification: strings.TrimSpace(m[2]),
-					})
-				}
-			}
-		}
+		out = append(out, packageAllows(pkg)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -211,12 +192,29 @@ func CollectAllows(pkgs []*Package) []Allow {
 	return out
 }
 
+// waiver keys one analyzer name of a pragma by the line it sits on.
+type waiver struct {
+	file     string
+	line     int
+	analyzer string
+}
+
 // Run executes each analyzer over each package and returns the surviving
-// diagnostics sorted by file, line, then column.
+// diagnostics sorted by file, line, then column. A pragma naming an
+// analyzer that ran and suppressed nothing on its line is itself reported.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
+		allows := packageAllows(pkg)
+		used := map[waiver]bool{} // present: waived on that line; true: suppressed a finding
+		for _, al := range allows {
+			for _, name := range al.Analyzers {
+				used[waiver{al.Pos.Filename, al.Pos.Line, name}] = false
+			}
+		}
+		ran := map[string]bool{}
 		for _, a := range analyzers {
+			ran[a.Name] = true
 			var diags []Diagnostic
 			pass := &Pass{
 				Analyzer: a,
@@ -229,8 +227,22 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 			}
 			a.Run(pass)
 			for _, d := range diags {
-				if !suppressed(pkg, d) {
-					out = append(out, d)
+				w := waiver{d.Pos.Filename, d.Pos.Line, d.Analyzer}
+				if _, ok := used[w]; ok {
+					used[w] = true
+					continue
+				}
+				out = append(out, d)
+			}
+		}
+		for _, al := range allows {
+			for _, name := range al.Analyzers {
+				if ran[name] && !used[waiver{al.Pos.Filename, al.Pos.Line, name}] {
+					out = append(out, Diagnostic{
+						Pos:      al.Pos,
+						Message:  "//elan:vet-allow " + name + " waives nothing: no " + name + " finding on this line",
+						Analyzer: name,
+					})
 				}
 			}
 		}

@@ -40,16 +40,16 @@ func TestSpanEnd(t *testing.T) {
 	analysistest.Run(t, testdata, "spanend", analysis.SpanEnd)
 }
 
-func TestPoolPair(t *testing.T) {
-	analysistest.Run(t, testdata, "poolpair", analysis.PoolPair)
-}
-
 func TestErrIdentity(t *testing.T) {
 	analysistest.Run(t, testdata, "erridentity", analysis.ErrIdentity)
 }
 
 func TestHotPathAlloc(t *testing.T) {
 	analysistest.Run(t, testdata, "hotpathalloc", analysis.HotPathAlloc)
+}
+
+func TestStaleWaiver(t *testing.T) {
+	analysistest.Run(t, testdata, "allowstale", analysis.HotPathAlloc)
 }
 
 // TestCommaWaiverCoversMultipleAnalyzers checks that one
@@ -113,8 +113,8 @@ func TestCleanPackageYieldsZeroDiagnostics(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName()
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName() = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("ByName() = %d analyzers, err %v; want 8, nil", len(all), err)
 	}
 	one, err := analysis.ByName("clockpolicy")
 	if err != nil || len(one) != 1 || one[0] != analysis.ClockPolicy {

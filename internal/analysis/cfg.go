@@ -9,9 +9,9 @@ import (
 // intra-procedural control-flow graph hand-rolled from go/ast, plus a
 // small forward-dataflow driver that iterates an abstract state to a
 // fixpoint over the graph in reverse postorder. It exists so that
-// analyzers can check "on all paths" properties — a span reaches End(), a
-// pooled buffer is released exactly once — which per-statement AST walks
-// (clockpolicy and friends) structurally cannot express.
+// analyzers can check "on all paths" properties — a span reaches End() —
+// which per-statement AST walks (clockpolicy and friends) structurally
+// cannot express.
 //
 // The graph is deliberately modest. Blocks hold ast.Nodes (statements,
 // plus the condition/tag expressions of control statements) in evaluation
@@ -23,7 +23,7 @@ import (
 //     it executes its *evaluation*, and analyzers treat a recognized
 //     deferred release as discharging the obligation from that point on —
 //     which is exactly the "all paths that reach the defer are covered"
-//     semantics the ownership checks need.
+//     semantics the spanend check needs.
 //   - panic(...), runtime aborts (os.Exit, log.Fatal*, t.Fatal*) and
 //     calls that never return end their block with an edge to Exit marked
 //     ExitPanic, so liveness checks can skip obligations on abort paths.

@@ -12,7 +12,7 @@ import (
 // wire precisely by wrapping (HandlerError's Unwrap restores the
 // sentinel), which means a raw pointer comparison that happens to pass
 // today over the in-process bus silently breaks the moment the same call
-// crosses the pooled TCP path — the error is then a wrapper around the
+// crosses the TCP path — the error is then a wrapper around the
 // sentinel, not the sentinel itself. errors.Is is the single contract
 // that holds on both paths, so identity comparisons are rejected
 // everywhere, test files included (tests encode the contract consumers

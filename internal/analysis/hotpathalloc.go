@@ -31,10 +31,14 @@ import (
 //   - string concatenation and string(...)/[]byte(...) conversions
 //   - explicit interface boxing via any(...)/interface{}(...) conversions
 //
-// Cold sub-paths inside a hot function — the first-call make that primes
-// an arena, an error return that formats a message — are waived line by
-// line with a justified //elan:vet-allow hotpathalloc pragma, which keeps
-// every deviation from the zero-alloc contract auditable via
+// An error exit is cold: a return whose last operand is a call to
+// fmt.Errorf or errors.New leaves with a fresh non-nil error, so none of
+// its operands is scanned. No other return is: `return x, err` and
+// `return x, nil` may be the success path, and `return result{err: ...}`
+// returns no error. Other cold sub-paths inside a hot function, such as
+// the first-call make that primes an arena, are waived line by line with
+// a justified //elan:vet-allow hotpathalloc pragma, which keeps every
+// deviation from the zero-alloc contract auditable via
 // elan-vet -report-allows. Diagnostics name the construct precisely so
 // the fix (or the waiver justification) writes itself.
 var HotPathAlloc = &Analyzer{
@@ -115,6 +119,8 @@ func (hp *hotPathScan) check(body *ast.BlockStmt) {
 		case *ast.GoStmt:
 			hp.pass.Reportf(n.Pos(), "hot path allocates: go statement spawns a goroutine; use a resident worker")
 			return true
+		case *ast.ReturnStmt:
+			return !hp.errorExit(n)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if _, ok := n.X.(*ast.CompositeLit); ok {
@@ -177,6 +183,31 @@ func (hp *hotPathScan) call(call *ast.CallExpr, params map[*ast.Object]bool) {
 	}
 }
 
+// errorExit reports whether ret leaves with a fresh non-nil error: its
+// last operand is a call to fmt.Errorf or errors.New.
+func (hp *hotPathScan) errorExit(ret *ast.ReturnStmt) bool {
+	if len(ret.Results) == 0 {
+		return false
+	}
+	call, ok := ret.Results[len(ret.Results)-1].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	switch hp.pass.ImportedPath(hp.file, id) + "." + sel.Sel.Name {
+	case "fmt.Errorf", "errors.New":
+		return true
+	}
+	return false
+}
+
 // paramDerived reports whether the expression's root identifier is a
 // parameter or receiver (s.buf, dst.Data[i:], *bufp all derive).
 func (hp *hotPathScan) paramDerived(e ast.Expr, params map[*ast.Object]bool) bool {
@@ -200,4 +231,29 @@ func (hp *hotPathScan) isString(exprs ...ast.Expr) bool {
 		}
 	}
 	return false
+}
+
+// rootIdent peels selectors/indexes/stars/parens/slices down to the base
+// identifier, or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }

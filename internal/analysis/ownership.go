@@ -5,16 +5,11 @@ import (
 	"go/token"
 )
 
-// This file is the shared engine behind the spanend and poolpair
-// analyzers: a forward dataflow over the CFG that tracks, per local
-// variable, whether a resource acquired into it has been released,
-// escaped, or is still owed on each path. The two analyzers differ only
-// in their ownershipSpec — what counts as an acquisition, what counts as
-// a release, and whether handing the value to another function transfers
-// ownership (pool buffers are routinely lent to encoders/readers and
-// returned by the caller, so argument passing is a borrow there; spans
-// handed away — stored in a context, returned — change owners, so it is
-// an escape).
+// This file is the engine behind the spanend analyzer: a forward dataflow
+// over the CFG that tracks, per local variable, whether a span started
+// into it has reached End, escaped, or is still owed on each path. A span
+// handed away (passed to a call, stored, returned, captured) changes
+// owners, so that is an escape, and End may repeat.
 
 // ownStatus is a powerset lattice over three facts about a tracked
 // variable at a program point. Join is bitwise OR: "may be live" and "may
@@ -26,31 +21,6 @@ const (
 	ownReleased                       // released on some path
 	ownEscaped                        // ownership handed elsewhere on some path
 )
-
-// ownershipSpec parameterizes the engine for one resource discipline.
-type ownershipSpec struct {
-	// what names the resource in diagnostics ("span", "pooled buffer").
-	what string
-	// action names the required release in diagnostics ("End()",
-	// "a Put").
-	action string
-	// acquire reports whether a call expression mints a tracked value.
-	acquire func(pass *Pass, file *File, call *ast.CallExpr) bool
-	// release reports whether a call releases the tracked object obj
-	// (End() on the receiver, Put(x) with x as argument).
-	release func(pass *Pass, file *File, call *ast.CallExpr, obj *ast.Object) bool
-	// argBorrows: passing the variable as a call argument is a borrow
-	// (caller still owes the release) instead of an escape. Release
-	// calls are recognized before this applies.
-	argBorrows bool
-	// skipPkg skips entire packages (the implementation package that
-	// owns the lifecycle legitimately manipulates half-open states).
-	skipPkg func(path string) bool
-	// doubleRelease: report a second release of a definitely-released
-	// variable ("released exactly once", the pool contract). Spans keep
-	// End idempotent by design, so spanend leaves this off.
-	doubleRelease bool
-}
 
 // ownState is the dataflow state: status per tracked variable object.
 type ownState struct {
@@ -102,11 +72,8 @@ type ownFinding struct {
 	msg string
 }
 
-// ownFlow runs the spec over one function body.
+// ownFlow runs the dataflow over one function body.
 type ownFlow struct {
-	pass *Pass
-	file *File
-	spec *ownershipSpec
 	// acquired remembers each tracked object's acquisition position for
 	// the leak message.
 	acquired map[*ast.Object]token.Pos
@@ -139,31 +106,6 @@ func (f *ownFlow) report(pos token.Pos, msg string) {
 	}
 }
 
-// rootIdent peels selectors/indexes/stars/parens/slices down to the base
-// identifier, or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // directIdent unwraps parens only: the variable itself, not a projection.
 func directIdent(e ast.Expr) *ast.Ident {
 	for {
@@ -186,8 +128,8 @@ func (f *ownFlow) Transfer(node ast.Node, in FlowState) FlowState {
 		f.assign(n, st)
 	case *ast.ExprStmt:
 		if call, ok := n.X.(*ast.CallExpr); ok {
-			if f.spec.acquire(f.pass, f.file, call) {
-				f.report(call.Pos(), f.spec.what+" acquired and immediately discarded; the result must reach "+f.spec.action)
+			if isSpanStart(call) {
+				f.report(call.Pos(), "span acquired and immediately discarded; the result must reach End()")
 				// Nothing to track: the value is gone.
 				f.scanUses(call, st, nil)
 				return st
@@ -247,7 +189,7 @@ func (f *ownFlow) assign(n *ast.AssignStmt, st *ownState) {
 	// RHS first: uses, releases, escapes-into-composites.
 	acquiredRhs := -1
 	if len(n.Rhs) == 1 {
-		if call, ok := n.Rhs[0].(*ast.CallExpr); ok && f.spec.acquire(f.pass, f.file, call) {
+		if call, ok := n.Rhs[0].(*ast.CallExpr); ok && isSpanStart(call) {
 			acquiredRhs = 0
 			// Arguments of the acquire call are ordinary uses.
 			for _, a := range call.Args {
@@ -276,7 +218,7 @@ func (f *ownFlow) assign(n *ast.AssignStmt, st *ownState) {
 			}
 			if st.get(id.Obj)&ownLive != 0 {
 				f.report(n.Rhs[acquiredRhs].Pos(),
-					"re-acquiring into "+id.Name+" overwrites a "+f.spec.what+" that has not reached "+f.spec.action)
+					"re-acquiring into "+id.Name+" overwrites a span that has not reached End()")
 			}
 			st.vars[id.Obj] = ownLive
 			if f.acquired == nil {
@@ -289,10 +231,10 @@ func (f *ownFlow) assign(n *ast.AssignStmt, st *ownState) {
 		// the old value is gone. If it was still live, that is a leak.
 		if prev, ok := st.vars[id.Obj]; ok && len(n.Rhs) > 0 {
 			if prev&ownLive != 0 && prev&(ownReleased|ownEscaped) == 0 && !isNilIdent(rhsFor(n, i)) {
-				// Overwriting a definitely-live resource with a new value
+				// Overwriting a definitely-live span with a new value
 				// loses the only handle. nil assignment is a deliberate
 				// clear and stays flagged at exit instead.
-				f.report(n.Pos(), "assignment overwrites a "+f.spec.what+" that has not reached "+f.spec.action)
+				f.report(n.Pos(), "assignment overwrites a span that has not reached End()")
 			}
 			delete(st.vars, id.Obj)
 		}
@@ -326,7 +268,7 @@ func (f *ownFlow) deferStmt(n *ast.DeferStmt, st *ownState) {
 		ast.Inspect(fl.Body, func(x ast.Node) bool {
 			if call, ok := x.(*ast.CallExpr); ok {
 				for obj := range st.vars {
-					if f.spec.release(f.pass, f.file, call, obj) {
+					if isSpanEnd(call, obj) {
 						released[obj] = true
 					}
 				}
@@ -334,7 +276,7 @@ func (f *ownFlow) deferStmt(n *ast.DeferStmt, st *ownState) {
 			return true
 		})
 		for obj := range released {
-			f.markReleased(obj, n.Pos(), st)
+			markReleased(obj, st)
 		}
 		// Other captured uses inside the deferred body: escape.
 		ast.Inspect(fl.Body, func(x ast.Node) bool {
@@ -359,14 +301,10 @@ func markEscaped(obj *ast.Object, st *ownState) {
 	st.vars[obj] = (st.get(obj) &^ ownLive) | ownEscaped
 }
 
-// markReleased performs the release transition, reporting double releases
-// when the spec asks for them.
-func (f *ownFlow) markReleased(obj *ast.Object, pos token.Pos, st *ownState) {
-	prev := st.get(obj)
-	if f.spec.doubleRelease && prev == ownReleased {
-		f.report(pos, f.spec.what+" released twice: "+obj.Name+" was already released on every path reaching this point")
-	}
-	st.vars[obj] = (prev &^ ownLive) | ownReleased
+// markReleased performs the release transition. End is idempotent, so a
+// second End is not a finding.
+func markReleased(obj *ast.Object, st *ownState) {
+	st.vars[obj] = (st.get(obj) &^ ownLive) | ownReleased
 }
 
 // releaseCall applies a call's release effects; reports whether the call
@@ -374,16 +312,16 @@ func (f *ownFlow) markReleased(obj *ast.Object, pos token.Pos, st *ownState) {
 func (f *ownFlow) releaseCall(call *ast.CallExpr, st *ownState) bool {
 	any := false
 	for obj := range st.vars {
-		if f.spec.release(f.pass, f.file, call, obj) {
-			f.markReleased(obj, call.Pos(), st)
+		if isSpanEnd(call, obj) {
+			markReleased(obj, st)
 			any = true
 		}
 	}
 	return any
 }
 
-// call applies a non-acquire call's effects: releases first, then borrow
-// or escape semantics for tracked arguments, neutral receiver methods.
+// call applies a non-acquire call's effects: releases first, then escape
+// for tracked arguments, neutral receiver methods.
 func (f *ownFlow) call(call *ast.CallExpr, st *ownState) {
 	if f.releaseCall(call, st) {
 		return
@@ -391,9 +329,7 @@ func (f *ownFlow) call(call *ast.CallExpr, st *ownState) {
 	for _, a := range call.Args {
 		if id := directIdent(a); id != nil && id.Obj != nil {
 			if _, tracked := st.vars[id.Obj]; tracked {
-				if !f.spec.argBorrows {
-					markEscaped(id.Obj, st)
-				}
+				markEscaped(id.Obj, st)
 				continue
 			}
 		}
@@ -405,7 +341,7 @@ func (f *ownFlow) call(call *ast.CallExpr, st *ownState) {
 }
 
 // escapeExpr marks every tracked variable mentioned in e as escaped —
-// used for returns, sends (non-arena), RHS aliasing, and stores into
+// used for returns, sends, RHS aliasing, and stores into
 // non-local places.
 func (f *ownFlow) escapeExpr(e ast.Expr, st *ownState) {
 	if e == nil {
@@ -465,8 +401,8 @@ func (f *ownFlow) scanUses(e ast.Expr, st *ownState, skip ast.Node) {
 			f.escapeCaptured(x, st)
 			return false
 		case *ast.CallExpr:
-			if f.spec.acquire(f.pass, f.file, x) {
-				f.report(x.Pos(), f.spec.what+" acquired and immediately discarded; the result must reach "+f.spec.action)
+			if isSpanStart(x) {
+				f.report(x.Pos(), "span acquired and immediately discarded; the result must reach End()")
 				return true
 			}
 			if f.releaseCall(x, st) {
@@ -474,7 +410,7 @@ func (f *ownFlow) scanUses(e ast.Expr, st *ownState, skip ast.Node) {
 			}
 			for _, a := range x.Args {
 				if id := directIdent(a); id != nil && id.Obj != nil {
-					if _, tracked := st.vars[id.Obj]; tracked && !f.spec.argBorrows {
+					if _, tracked := st.vars[id.Obj]; tracked {
 						markEscaped(id.Obj, st)
 					}
 				}
@@ -485,10 +421,7 @@ func (f *ownFlow) scanUses(e ast.Expr, st *ownState, skip ast.Node) {
 }
 
 // runOwnership drives the engine over every function in the package.
-func runOwnership(pass *Pass, spec *ownershipSpec) {
-	if spec.skipPkg != nil && spec.skipPkg(pass.Path) {
-		return
-	}
+func runOwnership(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file.AST, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -501,7 +434,7 @@ func runOwnership(pass *Pass, spec *ownershipSpec) {
 				return true
 			}
 			if body != nil {
-				checkOwnership(pass, file, spec, body)
+				checkOwnership(pass, body)
 			}
 			return true // nested literals analyzed as their own units
 		})
@@ -509,11 +442,8 @@ func runOwnership(pass *Pass, spec *ownershipSpec) {
 }
 
 // checkOwnership analyzes one function body.
-func checkOwnership(pass *Pass, file *File, spec *ownershipSpec, body *ast.BlockStmt) {
+func checkOwnership(pass *Pass, body *ast.BlockStmt) {
 	flow := &ownFlow{
-		pass:     pass,
-		file:     file,
-		spec:     spec,
 		findings: map[token.Pos]string{},
 		body:     body,
 	}
@@ -535,7 +465,7 @@ func checkOwnership(pass *Pass, file *File, spec *ownershipSpec, body *ast.Block
 		if blk.Exit == ExitReturn || blk.Exit == ExitFall {
 			final := out.(*ownState)
 			for obj, status := range final.vars {
-				// May-leak: the resource is live on at least one path into
+				// May-leak: the span is live on at least one path into
 				// this exit and its ownership never left the function. A
 				// release on one branch does not excuse the other branch.
 				if status&ownLive != 0 && status&ownEscaped == 0 {
@@ -543,7 +473,7 @@ func checkOwnership(pass *Pass, file *File, spec *ownershipSpec, body *ast.Block
 					if pos == token.NoPos {
 						pos = body.Pos()
 					}
-					flow.report(pos, leakMessage(spec, obj.Name, blk.Exit))
+					flow.report(pos, leakMessage(obj.Name, blk.Exit))
 				}
 			}
 		}
@@ -554,11 +484,10 @@ func checkOwnership(pass *Pass, file *File, spec *ownershipSpec, body *ast.Block
 }
 
 // leakMessage builds the all-paths diagnostic.
-func leakMessage(spec *ownershipSpec, name string, kind ExitKind) string {
+func leakMessage(name string, kind ExitKind) string {
 	where := "a return path"
 	if kind == ExitFall {
 		where = "the end of the function"
 	}
-	return spec.what + " assigned to " + name + " does not reach " + spec.action +
-		" on every path: leaked at " + where
+	return "span assigned to " + name + " does not reach End() on every path: leaked at " + where
 }

@@ -12,7 +12,6 @@ func All() []*Analyzer {
 		GoroutineFatal,
 		HotPathAlloc,
 		LockHeld,
-		PoolPair,
 		SpanEnd,
 	}
 }

@@ -34,28 +34,25 @@ var SpanEnd = &Analyzer{
 	Run: runSpanEnd,
 }
 
-var spanEndSpec = &ownershipSpec{
-	what:   "span",
-	action: "End()",
-	acquire: func(pass *Pass, file *File, call *ast.CallExpr) bool {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		return ok && spanStartFuncs[sel.Sel.Name]
-	},
-	release: func(pass *Pass, file *File, call *ast.CallExpr, obj *ast.Object) bool {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "End" || len(call.Args) != 0 {
-			return false
-		}
-		id := directIdent(sel.X)
-		return id != nil && id.Obj == obj
-	},
-	argBorrows:    false, // handing a span to a callee transfers the End obligation
-	doubleRelease: false, // End is idempotent by contract
-	skipPkg: func(path string) bool {
-		return path == "internal/telemetry"
-	},
+// isSpanStart reports whether call mints an owned span.
+func isSpanStart(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && spanStartFuncs[sel.Sel.Name]
+}
+
+// isSpanEnd reports whether call is obj.End().
+func isSpanEnd(call *ast.CallExpr, obj *ast.Object) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "End" || len(call.Args) != 0 {
+		return false
+	}
+	id := directIdent(sel.X)
+	return id != nil && id.Obj == obj
 }
 
 func runSpanEnd(pass *Pass) {
-	runOwnership(pass, spanEndSpec)
+	if pass.Path == "internal/telemetry" {
+		return
+	}
+	runOwnership(pass)
 }

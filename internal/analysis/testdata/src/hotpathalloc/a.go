@@ -3,7 +3,10 @@
 // alloc-inducing construct inside one is reported precisely.
 package hotpathalloc
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 type point struct{ x, y float64 }
 
@@ -74,4 +77,67 @@ func hotWaived(s *state, n int) {
 	for i := 0; i < n; i++ {
 		s.buf[i] = 0
 	}
+}
+
+// hotErrorExits: a return whose last operand is fmt.Errorf or errors.New
+// leaves with a fresh error and is cold; nothing in it is reported.
+//
+//elan:hotpath
+func hotErrorExits(s *state, n int) ([]float64, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("negative size %d", n)
+	}
+	if n == 0 {
+		return nil, errors.New("empty")
+	}
+	if s == nil {
+		return nil, fmt.Errorf("no state for %d: %w", n, errors.New("nil"))
+	}
+	return s.buf[:n], nil
+}
+
+// validate returns a bare error: its exit is cold.
+//
+//elan:hotpath
+func validate(n int) error {
+	if n < 0 {
+		return fmt.Errorf("negative size %d", n)
+	}
+	return nil
+}
+
+type result struct{ err error }
+
+// hotNotErrorExits: every other return stays hot.
+//
+//elan:hotpath
+func hotNotErrorExits(n int, err error) ([]float64, error) {
+	buf := make([]float64, n) // want `hot path allocates: make`
+	_ = buf
+	if err != nil {
+		return make([]float64, n), err // want `hot path allocates: make`
+	}
+	return make([]float64, n), nil // want `hot path allocates: make`
+}
+
+// hotMessageBuiltEarly: the message is formatted before the check, so it
+// allocates on the success path too.
+//
+//elan:hotpath
+func hotMessageBuiltEarly(n int) error {
+	msg := fmt.Sprintf("size %d", n) // want `hot path allocates: fmt\.Sprintf`
+	if n < 0 {
+		return errors.New(msg)
+	}
+	return nil
+}
+
+// hotResultError: the error rides inside a value that is not an error.
+//
+//elan:hotpath
+func hotResultError(n int) result {
+	if n < 0 {
+		return result{err: fmt.Errorf("negative size %d", n)} // want `hot path allocates: fmt\.Errorf`
+	}
+	return result{}
 }

@@ -299,7 +299,7 @@ func (g *Group) exchange(parent telemetry.TraceContext, rank int, vec []float64,
 //elan:hotpath
 func (g *Group) reduce(rank int, vec []float64, mean bool, out handout, c *Commit) error {
 	if rank < 0 || rank >= g.n {
-		return fmt.Errorf("collective: rank %d out of [0, %d)", rank, g.n) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("collective: rank %d out of [0, %d)", rank, g.n)
 	}
 	n := g.n
 	g.vecs[rank] = vec

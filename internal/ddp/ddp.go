@@ -187,7 +187,7 @@ func (r *Reducer) BackwardStep(g *collective.Group, rank int, lossGrad *tensor.M
 //elan:hotpath
 func (r *Reducer) run(g *collective.Group, rank int, lossGrad *tensor.Matrix, rep *nn.Replica, tc telemetry.TraceContext) error {
 	if r.closed {
-		return fmt.Errorf("ddp: reducer closed") //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("ddp: reducer closed")
 	}
 	r.g, r.rank, r.tc, r.next, r.err, r.rep = g, rank, tc, 0, nil, rep
 	r.commit.OK = true

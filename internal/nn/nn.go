@@ -120,7 +120,7 @@ func (l *Linear) wsFor(rows int) *linearWS {
 //elan:hotpath
 func (l *Linear) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols != l.W.Rows {
-		return nil, fmt.Errorf("nn: forward %dx%d through %dx%d layer", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return nil, fmt.Errorf("nn: forward %dx%d through %dx%d layer",
 			x.Rows, x.Cols, l.W.Rows, l.W.Cols)
 	}
 	w := l.wsFor(x.Rows)
@@ -158,7 +158,7 @@ func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 func (l *Linear) backward(grad *tensor.Matrix, wantIn bool) (*tensor.Matrix, error) {
 	w := l.cur
 	if w == nil {
-		return nil, fmt.Errorf("nn: backward before forward") //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return nil, fmt.Errorf("nn: backward before forward")
 	}
 	if l.zero {
 		if err := tensor.MatMulATInto(l.GradW, w.input, grad); err != nil {
@@ -281,7 +281,7 @@ func (m *MLP) Forward(x *tensor.Matrix) (*tensor.Matrix, error) {
 		var err error
 		h, err = l.Forward(h)
 		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d forward: %w", i, err) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+			return nil, fmt.Errorf("nn: layer %d forward: %w", i, err)
 		}
 		if i < len(m.layers)-1 {
 			if masks[i] == nil {
@@ -321,7 +321,7 @@ func (m *MLP) BackwardLayers(grad *tensor.Matrix, onLayer func(layer int) error)
 		var err error
 		g, err = m.layers[i].backward(g, i > 0)
 		if err != nil {
-			return fmt.Errorf("nn: layer %d backward: %w", i, err) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+			return fmt.Errorf("nn: layer %d backward: %w", i, err)
 		}
 		if onLayer != nil {
 			if err := onLayer(i); err != nil {
@@ -480,7 +480,7 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 //elan:hotpath
 func softmaxCrossEntropyInto(probs, logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix, error) {
 	if len(labels) != logits.Rows {
-		return 0, nil, fmt.Errorf("nn: %d labels for %d rows", len(labels), logits.Rows) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return 0, nil, fmt.Errorf("nn: %d labels for %d rows", len(labels), logits.Rows)
 	}
 	copy(probs.Data, logits.Data)
 	probs.SoftmaxRows()
@@ -488,7 +488,7 @@ func softmaxCrossEntropyInto(probs, logits *tensor.Matrix, labels []int) (float6
 	grad := probs // reuse: grad = probs - onehot
 	for i, y := range labels {
 		if y < 0 || y >= logits.Cols {
-			return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", y, logits.Cols) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+			return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", y, logits.Cols)
 		}
 		p := probs.At(i, y)
 		if p < 1e-12 {
@@ -571,13 +571,13 @@ func newSGD(params []*tensor.Matrix, lr, momentum float64, vel []float64) (*SGD,
 //elan:hotpath
 func (s *SGD) Step(params, grads []*tensor.Matrix) error {
 	if len(params) != len(s.velocity) || len(grads) != len(s.velocity) {
-		return fmt.Errorf("nn: optimizer state mismatch: %d params, %d grads, %d velocities", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("nn: optimizer state mismatch: %d params, %d grads, %d velocities",
 			len(params), len(grads), len(s.velocity))
 	}
 	for i, p := range params {
 		v, g := s.velocity[i], grads[i]
 		if v.Rows != p.Rows || v.Cols != p.Cols || g.Rows != p.Rows || g.Cols != p.Cols {
-			return fmt.Errorf("nn: optimizer step %d: %dx%d parameter, %dx%d gradient, %dx%d velocity", //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+			return fmt.Errorf("nn: optimizer step %d: %dx%d parameter, %dx%d gradient, %dx%d velocity",
 				i, p.Rows, p.Cols, g.Rows, g.Cols, v.Rows, v.Cols)
 		}
 		sgdUpdate(p.Data, v.Data, g.Data, s.LR, s.Momentum)

@@ -115,13 +115,13 @@ const kBlock = 128
 //elan:hotpath
 func MatMulInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows {
-		return fmt.Errorf("tensor: matmul %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmul %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		return fmt.Errorf("tensor: matmul into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmul into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols)
 	}
 	if aliases(dst, a) || aliases(dst, b) {
-		return fmt.Errorf("tensor: matmul destination aliases an operand") //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmul destination aliases an operand")
 	}
 	par.run(matMulRows, dst, a, b, dst.Rows, a.Rows*a.Cols*b.Cols)
 	return nil
@@ -141,13 +141,13 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 //elan:hotpath
 func MatMulATInto(dst, a, b *Matrix) error {
 	if a.Rows != b.Rows {
-		return fmt.Errorf("tensor: matmulAT %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmulAT %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		return fmt.Errorf("tensor: matmulAT into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmulAT into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols)
 	}
 	if aliases(dst, a) || aliases(dst, b) {
-		return fmt.Errorf("tensor: matmulAT destination aliases an operand") //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmulAT destination aliases an operand")
 	}
 	par.run(matMulATRows, dst, a, b, dst.Rows, a.Rows*a.Cols*b.Cols)
 	return nil
@@ -363,13 +363,13 @@ func maybeNaN(row []float64) bool {
 //elan:hotpath
 func MatMulBTInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Cols {
-		return fmt.Errorf("tensor: matmulBT %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmulBT %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		return fmt.Errorf("tensor: matmulBT into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmulBT into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows)
 	}
 	if aliases(dst, a) || aliases(dst, b) {
-		return fmt.Errorf("tensor: matmulBT destination aliases an operand") //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: matmulBT destination aliases an operand")
 	}
 	par.run(matMulBTRows, dst, a, b, dst.Rows, a.Rows*a.Cols*b.Rows)
 	return nil
@@ -599,10 +599,10 @@ func (m *Matrix) SumRows() *Matrix {
 //elan:hotpath
 func (m *Matrix) SumRowsInto(dst *Matrix) error {
 	if dst.Rows != 1 || dst.Cols != m.Cols {
-		return fmt.Errorf("tensor: sum rows of %dx%d into %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: sum rows of %dx%d into %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols)
 	}
 	if aliases(dst, m) {
-		return fmt.Errorf("tensor: sum rows destination aliases the source") //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: sum rows destination aliases the source")
 	}
 	for j := range dst.Data {
 		dst.Data[j] = 0
@@ -644,10 +644,10 @@ func (m *Matrix) ReLU() *Matrix {
 //elan:hotpath
 func (m *Matrix) ReLUInto(mask *Matrix) error {
 	if mask.Rows != m.Rows || mask.Cols != m.Cols {
-		return fmt.Errorf("tensor: relu mask %dx%d for %dx%d", mask.Rows, mask.Cols, m.Rows, m.Cols) //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: relu mask %dx%d for %dx%d", mask.Rows, mask.Cols, m.Rows, m.Cols)
 	}
 	if aliases(mask, m) {
-		return fmt.Errorf("tensor: relu mask aliases the input") //elan:vet-allow hotpathalloc — cold validation error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("tensor: relu mask aliases the input")
 	}
 	for i, v := range m.Data {
 		if v > 0 {

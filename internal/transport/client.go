@@ -58,6 +58,7 @@ type ClientConfig struct {
 type clientConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
+	wbuf []byte // request encode buffer, guarded by wmu
 
 	mu        sync.Mutex
 	pending   map[uint64]chan callResult
@@ -130,10 +131,9 @@ func (c *Client) grab(ctx context.Context, timeout time.Duration) (*clientConn, 
 // transport error and drops the connection.
 func (c *Client) readLoop(cc *clientConn) {
 	defer c.wg.Done()
-	bufp := getFrameBuf()
-	defer putFrameBuf(bufp)
+	var buf []byte
 	for {
-		body, err := readFrame(cc.conn, bufp)
+		body, err := readFrame(cc.conn, &buf)
 		if err != nil {
 			c.connLost(cc, fmt.Errorf("transport: connection lost: %w", err))
 			return
@@ -154,8 +154,8 @@ func (c *Client) readLoop(cc *clientConn) {
 		}
 		res := callResult{err: responseError(code, errMsg)}
 		if res.err == nil {
-			// The payload aliases the pooled frame buffer; copy once into
-			// storage the caller owns indefinitely.
+			// The payload aliases the read buffer; copy once into storage
+			// the caller owns indefinitely.
 			res.payload = make([]byte, len(payload))
 			copy(res.payload, payload)
 		}
@@ -249,22 +249,22 @@ func (c *Client) Call(ctx context.Context, kind string, payload []byte, timeout 
 	if err != nil {
 		return nil, err
 	}
-	reqp := getFrameBuf()
-	frame, err := encodeRequest((*reqp)[:0], id, kind, payload,
-		telemetry.SpanFromContext(ctx).Context())
+	tc := telemetry.SpanFromContext(ctx).Context()
+	cc.wmu.Lock()
+	frame, err := encodeRequest(cc.wbuf[:0], id, kind, payload, tc)
 	if err != nil {
-		putFrameBuf(reqp)
+		cc.wmu.Unlock()
 		cc.unregister(id)
 		return nil, err
 	}
-	*reqp = frame
+	cc.wbuf = frame
 	// Bound the write too: a peer that stops draining must not wedge the
 	// caller past its timeout. The deadline is per-connection, so
 	// concurrent callers refresh it to roughly the latest deadline — safe,
 	// because every writer's own timer still bounds its wait below.
 	_ = cc.conn.SetWriteDeadline(clock.Wall{}.Now().Add(timeout))
-	err = writeFrame(cc.conn, &cc.wmu, frame)
-	putFrameBuf(reqp)
+	err = writeFrame(cc.conn, frame)
+	cc.wmu.Unlock()
 	if err != nil {
 		cc.unregister(id)
 		c.connLost(cc, err)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -130,6 +131,74 @@ func TestPooledNoHeadOfLineBlocking(t *testing.T) {
 	releaseOnce()
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
+	}
+}
+
+// TestSlowHandlerKeepsItsPayload pins request-buffer ownership: handlers
+// parked on their payloads while frames of other sizes cross the same
+// connection must each echo their own payload intact. A server that read
+// every request into one reused buffer would hand the parked handlers the
+// bytes of later frames.
+func TestSlowHandlerKeepsItsPayload(t *testing.T) {
+	guardGoroutines(t)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	var parked sync.WaitGroup
+	srv := NewServer(func(m Message) ([]byte, error) {
+		if m.Kind == "slow" {
+			parked.Done()
+			<-release
+		}
+		return m.Payload, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	// Runs before srv.Close (LIFO), which joins the parked handlers.
+	defer releaseOnce()
+	client := NewClient(addr, ClientConfig{})
+	defer client.Close()
+
+	// pattern is n bytes counting up from seed, so bytes of one frame
+	// never match another's.
+	pattern := func(seed byte, n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = seed + byte(i)
+		}
+		return p
+	}
+	slowSizes := []int{16, 3000, 1}
+	parked.Add(len(slowSizes))
+	errc := make(chan error, len(slowSizes))
+	for i, n := range slowSizes {
+		want := pattern(byte(i+1), n)
+		go func() {
+			out, err := client.Call(context.Background(), "slow", want, 10*time.Second)
+			if err == nil && !bytes.Equal(out, want) {
+				err = fmt.Errorf("parked handler's %d-byte echo came back corrupted", n)
+			}
+			errc <- err
+		}()
+	}
+	parked.Wait()
+	for i, n := range []int{8, 64, 5000, 16, 1, 70000, 3000} {
+		want := pattern(byte(100+i), n)
+		out, err := client.Call(context.Background(), "fast", want, 5*time.Second)
+		if err != nil {
+			t.Fatalf("fast %d-byte call: %v", n, err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("fast %d-byte echo came back corrupted", n)
+		}
+	}
+	releaseOnce()
+	for range slowSizes {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

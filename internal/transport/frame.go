@@ -6,16 +6,20 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 )
 
 // Framing for the TCP path: every message on the wire is one
 // length-prefixed frame — a 4-byte big-endian body length followed by the
 // body. Frames are the multiplexing unit: requests and responses from many
 // concurrent calls interleave on one connection and are matched back up by
-// the request ID inside the body (wire.go). Frame bodies are read into and
-// written from pooled buffers so the steady-state call path reuses storage
-// instead of allocating per message.
+// the request ID inside the body (wire.go). Each connection owns its
+// buffers: the client reads every response into one read buffer, and each
+// side encodes into one write buffer under the connection's write lock, so
+// the steady-state call path reuses storage instead of allocating per
+// message. The one exception is a server's request frame, read into a
+// fresh exact-size buffer that the request's goroutine owns outright,
+// because the handler reads the payload in place while later frames
+// arrive.
 
 const (
 	// frameHeaderLen is the byte length of the frame length prefix.
@@ -32,23 +36,6 @@ const (
 // that produced it is invalid, not the request.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 
-// framePool recycles frame bodies across calls. Buffers grow to fit the
-// largest frame they ever carry and are reused at that capacity, so a
-// steady-state workload settles into zero buffer churn (the
-// Muratam/isucon9q buffer-reuse pattern).
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-//elan:hotpath
-func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
-
-//elan:hotpath
-func putFrameBuf(b *[]byte) { *b = (*b)[:0]; framePool.Put(b) }
-
 // readFrame reads one frame body into *bufp (growing its backing array
 // only when the body outgrows it) and returns the body slice, which
 // aliases *bufp's storage and is valid until the buffer is reused.
@@ -61,11 +48,11 @@ func readFrame(r io.Reader, bufp *[]byte) ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	buf := *bufp
 	if cap(buf) < int(n) {
-		buf = make([]byte, n) //elan:vet-allow hotpathalloc — pooled buffer grows to the high-water frame size, then reuses it (TestPooledCallSteadyStateAllocsBounded)
+		buf = make([]byte, n) //elan:vet-allow hotpathalloc — a reused buffer grows to the high-water frame size; a server request frame gets its own exact-size buffer (TestPooledCallSteadyStateAllocsBounded)
 		*bufp = buf
 	}
 	buf = buf[:n]
@@ -73,30 +60,26 @@ func readFrame(r io.Reader, bufp *[]byte) ([]byte, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("transport: short frame: %w", err) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return nil, fmt.Errorf("transport: short frame: %w", err)
 	}
 	return buf, nil
 }
 
-// writeFrame writes body as one frame under wmu. The length prefix and
-// body go out in a single Write so concurrent writers on a multiplexed
-// connection never interleave partial frames; wmu serializes the calls
-// themselves (net.Conn allows concurrent Write, but two frames built from
-// two buffers must not interleave at the io layer when a Write is split).
-// The frame is assembled in *bufp's storage, which must have
-// frameHeaderLen spare bytes reserved at the front by the encoder.
+// writeFrame writes frame, whose first frameHeaderLen bytes the encoder
+// reserved for the length prefix, in a single Write. The caller holds the
+// connection's write lock, which also guards the buffer frame lives in,
+// so concurrent callers on a multiplexed connection never interleave
+// partial frames.
 //
 //elan:hotpath
-func writeFrame(conn net.Conn, wmu *sync.Mutex, frame []byte) error {
+func writeFrame(conn net.Conn, frame []byte) error {
 	if len(frame) < frameHeaderLen {
 		return errors.New("transport: internal: frame missing header room")
 	}
 	binary.BigEndian.PutUint32(frame[:frameHeaderLen], uint32(len(frame)-frameHeaderLen))
-	wmu.Lock()
 	_, err := conn.Write(frame)
-	wmu.Unlock()
 	if err != nil {
-		return fmt.Errorf("transport: write frame: %w", err) //elan:vet-allow hotpathalloc — cold error path, never taken in the zero-alloc steady state
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }

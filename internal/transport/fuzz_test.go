@@ -39,8 +39,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x10first-frame-body\x00\x00\x00\x06second"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bufp := getFrameBuf()
-		defer putFrameBuf(bufp)
+		var buf []byte
+		bufp := &buf
 
 		if body, err := readFrame(bytes.NewReader(data), bufp); err == nil {
 			n := binary.BigEndian.Uint32(data)

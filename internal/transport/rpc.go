@@ -29,6 +29,7 @@ const DefaultCallTimeout = 2 * time.Second
 type serverConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
+	wbuf []byte // response encode buffer, guarded by wmu
 }
 
 // Server serves the request/reply protocol on a TCP listener. Requests
@@ -121,9 +122,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // serveConn is the per-connection read loop: it reads one frame at a time
-// into a pooled buffer and hands each request to its own goroutine. The
-// request goroutine owns the frame buffer (the decoded payload aliases
-// it) and returns it to the pool after the handler finishes.
+// into a fresh buffer and hands each request to its own goroutine, which
+// owns that buffer outright (the decoded payload aliases it).
 func (s *Server) serveConn(sc *serverConn) {
 	defer s.wg.Done()
 	defer func() {
@@ -133,21 +133,18 @@ func (s *Server) serveConn(sc *serverConn) {
 		s.mu.Unlock()
 	}()
 	for {
-		bufp := getFrameBuf()
-		body, err := readFrame(sc.conn, bufp)
+		var buf []byte
+		body, err := readFrame(sc.conn, &buf)
 		if err != nil {
-			putFrameBuf(bufp)
 			return
 		}
 		id, kind, payload, tc, err := decodeRequest(body)
 		if err != nil {
-			putFrameBuf(bufp)
 			return // protocol corruption: tear the connection down
 		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer putFrameBuf(bufp)
 			s.serveRequest(sc, id, kind, payload, tc)
 		}()
 	}
@@ -172,15 +169,15 @@ func (s *Server) serveRequest(sc *serverConn, id uint64, kind string, payload []
 		hspan.Annotate("error", err.Error())
 	}
 	hspan.End()
-	respp := getFrameBuf()
 	code := codeOf(err)
 	errMsg := ""
 	if err != nil {
 		errMsg = err.Error()
 	}
-	*respp = encodeResponse((*respp)[:0], id, code, errMsg, out)
-	_ = writeFrame(sc.conn, &sc.wmu, *respp) // write failure ends the conn via the read loop
-	putFrameBuf(respp)
+	sc.wmu.Lock()
+	sc.wbuf = encodeResponse(sc.wbuf[:0], id, code, errMsg, out)
+	_ = writeFrame(sc.conn, sc.wbuf) // write failure ends the conn via the read loop
+	sc.wmu.Unlock()
 }
 
 // dispatch runs the handler with per-request panic containment: a

@@ -144,8 +144,8 @@ func TestServerRecoversHandlerPanics(t *testing.T) {
 }
 
 // TestOneShotCallRoundTrip covers a fresh client's first dial on the framed
-// protocol, and payload isolation from the pooled frame buffers: two
-// replies read through one connection's reader stay distinct.
+// protocol, and payload isolation from the client's reused read buffer:
+// two replies read through one connection's reader stay distinct.
 func TestOneShotCallRoundTrip(t *testing.T) {
 	guardGoroutines(t)
 	srv := NewServer(func(m Message) ([]byte, error) {

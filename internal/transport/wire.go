@@ -12,8 +12,9 @@ import (
 // Binary codec for the TCP path. The previous protocol gob-encoded each
 // request/response, which allocated per message and — worse — flattened
 // server-side errors into bare strings, so errors.Is(err, ErrNoEndpoint)
-// held on the in-process bus but silently failed over TCP. This codec writes fixed-layout binary bodies into pooled frame
-// buffers and carries a typed error code in every response so sentinel
+// held on the in-process bus but silently failed over TCP. This codec
+// writes fixed-layout binary bodies into each connection's reused write
+// buffer and carries a typed error code in every response so sentinel
 // identity survives the round trip.
 //
 // Request body (after the frame length prefix):
@@ -213,7 +214,7 @@ func (r *wireReader) u64() uint64 {
 }
 
 // str reads a uint16-prefixed string, copying out of the frame buffer (the
-// buffer is pooled; strings escape it).
+// client reuses its read buffer; strings escape it).
 func (r *wireReader) str() string {
 	n := int(r.u16())
 	if r.err != nil || r.off+n > len(r.b) {
@@ -234,9 +235,9 @@ func (r *wireReader) rest() []byte {
 }
 
 // decodeRequest parses a request frame body. The returned payload aliases
-// body and is only valid until the frame buffer is reused — the server
-// hands it to the handler and recycles the buffer after the handler
-// returns, matching the in-process bus's ownership contract.
+// body; the server reads each request into a buffer of its own and never
+// reuses it, so the handler may keep the payload, as on the in-process
+// bus.
 func decodeRequest(body []byte) (id uint64, kind string, payload []byte, tc telemetry.TraceContext, err error) {
 	r := &wireReader{b: body}
 	if t := wireType(r.u8()); r.err == nil && t != wireRequest {

@@ -63,8 +63,8 @@ func TestWireTruncatedBodiesRejected(t *testing.T) {
 func TestReadFrameRejectsOversizeAndReusesBuffer(t *testing.T) {
 	var huge [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(huge[:], MaxFrameBytes+1)
-	bufp := getFrameBuf()
-	defer putFrameBuf(bufp)
+	var buf []byte
+	bufp := &buf
 	if _, err := readFrame(bytes.NewReader(huge[:]), bufp); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize frame error = %v, want ErrFrameTooLarge", err)
 	}
@@ -225,8 +225,9 @@ func TestErrorIdentityAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestWireEncodeConcurrent shakes out frame-buffer pool aliasing: many
-// goroutines encode and decode distinct requests through the shared pool.
+// TestWireEncodeConcurrent shakes out shared codec state: many goroutines
+// encode and decode distinct requests, each reusing its own buffer as a
+// connection reuses its write buffer.
 func TestWireEncodeConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -234,21 +235,19 @@ func TestWireEncodeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for i := 0; i < 200; i++ {
 				want := fmt.Sprintf("g%d-i%d", g, i)
-				bufp := getFrameBuf()
-				frame, err := encodeRequest((*bufp)[:0], uint64(i), "k", []byte(want), telemetry.TraceContext{})
+				frame, err := encodeRequest(buf[:0], uint64(i), "k", []byte(want), telemetry.TraceContext{})
 				if err != nil {
 					t.Error(err)
-					putFrameBuf(bufp)
 					return
 				}
-				*bufp = frame
+				buf = frame
 				_, _, payload, _, err := decodeRequest(frame[frameHeaderLen:])
 				if err != nil || string(payload) != want {
 					t.Errorf("decode = %q, %v, want %q", payload, err, want)
 				}
-				putFrameBuf(bufp)
 			}
 		}()
 	}

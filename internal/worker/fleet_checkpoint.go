@@ -66,7 +66,6 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 		return stats, err
 	}
 	f.ckptSeq = stats.Seq
-	f.lifeSpan.Event("checkpoint-save")
 	f.flight.RecordEvent("fleet-ckpt", "save", f.clk.Now())
 	return stats, nil
 }
@@ -118,7 +117,6 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	if h.TBS > 0 && h.TBS%len(f.agents) == 0 {
 		f.cfg.TotalBatch = h.TBS
 	}
-	f.lifeSpan.Event("checkpoint-restore")
 	f.flight.RecordEvent("fleet-ckpt", "restore", f.clk.Now())
 	return stats, nil
 }

@@ -5,11 +5,13 @@ package worker
 // must survive an AM outage.
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/elan-sys/elan/internal/checkpoint"
 	"github.com/elan-sys/elan/internal/clock"
 	"github.com/elan-sys/elan/internal/coord"
 	"github.com/elan-sys/elan/internal/racecheck"
@@ -216,6 +218,67 @@ func TestCrashDumpCopiesNoRing(t *testing.T) {
 	}
 	crash("CrashWorker", func() error { return f.CrashWorker("agent-2") }, "fleet-lead", "crash:agent-2")
 	crash("CrashAM", func() error { _, err := f.CrashAM(); return err }, "fleet-am", "am-crash")
+}
+
+// TestFleetSpanCarriesOnlyStartAndStop: the worker.fleet span stays open
+// from Start to Close, so an event per fault would grow a traced fleet's
+// heap for as long as it runs. Crashes, rejoins, AM outages and
+// checkpoints are carried by counters and the flight recorder instead.
+func TestFleetSpanCarriesOnlyStartAndStop(t *testing.T) {
+	guardGoroutines(t)
+	tr := telemetry.NewRecorder(clock.Wall{}, 0)
+	f, err := NewFleet(FleetConfig{
+		Dataset: dataset(t, 1024), LayerSizes: []int{4, 16, 3}, Workers: 2, TotalBatch: 24,
+		LR: 0.05, Momentum: 0.9, Seed: 21, Tracer: tr,
+		Checkpoints: checkpoint.NewDeltaStore(checkpoint.DeltaConfig{}),
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(f.Close)
+	if err := f.Start(context.Background()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for round := 0; round < 3; round++ {
+		steps(t, f, 1)
+		if err := f.CrashWorker("agent-1"); err != nil {
+			t.Fatalf("round %d CrashWorker: %v", round, err)
+		}
+		steps(t, f, 1) // sweeps the dead agent
+		if err := f.RejoinWorker("agent-1"); err != nil {
+			t.Fatalf("round %d RejoinWorker: %v", round, err)
+		}
+		if _, err := f.CrashAM(); err != nil {
+			t.Fatalf("round %d CrashAM: %v", round, err)
+		}
+		steps(t, f, 1)
+		if err := f.RecoverAM(); err != nil {
+			t.Fatalf("round %d RecoverAM: %v", round, err)
+		}
+		if _, err := f.SaveCheckpoint(); err != nil {
+			t.Fatalf("round %d SaveCheckpoint: %v", round, err)
+		}
+		if _, err := f.RestoreCheckpoint(); err != nil {
+			t.Fatalf("round %d RestoreCheckpoint: %v", round, err)
+		}
+	}
+	f.Close()
+	var fleet []telemetry.SpanRecord
+	for _, s := range tr.Snapshot() {
+		if s.Name == "worker.fleet" {
+			fleet = append(fleet, s)
+		}
+	}
+	if len(fleet) != 1 {
+		t.Fatalf("got %d worker.fleet spans, want 1", len(fleet))
+	}
+	var names []string
+	for _, ev := range fleet[0].Events {
+		names = append(names, ev.Name)
+	}
+	if len(names) != 2 || names[0] != "start" || names[1] != "stop" {
+		t.Fatalf("worker.fleet events = %v, want [start stop]", names)
+	}
 }
 
 func TestAMCrashRecoveryFencesOldIncarnation(t *testing.T) {

@@ -1169,7 +1169,6 @@ func (f *Fleet) sweepDeadLocked() error {
 	if err := f.rebuildGroupLocked(len(live)); err != nil {
 		return err
 	}
-	f.lifeSpan.Event("dead-worker-swept")
 	return nil
 }
 
@@ -1189,7 +1188,6 @@ func (f *Fleet) CrashWorker(name string) error {
 			a.kill()
 			f.cfg.Bus.Remove(name)
 			f.mWorkerCrashes.Inc()
-			f.lifeSpan.Event("worker-crash")
 			f.flight.RecordEvent("fleet-lead", "crash:"+name, f.clk.Now())
 			f.flight.DumpNow("worker-crash " + name)
 			return nil
@@ -1227,7 +1225,6 @@ func (f *Fleet) RejoinWorker(name string) error {
 		return err
 	}
 	f.mWorkerRejoins.Inc()
-	f.lifeSpan.Event("worker-rejoin")
 	return nil
 }
 
@@ -1247,7 +1244,6 @@ func (f *Fleet) CrashAM() (*coord.AM, error) {
 	old := f.am
 	f.am = nil
 	f.mAMCrashes.Inc()
-	f.lifeSpan.Event("am-crash")
 	f.flight.RecordEvent("fleet-am", "am-crash", f.clk.Now())
 	f.flight.DumpNow("am-crash")
 	return old, nil
@@ -1277,7 +1273,6 @@ func (f *Fleet) RecoverAM() error {
 	f.amSvc = svc
 	f.amDown = false
 	f.mAMRecoveries.Inc()
-	f.lifeSpan.Event("am-recover")
 	f.flight.RecordEvent("fleet-am", "am-recover", f.clk.Now())
 	return nil
 }
