@@ -27,7 +27,7 @@ import (
 //   - function literals (closures allocate when they capture)
 //   - go statements (a goroutine is an allocation; hot paths dispatch to
 //     resident helpers instead)
-//   - any fmt.* call (fmt boxes every operand)
+//   - any fmt.* call (fmt boxes every operand), and errors.New
 //   - string concatenation and string(...)/[]byte(...) conversions
 //   - explicit interface boxing via any(...)/interface{}(...) conversions
 //
@@ -44,7 +44,7 @@ import (
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "functions annotated //elan:hotpath must contain no alloc-inducing " +
-		"constructs (make/new/heap literals/append-to-local/closures/fmt/string concat)",
+		"constructs (make/new/heap literals/append-to-local/closures/fmt/errors.New/string concat)",
 	Run: runHotPathAlloc,
 }
 
@@ -167,8 +167,11 @@ func (hp *hotPathScan) call(call *ast.CallExpr, params map[*ast.Object]bool) {
 		}
 	case *ast.SelectorExpr:
 		if id, ok := fun.X.(*ast.Ident); ok {
-			if path := hp.pass.ImportedPath(hp.file, id); path == "fmt" {
+			switch path := hp.pass.ImportedPath(hp.file, id); {
+			case path == "fmt":
 				hp.pass.Reportf(call.Pos(), "hot path allocates: fmt.%s boxes every operand", fun.Sel.Name)
+			case path == "errors" && fun.Sel.Name == "New":
+				hp.pass.Reportf(call.Pos(), "hot path allocates: errors.New builds a fresh error; use a package-level sentinel")
 			}
 		}
 	case *ast.ParenExpr:

@@ -141,3 +141,15 @@ func hotResultError(n int) result {
 	}
 	return result{}
 }
+
+// hotErrorsNew: errors.New off an error exit builds a fresh error on
+// every call.
+//
+//elan:hotpath
+func hotErrorsNew(n int) ([]float64, error) {
+	e := errors.New("built on every call") // want `hot path allocates: errors\.New`
+	if n < 0 {
+		return nil, errors.New("negative size")
+	}
+	return nil, e
+}

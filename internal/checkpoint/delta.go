@@ -155,7 +155,7 @@ func (d *DeltaStore) copyChunks(dst, src []float64) {
 	})
 }
 
-// Save checkpoints state, with its opaque header (typically the gob of the
+// Save checkpoints state, with its opaque header (the fleet's encoded
 // runtime fields), under name: it copies the whole state into name's spare,
 // chunk-parallel, and publishes it. state is read in place and must not
 // change until Save returns; it is never written.

@@ -27,8 +27,6 @@
 package coord
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -134,7 +132,7 @@ func (a *Adjustment) clone() Adjustment {
 	return c
 }
 
-// persisted is the gob-serialized AM state saved to the store.
+// persisted is the AM state saved to the store, in codec.go's layout.
 type persisted struct {
 	State   State
 	Seq     int64
@@ -164,6 +162,9 @@ type AM struct {
 	pending *pendingState
 	last    *Adjustment
 	version int64 // store version for CAS fencing
+	// buf is the scratch buffer the state is encoded into; the store
+	// copies what it keeps.
+	buf []byte
 }
 
 func amKey(jobID string) string { return "am/" + jobID }
@@ -178,11 +179,7 @@ func NewAM(jobID string, st *store.Store) (*AM, error) {
 		return nil, errors.New("coord: nil store")
 	}
 	am := &AM{jobID: jobID, st: st, state: Idle}
-	blob, err := am.encode()
-	if err != nil {
-		return nil, err
-	}
-	v, err := st.CAS(amKey(jobID), 0, blob)
+	v, err := st.CAS(amKey(jobID), 0, am.encode())
 	if err != nil {
 		return nil, fmt.Errorf("coord: AM for %q already exists: %w", jobID, err)
 	}
@@ -201,8 +198,8 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: recover %q: %w", jobID, err)
 	}
-	var p persisted
-	if err := gob.NewDecoder(bytes.NewReader(e.Value)).Decode(&p); err != nil {
+	p, err := decodePersisted(e.Value)
+	if err != nil {
 		return nil, fmt.Errorf("coord: decode AM state: %w", err)
 	}
 	am := &AM{
@@ -212,13 +209,10 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 		seq:     p.Seq,
 		pending: p.Pending,
 		last:    p.Last,
+		buf:     e.Value, // a copy of the store's, free to reuse
 	}
 	// Take over by bumping the version.
-	blob, err := am.encode()
-	if err != nil {
-		return nil, err
-	}
-	v, err := st.CAS(amKey(jobID), e.Version, blob)
+	v, err := st.CAS(amKey(jobID), e.Version, am.encode())
 	if err != nil {
 		return nil, fmt.Errorf("coord: takeover race: %w", err)
 	}
@@ -226,23 +220,16 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 	return am, nil
 }
 
-// encode must be called with or without the lock but with a consistent view.
-func (am *AM) encode() ([]byte, error) {
-	var buf bytes.Buffer
-	p := persisted{State: am.state, Seq: am.seq, Pending: am.pending, Last: am.last}
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		return nil, fmt.Errorf("coord: encode AM state: %w", err)
-	}
-	return buf.Bytes(), nil
+// encode writes the state into am.buf and returns it. Callers hold am.mu,
+// or own an AM no other goroutine sees yet.
+func (am *AM) encode() []byte {
+	am.buf = appendPersisted(am.buf[:0], &persisted{State: am.state, Seq: am.seq, Pending: am.pending, Last: am.last})
+	return am.buf
 }
 
 // persistLocked writes the current state under CAS; callers hold am.mu.
 func (am *AM) persistLocked() error {
-	blob, err := am.encode()
-	if err != nil {
-		return err
-	}
-	v, err := am.st.CAS(amKey(am.jobID), am.version, blob)
+	v, err := am.st.CAS(amKey(am.jobID), am.version, am.encode())
 	if err != nil {
 		if errors.Is(err, store.ErrCASFailure) {
 			return ErrFenced

@@ -2,7 +2,7 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -18,27 +18,21 @@ import (
 // a malformed payload always is refused — must leave the AM's state and
 // sequence number as they were.
 func FuzzServiceHandle(f *testing.F) {
-	seed := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	// The messages of TestOneServiceBothWires, and a malformed request and
+	scaleOut := appendAdjustRequest(nil, &AdjustRequestMsg{Kind: ScaleOut, Add: []string{"w5", "w6"}})
+	// The messages of TestOneServiceBothWires, and a truncated request and
 	// report.
 	for _, m := range []struct {
 		kind    string
 		payload []byte
 	}{
-		{KindAdjustRequest, seed(AdjustRequestMsg{Kind: ScaleOut, Add: []string{"w5", "w6"}})},
-		{KindAdjustRequest, seed(AdjustRequestMsg{Kind: ScaleIn, Remove: []string{"w1"}})},
-		{KindWorkerReport, seed(ReportMsg{Worker: "w5"})},
-		{KindWorkerReport, seed(ReportMsg{Worker: "w9"})},
+		{KindAdjustRequest, scaleOut},
+		{KindAdjustRequest, appendAdjustRequest(nil, &AdjustRequestMsg{Kind: ScaleIn, Remove: []string{"w1"}})},
+		{KindWorkerReport, appendString(nil, "w5")},
+		{KindWorkerReport, appendString(nil, "w9")},
 		{KindAMState, nil},
-		{KindCoordinate, seed(CoordMsg{})},
-		{KindAdjustRequest, []byte(`{"kind":`)},
-		{KindWorkerReport, []byte(`{"worker":`)},
+		{KindCoordinate, binary.AppendVarint(nil, 0)},
+		{KindAdjustRequest, scaleOut[:len(scaleOut)-2]},
+		{KindWorkerReport, appendString(nil, "w5")[:2]},
 	} {
 		for start := uint8(0); start < 3; start++ {
 			f.Add(start, m.kind, m.payload)
@@ -74,9 +68,11 @@ func FuzzServiceHandle(f *testing.F) {
 		var malformed bool
 		switch kind {
 		case KindAdjustRequest:
-			malformed = json.Unmarshal(payload, new(AdjustRequestMsg)) != nil
+			_, err := decodeAdjustRequest(payload)
+			malformed = err != nil
 		case KindWorkerReport:
-			malformed = json.Unmarshal(payload, new(ReportMsg)) != nil
+			_, err := decodeString(payload)
+			malformed = err != nil
 		default:
 			return
 		}

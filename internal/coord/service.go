@@ -2,7 +2,7 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -29,6 +29,21 @@ import (
 // (coord.go), so a repeated message finds its own effect, on a restarted AM
 // too. Dropping a dead connection plus the retry backoff makes an AM
 // restart on the same address transparent (the ZeroMQ property).
+//
+// Payloads use the package's binary codec (codec.go: varints,
+// length-prefixed strings and lists, a trace as uvarint trace ID, uvarint
+// span ID and string proc):
+//
+//	adjust.request   varint after, varint kind, list add, list remove, trace
+//	worker.report    string worker
+//	worker.coord     varint after
+//	am.state         empty
+//
+// The reply to worker.coord is empty for "keep training", else the
+// adjustment: varint seq, varint kind, list add, list remove, trace. The
+// reply to am.state is varint state, varint seq, list pending. A successful
+// adjust.request or worker.report replies empty; a refused one fails the
+// call with the AM's error.
 
 // Message kinds understood by the AM service.
 const (
@@ -41,37 +56,20 @@ const (
 // AdjustRequestMsg is the payload of adjust.request. After is the last
 // adjustment the requester knows was handed out; the request opens After+1.
 type AdjustRequestMsg struct {
-	After  int64    `json:"after"`
-	Kind   Kind     `json:"kind"`
-	Add    []string `json:"add"`
-	Remove []string `json:"remove"`
+	After  int64
+	Kind   Kind
+	Add    []string
+	Remove []string
 	// Trace is the requesting span's identity, persisted with the pending
 	// adjustment so the eventual apply joins the requester's trace.
-	Trace telemetry.TraceContext `json:"trace,omitempty"`
-}
-
-// ReportMsg is the payload of worker.report.
-type ReportMsg struct {
-	Worker string `json:"worker"`
-}
-
-// CoordMsg is the payload of worker.coord: the last adjustment the caller
-// received.
-type CoordMsg struct {
-	After int64 `json:"after"`
-}
-
-// CoordReplyMsg is the reply to worker.coord.
-type CoordReplyMsg struct {
-	HasAdjustment bool       `json:"hasAdjustment"`
-	Adjustment    Adjustment `json:"adjustment"`
+	Trace telemetry.TraceContext
 }
 
 // StateReplyMsg is the reply to am.state.
 type StateReplyMsg struct {
-	State   State    `json:"state"`
-	Seq     int64    `json:"seq"`
-	Pending []string `json:"pending"`
+	State   State
+	Seq     int64
+	Pending []string
 }
 
 // Service binds an AM to one wire: a bus endpoint or a TCP server.
@@ -158,8 +156,8 @@ func (s *Service) Close() {
 func (s *Service) handle(m transport.Message) ([]byte, error) {
 	switch m.Kind {
 	case KindAdjustRequest:
-		var req AdjustRequestMsg
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
+		req, err := decodeAdjustRequest(m.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("coord: bad adjust.request: %w", err)
 		}
 		span := s.tr.StartRemoteSpan("coord.adjust_request", m.Trace)
@@ -171,52 +169,46 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		if !tc.Valid() {
 			tc = span.Context()
 		}
-		err := s.am.RequestAdjustmentTraced(req.After, req.Kind, req.Add, req.Remove, tc)
+		err = s.am.RequestAdjustmentTraced(req.After, req.Kind, req.Add, req.Remove, tc)
 		if err != nil {
 			span.Annotate("error", err.Error())
 		}
 		span.End()
-		if err != nil {
-			return nil, err
-		}
-		return []byte(`{}`), nil
+		return nil, err
 	case KindWorkerReport:
-		var req ReportMsg
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
+		worker, err := decodeString(m.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("coord: bad worker.report: %w", err)
 		}
 		span := s.tr.StartRemoteSpan("coord.report_ready", m.Trace)
-		span.Annotate("worker", req.Worker)
-		err := s.am.ReportReady(req.Worker)
+		span.Annotate("worker", worker)
+		err = s.am.ReportReady(worker)
 		if err != nil {
 			span.Annotate("error", err.Error())
 		}
 		span.End()
-		if err != nil {
-			return nil, err
-		}
-		return []byte(`{}`), nil
+		return nil, err
 	case KindCoordinate:
-		var req CoordMsg
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
+		after, err := decodeVarint(m.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("coord: bad worker.coord: %w", err)
 		}
 		span := s.tr.StartRemoteSpan("coord.coordinate", m.Trace)
-		adj, ok, err := s.am.Coordinate(req.After)
+		adj, ok, err := s.am.Coordinate(after)
 		if err != nil {
 			span.Annotate("error", err.Error())
 		}
 		span.End()
-		if err != nil {
+		if err != nil || !ok {
 			return nil, err
 		}
-		return json.Marshal(CoordReplyMsg{HasAdjustment: ok, Adjustment: adj})
+		return appendAdjustment(nil, &adj), nil
 	case KindAMState:
-		return json.Marshal(StateReplyMsg{
+		return appendStateReply(nil, &StateReplyMsg{
 			State:   s.am.State(),
 			Seq:     s.am.Seq(),
 			Pending: s.am.PendingWorkers(),
-		})
+		}), nil
 	default:
 		return nil, fmt.Errorf("coord: unknown message kind %q", m.Kind)
 	}
@@ -314,11 +306,8 @@ func (c *Client) RequestAdjustment(kind Kind, add, remove []string) error {
 // stored alongside the pending adjustment. A nil ctx selects the client's
 // parent context.
 func (c *Client) RequestAdjustmentTraced(ctx context.Context, after int64, kind Kind, add, remove []string, tc telemetry.TraceContext) error {
-	payload, err := json.Marshal(AdjustRequestMsg{After: after, Kind: kind, Add: add, Remove: remove, Trace: tc})
-	if err != nil {
-		return err
-	}
-	_, err = c.call(c.callCtx(ctx), KindAdjustRequest, payload)
+	payload := appendAdjustRequest(nil, &AdjustRequestMsg{After: after, Kind: kind, Add: add, Remove: remove, Trace: tc})
+	_, err := c.call(c.callCtx(ctx), KindAdjustRequest, payload)
 	return err
 }
 
@@ -330,11 +319,7 @@ func (c *Client) ReportReady(worker string) error {
 // ReportReadyCtx is ReportReady under a caller context; a span carried in
 // ctx makes the report's transport call part of its trace.
 func (c *Client) ReportReadyCtx(ctx context.Context, worker string) error {
-	payload, err := json.Marshal(ReportMsg{Worker: worker})
-	if err != nil {
-		return err
-	}
-	_, err = c.call(c.callCtx(ctx), KindWorkerReport, payload)
+	_, err := c.call(c.callCtx(ctx), KindWorkerReport, appendString(nil, worker))
 	return err
 }
 
@@ -349,22 +334,18 @@ func (c *Client) Coordinate() (Adjustment, bool, error) {
 // round-trip part of its trace. An adjustment it returns becomes the
 // client's last received.
 func (c *Client) CoordinateCtx(ctx context.Context, after int64) (Adjustment, bool, error) {
-	payload, err := json.Marshal(CoordMsg{After: after})
+	out, err := c.call(c.callCtx(ctx), KindCoordinate, binary.AppendVarint(nil, after))
 	if err != nil {
 		return Adjustment{}, false, err
 	}
-	out, err := c.call(c.callCtx(ctx), KindCoordinate, payload)
+	adj, ok, err := decodeCoordReply(out)
 	if err != nil {
-		return Adjustment{}, false, err
-	}
-	var reply CoordReplyMsg
-	if err := json.Unmarshal(out, &reply); err != nil {
 		return Adjustment{}, false, fmt.Errorf("coord: bad coord reply: %w", err)
 	}
-	if reply.HasAdjustment {
-		c.seq.Store(reply.Adjustment.Seq)
+	if ok {
+		c.seq.Store(adj.Seq)
 	}
-	return reply.Adjustment, reply.HasAdjustment, nil
+	return adj, ok, nil
 }
 
 func (c *Client) callCtx(ctx context.Context) context.Context {
@@ -380,8 +361,8 @@ func (c *Client) AMState() (StateReplyMsg, error) {
 	if err != nil {
 		return StateReplyMsg{}, err
 	}
-	var reply StateReplyMsg
-	if err := json.Unmarshal(out, &reply); err != nil {
+	reply, err := decodeStateReply(out)
+	if err != nil {
 		return StateReplyMsg{}, fmt.Errorf("coord: bad state reply: %w", err)
 	}
 	return reply, nil

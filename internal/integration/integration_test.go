@@ -6,8 +6,6 @@
 package integration
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"github.com/elan-sys/elan/internal/chaos"
 	"github.com/elan-sys/elan/internal/checkpoint"
 	"github.com/elan-sys/elan/internal/data"
-	"github.com/elan-sys/elan/internal/scaling"
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
 	"github.com/elan-sys/elan/internal/worker"
@@ -237,23 +234,13 @@ func TestSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreFrom: %v", err)
 	}
-	// The fleet's checkpoint header, field for field.
-	type header struct {
-		Iter, TBS int
-		LR        scaling.LRSchedule
-		Cursor    int
-	}
-	var snap header
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
+	snap, err := worker.DecodeCheckpointHeader(raw)
+	if err != nil {
 		t.Fatalf("decode header: %v", err)
 	}
-	restore := func(h header, st []float64) error {
+	restore := func(h worker.CheckpointHeader, st []float64) error {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-			t.Fatalf("encode header: %v", err)
-		}
-		if _, err := ckpt.Save("fleet", buf.Bytes(), st); err != nil {
+		if _, err := ckpt.Save("fleet", h.Append(nil), st); err != nil {
 			t.Fatalf("Save: %v", err)
 		}
 		_, err := job.RestoreCheckpoint()

@@ -1,9 +1,7 @@
 package worker
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"hash/fnv"
 	"math"
@@ -533,8 +531,8 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 			if err != nil {
 				t.Fatal(err)
 			}
-			var h fleetCkptHeader
-			if err := gob.NewDecoder(bytes.NewReader(hdrB)).Decode(&h); err != nil {
+			h, err := DecodeCheckpointHeader(hdrB)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for _, a := range f.agents {

@@ -1,10 +1,10 @@
 package worker
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
 	"github.com/elan-sys/elan/internal/scaling"
@@ -19,14 +19,62 @@ import (
 // The store's snapshot is the only copy of the checkpoint; the fleet keeps
 // none of its own.
 
-// fleetCkptHeader is the runtime (non-tensor) state riding in the
+// CheckpointHeader is the runtime (non-tensor) state riding in the
 // snapshot header. LR is the whole schedule, so a restore mid-ramp goes on
 // ramping.
-type fleetCkptHeader struct {
+type CheckpointHeader struct {
 	Iter   int
 	TBS    int
 	LR     scaling.LRSchedule
 	Cursor int
+}
+
+// Append appends the header's encoding to b: varints Iter and TBS, the
+// bits of LR.LR0 and LR.LRT as 8 little-endian bytes each (so the rates
+// come back exact), then varints LR.T0, LR.T and Cursor.
+func (h CheckpointHeader) Append(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(h.Iter))
+	b = binary.AppendVarint(b, int64(h.TBS))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.LR.LR0))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.LR.LRT))
+	b = binary.AppendVarint(b, int64(h.LR.T0))
+	b = binary.AppendVarint(b, int64(h.LR.T))
+	return binary.AppendVarint(b, int64(h.Cursor))
+}
+
+// errBadHeader is DecodeCheckpointHeader's refusal.
+var errBadHeader = errors.New("worker: malformed checkpoint header")
+
+// DecodeCheckpointHeader decodes what Append wrote. It refuses truncated
+// input, trailing bytes and a varint that does not fit an int.
+func DecodeCheckpointHeader(b []byte) (CheckpointHeader, error) {
+	ok := true
+	varint := func() int {
+		v, n := binary.Varint(b)
+		if n <= 0 || int64(int(v)) != v {
+			ok = false
+			return 0
+		}
+		b = b[n:]
+		return int(v)
+	}
+	float := func() float64 {
+		if len(b) < 8 {
+			ok = false
+			return 0
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return v
+	}
+	var h CheckpointHeader
+	h.Iter, h.TBS = varint(), varint()
+	h.LR.LR0, h.LR.LRT = float(), float()
+	h.LR.T0, h.LR.T, h.Cursor = varint(), varint(), varint()
+	if !ok || len(b) != 0 {
+		return CheckpointHeader{}, errBadHeader
+	}
+	return h, nil
 }
 
 // ErrNoCheckpointStore is returned by checkpoint calls on a fleet built
@@ -52,14 +100,10 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 	if src == nil {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: no live agent to checkpoint from")
 	}
-	var buf bytes.Buffer
-	h := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: *f.lrSched, Cursor: f.loader.Cursor()}
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return checkpoint.SaveStats{}, fmt.Errorf("worker: encode checkpoint header: %w", err)
-	}
+	h := CheckpointHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: *f.lrSched, Cursor: f.loader.Cursor()}
 	// The store reads the lead replica's arena in place: the agent is idle
 	// between commands while f.mu is held, so nothing writes it.
-	stats, err := f.cfg.Checkpoints.Save(ckptName, buf.Bytes(), src.rep.State())
+	stats, err := f.cfg.Checkpoints.Save(ckptName, h.Append(nil), src.rep.State())
 	if err != nil {
 		// A failed save (e.g. a crash injected before the publish) leaves
 		// the previous snapshot authoritative.
@@ -125,14 +169,14 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 // checkpoint and checks it against the fleet: the state must fit the
 // replicas' arenas, the cursor the dataset, and the learning-rate schedule
 // must be a valid one, which it returns built.
-func (f *Fleet) checkpointHeaderLocked() (fleetCkptHeader, *scaling.LRSchedule, error) {
-	var h fleetCkptHeader
+func (f *Fleet) checkpointHeaderLocked() (CheckpointHeader, *scaling.LRSchedule, error) {
 	header, numElems, ok := f.cfg.Checkpoints.Head(ckptName)
 	if !ok {
-		return h, nil, fmt.Errorf("%w: %q", checkpoint.ErrNoCheckpoint, ckptName)
+		return CheckpointHeader{}, nil, fmt.Errorf("%w: %q", checkpoint.ErrNoCheckpoint, ckptName)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(header)).Decode(&h); err != nil {
-		return h, nil, fmt.Errorf("worker: decode checkpoint header: %w", err)
+	h, err := DecodeCheckpointHeader(header)
+	if err != nil {
+		return h, nil, err
 	}
 	if len(f.agents) == 0 {
 		return h, nil, fmt.Errorf("worker: no agent to restore into")

@@ -1,8 +1,6 @@
 package worker
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"slices"
@@ -212,27 +210,23 @@ func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 	steps(t, f, 1) // the fleet moves past its save: a restore would show
 
 	f.mu.Lock()
-	good := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: *f.lrSched, Cursor: f.loader.Cursor()}
+	good := CheckpointHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: *f.lrSched, Cursor: f.loader.Cursor()}
 	state := slices.Clone(f.agents[0].rep.State())
 	f.mu.Unlock()
 	for _, tc := range []struct {
 		name   string
-		edit   func(*fleetCkptHeader)
+		edit   func(*CheckpointHeader)
 		state  []float64
 		refuse bool
 	}{
-		{"bad cursor", func(h *fleetCkptHeader) { h.Cursor = 1 << 20 }, state, true},
-		{"bad LR", func(h *fleetCkptHeader) { h.LR.LR0 = -1 }, state, true},
-		{"wrong state length", func(*fleetCkptHeader) {}, state[:len(state)-1], true},
-		{"indivisible TBS", func(h *fleetCkptHeader) { h.TBS = 7 }, state, false},
+		{"bad cursor", func(h *CheckpointHeader) { h.Cursor = 1 << 20 }, state, true},
+		{"bad LR", func(h *CheckpointHeader) { h.LR.LR0 = -1 }, state, true},
+		{"wrong state length", func(*CheckpointHeader) {}, state[:len(state)-1], true},
+		{"indivisible TBS", func(h *CheckpointHeader) { h.TBS = 7 }, state, false},
 	} {
 		h := good
 		tc.edit(&h)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ds.Save(ckptName, buf.Bytes(), tc.state); err != nil {
+		if _, err := ds.Save(ckptName, h.Append(nil), tc.state); err != nil {
 			t.Fatal(err)
 		}
 		before := readFleetState(f)
@@ -283,16 +277,10 @@ func FuzzCheckpointHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	fl.mu.Lock()
-	good := fleetCkptHeader{Iter: fl.iter, TBS: fl.cfg.TotalBatch, LR: *fl.lrSched, Cursor: fl.loader.Cursor()}
+	good := CheckpointHeader{Iter: fl.iter, TBS: fl.cfg.TotalBatch, LR: *fl.lrSched, Cursor: fl.loader.Cursor()}
 	state := slices.Clone(fl.agents[0].rep.State())
 	fl.mu.Unlock()
-	encode := func(h fleetCkptHeader) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	encode := func(h CheckpointHeader) []byte { return h.Append(nil) }
 	f.Add(encode(good))
 	f.Add(encode(good)[:len(encode(good))/2])
 	bad := good
