@@ -17,17 +17,18 @@ import (
 // the bytes left before anything is allocated. An empty list decodes as
 // nil.
 //
-// The persisted state:
+// The persisted state is the AM's two adjustments and nothing derived from
+// them:
 //
-//	varint  state
-//	varint  seq
 //	flag    pending adjustment follows
-//	        adjustment, then one flag per Add name in Add order: reported
+//	        adjustment, then one flag per Add entry in Add order: reported
 //	flag    last adjustment follows
 //	        adjustment
 //
 // An adjustment is varint seq, varint kind, list add, list remove, trace.
-// A trace is uvarint trace ID, uvarint span ID, string proc.
+// A trace is uvarint trace ID, uvarint span ID, string proc. The decoder
+// also refuses a record the AM cannot write, such as an open adjustment not
+// numbered last+1.
 
 // errMalformed is every decoder's error: the payload is not one the
 // encoder writes.
@@ -222,13 +223,11 @@ func decodeStateReply(b []byte) (StateReplyMsg, error) {
 }
 
 func appendPersisted(b []byte, p *persisted) []byte {
-	b = binary.AppendVarint(b, int64(p.State))
-	b = binary.AppendVarint(b, p.Seq)
 	b = appendFlag(b, p.Pending != nil)
 	if p.Pending != nil {
 		b = appendAdjustment(b, &p.Pending.Adjustment)
-		for _, w := range p.Pending.Add {
-			b = appendFlag(b, p.Pending.Reported[w])
+		for _, v := range p.Pending.Reported {
+			b = appendFlag(b, v)
 		}
 	}
 	b = appendFlag(b, p.Last != nil)
@@ -240,23 +239,22 @@ func appendPersisted(b []byte, p *persisted) []byte {
 
 func decodePersisted(b []byte) (persisted, error) {
 	r := reader{b: b}
-	p := persisted{State: State(r.int()), Seq: r.varint()}
+	var p persisted
 	if r.flag() {
 		ps := &pendingState{Adjustment: r.adjustment()}
-		ps.Reported = make(map[string]bool, len(ps.Add))
-		for _, w := range ps.Add {
-			v := r.flag()
-			// A name listed twice has one flag, so both copies agree.
-			if old, dup := ps.Reported[w]; dup && old != v {
-				r.err = errMalformed
-			}
-			ps.Reported[w] = v
+		ps.Reported = make([]bool, len(ps.Add))
+		for i := range ps.Reported {
+			ps.Reported[i] = r.flag()
 		}
 		p.Pending = ps
 	}
 	if r.flag() {
 		last := r.adjustment()
 		p.Last = &last
+	}
+	if p.Last != nil && (p.Last.Seq < 1 || checkRequest(p.Last.Kind, p.Last.Add, p.Last.Remove) != nil) ||
+		p.Pending != nil && (p.Pending.Seq != p.seq()+1 || checkRequest(p.Pending.Kind, p.Pending.Add, p.Pending.Remove) != nil) {
+		r.err = errMalformed
 	}
 	return p, r.done()
 }

@@ -60,9 +60,13 @@ func codecValues(n int64, name string) []struct {
 } {
 	tc := telemetry.TraceContext{Trace: uint64(n), Span: math.MaxUint64, Proc: name}
 	adj := Adjustment{Seq: n, Kind: Kind(n % 4), Add: []string{name, "w" + name}, Remove: []string{name}, Trace: tc}
+	// A record the AM can write: last is a valid request numbered from 1,
+	// and the open adjustment is numbered last+1.
+	last := adj.clone()
+	last.Seq, last.Kind = 1+n&math.MaxInt32, Migrate
 	pending := &pendingState{
-		Adjustment: Adjustment{Seq: n + 1, Kind: ScaleOut, Add: []string{name, "x", name}},
-		Reported:   map[string]bool{name: n%2 == 0, "x": true},
+		Adjustment: Adjustment{Seq: last.Seq + 1, Kind: ScaleOut, Add: []string{name, "x" + name}},
+		Reported:   []bool{n%2 == 0, true},
 	}
 	return []struct {
 		rt  int
@@ -75,8 +79,31 @@ func codecValues(n int64, name string) []struct {
 		{3, appendAdjustment(nil, &adj)},
 		{3, nil},
 		{4, appendStateReply(nil, &StateReplyMsg{State: State(n), Seq: -n, Pending: adj.Add})},
-		{5, appendPersisted(nil, &persisted{State: Pending, Seq: n, Pending: pending, Last: &adj})},
-		{5, appendPersisted(nil, &persisted{State: Idle})},
+		{5, appendPersisted(nil, &persisted{Pending: pending, Last: &last})},
+		{5, appendPersisted(nil, &persisted{})},
+	}
+}
+
+// checkRecovers recovers an AM from a persisted record the codec accepts
+// and checks that its State, Seq and PendingWorkers agree, and that a
+// coordination after Seq hands out exactly what that state promises.
+func checkRecovers(t *testing.T, rec []byte) {
+	t.Helper()
+	st := store.New()
+	if _, err := st.CAS(amKey("j"), 0, rec); err != nil {
+		t.Fatal(err)
+	}
+	am, err := Recover("j", st)
+	if err != nil {
+		t.Fatalf("accepted record %x does not recover: %v", rec, err)
+	}
+	state, seq, waiting := am.State(), am.Seq(), am.PendingWorkers()
+	if seq < 0 || (state == Pending) != (waiting != nil) {
+		t.Fatalf("record %x recovers %v at %d waiting for %v", rec, state, seq, waiting)
+	}
+	adj, ok, err := am.Coordinate(seq)
+	if err != nil || ok != (state == Ready) || (ok && adj.Seq != seq+1) {
+		t.Fatalf("record %x: %v at %d coordinates %+v, %v, %v", rec, state, seq, adj, ok, err)
 	}
 }
 
@@ -111,6 +138,9 @@ func FuzzCoordCodec(f *testing.F) {
 				t.Fatalf("%s: accepted %x but re-encodes as %x", rt.name, data, out)
 			}
 		}
+		if _, err := decodePersisted(data); err == nil {
+			checkRecovers(t, data)
+		}
 	})
 }
 
@@ -131,11 +161,14 @@ func allocBytes(fn func()) uint64 {
 // TestCodecRefuses pins the strictness the fuzz target relies on.
 func TestCodecRefuses(t *testing.T) {
 	req := appendAdjustRequest(nil, &AdjustRequestMsg{After: 3, Kind: ScaleOut, Add: []string{"w5"}})
-	pending := appendPersisted(nil, &persisted{State: Pending, Pending: &pendingState{
-		Adjustment: Adjustment{Seq: 1, Kind: ScaleOut, Add: []string{"w5", "w5"}},
-		Reported:   map[string]bool{"w5": true},
-	}})
-	flags := len(pending) - 3 // the two reported flags, before the last flag
+	last := &Adjustment{Seq: 2, Kind: ScaleIn, Remove: []string{"w1"}}
+	record := func(pending, last *Adjustment) []byte {
+		p := persisted{Last: last}
+		if pending != nil {
+			p.Pending = &pendingState{Adjustment: *pending, Reported: make([]bool, len(pending.Add))}
+		}
+		return appendPersisted(nil, &p)
+	}
 	for _, tc := range []struct {
 		name string
 		rt   int
@@ -148,15 +181,21 @@ func TestCodecRefuses(t *testing.T) {
 		{"empty coordinate", 2, nil},
 		{"list longer than the payload", 4, []byte{2, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}},
 		{"string longer than the payload", 1, []byte{5, 'w'}},
-		{"flag of 2", 5, []byte{2, 0, 2}},
-		{"duplicate add name, disagreeing flags", 5, append(append(pending[:flags:flags], 1, 0), pending[flags+2:]...)},
+		{"flag of 2", 5, []byte{2}},
+		{"open adjustment skips a number", 5, record(&Adjustment{Seq: 4, Kind: ScaleOut, Add: []string{"w5"}}, last)},
+		{"open adjustment repeats a number", 5, record(&Adjustment{Seq: 2, Kind: ScaleOut, Add: []string{"w5"}}, last)},
+		{"first open adjustment not 1", 5, record(&Adjustment{Seq: 2, Kind: ScaleOut, Add: []string{"w5"}}, nil)},
+		{"last adjustment numbered 0", 5, record(nil, &Adjustment{Kind: ScaleIn, Remove: []string{"w1"}})},
+		{"open adjustment of no kind", 5, record(&Adjustment{Seq: 3}, last)},
+		{"last scale-out without joiners", 5, record(nil, &Adjustment{Seq: 2, Kind: ScaleOut})},
+		{"joiner added twice", 5, record(&Adjustment{Seq: 3, Kind: ScaleOut, Add: []string{"w5", "w5"}}, last)},
 	} {
 		if _, err := roundTrips[tc.rt].rt(tc.in); err == nil {
 			t.Errorf("%s: %s %x accepted", tc.name, roundTrips[tc.rt].name, tc.in)
 		}
 	}
-	if _, err := decodePersisted(pending); err != nil {
-		t.Fatalf("duplicate add name, agreeing flags: %v", err)
+	if _, err := decodePersisted(record(&Adjustment{Seq: 3, Kind: ScaleOut, Add: []string{"w5"}}, last)); err != nil {
+		t.Fatalf("open adjustment numbered last+1: %v", err)
 	}
 	// An empty list decodes as nil, as the AM's slices.Equal checks expect.
 	m, err := decodeAdjustRequest(appendAdjustRequest(nil, &AdjustRequestMsg{Kind: ScaleIn, Add: []string{}, Remove: []string{"w1"}}))

@@ -132,22 +132,44 @@ func (a *Adjustment) clone() Adjustment {
 	return c
 }
 
-// persisted is the AM state saved to the store, in codec.go's layout.
+// persisted is the AM's state, saved to the store in codec.go's layout:
+// the open adjustment and the last one handed out. Its state and seq are
+// functions of the two.
 type persisted struct {
-	State   State
-	Seq     int64
 	Pending *pendingState
-	// Last is adjustment Seq, the last one handed out, for Coordinate to
-	// hand out again to a caller whose reply was lost.
+	// Last is the last adjustment handed out, for Coordinate to hand out
+	// again to a caller whose reply was lost.
 	Last *Adjustment
+}
+
+// state is Idle with no adjustment open, Ready once every worker the open
+// one adds has reported, and Pending before that.
+func (p *persisted) state() State {
+	switch {
+	case p.Pending == nil:
+		return Idle
+	case slices.Contains(p.Pending.Reported, false):
+		return Pending
+	default:
+		return Ready
+	}
+}
+
+// seq is the number of the last adjustment handed out, 0 before the first.
+func (p *persisted) seq() int64 {
+	if p.Last == nil {
+		return 0
+	}
+	return p.Last.Seq
 }
 
 // pendingState is the open adjustment: its Seq is the number it will be
 // handed out as, and its Trace survives persistence so a recovered AM
 // still hands the original request's causal identity to Coordinate.
+// Reported has one flag per Add entry, in Add order.
 type pendingState struct {
 	Adjustment
-	Reported map[string]bool
+	Reported []bool
 }
 
 // AM is the application master of one job. It is safe for concurrent use:
@@ -156,12 +178,9 @@ type AM struct {
 	jobID string
 	st    *store.Store
 
-	mu      sync.Mutex
-	state   State
-	seq     int64
-	pending *pendingState
-	last    *Adjustment
-	version int64 // store version for CAS fencing
+	mu        sync.Mutex
+	persisted       // the two adjustments: all the AM's state
+	version   int64 // store version for CAS fencing
 	// buf is the scratch buffer the state is encoded into; the store
 	// copies what it keeps.
 	buf []byte
@@ -178,7 +197,7 @@ func NewAM(jobID string, st *store.Store) (*AM, error) {
 	if st == nil {
 		return nil, errors.New("coord: nil store")
 	}
-	am := &AM{jobID: jobID, st: st, state: Idle}
+	am := &AM{jobID: jobID, st: st}
 	v, err := st.CAS(amKey(jobID), 0, am.encode())
 	if err != nil {
 		return nil, fmt.Errorf("coord: AM for %q already exists: %w", jobID, err)
@@ -203,13 +222,10 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 		return nil, fmt.Errorf("coord: decode AM state: %w", err)
 	}
 	am := &AM{
-		jobID:   jobID,
-		st:      st,
-		state:   p.State,
-		seq:     p.Seq,
-		pending: p.Pending,
-		last:    p.Last,
-		buf:     e.Value, // a copy of the store's, free to reuse
+		jobID:     jobID,
+		st:        st,
+		persisted: p,
+		buf:       e.Value, // a copy of the store's, free to reuse
 	}
 	// Take over by bumping the version.
 	v, err := st.CAS(amKey(jobID), e.Version, am.encode())
@@ -223,7 +239,7 @@ func Recover(jobID string, st *store.Store) (*AM, error) {
 // encode writes the state into am.buf and returns it. Callers hold am.mu,
 // or own an AM no other goroutine sees yet.
 func (am *AM) encode() []byte {
-	am.buf = appendPersisted(am.buf[:0], &persisted{State: am.state, Seq: am.seq, Pending: am.pending, Last: am.last})
+	am.buf = appendPersisted(am.buf[:0], &am.persisted)
 	return am.buf
 }
 
@@ -244,14 +260,35 @@ func (am *AM) persistLocked() error {
 func (am *AM) State() State {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	return am.state
+	return am.state()
 }
 
 // Seq returns the number of adjustments performed so far.
 func (am *AM) Seq() int64 {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	return am.seq
+	return am.seq()
+}
+
+// checkRequest refuses an adjustment the AM never opens: an unknown kind, a
+// scale-out without joiners, a scale-in without leavers, or a joiner named
+// twice.
+func checkRequest(kind Kind, add, remove []string) error {
+	if kind != ScaleOut && kind != ScaleIn && kind != Migrate {
+		return fmt.Errorf("coord: invalid kind %v", kind)
+	}
+	if kind == ScaleOut && len(add) == 0 {
+		return errors.New("coord: scale-out without new workers")
+	}
+	if kind == ScaleIn && len(remove) == 0 {
+		return errors.New("coord: scale-in without removed workers")
+	}
+	for i, w := range add {
+		if slices.Contains(add[:i], w) {
+			return fmt.Errorf("coord: worker %q added twice", w)
+		}
+	}
+	return nil
 }
 
 // RequestAdjustment is the service API offered to the scheduler (step 1 of
@@ -270,30 +307,21 @@ func (am *AM) RequestAdjustment(after int64, kind Kind, add, remove []string) er
 // returned on the eventual Coordinate, linking request and application into
 // one cross-process trace.
 func (am *AM) RequestAdjustmentTraced(after int64, kind Kind, add, remove []string, tc telemetry.TraceContext) error {
-	if kind != ScaleOut && kind != ScaleIn && kind != Migrate {
-		return fmt.Errorf("coord: invalid kind %v", kind)
-	}
-	if kind == ScaleOut && len(add) == 0 {
-		return errors.New("coord: scale-out without new workers")
-	}
-	if kind == ScaleIn && len(remove) == 0 {
-		return errors.New("coord: scale-in without removed workers")
+	if err := checkRequest(kind, add, remove); err != nil {
+		return err
 	}
 	am.mu.Lock()
 	defer am.mu.Unlock()
+	seq := am.seq()
 	switch {
-	case am.seq == after && am.state == Idle: // opened below
-	case am.seq == after && am.pending != nil && am.pending.is(kind, add, remove),
-		am.seq == after+1 && am.last.is(kind, add, remove):
+	case seq == after && am.Pending == nil: // opened below
+	case seq == after && am.Pending.is(kind, add, remove),
+		seq == after+1 && am.Last.is(kind, add, remove):
 		return nil // a repeat: still open, or already handed out
 	default:
-		return fmt.Errorf("%w (state=%v, seq=%d, after=%d)", ErrBusy, am.state, am.seq, after)
+		return fmt.Errorf("%w (state=%v, seq=%d, after=%d)", ErrBusy, am.state(), seq, after)
 	}
-	reported := make(map[string]bool, len(add))
-	for _, w := range add {
-		reported[w] = false
-	}
-	am.pending = &pendingState{
+	am.Pending = &pendingState{
 		Adjustment: Adjustment{
 			Seq:    after + 1,
 			Kind:   kind,
@@ -301,17 +329,11 @@ func (am *AM) RequestAdjustmentTraced(after int64, kind Kind, add, remove []stri
 			Remove: slices.Clone(remove),
 			Trace:  tc,
 		},
-		Reported: reported,
-	}
-	if len(add) == 0 {
-		am.state = Ready
-	} else {
-		am.state = Pending
+		Reported: make([]bool, len(add)),
 	}
 	if err := am.persistLocked(); err != nil {
 		// Roll back the in-memory transition so a fenced AM stays inert.
-		am.state = Idle
-		am.pending = nil
+		am.Pending = nil
 		return err
 	}
 	return nil
@@ -325,23 +347,17 @@ func (am *AM) RequestAdjustmentTraced(after int64, kind Kind, add, remove []stri
 func (am *AM) ReportReady(worker string) error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if am.pending == nil || !slices.Contains(am.pending.Add, worker) {
-		return fmt.Errorf("%w: %q (state=%v)", ErrUnknownWorker, worker, am.state)
+	if am.Pending == nil || !slices.Contains(am.Pending.Add, worker) {
+		return fmt.Errorf("%w: %q (state=%v)", ErrUnknownWorker, worker, am.state())
 	}
-	if am.pending.Reported[worker] {
+	i := slices.Index(am.Pending.Add, worker)
+	if am.Pending.Reported[i] {
 		return nil // a repeat while the adjustment is open
 	}
-	am.pending.Reported[worker] = true
-	am.state = Ready
-	for _, v := range am.pending.Reported {
-		if !v {
-			am.state = Pending
-			break
-		}
-	}
+	am.Pending.Reported[i] = true
 	if err := am.persistLocked(); err != nil {
 		// Roll back: a fenced AM must not answer a repeat as reported.
-		am.pending.Reported[worker], am.state = false, Pending
+		am.Pending.Reported[i] = false
 		return err
 	}
 	return nil
@@ -356,23 +372,23 @@ func (am *AM) ReportReady(worker string) error {
 func (am *AM) Coordinate(after int64) (Adjustment, bool, error) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if am.last != nil && am.last.Seq == after+1 {
-		return am.last.clone(), true, nil
+	if am.Last != nil && am.Last.Seq == after+1 {
+		return am.Last.clone(), true, nil
 	}
-	if after != am.seq {
-		return Adjustment{}, false, fmt.Errorf("coord: coordinate after adjustment %d, but the AM is at %d", after, am.seq)
+	if seq := am.seq(); after != seq {
+		return Adjustment{}, false, fmt.Errorf("coord: coordinate after adjustment %d, but the AM is at %d", after, seq)
 	}
-	if am.state != Ready {
+	if am.state() != Ready {
 		return Adjustment{}, false, nil
 	}
-	last, pending := am.last, am.pending
-	am.state, am.seq, am.last, am.pending = Idle, pending.Seq, &pending.Adjustment, nil
+	last, pending := am.Last, am.Pending
+	am.Last, am.Pending = &pending.Adjustment, nil
 	if err := am.persistLocked(); err != nil {
 		// Roll back so a fenced AM hands nothing out.
-		am.state, am.seq, am.last, am.pending = Ready, after, last, pending
+		am.Last, am.Pending = last, pending
 		return Adjustment{}, false, err
 	}
-	return am.last.clone(), true, nil
+	return am.Last.clone(), true, nil
 }
 
 // PendingWorkers returns the not-yet-reported workers of the pending
@@ -380,12 +396,12 @@ func (am *AM) Coordinate(after int64) (Adjustment, bool, error) {
 func (am *AM) PendingWorkers() []string {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if am.pending == nil {
+	if am.Pending == nil {
 		return nil
 	}
 	var out []string
-	for _, w := range am.pending.Add {
-		if !am.pending.Reported[w] {
+	for i, w := range am.Pending.Add {
+		if !am.Pending.Reported[i] {
 			out = append(out, w)
 		}
 	}

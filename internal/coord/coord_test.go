@@ -126,6 +126,14 @@ func TestRequestValidation(t *testing.T) {
 	if err := am.RequestAdjustment(0, ScaleIn, nil, nil); err == nil {
 		t.Fatal("scale-in without workers accepted")
 	}
+	// One report flag per Add entry: a joiner named twice would need two
+	// reports, so the request is refused and the AM stays Idle.
+	if err := am.RequestAdjustment(0, ScaleOut, []string{"w5", "w6", "w5"}, nil); err == nil {
+		t.Fatal("joiner added twice accepted")
+	}
+	if am.State() != Idle || am.Seq() != 0 {
+		t.Fatalf("refused request left the AM %v at %d", am.State(), am.Seq())
+	}
 }
 
 func TestBusyRejectsSecondRequest(t *testing.T) {

@@ -47,15 +47,15 @@ const (
 // routes them at the receiver. ID matches replies to the sender's pending
 // call; every resend of one call carries the same ID.
 type Message struct {
-	ID      uint64 `json:"id"`
-	From    string `json:"from"`
-	To      string `json:"to"`
-	Kind    string `json:"kind"`
-	Payload []byte `json:"payload"`
+	ID      uint64
+	From    string
+	To      string
+	Kind    string
+	Payload []byte
 	// Trace carries the sender's span identity so the receiver's handler
 	// span joins the same causal tree. The zero value means "untraced" and
 	// costs nothing to propagate.
-	Trace telemetry.TraceContext `json:"trace"`
+	Trace telemetry.TraceContext
 }
 
 // Fate is a fault hook's verdict on one delivery leg.

@@ -277,7 +277,7 @@ func TestUninstalledJoinerRefusesToStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	step := command{kind: stepCmd, rank: 0, n: 1, lo: 0, hi: 8, lr: 0.05, group: g}
+	step := command{rank: 0, n: 1, lo: 0, hi: 8, lr: 0.05, group: g}
 	src, err := newAgent("seeded", 1, sizes, 0.05, 0.9, 0, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestUninstalledJoinerRefusesToStep(t *testing.T) {
 		if r := joiner.send(step); !errors.Is(r.err, errNoState) {
 			t.Fatalf("%s: step on an uninstalled joiner = %v, want errNoState", name, r.err)
 		}
-		if r := joiner.send(command{kind: installCmd, state: src.rep.State()[1:]}); r.err == nil {
+		if err := joiner.install(src.rep.State()[1:], src.Name, inprocLink, nil, telemetry.TraceContext{}); err == nil {
 			t.Fatalf("%s: short state installed", name)
 		}
 		if r := joiner.send(step); !errors.Is(r.err, errNoState) {
@@ -317,8 +317,8 @@ func TestUninstalledJoinerRefusesToStep(t *testing.T) {
 		if !slices.Equal(joiner.rep.State(), before) {
 			t.Fatalf("%s: refused steps touched the replica", name)
 		}
-		if r := joiner.send(command{kind: installCmd, state: src.rep.State()}); r.err != nil {
-			t.Fatal(r.err)
+		if err := joiner.install(src.rep.State(), src.Name, inprocLink, nil, telemetry.TraceContext{}); err != nil {
+			t.Fatal(err)
 		}
 		if r := joiner.send(step); r.err != nil {
 			t.Fatalf("%s: step after install: %v", name, r.err)
@@ -483,8 +483,8 @@ func fleetOps(t *testing.T, f *Fleet) elasticOps {
 func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOps {
 	admit := func(joiners []*Agent) {
 		for _, a := range joiners {
-			if r := a.send(command{kind: installCmd, state: f.agents[0].rep.State()}); r.err != nil {
-				t.Fatalf("reference install: %v", r.err)
+			if err := a.install(f.agents[0].rep.State(), f.agents[0].Name, inprocLink, nil, telemetry.TraceContext{}); err != nil {
+				t.Fatalf("reference install: %v", err)
 			}
 		}
 		oldN := len(f.agents)
@@ -536,8 +536,8 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 				t.Fatal(err)
 			}
 			for _, a := range f.agents {
-				if r := a.send(command{kind: installCmd, state: state}); r.err != nil {
-					t.Fatal(r.err)
+				if err := a.install(state, "checkpoint", inprocLink, nil, telemetry.TraceContext{}); err != nil {
+					t.Fatal(err)
 				}
 			}
 			f.iter, f.lrSched = h.Iter, &h.LR

@@ -156,9 +156,9 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	}
 	f.iter, f.lrSched = h.Iter, sched
 	_ = f.loader.SetCursor(h.Cursor) // in range: checked with the header
-	// The batch size is restored only when the surviving worker count can
-	// shard it; otherwise the current (adjusted) batch stays in force.
-	if h.TBS > 0 && h.TBS%len(f.agents) == 0 {
+	// The batch size is restored only when the live agents, not yet swept
+	// of crashed ones, can shard it; else the current batch stays in force.
+	if h.TBS > 0 && h.TBS%len(live) == 0 {
 		f.cfg.TotalBatch = h.TBS
 	}
 	f.flight.RecordEvent("fleet-ckpt", "restore", f.clk.Now())

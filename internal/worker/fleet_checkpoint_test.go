@@ -248,6 +248,48 @@ func TestFleetRestoreCheckpointIsAtomic(t *testing.T) {
 	}
 }
 
+// TestFleetRestoreAfterCrashKeepsShardableBatch restores a batch of 8
+// saved by 4 workers into a fleet that has since moved to 12 and lost a
+// worker it has not swept yet. The checkpointed batch cannot be split over
+// the 3 survivors, so the restore keeps 12, and the fleet trains on.
+func TestFleetRestoreAfterCrashKeepsShardableBatch(t *testing.T) {
+	guardGoroutines(t)
+	f, err := NewFleet(FleetConfig{
+		Dataset:     dataset(t, 256),
+		LayerSizes:  []int{4, 8, 3},
+		Workers:     4,
+		TotalBatch:  8,
+		LR:          0.05,
+		Momentum:    0.9,
+		Seed:        21,
+		Checkpoints: checkpoint.NewDeltaStore(checkpoint.DeltaConfig{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	steps(t, f, 2)
+	if _, err := f.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetTotalBatch(12, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CrashWorker("agent-3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RestoreCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.TotalBatch(); got != 12 {
+		t.Fatalf("restore into 3 survivors adopted batch %d, want 12 kept", got)
+	}
+	steps(t, f, 2)
+	if got := f.NumWorkers(); got != 3 {
+		t.Fatalf("%d workers after the sweep, want 3", got)
+	}
+}
+
 // FuzzCheckpointHeader commits arbitrary header bytes under the fleet's
 // checkpoint name, over a state of the right length, and restores. The
 // restore must not panic. It either fails and leaves the arenas, the

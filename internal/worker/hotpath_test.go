@@ -34,7 +34,7 @@ func TestAgentStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	cmd := command{kind: stepCmd, rank: 0, n: 1, lo: 0, hi: 32, lr: 0.05, group: g}
+	cmd := command{rank: 0, n: 1, lo: 0, hi: 32, lr: 0.05, group: g}
 	if r := a.step(ds, cmd); r.err != nil { // warm the workspaces
 		t.Fatal(r.err)
 	}
@@ -91,7 +91,7 @@ func TestRigHoldsThreeParameterVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.stop()
-	cmd := command{kind: stepCmd, rank: 0, n: 1, lo: 0, hi: batch, lr: 0.05, group: g}
+	cmd := command{rank: 0, n: 1, lo: 0, hi: batch, lr: 0.05, group: g}
 	for i := 0; i < 10; i++ {
 		if r := a.step(ds, cmd); r.err != nil {
 			t.Fatal(r.err)
@@ -130,10 +130,10 @@ func TestAgentStepRejectsEmptyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if r := a.step(ds, command{kind: stepCmd, rank: 0, n: 1, lo: 5, hi: 5, lr: 0.1, group: g}); r.err == nil {
+	if r := a.step(ds, command{rank: 0, n: 1, lo: 5, hi: 5, lr: 0.1, group: g}); r.err == nil {
 		t.Fatal("empty shard accepted")
 	}
-	if r := a.step(ds, command{kind: stepCmd, rank: 0, n: 1, lo: 9, hi: 5, lr: 0.1, group: g}); r.err == nil {
+	if r := a.step(ds, command{rank: 0, n: 1, lo: 9, hi: 5, lr: 0.1, group: g}); r.err == nil {
 		t.Fatal("inverted shard accepted")
 	}
 }

@@ -1,10 +1,10 @@
 // Package worker implements the Elan worker-agent architecture as a fleet
 // of persistent goroutines: each agent owns its model replica and optimizer
-// and runs a long-lived loop processing commands (train one iteration,
-// install replicated state, leave). A controller drives the paper's
-// coordination protocol over the message bus — one agent acts as the
-// coordinator calling the AM's Coordinate API between iterations — and
-// applies adjustments without ever stopping the existing agents: new agents
+// and runs a long-lived loop whose mailbox carries one command, a step; an
+// install writes an idle agent's replica under the fleet lock. A controller
+// drives the paper's coordination protocol over the message bus — one agent
+// acts as the coordinator calling the AM's Coordinate API between
+// iterations — and applies adjustments without ever stopping the existing agents: new agents
 // are spawned and report asynchronously, each copies the state straight out
 // of the source agent the replication plan gives it (nearest in the
 // topology, non-contending pairs concurrently), and the collective group is
@@ -45,22 +45,15 @@ import (
 // ckptName is the name the fleet checkpoints under.
 const ckptName = "fleet"
 
-// command is one mailbox message to an agent.
+// command is one mailbox message to an agent: train one iteration.
 type command struct {
-	kind  cmdKind
-	rank  int // rank for this iteration (stepCmd)
-	n     int // group size (stepCmd)
-	lo    int // shard range (stepCmd)
+	rank  int // rank for this iteration
+	n     int // group size
+	lo    int // shard range
 	hi    int
-	iter  int // fleet iteration (stepCmd, trace annotation)
+	iter  int // fleet iteration (trace annotation)
 	lr    float64
 	group *collective.Group
-	// state is what installCmd copies into the replica: a source agent's
-	// own arena, read in place while that agent sits idle between
-	// commands. src and link name where it comes from and over which link
-	// level, for the install span.
-	state     []float64
-	src, link string
 	// tr/trace make the agent's spans remote children of the fleet span
 	// that issued the command. Both zero on untraced paths: a nil recorder
 	// returns a nil span, so the hot path stays free.
@@ -68,14 +61,6 @@ type command struct {
 	trace telemetry.TraceContext
 	reply chan result
 }
-
-type cmdKind int
-
-const (
-	stepCmd cmdKind = iota + 1
-	installCmd
-	stopCmd
-)
 
 type result struct {
 	loss float64
@@ -98,9 +83,9 @@ var (
 // outlives its agent, so a warm elastic event does not either: a leaving
 // agent's rig is parked on its fleet's spare list and the next joiner takes
 // it over (DESIGN §9 has the life-cycle and the rules for who may touch the
-// arenas, and when). While an agent runs, only its goroutine touches its
+// arenas, and when). Inside a step only the agent's goroutine touches its
 // rig, apart from the gradient-arena chunks its peers own inside an
-// exchange.
+// exchange; outside a step its arena is written only under the fleet lock.
 type rig struct {
 	rep *nn.Replica
 	red *ddp.Reducer
@@ -142,13 +127,13 @@ type Agent struct {
 	*rig
 	// installed reports that rep holds real state: from construction for a
 	// seeded agent, from its first install for a joiner, whatever a recycled
-	// rig still holds of its previous owner. Only the agent goroutine
-	// touches it once the loop runs.
+	// rig still holds of its previous owner. Like the arena, it is written
+	// outside a step only under the fleet lock (install).
 	installed bool
 	box       chan command
 	done      chan struct{}
-	// killed is closed by kill() to simulate an abrupt crash: the loop
-	// exits without draining its mailbox and pending sends fail with
+	// killed is closed by kill(), for a crash or a stop: the loop exits
+	// without draining its mailbox and pending sends fail with
 	// errAgentDead instead of blocking.
 	killed   chan struct{}
 	killOnce sync.Once
@@ -190,32 +175,34 @@ func (a *Agent) loop(ds *data.Dataset) {
 		case <-a.killed:
 			return
 		case cmd := <-a.box:
-			switch cmd.kind {
-			case stepCmd:
-				if !a.installed {
-					cmd.reply <- result{err: fmt.Errorf("%s: %w", a.Name, errNoState)}
-					continue
-				}
-				cmd.reply <- a.step(ds, cmd)
-			case installCmd:
-				span := cmd.tr.StartRemoteSpan("worker.install_state", cmd.trace)
-				span.SetProc(a.Name)
-				span.Annotate("src", cmd.src)
-				span.Annotate("link", cmd.link)
-				err := a.rep.Install(cmd.state)
-				if err != nil {
-					span.Annotate("error", err.Error())
-				} else {
-					a.installed = true
-				}
-				span.End()
-				cmd.reply <- result{err: err}
-			case stopCmd:
-				cmd.reply <- result{}
-				return
+			if !a.installed {
+				cmd.reply <- result{err: fmt.Errorf("%s: %w", a.Name, errNoState)}
+				continue
 			}
+			cmd.reply <- a.step(ds, cmd)
 		}
 	}
+}
+
+// install copies state, a source agent's arena read in place, into the idle
+// agent's replica, under the fleet lock (DESIGN §9); a crashed agent refuses
+// it. src and link, where the state comes from and over which link level,
+// annotate the install span, a remote child of trace.
+func (a *Agent) install(state []float64, src, link string, tr *telemetry.Recorder, trace telemetry.TraceContext) error {
+	if !a.alive() {
+		return errAgentDead
+	}
+	span := tr.StartRemoteSpan("worker.install_state", trace)
+	span.SetProc(a.Name)
+	span.Annotate("src", src)
+	span.Annotate("link", link)
+	defer span.End()
+	if err := a.rep.Install(state); err != nil {
+		span.Annotate("error", err.Error())
+		return err
+	}
+	a.installed = true
+	return nil
 }
 
 // step runs one data-parallel iteration: local forward on the shard, then
@@ -289,13 +276,14 @@ func (a *Agent) send(cmd command) result {
 	}
 }
 
-// stop terminates the agent's loop.
+// stop terminates the agent's loop and waits for it to exit.
 func (a *Agent) stop() {
-	a.send(command{kind: stopCmd})
+	a.kill()
 	<-a.done
 }
 
-// kill simulates an abrupt crash: no drain, no goodbye. Idempotent.
+// kill ends the agent's loop at once, as a crash would: no drain, no
+// goodbye. Idempotent.
 func (a *Agent) kill() { a.killOnce.Do(func() { close(a.killed) }) }
 
 // alive reports whether the agent has not been killed.
@@ -382,9 +370,9 @@ type Fleet struct {
 	gpus   []*topology.GPU
 	loader *data.SerialLoader
 	store  *store.Store
-	am     *coord.AM
-	amSvc  *coord.Service
-	amDown bool
+	// am is nil while the AM is down (CrashAM to RecoverAM).
+	am    *coord.AM
+	amSvc *coord.Service
 	// coordinator is the client used by the lead worker; sched is the
 	// scheduler-side client that requests adjustments.
 	coordinator *coord.Client
@@ -900,7 +888,6 @@ func (f *Fleet) Step() (float64, error) {
 		go func() {
 			defer wg.Done()
 			results[w] = f.agents[w].send(command{
-				kind:  stepCmd,
 				rank:  w,
 				n:     n,
 				lo:    shards[w].lo,
@@ -1126,10 +1113,8 @@ func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID,
 		if len(ids) > 0 {
 			src, link = sources[slices.Index(ids, pair.Source)], pair.Level.String()
 		}
-		r := targets[i].send(command{kind: installCmd, state: src.rep.State(),
-			src: src.Name, link: link, tr: tr, trace: parent.Context()})
-		if r.err != nil {
-			return fmt.Errorf("worker: install into %s from %s: %w", targets[i].Name, src.Name, r.err)
+		if err := targets[i].install(src.rep.State(), src.Name, link, tr, parent.Context()); err != nil {
+			return fmt.Errorf("worker: install into %s from %s: %w", targets[i].Name, src.Name, err)
 		}
 		return nil
 	})
@@ -1236,11 +1221,10 @@ func (f *Fleet) RejoinWorker(name string) error {
 func (f *Fleet) CrashAM() (*coord.AM, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.amDown {
+	if f.am == nil {
 		return nil, fmt.Errorf("worker: AM already down")
 	}
 	f.amSvc.Close()
-	f.amDown = true
 	old := f.am
 	f.am = nil
 	f.mAMCrashes.Inc()
@@ -1256,7 +1240,7 @@ func (f *Fleet) CrashAM() (*coord.AM, error) {
 func (f *Fleet) RecoverAM() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.amDown {
+	if f.am != nil {
 		return fmt.Errorf("worker: AM is not down")
 	}
 	am, err := coord.Recover("fleet", f.store)
@@ -1271,7 +1255,6 @@ func (f *Fleet) RecoverAM() error {
 	}
 	f.am = am
 	f.amSvc = svc
-	f.amDown = false
 	f.mAMRecoveries.Inc()
 	f.flight.RecordEvent("fleet-am", "am-recover", f.clk.Now())
 	return nil
@@ -1281,7 +1264,7 @@ func (f *Fleet) RecoverAM() error {
 func (f *Fleet) AMDown() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.amDown
+	return f.am == nil
 }
 
 // SetTotalBatch changes the fleet's total batch size by a factor k and the
