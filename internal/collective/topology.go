@@ -11,9 +11,9 @@ import (
 // does not depend on it — every group runs the same exchange — but the link
 // level its traffic crosses labels the group's telemetry (LinkLabelOf).
 //
-// Implementations must be immutable after construction: the elastic runtime
-// rebuilds the group (with a fresh Topology) on every resource adjustment
-// rather than mutating one in place.
+// Implementations must be immutable after construction. The elastic runtime
+// does not use them: it labels its groups with topology.Link over its GPU
+// reservation, and LinkLabelOf is the tests' oracle for that label.
 type Topology interface {
 	// Ranks returns the number of ranks in the group.
 	Ranks() int

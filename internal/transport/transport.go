@@ -44,8 +44,10 @@ const (
 )
 
 // Message is the unit of communication. Payloads are opaque bytes; Kind
-// routes them at the receiver. ID matches replies to the sender's pending
-// call; every resend of one call carries the same ID.
+// routes them at the receiver. ID is the TCP wire's request ID, unique per
+// connection, which matches a response frame to its pending call; the bus
+// needs none, as each delivery carries its call's reply channel, and leaves
+// it 0.
 type Message struct {
 	ID      uint64
 	From    string
@@ -218,7 +220,6 @@ func (b *Bus) Endpoint(name string, h Handler) (*Endpoint, error) {
 		name:    name,
 		bus:     b,
 		handler: h,
-		replies: make(map[uint64]chan reply),
 		closed:  make(chan struct{}),
 	}
 	b.endpoints[name] = ep
@@ -251,9 +252,6 @@ type Endpoint struct {
 
 	mu      sync.Mutex
 	handler Handler
-	nextID  uint64
-	// replies[id] is the pending call waiting for message id's reply.
-	replies map[uint64]chan reply
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -277,14 +275,6 @@ func (e *Endpoint) Close() {
 	}
 	b.mu.Unlock()
 	e.close()
-}
-
-// allocID returns the next message ID for this sender.
-func (e *Endpoint) allocID() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.nextID++
-	return e.nextID
 }
 
 // Call sends a message and waits for the receiver's reply, resending on
@@ -330,22 +320,15 @@ func (e *Endpoint) CallCtx(ctx context.Context, to, kind string, payload []byte)
 		span.End()
 	}()
 	msg := Message{
-		ID:      e.allocID(),
 		From:    e.name,
 		To:      to,
 		Kind:    kind,
 		Payload: payload,
 		Trace:   span.Context(),
 	}
+	// Every delivery of this call, resends included, offers its reply here;
+	// the first to arrive completes the call and later ones are dropped.
 	ch := make(chan reply, 1)
-	e.mu.Lock()
-	e.replies[msg.ID] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.replies, msg.ID)
-		e.mu.Unlock()
-	}()
 
 	timer := e.bus.clk.NewTimer(e.bus.cfg.AckTimeout)
 	defer timer.Stop()
@@ -355,7 +338,7 @@ func (e *Endpoint) CallCtx(ctx context.Context, to, kind string, payload []byte)
 			// safe under the time.Timer contract.
 			timer.Reset(e.bus.cfg.AckTimeout)
 		}
-		e.deliver(msg)
+		e.deliver(msg, ch)
 		select {
 		case r := <-ch:
 			return r.payload, r.err
@@ -371,14 +354,14 @@ func (e *Endpoint) CallCtx(ctx context.Context, to, kind string, payload []byte)
 			return nil, ctx.Err()
 		}
 	}
-	return nil, fmt.Errorf("%w (to=%s kind=%s id=%d)", ErrTimeout, to, kind, msg.ID)
+	return nil, fmt.Errorf("%w (to=%s kind=%s)", ErrTimeout, to, kind)
 }
 
 // deliver attempts one delivery of msg (possibly dropped or delayed by the
 // fault hook). The receiver's handler runs on a fresh
-// bus-tracked goroutine; its reply is routed back to the pending Call, also
+// bus-tracked goroutine; its reply is offered to ch, the pending Call's, also
 // subject to drops and fault injection.
-func (e *Endpoint) deliver(msg Message) {
+func (e *Endpoint) deliver(msg Message, ch chan<- reply) {
 	fate := e.bus.fate(msg)
 	if fate.Drop {
 		return
@@ -387,7 +370,7 @@ func (e *Endpoint) deliver(msg Message) {
 	if !ok {
 		// Unknown destination: reply with an error so Call fails fast
 		// instead of burning retries.
-		e.routeReply(msg.ID, reply{err: fmt.Errorf("%w: %s", ErrNoEndpoint, msg.To)})
+		offer(ch, reply{err: fmt.Errorf("%w: %s", ErrNoEndpoint, msg.To)})
 		return
 	}
 	e.bus.wg.Add(1)
@@ -410,19 +393,16 @@ func (e *Endpoint) deliver(msg Message) {
 				return
 			}
 		}
-		e.routeReply(msg.ID, reply{payload: payload, err: err})
+		offer(ch, reply{payload: payload, err: err})
 	}()
 }
 
-func (e *Endpoint) routeReply(id uint64, r reply) {
-	e.mu.Lock()
-	ch, ok := e.replies[id]
-	e.mu.Unlock()
-	if ok {
-		select {
-		case ch <- r:
-		default: // a retry already delivered a reply
-		}
+// offer hands r to a call's reply channel without blocking: the channel
+// holds one reply, so the first wins and later ones are dropped.
+func offer(ch chan<- reply, r reply) {
+	select {
+	case ch <- r:
+	default: // an earlier delivery's reply is already there
 	}
 }
 

@@ -481,20 +481,24 @@ func fleetOps(t *testing.T, f *Fleet) elasticOps {
 // agent 0 (or the cold-restored checkpoint) is the only source and the
 // targets copy from it one after another.
 func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOps {
+	// admit installs into the joiners one after another, then resizes the
+	// fleet onto them as agents that already hold the state: nothing joins.
 	admit := func(joiners []*Agent) {
 		for _, a := range joiners {
 			if err := a.install(f.agents[0].rep.State(), f.agents[0].Name, inprocLink, nil, telemetry.TraceContext{}); err != nil {
 				t.Fatalf("reference install: %v", err)
 			}
 		}
-		oldN := len(f.agents)
-		f.agents = append(f.agents, joiners...)
-		if err := f.loader.Repartition(oldN, len(f.agents)); err != nil {
+		if err := f.resizeLocked(slices.Concat(f.agents, joiners), nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.rebuildGroupLocked(len(f.agents)); err != nil {
+	}
+	start := func(name string) *Agent {
+		a, err := f.startOn(name, f.takeSpareLocked(), true, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return a
 	}
 	return elasticOps{
 		scaleOut: func(n int) {
@@ -503,11 +507,7 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 				defer f.mu.Unlock()
 				var joiners []*Agent
 				for i := 0; i < n; i++ {
-					a, err := f.spawnAgent(true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					joiners = append(joiners, a)
+					joiners = append(joiners, start(f.nextName()))
 				}
 				admit(joiners)
 			}()
@@ -516,11 +516,7 @@ func referenceOps(t *testing.T, f *Fleet, ckpt *checkpoint.DeltaStore) elasticOp
 		rejoin: func(name string) {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			a, err := f.startAgent(name, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			admit([]*Agent{a})
+			admit([]*Agent{start(name)})
 		},
 		restore: func() {
 			f.mu.Lock()

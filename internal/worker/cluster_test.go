@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/elan-sys/elan/internal/clock"
+	"github.com/elan-sys/elan/internal/collective"
 	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/tensor"
@@ -272,5 +273,94 @@ func TestFleetClusterElasticPlacement(t *testing.T) {
 	f.Close()
 	if free := cl.NumFree(); free != 4 {
 		t.Fatalf("%d GPUs free after Close, want 4", free)
+	}
+}
+
+// TestEveryTransitionIsOneResize drives a Cluster fleet through every change
+// of who trains — construction, scale-out, a rolled-back admission,
+// scale-in, a crash and its sweep, rejoins and a refused rejoin — and after
+// each checks that the agents, the group and the reservation moved together:
+// as many agents as ranks as reserved GPUs, the rest of the cluster free,
+// and the allreduce spans labelled with the widest link of the reservation,
+// as collective.LinkLabelOf computes it over a Clustered topology.
+func TestEveryTransitionIsOneResize(t *testing.T) {
+	guardGoroutines(t)
+	cl := twoByFour(t)
+	rec := telemetry.NewRecorder(clock.Wall{}, 8192)
+	f, err := NewFleet(FleetConfig{
+		Dataset: dataset(t, 1024), LayerSizes: []int{4, 16, 3}, Workers: 2, TotalBatch: 24,
+		LR: 0.05, Momentum: 0.9, Seed: 21, Tracer: rec, Cluster: cl, BucketElems: 40,
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(f.Close)
+	// check trains one step, which also sweeps a crashed agent, and checks
+	// the fleet's shape and the link label of that step's allreduces.
+	check := func(what string, workers int, link string) {
+		t.Helper()
+		rec.Reset()
+		steps(t, f, 1)
+		f.mu.Lock()
+		agents, ranks, placed := len(f.agents), f.group.Size(), len(f.gpus)
+		ids := topology.IDsOf(f.gpus)
+		f.mu.Unlock()
+		if agents != workers || ranks != workers || placed != workers {
+			t.Fatalf("%s: %d agents, %d ranks, %d GPUs, want %d each", what, agents, ranks, placed, workers)
+		}
+		if free := cl.NumFree(); free != 8-workers {
+			t.Fatalf("%s: %d GPUs free, want %d", what, free, 8-workers)
+		}
+		topo, err := collective.NewClustered(ids)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want := collective.LinkLabelOf(topo); want != link {
+			t.Fatalf("%s: reservation %v spans %s, want %s", what, ids, want, link)
+		}
+		var reduces int
+		for _, sp := range rec.Snapshot() {
+			if sp.Name != "collective.allreduce" {
+				continue
+			}
+			reduces++
+			if got, _ := sp.Attr("link"); got != link {
+				t.Fatalf("%s: allreduce link %q, want %q", what, got, link)
+			}
+		}
+		if reduces == 0 {
+			t.Fatalf("%s: no allreduce spans", what)
+		}
+	}
+	check("construction", 2, "L1")
+	scaleOutNow(t, f, 4)
+	check("scale-out", 6, "L4")
+	failAdmission(t, f, 2, nil)
+	check("rolled-back admission", 6, "L4")
+	if err := f.RequestScaleIn(2); err != nil {
+		t.Fatalf("RequestScaleIn: %v", err)
+	}
+	steps(t, f, 1) // applies the scale-in
+	check("scale-in", 4, "L2")
+	for _, name := range []string{"agent-1", "agent-3"} {
+		if err := f.CrashWorker(name); err != nil {
+			t.Fatalf("CrashWorker(%s): %v", name, err)
+		}
+	}
+	check("crash and sweep", 2, "L1")
+	if err := f.RejoinWorker("agent-1"); err != nil {
+		t.Fatalf("RejoinWorker: %v", err)
+	}
+	check("rejoin", 3, "L2")
+	if err := f.RejoinWorker("agent-3"); err != nil {
+		t.Fatalf("RejoinWorker: %v", err)
+	}
+	check("second rejoin", 4, "L2")
+	if err := f.RejoinWorker("agent-5"); err == nil { // scaled in; 5 workers do not divide 24
+		t.Fatal("rejoin to 5 workers on a batch of 24 succeeded")
+	}
+	check("refused rejoin", 4, "L2")
+	if !f.ReplicasConsistent() {
+		t.Fatal("replicas diverged")
 	}
 }

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -8,6 +9,16 @@ import (
 	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/racecheck"
 )
+
+// newAgent builds an agent with a deterministic replica and starts its
+// loop, off any fleet: the tests that drive one agent directly use it.
+func newAgent(name string, seed int64, sizes []int, lr, momentum float64, bucketElems int, ds *data.Dataset) (*Agent, error) {
+	r, err := newRig(rand.New(rand.NewSource(seed)), sizes, lr, momentum, bucketElems)
+	if err != nil {
+		return nil, err
+	}
+	return launchAgent(name, r, true, ds), nil
+}
 
 // TestAgentStepZeroAllocs is the tentpole proof at the worker layer: once
 // the agent's batch buffers and network workspaces are warm, a full training

@@ -139,17 +139,6 @@ type Agent struct {
 	killOnce sync.Once
 }
 
-// newAgent builds an agent with a deterministic replica and starts its
-// loop. All founding agents share the construction seed, so their replicas
-// are identical.
-func newAgent(name string, seed int64, sizes []int, lr, momentum float64, bucketElems int, ds *data.Dataset) (*Agent, error) {
-	r, err := newRig(rand.New(rand.NewSource(seed)), sizes, lr, momentum, bucketElems)
-	if err != nil {
-		return nil, err
-	}
-	return launchAgent(name, r, true, ds), nil
-}
-
 // launchAgent starts an agent on r, new or recycled. seeded says that r
 // holds the state to train from; otherwise the agent is a joiner, which
 // refuses to train until an install has overwritten whatever r holds: the
@@ -365,8 +354,10 @@ type Fleet struct {
 	clk    clock.Clock
 	agents []*Agent
 	group  *collective.Group
-	// gpus is the current Cluster reservation backing group (nil when no
-	// cluster is configured); rebuildGroupLocked swaps it with the group.
+	// agents, group and gpus change together, only in resizeLocked (and
+	// Close): the agents in rank order, their collective group, and the
+	// Cluster reservation backing it, rank i on gpus[i] (nil when no cluster
+	// is configured).
 	gpus   []*topology.GPU
 	loader *data.SerialLoader
 	store  *store.Store
@@ -445,9 +436,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("worker: non-positive worker count")
-	}
-	if err := checkBatch(cfg.TotalBatch, cfg.Workers); err != nil {
-		return nil, err
 	}
 	if n := len(cfg.LayerSizes); n < 2 || cfg.LayerSizes[0] != cfg.Dataset.Features ||
 		cfg.LayerSizes[n-1] != cfg.Dataset.Classes {
@@ -530,17 +518,22 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.Tracer.SetFlightRecorder(cfg.Flight)
 	}
 	cfg.Tracer.Instrument(cfg.Metrics)
-	if err := f.rebuildGroupLocked(cfg.Workers); err != nil {
+	founders := make([]*Agent, 0, cfg.Workers)
+	for len(founders) < cfg.Workers && err == nil {
+		var a *Agent
+		if a, err = f.startOn(f.nextName(), nil, false, nil); err == nil {
+			founders = append(founders, a)
+		}
+	}
+	if err == nil {
+		err = f.resizeLocked(founders, nil, nil)
+	}
+	if err != nil {
+		for _, a := range founders {
+			a.stop()
+		}
 		f.Close()
 		return nil, err
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		a, err := f.spawnAgent(false)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.agents = append(f.agents, a)
 	}
 	return f, nil
 }
@@ -576,26 +569,12 @@ func (f *Fleet) nextName() string {
 	return name
 }
 
-// spawnAgent starts an agent under the next fresh name.
-func (f *Fleet) spawnAgent(joiner bool) (*Agent, error) {
-	return f.startAgent(f.nextName(), joiner)
-}
-
-// startAgent starts a founding agent (seeded replica) or a joiner (filled by
-// replication on admission) under name; a joiner takes over a spare rig when
-// the fleet has one. Callers hold f.mu.
-func (f *Fleet) startAgent(name string, joiner bool) (*Agent, error) {
-	var r *rig
-	if joiner {
-		r = f.takeSpareLocked()
-	}
-	return f.startOn(name, r, joiner, nil)
-}
-
-// startOn starts name on r, or on a rig built here when r is nil. It reads
-// nothing that f.mu guards, so a joiner's goroutine runs it while a Step
-// holds the lock. span, when tracing, is told which of the two happened and
-// parents the build.
+// startOn is the fleet's one way to start an agent: a founding agent
+// (seeded replica) or a joiner (filled by replication on admission), on r,
+// a spare rig, or on one built here when r is nil. It reads nothing that
+// f.mu guards, so a joiner's goroutine runs it while a Step holds the lock.
+// span, when tracing, is told which of the two happened and parents the
+// build.
 func (f *Fleet) startOn(name string, r *rig, joiner bool, span *telemetry.Span) (*Agent, error) {
 	if r != nil {
 		span.Annotate("rig", "reused")
@@ -918,171 +897,103 @@ func (f *Fleet) Step() (float64, error) {
 // goroutine substrate.
 const inprocLink = "inproc"
 
-// placement is where a group runs: its topology and link label and, with a
-// Cluster, the GPUs reserved for it — rank i on gpus[i].
-type placement struct {
-	gpus []*topology.GPU
-	topo collective.Topology
-	link string
-}
-
-// placeLocked reserves the placement of an n-rank group. With a Cluster the
-// fleet's reservation is swapped for the first n free GPUs in deterministic
-// tree order, its own counting as free: surviving ranks keep their GPUs and
-// joiners take the next ones, so the topology (and with it the link label)
-// always matches the actual placement. f.gpus keeps naming the old
-// reservation until regroupLocked commits the new one; unplaceLocked goes
-// back to it. On error the old reservation stands.
-func (f *Fleet) placeLocked(n int) (placement, error) {
-	p := placement{topo: collective.Flat(n), link: inprocLink}
-	cl := f.cfg.Cluster
-	if cl == nil {
-		return p, nil
+// applyAdjustment performs steps 4 and 5 of the procedure for a delivered
+// adjustment as one resize: the agents it removes leave, and the joiners it
+// adds come in with replicated state. All or nothing: the AM has handed the
+// adjustment over and will not deliver it again, so joiners that cannot all
+// be admitted are all retired rather than left behind, and the agents it
+// would have removed train on.
+func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) error {
+	var err error
+	join := make([]*Agent, 0, len(adj.Add))
+	for _, name := range adj.Add {
+		j, ok := f.spawned[name]
+		if !ok {
+			err = fmt.Errorf("worker: adjustment admits unknown agent %q", name)
+			continue
+		}
+		delete(f.spawned, name)
+		<-j.up // closed: the AM has this joiner's report, sent after it was up
+		join = append(join, j.agent)
 	}
-	cl.Release(f.gpus)
-	gpus, err := cl.Reserve(n)
+	var stay, leave []*Agent
+	for _, a := range f.agents {
+		if slices.Contains(adj.Remove, a.Name) {
+			leave = append(leave, a)
+		} else {
+			stay = append(stay, a)
+		}
+	}
+	// Nothing to do when every agent it removes crashed and was swept already.
+	if err == nil && len(join)+len(leave) > 0 {
+		err = f.resizeLocked(stay, join, aspan)
+	}
 	if err != nil {
-		f.unplaceLocked(p)
-		return placement{}, err
-	}
-	p.gpus = gpus
-	ct, err := collective.NewClustered(topology.IDsOf(gpus))
-	if err != nil {
-		f.unplaceLocked(p)
-		return placement{}, err
-	}
-	p.topo, p.link = ct, collective.LinkLabelOf(ct)
-	return p, nil
-}
-
-// unplaceLocked gives p's GPUs back and re-reserves the fleet's own, which
-// placeLocked released a moment ago under the same lock.
-func (f *Fleet) unplaceLocked(p placement) {
-	if cl := f.cfg.Cluster; cl != nil {
-		cl.Release(p.gpus)
-		_, _ = cl.ReserveSpecific(topology.IDsOf(f.gpus)) // cannot fail: just freed, and the cluster is not shared between goroutines
-	}
-}
-
-// regroupLocked replaces the collective group with one built for p and makes
-// p's reservation the fleet's. On error p is given back and the old group
-// and reservation stand.
-func (f *Fleet) regroupLocked(p placement) error {
-	group, err := collective.NewGroupWithTopology(p.topo)
-	if err != nil {
-		f.unplaceLocked(p)
+		for _, a := range join {
+			f.retire(a)
+		}
+		aspan.Event("rollback")
 		return err
 	}
-	group.SetTelemetry(f.tr, f.cfg.Metrics, f.clk, p.link)
-	if f.group != nil {
-		f.group.Close()
+	for _, a := range leave {
+		f.retire(a)
 	}
-	f.group, f.gpus = group, p.gpus
 	return nil
 }
 
-// rebuildGroupLocked replaces the collective group with one sized for n
-// ranks — the communication-group reconstruction shared by construction,
-// scale-in and dead-worker sweeps (admissions place first, replicate, then
-// regroup: admitLocked). Callers hold f.mu or own f exclusively
-// (construction).
-func (f *Fleet) rebuildGroupLocked(n int) error {
-	p, err := f.placeLocked(n)
+// resizeLocked is the fleet's one change of who trains: stay keep training,
+// in rank order, and join follow them, each installing the state of the
+// source in stay that the replication plan gives it. Agents not in stay
+// leave. All or nothing: the new count must divide the total batch (a crash
+// since a request may have shrunk the fleet); the new placement is reserved
+// (with a Cluster, the first n free GPUs in deterministic tree order, the
+// fleet's own counting as free, so survivors keep their GPUs and joiners
+// take the next ones); every joiner installs; and only then do the group,
+// the reservation and the agent list change. On error the fleet is as it
+// was and the caller disposes of its joiners; after success the caller
+// retires or parks the agents that left. Callers hold f.mu or own f
+// exclusively (construction).
+func (f *Fleet) resizeLocked(stay, join []*Agent, parent *telemetry.Span) (err error) {
+	n := len(stay) + len(join)
+	if err = checkBatch(f.cfg.TotalBatch, n); err != nil {
+		return err
+	}
+	group, err := collective.NewGroup(n)
 	if err != nil {
 		return err
 	}
-	return f.regroupLocked(p)
-}
-
-// applyAdjustment performs steps 4 and 5 of the procedure for a delivered
-// adjustment: admit reported agents with replicated state, or retire
-// leaving agents, then rebuild the group and repartition.
-func (f *Fleet) applyAdjustment(adj coord.Adjustment, aspan *telemetry.Span) error {
-	switch adj.Kind {
-	case coord.ScaleOut:
-		// All or nothing: the AM has handed the adjustment over and will not
-		// deliver it again, so joiners that cannot all be admitted are all
-		// stopped rather than left behind.
-		var err error
-		joiners := make([]*Agent, 0, len(adj.Add))
-		for _, name := range adj.Add {
-			j, ok := f.spawned[name]
-			if !ok {
-				err = fmt.Errorf("worker: adjustment admits unknown agent %q", name)
-				continue
+	// The group's telemetry label is the widest link between two of its GPUs.
+	var gpus []*topology.GPU
+	link := inprocLink
+	if cl := f.cfg.Cluster; cl != nil {
+		cl.Release(f.gpus)
+		defer func() {
+			if err != nil { // give the new GPUs back and re-reserve the old, just freed
+				cl.Release(gpus)
+				_, _ = cl.ReserveSpecific(topology.IDsOf(f.gpus)) // cannot fail: the cluster is not shared between goroutines
 			}
-			delete(f.spawned, name)
-			<-j.up // closed: the AM has this joiner's report, sent after it was up
-			joiners = append(joiners, j.agent)
-		}
-		if err == nil {
-			err = f.admitLocked(joiners, aspan)
-		}
-		if err != nil {
-			for _, a := range joiners {
-				f.retire(a)
-			}
-			aspan.Event("rollback")
-		}
-		return err
-	case coord.ScaleIn:
-		var stay, leave []*Agent
-		for _, a := range f.agents {
-			if slices.Contains(adj.Remove, a.Name) {
-				leave = append(leave, a)
-			} else {
-				stay = append(stay, a)
-			}
-		}
-		if len(leave) == 0 {
-			return nil // every agent it names crashed and was swept already
-		}
-		if err := checkBatch(f.cfg.TotalBatch, len(stay)); err != nil {
+		}()
+		if gpus, err = cl.Reserve(n); err != nil {
 			return err
 		}
-		for _, a := range leave {
-			f.retire(a)
+		widest := topology.L1
+		for i, a := range gpus {
+			for _, b := range gpus[i+1:] {
+				widest = max(widest, topology.Link(a.ID, b.ID))
+			}
 		}
-		oldN := len(f.agents)
-		f.agents = stay
-		if err := f.loader.Repartition(oldN, len(stay)); err != nil {
+		link = widest.String()
+	}
+	if len(join) > 0 {
+		if err = f.replicateLocked(stay, join, topology.IDsOf(gpus), parent); err != nil {
 			return err
 		}
-		return f.rebuildGroupLocked(len(stay))
-	default:
-		return fmt.Errorf("worker: unsupported adjustment %v", adj.Kind)
 	}
-}
-
-// admitLocked folds joiners into the fleet, all or nothing: the grown
-// fleet's placement is reserved first, every joiner then installs the state
-// of the source the replication plan gives it, and only when all of them
-// hold it do the loader partition, the group and the agent list change. A
-// grown count that does not divide the total batch is refused up front (a
-// crash since the request may have shrunk the fleet). On error the fleet is
-// as it was — same agents, group and reservation — and the caller disposes
-// of the joiners.
-func (f *Fleet) admitLocked(joiners []*Agent, parent *telemetry.Span) error {
-	oldN, newN := len(f.agents), len(f.agents)+len(joiners)
-	if err := checkBatch(f.cfg.TotalBatch, newN); err != nil {
-		return err
+	group.SetTelemetry(f.tr, f.cfg.Metrics, f.clk, link)
+	if f.group != nil {
+		f.group.Close()
 	}
-	p, err := f.placeLocked(newN)
-	if err != nil {
-		return err
-	}
-	err = f.replicateLocked(f.agents, joiners, topology.IDsOf(p.gpus), parent)
-	if err == nil {
-		err = f.loader.Repartition(oldN, newN)
-	}
-	if err != nil {
-		f.unplaceLocked(p)
-		return err
-	}
-	if err := f.regroupLocked(p); err != nil {
-		return err
-	}
-	f.agents = append(f.agents, joiners...)
+	f.agents, f.group, f.gpus = slices.Concat(stay, join), group, gpus
 	return nil
 }
 
@@ -1121,9 +1032,9 @@ func (f *Fleet) replicateLocked(sources, targets []*Agent, ids []topology.GPUID,
 }
 
 // sweepDeadLocked excises crashed agents before dispatch: a killed rank
-// would never join the collective and wedge every other rank, so the
-// survivors repartition the loader and rebuild the group without it.
-// Callers hold f.mu.
+// would never join the collective and wedge every other rank, so the fleet
+// resizes to the survivors and parks the dead agents' rigs. Callers hold
+// f.mu.
 func (f *Fleet) sweepDeadLocked() error {
 	var live, dead []*Agent
 	for _, a := range f.agents {
@@ -1133,33 +1044,25 @@ func (f *Fleet) sweepDeadLocked() error {
 			dead = append(dead, a)
 		}
 	}
-	if len(live) == len(f.agents) {
+	if len(dead) == 0 {
 		return nil
 	}
 	if len(live) == 0 {
 		return fmt.Errorf("worker: all agents crashed")
 	}
-	if err := checkBatch(f.cfg.TotalBatch, len(live)); err != nil {
+	if err := f.resizeLocked(live, nil, nil); err != nil {
 		return err
 	}
-	oldN := len(f.agents)
-	f.agents = live
 	for _, a := range dead {
 		<-a.done // killed between commands, so its goroutine is on its way out
 		f.parkLocked(a)
-	}
-	if err := f.loader.Repartition(oldN, len(live)); err != nil {
-		return err
-	}
-	if err := f.rebuildGroupLocked(len(live)); err != nil {
-		return err
 	}
 	return nil
 }
 
 // CrashWorker abruptly kills the named active agent, as a process crash
 // would: its goroutine exits without draining the mailbox, its bus endpoint
-// (if any) disappears, and nothing is repartitioned until the next Step
+// (if any) disappears, and the fleet does not change until the next Step
 // sweeps it out. Taking the fleet lock serializes the kill with Step, so an
 // agent never dies mid-collective.
 func (f *Fleet) CrashWorker(name string) error {
@@ -1182,8 +1085,9 @@ func (f *Fleet) CrashWorker(name string) error {
 }
 
 // RejoinWorker restarts a previously crashed worker under its old name: a
-// fresh agent starts under that name, receives the current replica state
-// from a surviving agent, and is folded back into the group.
+// fresh agent starts under that name, on a spare rig when the fleet has one,
+// receives the current replica state from a surviving agent, and is folded
+// back into the group. A refused rejoin leaves the fleet as it was.
 func (f *Fleet) RejoinWorker(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1198,14 +1102,11 @@ func (f *Fleet) RejoinWorker(name string) error {
 	if _, ok := f.spawned[name]; ok {
 		return fmt.Errorf("worker: %q is awaiting admission", name)
 	}
-	if err := checkBatch(f.cfg.TotalBatch, len(f.agents)+1); err != nil {
-		return err
-	}
-	a, err := f.startAgent(name, true)
+	a, err := f.startOn(name, f.takeSpareLocked(), true, nil)
 	if err != nil {
 		return err
 	}
-	if err := f.admitLocked([]*Agent{a}, nil); err != nil {
+	if err := f.resizeLocked(f.agents, []*Agent{a}, nil); err != nil {
 		f.retire(a)
 		return err
 	}
