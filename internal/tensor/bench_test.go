@@ -68,10 +68,15 @@ func benchSquare(b *testing.B, n int) {
 // does not compute for its first layer. 3x384x384 is a hidden layer of the
 // steady_comm workload (3 samples a rank, MLP 256-384-384-256-10): the
 // weight gradient's tiles of 3 terms run in one pass, and the input
-// gradient's 3 rows run the packed few-row kernel. Serial, so a row is the
-// kernel's own speed; the two parallel rows are the pool's dispatch at a
-// workload shape, where the helper's wake-up is a few percent of the
-// region.
+// gradient's 3 rows run the packed few-row kernel. 12x32x64 dense and
+// 12x64x10 relu are the churn_observed workload's layers (12 samples a
+// rank, MLP 32-64-10). The ReLUInto rows are a hidden layer's activation
+// at 60x512 and 12x64 on normal values, half of them negative in a random
+// pattern; an op copies the pre-activation in first, as the forward
+// product writes it. The relu and ReLUInto rows cycle through
+// signOperands. Serial, so a row is the kernel's own speed; the two
+// parallel rows are the pool's dispatch at a workload shape, where the
+// helper's wake-up is a few percent of the region.
 //
 // Medians of five alternating runs of 30 iterations on a 2-vCPU Intel
 // Xeon VM, in ms. The first pair is the Go loops → the packed AVX2 tiles.
@@ -103,6 +108,31 @@ func benchSquare(b *testing.B, n int) {
 // The host is noisy: single runs of one row differed by up to 2x, and in
 // the second pair the medians of rows whose code did not change (the
 // MatMulBTInto rows of 4-row blocks) moved by up to a third either way.
+//
+// The third pair, packed, is the gather and ReLUInto branching → selecting
+// (DESIGN §9, "Selects, not branches"); MatMulBTInto has no gather. Medians
+// of nine alternating runs of 300 ms on the same VM, in ms; the parent's
+// quartile distance on the dense rows was 17-55 % of its median:
+//
+//	MatMulInto    60x512x512 dense      2.07 → 2.02
+//	MatMulInto    60x512x512 parallel   1.19 → 1.31
+//	MatMulInto    60x512x512 relu       1.40 → 1.19
+//	MatMulInto    60x128x512 dense      0.53 → 0.52
+//	MatMulInto    60x128x512 relu       0.35 → 0.34
+//	MatMulInto    12x256x2048           0.97 → 0.96
+//	MatMulInto    3x384x384            0.067 → 0.062
+//	MatMulInto    12x32x64 dense      0.0047 → 0.0056
+//	MatMulInto    12x64x10 relu       0.0094 → 0.0038
+//	MatMulATInto  60x512x512 dense      2.15 → 2.13
+//	MatMulATInto  60x512x512 relu       1.67 → 1.34
+//	MatMulATInto  60x128x512 dense      0.57 → 0.54
+//	MatMulATInto  60x128x512 relu       0.39 → 0.32
+//	MatMulATInto  12x256x2048           0.81 → 0.78
+//	MatMulATInto  3x384x384            0.056 → 0.060
+//	MatMulATInto  12x32x64 dense      0.0043 → 0.0040
+//	MatMulATInto  12x64x10 relu       0.0110 → 0.0052
+//	ReLUInto      60x512                0.23 → 0.068
+//	ReLUInto      12x64               0.0052 → 0.0017
 func BenchmarkWorkloadKernels(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -121,6 +151,8 @@ func BenchmarkWorkloadKernels(b *testing.B) {
 		{[3]int{60, 128, 512}, []string{"dense", "relu"}},
 		{[3]int{12, 256, 2048}, []string{"dense"}},
 		{[3]int{3, 384, 384}, []string{"dense"}},
+		{[3]int{12, 32, 64}, []string{"dense"}},
+		{[3]int{12, 64, 10}, []string{"relu"}},
 	}
 	for _, k := range kernels {
 		for _, shape := range shapes {
@@ -128,13 +160,21 @@ func BenchmarkWorkloadKernels(b *testing.B) {
 			for _, fill := range shape.fills {
 				dd, da, db := k.dims(sh[0], sh[1], sh[2])
 				rng := rand.New(rand.NewSource(1))
-				dst, x, y := MustNew(dd[0], dd[1]), MustNew(da[0], da[1]), MustNew(db[0], db[1])
-				x.Randn(rng, 1)
-				y.Randn(rng, 1)
+				dst, y := MustNew(dd[0], dd[1]), MustNew(db[0], db[1])
+				xs := []*Matrix{MustNew(da[0], da[1])}
+				xs[0].Randn(rng, 1)
 				if fill == "relu" {
-					x.ReLU()
+					xs = signOperands(rng, da[0], da[1])
+					for _, x := range xs {
+						x.ReLU()
+					}
 				}
-				call := func() error { return k.into(dst, x, y) }
+				y.Randn(rng, 1)
+				op := 0
+				call := func() error {
+					op++
+					return k.into(dst, xs[op%len(xs)], y)
+				}
 				name := fmt.Sprintf("%s/%dx%dx%d/%s", k.name, sh[0], sh[1], sh[2], fill)
 				b.Run(name, func(b *testing.B) { benchKernel(b, 1, call) })
 				if name == "MatMulInto/60x512x512/dense" || name == "MatMulBTInto/60x512x512/dense" {
@@ -143,6 +183,33 @@ func BenchmarkWorkloadKernels(b *testing.B) {
 			}
 		}
 	}
+	for _, sh := range [][2]int{{60, 512}, {12, 64}} {
+		pre := signOperands(rand.New(rand.NewSource(1)), sh[0], sh[1])
+		h, mask := MustNew(sh[0], sh[1]), MustNew(sh[0], sh[1])
+		op := 0
+		call := func() error {
+			op++
+			copy(h.Data, pre[op%len(pre)].Data)
+			return h.ReLUInto(mask)
+		}
+		b.Run(fmt.Sprintf("ReLUInto/%dx%d/random", sh[0], sh[1]), func(b *testing.B) { benchKernel(b, 1, call) })
+	}
+}
+
+// signOperands returns rows x cols matrices of normal values, as many as
+// hold 64 Ki elements between them and at least two, for a row whose kernel
+// meets signs or zeros in a random pattern to cycle through. One repeated
+// operand of a few thousand elements lets the branch predictor learn its
+// pattern: a branchy ReLUInto at 12x64 read 1.2 µs over one operand, or
+// eight, and 4.9 µs over sixty-four, against 1.5 µs selecting. A training
+// step's activations differ from step to step.
+func signOperands(rng *rand.Rand, rows, cols int) []*Matrix {
+	ms := make([]*Matrix, max(2, (64<<10)/(rows*cols)))
+	for i := range ms {
+		ms[i] = MustNew(rows, cols)
+		ms[i].Randn(rng, 1)
+	}
+	return ms
 }
 
 // BenchmarkMatMulIntoCallers times the first layer's forward of the

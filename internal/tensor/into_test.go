@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -250,6 +251,155 @@ func TestReLUIntoMatchesNaive(t *testing.T) {
 		}
 		if !bitsEqual(mask, wantMask) {
 			t.Fatalf("ReLUInto %v mask differs from ReLU", sh)
+		}
+	}
+}
+
+// FuzzReLUIntoBitwise checks ReLUInto against the allocating ReLU bit for
+// bit, activation and mask, on fuzzer-chosen float64 bit patterns: eight
+// little-endian bytes an element, cols picking the row width. The stale
+// mask holds the same values in reverse order, so every element must be
+// rewritten. The seeds hold ±0, NaNs of both signs with their own payloads,
+// ±Inf, ±subnormals and ±MaxFloat64.
+func FuzzReLUIntoBitwise(f *testing.F) {
+	bits := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	nan := func(sign, payload uint64) float64 {
+		return math.Float64frombits(sign<<63 | 0x7FF0000000000000 | payload)
+	}
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	f.Add(uint8(0), bits(0, negZero, 1, -1))
+	f.Add(uint8(3), bits(math.Inf(1), math.Inf(-1), nan(0, 1<<51|7), nan(1, 1<<51|9), nan(0, 1), nan(1, 3)))
+	f.Add(uint8(2), bits(sub, -sub, 0x1p-1022-sub, -(0x1p-1022-sub), math.MaxFloat64, -math.MaxFloat64, negZero, 0))
+	f.Add(uint8(1), append(bits(nan(1, 1<<51), 2.5, negZero), 0xff, 0x01))
+	f.Fuzz(func(t *testing.T, cols uint8, data []byte) {
+		n := len(data) / 8
+		if n == 0 {
+			return
+		}
+		c := 1 + int(cols)%n
+		m, mask := MustNew(n/c, c), MustNew(n/c, c)
+		for i := range m.Data {
+			m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		for i := range mask.Data {
+			mask.Data[i] = m.Data[len(m.Data)-1-i]
+		}
+		ref := m.Clone()
+		wantMask := ref.ReLU()
+		if err := m.ReLUInto(mask); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(m, ref) {
+			t.Fatalf("ReLUInto activation differs from ReLU: got %x, want %x", bitPatterns(m), bitPatterns(ref))
+		}
+		if !bitsEqual(mask, wantMask) {
+			t.Fatalf("ReLUInto mask differs from ReLU: got %x, want %x", bitPatterns(mask), bitPatterns(wantMask))
+		}
+	})
+}
+
+// bitPatterns is m's elements as raw bits, for failure messages.
+func bitPatterns(m *Matrix) []uint64 {
+	b := make([]uint64, len(m.Data))
+	for i, v := range m.Data {
+		b[i] = math.Float64bits(v)
+	}
+	return b
+}
+
+// reluShaped fills m as a hidden layer's activations or masked gradients
+// are: about half exact zeros, +0 and −0 alike, in a random pattern, the
+// rest normal values. special adds, one element in about 4·k each, ±Inf and
+// NaNs of both signs and two payloads, so most output elements stay finite
+// and a zero skipped or not shows as 0·Inf = NaN.
+func reluShaped(rng *rand.Rand, m *Matrix, k int, special bool) {
+	for i := range m.Data {
+		v := rng.NormFloat64()
+		switch r := rng.Intn(4 * k); {
+		case special && r == 0:
+			v = math.Inf(1)
+		case special && r == 1:
+			v = math.Inf(-1)
+		case special && r == 2:
+			v = math.Float64frombits(0x7FF8000000000000 | 0x123)
+		case special && r == 3:
+			v = math.Float64frombits(0xFFF8000000000000 | 0x456)
+		case r%4 == 0:
+			v = 0
+		case r%4 == 1:
+			v = math.Copysign(0, -1)
+		}
+		m.Data[i] = v
+	}
+}
+
+// workloadShapes are the layer shapes, batch x in x out, of the
+// benchmark's workloads at the worker counts their rounds pass through:
+// churn_observed (MLP 32-64-10, 12 and 6 samples a rank), steady_compute
+// (128-512-512-10, 60), steady_comm (256-384-384-256-10, 3) and
+// elastic_churn (256-2048-10, 12).
+var workloadShapes = [][3]int{
+	{12, 32, 64}, {12, 64, 10}, {6, 32, 64}, {6, 64, 10},
+	{60, 128, 512}, {60, 512, 512}, {60, 512, 10},
+	{3, 256, 384}, {3, 384, 384},
+	{12, 256, 2048}, {12, 2048, 10},
+}
+
+// TestWorkloadShapesMatchNaiveBitwise runs a layer's forward product
+// (MatMulInto of batch x in activations by in x out weights) and its weight
+// gradient (MatMulATInto of the same activations by batch x out output
+// gradients) at every workload shape, on both kernel paths, serial and on
+// the pool, against MatMul and MatMulAT bit for bit. The activations are
+// ReLU-shaped, so the gather meets half zeros of both signs in a random
+// pattern, and with special the zeros face ±Inf and NaN in the other
+// operand, where only the reference's exact skip of ±0 keeps the bits.
+func TestWorkloadShapesMatchNaiveBitwise(t *testing.T) {
+	paths := kernelPaths(t)
+	prevK := Parallelism()
+	t.Cleanup(func() { SetParallelism(prevK) })
+	rng := rand.New(rand.NewSource(53))
+	for _, sh := range workloadShapes {
+		batch, in, out := sh[0], sh[1], sh[2]
+		for _, special := range []bool{false, true} {
+			x, w, dy := MustNew(batch, in), MustNew(in, out), MustNew(batch, out)
+			reluShaped(rng, x, in, special)
+			reluShaped(rng, w, in, special)
+			reluShaped(rng, dy, batch, special)
+			for _, c := range []struct {
+				name  string
+				naive func(a, b *Matrix) (*Matrix, error)
+				into  func(dst, a, b *Matrix) error
+				b     *Matrix
+			}{
+				{"MatMulInto", MatMul, MatMulInto, w},
+				{"MatMulATInto", MatMulAT, MatMulATInto, dy},
+			} {
+				want, err := c.naive(x, c.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, packed := range paths {
+					useAVX2 = packed
+					for _, workers := range []int{1, 2} {
+						SetParallelism(workers)
+						dst := MustNew(want.Rows, want.Cols)
+						reluShaped(rng, dst, 1, true) // Into must fully overwrite
+						if err := c.into(dst, x, c.b); err != nil {
+							t.Fatal(err)
+						}
+						if !bitsEqual(dst, want) {
+							t.Fatalf("%s (%s) %dx%dx%d special=%v at parallelism %d differs from naive", c.name, pathName(), batch, in, out, special, workers)
+						}
+					}
+				}
+			}
 		}
 	}
 }
